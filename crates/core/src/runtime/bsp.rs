@@ -143,6 +143,9 @@ impl BspFlavor {
             let Some(inf) = k.workers[wi].inflight.take() else {
                 continue;
             };
+            if let Some(g) = inf.grad {
+                ml_bridge::recycle(&mut k.math, g);
+            }
             iteration_samples += inf.took;
             k.commit(wi, ready_max);
             let pull = k.pull_secs(ready_max, wi);

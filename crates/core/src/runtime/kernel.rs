@@ -21,7 +21,7 @@ use crate::report::{ActionApplication, DivergenceMarks, InjectionRecord};
 use antdt_agent::OverheadLedger;
 use antdt_controller::{Action, MitigationPolicy, PolicyCtx};
 use antdt_dds::{DdsConfig, DdsService};
-use antdt_ml::{FactorizationMachine, Model, PartitionPlan, Sgd};
+use antdt_ml::{FactorizationMachine, Model, Sgd};
 use antdt_monitor::NodeId;
 use antdt_sim::rng::StdRng;
 use antdt_sim::{Gantt, Link, NodeProfile, RngPool, SimDuration, SimTime, TimeSeries};
@@ -219,16 +219,10 @@ impl Kernel {
 
         let math = match &cfg.execution {
             ExecutionMode::Simulated => None,
-            ExecutionMode::Real { dataset, latent_k, lr, .. } => {
-                let model = FactorizationMachine::new(dataset.n_features, *latent_k, 0.05);
-                let n_params = model.n_params();
-                Some(MathState {
-                    model,
-                    opt: Sgd::new(*lr),
-                    plan: PartitionPlan::even(n_params, m.max(1)),
-                    agg: vec![0.0; n_params],
-                })
-            }
+            ExecutionMode::Real { dataset, latent_k, lr, .. } => Some(MathState::new(
+                FactorizationMachine::new(dataset.n_features, *latent_k, 0.05),
+                Sgd::new(*lr),
+            )),
         };
 
         let even_quota = |i: usize| {

@@ -9,39 +9,69 @@
 
 use super::kernel::Kernel;
 use crate::config::ExecutionMode;
-use antdt_ml::{FactorizationMachine, Model, Optimizer, PartitionPlan, Sgd};
+use antdt_ml::{FactorizationMachine, Model, Optimizer, Sgd};
 
-/// Real-math state: the model, its optimizer, the parameter partition over
-/// the servers and a persistent aggregation buffer (avoids a fresh
-/// `n_params` allocation per iteration).
-#[derive(Clone)]
+/// Real-math state: the model, its optimizer and the buffers the per-iteration
+/// math reuses instead of allocating: the aggregation/scaling buffer, the
+/// sample-index list and the gradients returned after their step.
 pub struct MathState {
     pub(crate) model: FactorizationMachine,
     pub(crate) opt: Sgd,
-    #[allow(dead_code)]
-    pub(crate) plan: PartitionPlan,
     pub(crate) agg: Vec<f32>,
+    idx: Vec<u64>,
+    spare: Vec<Vec<f32>>,
+}
+
+impl MathState {
+    pub(crate) fn new(model: FactorizationMachine, opt: Sgd) -> Self {
+        let agg = vec![0.0; model.n_params()];
+        MathState { model, opt, agg, idx: Vec::new(), spare: Vec::new() }
+    }
+}
+
+/// Snapshots and forks copy the model and optimizer; the scratch buffers
+/// start empty and refill on use.
+impl Clone for MathState {
+    fn clone(&self) -> Self {
+        MathState::new(self.model.clone(), self.opt)
+    }
 }
 
 impl Kernel {
     /// Compute the real gradient for the samples worker `w` just took (math
     /// mode): the consumed-but-uncommitted indices across its open leases.
-    pub(crate) fn real_grad(&self, w: usize, took: u64) -> Option<Vec<f32>> {
-        let math = self.math.as_ref()?;
+    /// The buffer comes from the recycled gradients when one is free; hand it
+    /// back with [`recycle`] after its step.
+    pub(crate) fn real_grad(&mut self, w: usize, took: u64) -> Option<Vec<f32>> {
+        let math = self.math.as_mut()?;
         let ExecutionMode::Real { dataset, .. } = &self.cfg.execution else {
             return None;
         };
-        let mut idx = Vec::with_capacity(took as usize);
+        math.idx.clear();
         for lease in &self.workers[w].leases {
             if lease.consumed > lease.committed {
                 let order = lease.order.as_ref()?;
-                idx.extend_from_slice(&order[lease.committed as usize..lease.consumed as usize]);
+                math.idx
+                    .extend_from_slice(&order[lease.committed as usize..lease.consumed as usize]);
             }
         }
-        debug_assert_eq!(idx.len() as u64, took);
-        let mut grad = vec![0.0f32; math.model.n_params()];
-        math.model.grad_batch(dataset, &idx, &mut grad);
+        debug_assert_eq!(math.idx.len() as u64, took);
+        let mut grad = match math.spare.pop() {
+            Some(mut g) => {
+                g.fill(0.0);
+                g
+            }
+            None => vec![0.0f32; math.model.n_params()],
+        };
+        math.model.grad_batch(dataset, &math.idx, &mut grad);
         Some(grad)
+    }
+}
+
+/// Return a gradient from [`Kernel::real_grad`] once its step has been taken.
+pub(crate) fn recycle(math: &mut Option<MathState>, grad: Vec<f32>) {
+    if let Some(math) = math.as_mut() {
+        math.spare.push(grad);
     }
 }
 
@@ -69,9 +99,7 @@ pub(crate) fn weighted_step(
             *a += b * wgt;
         }
     }
-    let agg = std::mem::take(&mut math.agg);
-    math.opt.step(math.model.params_mut(), &agg);
-    math.agg = agg;
+    math.opt.step(math.model.params_mut(), &math.agg);
 }
 
 /// One asynchronous optimizer step: the push applies immediately, scaled by
@@ -93,8 +121,10 @@ pub(crate) fn asp_step(
     if scale == 1.0 {
         math.opt.step(math.model.params_mut(), grad);
     } else {
-        let scaled: Vec<f32> = grad.iter().map(|x| x * scale).collect();
-        math.opt.step(math.model.params_mut(), &scaled);
+        for (a, g) in math.agg.iter_mut().zip(grad) {
+            *a = g * scale;
+        }
+        math.opt.step(math.model.params_mut(), &math.agg);
     }
 }
 
@@ -105,14 +135,7 @@ mod tests {
     /// 2-param toy model; `params_mut` starts at zero and SGD applies
     /// `p -= lr * g`, so a step's magnitude reads the effective LR directly.
     fn toy_math(lr: f32) -> Option<MathState> {
-        let model = FactorizationMachine::new(1, 0, 0.0);
-        let n = model.n_params();
-        Some(MathState {
-            model,
-            opt: Sgd::new(lr),
-            plan: PartitionPlan::even(n, 1),
-            agg: vec![0.0; n],
-        })
+        Some(MathState::new(FactorizationMachine::new(1, 0, 0.0), Sgd::new(lr)))
     }
 
     fn params(math: &Option<MathState>) -> Vec<f32> {
@@ -203,5 +226,64 @@ mod tests {
         // avoided and both branches are exercised on equal effective scale.
         asp_step(&mut slow, &g, 50, 4, 400, 2.0);
         assert_eq!(params(&fast), params(&slow));
+    }
+}
+
+/// Known answers for small real-math jobs: the holdout AUC and an FNV-1a hash
+/// of the trained parameters' bits. The values were produced by the
+/// row-at-a-time FM kernel and the index-permutation AUC; any drift in the
+/// gradient, optimizer-step or AUC arithmetic changes them.
+#[cfg(test)]
+mod known_answers {
+    use super::super::asp::AspPs;
+    use super::super::ring::RingAllReduce;
+    use super::super::strategy::{SimRun, SyncStrategy};
+    use crate::config::{ExecutionMode, JobConfig};
+    use crate::job::build_policy;
+    use antdt_ml::Model;
+    use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
+    use antdt_workloads::{ctr, CtrConfig, Scenario};
+
+    fn real(cfg: JobConfig) -> JobConfig {
+        let (train, holdout) =
+            ctr::generate(&CtrConfig::default().with_samples(6_000)).split_holdout(0.2);
+        let n = train.len() as u64;
+        cfg.with_samples(n)
+            .with_epochs(2)
+            .with_batches_per_shard(2)
+            .with_execution(ExecutionMode::Real { dataset: train, holdout, latent_k: 8, lr: 0.4 })
+    }
+
+    /// `(auc bits, parameter hash)` of `cfg` run to completion under `strat`.
+    fn run<S: SyncStrategy>(cfg: JobConfig, strat: S) -> (u64, u64) {
+        let deadline = cfg.max_sim_time;
+        let mut run = SimRun::new(cfg.clone(), build_policy(&cfg), strat);
+        run.advance_until(deadline);
+        let params = run.k.math.as_ref().unwrap().model.params();
+        let hash = params.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+            (h ^ u64::from(p.to_bits())).wrapping_mul(0x0100_0000_01b3)
+        });
+        (run.finish().auc.unwrap().to_bits(), hash)
+    }
+
+    /// Ring AllReduce on Cluster-B: the sample-weighted `weighted_step` path.
+    #[test]
+    fn allreduce_real_run_is_pinned() {
+        let cfg = real(JobConfig::allreduce(cluster_b(), Scenario::None).with_global_batch(768));
+        let (auc, hash) = run(cfg, RingAllReduce::new());
+        assert_eq!(auc, 0x3fe5_94fc_bdd3_f298, "auc {}", f64::from_bits(auc));
+        assert_eq!(hash, 0x4574_3734_9599_88c3);
+    }
+
+    /// PS-ASP with 3 workers over a 1,000-sample global batch: quotas of 333
+    /// push at `lr_frac` 0.999, so `asp_step` takes its scaled branch.
+    #[test]
+    fn asp_real_run_is_pinned() {
+        let cfg = real(
+            JobConfig::ps_asp(cluster_a_scaled(3, 2), Scenario::None).with_global_batch(1_000),
+        );
+        let (auc, hash) = run(cfg, AspPs::new());
+        assert_eq!(auc, 0x3fe6_49a9_86a4_e35a, "auc {}", f64::from_bits(auc));
+        assert_eq!(hash, 0x461d_5d2a_fc0b_8036);
     }
 }

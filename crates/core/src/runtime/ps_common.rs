@@ -281,15 +281,16 @@ pub(crate) fn finish_asp_push<F: PsFlavor>(
     }
     // Math: apply this worker's gradient immediately (arrival order is the
     // event order, exactly ASP's semantics).
-    if let Some(g) = &inf.grad {
+    if let Some(g) = inf.grad {
         ml_bridge::asp_step(
             &mut k.math,
-            g,
+            &g,
             inf.took,
             k.workers.len(),
             k.cfg.global_batch,
             k.workers[wi].lr_scale,
         );
+        ml_bridge::recycle(&mut k.math, g);
     }
     k.commit(wi, ready);
     let pull = k.pull_secs(ready, wi);

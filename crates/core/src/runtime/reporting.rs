@@ -115,7 +115,7 @@ impl Kernel {
         let auc = match (&self.math, &self.cfg.execution) {
             (Some(math), ExecutionMode::Real { holdout, .. }) if !holdout.is_empty() => {
                 let scores = math.model.scores(holdout);
-                let labels: Vec<f32> = holdout.examples.iter().map(|e| e.label).collect();
+                let labels: Vec<f32> = holdout.labels().collect();
                 antdt_ml::auc(&scores, &labels)
             }
             _ => None,

@@ -212,6 +212,9 @@ impl RoundDriver {
                 .collect();
             ml_bridge::weighted_step(&mut k.math, &contribs, k.cfg.global_batch);
         }
+        for g in self.parts.iter_mut().filter_map(|p| p.grad.take()) {
+            ml_bridge::recycle(&mut k.math, g);
+        }
         let mut round_samples = 0u64;
         for p in &self.parts {
             k.commit(p.w, now);

@@ -61,17 +61,14 @@ impl GradAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{Dataset, SparseExample};
+    use crate::data::Dataset;
     use crate::model::{LogisticRegression, Model};
 
     #[test]
     fn accumulated_mean_equals_full_batch_gradient() {
         let mut d = Dataset::new(4);
         for i in 0..32u32 {
-            d.push(SparseExample {
-                feats: vec![(i % 4, 1.0 + (i % 3) as f32)],
-                label: (i % 2) as f32,
-            });
+            d.push(&[(i % 4, 1.0 + (i % 3) as f32)], (i % 2) as f32);
         }
         let mut m = LogisticRegression::new(4);
         m.params_mut().copy_from_slice(&[0.3, -0.1, 0.2, 0.05, 0.0]);

@@ -5,14 +5,12 @@
 //! gradient math, not just a timing model. This crate provides exactly enough ML
 //! to make those experiments honest:
 //!
-//! * sparse classification examples and datasets ([`data`]),
+//! * sparse classification datasets in a flat CSR layout ([`data`]),
 //! * logistic-regression and factorization-machine models — the FM standing in
 //!   for the XDeepFM CTR model trained on Criteo in the paper ([`model`]),
 //! * SGD and momentum optimizers plus gradient accumulation ([`optim`],
 //!   [`accum`]),
-//! * exact AUC / log-loss metrics ([`metrics`]),
-//! * even range-partitioning of the parameter vector across parameter servers
-//!   ([`sharding`]) — the paper's footnote 1 assumption.
+//! * exact AUC / log-loss metrics ([`metrics`]).
 //!
 //! Simulated time and real math are decoupled: the training runtimes in
 //! `antdt-core` can run with real gradients (integrity experiments) or with
@@ -23,11 +21,9 @@ pub mod data;
 pub mod metrics;
 pub mod model;
 pub mod optim;
-pub mod sharding;
 
 pub use accum::GradAccumulator;
-pub use data::{Dataset, SparseExample};
+pub use data::{Dataset, Row};
 pub use metrics::{auc, log_loss};
 pub use model::{FactorizationMachine, LogisticRegression, Model};
 pub use optim::{AdaGrad, Momentum, Optimizer, Sgd};
-pub use sharding::PartitionPlan;

@@ -12,21 +12,24 @@ pub fn auc(scores: &[f32], labels: &[f32]) -> Option<f64> {
     if n_pos == 0 || n_neg == 0 {
         return None;
     }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("NaN score"));
+    let mut ranked: Vec<(f32, bool)> =
+        scores.iter().zip(labels).map(|(&s, &l)| (s, l > 0.5)).collect();
+    ranked.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN score"));
 
-    // Sum of positive ranks, averaging ranks within tie groups.
+    // Sum of positive ranks, averaging ranks within tie groups. Every
+    // positive of a tie group adds the same average rank, so the order
+    // inside a group does not change the sum.
     let mut rank_sum_pos = 0.0f64;
     let mut i = 0usize;
-    while i < order.len() {
+    while i < ranked.len() {
         let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
+        while j + 1 < ranked.len() && ranked[j + 1].0 == ranked[i].0 {
             j += 1;
         }
         // 1-based ranks i+1 ..= j+1 share the average rank.
         let avg_rank = (i + 1 + j + 1) as f64 / 2.0;
-        for &k in &order[i..=j] {
-            if labels[k] > 0.5 {
+        for &(_, positive) in &ranked[i..=j] {
+            if positive {
                 rank_sum_pos += avg_rank;
             }
         }
@@ -85,6 +88,54 @@ mod tests {
             }
         }
         Some(wins / (pos.len() * neg.len()) as f64)
+    }
+
+    /// The index-permutation form `auc` replaced: same ranks, same
+    /// score-order additions.
+    fn auc_by_index(scores: &[f32], labels: &[f32]) -> Option<f64> {
+        let n_pos = labels.iter().filter(|&&l| l > 0.5).count();
+        let n_neg = labels.len() - n_pos;
+        if n_pos == 0 || n_neg == 0 {
+            return None;
+        }
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("NaN score"));
+        let mut rank_sum_pos = 0.0f64;
+        let mut i = 0usize;
+        while i < order.len() {
+            let mut j = i;
+            while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
+                j += 1;
+            }
+            let avg_rank = (i + 1 + j + 1) as f64 / 2.0;
+            for &k in &order[i..=j] {
+                if labels[k] > 0.5 {
+                    rank_sum_pos += avg_rank;
+                }
+            }
+            i = j + 1;
+        }
+        let u = rank_sum_pos - (n_pos as f64 * (n_pos as f64 + 1.0)) / 2.0;
+        Some(u / (n_pos as f64 * n_neg as f64))
+    }
+
+    /// 256 seeded cases, coarse grids (many ties) and fine ones.
+    #[test]
+    fn auc_matches_index_form_bit_for_bit() {
+        for seed in 0..256 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..400);
+            let grid = if seed % 2 == 0 { 8 } else { 1 << 20 };
+            let (scores, labels) = random_ranking(&mut rng, n, grid);
+            let (a, b) = (auc(&scores, &labels), auc_by_index(&scores, &labels));
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "seed {seed}: {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN score")]
+    fn nan_score_panics() {
+        let _ = auc(&[0.2, f32::NAN, 0.7], &[0.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! factorization machine (the stand-in for XDeepFM on CTR data — same family of
 //! explicit feature-interaction models, trained with log loss).
 //!
-//! Parameters live in one flat `Vec<f32>` so the parameter-server sharding
-//! (`sharding::PartitionPlan`) can range-partition them without knowing the
-//! model structure, exactly as a real PS does with a flat key space.
+//! Parameters live in one flat `Vec<f32>`, the layout a parameter server
+//! range-partitions without knowing the model structure.
 
-use crate::data::{Dataset, SparseExample};
+use crate::data::{Dataset, Row};
 
 #[inline]
 fn sigmoid(z: f32) -> f32 {
@@ -18,6 +17,18 @@ fn sigmoid(z: f32) -> f32 {
     }
 }
 
+/// One example's log likelihood for predicted probability `p`, clamped away
+/// from 0 and 1 (its log loss is the negation).
+#[inline]
+fn log_likelihood(p: f32, label: f32) -> f64 {
+    let pc = p.clamp(1e-7, 1.0 - 1e-7) as f64;
+    if label > 0.5 {
+        pc.ln()
+    } else {
+        (1.0 - pc).ln()
+    }
+}
+
 /// A differentiable binary classifier with a flat parameter vector.
 pub trait Model {
     /// Total number of parameters.
@@ -26,7 +37,7 @@ pub trait Model {
     fn params_mut(&mut self) -> &mut [f32];
 
     /// Predicted probability of the positive class.
-    fn predict(&self, x: &SparseExample) -> f32;
+    fn predict(&self, x: Row<'_>) -> f32;
 
     /// Accumulate the *mean* log-loss gradient of `idx` (indices into `data`)
     /// into `grad` (same layout as `params`; caller zeroes). Returns the mean
@@ -38,8 +49,7 @@ pub trait Model {
         let mut total = 0.0f64;
         for &i in idx {
             let ex = data.get(i);
-            let p = self.predict(ex).clamp(1e-7, 1.0 - 1e-7) as f64;
-            total -= if ex.label > 0.5 { p.ln() } else { (1.0 - p).ln() };
+            total -= log_likelihood(self.predict(ex), ex.label);
         }
         if idx.is_empty() {
             0.0
@@ -50,7 +60,7 @@ pub trait Model {
 
     /// Scores for a whole dataset (for AUC evaluation).
     fn scores(&self, data: &Dataset) -> Vec<f32> {
-        data.examples.iter().map(|e| self.predict(e)).collect()
+        data.iter().map(|e| self.predict(e)).collect()
     }
 }
 
@@ -67,10 +77,10 @@ impl LogisticRegression {
     }
 
     #[inline]
-    fn raw(&self, x: &SparseExample) -> f32 {
+    fn raw(&self, x: Row<'_>) -> f32 {
         let b = self.params[self.n_features as usize];
         let mut z = b;
-        for &(i, v) in &x.feats {
+        for &(i, v) in x.feats {
             z += self.params[i as usize] * v;
         }
         z
@@ -88,7 +98,7 @@ impl Model for LogisticRegression {
         &mut self.params
     }
 
-    fn predict(&self, x: &SparseExample) -> f32 {
+    fn predict(&self, x: Row<'_>) -> f32 {
         sigmoid(self.raw(x))
     }
 
@@ -104,16 +114,21 @@ impl Model for LogisticRegression {
             let ex = data.get(i);
             let p = sigmoid(self.raw(ex));
             let err = (p - ex.label) * scale;
-            for &(j, v) in &ex.feats {
+            for &(j, v) in ex.feats {
                 grad[j as usize] += err * v;
             }
             grad[bias_at] += err;
-            let pc = (p.clamp(1e-7, 1.0 - 1e-7)) as f64;
-            loss -= if ex.label > 0.5 { pc.ln() } else { (1.0 - pc).ln() };
+            loss -= log_likelihood(p, ex.label);
         }
         loss / idx.len() as f64
     }
 }
+
+/// Rows whose forward passes the factorization machine runs in lockstep.
+const BLOCK: usize = 4;
+
+/// Per-factor sums of a block of rows: `sums[f][r]` is row `r`'s `s_f`.
+type BlockSums = [[f32; BLOCK]];
 
 /// Second-order factorization machine:
 /// `score = w₀ + Σᵢ wᵢxᵢ + ½ Σ_f [(Σᵢ v_{if} xᵢ)² − Σᵢ v_{if}² xᵢ²]`.
@@ -145,39 +160,90 @@ impl FactorizationMachine {
         FactorizationMachine { n_features, k, params }
     }
 
+    /// The parameter vector split into `(w, v, w₀)`.
     #[inline]
-    fn w(&self) -> &[f32] {
-        &self.params[..self.n_features as usize]
-    }
-    #[inline]
-    fn v(&self, i: u32, f: usize) -> f32 {
+    fn split(&self) -> (&[f32], &[f32], f32) {
         let n = self.n_features as usize;
-        self.params[n + i as usize * self.k + f]
-    }
-    #[inline]
-    fn w0(&self) -> f32 {
-        self.params[self.params.len() - 1]
+        let (w, rest) = self.params.split_at(n);
+        let (v, w0) = rest.split_at(n * self.k);
+        (w, v, w0[0])
     }
 
-    /// Raw score and the per-factor sums `s_f = Σᵢ v_{if} xᵢ` (needed by grads).
-    fn raw_with_sums(&self, x: &SparseExample, sums: &mut [f32]) -> f32 {
-        let mut z = self.w0();
-        for &(i, v) in &x.feats {
-            z += self.w()[i as usize] * v;
-        }
-        for s in sums.iter_mut() {
-            *s = 0.0;
-        }
-        let mut sq = 0.0f32;
-        for &(i, xv) in &x.feats {
+    /// Raw scores of up to [`BLOCK`] rows (unused slots are empty rows),
+    /// leaving each row's factor sums `s_f = Σᵢ v_{if} xᵢ` in `sums`.
+    ///
+    /// The rows advance through their features together, so their dependent
+    /// loads and serial `sq` chains overlap instead of queueing; every
+    /// accumulator still sees its own row's terms in feature order, so each
+    /// score is bit-identical to a row-at-a-time pass.
+    // Lockstep means indexing every row at the same position `t`.
+    #[allow(clippy::needless_range_loop)]
+    fn forward(&self, rows: &[&[(u32, f32)]; BLOCK], sums: &mut BlockSums) -> [f32; BLOCK] {
+        let k = self.k;
+        let (w, v, w0) = self.split();
+        let sums = &mut sums[..k];
+        sums.fill([0.0; BLOCK]);
+        let mut z = [w0; BLOCK];
+        let mut sq = [0.0f32; BLOCK];
+        let common = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+        for t in 0..common {
+            let mut x = [0.0f32; BLOCK];
+            let mut vi = [&v[..0]; BLOCK];
+            for r in 0..BLOCK {
+                let (i, xv) = rows[r][t];
+                let i = i as usize;
+                z[r] += w[i] * xv;
+                x[r] = xv;
+                vi[r] = &v[i * k..i * k + k];
+            }
             for (f, s) in sums.iter_mut().enumerate() {
-                let vif = self.v(i, f);
-                *s += vif * xv;
-                sq += vif * vif * xv * xv;
+                for r in 0..BLOCK {
+                    let vif = vi[r][f];
+                    s[r] += vif * x[r];
+                    sq[r] += vif * vif * x[r] * x[r];
+                }
             }
         }
-        let s2: f32 = sums.iter().map(|s| s * s).sum();
-        z + 0.5 * (s2 - sq)
+        // Ragged tails: what is left of the longer rows, one row at a time.
+        for (r, row) in rows.iter().enumerate() {
+            for &(i, xv) in &row[common..] {
+                let i = i as usize;
+                z[r] += w[i] * xv;
+                for (s, &vif) in sums.iter_mut().zip(&v[i * k..i * k + k]) {
+                    s[r] += vif * xv;
+                    sq[r] += vif * vif * xv * xv;
+                }
+            }
+        }
+        std::array::from_fn(|r| {
+            let s2: f32 = sums.iter().map(|s| s[r] * s[r]).sum();
+            z[r] + 0.5 * (s2 - sq[r])
+        })
+    }
+
+    /// Run [`Self::forward`] over `rows` a block at a time, calling
+    /// `each(row, raw score, sums, slot)` for every row in order; the row's
+    /// factor sums are `sums[f][slot]`. One scratch buffer per call.
+    fn forward_rows<'a>(
+        &self,
+        rows: impl Iterator<Item = Row<'a>>,
+        mut each: impl FnMut(Row<'a>, f32, &BlockSums, usize),
+    ) {
+        let mut rows = rows.fuse();
+        let mut sums = vec![[0.0f32; BLOCK]; self.k];
+        loop {
+            let block: [Option<Row<'a>>; BLOCK] = std::array::from_fn(|_| rows.next());
+            if block[0].is_none() {
+                return;
+            }
+            let feats = block.map(|r| r.map_or(&[][..], |r| r.feats));
+            let scores = self.forward(&feats, &mut sums);
+            for (slot, row) in block.into_iter().enumerate() {
+                if let Some(row) = row {
+                    each(row, scores[slot], &sums, slot);
+                }
+            }
+        }
     }
 }
 
@@ -192,37 +258,48 @@ impl Model for FactorizationMachine {
         &mut self.params
     }
 
-    fn predict(&self, x: &SparseExample) -> f32 {
-        let mut sums = vec![0.0f32; self.k];
-        sigmoid(self.raw_with_sums(x, &mut sums))
+    fn predict(&self, x: Row<'_>) -> f32 {
+        let mut p = 0.0;
+        self.forward_rows(std::iter::once(x), |_, z, _, _| p = sigmoid(z));
+        p
     }
 
+    fn scores(&self, data: &Dataset) -> Vec<f32> {
+        let mut out = Vec::with_capacity(data.len());
+        self.forward_rows(data.iter(), |_, z, _, _| out.push(sigmoid(z)));
+        out
+    }
+
+    /// Forward passes run four rows in lockstep; backward passes then
+    /// accumulate into `grad` strictly in `idx` order, so the gradient and
+    /// loss are bit-identical to a row-at-a-time loop.
     fn grad_batch(&self, data: &Dataset, idx: &[u64], grad: &mut [f32]) -> f64 {
         debug_assert_eq!(grad.len(), self.params.len());
         if idx.is_empty() {
             return 0.0;
         }
-        let n = self.n_features as usize;
+        let (n, k) = (self.n_features as usize, self.k);
         let scale = 1.0 / idx.len() as f32;
-        let bias_at = self.params.len() - 1;
-        let mut sums = vec![0.0f32; self.k];
+        let (_, v, _) = self.split();
+        let (g_w, rest) = grad.split_at_mut(n);
+        let (g_v, g_w0) = rest.split_at_mut(n * k);
+        let g_w0 = &mut g_w0[0];
         let mut loss = 0.0f64;
-        for &i in idx {
-            let ex = data.get(i);
-            let p = sigmoid(self.raw_with_sums(ex, &mut sums));
+        self.forward_rows(idx.iter().map(|&i| data.get(i)), |ex, z, sums, slot| {
+            let p = sigmoid(z);
             let err = (p - ex.label) * scale;
-            grad[bias_at] += err;
-            for &(j, xv) in &ex.feats {
-                grad[j as usize] += err * xv;
-                for f in 0..self.k {
-                    let vif = self.v(j, f);
+            *g_w0 += err;
+            for &(j, xv) in ex.feats {
+                let j = j as usize;
+                g_w[j] += err * xv;
+                let (g_vj, vj) = (&mut g_v[j * k..j * k + k], &v[j * k..j * k + k]);
+                for ((g, &vif), s) in g_vj.iter_mut().zip(vj).zip(sums) {
                     // d score / d v_{jf} = x_j * (s_f - v_{jf} x_j)
-                    grad[n + j as usize * self.k + f] += err * xv * (sums[f] - vif * xv);
+                    *g += err * xv * (s[slot] - vif * xv);
                 }
             }
-            let pc = (p.clamp(1e-7, 1.0 - 1e-7)) as f64;
-            loss -= if ex.label > 0.5 { pc.ln() } else { (1.0 - pc).ln() };
-        }
+            loss -= log_likelihood(p, ex.label);
+        });
         loss / idx.len() as f64
     }
 }
@@ -230,13 +307,14 @@ impl Model for FactorizationMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use antdt_sim::rng::StdRng;
 
     fn toy_dataset() -> Dataset {
         // Linearly separable: feature 0 on => positive, feature 1 on => negative.
         let mut d = Dataset::new(2);
         for _ in 0..50 {
-            d.push(SparseExample { feats: vec![(0, 1.0)], label: 1.0 });
-            d.push(SparseExample { feats: vec![(1, 1.0)], label: 0.0 });
+            d.push(&[(0, 1.0)], 1.0);
+            d.push(&[(1, 1.0)], 0.0);
         }
         d
     }
@@ -265,15 +343,15 @@ mod tests {
         }
         let final_loss = m.loss_batch(&d, &idx);
         assert!(final_loss < first_loss * 0.2, "{first_loss} -> {final_loss}");
-        assert!(m.predict(&d.examples[0]) > 0.9);
-        assert!(m.predict(&d.examples[1]) < 0.1);
+        assert!(m.predict(d.get(0)) > 0.9);
+        assert!(m.predict(d.get(1)) < 0.1);
     }
 
     #[test]
     fn lr_gradient_matches_finite_difference() {
         let mut d = Dataset::new(3);
-        d.push(SparseExample { feats: vec![(0, 0.5), (2, -1.5)], label: 1.0 });
-        d.push(SparseExample { feats: vec![(1, 2.0)], label: 0.0 });
+        d.push(&[(0, 0.5), (2, -1.5)], 1.0);
+        d.push(&[(1, 2.0)], 0.0);
         let mut m = LogisticRegression::new(3);
         m.params_mut().copy_from_slice(&[0.1, -0.2, 0.3, 0.05]);
         check_grad(&mut m, &d);
@@ -282,9 +360,9 @@ mod tests {
     #[test]
     fn fm_gradient_matches_finite_difference() {
         let mut d = Dataset::new(3);
-        d.push(SparseExample { feats: vec![(0, 1.0), (1, 1.0)], label: 1.0 });
-        d.push(SparseExample { feats: vec![(1, 1.0), (2, 1.0)], label: 0.0 });
-        d.push(SparseExample { feats: vec![(0, 0.5), (2, 2.0)], label: 1.0 });
+        d.push(&[(0, 1.0), (1, 1.0)], 1.0);
+        d.push(&[(1, 1.0), (2, 1.0)], 0.0);
+        d.push(&[(0, 0.5), (2, 2.0)], 1.0);
         let mut m = FactorizationMachine::new(3, 2, 0.1);
         check_grad(&mut m, &d);
     }
@@ -317,11 +395,11 @@ mod tests {
         let mut d = Dataset::new(4);
         for _ in 0..50 {
             // (A=0, B=2) => positive; (A=1, B=3) => positive
-            d.push(SparseExample { feats: vec![(0, 1.0), (2, 1.0)], label: 1.0 });
-            d.push(SparseExample { feats: vec![(1, 1.0), (3, 1.0)], label: 1.0 });
+            d.push(&[(0, 1.0), (2, 1.0)], 1.0);
+            d.push(&[(1, 1.0), (3, 1.0)], 1.0);
             // cross pairs => negative
-            d.push(SparseExample { feats: vec![(0, 1.0), (3, 1.0)], label: 0.0 });
-            d.push(SparseExample { feats: vec![(1, 1.0), (2, 1.0)], label: 0.0 });
+            d.push(&[(0, 1.0), (3, 1.0)], 0.0);
+            d.push(&[(1, 1.0), (2, 1.0)], 0.0);
         }
         let idx: Vec<u64> = (0..d.len() as u64).collect();
         let mut fm = FactorizationMachine::new(4, 4, 0.1);
@@ -357,6 +435,125 @@ mod tests {
             let a = fm.predict(d.get(*i));
             let b = lr.predict(d.get(*i));
             assert!((a - b).abs() < 1e-7);
+        }
+    }
+
+    /// The row-at-a-time FM pass the blocked kernel replaced, kept as the
+    /// oracle it must match bit for bit.
+    mod rowwise {
+        use super::*;
+
+        fn raw_with_sums(m: &FactorizationMachine, x: Row<'_>, sums: &mut [f32]) -> f32 {
+            let (n, k, p) = (m.n_features as usize, m.k, m.params());
+            let mut z = p[p.len() - 1];
+            for &(i, v) in x.feats {
+                z += p[i as usize] * v;
+            }
+            for s in sums.iter_mut() {
+                *s = 0.0;
+            }
+            let mut sq = 0.0f32;
+            for &(i, xv) in x.feats {
+                for (f, s) in sums.iter_mut().enumerate() {
+                    let vif = p[n + i as usize * k + f];
+                    *s += vif * xv;
+                    sq += vif * vif * xv * xv;
+                }
+            }
+            let s2: f32 = sums.iter().map(|s| s * s).sum();
+            z + 0.5 * (s2 - sq)
+        }
+
+        pub fn predict(m: &FactorizationMachine, x: Row<'_>) -> f32 {
+            sigmoid(raw_with_sums(m, x, &mut vec![0.0; m.k]))
+        }
+
+        pub fn grad_batch(
+            m: &FactorizationMachine,
+            d: &Dataset,
+            idx: &[u64],
+            g: &mut [f32],
+        ) -> f64 {
+            if idx.is_empty() {
+                return 0.0;
+            }
+            let (n, k, p) = (m.n_features as usize, m.k, m.params());
+            let scale = 1.0 / idx.len() as f32;
+            let bias_at = p.len() - 1;
+            let mut sums = vec![0.0f32; k];
+            let mut loss = 0.0f64;
+            for &i in idx {
+                let ex = d.get(i);
+                let pr = sigmoid(raw_with_sums(m, ex, &mut sums));
+                let err = (pr - ex.label) * scale;
+                g[bias_at] += err;
+                for &(j, xv) in ex.feats {
+                    g[j as usize] += err * xv;
+                    for f in 0..k {
+                        let vif = p[n + j as usize * k + f];
+                        g[n + j as usize * k + f] += err * xv * (sums[f] - vif * xv);
+                    }
+                }
+                let pc = (pr.clamp(1e-7, 1.0 - 1e-7)) as f64;
+                loss -= if ex.label > 0.5 { pc.ln() } else { (1.0 - pc).ln() };
+            }
+            loss / idx.len() as f64
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A seeded FM with every parameter (w, v, w₀) random, and a dataset whose
+    /// rows have 0–12 pairs over few features (so indices repeat within a
+    /// row) with non-unit values.
+    fn random_fm(rng: &mut StdRng, k: usize) -> (FactorizationMachine, Dataset) {
+        let n_features = rng.gen_range(1..24u32);
+        let mut fm = FactorizationMachine::new(n_features, k, 0.0);
+        for p in fm.params_mut() {
+            *p = rng.gen_range(-1.0f32..1.0);
+        }
+        let mut d = Dataset::new(n_features);
+        let mut feats = Vec::new();
+        for _ in 0..rng.gen_range(1..20usize) {
+            feats.clear();
+            for _ in 0..rng.gen_range(0..13usize) {
+                let x = if rng.gen_bool(0.3) { 1.0 } else { rng.gen_range(-3.0f32..3.0) };
+                feats.push((rng.gen_range(0..n_features), x));
+            }
+            if feats.len() >= 2 && rng.gen_bool(0.5) {
+                feats[1].0 = feats[0].0;
+            }
+            d.push(&feats, if rng.gen_bool(0.4) { 1.0 } else { 0.0 });
+        }
+        (fm, d)
+    }
+
+    /// 64 seeds × k ∈ {0, 1, 8} × batch sizes 0–13.
+    #[test]
+    fn blocked_fm_matches_rowwise_oracle_bit_for_bit() {
+        for seed in 0..64 {
+            for k in [0, 1, 8] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (fm, d) = random_fm(&mut rng, k);
+                for batch in 0..14 {
+                    let idx: Vec<u64> =
+                        (0..batch).map(|_| rng.gen_range(0..d.len() as u64)).collect();
+                    let mut fast = vec![0.0f32; fm.n_params()];
+                    let mut slow = fast.clone();
+                    let lf = fm.grad_batch(&d, &idx, &mut fast);
+                    let ls = rowwise::grad_batch(&fm, &d, &idx, &mut slow);
+                    let case = format!("seed {seed} k {k} batch {batch}");
+                    assert_eq!(lf.to_bits(), ls.to_bits(), "{case}: loss {lf} vs {ls}");
+                    assert_eq!(bits(&fast), bits(&slow), "{case}: gradient");
+                    assert_eq!(fm.loss_batch(&d, &idx).to_bits(), ls.to_bits(), "{case}: loss");
+                }
+                let oracle: Vec<f32> = d.iter().map(|x| rowwise::predict(&fm, x)).collect();
+                assert_eq!(bits(&fm.scores(&d)), bits(&oracle), "seed {seed} k {k}: scores");
+                let one = fm.predict(d.get(d.len() as u64 - 1));
+                assert_eq!(one.to_bits(), oracle[d.len() - 1].to_bits(), "seed {seed} k {k}");
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! XDeepFM on real Criteo), while logistic regression plateaus lower. Labels are
 //! imbalanced like click data.
 
-use antdt_ml::{Dataset, SparseExample};
+use antdt_ml::Dataset;
 use antdt_sim::rng::StdRng;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,11 +74,13 @@ pub fn generate(cfg: &CtrConfig) -> Dataset {
     let w: Vec<f32> = (0..n_feat).map(|_| rng.gen_range(-1.6f32..1.6)).collect();
     let v: Vec<f32> = (0..n_feat * cfg.k_true).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
 
-    let mut data = Dataset::new(cfg.n_features());
+    let rows = cfg.n_samples as usize;
+    let mut data = Dataset::with_capacity(cfg.n_features(), rows, rows * cfg.n_fields);
     let mut sums = vec![0.0f32; cfg.k_true];
+    let mut feats = Vec::with_capacity(cfg.n_fields);
     for _ in 0..cfg.n_samples {
         // One active category per field; skewed (Zipf-ish) category popularity.
-        let mut feats = Vec::with_capacity(cfg.n_fields);
+        feats.clear();
         for f in 0..cfg.n_fields {
             let u: f64 = rng.gen_range(0.0..1.0);
             let cat = ((u * u) * cfg.field_dim as f64) as u32 % cfg.field_dim;
@@ -104,7 +106,7 @@ pub fn generate(cfg: &CtrConfig) -> Dataset {
         if rng.gen_range(0.0f64..1.0) < cfg.noise {
             label = 1.0 - label;
         }
-        data.push(SparseExample { feats, label });
+        data.push(&feats, label);
     }
     data
 }
@@ -123,7 +125,7 @@ mod tests {
         assert_eq!(a.len(), 2_000);
         assert_eq!(a.n_features, 8 * 64);
         // One active feature per field, field-local indices.
-        for ex in &a.examples {
+        for ex in a.iter() {
             assert_eq!(ex.feats.len(), 8);
             for (f, &(idx, val)) in ex.feats.iter().enumerate() {
                 assert_eq!(val, 1.0);
@@ -163,7 +165,7 @@ mod tests {
             let _ = epoch;
         }
         let scores = fm.scores(&test);
-        let labels: Vec<f32> = test.examples.iter().map(|e| e.label).collect();
+        let labels: Vec<f32> = test.labels().collect();
         let a = auc(&scores, &labels).expect("both classes present");
         // Real Criteo/XDeepFM reaches 0.794; our synthetic stand-in should land
         // in a comparable band — well above random.
