@@ -1,9 +1,9 @@
 //! The control-bus refactor benchmark: Ideal-channel JCT/event parity
-//! against the pre-bus direct-call loop, plus the cost of control-plane
+//! against the golden traces of the pre-bus direct-call loop, plus the cost of control-plane
 //! latency — JCT as a function of the modeled Monitor→Controller→Agent
 //! channel delay on a non-dedicated PS job.
 
-use super::kernel::{fixture, timed, PRE_REFACTOR};
+use super::kernel::{fixture, golden_parity, timed};
 use crate::util::{header, secs, table};
 use antdt_core::{DirectiveFate, JobConfig, MitigationChoice};
 use antdt_sim::{ControlChannel, SimDuration};
@@ -53,21 +53,21 @@ pub fn controlbus() -> String {
         "fixture".into(),
         "JCT (sim)".into(),
         "events".into(),
-        "pre-bus".into(),
+        "golden".into(),
         "parity".into(),
         "wall".into(),
     ]];
     let mut json_parity = String::new();
     let mut all_match = true;
-    for (name, pre_jct_us, pre_events) in PRE_REFACTOR {
+    for (name, golden_jct_us, golden_events) in golden_parity() {
         let (wall, r) = timed(REPS, || fixture(name).with_control_channel(ControlChannel::Ideal));
-        let parity = r.jct.as_micros() == pre_jct_us && r.events_processed == pre_events;
+        let parity = r.jct.as_micros() == golden_jct_us && r.events_processed == golden_events;
         all_match &= parity;
         rows.push(vec![
             name.into(),
             secs(r.jct.as_secs_f64()),
             r.events_processed.to_string(),
-            format!("{:.3}s / {pre_events}", pre_jct_us as f64 / 1e6),
+            format!("{:.3}s / {golden_events}", golden_jct_us as f64 / 1e6),
             if parity { "MATCH".into() } else { "DIVERGED".into() },
             format!("{:.4}s", wall),
         ]);
@@ -75,13 +75,13 @@ pub fn controlbus() -> String {
             json_parity,
             concat!(
                 "{{\"fixture\":\"{}\",\"jct_micros\":{},\"events\":{},",
-                "\"pre_jct_micros\":{},\"pre_events\":{},\"parity\":{}}},"
+                "\"golden_jct_micros\":{},\"golden_events\":{},\"parity\":{}}},"
             ),
             name,
             r.jct.as_micros(),
             r.events_processed,
-            pre_jct_us,
-            pre_events,
+            golden_jct_us,
+            golden_events,
             parity,
         );
     }

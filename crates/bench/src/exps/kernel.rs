@@ -1,5 +1,5 @@
 //! The runtime-kernel refactor benchmark: JCT/event parity against the
-//! pre-refactor monolithic runtimes, event-loop throughput, and the Local-SGD
+//! committed golden traces, event-loop throughput, and the Local-SGD
 //! strategy that the `SyncStrategy` seam made a one-file addition.
 
 use crate::util::{header, secs, table};
@@ -9,17 +9,29 @@ use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
 use antdt_workloads::{ModelProfile, Scenario};
 use std::fmt::Write;
 
-/// Pre-refactor reference traces, captured from the monolithic
-/// `ps.rs`/`allreduce.rs` runtimes (PR 2) on the exact fixture configs of
-/// `tests/refactor_equivalence.rs`. The kernel refactor is trace-preserving,
-/// so the post-refactor runs must reproduce these numbers bit-for-bit.
-pub(crate) const PRE_REFACTOR: [(&str, u64, u64); 4] = [
-    // (fixture, jct_micros, events_processed)
-    ("bsp", 203_051_583, 354),
-    ("asp", 193_935_979, 1_590),
-    ("ssp", 370_020_358, 2_133),
-    ("allreduce", 306_971_446, 456),
+/// The clean golden dumps of the four fixtures, the very files
+/// `tests/refactor_equivalence.rs` compares every run with. Reading the
+/// reference from them keeps the parity column from going stale when a
+/// re-bless moves a fixture.
+const GOLDEN: [(&str, &str); 4] = [
+    ("bsp", include_str!("../../../../tests/golden/bsp_clean.txt")),
+    ("asp", include_str!("../../../../tests/golden/asp_clean.txt")),
+    ("ssp", include_str!("../../../../tests/golden/ssp_clean.txt")),
+    ("allreduce", include_str!("../../../../tests/golden/allreduce_clean.txt")),
 ];
+
+/// `(fixture, jct_micros, events_processed)` of each golden dump.
+pub(crate) fn golden_parity() -> impl Iterator<Item = (&'static str, u64, u64)> {
+    GOLDEN.into_iter().map(|(name, dump)| {
+        let field = |key: &str| -> u64 {
+            dump.lines()
+                .find_map(|line| line.strip_prefix(key))
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or_else(|| panic!("golden dump {name}_clean lacks `{key}`"))
+        };
+        (name, field("jct_us:"), field("events_processed:"))
+    })
+}
 
 fn ps_base(cfg: JobConfig) -> JobConfig {
     cfg.with_model(ModelProfile::xdeepfm())
@@ -94,7 +106,7 @@ pub(crate) fn timed(reps: usize, mk: impl Fn() -> JobConfig) -> (f64, JobReport)
 pub fn kernel() -> String {
     let mut out = header(
         "kernel",
-        "Runtime-kernel refactor: JCT/event parity vs the pre-refactor monoliths + throughput",
+        "Runtime-kernel refactor: JCT/event parity vs the golden traces + throughput",
     );
     const REPS: usize = 3;
 
@@ -102,24 +114,24 @@ pub fn kernel() -> String {
         "fixture".into(),
         "JCT (sim)".into(),
         "events".into(),
-        "pre-refactor".into(),
+        "golden".into(),
         "parity".into(),
         "wall".into(),
         "events/s".into(),
     ]];
     let mut json_rows = String::new();
     let mut all_match = true;
-    for (name, pre_jct_us, pre_events) in PRE_REFACTOR {
+    for (name, golden_jct_us, golden_events) in golden_parity() {
         let (wall, r) = timed(REPS, || fixture(name));
         let jct_us = r.jct.as_micros();
         let events = r.events_processed;
-        let parity = jct_us == pre_jct_us && events == pre_events;
+        let parity = jct_us == golden_jct_us && events == golden_events;
         all_match &= parity;
         rows.push(vec![
             name.into(),
             secs(r.jct.as_secs_f64()),
             events.to_string(),
-            format!("{:.3}s / {pre_events}", pre_jct_us as f64 / 1e6),
+            format!("{:.3}s / {golden_events}", golden_jct_us as f64 / 1e6),
             if parity { "MATCH".into() } else { "DIVERGED".into() },
             format!("{:.4}s", wall),
             format!("{:.0}", events as f64 / wall.max(1e-9)),
@@ -128,14 +140,14 @@ pub fn kernel() -> String {
             json_rows,
             concat!(
                 "{{\"fixture\":\"{}\",\"jct_micros\":{},\"events\":{},",
-                "\"pre_jct_micros\":{},\"pre_events\":{},\"parity\":{},",
+                "\"golden_jct_micros\":{},\"golden_events\":{},\"parity\":{},",
                 "\"wall_secs\":{:.6},\"events_per_sec\":{:.1}}},"
             ),
             name,
             jct_us,
             events,
-            pre_jct_us,
-            pre_events,
+            golden_jct_us,
+            golden_events,
             parity,
             wall,
             events as f64 / wall.max(1e-9),
@@ -144,7 +156,7 @@ pub fn kernel() -> String {
     out.push_str(&table(&rows));
     let _ = writeln!(
         out,
-        "  parity: {} (fixed-seed JCT and event counts vs the pre-refactor ps.rs/allreduce.rs)",
+        "  parity: {} (fixed-seed JCT and event counts vs tests/golden/*_clean.txt)",
         if all_match { "all fixtures MATCH" } else { "DIVERGENCE — see table" }
     );
 

@@ -3,7 +3,9 @@
 //! The barrier tracks a frozen participant set per iteration; the close
 //! threshold is `participants − backup_b` (§V-D backup workers), so up to
 //! `b` stragglers may be dropped — their late pushes roll back and rejoin
-//! the next iteration.
+//! the next iteration. The set is a per-worker bitmap plus a count, and the
+//! arrived pushes' per-server arrival instants share one flat buffer, so a
+//! push or a close allocates nothing once the buffers have grown.
 
 use super::attr::SERVER_LANE;
 use super::kernel::Kernel;
@@ -14,15 +16,14 @@ use antdt_attr::WaitCause;
 use antdt_monitor::NodeId;
 use antdt_sim::gantt::SpanKind;
 use antdt_sim::{SimDuration, SimTime};
-use std::collections::HashSet;
 
-/// One worker's arrived push awaiting the barrier close.
+/// One worker's arrived push awaiting the barrier close. Its per-server
+/// gradient-piece arrival instants are row `i` of [`BspFlavor::arrivals`],
+/// where `i` is its index in [`BspFlavor::pushes`].
 #[derive(Clone)]
 struct Push {
     w: u32,
     compute_end: SimTime,
-    /// Per-server gradient-piece arrival instants.
-    arrivals: Vec<SimTime>,
 }
 
 /// The BSP flavor over the shared PS driver.
@@ -30,9 +31,15 @@ struct Push {
 pub struct BspFlavor {
     /// Global barrier iteration counter.
     iter: u64,
-    /// Workers the current barrier waits for (frozen at the last close).
-    participants: HashSet<u32>,
+    /// Workers the current barrier waits for (frozen at the last close),
+    /// indexed by worker id. Ids at or past its length (elastic joiners
+    /// since the last close) are not members.
+    participants: Vec<bool>,
+    /// Number of `true` entries in `participants`.
+    n_participants: usize,
     pushes: Vec<Push>,
+    /// Row-major `pushes × servers` arrival instants, one row per push.
+    arrivals: Vec<SimTime>,
     /// Reused per-worker "pushed this barrier" marks for the idle-worker
     /// poke at the close (all `false` between closes).
     pushed: Vec<bool>,
@@ -52,8 +59,10 @@ impl BspPs {
         PsStrategy {
             flavor: BspFlavor {
                 iter: 0,
-                participants: (0..n as u32).collect(),
+                participants: vec![true; n],
+                n_participants: n,
                 pushes: Vec::new(),
+                arrivals: Vec::new(),
                 pushed: Vec::new(),
                 arrivals_scratch: Vec::new(),
                 backup_b: 0,
@@ -65,14 +74,26 @@ impl BspPs {
 
 impl BspFlavor {
     fn required(&self) -> usize {
-        self.participants.len().saturating_sub(self.backup_b as usize).max(1)
+        self.n_participants.saturating_sub(self.backup_b as usize).max(1)
+    }
+
+    /// Drop worker `w` from the current barrier; `true` iff it was a member.
+    fn leave(&mut self, w: u32) -> bool {
+        match self.participants.get_mut(w as usize) {
+            Some(member) if *member => {
+                *member = false;
+                self.n_participants -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Close the barrier if enough pushes arrived: run the per-server FIFO
     /// pass, one aggregated optimizer apply, commit every pushed worker and
     /// release the next iteration.
     fn try_close(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        if self.pushes.len() < self.required().min(self.participants.len().max(1)) {
+        if self.pushes.len() < self.required().min(self.n_participants.max(1)) {
             return;
         }
         if self.pushes.is_empty() {
@@ -89,9 +110,10 @@ impl BspFlavor {
         // optimizer apply per iteration.
         let mut ready_max = SimTime::ZERO;
         let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
-        for j in 0..k.servers.len() {
+        let m = k.servers.len();
+        for j in 0..m {
             arrivals.clear();
-            arrivals.extend(self.pushes.iter().map(|p| p.arrivals[j]));
+            arrivals.extend((0..self.pushes.len()).map(|i| self.arrivals[i * m + j]));
             arrivals.sort_unstable();
             let mut t = k.servers[j].free_at;
             let mut busy = 0.0;
@@ -138,7 +160,7 @@ impl BspFlavor {
         // Per-participant barrier-arrival instants for the critical-path
         // analysis (only collected when attribution is armed).
         let mut arrs: Vec<(u32, u64)> = Vec::new();
-        for p in &self.pushes {
+        for (row, p) in self.pushes.iter().enumerate() {
             let wi = p.w as usize;
             let Some(inf) = k.workers[wi].inflight.take() else {
                 continue;
@@ -149,8 +171,7 @@ impl BspFlavor {
             iteration_samples += inf.took;
             k.commit(wi, ready_max);
             let pull = k.pull_secs(ready_max, wi);
-            let push_tx = p
-                .arrivals
+            let push_tx = self.arrivals[row * m..(row + 1) * m]
                 .iter()
                 .map(|&a| a.since(p.compute_end).as_secs_f64())
                 .fold(0.0, f64::max);
@@ -204,15 +225,11 @@ impl BspFlavor {
         k.jct_mark = k.jct_mark.max(ready_max);
         self.iter += 1;
         // Freeze the next iteration's participant set: everyone currently able
-        // to contribute a push (clear + extend reuses the set's capacity).
+        // to contribute a push (clear + extend reuses the bitmap's capacity).
         self.participants.clear();
-        self.participants.extend(
-            k.workers
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| x.alive && !x.done && !x.starving && x.quota > 0)
-                .map(|(i, _)| i as u32),
-        );
+        self.participants
+            .extend(k.workers.iter().map(|x| x.alive && !x.done && !x.starving && x.quota > 0));
+        self.n_participants = self.participants.iter().filter(|&&member| member).count();
         // Workers still computing past the barrier belong to the *old* iter;
         // nothing to do — their ComputeDone rolls them into the new one. Idle
         // alive workers that never joined (quota 0 at the time) get poked so a
@@ -238,6 +255,7 @@ impl BspFlavor {
         for p in self.pushes.drain(..) {
             self.pushed[p.w as usize] = false;
         }
+        self.arrivals.clear();
         k.check_finished(eng);
     }
 }
@@ -248,19 +266,19 @@ impl PsFlavor for BspFlavor {
     }
 
     fn on_quota_zero(&mut self, k: &mut Kernel, eng: &mut RtEngine, w: u32) {
-        if self.participants.remove(&w) {
+        if self.leave(w) {
             self.try_close(k, eng);
         }
     }
 
     fn on_data_wait(&mut self, k: &mut Kernel, eng: &mut RtEngine, w: u32) {
-        if self.participants.remove(&w) {
+        if self.leave(w) {
             self.try_close(k, eng);
         }
     }
 
     fn on_worker_done(&mut self, k: &mut Kernel, eng: &mut RtEngine, w: u32) {
-        if self.participants.remove(&w) {
+        if self.leave(w) {
             self.try_close(k, eng);
         }
     }
@@ -276,15 +294,15 @@ impl PsFlavor for BspFlavor {
             eng.schedule(now, Ev::WorkerStart { w, gen });
             return;
         }
-        let arrivals: Vec<SimTime> = (0..k.servers.len())
-            .map(|j| now + SimDuration::from_secs_f64(k.path_transfer(now, wi, j)))
-            .collect();
-        self.pushes.push(Push { w, compute_end: now, arrivals });
+        for j in 0..k.servers.len() {
+            self.arrivals.push(now + SimDuration::from_secs_f64(k.path_transfer(now, wi, j)));
+        }
+        self.pushes.push(Push { w, compute_end: now });
         self.try_close(k, eng);
     }
 
     fn on_worker_killed(&mut self, _k: &mut Kernel, _eng: &mut RtEngine, w: u32) {
-        self.participants.remove(&w);
+        self.leave(w);
     }
 
     fn after_failover(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
@@ -350,5 +368,20 @@ mod tests {
         started.sort_unstable();
         assert_eq!(started, vec![0, 1, 4], "releases for w0/w1, one poke for idle w4");
         assert!(k.workers[2].inflight.is_some(), "the dropped straggler is still computing");
+    }
+
+    /// Leaving is idempotent, and an id at or past the bitmap's length — an
+    /// elastic joiner that arrived after the last close — was never a member.
+    #[test]
+    fn leave_past_the_bitmap_is_a_no_op() {
+        let mut f = BspPs::new(3).flavor;
+        assert!(!f.leave(3) && !f.leave(u32::MAX));
+        assert_eq!((f.participants.len(), f.n_participants), (3, 3));
+        assert!(f.leave(1));
+        assert!(!f.leave(1), "a second leave is a no-op");
+        assert_eq!(f.n_participants, 2);
+        assert_eq!(f.required(), 2);
+        f.set_backup_workers(5);
+        assert_eq!(f.required(), 1, "the threshold never drops below one push");
     }
 }

@@ -26,6 +26,7 @@
 //! fence rejections additionally land in the Controller decision audit and
 //! the telemetry trace.
 
+use super::inflight::InFlight;
 use super::kernel::Kernel;
 use crate::events::{Ev, RtEngine};
 use crate::obs::RtTele;
@@ -99,7 +100,7 @@ pub(crate) struct ControlBus {
     ctx: PolicyCtx,
     agents: Vec<Agent>,
     next_seq: u64,
-    pending: BTreeMap<u64, Envelope>,
+    pending: InFlight<Envelope>,
     directives: Vec<DirectiveRecord>,
     seq_to_rec: HashMap<u64, usize>,
     /// Fence rejections awaiting the next decision-audit drain.
@@ -161,7 +162,7 @@ impl ControlBus {
             ctx,
             agents,
             next_seq: 0,
-            pending: BTreeMap::new(),
+            pending: InFlight::default(),
             directives: Vec::new(),
             seq_to_rec: HashMap::new(),
             rejections: Vec::new(),
@@ -627,7 +628,7 @@ pub(crate) fn send_scale_in(
 
 /// An `Ev::BusMsg` instant fired: a scheduled arrival or retransmission.
 pub(crate) fn on_bus_msg(k: &mut Kernel, eng: &mut RtEngine, seq: u64) {
-    let Some(env) = k.bus.pending.remove(&seq) else {
+    let Some(env) = k.bus.pending.remove(seq) else {
         return;
     };
     let now = eng.now();

@@ -95,9 +95,12 @@ impl Kernel {
     /// chaos-drill recovery — the first committed work after a restart means
     /// the node is back on full duty.
     pub(crate) fn commit(&mut self, w: usize, at: SimTime) {
-        if let Some(idx) = self.chaos_awaiting_recovery.remove(&(w as u32)) {
-            if self.injections_log[idx].recovered_at.is_none() {
-                self.injections_log[idx].recovered_at = Some(at);
+        // Empty outside chaos drills: skip the hash on the hot path.
+        if !self.chaos_awaiting_recovery.is_empty() {
+            if let Some(idx) = self.chaos_awaiting_recovery.remove(&(w as u32)) {
+                if self.injections_log[idx].recovered_at.is_none() {
+                    self.injections_log[idx].recovered_at = Some(at);
+                }
             }
         }
         if let DataSource::Fixed { .. } = self.workers[w].source {

@@ -95,6 +95,9 @@ pub struct Kernel {
     /// see [`super::membership`].
     pub(crate) workers: Vec<WorkerState>,
     pub(crate) servers: Vec<ServerState>,
+    /// Bytes of one server's gradient piece: the model split evenly over
+    /// the servers (whose count never changes after construction).
+    pub(crate) piece_bytes: u64,
     /// Elastic membership registry (event timeline + departed set); empty
     /// for the whole run unless the job arms elasticity.
     pub(crate) membership: Membership,
@@ -295,6 +298,7 @@ impl Kernel {
             sched_rng: pool.stream(7),
             pool,
             workers,
+            piece_bytes: (cfg.model.param_bytes / servers.len().max(1) as u64).max(1),
             servers,
             membership: Membership::new(n),
             worker_stream_family,
@@ -408,13 +412,9 @@ impl Kernel {
 
     // ---- PS-topology cost helpers (no-ops for serverless strategies).
 
-    pub(crate) fn piece_bytes(&self) -> u64 {
-        (self.cfg.model.param_bytes / self.servers.len().max(1) as u64).max(1)
-    }
-
     /// Worker→server transfer time of one gradient piece along both links.
     pub(crate) fn path_transfer(&self, now: SimTime, wi: usize, sj: usize) -> f64 {
-        let bytes = self.piece_bytes();
+        let bytes = self.piece_bytes;
         let wl = &self.workers[wi].link;
         let sl = &self.servers[sj].link;
         let bw = wl.bandwidth_bps.min(sl.bandwidth_bps);

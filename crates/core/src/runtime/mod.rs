@@ -8,6 +8,7 @@
 //! | `kernel`      | world state: workers, servers, policy ctx, accumulators     |
 //! | `attr`        | straggler attribution: per-cause ledger hooks, blame report |
 //! | `data`        | data plane: DDS leases, fixed partitions, commit/rollback   |
+//! | `inflight`    | the control bus's in-flight message table, keyed by seq     |
 //! | `ml_bridge`   | real-gradient computation + weighted optimizer steps        |
 //! | `lifecycle`   | kill / restart / failover / checkpoint state machines       |
 //! | `membership`  | elastic membership: scale-out joins, the member registry    |
@@ -29,6 +30,7 @@ pub(crate) mod bus;
 pub(crate) mod chaos_hooks;
 pub(crate) mod ckpt;
 pub(crate) mod data;
+pub(crate) mod inflight;
 pub(crate) mod kernel;
 pub(crate) mod lifecycle;
 pub mod local_sgd;

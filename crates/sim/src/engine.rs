@@ -2,14 +2,15 @@
 //! FIFO tiebreak so that events scheduled at the same instant fire in the order
 //! they were scheduled. This makes every run fully deterministic.
 //!
-//! The ordering key `(SimTime, seq)` is packed into a single `u128` — time in
-//! the high 64 bits, insertion sequence in the low 64 — and a binary min-heap
-//! pops ascending keys, which is exactly the schedule. Payloads live in an
-//! arena slab and only `u32` slot handles move through the heap, so the hot
-//! schedule/step path never allocates per event and the payload type needs no
-//! trait bounds at all.
+//! The ordering key `(SimTime, seq)` and the payload's arena slot are packed
+//! into a single 16-byte `u128` — time in the high 64 bits, a 40-bit
+//! insertion sequence, a 24-bit slot — and a binary min-heap pops ascending
+//! keys, which is exactly the schedule. Payloads live in an arena slab and
+//! only slot handles move through the heap, so the hot schedule/step path
+//! never allocates per event and the payload type needs no trait bounds at
+//! all. Scheduling panics past 2^40 events per engine or 2^24 pending ones.
 
-use crate::queue::{Arena, HeapQueue};
+use crate::queue::{deadline_key, order_key, Arena, HeapQueue};
 use crate::time::{SimDuration, SimTime};
 use antdt_telemetry::Counter;
 
@@ -48,7 +49,8 @@ pub struct Engine<E> {
 /// drivers actually diverge.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot<E> {
-    /// Pending events, ascending by packed key.
+    /// Pending events, ascending by ordering key (slot bits clear: a fork
+    /// stores each payload in a slot of its own).
     entries: Vec<(u128, E)>,
     now: SimTime,
     seq: u64,
@@ -152,7 +154,7 @@ impl<E> Engine<E> {
             self.clamped += 1;
         }
         let at = at.max(self.now);
-        let key = (u128::from(at.0) << 64) | u128::from(self.seq);
+        let key = order_key(at.0, self.seq);
         let slot = self.arena.insert(ev);
         self.queue.push(key, slot);
         self.seq += 1;
@@ -193,8 +195,7 @@ impl<E> Engine<E> {
     /// Each iteration is a single fused deadline-bounded pop, not a peek
     /// followed by a pop; this loop is the hot path of every simulated job.
     pub fn run_until(&mut self, deadline: SimTime, mut handler: impl FnMut(&mut Self, E)) -> bool {
-        // Any sequence number at `deadline` still fires: limit at seq::MAX.
-        let limit = (u128::from(deadline.0) << 64) | u128::from(u64::MAX);
+        let limit = deadline_key(deadline.0);
         while let Some((key, slot)) = self.queue.pop_at_most(limit) {
             let at = SimTime((key >> 64) as u64);
             debug_assert!(at >= self.now, "event queue produced non-monotonic time");
@@ -459,5 +460,46 @@ mod tests {
         assert_eq!(forked, parent);
         assert_eq!(forked.iter().map(|&(_, n)| n).take(4).collect::<Vec<_>>(), [7, 8, 9, 10]);
         assert_eq!(fork.processed(), 21);
+    }
+
+    #[test]
+    fn fork_after_slot_reuse_keeps_the_original_order() {
+        // Interleave pops and pushes so the arena recycles slots out of
+        // key order: the snapshot must drop the old slots and the fork must
+        // pop exactly what the original pops, in the same order.
+        for seed in 0..32u64 {
+            let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+            let mut eng = Engine::<u32>::new();
+            let mut next = 0u32;
+            for _ in 0..200 {
+                for _ in 0..rng.gen_range(0..4u32) {
+                    eng.schedule_after(SimDuration(rng.gen_range(0..50u64)), next);
+                    next += 1;
+                }
+                if rng.gen_bool(0.6) {
+                    eng.step();
+                }
+            }
+            let mut fork = Engine::fork(&eng.snapshot());
+            assert_eq!(fork.pending(), eng.pending(), "seed {seed}");
+            for e in [&mut eng, &mut fork] {
+                e.schedule_after(SimDuration(7), u32::MAX);
+            }
+            let drain = |e: &mut Engine<u32>| {
+                let mut seen = Vec::new();
+                e.run(|e, n| seen.push((e.now(), n)));
+                seen
+            };
+            assert_eq!(drain(&mut fork), drain(&mut eng), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event sequence overflow")]
+    fn sequence_past_its_field_panics() {
+        let mut eng = Engine::<u32>::new();
+        eng.seq = (1 << crate::queue::SEQ_BITS) - 1;
+        eng.schedule(SimTime::ZERO, 0); // the last legal sequence number
+        eng.schedule(SimTime::ZERO, 1);
     }
 }

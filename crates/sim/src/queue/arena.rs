@@ -1,7 +1,8 @@
 //! Slab storage for pending event payloads.
 //!
-//! The engine keeps payloads here and routes only `u32` slot handles through
-//! the event queue: pushes reuse freed slots via an intrusive free list, so
+//! The engine keeps payloads here and routes only slot handles through the
+//! event queue (packed into each heap entry's low bits): pushes reuse freed
+//! slots via an intrusive free list, so
 //! steady-state scheduling performs zero allocations no matter how large the
 //! payload type is.
 

@@ -1,12 +1,14 @@
 //! Event storage under [`crate::Engine`]: a binary min-heap of packed
-//! `(time, seq)` keys plus an arena of payloads.
+//! `(time, seq, slot)` keys plus an arena of payloads.
 //!
-//! The engine orders events by a packed `u128` key — time in the high 64
-//! bits, per-engine insertion sequence in the low 64 — so popping strictly
-//! ascending keys reproduces the exact `(time, FIFO)` schedule. Payloads live
-//! in an [`Arena`] and only `u32` slot handles move through the heap, so the
-//! hot schedule/step path never allocates per event and the payload type
-//! needs no trait bounds.
+//! Each heap entry is one 16-byte `u128`: time in the high 64 bits, the
+//! per-engine insertion sequence in the next [`SEQ_BITS`], and the payload's
+//! arena slot in the low [`SLOT_BITS`]. Sequence numbers are unique, so the
+//! slot bits never decide the order, and popping strictly ascending keys
+//! reproduces the exact `(time, FIFO)` schedule. Payloads live in an
+//! [`Arena`] and only slot handles move through the heap, so the hot
+//! schedule/step path never allocates per event and the payload type needs
+//! no trait bounds.
 
 mod arena;
 
@@ -15,59 +17,54 @@ pub(crate) use arena::Arena;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[derive(Debug)]
-struct Entry {
-    key: u128,
-    slot: u32,
+/// Width of the insertion-sequence field: 2^40 ≈ 1.1e12 events per engine.
+pub(crate) const SEQ_BITS: u32 = 40;
+/// Width of the arena-slot field: 2^24 ≈ 16.7M pending events.
+const SLOT_BITS: u32 = 24;
+const SLOT_MASK: u128 = (1 << SLOT_BITS) - 1;
+
+/// The ordering key of the event at `time` with insertion sequence `seq`
+/// (slot bits clear). Panics past the sequence field's width.
+#[inline]
+pub(crate) fn order_key(time: u64, seq: u64) -> u128 {
+    assert!(seq < 1 << SEQ_BITS, "event sequence overflow: {seq} >= 2^{SEQ_BITS}");
+    (u128::from(time) << 64) | (u128::from(seq) << SLOT_BITS)
 }
 
-// Ordered by the packed key only. Keys are unique (the low 64 bits are a
-// strictly increasing sequence number), so the slot never decides the order,
-// and a key-only comparison is measurably cheaper in the heap's sift loops
-// than the lexicographic `(u128, u32)` tuple order.
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Entry {}
-impl Ord for Entry {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-impl PartialOrd for Entry {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The largest key at `time`: every event scheduled at or before `time`
+/// orders at or below it (the engine's deadline limit).
+#[inline]
+pub(crate) fn deadline_key(time: u64) -> u128 {
+    (u128::from(time) << 64) | u128::from(u64::MAX)
 }
 
-/// Min-queue of `(key, slot)` entries backed by `BinaryHeap`: O(log n)
-/// push/pop.
+/// Min-queue of packed `key | slot` entries backed by `BinaryHeap`:
+/// O(log n) push/pop.
 #[derive(Debug, Default)]
 pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl HeapQueue {
-    /// Insert `slot` under `key` (`time << 64 | seq`).
+    /// Insert `slot` under `key` (an [`order_key`]). Panics past the slot
+    /// field's width.
     #[inline]
     pub fn push(&mut self, key: u128, slot: u32) {
-        self.heap.push(Reverse(Entry { key, slot }));
+        debug_assert_eq!(key & SLOT_MASK, 0, "order keys carry no slot bits");
+        assert!(u128::from(slot) <= SLOT_MASK, "event slot overflow: {slot} >= 2^{SLOT_BITS}");
+        self.heap.push(Reverse(key | u128::from(slot)));
     }
 
     /// Remove and return the entry with the smallest key.
     #[inline]
     pub fn pop(&mut self) -> Option<(u128, u32)> {
-        self.heap.pop().map(|Reverse(e)| (e.key, e.slot))
+        self.heap.pop().map(|Reverse(e)| unpack(e))
     }
 
     /// The smallest pending key.
     #[inline]
     pub fn peek_key(&self) -> Option<u128> {
-        self.heap.peek().map(|Reverse(e)| e.key)
+        self.heap.peek().map(|Reverse(e)| e & !SLOT_MASK)
     }
 
     /// Pop the front entry only if its key is at most `limit` — the engine's
@@ -98,16 +95,24 @@ impl HeapQueue {
 
     /// All pending entries in unspecified order (for engine snapshots).
     pub fn iter(&self) -> impl Iterator<Item = (u128, u32)> + '_ {
-        self.heap.iter().map(|Reverse(e)| (e.key, e.slot))
+        self.heap.iter().map(|&Reverse(e)| unpack(e))
     }
+}
+
+/// Split a heap entry into its ordering key and its arena slot.
+#[inline]
+fn unpack(entry: u128) -> (u128, u32) {
+    (entry & !SLOT_MASK, (entry & SLOT_MASK) as u32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The packed layout the engine pushes: time, then sequence, slot bits
+    /// clear.
     fn key(t: u64, seq: u64) -> u128 {
-        (u128::from(t) << 64) | u128::from(seq)
+        order_key(t, seq)
     }
 
     /// The reference schedule: every pushed entry, popped in ascending key
@@ -130,7 +135,10 @@ mod tests {
         let (mut seq, mut now) = (0u64, 0u64);
         for &(dt, burst) in ops {
             for _ in 0..burst {
-                let entry = (key(now.saturating_add(dt), seq), seq as u32);
+                // Scrambled slots that use all 24 bits: they ride along in
+                // the low bits and must never decide the order.
+                let slot = (seq.wrapping_mul(0x9E37_79B9) & 0xFF_FFFF) as u32;
+                let entry = (key(now.saturating_add(dt), seq), slot);
                 q.push(entry.0, entry.1);
                 model.push(entry);
                 seq += 1;
@@ -167,11 +175,11 @@ mod tests {
     #[test]
     fn pops_in_key_order() {
         let mut q = HeapQueue::default();
-        q.push(2 << 64, 0);
-        q.push((1 << 64) | 1, 1);
-        q.push(1 << 64, 2);
-        assert_eq!(q.peek_key(), Some(1 << 64));
-        assert_eq!(drain(&mut q), vec![(1 << 64, 2), ((1 << 64) | 1, 1), (2 << 64, 0)]);
+        q.push(key(2, 0), 0);
+        q.push(key(1, 1), 1);
+        q.push(key(1, 0), 2);
+        assert_eq!(q.peek_key(), Some(key(1, 0)));
+        assert_eq!(drain(&mut q), vec![(key(1, 0), 2), (key(1, 1), 1), (key(2, 0), 0)]);
         assert_eq!(q.pop(), None);
     }
 
@@ -184,7 +192,7 @@ mod tests {
             q.push(key(t, i as u64), i as u32);
         }
         let exact = key(20, 1);
-        assert_eq!(q.pop_at_most(key(10, u64::MAX)), Some((key(10, 0), 0)));
+        assert_eq!(q.pop_at_most(deadline_key(10)), Some((key(10, 0), 0)));
         // Limit below the front key (time matches, seq lower): refuse.
         assert_eq!(q.pop_at_most(key(20, 0)), None);
         assert_eq!(q.len(), 3);
@@ -212,7 +220,7 @@ mod tests {
         push(&mut q, 1 << 20); // far future
         let mut popped = Vec::new();
         for deadline in [1_000u64, 10_000, 100_000] {
-            while let Some(entry) = q.pop_at_most(key(deadline, u64::MAX)) {
+            while let Some(entry) = q.pop_at_most(deadline_key(deadline)) {
                 assert!(entry.0 >> 64 <= u128::from(deadline));
                 popped.push(entry);
             }
@@ -253,5 +261,34 @@ mod tests {
         }
         assert_eq!(q.iter().count(), 5);
         assert_eq!(drain(&mut q), sorted(pushed));
+    }
+
+    #[test]
+    fn widest_fields_round_trip() {
+        let mut q = HeapQueue::default();
+        let (max_seq, max_slot) = ((1u64 << SEQ_BITS) - 1, (1u32 << SLOT_BITS) - 1);
+        q.push(key(u64::MAX, max_seq), max_slot);
+        q.push(key(u64::MAX, max_seq - 1), 0);
+        q.push(key(0, max_seq), max_slot);
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (key(0, max_seq), max_slot),
+                (key(u64::MAX, max_seq - 1), 0),
+                (key(u64::MAX, max_seq), max_slot)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "event slot overflow")]
+    fn slot_past_its_field_panics() {
+        HeapQueue::default().push(key(0, 0), 1 << SLOT_BITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "event sequence overflow")]
+    fn seq_past_its_field_panics() {
+        key(0, 1 << SEQ_BITS);
     }
 }

@@ -89,8 +89,22 @@ fn secs_to_micros(secs: f64) -> u64 {
     if secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return 0;
     }
-    let us = secs * MICROS_PER_SEC as f64;
-    if us >= u64::MAX as f64 {
+    round_micros(secs * MICROS_PER_SEC as f64)
+}
+
+/// 2^52: below it every double has an ulp of at most 0.5, so truncating to an
+/// integer and subtracting it back are both exact.
+const INLINE_ROUND_LIMIT: f64 = (1u64 << 52) as f64;
+
+/// Round a non-negative microsecond count to nearest, ties away from zero —
+/// bit for bit `us.round()`, saturating at `u64::MAX`. Every simulated cost
+/// lies below [`INLINE_ROUND_LIMIT`] and rounds inline, without the libm call.
+#[inline]
+fn round_micros(us: f64) -> u64 {
+    if us < INLINE_ROUND_LIMIT {
+        let i = us as i64;
+        (i + i64::from(us - i as f64 >= 0.5)) as u64
+    } else if us >= u64::MAX as f64 {
         u64::MAX
     } else {
         us.round() as u64
@@ -213,6 +227,104 @@ mod tests {
         let b = SimTime::from_secs_f64(8.0);
         assert_eq!(b.since(a), SimDuration::from_secs(3));
         assert_eq!(a.since(b), SimDuration::ZERO);
+    }
+
+    /// The libm-rounding conversion that `round_micros` replaced, kept as
+    /// its oracle.
+    fn libm_secs_to_micros(secs: f64) -> u64 {
+        if secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return 0;
+        }
+        let us = secs * MICROS_PER_SEC as f64;
+        if us >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            us.round() as u64
+        }
+    }
+
+    #[test]
+    fn inline_rounding_matches_libm_round() {
+        let two52 = (1u64 << 52) as f64;
+        // Microsecond counts: exact ties, the largest double below one half,
+        // subnormals, and both sides of 2^52 (where the ulp reaches 1).
+        let edges = [
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            two52 - 1.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52 + 2.0,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let oracle = |us: f64| if us >= u64::MAX as f64 { u64::MAX } else { us.round() as u64 };
+        for us in edges {
+            assert_eq!(round_micros(us), oracle(us), "us {us:e}");
+        }
+        for seed in 0..64u64 {
+            let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+            let mut micros = Vec::new();
+            for _ in 0..1_000 {
+                let k = rng.gen_range(0..1u64 << 52) as f64;
+                micros.push(k + 0.5);
+                micros.push(rng.gen::<f64>() * 10f64.powi(rng.gen_range(0..40u32) as i32 - 12));
+                micros.push(f64::from_bits(rng.next_u64()).abs());
+            }
+            for us in micros {
+                assert_eq!(round_micros(us), oracle(us), "seed {seed}: us {us:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn secs_to_micros_matches_libm_oracle() {
+        let two52 = (1u64 << 52) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            -1.5,
+            -1e-300,
+            5e-324,
+            0.5e-6,
+            f64::from_bits(0.5e-6f64.to_bits() - 1),
+            1.5e-6,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            (two52 - 0.5) / 1e6,
+            two52 / 1e6,
+            (two52 + 2.0) / 1e6,
+        ];
+        for secs in edges {
+            assert_eq!(secs_to_micros(secs), libm_secs_to_micros(secs), "secs {secs:e}");
+        }
+        for seed in 0..64u64 {
+            let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+            for _ in 0..1_000 {
+                let secs =
+                    (rng.gen::<f64>() - 0.25) * 10f64.powi(rng.gen_range(0..24u32) as i32 - 9);
+                let bits = f64::from_bits(rng.next_u64());
+                for secs in [secs, bits] {
+                    assert_eq!(
+                        secs_to_micros(secs),
+                        libm_secs_to_micros(secs),
+                        "seed {seed}: secs {secs:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
