@@ -7,18 +7,59 @@
 //!    on. The engine adds zero events and zero RNG draws, so the simulated
 //!    schedule is identical; the wall-time delta is the ledger bookkeeping.
 //! 2. **Blame** — the per-node ranking of the attribution-on run.
-//! 3. **Counterfactuals** — the three stock perturbations replayed through
-//!    [`antdt_core::what_if_table_forked`]; measured JCT deltas sit next to the
-//!    analytical predictions, and the `healthy_node` agreement percentage is
-//!    the headline number (the job-level test ratchets it at 15%).
+//! 3. **Counterfactuals** — the three stock perturbations answered by the
+//!    what-if service ([`WhatIfService::answer_batch`]); measured JCT deltas
+//!    sit next to the analytical predictions, and the `healthy_node`
+//!    agreement percentage is the headline number (the job-level test
+//!    ratchets it at 15%).
 
 use super::kernel::timed;
 use crate::util::{header, secs, table};
 use antdt_core::{JobConfig, MitigationChoice, Perturbation};
 use antdt_sim::SimDuration;
+use antdt_whatif::{AnswerSource, ServiceConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
 use antdt_workloads::cluster::cluster_a_scaled;
 use antdt_workloads::{ModelProfile, Scenario};
 use std::fmt::Write;
+
+/// How much simulation the forked answers of one what-if batch shared.
+pub(crate) struct ForkShare {
+    /// Answers replayed from a fork at their divergence instant.
+    pub forked: usize,
+    /// Answers that needed a full rerun.
+    pub full_reruns: usize,
+    /// Events the forked answers inherited from a shared prefix.
+    pub prefix_events: u64,
+    /// Events the forked answers report (prefix + suffix).
+    pub total_events: u64,
+}
+
+impl ForkShare {
+    pub fn of(answers: &[WhatIfAnswer]) -> Self {
+        let mut s = ForkShare { forked: 0, full_reruns: 0, prefix_events: 0, total_events: 0 };
+        for a in answers {
+            match a.source {
+                AnswerSource::Forked { .. } => {
+                    s.forked += 1;
+                    s.prefix_events += a.prefix_events;
+                    s.total_events += a.report.events_processed;
+                }
+                AnswerSource::FullRerun => s.full_reruns += 1,
+                AnswerSource::Memo => {}
+            }
+        }
+        s
+    }
+
+    /// Fraction of forked events that were inherited, not simulated.
+    pub fn prefix_share(&self) -> f64 {
+        if self.total_events == 0 {
+            0.0
+        } else {
+            self.prefix_events as f64 / self.total_events as f64
+        }
+    }
+}
 
 /// An unmitigated BSP job with one persistent straggler (the scenario pins
 /// the contention phases on the last worker), mid-size so the wall-time
@@ -82,8 +123,14 @@ pub fn attr() -> String {
         Perturbation::ZeroControlLatency,
         Perturbation::NoCkptStalls,
     ];
-    let cfg = base().with_attribution();
-    let (cf, fork_stats) = antdt_core::what_if_table_forked(&cfg, &on, &perturbations);
+    let queries: Vec<WhatIfQuery> = perturbations
+        .iter()
+        .map(|&perturbation| WhatIfQuery { cfg: base().with_attribution(), perturbation })
+        .collect();
+    let answers = WhatIfService::new(ServiceConfig::default()).answer_batch(&queries);
+    let cf =
+        antdt_core::counterfactual_rows(&on, &perturbations, answers.iter().map(|a| &a.report));
+    let fork_stats = ForkShare::of(&answers);
     let mut rows = vec![vec![
         "perturbation".into(),
         "predicted".into(),

@@ -1,10 +1,11 @@
 //! The checkpoint-subsystem benchmark: JCT as a function of the checkpoint
-//! interval under a fixed seeded kill plan — replay-based recovery
+//! interval under a fixed seeded kill plan — checkpoint-replay recovery
 //! (`FailoverMode::Replay`, the `antdt-ckpt` subsystem restoring the last
 //! durable snapshot and requeueing lost shards through the real drivers)
-//! against the legacy closed-form delay model (`FailoverMode::CheckpointBased`,
-//! which charges `factor * min(since_ckpt, interval)` without touching the
-//! data plane).
+//! against AntDT's DDS-based failover (`FailoverMode::DdsBased`, which
+//! requeues only the dead worker's DOING shards and rewinds nothing). The
+//! sweep is the paper's Fig. 17 contrast: replayed work grows with the
+//! interval, DDS recovery replays nothing.
 
 use super::kernel::timed;
 use crate::util::{header, secs, table};
@@ -29,8 +30,8 @@ fn base() -> JobConfig {
         .with_fast_cadence(SimDuration::from_secs(60))
         .with_seed(29)
         .with_mitigation(MitigationChoice::None)
-        // Both arms pause for 2 s per capture; at the 5%-of-JCT interval the
-        // default 15 s legacy save would swamp the sweep with stall cost and
+        // Both arms pause for 2 s per checkpoint; at the 5%-of-JCT interval
+        // the default 15 s save would swamp the sweep with stall cost and
         // bury the recovery-model signal this experiment is after.
         .with_ckpt_save_secs(2.0)
 }
@@ -53,7 +54,7 @@ fn kills(clean_jct_secs: f64) -> Vec<ChaosInjection> {
 pub fn ckpt() -> String {
     let mut out = header(
         "ckpt",
-        "Checkpoint subsystem: JCT vs interval under a seeded kill plan, replay vs closed-form",
+        "Checkpoint subsystem: JCT vs interval under a seeded kill plan, replay vs DDS-based",
     );
     const REPS: usize = 2;
 
@@ -68,12 +69,10 @@ pub fn ckpt() -> String {
         secs(clean_jct)
     );
 
-    // The sweep grid: {replay, closed-form} x 3 intervals, fanned out on the
+    // The sweep grid: {replay, dds} x 3 intervals, fanned out on the
     // experiment pool. Each point is an independent deterministic simulation.
-    let points: Vec<(&'static str, f64)> = ["replay", "closed-form"]
-        .iter()
-        .flat_map(|m| intervals.iter().map(move |&i| (*m, i)))
-        .collect();
+    let points: Vec<(&'static str, f64)> =
+        ["replay", "dds"].iter().flat_map(|m| intervals.iter().map(move |&i| (*m, i))).collect();
     let sweep = antdt_par::par_map(points, |(mode, interval)| {
         let mk = || {
             let cfg = base()
@@ -86,7 +85,7 @@ pub fn ckpt() -> String {
                     policy: CkptPolicy::Fixed { interval_secs: interval },
                     capture_stall_secs: 2.0,
                 }),
-                _ => cfg.with_failover_mode(FailoverMode::CheckpointBased),
+                _ => cfg.with_failover_mode(FailoverMode::DdsBased),
             }
         };
         let (wall, r) = timed(REPS, mk);
@@ -144,7 +143,7 @@ pub fn ckpt() -> String {
         out,
         "  sweep: 8 workers / 3 servers, two injected kills; short intervals pay \
          capture stalls, long intervals pay replay (a kill before the first \
-         snapshot replays from scratch)"
+         snapshot replays from scratch); DDS-based failover replays nothing"
     );
 
     // Machine-readable artifact (hand-rendered: the workspace has no serde).

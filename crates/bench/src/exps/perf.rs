@@ -1,67 +1,18 @@
-//! The deterministic perf harness (bench id `perf`): engine event throughput,
-//! allocation counts via the feature-gated counting allocator, the wall-clock
-//! serial-vs-parallel speedup of `experiments all`, and the parity verdicts
-//! that prove parallelism changed nothing but the wall clock.
+//! The deterministic perf harness (bench id `perf`): allocation counts via
+//! the feature-gated counting allocator, the wall-clock serial-vs-parallel
+//! speedup of `experiments all`, and the parity verdicts that prove
+//! parallelism and fork replay changed nothing but the wall clock.
 
-use crate::alloc::{allocation_count, count_allocations};
+use super::attr::ForkShare;
+use crate::alloc::count_allocations;
 use crate::util::{freeze_wall, header, table};
 use antdt_core::{Job, JobConfig, MitigationChoice, Perturbation};
-use antdt_sim::{ContentionPhase, ControlChannel, Engine, SimDuration, SimTime};
+use antdt_sim::{ContentionPhase, ControlChannel, SimDuration, SimTime};
+use antdt_whatif::{ServiceConfig, WhatIfQuery, WhatIfService};
 use antdt_workloads::Scenario;
 use std::fmt::Write;
 
-/// Pre-PR reference numbers, captured on the dev container from the code as
-/// it stood before this optimization pass (same fixtures, same allocator,
-/// `--release`). Allocation counts are deterministic; events/sec is
-/// wall-clock-based and only indicative across machines — the JSON artifact
-/// reports both sides of the ratio so readers can judge.
-pub(crate) struct PerfBaseline {
-    /// Engine microbench: events drained per second of wall time.
-    pub engine_events_per_sec: f64,
-    /// Engine microbench: heap allocations for the full drain (deterministic).
-    pub engine_allocs: u64,
-    /// Heap allocations of one serial `Job::run` on the `bsp` golden fixture.
-    pub bsp_job_allocs: u64,
-    /// Heap allocations of one serial `Job::run` on the `allreduce` fixture.
-    pub allreduce_job_allocs: u64,
-}
-
-pub(crate) const PRE_PERF: PerfBaseline = PerfBaseline {
-    engine_events_per_sec: 23_000_000.0,
-    engine_allocs: 5,
-    bsp_job_allocs: 739,
-    allreduce_job_allocs: 2_932,
-};
-
-/// Events the microbench drains through the engine.
-const MICRO_EVENTS: u64 = 1_000_000;
-
-/// A self-feeding event cascade: 64 seeds, every handled event schedules one
-/// follow-up at a pseudo-random (but fully deterministic) delay until
-/// [`MICRO_EVENTS`] have been scheduled. Exercises the queue's push/pop path
-/// with a realistic interleaving rather than a sorted drain.
-fn engine_microbench() -> (f64, u64, Option<u64>) {
-    let a0 = allocation_count();
-    let t0 = std::time::Instant::now();
-    let mut eng: Engine<u64> = Engine::new();
-    for i in 0..64u64 {
-        eng.schedule(SimTime(i), i);
-    }
-    let mut scheduled = 64u64;
-    eng.run(|eng, v| {
-        if scheduled < MICRO_EVENTS {
-            scheduled += 1;
-            let delay = v.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 997 + 1;
-            eng.schedule_after(SimDuration(delay), v.wrapping_add(1));
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let allocs = allocation_count().zip(a0).map(|(a, b)| a - b);
-    assert_eq!(eng.processed(), MICRO_EVENTS);
-    (wall, MICRO_EVENTS, allocs)
-}
-
-/// The fork-replay demo job (mirrors `examples/whatif_fork.rs`): every
+/// The fork-replay demo job (mirrors `tests/attribution.rs`'s forkable job): every
 /// divergence source engages strictly after t=0, so all three stock
 /// perturbations replay from a fork.
 fn forkable_cfg() -> JobConfig {
@@ -91,57 +42,24 @@ fn forkable_cfg() -> JobConfig {
 pub fn perf() -> String {
     let mut out = header(
         "perf",
-        "Deterministic perf harness: engine throughput, allocation counts, parallel speedup",
+        "Deterministic perf harness: allocation counts, parallel speedup, parity verdicts",
     );
 
-    // -- 1. Engine microbench: events/sec + allocations vs the pre-PR numbers.
-    let (micro_wall, micro_events, micro_allocs) = engine_microbench();
-    let micro_eps = micro_events as f64 / micro_wall.max(1e-9);
-    let _ = writeln!(
-        out,
-        "  engine microbench: {micro_events} events in {micro_wall:.3}s = {micro_eps:.0} events/s \
-         (pre-PR {:.0} events/s)",
-        PRE_PERF.engine_events_per_sec,
-    );
-    match micro_allocs {
-        Some(a) => {
-            let _ = writeln!(
-                out,
-                "  engine microbench allocations: {a} (pre-PR {})",
-                PRE_PERF.engine_allocs
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "  engine microbench allocations: n/a (build with --features count-alloc)"
-            );
-        }
-    }
-
-    // -- 2. Job allocation counts on two golden fixtures (PS/BSP and ring).
+    // -- 1. Job allocation counts on two golden fixtures (PS/BSP and ring).
     //    Deterministic under count-alloc: the same simulation performs the
     //    same allocations every run.
-    let mut rows =
-        vec![vec!["fixture".into(), "allocations".into(), "pre-PR".into(), "reduction".into()]];
+    let mut rows = vec![vec!["fixture".into(), "allocations".into()]];
     let mut fixture_allocs: Vec<Option<u64>> = Vec::new();
-    for (name, pre) in
-        [("bsp", PRE_PERF.bsp_job_allocs), ("allreduce", PRE_PERF.allreduce_job_allocs)]
-    {
+    for name in ["bsp", "allreduce"] {
         let (allocs, _report) = count_allocations(|| Job::run(super::kernel::fixture(name)));
         fixture_allocs.push(allocs);
-        let (shown, delta) = match allocs {
-            Some(a) if pre > 0 => {
-                (a.to_string(), format!("{:+.1}%", (a as f64 / pre as f64 - 1.0) * 100.0))
-            }
-            Some(a) => (a.to_string(), "-".into()),
-            None => ("n/a".into(), "-".into()),
-        };
-        rows.push(vec![name.into(), shown, pre.to_string(), delta]);
+        let shown = allocs
+            .map_or_else(|| "n/a (build with --features count-alloc)".into(), |a| a.to_string());
+        rows.push(vec![name.into(), shown]);
     }
     out.push_str(&table(&rows));
 
-    // -- 3. Serial vs parallel `experiments all`: the full suite once on the
+    // -- 2. Serial vs parallel `experiments all`: the full suite once on the
     //    pool and once forced serial, both under a frozen wall so every
     //    embedded wall-time figure renders as 0 and the two report strings
     //    can be compared byte for byte. The speedup itself is measured by
@@ -167,7 +85,7 @@ pub fn perf() -> String {
         if all_parity { "MATCH (byte-identical reports)" } else { "DIVERGED" }
     );
 
-    // -- 4. Chaos matrix parity: the pooled plan x policy fan-out must equal
+    // -- 3. Chaos matrix parity: the pooled plan x policy fan-out must equal
     //    the nested serial loops, report for report.
     let chaos_parity = chaos_matrix_parity();
     let _ = writeln!(
@@ -176,9 +94,10 @@ pub fn perf() -> String {
         if chaos_parity { "MATCH (run == run_serial)" } else { "DIVERGED" }
     );
 
-    // -- 5. Fork-based what-if replay: the three stock perturbations off one
-    //    shared prefix must reproduce the full-rerun table row-for-row, and
-    //    the prefix share says how much simulation the forks skipped.
+    // -- 4. Fork-based what-if replay: the three stock perturbations answered
+    //    by the what-if service off one shared prefix must reproduce the
+    //    full-rerun table row-for-row, and the prefix share says how much
+    //    simulation the forks skipped.
     let fork_cfg = forkable_cfg();
     let fork_base = Job::run(fork_cfg.clone());
     let fork_perturbations = [
@@ -187,8 +106,17 @@ pub fn perf() -> String {
         Perturbation::NoCkptStalls,
     ];
     let full_rows = antdt_core::what_if_table(&fork_cfg, &fork_base, &fork_perturbations);
-    let (fork_rows, fork_stats) =
-        antdt_core::what_if_table_forked(&fork_cfg, &fork_base, &fork_perturbations);
+    let queries: Vec<WhatIfQuery> = fork_perturbations
+        .iter()
+        .map(|&perturbation| WhatIfQuery { cfg: fork_cfg.clone(), perturbation })
+        .collect();
+    let answers = WhatIfService::new(ServiceConfig::default()).answer_batch(&queries);
+    let fork_rows = antdt_core::counterfactual_rows(
+        &fork_base,
+        &fork_perturbations,
+        answers.iter().map(|a| &a.report),
+    );
+    let fork_stats = ForkShare::of(&answers);
     let fork_parity = fork_rows == full_rows && fork_stats.forked == fork_perturbations.len();
     let _ = writeln!(
         out,
@@ -203,37 +131,26 @@ pub fn perf() -> String {
     let _ = writeln!(
         out,
         "  what-if fork parity: {}",
-        if fork_parity { "MATCH (forked table == full-rerun table)" } else { "DIVERGED" }
+        if fork_parity { "MATCH (service table == full-rerun table)" } else { "DIVERGED" }
     );
 
     // Machine-readable artifact (hand-rendered: the workspace has no serde).
+    let allocs_json = |a: Option<u64>| a.map_or_else(|| "null".into(), |a| a.to_string());
     let json = format!(
         concat!(
             "{{\"experiment\":\"perf\",",
-            "\"engine\":{{\"events\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.1},",
-            "\"pre_events_per_sec\":{:.1},\"throughput_ratio\":{:.3},",
-            "\"allocs\":{},\"pre_allocs\":{}}},",
-            "\"job_allocs\":{{\"bsp\":{},\"bsp_pre\":{},\"allreduce\":{},\"allreduce_pre\":{}}},",
+            "\"job_allocs\":{{\"bsp\":{},\"allreduce\":{}}},",
             "\"whatif_fork\":{{\"forked\":{},\"prefix_events\":{},\"suffix_events\":{},",
             "\"total_events\":{},\"prefix_share\":{:.4},\"fork_parity\":{}}},",
             "\"parallel\":{{\"jobs\":{},\"available_parallelism\":{},",
             "\"wall_serial_secs\":{:.6},\"wall_parallel_secs\":{:.6},\"speedup\":{:.3},",
             "\"all_output_parity\":{},\"chaos_matrix_parity\":{}}}}}\n"
         ),
-        micro_events,
-        micro_wall,
-        micro_eps,
-        PRE_PERF.engine_events_per_sec,
-        micro_eps / PRE_PERF.engine_events_per_sec,
-        micro_allocs.map(|a| a.to_string()).unwrap_or_else(|| "null".into()),
-        PRE_PERF.engine_allocs,
-        fixture_allocs[0].map(|a| a.to_string()).unwrap_or_else(|| "null".into()),
-        PRE_PERF.bsp_job_allocs,
-        fixture_allocs[1].map(|a| a.to_string()).unwrap_or_else(|| "null".into()),
-        PRE_PERF.allreduce_job_allocs,
+        allocs_json(fixture_allocs[0]),
+        allocs_json(fixture_allocs[1]),
         fork_stats.forked,
         fork_stats.prefix_events,
-        fork_stats.suffix_events,
+        fork_stats.total_events - fork_stats.prefix_events,
         fork_stats.total_events,
         fork_stats.prefix_share(),
         fork_parity,
@@ -249,7 +166,7 @@ pub fn perf() -> String {
 
     assert!(all_parity, "parallel `experiments all` diverged from the serial pass");
     assert!(chaos_parity, "pooled chaos matrix diverged from the serial loops");
-    assert!(fork_parity, "forked what-if table diverged from the full-rerun table");
+    assert!(fork_parity, "what-if service table diverged from the full-rerun table");
     out
 }
 

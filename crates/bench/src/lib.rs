@@ -58,7 +58,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ),
         (
             "ckpt",
-            "Checkpointing: JCT vs checkpoint-interval sweep under kills, replay vs closed-form",
+            "Checkpointing: JCT vs checkpoint-interval sweep under kills, replay vs DDS-based",
             exps::ckpt,
         ),
         (

@@ -70,19 +70,17 @@ pub enum MitigationChoice {
     Elastic(ElasticConfig),
 }
 
-/// How a killed worker's training state is recovered (§V-E3, Fig. 17).
+/// How a killed node's training state is recovered (§V-E3, Fig. 17): AntDT's
+/// DDS-based failover against the mainstream libraries' checkpoint rollback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverMode {
     /// AntDT: servers keep the parameters; only the dead worker's DOING shards
-    /// replay. The rest of the fleet keeps training.
+    /// replay. The rest of the fleet keeps training. A *server* kill
+    /// charges the closed-form restore + recompute delay
+    /// (`ckpt_restore_secs` + `rollback_recompute_factor` × lost progress).
     DdsBased,
-    /// Mainstream libraries: restore model + IO state from the last checkpoint
-    /// and recompute everything since — the whole job stalls for the duration.
-    /// This is the closed-form *estimate*: the delay is charged as a scalar
-    /// (`ckpt_restore_secs` + rollback), no state actually moves. Kept for
-    /// golden-trace compatibility and the Fig. 17 analytic cross-check.
-    CheckpointBased,
-    /// Checkpoint-replay through the `antdt-ckpt` subsystem: the last
+    /// Checkpoint rollback, the mainstream libraries' recovery, modeled as
+    /// checkpoint-replay through the `antdt-ckpt` subsystem: the last
     /// *durable* snapshot is read back at storage-tier speed, the DDS queue
     /// is rewound to it, and the lost iterations replay through the real
     /// `SyncStrategy` drivers — recovery time is emergent, not a constant.
@@ -115,10 +113,13 @@ pub struct ChaosInjection {
 /// when the event fires, so plans survive unrelated restarts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InjectedFault {
-    /// Kill worker `w`; the configured failover path (DDS requeue or
-    /// checkpoint rollback) and the scheduler restart both run as usual.
+    /// Kill worker `w`; the configured failover path (DDS requeue, or a
+    /// checkpoint-replay rewind under `FailoverMode::Replay`) and the
+    /// scheduler restart both run as usual.
     KillWorker { w: u32 },
-    /// Kill server `s`; checkpoint restore + recompute follow as usual.
+    /// Kill server `s`; the configured failover path (closed-form restore +
+    /// recompute delay, or a checkpoint-replay rewind under
+    /// `FailoverMode::Replay`) and the scheduler restart follow as usual.
     KillServer { s: u32 },
     /// Kill worker `w` with the failover machinery disabled: its DOING shards
     /// are never requeued and no replacement pod is scheduled. This is the
@@ -240,19 +241,23 @@ pub struct JobConfig {
     /// through the event queue with latency/jitter/loss.
     pub control_channel: ControlChannel,
 
-    /// Checkpoint cadence and cost knobs (failover model, Fig. 17).
+    /// Checkpoint cadence and cost knobs (failover model, Fig. 17). With the
+    /// subsystem off, every `checkpoint_interval` stalls the servers for
+    /// `ckpt_save_secs`; a `DdsBased` server kill charges `ckpt_restore_secs`
+    /// plus the recompute of progress since the last save.
     pub checkpoint_interval: SimDuration,
     pub ckpt_save_secs: f64,
     pub ckpt_restore_secs: f64,
     /// Communication-world rebuild on any restart.
     pub world_rebuild_secs: f64,
-    /// Wall-clock factor for recomputing lost progress after a *server*
-    /// failover (< 1: the replay has no stragglers and a warm cache).
+    /// Wall-clock factor for recomputing lost progress after a `DdsBased`
+    /// *server* failover (< 1: the replay has no stragglers and a warm cache).
     pub rollback_recompute_factor: f64,
     /// The `antdt-ckpt` subsystem: storage tier, cadence policy, capture
-    /// stall. `None` (the default) leaves checkpointing as the legacy cost
-    /// model — golden traces depend on that. `FailoverMode::Replay` turns
-    /// the subsystem on with `CkptConfig::default()` when this is unset.
+    /// stall. `None` (the default) keeps the plain periodic save above,
+    /// which captures nothing — golden traces depend on that.
+    /// `FailoverMode::Replay` turns the subsystem on with
+    /// `CkptConfig::default()` when this is unset.
     pub ckpt: Option<CkptConfig>,
 
     /// AntDT-DD device classes (required when `mitigation == AntDtDd`).
@@ -434,10 +439,11 @@ impl JobConfig {
         self.checkpoint_interval = d;
         self
     }
-    /// Seconds the legacy (subsystem-off) checkpoint save stalls the servers.
-    /// When sweeping the interval against `FailoverMode::Replay`, set this
-    /// comparable to [`antdt_ckpt::CkptConfig::capture_stall_secs`] so the two
-    /// models differ in *recovery*, not in pause cost.
+    /// Seconds the plain (subsystem-off) checkpoint save stalls the servers.
+    /// When sweeping the interval for a `DdsBased` arm against a
+    /// `FailoverMode::Replay` arm, set this comparable to
+    /// [`antdt_ckpt::CkptConfig::capture_stall_secs`] so the two arms differ
+    /// in *recovery*, not in pause cost.
     pub fn with_ckpt_save_secs(mut self, secs: f64) -> Self {
         self.ckpt_save_secs = secs;
         self

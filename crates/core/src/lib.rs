@@ -44,9 +44,8 @@ pub use report::{
     MembershipEventKind, MembershipReport, ReplayRecord,
 };
 pub use whatif::{
-    apply_perturbation, config_digest, counterfactual_row, divergence_instant, plan_replays,
-    run_what_if, run_what_if_forked, what_if_table, what_if_table_forked, ForkReplayStats,
-    ForkedRun, Perturbation, PrefixRun, ReplayPlan,
+    apply_perturbation, config_digest, counterfactual_rows, divergence_instant, plan_replays,
+    run_what_if, what_if_table, Perturbation, PrefixRun, ReplayPlan,
 };
 
 /// Run a job with an explicitly constructed policy — the escape hatch for

@@ -280,8 +280,8 @@ impl AttrReport {
 /// this one. `None` means the perturbation never bites — the edit is a
 /// provable no-op for this run.
 ///
-/// These feed the fork-based counterfactual replay
-/// ([`crate::whatif::what_if_table_forked`]): the shared prefix up to the
+/// These feed fork-based counterfactual replay ([`crate::whatif::plan_replays`],
+/// driven by the `antdt-whatif` service): the shared prefix up to the
 /// divergence instant is simulated once and each what-if only replays its
 /// suffix. The marks are bookkeeping *about* the schedule, never part of it —
 /// they are deliberately not rendered in [`JobReport::golden_dump`].

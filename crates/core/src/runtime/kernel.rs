@@ -136,9 +136,6 @@ pub struct Kernel {
     pub(crate) bucket_start: SimTime,
     pub(crate) bucket_samples: u64,
     pub(crate) gantt: Option<Gantt>,
-    /// Checkpoint-based failover stalls the whole job until the restore and
-    /// global recompute finish.
-    pub(crate) stall_until: SimTime,
     /// Whether `commit` charges a DDS fetch round-trip per `report_done`
     /// (the PS runtimes do; the round-driven runtimes fold it into the round).
     pub(crate) charge_report_fetch: bool,
@@ -323,7 +320,6 @@ impl Kernel {
             bucket_start: SimTime::ZERO,
             bucket_samples: 0,
             gantt,
-            stall_until: SimTime::ZERO,
             charge_report_fetch,
             actions_scratch: Vec::new(),
             injections_log: Vec::new(),

@@ -16,10 +16,10 @@ use antdt_sim::dist::Dist;
 use antdt_sim::gantt::SpanKind;
 use antdt_sim::{NodeProfile, SimDuration};
 
-/// The closed-form recompute charge of legacy checkpoint failover (§V-E3):
+/// The closed-form recompute charge of a `DdsBased` *server* kill (§V-E3):
 /// `factor × min(time since last checkpoint, checkpoint interval)`. Extracted
-/// so the golden-trace-pinned formula has exactly one home (worker and server
-/// kills share it) and a unit test can pin it against the Replay rework.
+/// so the golden-trace-pinned formula has exactly one home and a unit test
+/// can pin it against the Replay rework.
 pub(crate) fn legacy_rollback_secs(factor: f64, since_ckpt_secs: f64, interval_secs: f64) -> f64 {
     factor * since_ckpt_secs.min(interval_secs)
 }
@@ -76,12 +76,10 @@ pub(crate) fn worker_kill<F: PsFlavor>(
     // Schedule the replacement pod; what the replacement must recover is the
     // failover mode's call. DDS-based recovery only rebuilds the
     // communication world (the servers still hold the parameters, so nothing
-    // stalls). Checkpoint-based recovery charges a closed-form restore +
-    // recompute estimate that stalls the whole job (§V-E3). Replay recovery
-    // stages the last durable snapshot and rewinds through the `antdt-ckpt`
-    // subsystem at the restore instant — nothing is charged up front; the
-    // lost work replays through the real drivers. Chaos no-failover kills
-    // skip the replacement entirely.
+    // stalls). Replay recovery stages the last durable snapshot and rewinds
+    // through the `antdt-ckpt` subsystem at the restore instant — nothing is
+    // charged up front; the lost work replays through the real drivers
+    // (§V-E3). Chaos no-failover kills skip the replacement entirely.
     if !k.chaos_no_failover.contains(&w) {
         let mut delay =
             k.sched_restart_delay(now) + SimDuration::from_secs_f64(k.cfg.world_rebuild_secs);
@@ -91,15 +89,6 @@ pub(crate) fn worker_kill<F: PsFlavor>(
         }
         match k.cfg.failover {
             FailoverMode::DdsBased => {}
-            FailoverMode::CheckpointBased => {
-                let rollback = legacy_rollback_secs(
-                    k.cfg.rollback_recompute_factor,
-                    now.since(k.last_ckpt).as_secs_f64(),
-                    k.cfg.checkpoint_interval.as_secs_f64(),
-                );
-                delay += SimDuration::from_secs_f64(k.cfg.ckpt_restore_secs + rollback);
-                k.stall_until = k.stall_until.max(now + delay);
-            }
             FailoverMode::Replay => {
                 // The snapshot read-back is on the replacement's critical
                 // path; the rewind applies just before the pod starts
@@ -247,11 +236,11 @@ impl Kernel {
         eng.schedule(now, Ev::WorkerStart { w, gen });
     }
 
-    /// Kill server `s` (generation-checked) and schedule its failover. Server
-    /// recovery is checkpoint-based in every mode but [`FailoverMode::Replay`]
-    /// (the dead server's parameter shard is gone): pending + init + rebuild +
-    /// checkpoint restore + recompute of the progress since the last
-    /// checkpoint (§V-E2). Under Replay the closed-form restore + recompute
+    /// Kill server `s` (generation-checked) and schedule its failover. Under
+    /// [`FailoverMode::DdsBased`] server recovery is a closed-form checkpoint
+    /// charge (the dead server's parameter shard is gone): pending + init +
+    /// rebuild + checkpoint restore + recompute of the progress since the
+    /// last checkpoint (§V-E2). Under Replay the closed-form restore + recompute
     /// charge is replaced by the storage-tier read-back of the last durable
     /// snapshot plus the emergent replay of the rewound work.
     pub(crate) fn server_kill(&mut self, eng: &mut RtEngine, s: u32, gen: u32) {
@@ -275,7 +264,7 @@ impl Kernel {
             class: ErrorClass::Retryable(RetryableError::ProactiveKill),
         });
         let delay = match self.cfg.failover {
-            FailoverMode::DdsBased | FailoverMode::CheckpointBased => {
+            FailoverMode::DdsBased => {
                 let rollback = legacy_rollback_secs(
                     self.cfg.rollback_recompute_factor,
                     now.since(self.last_ckpt).as_secs_f64(),
@@ -363,7 +352,7 @@ mod tests {
     use super::legacy_rollback_secs;
 
     /// Pins the closed-form recompute charge the golden traces depend on, so
-    /// the Replay rework can never silently perturb the legacy delay.
+    /// the Replay rework can never silently perturb the server-kill delay.
     #[test]
     fn legacy_rollback_formula_is_pinned() {
         // Mid-interval kill: factor × elapsed since the last checkpoint.

@@ -112,12 +112,6 @@ pub(crate) fn worker_start<F: PsFlavor>(
         // event scheduled for the release instant will start it.
         return;
     }
-    if now < k.stall_until {
-        // Checkpoint-based failover in progress: everyone waits.
-        k.attr_pending(w, WaitCause::FaultRecovery);
-        eng.schedule(k.stall_until, Ev::WorkerStart { w, gen });
-        return;
-    }
 
     // Apply actions that reached this agent. Under a chaos drill, log the
     // application so the global-action convergence invariant can audit

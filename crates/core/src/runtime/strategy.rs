@@ -243,16 +243,6 @@ pub fn run_with_policy(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Job
     erased_run(cfg, policy).finish_box()
 }
 
-/// One fork-based what-if replay outcome: the perturbed job's report plus the
-/// prefix/suffix event split that proves how much simulation was shared.
-pub struct ForkedRun {
-    pub report: JobReport,
-    /// Events inherited from the shared prefix at the fork instant.
-    pub prefix_events: u64,
-    /// Events this what-if actually simulated (its suffix only).
-    pub suffix_events: u64,
-}
-
 /// Object-safe, arch-erased view of a [`SimRun`]. The what-if query service
 /// caches prefix runs for jobs of *any* architecture in one store and fans
 /// suffix finishes over the work-stealing pool, so the strategy type
@@ -324,40 +314,4 @@ fn erased_run(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Box<dyn Eras
             Box::new(SimRun::new(cfg, policy, super::local_sgd::LocalSgd::new(sync_every)))
         }
     }
-}
-
-/// Fork-based counterfactual replay: simulate ONE shared prefix of `cfg` and,
-/// at each perturbation's divergence instant, fork the run, apply the edit
-/// live, and finish only the suffix. Because the prefix is provably identical
-/// under the edit (that is what a [`crate::report::DivergenceMarks`] instant
-/// certifies), each forked report is byte-identical to a full perturbed
-/// rerun — while simulating strictly fewer events.
-///
-/// `jobs` must be sorted ascending by divergence instant, every instant
-/// strictly after `SimTime::ZERO`, and `cfg.telemetry` must be off (forks
-/// share telemetry counters; callers fall back to full reruns otherwise).
-pub(crate) fn fork_replay_with_policy(
-    cfg: &JobConfig,
-    jobs: &[(SimTime, crate::whatif::Perturbation)],
-) -> Vec<ForkedRun> {
-    assert!(!cfg.telemetry, "fork replay requires telemetry off (shared counters)");
-    let mut prefix = erased_run_for(cfg);
-    jobs.iter()
-        .map(|(t, p)| {
-            assert!(*t > SimTime::ZERO, "divergence at ZERO needs a full rerun");
-            // Fire everything strictly before the divergence instant. Events
-            // *at* the instant belong to the suffix: the divergent query
-            // happens while handling one of them.
-            prefix.advance_until(SimTime(t.as_micros() - 1));
-            let mut what_if = prefix.fork_box();
-            what_if.perturb(p);
-            let prefix_events = what_if.processed();
-            let report = what_if.finish_box();
-            // The fork restores the prefix's processed count, so the final
-            // figure equals a full rerun's; the suffix is what this replay
-            // actually simulated.
-            let suffix_events = report.events_processed - prefix_events;
-            ForkedRun { report, prefix_events, suffix_events }
-        })
-        .collect()
 }

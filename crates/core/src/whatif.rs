@@ -8,17 +8,20 @@
 //! and reports the measured delta next to the prediction. When the two
 //! agree, the blame scores are explaining the schedule, not curve-fitting
 //! it.
+//!
+//! Fork replay is built from the pieces here ([`plan_replays`],
+//! [`PrefixRun`]) and driven by one engine, the `antdt-whatif` service;
+//! [`what_if_table`] is the naive full-rerun oracle it is checked against.
 
 use crate::config::JobConfig;
 use crate::job::Job;
 use crate::report::{CounterfactualRow, JobReport};
 use crate::runtime::attr::analysis_of;
 use crate::runtime::kernel::Kernel;
-use crate::runtime::strategy::{erased_run_for, fork_replay_with_policy, ErasedRun};
-use antdt_attr::{predicted_delta_us, Analysis};
+use crate::runtime::strategy::{erased_run_for, ErasedRun};
+use antdt_attr::predicted_delta_us;
 use antdt_sim::{ControlChannel, SimTime};
 
-pub use crate::runtime::strategy::ForkedRun;
 pub use antdt_attr::Perturbation;
 
 /// Apply one counterfactual edit to a job config. The returned config is the
@@ -70,35 +73,6 @@ pub(crate) fn apply_live_perturbation(k: &mut Kernel, p: &Perturbation) {
             if let Some(c) = k.ckpt_rt.as_mut() {
                 c.capture_stall_secs = 0.0;
             }
-        }
-    }
-}
-
-/// How much simulation fork-based replay actually shared, across one
-/// [`what_if_table_forked`] call.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ForkReplayStats {
-    /// Perturbations replayed from a fork at their divergence instant.
-    pub forked: usize,
-    /// Perturbations that fell back to a full rerun (no divergence mark, a
-    /// divergence at time zero, or a telemetry-armed config).
-    pub full_reruns: usize,
-    /// Events inherited from shared prefixes instead of being re-simulated.
-    pub prefix_events: u64,
-    /// Events the forked what-ifs simulated themselves.
-    pub suffix_events: u64,
-    /// Total events the forked what-ifs report (prefix + suffix); equals what
-    /// full reruns of the same perturbations would have simulated.
-    pub total_events: u64,
-}
-
-impl ForkReplayStats {
-    /// Fraction of forked what-if events that were inherited, not simulated.
-    pub fn prefix_share(&self) -> f64 {
-        if self.total_events == 0 {
-            0.0
-        } else {
-            self.prefix_events as f64 / self.total_events as f64
         }
     }
 }
@@ -231,96 +205,40 @@ pub fn plan_replays(
     plan
 }
 
-/// Assemble one what-if table row from a measured counterfactual JCT.
-pub fn counterfactual_row(
-    analysis: &Analysis,
-    base_jct_us: u64,
-    p: &Perturbation,
-    what_if_jct_us: u64,
-) -> CounterfactualRow {
-    CounterfactualRow {
-        label: p.label(),
-        predicted_delta_us: predicted_delta_us(analysis, p),
-        measured_delta_us: base_jct_us as i64 - what_if_jct_us as i64,
-        base_jct_us,
-        what_if_jct_us,
-    }
-}
-
-/// Fork-replay a single perturbation off the divergence instant `base`
-/// recorded for it. Returns `None` when fork replay is not applicable — no
-/// recorded divergence (the edit never bites), a divergence at time zero
-/// (bootstrap already ran under the old config), or a telemetry-armed config
-/// (forks would share telemetry counters) — in which case the caller should
-/// use [`run_what_if`]. The returned report is byte-identical to
-/// [`run_what_if`]'s, simulated from only the suffix.
-pub fn run_what_if_forked(
-    cfg: &JobConfig,
-    base: &JobReport,
-    p: &Perturbation,
-) -> Option<ForkedRun> {
-    let t = divergence_instant(base, p)?;
-    if t == SimTime::ZERO || cfg.telemetry {
-        return None;
-    }
-    fork_replay_with_policy(cfg, &[(t, *p)]).pop()
-}
-
-/// [`what_if_table`] computed by fork-based replay: perturbations whose
-/// divergence instant `base` recorded are replayed by forking ONE shared
-/// prefix of the baseline run just before that instant, applying the edit
-/// live, and simulating only the suffix. The rows are byte-identical to
-/// [`what_if_table`]'s — same deltas, same order — but the bulk of the
-/// schedule is simulated once instead of once per perturbation.
+/// Tabulate measured vs predicted JCT deltas: one row per perturbation, from
+/// `base` (a finished attribution-armed run) and each perturbation's what-if
+/// report, in order — however the what-if reports were produced.
 ///
-/// Perturbations with no recorded divergence (the edit never bites, so the
-/// "replay" equals the baseline) or one at time zero fall back to
-/// [`run_what_if`], as does everything when `cfg.telemetry` is armed (forks
-/// would share telemetry counters).
-pub fn what_if_table_forked(
-    cfg: &JobConfig,
+/// Panics if `base` carries no attribution section — the caller must have
+/// armed the engine via [`JobConfig::with_attribution`].
+pub fn counterfactual_rows<'a>(
     base: &JobReport,
     perturbations: &[Perturbation],
-) -> (Vec<CounterfactualRow>, ForkReplayStats) {
-    let attr = base.attr.as_ref().expect("what_if_table needs an attribution-armed base report");
+    what_ifs: impl IntoIterator<Item = &'a JobReport>,
+) -> Vec<CounterfactualRow> {
+    let attr = base.attr.as_ref().expect("what-if rows need an attribution-armed base report");
     let analysis = analysis_of(attr);
     let base_jct_us = base.jct.as_micros();
-    let mut stats = ForkReplayStats::default();
-
-    // Forkable perturbations are replayed off one shared prefix that only
-    // ever advances forward, so the plan puts them in divergence order.
-    let plan = plan_replays(cfg, base, perturbations);
-
-    let jobs: Vec<(SimTime, Perturbation)> =
-        plan.forkable.iter().map(|&(i, t)| (t, perturbations[i])).collect();
-    let forked = fork_replay_with_policy(cfg, &jobs);
-
-    let mut reports: Vec<Option<JobReport>> = (0..perturbations.len()).map(|_| None).collect();
-    for (&(i, _), run) in plan.forkable.iter().zip(forked) {
-        stats.forked += 1;
-        stats.prefix_events += run.prefix_events;
-        stats.suffix_events += run.suffix_events;
-        stats.total_events += run.report.events_processed;
-        reports[i] = Some(run.report);
-    }
-    for i in plan.full_reruns {
-        stats.full_reruns += 1;
-        reports[i] = Some(run_what_if(cfg, &perturbations[i]));
-    }
-
-    let rows = perturbations
+    perturbations
         .iter()
-        .zip(reports)
-        .map(|(p, report)| {
-            let what_if_jct_us = report.expect("every perturbation got a report").jct.as_micros();
-            counterfactual_row(&analysis, base_jct_us, p, what_if_jct_us)
+        .zip(what_ifs)
+        .map(|(p, what_if)| {
+            let what_if_jct_us = what_if.jct.as_micros();
+            CounterfactualRow {
+                label: p.label(),
+                predicted_delta_us: predicted_delta_us(&analysis, p),
+                measured_delta_us: base_jct_us as i64 - what_if_jct_us as i64,
+                base_jct_us,
+                what_if_jct_us,
+            }
         })
-        .collect();
-    (rows, stats)
+        .collect()
 }
 
 /// Replay every perturbation against `base` (a finished attribution-armed
-/// run of `cfg`) and tabulate measured vs predicted JCT deltas.
+/// run of `cfg`) by full reruns and tabulate measured vs predicted JCT deltas
+/// — the naive oracle the `antdt-whatif` service's fork replay is checked
+/// against.
 ///
 /// Panics if `base` carries no attribution section — the caller must have
 /// armed the engine via [`JobConfig::with_attribution`].
@@ -329,16 +247,8 @@ pub fn what_if_table(
     base: &JobReport,
     perturbations: &[Perturbation],
 ) -> Vec<CounterfactualRow> {
-    let attr = base.attr.as_ref().expect("what_if_table needs an attribution-armed base report");
-    let analysis = analysis_of(attr);
-    let base_jct_us = base.jct.as_micros();
-    perturbations
-        .iter()
-        .map(|p| {
-            let what_if = run_what_if(cfg, p);
-            counterfactual_row(&analysis, base_jct_us, p, what_if.jct.as_micros())
-        })
-        .collect()
+    let what_ifs: Vec<JobReport> = perturbations.iter().map(|p| run_what_if(cfg, p)).collect();
+    counterfactual_rows(base, perturbations, &what_ifs)
 }
 
 #[cfg(test)]

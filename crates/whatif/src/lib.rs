@@ -1,10 +1,13 @@
 //! # antdt-whatif — the batch what-if query service
 //!
-//! Turns the fork-replay machinery of `antdt-core` into a high-throughput
-//! query engine. A [`WhatIfService`] accepts batches of `(config,
-//! Perturbation)` queries, plans each batch by divergence instant
-//! (`antdt_core::plan_replays`), and answers it off three accelerating
-//! layers:
+//! The one engine that answers counterfactual queries: it drives the
+//! fork-replay building blocks of `antdt-core` (`plan_replays`, `PrefixRun`)
+//! and is what every what-if call site goes through; `antdt_core`'s naive
+//! `what_if_table` survives only as its test oracle, and
+//! `antdt_core::counterfactual_rows` turns answers into measured-vs-predicted
+//! rows. A [`WhatIfService`] accepts batches of `(config, Perturbation)`
+//! queries, plans each batch by divergence instant, and answers it off three
+//! accelerating layers:
 //!
 //! 1. **Memo store** — a repeated `(config digest, perturbation)` query —
 //!    across batches or within one — returns its memoized [`JobReport`]

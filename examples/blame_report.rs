@@ -19,7 +19,8 @@
 //! ```
 
 use antdt::attr::WaitCause;
-use antdt::core::{Job, JobConfig, MitigationChoice, Perturbation};
+use antdt::core::{JobConfig, MitigationChoice, Perturbation};
+use antdt::whatif::{ServiceConfig, WhatIfQuery, WhatIfService};
 use antdt::workloads::{cluster, ModelProfile, Scenario};
 
 /// Workers occupy node lanes `0..W`; parameter servers sit at `1000 + s`.
@@ -45,8 +46,11 @@ fn main() {
     .with_mitigation(MitigationChoice::None)
     .with_attribution();
 
+    // The what-if service runs the base job itself (it needs the base run's
+    // divergence marks to plan replays), so take the report from it.
     println!("running the straggler job with attribution armed ...");
-    let report = Job::run(cfg.clone());
+    let mut service = WhatIfService::new(ServiceConfig::default());
+    let report = service.base_report(&cfg).clone();
     let attr = report.attr.as_ref().expect("attribution armed");
     println!("JCT {:.1}s over {} iterations\n", report.jct.as_secs_f64(), report.iterations);
 
@@ -81,18 +85,17 @@ fn main() {
     assert_eq!(top, 7, "the persistent straggler (last worker) must rank first");
 
     // ---- 3. Counterfactual validation: heal the culprit, replay, compare.
-    // `what_if_table_forked` replays off the base run's divergence marks —
-    // a straggler contended from t = 0 has nothing to fork, so the stats
-    // will report an (equally byte-exact) full rerun.
+    // The service replays off the base run's divergence marks — a straggler
+    // contended from t = 0 has nothing to fork, so the answer is an (equally
+    // byte-exact) full rerun.
     println!("\nreplaying with {} healed ...", node_name(top));
-    let (rows, stats) =
-        antdt::core::what_if_table_forked(&cfg, &report, &[Perturbation::HealthyNode(top)]);
+    let p = Perturbation::HealthyNode(top);
+    let answer = service.answer(&WhatIfQuery { cfg, perturbation: p });
     println!(
-        "  replay: {} forked / {} full reruns ({:.0}% of forked events inherited)",
-        stats.forked,
-        stats.full_reruns,
-        stats.prefix_share() * 100.0,
+        "  replay: {:?}, {} of {} events inherited from a shared prefix",
+        answer.source, answer.prefix_events, answer.report.events_processed,
     );
+    let rows = antdt::core::counterfactual_rows(&report, &[p], [&answer.report]);
     let row = &rows[0];
     let predicted = row.predicted_delta_us as f64 / 1e6;
     let measured = row.measured_delta_us as f64 / 1e6;

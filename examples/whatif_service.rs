@@ -1,8 +1,10 @@
 //! Batch what-if queries: the snapshot-cached query service.
 //!
-//! `examples/whatif_fork.rs` forks one job's prefix for a handful of
-//! perturbations. This example drives the layer above it: a
-//! [`antdt::whatif::WhatIfService`] answering a *batch* of counterfactual
+//! A what-if replay re-runs a finished job with one mechanism edited out;
+//! until the edit first bites, the replay is byte-identical to the baseline,
+//! so the service forks the baseline there instead of re-simulating the
+//! prefix. This example drives a [`antdt::whatif::WhatIfService`]
+//! answering a *batch* of counterfactual
 //! queries across several job traces, with repeats — the fleet-analysis
 //! shape ("for each of these jobs, what if node N had been healthy / the
 //! checkpoints had been free?"). The service answers off its three layers:

@@ -6,6 +6,7 @@ use antdt::core::{
     ChaosInjection, InjectedFault, Job, JobConfig, JobReport, MitigationChoice, Perturbation,
 };
 use antdt::sim::SimDuration;
+use antdt::whatif::{AnswerSource, ServiceConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
 use antdt::workloads::cluster::{cluster_a_scaled, cluster_b};
 use antdt::workloads::{ModelProfile, Scenario};
 use std::path::PathBuf;
@@ -267,7 +268,8 @@ fn what_if_table_covers_stock_perturbations() {
     assert_eq!(rows[2].label, "no_ckpt_stalls");
 }
 
-// ---- Fork-based counterfactual replay (engine snapshot/fork through whatif).
+// ---- Fork-based counterfactual replay (engine snapshot/fork through the
+// what-if service).
 
 /// A job with every divergence source armed *strictly after* time zero: a
 /// worker whose contention begins at t=60s (a `WorkerPersistent` phase starts
@@ -298,6 +300,16 @@ fn forkable_job() -> (JobConfig, u32) {
     (cfg, straggler)
 }
 
+/// One what-if query per perturbation against `cfg`, answered as a single
+/// batch by a fresh service.
+fn answer_all(cfg: &JobConfig, perturbations: &[Perturbation]) -> Vec<WhatIfAnswer> {
+    let queries: Vec<WhatIfQuery> = perturbations
+        .iter()
+        .map(|&perturbation| WhatIfQuery { cfg: cfg.clone(), perturbation })
+        .collect();
+    WhatIfService::new(ServiceConfig::default()).answer_batch(&queries)
+}
+
 /// Fork-based replay must be byte-identical to a full perturbed rerun — for
 /// every perturbation kind — while simulating strictly fewer events. This is
 /// the acceptance gate on `Engine::snapshot`/`fork`: the shared prefix is
@@ -305,16 +317,19 @@ fn forkable_job() -> (JobConfig, u32) {
 #[test]
 fn forked_replay_is_byte_identical_and_simulates_only_the_suffix() {
     let (cfg, straggler) = forkable_job();
-    let base = Job::run(cfg.clone());
-    for p in [
+    let perturbations = [
         Perturbation::HealthyNode(straggler),
         Perturbation::ZeroControlLatency,
         Perturbation::NoCkptStalls,
-    ] {
+    ];
+    for (p, forked) in perturbations.iter().zip(answer_all(&cfg, &perturbations)) {
         let label = p.label();
-        let forked = antdt::core::run_what_if_forked(&cfg, &base, &p)
-            .unwrap_or_else(|| panic!("{label}: no divergence mark recorded"));
-        let full = antdt::core::run_what_if(&cfg, &p);
+        assert!(
+            matches!(forked.source, AnswerSource::Forked { .. }),
+            "{label}: not forked ({:?})",
+            forked.source
+        );
+        let full = antdt::core::run_what_if(&cfg, p);
         assert_eq!(
             forked.report.golden_dump(),
             full.golden_dump(),
@@ -343,13 +358,17 @@ fn forked_what_if_table_matches_the_full_table() {
         Perturbation::NoCkptStalls,
     ];
     let rows = antdt::core::what_if_table(&cfg, &base, &perturbations);
-    let (forked_rows, stats) = antdt::core::what_if_table_forked(&cfg, &base, &perturbations);
+    let answers = answer_all(&cfg, &perturbations);
+    let forked_rows =
+        antdt::core::counterfactual_rows(&base, &perturbations, answers.iter().map(|a| &a.report));
     assert_eq!(forked_rows, rows, "forked table diverged from the full table");
-    assert_eq!(stats.forked, 3);
-    assert_eq!(stats.full_reruns, 0);
-    assert_eq!(stats.prefix_events + stats.suffix_events, stats.total_events);
-    let share = stats.prefix_share();
-    assert!(share > 0.0 && share < 1.0, "prefix share {share} outside (0, 1): {stats:?}");
+    assert!(answers.iter().all(|a| matches!(a.source, AnswerSource::Forked { .. })));
+    let prefix: u64 = answers.iter().map(|a| a.prefix_events).sum();
+    let total: u64 = answers.iter().map(|a| a.report.events_processed).sum();
+    let suffix: u64 = answers.iter().map(|a| a.suffix_events).sum();
+    assert_eq!(prefix + suffix, total);
+    let share = prefix as f64 / total as f64;
+    assert!(share > 0.0 && share < 1.0, "prefix share {share} outside (0, 1)");
 }
 
 /// A perturbation whose mechanism never engages records no divergence and
@@ -361,13 +380,10 @@ fn unengaged_perturbation_falls_back_to_a_full_rerun() {
     let (cfg, _) = straggler_job();
     let base = Job::run(cfg.clone());
     assert!(base.divergence.control_modeled.is_none());
-    assert!(
-        antdt::core::run_what_if_forked(&cfg, &base, &Perturbation::ZeroControlLatency).is_none()
-    );
-    let (rows, stats) =
-        antdt::core::what_if_table_forked(&cfg, &base, &[Perturbation::ZeroControlLatency]);
-    assert_eq!(stats.forked, 0);
-    assert_eq!(stats.full_reruns, 1);
+    let perturbations = [Perturbation::ZeroControlLatency];
+    let answers = answer_all(&cfg, &perturbations);
+    assert_eq!(answers[0].source, AnswerSource::FullRerun);
+    let rows = antdt::core::counterfactual_rows(&base, &perturbations, [&answers[0].report]);
     assert_eq!(rows[0].measured_delta_us, 0, "an unengaged edit must not move JCT");
 }
 

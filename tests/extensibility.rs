@@ -59,11 +59,12 @@ fn custom_composite_solution_beats_native_bsp() {
 
 #[test]
 fn faults_failover_modes_and_custom_policy_compose() {
-    // Everything at once: background faults, checkpoint-based recovery, and a
-    // custom policy — the framework must still complete with exact accounting.
+    // Everything at once: background faults, checkpoint-replay recovery, and
+    // a custom policy — the framework must still complete with exact
+    // accounting.
     let scenario = Scenario::WorkerTransient { intensity: 0.5 };
     let config = cfg(scenario)
-        .with_failover_mode(FailoverMode::CheckpointBased)
+        .with_failover_mode(FailoverMode::Replay)
         .with_faults(FaultConfig { worker_mtbf: SimDuration::from_secs(400), server_mtbf: None })
         .with_mitigation(MitigationChoice::LbBsp);
     let r = Job::run(config);
