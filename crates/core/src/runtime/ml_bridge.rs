@@ -236,6 +236,7 @@ mod tests {
 #[cfg(test)]
 mod known_answers {
     use super::super::asp::AspPs;
+    use super::super::bsp::BspPs;
     use super::super::ring::RingAllReduce;
     use super::super::strategy::{SimRun, SyncStrategy};
     use crate::config::{ExecutionMode, JobConfig};
@@ -285,5 +286,16 @@ mod known_answers {
         let (auc, hash) = run(cfg, AspPs::new());
         assert_eq!(auc, 0x3fe6_49a9_86a4_e35a, "auc {}", f64::from_bits(auc));
         assert_eq!(hash, 0x461d_5d2a_fc0b_8036);
+    }
+
+    /// PS-BSP with 3 workers: `BspFlavor::try_close` takes one
+    /// sample-weighted `weighted_step` per barrier.
+    #[test]
+    fn bsp_real_run_is_pinned() {
+        let cfg =
+            real(JobConfig::ps_bsp(cluster_a_scaled(3, 2), Scenario::None).with_global_batch(768));
+        let (auc, hash) = run(cfg, BspPs::new(3));
+        assert_eq!(auc, 0x3fe5_9666_d6eb_725b, "auc {}", f64::from_bits(auc));
+        assert_eq!(hash, 0xa238_9bc4_9dac_8d1b);
     }
 }

@@ -18,6 +18,7 @@
 
 pub mod accum;
 pub mod data;
+mod lanes;
 pub mod metrics;
 pub mod model;
 pub mod optim;
