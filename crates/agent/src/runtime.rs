@@ -153,6 +153,12 @@ impl Agent {
         due
     }
 
+    /// Whether [`Agent::take_due`] at `now` would return anything. The inbox
+    /// is sorted by delivery time, so its first entry decides.
+    pub fn has_due(&self, now: SimTime) -> bool {
+        self.inbox.first().is_some_and(|&(at, _, _)| at <= now)
+    }
+
     /// Allocation-free [`Agent::take_due`]: appends the due actions to `out`
     /// so a caller-owned buffer can be reused across iteration boundaries.
     pub fn take_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, u64, Action)>) {
@@ -310,6 +316,41 @@ mod tests {
         // Cadence restarts from zero.
         assert!(!a.on_iteration());
         assert!(a.on_iteration());
+    }
+
+    /// `has_due(now)` answers exactly "would `take_due(now)` return
+    /// anything" over 128 seeded sequences of deliveries (including stale
+    /// and duplicate ones), resets and drains at arbitrary instants, past
+    /// and future.
+    #[test]
+    fn has_due_agrees_with_take_due() {
+        let mut drains = [0u32; 2];
+        for seed in 0..128 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut a = Agent::new(NodeId::worker(0), AgentConfig::default());
+            let mut gen = 0;
+            for step in 0..200 {
+                let now = t(rng.gen_range(0u32..40) as f64);
+                match rng.gen_range(0u32..8) {
+                    0..=4 => {
+                        let fence = if rng.gen_bool(0.9) { gen } else { gen + 1 };
+                        let d = dir(rng.gen_range(0u64..30), fence, Action::None);
+                        a.deliver_directive(now, &d);
+                    }
+                    5 => {
+                        a.reset();
+                        gen += 1;
+                    }
+                    _ => {
+                        let due = a.has_due(now);
+                        drains[usize::from(due)] += 1;
+                        assert_eq!(due, !a.take_due(now).is_empty(), "seed {seed} step {step}");
+                        assert!(!a.has_due(now), "seed {seed} step {step}: drained");
+                    }
+                }
+            }
+        }
+        assert!(drains.iter().all(|&n| n > 100), "empty and non-empty drains: {drains:?}");
     }
 
     // Idempotence + canonical ordering under the channel's worst case:

@@ -6,9 +6,17 @@
 //! the next iteration. The set is a per-worker bitmap plus a count, and the
 //! arrived pushes' per-server arrival instants share one flat buffer, so a
 //! push or a close allocates nothing once the buffers have grown.
+//!
+//! A close does the float operations of the plain per-piece pass, in their
+//! order, with less work around them. Each server's piece durations go
+//! through a one-entry memo, so the seconds→µs rounding leaves the
+//! serial `t` chain while the slowdown factor repeats, and the piece loop
+//! without attribution has no call in it. A push's transfer time is read
+//! from its latest arrival instead of folded over its row. The servers'
+//! link terms of the pull are derived once per close, not once per worker.
 
 use super::attr::SERVER_LANE;
-use super::kernel::Kernel;
+use super::kernel::{Kernel, ServerEnd, ServerState};
 use super::ml_bridge;
 use super::ps_common::{PsFlavor, PsStrategy};
 use crate::events::{Ev, RtEngine};
@@ -24,6 +32,58 @@ use antdt_sim::{SimDuration, SimTime};
 struct Push {
     w: u32,
     compute_end: SimTime,
+    /// The latest of the push's per-server arrival instants: the barrier
+    /// arrival. `since` and `as_secs_f64` are monotone, so converting it
+    /// equals the max over the converted row.
+    last_arrival: SimTime,
+}
+
+/// One-entry memo of [`SimDuration::from_secs_f64`], keyed by the seconds'
+/// bits: a hit returns exactly what the conversion would. It starts at the
+/// true pair `0.0 → ZERO`.
+#[derive(Clone, Copy)]
+struct SecsMemo {
+    bits: u64,
+    dur: SimDuration,
+}
+
+impl SecsMemo {
+    const fn new() -> Self {
+        SecsMemo { bits: 0, dur: SimDuration::ZERO }
+    }
+
+    #[inline]
+    fn get(&mut self, secs: f64) -> SimDuration {
+        if secs.to_bits() != self.bits {
+            *self = SecsMemo { bits: secs.to_bits(), dur: SimDuration::from_secs_f64(secs) };
+        }
+        self.dur
+    }
+}
+
+/// Serve one server's `arrivals` (sorted) FIFO from its `free_at`, each
+/// piece taking `agg_secs` scaled by the server's slowdown at its start.
+/// Returns the instant the last piece ends and the busy seconds;
+/// `on_piece(start, end)` sees every piece. Inlined per caller, so the
+/// loop without attribution keeps `t` and `busy` in registers.
+#[inline(always)]
+fn serve(
+    server: &ServerState,
+    arrivals: &[SimTime],
+    agg_secs: f64,
+    mut on_piece: impl FnMut(SimTime, SimTime),
+) -> (SimTime, f64) {
+    let mut t = server.free_at;
+    let mut busy = 0.0;
+    let mut svc_dur = SecsMemo::new();
+    for &a in arrivals {
+        let start = t.max(a);
+        let svc = agg_secs * server.profile.slowdown(start);
+        t = start + svc_dur.get(svc);
+        busy += svc;
+        on_piece(start, t);
+    }
+    (t, busy)
 }
 
 /// The BSP flavor over the shared PS driver.
@@ -45,6 +105,8 @@ pub struct BspFlavor {
     pushed: Vec<bool>,
     /// Reused per-server sort buffer for the barrier-close FIFO pass.
     arrivals_scratch: Vec<SimTime>,
+    /// Reused per-server link terms of the pull at the barrier close.
+    ends_scratch: Vec<ServerEnd>,
     /// Backup-workers knob: how many stragglers the barrier may drop.
     backup_b: u32,
     /// A close was attempted while a server was down; retry on recovery.
@@ -65,6 +127,7 @@ impl BspPs {
                 arrivals: Vec::new(),
                 pushed: Vec::new(),
                 arrivals_scratch: Vec::new(),
+                ends_scratch: Vec::new(),
                 backup_b: 0,
                 close_pending: false,
             },
@@ -115,18 +178,18 @@ impl BspFlavor {
             arrivals.clear();
             arrivals.extend((0..self.pushes.len()).map(|i| self.arrivals[i * m + j]));
             arrivals.sort_unstable();
-            let mut t = k.servers[j].free_at;
-            let mut busy = 0.0;
-            for &a in &arrivals {
-                let start = t.max(a);
-                let svc = k.cfg.model.server_agg_secs * k.servers[j].profile.slowdown(start);
-                t = start + SimDuration::from_secs_f64(svc);
-                busy += svc;
+            let agg = k.cfg.model.server_agg_secs;
+            let lane = SERVER_LANE + j as u32;
+            let server = &k.servers[j];
+            let (mut t, mut busy) = match k.attr.as_mut() {
+                None => serve(server, &arrivals, agg, |_, _| {}),
                 // Server lane: idle until the piece arrives, Comm while
                 // aggregating it.
-                k.attr_fill(SERVER_LANE + j as u32, start, WaitCause::SyncWait);
-                k.attr_fill(SERVER_LANE + j as u32, t, WaitCause::Comm);
-            }
+                Some(attr) => serve(server, &arrivals, agg, |start, end| {
+                    attr.ledger.fill(lane, start.as_micros(), WaitCause::SyncWait);
+                    attr.ledger.fill(lane, end.as_micros(), WaitCause::Comm);
+                }),
+            };
             let apply = k.cfg.model.server_apply_secs * k.servers[j].profile.slowdown(t);
             t += SimDuration::from_secs_f64(apply);
             busy += apply;
@@ -137,6 +200,9 @@ impl BspFlavor {
             ready_max = ready_max.max(t);
         }
         self.arrivals_scratch = arrivals;
+        let mut ends = std::mem::take(&mut self.ends_scratch);
+        ends.clear();
+        ends.extend((0..m).map(|j| k.server_end(j, ready_max)));
 
         // ---- Math: aggregate pushed gradients, one apply.
         {
@@ -160,7 +226,7 @@ impl BspFlavor {
         // Per-participant barrier-arrival instants for the critical-path
         // analysis (only collected when attribution is armed).
         let mut arrs: Vec<(u32, u64)> = Vec::new();
-        for (row, p) in self.pushes.iter().enumerate() {
+        for p in &self.pushes {
             let wi = p.w as usize;
             let Some(inf) = k.workers[wi].inflight.take() else {
                 continue;
@@ -170,11 +236,8 @@ impl BspFlavor {
             }
             iteration_samples += inf.took;
             k.commit(wi, ready_max);
-            let pull = k.pull_secs(ready_max, wi);
-            let push_tx = self.arrivals[row * m..(row + 1) * m]
-                .iter()
-                .map(|&a| a.since(p.compute_end).as_secs_f64())
-                .fold(0.0, f64::max);
+            let pull = k.pull_secs_over(&ends, ready_max, wi);
+            let push_tx = p.last_arrival.since(p.compute_end).as_secs_f64();
             let bpt = inf.compute_end.since(inf.start).as_secs_f64() + push_tx + pull;
             k.workers[wi].iter += 1;
             k.workers[wi].series_bpt.push(now, bpt);
@@ -183,24 +246,14 @@ impl BspFlavor {
                 super::bus::send_report(k, eng, NodeId::worker(p.w), now, bpt, inf.took);
                 k.overhead.add_sync(SimDuration::from_secs_f64(k.cfg.broadcast.barrier_secs));
             }
+            // The barrier arrival is when the last gradient piece landed.
+            let arrived = inf.compute_end + SimDuration::from_secs_f64(push_tx);
             if let Some(g) = k.gantt.as_mut() {
-                g.record(
-                    p.w,
-                    SpanKind::Comm,
-                    inf.compute_end,
-                    inf.compute_end + SimDuration::from_secs_f64(push_tx),
-                );
-                g.record(
-                    p.w,
-                    SpanKind::Idle,
-                    inf.compute_end + SimDuration::from_secs_f64(push_tx),
-                    ready_max,
-                );
+                g.record(p.w, SpanKind::Comm, inf.compute_end, arrived);
+                g.record(p.w, SpanKind::Idle, arrived, ready_max);
             }
             let next = ready_max + SimDuration::from_secs_f64(pull);
-            // Worker lane: push transfer, barrier wait, pull. The barrier
-            // arrival is when the last gradient piece landed.
-            let arrived = inf.compute_end + SimDuration::from_secs_f64(push_tx);
+            // Worker lane: push transfer, barrier wait, pull.
             k.attr_fill(p.w, arrived, WaitCause::Comm);
             k.attr_fill(p.w, ready_max, WaitCause::SyncWait);
             k.attr_fill(p.w, next, WaitCause::Comm);
@@ -215,6 +268,7 @@ impl BspFlavor {
             // logic-error signal.
             eng.schedule(next.max(eng.now()), Ev::WorkerStart { w: p.w, gen: k.workers[wi].gen });
         }
+        self.ends_scratch = ends;
         k.attr_barrier(self.iter, &arrs);
 
         // DDS shard-state synchronization sits on the iteration's critical
@@ -294,10 +348,14 @@ impl PsFlavor for BspFlavor {
             eng.schedule(now, Ev::WorkerStart { w, gen });
             return;
         }
-        for j in 0..k.servers.len() {
-            self.arrivals.push(now + SimDuration::from_secs_f64(k.path_transfer(now, wi, j)));
+        let mut last_arrival = now;
+        let mut tx_dur = SecsMemo::new();
+        for tx in k.path_transfers(now, wi) {
+            let a = now + tx_dur.get(tx);
+            last_arrival = last_arrival.max(a);
+            self.arrivals.push(a);
         }
-        self.pushes.push(Push { w, compute_end: now });
+        self.pushes.push(Push { w, compute_end: now, last_arrival });
         self.try_close(k, eng);
     }
 
@@ -326,6 +384,7 @@ mod tests {
     use crate::config::JobConfig;
     use crate::runtime::kernel::Inflight;
     use antdt_controller::NoMitigation;
+    use antdt_sim::{ContentionPhase, Link};
     use antdt_workloads::cluster::cluster_a_scaled;
     use antdt_workloads::Scenario;
 
@@ -368,6 +427,169 @@ mod tests {
         started.sort_unstable();
         assert_eq!(started, vec![0, 1, 4], "releases for w0/w1, one poke for idle w4");
         assert!(k.workers[2].inflight.is_some(), "the dropped straggler is still computing");
+    }
+
+    /// What the plain close arithmetic gives for one barrier, per server
+    /// (`free_at`, `busy`, the slowdown factor of each piece) and per push
+    /// (BPT, release instant).
+    struct OracleClose {
+        free_at: Vec<SimTime>,
+        busy: Vec<f64>,
+        factors: Vec<Vec<f64>>,
+        bpt: Vec<f64>,
+        next: Vec<SimTime>,
+    }
+
+    /// One piece's transfer time along both links, evaluated per call.
+    fn oracle_path_transfer(k: &Kernel, now: SimTime, wi: usize, sj: usize) -> f64 {
+        let bytes = k.piece_bytes;
+        let wl = &k.workers[wi].link;
+        let sl = &k.servers[sj].link;
+        let bw = wl.bandwidth_bps.min(sl.bandwidth_bps);
+        wl.latency_secs
+            + sl.latency_secs
+            + bytes as f64 / bw * wl.congestion_at(now) * sl.congestion_at(now)
+    }
+
+    /// The close `try_close` must reproduce bit for bit: a conversion per
+    /// piece in the server FIFO pass, `push_tx` folded over the push's
+    /// arrival row, and the pull re-derived per worker and server.
+    fn oracle_close(k: &Kernel, f: &BspFlavor) -> OracleClose {
+        let m = k.servers.len();
+        let mut o = OracleClose {
+            free_at: Vec::new(),
+            busy: Vec::new(),
+            factors: Vec::new(),
+            bpt: Vec::new(),
+            next: Vec::new(),
+        };
+        let mut ready_max = SimTime::ZERO;
+        for j in 0..m {
+            let mut arrivals: Vec<SimTime> =
+                (0..f.pushes.len()).map(|i| f.arrivals[i * m + j]).collect();
+            arrivals.sort_unstable();
+            let mut t = k.servers[j].free_at;
+            let mut busy = 0.0;
+            let mut factors = Vec::new();
+            for &a in &arrivals {
+                let start = t.max(a);
+                let factor = k.servers[j].profile.slowdown(start);
+                factors.push(factor);
+                let svc = k.cfg.model.server_agg_secs * factor;
+                t = start + SimDuration::from_secs_f64(svc);
+                busy += svc;
+            }
+            let apply = k.cfg.model.server_apply_secs * k.servers[j].profile.slowdown(t);
+            t += SimDuration::from_secs_f64(apply);
+            busy += apply;
+            o.free_at.push(t);
+            o.busy.push(busy);
+            o.factors.push(factors);
+            ready_max = ready_max.max(t);
+        }
+        for (row, p) in f.pushes.iter().enumerate() {
+            let wi = p.w as usize;
+            let inf = k.workers[wi].inflight.as_ref().expect("a pushed worker is in flight");
+            let pull =
+                (0..m).map(|j| oracle_path_transfer(k, ready_max, wi, j)).fold(0.0, f64::max);
+            let push_tx = f.arrivals[row * m..(row + 1) * m]
+                .iter()
+                .map(|&a| a.since(p.compute_end).as_secs_f64())
+                .fold(0.0, f64::max);
+            o.bpt.push(inf.compute_end.since(inf.start).as_secs_f64() + push_tx + pull);
+            o.next.push(ready_max + SimDuration::from_secs_f64(pull));
+        }
+        o
+    }
+
+    /// Barrier closes whose server chains cross a `Slowdown` window that
+    /// opens and shuts inside one close, with congested links on both the
+    /// push and the pull, match the plain per-piece arithmetic bit for bit:
+    /// server `free_at`, `busy` and BPT series, worker BPT series and
+    /// release instants, and every push's per-server arrival row.
+    #[test]
+    fn close_matches_the_per_piece_oracle_bit_for_bit() {
+        let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
+        let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+        let mut k = Kernel::new(cfg, Box::new(NoMitigation), None, 11, true, true);
+        // Server 0 slows 2.5x over 30–40 ms and server 1 1.75x over 20–30
+        // ms of the first close's FIFO chains; the later windows catch
+        // server 1's chain and server 0's apply in the second close. Server
+        // 1's link congests the first release's pull, worker 2's link its
+        // own first push.
+        for (j, (factor, windows)) in [
+            (2.5, [(30, 40), (700, 720), (1_400, 1_450)]),
+            (1.75, [(20, 30), (680, 690), (1_380, 1_390)]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (from, to) in windows {
+                k.servers[j].profile = k.servers[j]
+                    .profile
+                    .clone()
+                    .with_phase(ContentionPhase::Slowdown { factor, from: ms(from), to: ms(to) });
+            }
+        }
+        k.servers[1].link = Link::datacenter().with_congestion(ms(500), ms(800), 3.0);
+        k.workers[2].link = Link::datacenter().with_congestion(ms(5), ms(12), 2.0);
+        let mut eng = RtEngine::new();
+        let mut f = BspPs::new(4).flavor;
+        for w in 0..4 {
+            eng.schedule(SimTime::ZERO, Ev::WorkerStart { w, gen: 0 });
+        }
+        let m = k.servers.len();
+        let (mut closes, mut crossed) = (0, 0);
+        eng.run_until(ms(2_500), |eng, ev| {
+            let now = eng.now();
+            match ev {
+                Ev::WorkerStart { w, .. } => {
+                    let compute_end = now + SimDuration::from_millis(5 + 3 * u64::from(w));
+                    k.workers[w as usize].inflight =
+                        Some(Inflight { took: 0, start: now, compute_end, grad: None });
+                    eng.schedule(compute_end, Ev::WorkerComputeDone { w, gen: 0, iter: f.iter });
+                }
+                Ev::WorkerComputeDone { w, iter, .. } => {
+                    let wi = w as usize;
+                    let row: Vec<SimTime> = (0..m)
+                        .map(|j| {
+                            now + SimDuration::from_secs_f64(oracle_path_transfer(&k, now, wi, j))
+                        })
+                        .collect();
+                    let oracle = (f.pushes.len() + 1 == f.required()).then(|| {
+                        let mut last = f.clone();
+                        last.pushes.push(Push { w, compute_end: now, last_arrival: now });
+                        last.arrivals.extend(&row);
+                        (oracle_close(&k, &last), last.pushes)
+                    });
+                    f.on_push(&mut k, eng, w, 0, iter);
+                    let Some((o, pushes)) = oracle else {
+                        assert_eq!(&f.arrivals[f.arrivals.len() - m..], &row[..], "w{w} row");
+                        return;
+                    };
+                    closes += 1;
+                    for j in 0..m {
+                        let s = &k.servers[j];
+                        let (at, busy) = *s.series_bpt.points.last().unwrap();
+                        assert_eq!((s.free_at, at), (o.free_at[j], o.free_at[j]), "s{j} free_at");
+                        assert_eq!(busy.to_bits(), o.busy[j].to_bits(), "s{j} busy");
+                        let fs = &o.factors[j];
+                        if fs.windows(3).any(|x| x[0] == 1.0 && x[1] > 1.0 && x[2] == 1.0) {
+                            crossed += 1;
+                        }
+                    }
+                    for (i, p) in pushes.iter().enumerate() {
+                        let wk = &k.workers[p.w as usize];
+                        let bpt = wk.series_bpt.points.last().unwrap().1;
+                        assert_eq!(bpt.to_bits(), o.bpt[i].to_bits(), "w{} bpt", p.w);
+                        assert_eq!(wk.next_allowed, o.next[i], "w{} next_allowed", p.w);
+                    }
+                }
+                _ => {}
+            }
+        });
+        assert!(closes >= 3, "only {closes} barrier closes");
+        assert!(crossed >= 3, "slowdown windows must open and shut inside closes");
     }
 
     /// Leaving is idempotent, and an id at or past the bitmap's length — an

@@ -38,7 +38,7 @@ use antdt_monitor::{ClusterInfo, MetricStore, MonitorConfig, NodeEvent, NodeId, 
 use antdt_sim::rng::StdRng;
 use antdt_sim::{ChannelVerdict, ControlChannel, SimDuration, SimTime};
 use antdt_telemetry::DecisionRecord;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The one rendering of a Controller action that the runtime keeps: the
@@ -101,8 +101,9 @@ pub(crate) struct ControlBus {
     agents: Vec<Agent>,
     next_seq: u64,
     pending: InFlight<Envelope>,
+    /// The directive audit, appended in ascending `seq` (reports and acks
+    /// draw seqs too, so the directives' seqs are sparse).
     directives: Vec<DirectiveRecord>,
-    seq_to_rec: HashMap<u64, usize>,
     /// Fence rejections awaiting the next decision-audit drain.
     rejections: Vec<DecisionRecord>,
     /// Reused buffer for [`ControlBus::drain_actions_into`].
@@ -164,7 +165,6 @@ impl ControlBus {
             next_seq: 0,
             pending: InFlight::default(),
             directives: Vec::new(),
-            seq_to_rec: HashMap::new(),
             rejections: Vec::new(),
             due_scratch: Vec::new(),
             divergence: None,
@@ -305,6 +305,9 @@ impl ControlBus {
         out: &mut Vec<(SimTime, Action, Arc<str>)>,
     ) {
         out.clear();
+        if !self.agents[wi].has_due(now) {
+            return;
+        }
         let gen = self.agents[wi].incarnation();
         let mut due = std::mem::take(&mut self.due_scratch);
         due.clear();
@@ -333,7 +336,6 @@ impl ControlBus {
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.seq_to_rec.insert(seq, self.directives.len());
         self.directives.push(DirectiveRecord {
             seq,
             target,
@@ -348,9 +350,24 @@ impl ControlBus {
     /// Advance a directive's fate. Terminal fates never regress (a duplicate
     /// delivery of an already-applied directive stays `Applied`).
     fn mark(&mut self, seq: u64, fate: DirectiveFate) {
-        if let Some(&i) = self.seq_to_rec.get(&seq) {
+        if let Some(i) = self.directive_index(seq) {
             if matches!(self.directives[i].fate, DirectiveFate::Pending) {
                 self.directives[i].fate = fate;
+            }
+        }
+    }
+
+    /// Index of directive `seq` in the audit. Seqs ascend by at least one
+    /// per record, so it sits at or before index `seq − first seq`, and
+    /// exactly there when no report or ack drew a seq in between (always
+    /// on an ideal channel).
+    fn directive_index(&self, seq: u64) -> Option<usize> {
+        let bound = usize::try_from(seq.checked_sub(self.directives.first()?.seq)?).ok()?;
+        match self.directives.get(bound) {
+            Some(d) if d.seq == seq => Some(bound),
+            _ => {
+                let head = &self.directives[..bound.min(self.directives.len())];
+                head.binary_search_by_key(&seq, |d| d.seq).ok()
             }
         }
     }
@@ -404,7 +421,7 @@ impl ControlBus {
 
     /// The rendered action of directive `seq`.
     fn directive_text(&self, seq: u64) -> Option<&Arc<str>> {
-        self.seq_to_rec.get(&seq).map(|&i| &self.directives[i].action)
+        self.directive_index(seq).map(|i| &self.directives[i].action)
     }
 
     /// Enqueue one message on the modeled channel: first transmission attempt
@@ -721,13 +738,59 @@ fn deliver_directive(
 
 #[cfg(test)]
 mod tests {
+    use super::ControlBus;
     use crate::config::{ChaosInjection, InjectedFault, JobConfig, MitigationChoice};
     use crate::job::Job;
-    use antdt_controller::Action;
-    use antdt_sim::{ControlChannel, SimDuration};
+    use crate::report::DirectiveFate;
+    use antdt_agent::AgentConfig;
+    use antdt_controller::{Action, NoMitigation, PolicyCtx};
+    use antdt_monitor::{MonitorConfig, NodeId};
+    use antdt_sim::{ControlChannel, SimDuration, SimTime};
     use antdt_workloads::cluster::cluster_a_scaled;
     use antdt_workloads::{ModelProfile, Scenario};
     use std::sync::Arc;
+
+    /// Reports and acks draw bus seqs too, so directive seqs are sparse.
+    /// `directive_text` and `mark` find exactly the directive with the
+    /// given seq, and ignore a seq that is no directive's.
+    #[test]
+    fn directive_lookup_by_sparse_seq() {
+        let ctx = PolicyCtx { global_batch: 64, n_workers: 2, n_servers: 1 };
+        let mut bus = ControlBus::new(
+            ControlChannel::Ideal,
+            MonitorConfig::default(),
+            AgentConfig::default(),
+            Box::new(NoMitigation),
+            ctx,
+            None,
+        );
+        let mut seqs = Vec::new();
+        // Seqs drawn by reports and acks before each directive: a dense
+        // run first, then gaps.
+        for (i, gap) in [1, 0, 0, 2, 0, 1, 0, 3].into_iter().enumerate() {
+            bus.next_seq += gap;
+            let text: Arc<str> = Arc::from(format!("action-{i}"));
+            seqs.push(bus.record(NodeId::worker(i as u32 % 2), 0, SimTime::ZERO, &text));
+        }
+        for (i, &seq) in seqs.iter().enumerate() {
+            assert_eq!(bus.directive_text(seq).map(|t| t.to_string()), Some(format!("action-{i}")));
+        }
+        assert_eq!(seqs, [1, 2, 3, 6, 7, 9, 10, 14]);
+        let unknown: Vec<u64> = (0..seqs[7] + 3).filter(|s| !seqs.contains(s)).collect();
+        let at = SimTime::from_secs_f64(1.0);
+        for &seq in &unknown {
+            assert!(bus.directive_text(seq).is_none(), "seq {seq} is no directive");
+            bus.mark(seq, DirectiveFate::Expired { at });
+        }
+        assert!(bus.directives.iter().all(|d| d.fate == DirectiveFate::Pending));
+        bus.mark(seqs[5], DirectiveFate::Applied { gen: 0, at });
+        bus.mark(seqs[5], DirectiveFate::Expired { at });
+        for (i, d) in bus.directives.iter().enumerate() {
+            let want =
+                if i == 5 { DirectiveFate::Applied { gen: 0, at } } else { DirectiveFate::Pending };
+            assert_eq!((d.seq, d.fate), (seqs[i], want));
+        }
+    }
 
     /// Every directive record of one broadcast shares a single rendering of
     /// the action, equal to its `Debug` text, and every chaos application

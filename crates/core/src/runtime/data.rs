@@ -61,8 +61,8 @@ impl Kernel {
                         None => true,
                     };
                     if need_fetch {
-                        let dds = self.dds.as_ref().expect("dds source");
-                        match dds.fetch(w as u32) {
+                        let dds = self.dds.as_mut().expect("dds source");
+                        match dds.fetch_mut(w as u32) {
                             Some(lease) => {
                                 let order = match &self.cfg.execution {
                                     ExecutionMode::Real { .. } => Some(dds.sample_order(&lease)),

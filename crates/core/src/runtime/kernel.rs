@@ -72,6 +72,14 @@ pub struct WorkerState {
     pub(crate) next_allowed: SimTime,
 }
 
+/// A server link's side of a worker↔server piece transfer at one instant.
+#[derive(Clone, Copy)]
+pub(crate) struct ServerEnd {
+    latency_secs: f64,
+    bandwidth_bps: f64,
+    congestion: f64,
+}
+
 /// One parameter server (PS topologies only; empty for AllReduce).
 #[derive(Clone)]
 pub struct ServerState {
@@ -408,20 +416,50 @@ impl Kernel {
 
     // ---- PS-topology cost helpers (no-ops for serverless strategies).
 
+    /// Server `sj`'s side of a piece transfer at `now`.
+    pub(crate) fn server_end(&self, sj: usize, now: SimTime) -> ServerEnd {
+        let sl = &self.servers[sj].link;
+        ServerEnd {
+            latency_secs: sl.latency_secs,
+            bandwidth_bps: sl.bandwidth_bps,
+            congestion: sl.congestion_at(now),
+        }
+    }
+
+    /// One gradient piece over worker link `wl` (congestion factor `cw`)
+    /// and server end `s`.
+    #[inline]
+    fn piece_secs(&self, wl: &Link, cw: f64, s: ServerEnd) -> f64 {
+        let bw = wl.bandwidth_bps.min(s.bandwidth_bps);
+        wl.latency_secs + s.latency_secs + self.piece_bytes as f64 / bw * cw * s.congestion
+    }
+
     /// Worker→server transfer time of one gradient piece along both links.
     pub(crate) fn path_transfer(&self, now: SimTime, wi: usize, sj: usize) -> f64 {
-        let bytes = self.piece_bytes;
         let wl = &self.workers[wi].link;
-        let sl = &self.servers[sj].link;
-        let bw = wl.bandwidth_bps.min(sl.bandwidth_bps);
-        wl.latency_secs
-            + sl.latency_secs
-            + bytes as f64 / bw * wl.congestion_at(now) * sl.congestion_at(now)
+        self.piece_secs(wl, wl.congestion_at(now), self.server_end(sj, now))
+    }
+
+    /// [`Kernel::path_transfer`] to every server in index order, reading
+    /// the worker link's congestion once.
+    pub(crate) fn path_transfers(&self, now: SimTime, wi: usize) -> impl Iterator<Item = f64> + '_ {
+        let wl = &self.workers[wi].link;
+        let cw = wl.congestion_at(now);
+        (0..self.servers.len()).map(move |j| self.piece_secs(wl, cw, self.server_end(j, now)))
     }
 
     /// Max pull transfer over all servers (parallel pulls).
     pub(crate) fn pull_secs(&self, now: SimTime, wi: usize) -> f64 {
-        (0..self.servers.len()).map(|j| self.path_transfer(now, wi, j)).fold(0.0, f64::max)
+        self.path_transfers(now, wi).fold(0.0, f64::max)
+    }
+
+    /// [`Kernel::pull_secs`] over server ends already derived for `now`
+    /// (one [`Kernel::server_end`] per server, in index order): a barrier
+    /// close releases every pushed worker at the same instant.
+    pub(crate) fn pull_secs_over(&self, ends: &[ServerEnd], now: SimTime, wi: usize) -> f64 {
+        let wl = &self.workers[wi].link;
+        let cw = wl.congestion_at(now);
+        ends.iter().map(|&s| self.piece_secs(wl, cw, s)).fold(0.0, f64::max)
     }
 
     /// Estimated heap footprint of this world in bytes: the struct plus the

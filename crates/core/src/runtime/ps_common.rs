@@ -162,7 +162,7 @@ pub(crate) fn worker_start<F: PsFlavor>(
         }
     }
     if took == 0 {
-        let dds_complete = k.dds.as_ref().map(|d| d.is_complete()).unwrap_or(true);
+        let dds_complete = k.dds.as_mut().map(|d| d.is_complete_mut()).unwrap_or(true);
         let fixed_done = matches!(k.workers[wi].source, DataSource::Fixed { remaining: 0 });
         let holds_data = k.workers[wi].leases.iter().any(|l| l.consumed < l.lease.shard.len);
         if (matches!(k.workers[wi].source, DataSource::Dds) && dds_complete && !holds_data)

@@ -14,7 +14,7 @@ use crate::shard::{Shard, WorkerId};
 use crate::stats::{ConsumptionStats, IntegrityAudit};
 pub use crate::types::{DdsConfig, DdsCounters, DdsError, ResizeRecord, ShardLease};
 use antdt_telemetry::lock;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug, Clone)]
 struct Inner {
@@ -26,6 +26,35 @@ struct Inner {
     /// Fetches rejected because of an outage (drill diagnostics).
     paused_fetch_rejections: u64,
     counters: Option<DdsCounters>,
+}
+
+impl Inner {
+    fn fetch(&mut self, worker: WorkerId) -> Option<ShardLease> {
+        if self.paused {
+            self.paused_fetch_rejections += 1;
+            if let Some(c) = &self.counters {
+                c.fetch_empty.inc();
+            }
+            return None;
+        }
+        let Some(lease) = self.q.take_next(worker) else {
+            if let Some(c) = &self.counters {
+                c.fetch_empty.inc();
+            }
+            return None;
+        };
+        if let Some(c) = &self.counters {
+            c.fetch_served.inc();
+        }
+        let w = self.stats.worker(worker);
+        w.shards_fetched += 1;
+        w.samples_fetched += lease.shard.len;
+        Some(lease)
+    }
+
+    fn is_complete(&self) -> bool {
+        self.q.done_total() == self.q.cfg.expected_done_shards()
+    }
 }
 
 /// The thread-safe sharding service. Share it via `Arc`.
@@ -62,6 +91,12 @@ impl DdsService {
         lock(&self.inner)
     }
 
+    /// The state through exclusive access: an owner holding `&mut self`
+    /// (the simulator's kernel) needs no lock.
+    fn state_mut(&mut self) -> &mut Inner {
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn config(&self) -> DdsConfig {
         self.state().q.cfg
     }
@@ -86,27 +121,12 @@ impl DdsService {
     /// epoch's queue drains, the next epoch's re-shuffled shards are appended
     /// immediately — leaders flow into the next epoch without a barrier.
     pub fn fetch(&self, worker: WorkerId) -> Option<ShardLease> {
-        let mut g = self.state();
-        if g.paused {
-            g.paused_fetch_rejections += 1;
-            if let Some(c) = &g.counters {
-                c.fetch_empty.inc();
-            }
-            return None;
-        }
-        let Some(lease) = g.q.take_next(worker) else {
-            if let Some(c) = &g.counters {
-                c.fetch_empty.inc();
-            }
-            return None;
-        };
-        if let Some(c) = &g.counters {
-            c.fetch_served.inc();
-        }
-        let w = g.stats.worker(worker);
-        w.shards_fetched += 1;
-        w.samples_fetched += lease.shard.len;
-        Some(lease)
+        self.state().fetch(worker)
+    }
+
+    /// [`DdsService::fetch`] through exclusive access, without locking.
+    pub fn fetch_mut(&mut self, worker: WorkerId) -> Option<ShardLease> {
+        self.state_mut().fetch(worker)
     }
 
     /// Mark a leased shard `DONE` (the worker's gradients reached the servers).
@@ -194,8 +214,12 @@ impl DdsService {
 
     /// Whether every epoch's every shard has reached `DONE`.
     pub fn is_complete(&self) -> bool {
-        let g = self.state();
-        g.q.done_total() == g.q.cfg.expected_done_shards()
+        self.state().is_complete()
+    }
+
+    /// [`DdsService::is_complete`] through exclusive access, without locking.
+    pub fn is_complete_mut(&mut self) -> bool {
+        self.state_mut().is_complete()
     }
 
     /// `(done shards so far, expected total)`.
@@ -292,6 +316,29 @@ mod tests {
         // With the local batch 4096 and M = 100: K = ceil(45e6 / 409600) = 110.
         let cfg = DdsConfig::new(45_000_000, 4_096).with_batches_per_shard(100);
         assert_eq!(cfg.shards_per_epoch(), 110);
+    }
+
+    /// The lock-free `_mut` accessors serve what the locking ones serve:
+    /// the same leases, the same completion answers, the same statistics.
+    #[test]
+    fn mut_accessors_match_the_locking_ones() {
+        let locked = svc(1_000, 10, 3, 2);
+        let mut owned = locked.clone();
+        let mut served = 0;
+        for step in 0u32..200 {
+            let w = step % 3;
+            let lease = locked.fetch(w);
+            assert_eq!(owned.fetch_mut(w), lease, "step {step}");
+            assert_eq!(owned.is_complete_mut(), locked.is_complete(), "step {step}");
+            // Two of three workers finish their shard; the third sits on it.
+            if let Some(l) = lease.filter(|_| w != 2) {
+                locked.report_done(w, l).unwrap();
+                owned.report_done(w, l).unwrap();
+                served += 1;
+            }
+        }
+        assert!(served > 10 && !locked.is_complete());
+        assert_eq!(owned.consumption(), locked.consumption());
     }
 
     #[test]

@@ -54,8 +54,13 @@ impl Dist {
     }
 }
 
-/// One draw from N(0,1) via Box–Muller (single value; the pair's sibling is
-/// discarded for simplicity — sampling is far off the hot path).
+/// One draw from N(0,1) via Box–Muller, single value. This is on the hot
+/// path: every jittered worker iteration start draws one through
+/// [`unit_mean_jitter`] (libm's `ln`, `sqrt` and `cos`, then the jitter's
+/// `exp`). The pair's sibling is discarded, and caching it for the next
+/// call is not an option: that call would then consume no uniforms, which
+/// shifts every later draw of the stream and so every seeded result (the
+/// golden traces and the benchmark records pin them).
 #[inline]
 pub fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
