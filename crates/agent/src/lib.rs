@@ -24,5 +24,5 @@ pub mod sync;
 
 pub use bus::{ControlMsg, DeliveryOutcome, Directive};
 pub use overhead::OverheadLedger;
-pub use runtime::{Agent, AgentConfig, AgentCounters};
+pub use runtime::{Agent, AgentConfig, AgentCounts};
 pub use sync::{elect_primary, BroadcastModel};

@@ -14,7 +14,6 @@ use crate::bus::{DeliveryOutcome, Directive};
 use antdt_controller::Action;
 use antdt_monitor::NodeId;
 use antdt_sim::SimTime;
-use antdt_telemetry::Counter;
 use std::collections::BTreeSet;
 
 /// Directly-delivered (non-bus) actions draw seqs from a disjoint namespace
@@ -22,19 +21,28 @@ use std::collections::BTreeSet;
 /// bus-assigned sequence numbers.
 const LOCAL_SEQ_BASE: u64 = 1 << 63;
 
-/// Telemetry counters shared by every [`Agent`] of a job (broadcast/barrier
-/// visibility: deliveries fan out, applications happen at iteration
-/// boundaries).
-#[derive(Debug, Clone, Default)]
-pub struct AgentCounters {
-    /// Actions delivered into agent inboxes by the broadcast.
-    pub delivered: Counter,
+/// Delivery counts one [`Agent`] always keeps ([`Agent::counts`]); a job
+/// sums them over its agents (broadcast/barrier visibility: deliveries fan
+/// out, applications happen at iteration boundaries).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AgentCounts {
+    /// Actions delivered into the inbox by the broadcast.
+    pub delivered: u64,
     /// Actions applied at an iteration boundary (`take_due`).
-    pub applied: Counter,
+    pub applied: u64,
     /// Directives rejected by the generation fence (stale after a restart).
-    pub rejected: Counter,
+    pub rejected: u64,
     /// Redelivered directives idempotently dropped by the seq dedup.
-    pub deduped: Counter,
+    pub deduped: u64,
+}
+
+impl std::ops::AddAssign for AgentCounts {
+    fn add_assign(&mut self, o: Self) {
+        self.delivered += o.delivered;
+        self.applied += o.applied;
+        self.rejected += o.rejected;
+        self.deduped += o.deduped;
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +72,7 @@ pub struct Agent {
     /// Seqs accepted by this incarnation (dedup under redelivery).
     seen: BTreeSet<u64>,
     next_local_seq: u64,
-    counters: Option<AgentCounters>,
+    counts: AgentCounts,
 }
 
 impl Agent {
@@ -77,13 +85,13 @@ impl Agent {
             inbox: Vec::new(),
             seen: BTreeSet::new(),
             next_local_seq: LOCAL_SEQ_BASE,
-            counters: None,
+            counts: AgentCounts::default(),
         }
     }
 
-    /// Attach telemetry counters (shared across a job's agents).
-    pub fn attach_telemetry(&mut self, counters: AgentCounters) {
-        self.counters = Some(counters);
+    /// Delivery counts since construction, across incarnations.
+    pub fn counts(&self) -> AgentCounts {
+        self.counts
     }
 
     /// This agent's current incarnation (the fence new directives must carry).
@@ -108,15 +116,11 @@ impl Agent {
     /// order.
     pub fn deliver_directive(&mut self, at: SimTime, d: &Directive) -> DeliveryOutcome {
         if d.fence_gen != self.gen {
-            if let Some(c) = &self.counters {
-                c.rejected.inc();
-            }
+            self.counts.rejected += 1;
             return DeliveryOutcome::RejectedStale { agent_gen: self.gen };
         }
         if !self.seen.insert(d.seq) {
-            if let Some(c) = &self.counters {
-                c.deduped.inc();
-            }
+            self.counts.deduped += 1;
             return DeliveryOutcome::Duplicate;
         }
         let pos = self
@@ -125,9 +129,7 @@ impl Agent {
             .position(|&(t, s, _)| (t, s) > (at, d.seq))
             .unwrap_or(self.inbox.len());
         self.inbox.insert(pos, (at, d.seq, d.action.clone()));
-        if let Some(c) = &self.counters {
-            c.delivered.inc();
-        }
+        self.counts.delivered += 1;
         DeliveryOutcome::Accepted
     }
 
@@ -163,9 +165,7 @@ impl Agent {
     /// so a caller-owned buffer can be reused across iteration boundaries.
     pub fn take_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, u64, Action)>) {
         let n = self.inbox.iter().take_while(|&&(at, _, _)| at <= now).count();
-        if let Some(c) = &self.counters {
-            c.applied.add(n as u64);
-        }
+        self.counts.applied += n as u64;
         out.extend(self.inbox.drain(..n));
     }
 
@@ -284,26 +284,28 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_delivery_application_and_rejection() {
-        let c = AgentCounters::default();
+    fn counts_track_delivery_application_and_rejection() {
         let mut a = Agent::new(NodeId::worker(0), AgentConfig::default());
         let mut b = Agent::new(NodeId::worker(1), AgentConfig::default());
-        a.attach_telemetry(c.clone());
-        b.attach_telemetry(c.clone());
+        let sum = |a: &Agent, b: &Agent| {
+            let mut c = a.counts();
+            c += b.counts();
+            c
+        };
         a.deliver(t(1.0), Action::None);
         b.deliver(t(1.0), Action::None);
         b.deliver(t(9.0), Action::None);
-        assert_eq!(c.delivered.get(), 3);
+        assert_eq!(sum(&a, &b).delivered, 3);
         a.take_due(t(2.0));
         b.take_due(t(2.0));
-        assert_eq!(c.applied.get(), 2, "the t=9 delivery is not yet due");
+        assert_eq!(sum(&a, &b).applied, 2, "the t=9 delivery is not yet due");
         let d = dir(1, 0, Action::None);
         a.deliver_directive(t(3.0), &d);
         a.deliver_directive(t(3.0), &d);
-        assert_eq!(c.deduped.get(), 1);
+        assert_eq!(sum(&a, &b).deduped, 1);
         a.reset();
         a.deliver_directive(t(4.0), &dir(2, 0, Action::None));
-        assert_eq!(c.rejected.get(), 1);
+        assert_eq!(sum(&a, &b).rejected, 1, "the count survives the reset");
     }
 
     #[test]

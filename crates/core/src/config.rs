@@ -88,15 +88,6 @@ pub enum FailoverMode {
     Replay,
 }
 
-/// Background fault injection: mean time between failures per node (memoryless
-/// exponential arrivals). Models the unexpected failures — evictions, machine
-/// breakdowns — that the paper's footnote 2 says failover must absorb at scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    pub worker_mtbf: SimDuration,
-    pub server_mtbf: Option<SimDuration>,
-}
-
 /// One chaos fault to inject at an absolute simulated time. These are the
 /// runtime-level hooks the `antdt-chaos` crate compiles its `FaultPlan` DSL
 /// into; they are delivered as first-class DES events (`Ev::ChaosFault`) so a
@@ -264,8 +255,6 @@ pub struct JobConfig {
     pub dd_classes: Option<Vec<DeviceClassSpec>>,
     /// Worker failover recovery scheme.
     pub failover: FailoverMode,
-    /// Optional background fault injection.
-    pub faults: Option<FaultConfig>,
     /// Deterministic chaos faults at fixed simulated times (chaos drills).
     pub injections: Vec<ChaosInjection>,
     /// Abort — reporting `stalled` — when no training progress happens for
@@ -278,11 +267,12 @@ pub struct JobConfig {
     pub max_sim_time: SimTime,
     /// Record a Gantt chart (costly on long runs).
     pub record_gantt: bool,
-    /// Collect full telemetry (metrics registry, span trace, flight recorder)
-    /// and attach a `TelemetryReport` to the `JobReport`. Implies Gantt
-    /// recording, whose spans feed the Chrome trace export. Telemetry never
-    /// participates in event scheduling or RNG draws, so enabling it cannot
-    /// change a run's simulated results.
+    /// Record the span trace and flight recorder, and attach a
+    /// `TelemetryReport` (those two plus the job's counts rendered as
+    /// metrics) to the `JobReport`. The counts themselves are kept either
+    /// way. Implies Gantt recording, whose spans feed the Chrome trace
+    /// export. Telemetry never participates in event scheduling or RNG
+    /// draws, so enabling it cannot change a run's simulated results.
     pub telemetry: bool,
     /// Run the straggler-attribution engine: tag every node interval with a
     /// `WaitCause`, extract blame scores, and attach an `AttrReport` to the
@@ -318,7 +308,6 @@ impl JobConfig {
             ckpt: None,
             dd_classes: None,
             failover: FailoverMode::DdsBased,
-            faults: None,
             injections: Vec::new(),
             liveness_timeout: None,
             seed: 1,
@@ -456,10 +445,6 @@ impl JobConfig {
     /// cadence policy / capture cost (see [`antdt_ckpt::CkptConfig`]).
     pub fn with_ckpt(mut self, c: CkptConfig) -> Self {
         self.ckpt = Some(c);
-        self
-    }
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
         self
     }
     pub fn with_injections(mut self, injections: Vec<ChaosInjection>) -> Self {

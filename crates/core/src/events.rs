@@ -22,7 +22,7 @@ pub enum Ev {
     WorkerReady { w: u32, gen: u32 },
     /// Monitor aggregation + Controller decision tick.
     MonitorTick,
-    /// A `KILL_RESTART` (or fault) signal reached worker `w`.
+    /// A `KILL_RESTART` signal reached worker `w`.
     WorkerKill { w: u32, gen: u32 },
     /// Worker `w`'s replacement pod is up.
     WorkerRestart { w: u32, gen: u32 },
@@ -36,11 +36,6 @@ pub enum Ev {
     /// storage tier; apply the rewind (DDS queue, model parameters) at the
     /// restore instant, just before the replacement pod starts.
     CkptRestore,
-    /// Background fault arrival at worker `w` (kills whatever generation is
-    /// alive, then re-arms).
-    FaultWorker { w: u32 },
-    /// Background fault arrival at server `s`.
-    FaultServer { s: u32 },
     /// AllReduce round `round` ends (all ranks synchronized).
     RoundEnd { round: u64 },
     /// Injected chaos fault fires; `k` indexes `JobConfig::injections`.

@@ -268,11 +268,19 @@ mod tests {
 
     #[test]
     fn background_faults_are_absorbed_by_failover() {
-        use crate::config::FaultConfig;
-        let r = Job::run(small(Scenario::None).with_samples(2_000_000).with_faults(FaultConfig {
-            worker_mtbf: SimDuration::from_secs(200),
-            server_mtbf: None,
-        }));
+        use crate::config::{ChaosInjection, InjectedFault};
+        use antdt_sim::rng::StdRng;
+        // Unexpected node failures as seeded worker kills spread over the
+        // clean run's lifetime.
+        let clean = Job::run(small(Scenario::None).with_samples(2_000_000));
+        let mut rng = StdRng::seed_from_u64(7);
+        let kills = (0..6)
+            .map(|_| ChaosInjection {
+                at_secs: rng.gen_range(5.0..clean.jct.as_secs_f64() * 0.8),
+                fault: InjectedFault::KillWorker { w: rng.gen_range(0..4u32) },
+            })
+            .collect();
+        let r = Job::run(small(Scenario::None).with_samples(2_000_000).with_injections(kills));
         assert!(!r.timed_out);
         assert!(r.samples_done >= 2_000_000);
         assert!(!r.kills.is_empty(), "faults must actually fire");
@@ -281,7 +289,6 @@ mod tests {
         assert!(audit.at_least_once);
         assert!(audit.requeued_shards >= 1);
         // Faulted runs take longer than the clean run, but complete.
-        let clean = Job::run(small(Scenario::None).with_samples(2_000_000));
         assert!(r.jct > clean.jct);
     }
 

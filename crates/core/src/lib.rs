@@ -34,8 +34,8 @@ pub mod whatif;
 
 pub use antdt_ckpt::{CkptConfig, CkptPolicy, StorageTier};
 pub use config::{
-    Arch, ChaosInjection, Consistency, DataStrategy, ExecutionMode, FailoverMode, FaultConfig,
-    InjectedFault, JobConfig, MitigationChoice,
+    Arch, ChaosInjection, Consistency, DataStrategy, ExecutionMode, FailoverMode, InjectedFault,
+    JobConfig, MitigationChoice,
 };
 pub use job::Job;
 pub use report::{

@@ -1,12 +1,14 @@
-//! Runtime-side telemetry wiring shared by the PS and AllReduce runtimes: one
-//! [`Telemetry`] bundle per job plus the pre-registered handles the hot paths
-//! update without touching the registry again.
+//! Runtime-side telemetry shared by the PS and AllReduce runtimes: the
+//! per-job recording bundle, and the one place a job's plain counts become
+//! named metrics.
+//!
+//! A job's event loop runs on one thread, so nothing here is shared or
+//! locked: the components (engine, DDS, Monitor, Agents, control bus) always
+//! keep plain counts, and [`job_metrics`] writes them into a fresh
+//! [`MetricsRegistry`] once, at report time.
 
-use antdt_agent::AgentCounters;
-use antdt_dds::DdsCounters;
-use antdt_monitor::MonitorCounters;
-use antdt_telemetry::{Counter, Histogram, Telemetry};
-use std::sync::Arc;
+use crate::runtime::kernel::Kernel;
+use antdt_telemetry::{MetricsRegistry, Telemetry};
 
 /// Histogram bucket bounds for restart delays, in microseconds: 15 s / 1 min /
 /// 5 min / 15 min / 30 min (+Inf implied). Chosen around the scheduler model's
@@ -14,78 +16,60 @@ use std::sync::Arc;
 const RESTART_DELAY_BOUNDS_US: [u64; 5] =
     [15_000_000, 60_000_000, 300_000_000, 900_000_000, 1_800_000_000];
 
-/// Control-bus transport counters (message sends, deliveries, channel drops,
-/// retransmissions).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BusCounters {
-    pub sent: Counter,
-    pub delivered: Counter,
-    pub dropped: Counter,
-    pub retried: Counter,
-}
-
-/// The per-job telemetry bundle with every pre-registered handle the runtimes
-/// update. Built once in `run()` when `JobConfig::telemetry` is set; absent
-/// otherwise so the telemetry-off hot path pays nothing.
+/// The per-job telemetry bundle: present iff `JobConfig::telemetry`. Owned
+/// by the kernel, so a forked kernel carries its own copy of the trace and
+/// flight ring recorded so far.
 #[derive(Debug, Clone)]
 pub(crate) struct RtTele {
-    pub tele: Arc<Telemetry>,
-    /// Engine-level counters (attached via `Engine::attach_telemetry`).
-    pub events_scheduled: Counter,
-    pub events_processed: Counter,
-    /// Worker iterations completed.
-    pub iterations: Counter,
-    /// Controller actions dispatched by monitor ticks.
-    pub actions_dispatched: Counter,
-    /// Node kills and restarts.
-    pub kills: Counter,
-    pub restarts: Counter,
-    /// Scheduler restart-delay samples.
-    pub restart_delay_us: Histogram,
-    /// Component counters handed to the DDS / Monitor / Agents.
-    pub dds: DdsCounters,
-    pub monitor: MonitorCounters,
-    pub agents: AgentCounters,
-    /// Control-bus transport counters.
-    pub bus: BusCounters,
+    pub tele: Telemetry,
+    /// The `runtime` label on every metric (`SyncStrategy::LABEL`).
+    pub runtime: &'static str,
 }
 
 impl RtTele {
     pub fn new(runtime: &'static str) -> Self {
-        let tele = Telemetry::new();
-        let m = &tele.metrics;
-        let rt: &[(&str, &str)] = &[("runtime", runtime)];
-        RtTele {
-            events_scheduled: m.counter("antdt_engine_events_scheduled_total", rt),
-            events_processed: m.counter("antdt_engine_events_processed_total", rt),
-            iterations: m.counter("antdt_worker_iterations_total", rt),
-            actions_dispatched: m.counter("antdt_controller_actions_dispatched_total", rt),
-            kills: m.counter("antdt_node_kills_total", rt),
-            restarts: m.counter("antdt_node_restarts_total", rt),
-            restart_delay_us: m.histogram("antdt_restart_delay_us", rt, &RESTART_DELAY_BOUNDS_US),
-            dds: DdsCounters {
-                fetch_served: m.counter("antdt_dds_fetch_served_total", rt),
-                fetch_empty: m.counter("antdt_dds_fetch_empty_total", rt),
-                done: m.counter("antdt_dds_shards_done_total", rt),
-                requeued: m.counter("antdt_dds_shards_requeued_total", rt),
-            },
-            monitor: MonitorCounters {
-                bpt_reports: m.counter("antdt_monitor_bpt_reports_total", rt),
-                node_events: m.counter("antdt_monitor_node_events_total", rt),
-            },
-            agents: AgentCounters {
-                delivered: m.counter("antdt_agent_actions_delivered_total", rt),
-                applied: m.counter("antdt_agent_actions_applied_total", rt),
-                rejected: m.counter("antdt_agent_actions_rejected_total", rt),
-                deduped: m.counter("antdt_agent_actions_deduped_total", rt),
-            },
-            bus: BusCounters {
-                sent: m.counter("antdt_bus_msgs_sent_total", rt),
-                delivered: m.counter("antdt_bus_msgs_delivered_total", rt),
-                dropped: m.counter("antdt_bus_msgs_dropped_total", rt),
-                retried: m.counter("antdt_bus_msgs_retried_total", rt),
-            },
-            tele,
-        }
+        RtTele { tele: Telemetry::default(), runtime }
     }
+}
+
+/// The job's metrics: every count the kernel and its components kept, under
+/// the names and `runtime` label the telemetry report carries. `scheduled`
+/// and `processed` are the engine's event counts.
+pub(crate) fn job_metrics(
+    k: &Kernel,
+    runtime: &str,
+    scheduled: u64,
+    processed: u64,
+) -> MetricsRegistry {
+    let reg = MetricsRegistry::new();
+    let rt: &[(&str, &str)] = &[("runtime", runtime)];
+    let count = |name: &str, v: u64| reg.counter(name, rt).add(v);
+    count("antdt_engine_events_scheduled_total", scheduled);
+    count("antdt_engine_events_processed_total", processed);
+    count("antdt_worker_iterations_total", k.iterations);
+    count("antdt_controller_actions_dispatched_total", k.actions.len() as u64);
+    count("antdt_node_kills_total", k.kills.len() as u64);
+    // A scale-out joiner coming up counts as a node (re)start.
+    count("antdt_node_restarts_total", (k.restarts.len() + k.membership.joins()) as u64);
+    let h = reg.histogram("antdt_restart_delay_us", rt, &RESTART_DELAY_BOUNDS_US);
+    for &d in &k.restart_delays_us {
+        h.observe(d);
+    }
+    let dds = k.dds.as_ref().map(|d| d.counts()).unwrap_or_default();
+    count("antdt_dds_fetch_served_total", dds.fetch_served);
+    count("antdt_dds_fetch_empty_total", dds.fetch_empty);
+    count("antdt_dds_shards_done_total", dds.done);
+    count("antdt_dds_shards_requeued_total", dds.requeued);
+    let (monitor, agents, bus) = k.bus.counts();
+    count("antdt_monitor_bpt_reports_total", monitor.bpt_reports);
+    count("antdt_monitor_node_events_total", monitor.node_events);
+    count("antdt_agent_actions_delivered_total", agents.delivered);
+    count("antdt_agent_actions_applied_total", agents.applied);
+    count("antdt_agent_actions_rejected_total", agents.rejected);
+    count("antdt_agent_actions_deduped_total", agents.deduped);
+    count("antdt_bus_msgs_sent_total", bus.sent);
+    count("antdt_bus_msgs_delivered_total", bus.delivered);
+    count("antdt_bus_msgs_dropped_total", bus.dropped);
+    count("antdt_bus_msgs_retried_total", bus.retried);
+    reg
 }

@@ -23,7 +23,7 @@ use crate::report::{AttrBlame, AttrCrit, AttrNode, AttrReport};
 use antdt_attr::{analyze, Analysis, BlameEntry, CritSegment, Ledger, NodeBreakdown, WaitCause};
 use antdt_controller::Action;
 use antdt_sim::SimTime;
-use antdt_telemetry::{AttrSink, CounterTrackSink, Telemetry};
+use antdt_telemetry::{AttrSink, CounterTrackSink, MetricsRegistry, SpanTracer};
 use std::sync::Arc;
 
 /// Server `s` appears in the ledger (and the trace viewer) as `1000 + s`.
@@ -109,11 +109,16 @@ impl Kernel {
     }
 }
 
-/// Export the finished ledger into the job's telemetry bundle: one Perfetto
-/// counter track per cause (cumulative µs, one lane per node) plus labeled
-/// Prometheus counters `antdt_attr_wait_us_total{cause, node}`.
-pub(crate) fn export_telemetry(ledger: &Ledger, tele: &Telemetry) {
-    let mut sink = CounterTrackSink::new(&tele.tracer);
+/// Export the finished ledger into the job's telemetry: one Perfetto
+/// counter track per cause (cumulative µs, one lane per node) in `tracer`
+/// plus labeled counters `antdt_attr_wait_us_total{cause, node}` in
+/// `metrics`.
+pub(crate) fn export_telemetry(
+    ledger: &Ledger,
+    metrics: &MetricsRegistry,
+    tracer: &mut SpanTracer,
+) {
+    let mut sink = CounterTrackSink::new(tracer);
     for node in ledger.node_ids() {
         for s in ledger.segs(node) {
             sink.segment(node, s.cause.as_str(), s.start_us, s.end_us);
@@ -123,7 +128,7 @@ pub(crate) fn export_telemetry(ledger: &Ledger, tele: &Telemetry) {
         for c in WaitCause::ALL {
             let us = totals[c.index()];
             if us > 0 {
-                tele.metrics
+                metrics
                     .counter(
                         "antdt_attr_wait_us_total",
                         &[("cause", c.as_str()), ("node", &node_label)],
@@ -229,14 +234,14 @@ mod tests {
         l.fill(2, 300, WaitCause::Compute);
         l.fill(2, 450, WaitCause::SyncWait);
         l.finalize(450);
-        let tele = Telemetry::new();
-        export_telemetry(&l, &tele);
-        let trace = tele.tracer.export();
+        let (reg, mut tracer) = (MetricsRegistry::new(), SpanTracer::new());
+        export_telemetry(&l, &reg, &mut tracer);
+        let trace = tracer.export();
         assert!(trace
             .trace_events
             .iter()
             .any(|e| e.ph == "C" && e.name == "attr_wait:compute" && e.value == Some(300)));
-        let prom = tele.metrics.render_prometheus();
+        let prom = reg.render_prometheus();
         assert!(prom.contains("antdt_attr_wait_us_total"));
         assert!(prom.contains("cause=\"sync_wait\""));
     }

@@ -275,7 +275,7 @@ impl BspFlavor {
         // path once per global iteration (Fig. 18 accounting).
         k.overhead.add_dds(SimDuration::from_secs_f64(super::data::DDS_SYNC_SECS));
         k.account_samples(ready_max, iteration_samples);
-        k.bump_iteration();
+        k.iterations += 1;
         k.jct_mark = k.jct_mark.max(ready_max);
         self.iter += 1;
         // Freeze the next iteration's participant set: everyone currently able

@@ -32,9 +32,11 @@ use crate::events::{Ev, RtEngine};
 use crate::obs::RtTele;
 use crate::report::{DirectiveFate, DirectiveRecord};
 use antdt_agent::bus::{ControlMsg, DeliveryOutcome, Directive};
-use antdt_agent::{Agent, AgentConfig};
+use antdt_agent::{Agent, AgentConfig, AgentCounts};
 use antdt_controller::{Action, MitigationPolicy, PolicyCtx};
-use antdt_monitor::{ClusterInfo, MetricStore, MonitorConfig, NodeEvent, NodeId, Role};
+use antdt_monitor::{
+    ClusterInfo, MetricStore, MonitorConfig, MonitorCounts, NodeEvent, NodeId, Role,
+};
 use antdt_sim::rng::StdRng;
 use antdt_sim::{ChannelVerdict, ControlChannel, SimDuration, SimTime};
 use antdt_telemetry::DecisionRecord;
@@ -84,6 +86,16 @@ struct Envelope {
     poke: bool,
 }
 
+/// Control-bus transport counts (message sends, deliveries, channel drops,
+/// retransmissions), always kept.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BusCounts {
+    pub sent: u64,
+    pub delivered: u64,
+    pub dropped: u64,
+    pub retried: u64,
+}
+
 /// The control-plane endpoint bundle owned by the kernel: Monitor store,
 /// Controller policy, per-node Agents, and the channel that connects them.
 /// All Monitor/Controller/Agent traffic in `runtime/` flows through here.
@@ -113,7 +125,7 @@ pub(crate) struct ControlBus {
     /// Transmissions inside a `ControlDegrade` overlay window don't count —
     /// the overlay channel behaves identically under an `Ideal` base.
     divergence: Option<SimTime>,
-    tele: Option<RtTele>,
+    counts: BusCounts,
 }
 
 /// Telemetry lane for a node: workers on their own lanes, servers above 1000
@@ -136,20 +148,12 @@ impl ControlBus {
         agent_cfg: AgentConfig,
         policy: Box<dyn MitigationPolicy>,
         ctx: PolicyCtx,
-        tele: Option<RtTele>,
     ) -> Self {
         let mut store = MetricStore::new(monitor_cfg);
-        if let Some(rt) = &tele {
-            store.attach_telemetry(rt.monitor.clone());
-        }
         let mut agents: Vec<Agent> = Vec::with_capacity(ctx.n_workers);
         for i in 0..ctx.n_workers {
             store.register(NodeId::worker(i as u32));
-            let mut agent = Agent::new(NodeId::worker(i as u32), agent_cfg);
-            if let Some(rt) = &tele {
-                agent.attach_telemetry(rt.agents.clone());
-            }
-            agents.push(agent);
+            agents.push(Agent::new(NodeId::worker(i as u32), agent_cfg));
         }
         for j in 0..ctx.n_servers {
             store.register(NodeId::server(j as u32));
@@ -168,8 +172,18 @@ impl ControlBus {
             rejections: Vec::new(),
             due_scratch: Vec::new(),
             divergence: None,
-            tele,
+            counts: BusCounts::default(),
         }
+    }
+
+    /// The Monitor's ingestion counts, the Agents' delivery counts summed
+    /// over every agent, and the transport counts.
+    pub(crate) fn counts(&self) -> (MonitorCounts, AgentCounts, BusCounts) {
+        let mut agents = AgentCounts::default();
+        for a in &self.agents {
+            agents += a.counts();
+        }
+        (self.store.counts(), agents, self.counts)
     }
 
     /// The `ZeroControlLatency` divergence instant (see the field docs).
@@ -230,11 +244,7 @@ impl ControlBus {
     pub(crate) fn register_worker(&mut self, wi: u32, agent_cfg: AgentConfig) {
         debug_assert_eq!(wi as usize, self.agents.len(), "worker ids are append-only slots");
         self.store.register(NodeId::worker(wi));
-        let mut agent = Agent::new(NodeId::worker(wi), agent_cfg);
-        if let Some(rt) = &self.tele {
-            agent.attach_telemetry(rt.agents.clone());
-        }
-        self.agents.push(agent);
+        self.agents.push(Agent::new(NodeId::worker(wi), agent_cfg));
         self.ctx.n_workers += 1;
     }
 
@@ -268,12 +278,17 @@ impl ControlBus {
     /// `Snapshot` message is constructed and consumed in place — Monitor and
     /// Controller are colocated on the AntDT master, so this hop is always
     /// inline.
-    pub(crate) fn tick_decide(&mut self, now: SimTime, info: ClusterInfo) -> Vec<Action> {
+    pub(crate) fn tick_decide(
+        &mut self,
+        tele: Option<&mut RtTele>,
+        now: SimTime,
+        info: ClusterInfo,
+    ) -> Vec<Action> {
         self.store.set_cluster_info(info);
         let snap = self.store.snapshot(now);
         let snapshot =
             ControlMsg::Snapshot { at: now, nodes: self.agents.len() + self.ctx.n_servers };
-        if let (Some(rt), ControlMsg::Snapshot { nodes, .. }) = (&self.tele, &snapshot) {
+        if let (Some(rt), ControlMsg::Snapshot { nodes, .. }) = (tele, &snapshot) {
             rt.tele.tracer.instant(
                 "bus-snapshot",
                 "bus",
@@ -372,11 +387,18 @@ impl ControlBus {
         }
     }
 
-    /// One span per delivered message hop: `sent_at → delivered_at` on the
-    /// target's telemetry lane.
-    fn hop_span(&self, name: &'static str, sent_at: SimTime, delivered_at: SimTime, node: NodeId) {
-        if let Some(rt) = &self.tele {
-            rt.bus.delivered.inc();
+    /// Count one delivered message hop, traced as a span `sent_at →
+    /// delivered_at` on the target's telemetry lane.
+    fn hop_span(
+        &mut self,
+        tele: Option<&mut RtTele>,
+        name: &'static str,
+        sent_at: SimTime,
+        delivered_at: SimTime,
+        node: NodeId,
+    ) {
+        self.counts.delivered += 1;
+        if let Some(rt) = tele {
             rt.tele.tracer.complete(
                 name,
                 "bus",
@@ -388,7 +410,14 @@ impl ControlBus {
     }
 
     /// Audit a fence rejection: decision-audit record + telemetry instant.
-    fn audit_rejection(&mut self, now: SimTime, target: NodeId, d: &Directive, agent_gen: u32) {
+    fn audit_rejection(
+        &mut self,
+        tele: Option<&mut RtTele>,
+        now: SimTime,
+        target: NodeId,
+        d: &Directive,
+        agent_gen: u32,
+    ) {
         self.mark(d.seq, DirectiveFate::RejectedStale { agent_gen, at: now });
         self.rejections.push(DecisionRecord {
             at_us: now.as_micros(),
@@ -404,7 +433,7 @@ impl ControlBus {
                 self.directive_text(d.seq).map_or("", |t| &**t),
             )],
         });
-        if let Some(rt) = &self.tele {
+        if let Some(rt) = tele {
             rt.tele.tracer.instant(
                 "bus-reject",
                 "bus",
@@ -435,9 +464,7 @@ impl ControlBus {
         retryable: bool,
         poke: bool,
     ) {
-        if let Some(rt) = &self.tele {
-            rt.bus.sent.inc();
-        }
+        self.counts.sent += 1;
         let env = Envelope {
             msg,
             state: EnvState::Deliver,
@@ -465,9 +492,7 @@ impl ControlBus {
                 self.pending.insert(seq, env);
             }
             ChannelVerdict::Drop => {
-                if let Some(rt) = &self.tele {
-                    rt.bus.dropped.inc();
-                }
+                self.counts.dropped += 1;
                 self.schedule_retry(eng, seq, env, base_at);
             }
         }
@@ -483,9 +508,7 @@ impl ControlBus {
         base_at: SimTime,
     ) {
         if env.retryable && env.attempts < MAX_ATTEMPTS {
-            if let Some(rt) = &self.tele {
-                rt.bus.retried.inc();
-            }
+            self.counts.retried += 1;
             env.state = EnvState::Retry;
             let backoff = SimDuration::from_secs_f64(self.effective_channel().retry_secs());
             eng.schedule(base_at + backoff, Ev::BusMsg { seq });
@@ -509,7 +532,7 @@ pub(crate) fn send_report(
 ) {
     if k.bus.inline_mode() {
         k.bus.store.report_bpt(node, at, bpt_secs, batch);
-        k.bus.hop_span("bus-report", at, at, node);
+        k.bus.hop_span(k.tele.as_mut(), "bus-report", at, at, node);
         return;
     }
     let seq = k.bus.next_seq;
@@ -549,7 +572,7 @@ pub(crate) fn broadcast(
             let d = Directive { seq, decided_at: now, fence_gen: fence, action: action.clone() };
             let outcome = k.bus.agents[w].deliver_directive(at, &d);
             debug_assert_eq!(outcome, DeliveryOutcome::Accepted);
-            k.bus.hop_span("bus-directive", now, at, target);
+            k.bus.hop_span(k.tele.as_mut(), "bus-directive", now, at, target);
             if scope == BroadcastScope::PsAlive
                 && k.workers[w].inflight.is_none()
                 && !k.workers[w].done
@@ -594,7 +617,7 @@ pub(crate) fn send_kill(
         let at = now + delay;
         let seq = k.bus.record(node, gen, now, text);
         k.bus.mark(seq, DirectiveFate::Fired { at });
-        k.bus.hop_span("bus-directive", now, at, node);
+        k.bus.hop_span(k.tele.as_mut(), "bus-directive", now, at, node);
         match node.role {
             Role::Worker => eng.schedule(at, Ev::WorkerKill { w: node.idx, gen }),
             Role::Server => eng.schedule(at, Ev::ServerKill { s: node.idx, gen }),
@@ -631,7 +654,7 @@ pub(crate) fn send_scale_in(
         let at = now + delay;
         let seq = k.bus.record(node, gen, now, text);
         k.bus.mark(seq, DirectiveFate::Fired { at });
-        k.bus.hop_span("bus-directive", now, at, node);
+        k.bus.hop_span(k.tele.as_mut(), "bus-directive", now, at, node);
         eng.schedule(at, Ev::WorkerDepart { w: node.idx, gen });
         return;
     }
@@ -660,14 +683,14 @@ fn deliver(k: &mut Kernel, eng: &mut RtEngine, seq: u64, env: Envelope, now: Sim
     match env.msg.clone() {
         ControlMsg::Report { node, at, bpt_secs, batch } => {
             k.bus.store.report_bpt(node, at, bpt_secs, batch);
-            k.bus.hop_span("bus-report", env.sent_at, now, node);
+            k.bus.hop_span(k.tele.as_mut(), "bus-report", env.sent_at, now, node);
         }
         ControlMsg::Snapshot { .. } => unreachable!("snapshot hops are always inline"),
         ControlMsg::Directive { target, directive } => {
             deliver_directive(k, eng, seq, env, target, directive, now);
         }
         ControlMsg::Ack { from, .. } => {
-            k.bus.hop_span("bus-ack", env.sent_at, now, from);
+            k.bus.hop_span(k.tele.as_mut(), "bus-ack", env.sent_at, now, from);
         }
     }
 }
@@ -688,7 +711,7 @@ fn deliver_directive(
     // must not retire the replacement).
     if matches!(d.action, Action::KillRestart { .. } | Action::ScaleIn { .. }) {
         k.bus.mark(seq, DirectiveFate::Fired { at: now });
-        k.bus.hop_span("bus-directive", env.sent_at, now, target);
+        k.bus.hop_span(k.tele.as_mut(), "bus-directive", env.sent_at, now, target);
         match (&d.action, target.role) {
             (Action::ScaleIn { .. }, _) => {
                 eng.schedule(now, Ev::WorkerDepart { w: target.idx, gen: d.fence_gen })
@@ -711,7 +734,7 @@ fn deliver_directive(
         return;
     }
     let outcome = k.bus.agents[wi].deliver_directive(now, &d);
-    k.bus.hop_span("bus-directive", env.sent_at, now, target);
+    k.bus.hop_span(k.tele.as_mut(), "bus-directive", env.sent_at, now, target);
     let accepted = match outcome {
         DeliveryOutcome::Accepted => {
             if env.poke && k.workers[wi].inflight.is_none() && !k.workers[wi].done {
@@ -724,7 +747,7 @@ fn deliver_directive(
             true
         }
         DeliveryOutcome::RejectedStale { agent_gen } => {
-            k.bus.audit_rejection(now, target, &d, agent_gen);
+            k.bus.audit_rejection(k.tele.as_mut(), now, target, &d, agent_gen);
             false
         }
     };
@@ -762,7 +785,6 @@ mod tests {
             AgentConfig::default(),
             Box::new(NoMitigation),
             ctx,
-            None,
         );
         let mut seqs = Vec::new();
         // Seqs drawn by reports and acks before each directive: a dense

@@ -34,7 +34,7 @@ pub(crate) fn chaos_fault<S: SyncStrategy>(
         recovered_at: None,
     });
     let rec_idx = k.injections_log.len() - 1;
-    if let Some(rt) = &k.tele {
+    if let Some(rt) = &mut k.tele {
         rt.tele.tracer.instant(
             "chaos-fault",
             "chaos",
@@ -60,7 +60,7 @@ pub(crate) fn chaos_fault<S: SyncStrategy>(
         }
         InjectedFault::DdsOutage { window_secs } => {
             k.chaos_outages += 1;
-            if let Some(dds) = &k.dds {
+            if let Some(dds) = &mut k.dds {
                 dds.set_paused(true);
             }
             eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
@@ -93,7 +93,7 @@ pub(crate) fn chaos_lift<S: SyncStrategy>(
         InjectedFault::DdsOutage { .. } => {
             k.chaos_outages = k.chaos_outages.saturating_sub(1);
             if k.chaos_outages == 0 {
-                if let Some(dds) = &k.dds {
+                if let Some(dds) = &mut k.dds {
                     dds.set_paused(false);
                 }
                 strat.on_dds_restored(k, eng);
@@ -129,7 +129,7 @@ impl Kernel {
         let now = eng.now();
         if now.since(self.last_progress) >= timeout {
             self.stalled = true;
-            if let Some(rt) = &self.tele {
+            if let Some(rt) = &mut self.tele {
                 rt.tele.tracer.instant("stalled", "chaos", now.as_micros(), 0, &[]);
                 rt.tele.flight.record(
                     now.as_micros(),

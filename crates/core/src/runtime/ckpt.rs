@@ -124,7 +124,7 @@ impl Kernel {
         }
         let now = eng.now();
         self.last_ckpt = now;
-        if let Some(rt) = &self.tele {
+        if let Some(rt) = &mut self.tele {
             rt.tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
         }
         // A nonzero capture stall perturbs both the servers' booking and the
@@ -217,7 +217,7 @@ impl Kernel {
         }
         let now = eng.now();
         let empty = DdsSnapshot::default();
-        let (requeued_shards, requeued_samples) = match &self.dds {
+        let (requeued_shards, requeued_samples) = match &mut self.dds {
             Some(d) => d.rewind_ckpt(snap.dds.as_ref().unwrap_or(&empty)),
             None => (0, 0),
         };
@@ -228,7 +228,7 @@ impl Kernel {
                 dst.copy_from_slice(&snap.ps.params);
             }
         }
-        if let Some(rt) = &self.tele {
+        if let Some(rt) = &mut self.tele {
             rt.tele.tracer.instant(
                 "ckpt-restore",
                 "lifecycle",

@@ -62,7 +62,7 @@ impl Kernel {
                     };
                     if need_fetch {
                         let dds = self.dds.as_mut().expect("dds source");
-                        match dds.fetch_mut(w as u32) {
+                        match dds.fetch(w as u32) {
                             Some(lease) => {
                                 let order = match &self.cfg.execution {
                                     ExecutionMode::Real { .. } => Some(dds.sample_order(&lease)),
@@ -115,7 +115,7 @@ impl Kernel {
         }
         self.workers[w].leases.retain(|l| l.committed < l.lease.shard.len);
         if !finished.is_empty() {
-            let dds = self.dds.as_ref().expect("dds source");
+            let dds = self.dds.as_mut().expect("dds source");
             for l in finished {
                 dds.report_done(w as u32, l).expect("lease held by this worker");
                 if self.charge_report_fetch {

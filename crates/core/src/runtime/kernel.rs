@@ -122,6 +122,9 @@ pub struct Kernel {
     pub(crate) actions: Vec<(SimTime, Action)>,
     pub(crate) kills: Vec<(SimTime, NodeId)>,
     pub(crate) restarts: Vec<(SimTime, NodeId)>,
+    /// Every scheduler restart delay sampled (µs): failover and scale-out
+    /// pods alike. Feeds the `antdt_restart_delay_us` histogram.
+    pub(crate) restart_delays_us: Vec<u64>,
     pub(crate) last_ckpt: SimTime,
     /// The checkpoint/state subsystem; `Some` iff the job runs
     /// `FailoverMode::Replay` or carries an explicit `CkptConfig`.
@@ -176,9 +179,11 @@ pub struct Kernel {
     /// [`DivergenceMarks`]). Pure observation of the schedule — never an
     /// event, an RNG draw, or a cost.
     pub(crate) marks: DivergenceMarks,
-    /// Telemetry bundle; present iff `JobConfig::telemetry`. Counting and
-    /// tracing never touch the event order or any RNG stream, so a run's
-    /// simulated results are identical with telemetry on or off.
+    /// Trace and flight recorder; present iff `JobConfig::telemetry`. The
+    /// counts the metrics render from are kept either way (here and in the
+    /// components). Recording never touches the event order or any RNG
+    /// stream, so a run's simulated results are identical with telemetry on
+    /// or off.
     pub(crate) tele: Option<RtTele>,
     /// Controller decision audit drained from the policy after every tick.
     pub(crate) decision_log: Vec<DecisionRecord>,
@@ -203,7 +208,7 @@ impl Kernel {
         // Shards are sized in *local* batches: a shard is consumed by one
         // worker, so `M` counts that worker's batches (K = N / ((B/n)·M)).
         let local_batch = (cfg.global_batch / n.max(1) as u64).max(1);
-        let dds = match cfg.data {
+        let mut dds = match cfg.data {
             DataStrategy::Dds => Some(DdsService::new(
                 DdsConfig::new(cfg.total_samples, local_batch)
                     .with_batches_per_shard(cfg.batches_per_shard)
@@ -212,14 +217,11 @@ impl Kernel {
             )),
             DataStrategy::EvenPartition => None,
         };
-        if let (Some(rt), Some(dds)) = (&tele, &dds) {
-            dds.attach_telemetry(rt.dds.clone());
-        }
         // Elastic jobs place shards through the consistent-hash ring so a
         // membership change re-homes the minimal fraction of the queue.
         // Unarmed jobs keep the strictly-FIFO serve order the golden traces
         // pin (arming changes which worker fetches which shard).
-        if let Some(dds) = &dds {
+        if let Some(dds) = &mut dds {
             if cfg.elastic_armed() {
                 dds.arm_ring(antdt_dds::DEFAULT_VNODES, 0..n as u32);
             }
@@ -287,8 +289,7 @@ impl Kernel {
             .collect();
 
         let ctx = PolicyCtx { global_batch: cfg.global_batch, n_workers: n, n_servers: m };
-        let bus =
-            ControlBus::new(cfg.control_channel, cfg.monitor, cfg.agent, policy, ctx, tele.clone());
+        let bus = ControlBus::new(cfg.control_channel, cfg.monitor, cfg.agent, policy, ctx);
         // Telemetry implies Gantt recording: the recorded spans become the
         // bulk of the exported Chrome trace.
         let gantt = (cfg.record_gantt || cfg.telemetry).then(Gantt::new);
@@ -314,6 +315,7 @@ impl Kernel {
             actions: Vec::new(),
             kills: Vec::new(),
             restarts: Vec::new(),
+            restart_delays_us: Vec::new(),
             last_ckpt: SimTime::ZERO,
             ckpt_rt,
             attr,
@@ -379,8 +381,7 @@ impl Kernel {
     pub(crate) fn record_action(&mut self, now: SimTime, action: &Action) -> Arc<str> {
         let text = super::bus::render(action);
         self.actions.push((now, action.clone()));
-        if let Some(rt) = &self.tele {
-            rt.actions_dispatched.inc();
+        if let Some(rt) = &mut self.tele {
             rt.tele.tracer.instant(
                 "controller-action",
                 "controller",
@@ -392,26 +393,11 @@ impl Kernel {
         text
     }
 
-    /// Count one completed global iteration (BSP barrier close, ASP push,
-    /// AllReduce round).
-    pub(crate) fn bump_iteration(&mut self) {
-        self.iterations += 1;
-        if let Some(rt) = &self.tele {
-            rt.iterations.inc();
-        }
-    }
-
-    /// Sample the scheduler's restart delay, routing the draw through the
-    /// telemetry histogram when observability is on (same RNG either way).
+    /// Sample the scheduler's restart delay and record it.
     pub(crate) fn sched_restart_delay(&mut self, now: SimTime) -> SimDuration {
-        match &self.tele {
-            Some(rt) => self.cfg.cluster.scheduler.sample_restart_delay_observed(
-                now,
-                &mut self.sched_rng,
-                &rt.restart_delay_us,
-            ),
-            None => self.cfg.cluster.scheduler.sample_restart_delay(now, &mut self.sched_rng),
-        }
+        let d = self.cfg.cluster.scheduler.sample_restart_delay(now, &mut self.sched_rng);
+        self.restart_delays_us.push(d.as_micros());
+        d
     }
 
     // ---- PS-topology cost helpers (no-ops for serverless strategies).
@@ -464,9 +450,9 @@ impl Kernel {
 
     /// Estimated heap footprint of this world in bytes: the struct plus the
     /// dominant owned buffers a clone would allocate (per-node series and
-    /// leases, model parameters, DDS queue state, Gantt spans, logs). Small
-    /// map overheads are not itemised — this sizes snapshot caches, which
-    /// need budgets, not audits.
+    /// leases, model parameters, DDS queue state, Gantt spans, the telemetry
+    /// trace and flight ring, logs). Small map overheads are not itemised —
+    /// this sizes snapshot caches, which need budgets, not audits.
     pub(crate) fn estimate_bytes(&self) -> usize {
         use std::mem::size_of;
         let series = |s: &TimeSeries| s.points.capacity() * size_of::<(SimTime, f64)>();
@@ -492,10 +478,14 @@ impl Kernel {
         if let Some(g) = &self.gantt {
             b += g.spans.capacity() * size_of::<antdt_sim::Span>();
         }
+        if let Some(rt) = &self.tele {
+            b += rt.tele.estimate_bytes();
+        }
         b + series(&self.throughput)
             + self.actions.capacity() * size_of::<(SimTime, Action)>()
             + self.kills.capacity() * size_of::<(SimTime, NodeId)>()
             + self.restarts.capacity() * size_of::<(SimTime, NodeId)>()
+            + self.restart_delays_us.capacity() * size_of::<u64>()
             + self.decision_log.capacity() * size_of::<DecisionRecord>()
             + self.injections_log.capacity() * size_of::<InjectionRecord>()
             + self.action_log.capacity() * size_of::<ActionApplication>()

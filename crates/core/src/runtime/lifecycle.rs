@@ -1,5 +1,5 @@
 //! Kernel lifecycle: node kill/restart state machines with generation
-//! counters, failover scheduling, checkpoints and background fault arrivals.
+//! counters, failover scheduling and checkpoints.
 //!
 //! Everything here is PS-family machinery (ranks in round-driven strategies
 //! never restart — a killed rank leaves for good, handled in the strategy),
@@ -12,7 +12,6 @@ use crate::config::FailoverMode;
 use crate::events::{Ev, RtEngine};
 use antdt_attr::WaitCause;
 use antdt_monitor::{ErrorClass, NodeEvent, NodeId, RetryableError};
-use antdt_sim::dist::Dist;
 use antdt_sim::gantt::SpanKind;
 use antdt_sim::{NodeProfile, SimDuration};
 
@@ -48,8 +47,7 @@ pub(crate) fn worker_kill<F: PsFlavor>(
     // replacement's first iteration boundary charges the gap to recovery.
     k.attr_kill(w, now, k.chaos_no_failover.contains(&w));
     k.kills.push((now, NodeId::worker(w)));
-    if let Some(rt) = &k.tele {
-        rt.kills.inc();
+    if let Some(rt) = &mut k.tele {
         rt.tele.tracer.instant(
             "worker-kill",
             "lifecycle",
@@ -64,7 +62,7 @@ pub(crate) fn worker_kill<F: PsFlavor>(
         k.rollback(wi, inf.took);
     }
     k.workers[wi].leases.clear();
-    if let Some(dds) = &k.dds {
+    if let Some(dds) = &mut k.dds {
         // A no-failover chaos kill models the failover machinery itself
         // being broken: the dead worker's DOING shards stay stuck, so the
         // job can never complete — the liveness watchdog must catch it.
@@ -134,7 +132,7 @@ pub(crate) fn worker_depart<F: PsFlavor>(
     // is a strict subinterval of the job).
     k.attr_kill(w, now, true);
     k.membership.record(now, w, crate::report::MembershipEventKind::Departed);
-    if let Some(rt) = &k.tele {
+    if let Some(rt) = &mut k.tele {
         rt.tele.tracer.instant("worker-depart", "lifecycle", now.as_micros(), w, &[]);
     }
     k.bus.node_event(NodeEvent::Killed {
@@ -149,7 +147,7 @@ pub(crate) fn worker_depart<F: PsFlavor>(
         k.rollback(wi, inf.took);
     }
     k.workers[wi].leases.clear();
-    if let Some(dds) = &k.dds {
+    if let Some(dds) = &mut k.dds {
         dds.fail_worker(w);
         dds.ring_leave(w);
     }
@@ -181,8 +179,7 @@ pub(crate) fn server_restart<F: PsFlavor>(
     k.servers[sj].link.congestion.clear();
     k.servers[sj].free_at = now;
     k.restarts.push((now, NodeId::server(s)));
-    if let Some(rt) = &k.tele {
-        rt.restarts.inc();
+    if let Some(rt) = &mut k.tele {
         rt.tele.tracer.instant("server-restart", "lifecycle", now.as_micros(), 1000 + s, &[]);
     }
     k.last_progress = k.last_progress.max(now);
@@ -191,18 +188,6 @@ pub(crate) fn server_restart<F: PsFlavor>(
     if k.servers.iter().all(|x| x.alive) {
         f.on_servers_recovered(k, eng, now);
     }
-}
-
-/// A background fault arrival for worker `w`: kill (if alive) and re-arm —
-/// the replacement pod is as mortal as its predecessor.
-pub(crate) fn fault_worker<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u32) {
-    let gen = k.workers[w as usize].gen;
-    if k.workers[w as usize].alive {
-        worker_kill(k, f, eng, w, gen, ErrorClass::Retryable(RetryableError::NodeFailure));
-    }
-    let mtbf = k.cfg.faults.expect("fault event without config").worker_mtbf;
-    let next = k.sample_fault_delay(mtbf);
-    eng.schedule_after(next, Ev::FaultWorker { w });
 }
 
 impl Kernel {
@@ -222,8 +207,7 @@ impl Kernel {
         self.bus.agent_reset(wi, now);
         self.workers[wi].next_allowed = now;
         self.restarts.push((now, NodeId::worker(w)));
-        if let Some(rt) = &self.tele {
-            rt.restarts.inc();
+        if let Some(rt) = &mut self.tele {
             rt.tele.tracer.instant("worker-restart", "lifecycle", now.as_micros(), w, &[]);
         }
         self.last_progress = self.last_progress.max(now);
@@ -253,8 +237,7 @@ impl Kernel {
         self.servers[sj].gen += 1;
         self.attr_kill(super::attr::SERVER_LANE + s, now, false);
         self.kills.push((now, NodeId::server(s)));
-        if let Some(rt) = &self.tele {
-            rt.kills.inc();
+        if let Some(rt) = &mut self.tele {
             // Server lanes sit above the worker lanes in the trace viewer.
             rt.tele.tracer.instant("server-kill", "lifecycle", now.as_micros(), 1000 + s, &[]);
         }
@@ -291,28 +274,6 @@ impl Kernel {
         eng.schedule(now + delay, Ev::ServerRestart { s, gen: self.servers[sj].gen });
     }
 
-    /// Exponential inter-arrival draw for background faults.
-    pub(crate) fn sample_fault_delay(&mut self, mtbf: SimDuration) -> SimDuration {
-        let d = Dist::Exponential { mean: mtbf.as_secs_f64() };
-        SimDuration::from_secs_f64(d.sample(&mut self.sched_rng).max(1.0))
-    }
-
-    /// A background fault arrival for server `s`: kill (if alive) and re-arm.
-    pub(crate) fn fault_server(&mut self, eng: &mut RtEngine, s: u32) {
-        let gen = self.servers[s as usize].gen;
-        if self.servers[s as usize].alive {
-            self.server_kill(eng, s, gen);
-        }
-        let mtbf = self
-            .cfg
-            .faults
-            .expect("fault event without config")
-            .server_mtbf
-            .expect("server fault without server mtbf");
-        let next = self.sample_fault_delay(mtbf);
-        eng.schedule_after(next, Ev::FaultServer { s });
-    }
-
     /// Periodic checkpoint: stamp the rollback watermark, stall the servers
     /// for the save, re-arm. With the checkpoint subsystem armed the event
     /// instead captures a real [`antdt_ckpt::Snapshot`] (async-drained to the
@@ -327,7 +288,7 @@ impl Kernel {
         }
         let now = eng.now();
         self.last_ckpt = now;
-        if let Some(rt) = &self.tele {
+        if let Some(rt) = &mut self.tele {
             rt.tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
         }
         // Saving blocks the servers briefly.

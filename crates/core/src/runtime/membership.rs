@@ -57,6 +57,11 @@ impl Membership {
         }
         self.events.push(MembershipEvent { node, kind, at_secs: at.as_secs_f64() });
     }
+
+    /// Joiners that came up so far.
+    pub(crate) fn joins(&self) -> usize {
+        self.events.iter().filter(|e| e.kind == MembershipEventKind::Joined).count()
+    }
 }
 
 /// Execute a `SCALE_OUT { add }`: provision `add` new worker slots and
@@ -114,7 +119,7 @@ pub(crate) fn scale_out(k: &mut Kernel, eng: &mut RtEngine, now: SimTime, add: u
         if let Some(g) = k.gantt.as_mut() {
             g.record(id, SpanKind::Failover, now, now + delay);
         }
-        if let Some(rt) = &k.tele {
+        if let Some(rt) = &mut k.tele {
             rt.tele.tracer.instant(
                 "scale-out",
                 "lifecycle",
@@ -141,12 +146,11 @@ pub(crate) fn complete_join(k: &mut Kernel, eng: &mut RtEngine, w: u32) -> bool 
     k.workers[wi].alive = true;
     k.workers[wi].next_allowed = now;
     k.membership.record(now, w, MembershipEventKind::Joined);
-    if let Some(dds) = &k.dds {
+    if let Some(dds) = &mut k.dds {
         dds.ring_join(w);
     }
     k.last_progress = k.last_progress.max(now);
-    if let Some(rt) = &k.tele {
-        rt.restarts.inc();
+    if let Some(rt) = &mut k.tele {
         rt.tele.tracer.instant("worker-join", "lifecycle", now.as_micros(), w, &[]);
     }
     k.bus.node_event(NodeEvent::Restarted { node: NodeId::worker(w), at: now });

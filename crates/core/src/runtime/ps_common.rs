@@ -162,7 +162,7 @@ pub(crate) fn worker_start<F: PsFlavor>(
         }
     }
     if took == 0 {
-        let dds_complete = k.dds.as_mut().map(|d| d.is_complete_mut()).unwrap_or(true);
+        let dds_complete = k.dds.as_ref().map(|d| d.is_complete()).unwrap_or(true);
         let fixed_done = matches!(k.workers[wi].source, DataSource::Fixed { remaining: 0 });
         let holds_data = k.workers[wi].leases.iter().any(|l| l.consumed < l.lease.shard.len);
         if (matches!(k.workers[wi].source, DataSource::Dds) && dds_complete && !holds_data)
@@ -300,7 +300,7 @@ pub(crate) fn finish_asp_push<F: PsFlavor>(
     // batch worth of pushes).
     k.overhead.add_dds(SimDuration::from_secs_f64(DDS_SYNC_SECS / k.workers.len().max(1) as f64));
     k.account_samples(ready, inf.took);
-    k.bump_iteration();
+    k.iterations += 1;
     k.jct_mark = k.jct_mark.max(ready);
     // Worker lane: push transfer, then queueing at the busiest server,
     // then the pull back.
@@ -383,18 +383,6 @@ impl<F: PsFlavor> SyncStrategy for PsStrategy<F> {
 
     fn bootstrap_tail(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
         eng.schedule(SimTime::ZERO + k.cfg.checkpoint_interval, Ev::Checkpoint);
-        if let Some(faults) = k.cfg.faults {
-            for w in 0..k.workers.len() as u32 {
-                let at = k.sample_fault_delay(faults.worker_mtbf);
-                eng.schedule(SimTime::ZERO + at, Ev::FaultWorker { w });
-            }
-            if let Some(mtbf) = faults.server_mtbf {
-                for s in 0..k.servers.len() as u32 {
-                    let at = k.sample_fault_delay(mtbf);
-                    eng.schedule(SimTime::ZERO + at, Ev::FaultServer { s });
-                }
-            }
-        }
     }
 
     fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev) {
@@ -419,8 +407,6 @@ impl<F: PsFlavor> SyncStrategy for PsStrategy<F> {
                 lifecycle::server_restart(k, &mut self.flavor, eng, s, gen)
             }
             Ev::Checkpoint => k.checkpoint(eng),
-            Ev::FaultWorker { w } => lifecycle::fault_worker(k, &mut self.flavor, eng, w),
-            Ev::FaultServer { s } => k.fault_server(eng, s),
             Ev::WorkerJoin { w } => {
                 if super::membership::complete_join(k, eng, w) {
                     let gen = k.workers[w as usize].gen;

@@ -6,7 +6,7 @@ use super::data::DataSource;
 use super::kernel::Kernel;
 use crate::config::{DataStrategy, ExecutionMode};
 use crate::events::RtEngine;
-use crate::report::{CkptReport, JobReport, MembershipEventKind, MembershipReport};
+use crate::report::{CkptReport, JobReport, MembershipReport};
 use antdt_ml::Model;
 use antdt_sim::{SimDuration, SimTime};
 
@@ -48,8 +48,10 @@ impl Kernel {
         }
     }
 
-    /// Consume the world into the final report.
-    pub(crate) fn into_report(mut self, events_processed: u64) -> JobReport {
+    /// Consume the world into the final report. `eng` is the job's engine,
+    /// whose event counts the report carries.
+    pub(crate) fn into_report(mut self, eng: &RtEngine) -> JobReport {
+        let events_processed = eng.processed();
         // Fence rejections audited after the last monitor tick still belong
         // in the decision log.
         let mut late_audit = self.bus.drain_decision_audit();
@@ -62,7 +64,17 @@ impl Kernel {
             rt.ledger.finalize(jct_us);
             rt.ledger
         });
-        let telemetry = self.tele.take().map(|rt| {
+        // Rendered in place, so the recorder — the bulk of a telemetry-armed
+        // job's small allocations — is freed with the rest of the kernel,
+        // after its large buffers. Freed first, the small chunks get
+        // consolidated by those large frees, which shifts allocator work
+        // onto or off whatever the caller times next.
+        let scheduled = eng.scheduled();
+        let metrics = self
+            .tele
+            .as_ref()
+            .map(|rt| crate::obs::job_metrics(&self, rt.runtime, scheduled, events_processed));
+        let telemetry = self.tele.as_mut().zip(metrics).map(|(rt, metrics)| {
             // Merge the Gantt spans into the trace before rendering: they are
             // the bulk of the Perfetto timeline (compute/comm/idle/failover
             // lanes per node).
@@ -70,7 +82,7 @@ impl Kernel {
                 rt.tele.tracer.extend(g.to_trace_events());
             }
             if let Some(l) = &attr_ledger {
-                super::attr::export_telemetry(l, &rt.tele);
+                super::attr::export_telemetry(l, &metrics, &mut rt.tele.tracer);
             }
             let reason = if self.stalled {
                 "stalled"
@@ -79,7 +91,7 @@ impl Kernel {
             } else {
                 "completed"
             };
-            rt.tele.report(reason)
+            rt.tele.report(&metrics, reason)
         });
         let attr = attr_ledger.map(|l| super::attr::report_of(&l, jct_us));
         let ckpt = self.ckpt_rt.take().map(|rt| CkptReport {
@@ -90,6 +102,7 @@ impl Kernel {
         // The membership section exists only when the worker set actually
         // changed, so fixed-world runs (the golden fixtures) render `None`.
         let membership = (!self.membership.events.is_empty()).then(|| {
+            let joins = self.membership.joins() as u32;
             let events = std::mem::take(&mut self.membership.events);
             let mut departed: Vec<u32> = self.membership.departed.iter().copied().collect();
             departed.sort_unstable();
@@ -97,10 +110,7 @@ impl Kernel {
                 initial_workers: self.membership.initial as u32,
                 peak_workers: self.workers.len() as u32,
                 final_workers: self.workers.iter().filter(|w| w.alive || w.done).count() as u32,
-                joins: events
-                    .iter()
-                    .filter(|e| matches!(e.kind, MembershipEventKind::Joined))
-                    .count() as u32,
+                joins,
                 departs: departed.len() as u32,
                 events,
                 departed,

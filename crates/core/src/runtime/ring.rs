@@ -246,7 +246,7 @@ impl RoundDriver {
             );
             k.jct_mark = now;
             self.round += 1;
-            k.bump_iteration();
+            k.iterations += 1;
         }
         self.start_round(k, eng);
     }
@@ -320,12 +320,11 @@ impl RoundDriver {
         // A killed rank never rejoins a DDP ring: freeze its timeline here.
         k.attr_kill(w, now, true);
         k.kills.push((now, NodeId::worker(w)));
-        if let Some(rt) = &k.tele {
-            rt.kills.inc();
+        if let Some(rt) = &mut k.tele {
             rt.tele.tracer.instant("rank-kill", "lifecycle", now.as_micros(), w, &[]);
         }
         if failover {
-            if let Some(dds) = &k.dds {
+            if let Some(dds) = &mut k.dds {
                 dds.fail_worker(w);
             }
         }
@@ -356,10 +355,10 @@ impl RoundDriver {
                 antdt_monitor::RetryableError::ProactiveKill,
             ),
         });
-        if let Some(rt) = &k.tele {
+        if let Some(rt) = &mut k.tele {
             rt.tele.tracer.instant("rank-depart", "lifecycle", now.as_micros(), w, &[]);
         }
-        if let Some(dds) = &k.dds {
+        if let Some(dds) = &mut k.dds {
             dds.fail_worker(w);
             dds.ring_leave(w);
         }

@@ -44,7 +44,7 @@ pub trait SyncStrategy {
     /// Runs before the kernel arms the monitor tick.
     fn bootstrap_head(&mut self, k: &mut Kernel, eng: &mut RtEngine);
 
-    /// Schedule trailing bootstrap events (checkpoints, background faults).
+    /// Schedule trailing bootstrap events (checkpoints).
     /// Runs after the monitor tick, before chaos injections.
     fn bootstrap_tail(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
         let _ = (k, eng);
@@ -126,9 +126,6 @@ impl<S: SyncStrategy> SimRun<S> {
             S::USES_SERVERS,
         );
         let mut eng = RtEngine::new();
-        if let Some(rt) = &k.tele {
-            eng.attach_telemetry(rt.events_scheduled.clone(), rt.events_processed.clone());
-        }
         strat.bootstrap_head(&mut k, &mut eng);
         eng.schedule(SimTime::ZERO + k.cfg.monitor_tick, Ev::MonitorTick);
         strat.bootstrap_tail(&mut k, &mut eng);
@@ -170,15 +167,13 @@ impl<S: SyncStrategy> SimRun<S> {
     }
 
     /// Fork the run: an independent job resuming from this exact instant
-    /// with identical pending events, world state and RNG positions. The
-    /// original run is untouched. Panics if engine telemetry is attached
-    /// (forks would double-count into the shared counters), so callers must
-    /// fall back to full reruns for telemetry-armed jobs.
+    /// with identical pending events, world state, RNG positions and
+    /// telemetry recorded so far (counts, trace, flight ring). The original
+    /// run is untouched.
     pub fn fork(&self) -> Self
     where
         S: Clone,
     {
-        assert!(self.k.tele.is_none(), "cannot fork a telemetry-armed run: counters are shared");
         let eng = RtEngine::fork(&self.eng.snapshot());
         SimRun { k: self.k.clone(), strat: self.strat.clone(), eng }
     }
@@ -196,7 +191,7 @@ impl<S: SyncStrategy> SimRun<S> {
             0,
             "runtime scheduled an event in the past (engine clamped it)"
         );
-        self.k.into_report(self.eng.processed())
+        self.k.into_report(&self.eng)
     }
 }
 
@@ -206,7 +201,7 @@ fn handle<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngine, ev
     if k.finished {
         return;
     }
-    if let Some(rt) = &k.tele {
+    if let Some(rt) = &mut k.tele {
         rt.tele.flight.record(eng.now().as_micros(), "event", format!("{ev:?}"));
     }
     match ev {
@@ -229,7 +224,7 @@ fn monitor_tick<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngi
         busy: sched.is_busy(now),
         expected_pending_secs: sched.expected_pending_secs(now),
     };
-    let actions = k.bus.tick_decide(now, info);
+    let actions = k.bus.tick_decide(k.tele.as_mut(), now, info);
     let audit = k.bus.drain_decision_audit();
     k.decision_log.extend(audit);
     for action in actions {
@@ -255,7 +250,7 @@ pub(crate) trait ErasedRun: Send {
     /// Estimated heap bytes an independent fork of this run would own
     /// (kernel clone + engine snapshot) — the cache-budget input.
     fn estimate_bytes(&self) -> usize;
-    /// [`SimRun::fork`]; panics on telemetry-armed runs (shared counters).
+    /// [`SimRun::fork`], boxed.
     fn fork_box(&self) -> Box<dyn ErasedRun>;
     /// Apply a counterfactual edit to the live kernel (fork first!).
     fn perturb(&mut self, p: &crate::whatif::Perturbation);

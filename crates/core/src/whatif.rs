@@ -113,17 +113,15 @@ pub fn config_digest(cfg: &JobConfig) -> u128 {
 }
 
 /// An arch-erased in-flight job that can be advanced, forked and finished —
-/// the unit a what-if snapshot cache stores. Construction refuses
-/// telemetry-armed configs: forks share telemetry counters, so such jobs
-/// must full-rerun (see [`crate::runtime::strategy::SimRun::fork`]).
+/// the unit a what-if snapshot cache stores. A fork carries everything the
+/// run recorded so far, telemetry included, so a finished fork reports
+/// exactly what a from-scratch run of its (perturbed) config reports (see
+/// [`crate::runtime::strategy::SimRun::fork`]).
 pub struct PrefixRun(Box<dyn ErasedRun>);
 
 impl PrefixRun {
     /// Build and bootstrap a run of `cfg` without firing any events.
-    ///
-    /// Panics if `cfg.telemetry` is armed.
     pub fn new(cfg: &JobConfig) -> Self {
-        assert!(!cfg.telemetry, "PrefixRun requires telemetry off (forks share counters)");
         PrefixRun(erased_run_for(cfg))
     }
 
@@ -182,22 +180,18 @@ pub struct ReplayPlan {
     /// index)` — fork order off a monotonically advancing shared prefix.
     pub forkable: Vec<(usize, SimTime)>,
     /// Query indices needing a full rerun: no recorded divergence (the edit
-    /// never bites), a divergence at time zero (bootstrap already ran under
-    /// the old config), or a telemetry-armed config (forks share counters).
+    /// never bites) or a divergence at time zero (bootstrap already ran
+    /// under the old config).
     pub full_reruns: Vec<usize>,
 }
 
 /// Partition `perturbations` into fork-replayable and full-rerun queries
 /// using the divergence marks `base` recorded (see [`ReplayPlan`]).
-pub fn plan_replays(
-    cfg: &JobConfig,
-    base: &JobReport,
-    perturbations: &[Perturbation],
-) -> ReplayPlan {
+pub fn plan_replays(base: &JobReport, perturbations: &[Perturbation]) -> ReplayPlan {
     let mut plan = ReplayPlan::default();
     for (i, p) in perturbations.iter().enumerate() {
         match divergence_instant(base, p) {
-            Some(t) if t > SimTime::ZERO && !cfg.telemetry => plan.forkable.push((i, t)),
+            Some(t) if t > SimTime::ZERO => plan.forkable.push((i, t)),
             _ => plan.full_reruns.push(i),
         }
     }
@@ -282,6 +276,23 @@ mod tests {
 
         let no_stall = apply_perturbation(base, &Perturbation::NoCkptStalls);
         assert_eq!(no_stall.ckpt_save_secs, 0.0);
+    }
+
+    /// A fork owns a copy of the telemetry recorded so far: finishing a
+    /// fork of a telemetry-armed run first leaves the parent's report equal
+    /// to a plain run's, and the unperturbed fork reports the same.
+    #[test]
+    fn forking_a_telemetry_armed_run_leaves_the_parent_untouched() {
+        let cfg = cfg().with_telemetry();
+        let plain = Job::run(cfg.clone());
+        let mut run = PrefixRun::new(&cfg);
+        run.advance_until(SimTime::ZERO + plain.jct / 2);
+        assert!(!run.finished(), "the fork point must be mid-run");
+        let forked = run.fork().finish();
+        let parent = run.finish();
+        assert!(plain.telemetry.is_some());
+        assert_eq!(parent.telemetry, plain.telemetry);
+        assert_eq!(forked.telemetry, plain.telemetry);
     }
 
     #[test]

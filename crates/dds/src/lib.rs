@@ -19,9 +19,11 @@
 //! **at-least-once** semantics. **At-most-once** additionally requires `M = 1`
 //! and no re-serves; the [`audit`](DdsService::audit) reports both.
 //!
-//! The service is thread-safe (`std::sync::Mutex`) so it can serve either the
-//! single-threaded discrete-event runtimes in `antdt-core` or real worker
-//! threads (see the `concurrent` integration test).
+//! The service is plain single-owner data: mutating calls take `&mut self`,
+//! and a clone is an independent copy of the queue. It serves the
+//! single-threaded discrete-event runtimes in `antdt-core`, where each job's
+//! kernel owns one; the `concurrent` integration test drives many workers
+//! through one service in seeded interleavings.
 
 mod queue_state;
 pub mod service;
@@ -34,4 +36,4 @@ pub use service::DdsService;
 pub use shard::{HashRing, Shard, ShardId, ShardState, WorkerId, DEFAULT_VNODES};
 pub use shuffle::ShardShuffler;
 pub use stats::{ConsumptionStats, IntegrityAudit, WorkerConsumption};
-pub use types::{DdsConfig, DdsCounters, DdsError, ResizeRecord, ShardLease};
+pub use types::{DdsConfig, DdsCounts, DdsError, ResizeRecord, ShardLease};

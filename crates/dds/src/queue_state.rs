@@ -3,9 +3,8 @@
 //! the optional consistent-hash placement ring.
 //!
 //! This is pure, single-threaded state with the legal transitions as
-//! methods; [`crate::service::DdsService`] wraps it in the lock and layers
-//! on what is *not* queue state — outage pausing, consumption statistics and
-//! telemetry counters.
+//! methods; [`crate::service::DdsService`] layers on what is *not* queue
+//! state — outage pausing, consumption statistics and transition counts.
 
 use crate::shard::{plan_shards, HashRing, Shard, ShardState, WorkerId};
 use crate::shuffle::ShardShuffler;

@@ -1,7 +1,7 @@
-//! The Stateful Dynamic Data Sharding service proper: the thread-safe
-//! facade over the crate-private `queue_state::QueueState` (the global shard
-//! queue plus the per-shard state table), layering on outage pausing,
-//! consumption statistics and telemetry counters.
+//! The Stateful Dynamic Data Sharding service proper: the facade over the
+//! crate-private `queue_state::QueueState` (the global shard queue plus the
+//! per-shard state table), layering on outage pausing, consumption
+//! statistics and transition counts.
 //!
 //! The queue flows *across* epochs: when it runs dry and more epochs remain,
 //! the next epoch's (re-shuffled) shards are appended immediately. Leader
@@ -12,12 +12,13 @@
 use crate::queue_state::QueueState;
 use crate::shard::{Shard, WorkerId};
 use crate::stats::{ConsumptionStats, IntegrityAudit};
-pub use crate::types::{DdsConfig, DdsCounters, DdsError, ResizeRecord, ShardLease};
-use antdt_telemetry::lock;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+pub use crate::types::{DdsConfig, DdsCounts, DdsError, ResizeRecord, ShardLease};
 
+/// The sharding service: plain data owned by its caller (one simulated
+/// job's kernel). Cloning copies the full queue state — the basis for
+/// forking an in-flight simulation.
 #[derive(Debug, Clone)]
-struct Inner {
+pub struct DdsService {
     q: QueueState,
     stats: ConsumptionStats,
     /// Chaos-drill outage switch: while set, `fetch` serves nothing (the
@@ -25,92 +26,34 @@ struct Inner {
     paused: bool,
     /// Fetches rejected because of an outage (drill diagnostics).
     paused_fetch_rejections: u64,
-    counters: Option<DdsCounters>,
-}
-
-impl Inner {
-    fn fetch(&mut self, worker: WorkerId) -> Option<ShardLease> {
-        if self.paused {
-            self.paused_fetch_rejections += 1;
-            if let Some(c) = &self.counters {
-                c.fetch_empty.inc();
-            }
-            return None;
-        }
-        let Some(lease) = self.q.take_next(worker) else {
-            if let Some(c) = &self.counters {
-                c.fetch_empty.inc();
-            }
-            return None;
-        };
-        if let Some(c) = &self.counters {
-            c.fetch_served.inc();
-        }
-        let w = self.stats.worker(worker);
-        w.shards_fetched += 1;
-        w.samples_fetched += lease.shard.len;
-        Some(lease)
-    }
-
-    fn is_complete(&self) -> bool {
-        self.q.done_total() == self.q.cfg.expected_done_shards()
-    }
-}
-
-/// The thread-safe sharding service. Share it via `Arc`.
-#[derive(Debug)]
-pub struct DdsService {
-    inner: Mutex<Inner>,
-}
-
-/// Cloning snapshots the full queue state behind a fresh lock — the basis
-/// for forking an in-flight simulation. Telemetry counters, if attached,
-/// stay shared with the original (they are `Arc`-backed).
-impl Clone for DdsService {
-    fn clone(&self) -> Self {
-        DdsService { inner: Mutex::new(self.state().clone()) }
-    }
+    counts: DdsCounts,
 }
 
 impl DdsService {
     pub fn new(cfg: DdsConfig) -> Self {
         DdsService {
-            inner: Mutex::new(Inner {
-                q: QueueState::new(cfg),
-                stats: ConsumptionStats::default(),
-                paused: false,
-                paused_fetch_rejections: 0,
-                counters: None,
-            }),
+            q: QueueState::new(cfg),
+            stats: ConsumptionStats::default(),
+            paused: false,
+            paused_fetch_rejections: 0,
+            counts: DdsCounts::default(),
         }
     }
 
-    /// Lock the state. A poisoned lock is recovered rather than propagated,
-    /// so one panicking caller does not turn every later call into a panic.
-    fn state(&self) -> MutexGuard<'_, Inner> {
-        lock(&self.inner)
-    }
-
-    /// The state through exclusive access: an owner holding `&mut self`
-    /// (the simulator's kernel) needs no lock.
-    fn state_mut(&mut self) -> &mut Inner {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
     pub fn config(&self) -> DdsConfig {
-        self.state().q.cfg
+        self.q.cfg
     }
 
-    /// Attach telemetry counters; subsequent operations update them.
-    pub fn attach_telemetry(&self, counters: DdsCounters) {
-        self.state().counters = Some(counters);
+    /// State-transition counts since construction (the telemetry source).
+    pub fn counts(&self) -> DdsCounts {
+        self.counts
     }
 
     /// Estimated heap footprint of the service's current state in bytes —
     /// what a [`Clone`] of this service would allocate. Sizing input for
     /// simulation snapshot caches that must budget before capturing.
     pub fn estimate_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.state().q.estimate_bytes()
+        std::mem::size_of::<Self>() + self.q.estimate_bytes()
     }
 
     /// Fetch the next `TODO` shard for `worker`, marking it `DOING`.
@@ -120,23 +63,28 @@ impl DdsService {
     /// should retry after a failure or completion event). When the current
     /// epoch's queue drains, the next epoch's re-shuffled shards are appended
     /// immediately — leaders flow into the next epoch without a barrier.
-    pub fn fetch(&self, worker: WorkerId) -> Option<ShardLease> {
-        self.state().fetch(worker)
-    }
-
-    /// [`DdsService::fetch`] through exclusive access, without locking.
-    pub fn fetch_mut(&mut self, worker: WorkerId) -> Option<ShardLease> {
-        self.state_mut().fetch(worker)
+    pub fn fetch(&mut self, worker: WorkerId) -> Option<ShardLease> {
+        if self.paused {
+            self.paused_fetch_rejections += 1;
+            self.counts.fetch_empty += 1;
+            return None;
+        }
+        let Some(lease) = self.q.take_next(worker) else {
+            self.counts.fetch_empty += 1;
+            return None;
+        };
+        self.counts.fetch_served += 1;
+        let w = self.stats.worker(worker);
+        w.shards_fetched += 1;
+        w.samples_fetched += lease.shard.len;
+        Some(lease)
     }
 
     /// Mark a leased shard `DONE` (the worker's gradients reached the servers).
-    pub fn report_done(&self, worker: WorkerId, lease: ShardLease) -> Result<(), DdsError> {
-        let mut g = self.state();
-        g.q.finish(worker, lease)?;
-        if let Some(c) = &g.counters {
-            c.done.inc();
-        }
-        let w = g.stats.worker(worker);
+    pub fn report_done(&mut self, worker: WorkerId, lease: ShardLease) -> Result<(), DdsError> {
+        self.q.finish(worker, lease)?;
+        self.counts.done += 1;
+        let w = self.stats.worker(worker);
         w.shards_done += 1;
         w.samples_done += lease.shard.len;
         Ok(())
@@ -144,29 +92,23 @@ impl DdsService {
 
     /// Requeue one leased shard (e.g. a push that was dropped by the backup-
     /// workers action): `DOING → TODO`, reinserted at the queue tail.
-    pub fn report_failed(&self, worker: WorkerId, lease: ShardLease) -> Result<(), DdsError> {
-        let mut g = self.state();
-        g.q.requeue(worker, lease)?;
-        g.stats.requeued_shards += 1;
-        g.stats.requeued_samples += lease.shard.len;
-        if let Some(c) = &g.counters {
-            c.requeued.inc();
-        }
+    pub fn report_failed(&mut self, worker: WorkerId, lease: ShardLease) -> Result<(), DdsError> {
+        self.q.requeue(worker, lease)?;
+        self.stats.requeued_shards += 1;
+        self.stats.requeued_samples += lease.shard.len;
+        self.counts.requeued += 1;
         Ok(())
     }
 
     /// A worker terminated (crash or `KILL_RESTART`): every shard it was DOING
     /// goes back to `TODO` at the queue tail. Returns the requeued shards.
-    pub fn fail_worker(&self, worker: WorkerId) -> Vec<Shard> {
-        let mut g = self.state();
-        let out = g.q.requeue_worker(worker);
+    pub fn fail_worker(&mut self, worker: WorkerId) -> Vec<Shard> {
+        let out = self.q.requeue_worker(worker);
         for shard in &out {
-            g.stats.requeued_shards += 1;
-            g.stats.requeued_samples += shard.len;
+            self.stats.requeued_shards += 1;
+            self.stats.requeued_samples += shard.len;
         }
-        if let Some(c) = &g.counters {
-            c.requeued.add(out.len() as u64);
-        }
+        self.counts.requeued += out.len() as u64;
         out
     }
 
@@ -174,7 +116,7 @@ impl DdsService {
     /// pending queue and the per-slot state table (0=TODO 1=DOING 2=DONE),
     /// in the `antdt-ckpt` snapshot shape.
     pub fn export_ckpt(&self) -> antdt_ckpt::DdsSnapshot {
-        self.state().q.export()
+        self.q.export()
     }
 
     /// Rewind to a checkpoint: every slot DONE *now* but not DONE in the
@@ -185,119 +127,109 @@ impl DdsService {
     /// *and* commits shows up in the at-most-once audit via its serve count,
     /// exactly like any other requeue. Returns `(requeued shards, requeued
     /// samples)`.
-    pub fn rewind_ckpt(&self, snap: &antdt_ckpt::DdsSnapshot) -> (u64, u64) {
-        let mut g = self.state();
-        let (shards_requeued, samples_requeued) = g.q.rewind(snap);
-        g.stats.requeued_shards += shards_requeued;
-        g.stats.requeued_samples += samples_requeued;
-        if let Some(c) = &g.counters {
-            c.requeued.add(shards_requeued);
-        }
+    pub fn rewind_ckpt(&mut self, snap: &antdt_ckpt::DdsSnapshot) -> (u64, u64) {
+        let (shards_requeued, samples_requeued) = self.q.rewind(snap);
+        self.stats.requeued_shards += shards_requeued;
+        self.stats.requeued_samples += samples_requeued;
+        self.counts.requeued += shards_requeued;
         (shards_requeued, samples_requeued)
     }
 
     /// Chaos-drill outage control: while paused, `fetch` serves nothing (as if
     /// the service were unreachable). Completion/failure reports still land —
     /// the client library buffers them, so no integrity state is lost.
-    pub fn set_paused(&self, paused: bool) {
-        self.state().paused = paused;
+    pub fn set_paused(&mut self, paused: bool) {
+        self.paused = paused;
     }
 
     pub fn is_paused(&self) -> bool {
-        self.state().paused
+        self.paused
     }
 
     /// Fetches rejected while the service was paused (drill diagnostics).
     pub fn paused_fetch_rejections(&self) -> u64 {
-        self.state().paused_fetch_rejections
+        self.paused_fetch_rejections
     }
 
     /// Whether every epoch's every shard has reached `DONE`.
     pub fn is_complete(&self) -> bool {
-        self.state().is_complete()
-    }
-
-    /// [`DdsService::is_complete`] through exclusive access, without locking.
-    pub fn is_complete_mut(&mut self) -> bool {
-        self.state_mut().is_complete()
+        self.q.done_total() == self.q.cfg.expected_done_shards()
     }
 
     /// `(done shards so far, expected total)`.
     pub fn progress(&self) -> (u64, u64) {
-        let g = self.state();
-        (g.q.done_total(), g.q.cfg.expected_done_shards())
+        (self.q.done_total(), self.q.cfg.expected_done_shards())
     }
 
     /// Number of epochs whose shards have entered the queue so far.
     pub fn epochs_started(&self) -> u32 {
-        self.state().q.epochs_enqueued()
+        self.q.epochs_enqueued()
     }
 
     /// Snapshot of consumption statistics.
     pub fn consumption(&self) -> ConsumptionStats {
-        self.state().stats.clone()
+        self.stats.clone()
     }
 
     /// Sample order for a lease (delegates to the shard shuffler).
     pub fn sample_order(&self, lease: &ShardLease) -> Vec<u64> {
-        self.state().q.sample_order(lease)
+        self.q.sample_order(lease)
     }
 
     /// Arm the consistent-hash placement ring with the given initial members.
     /// Until armed (the default), the service is strictly FIFO and its serve
     /// order is byte-identical to the pre-elastic implementation.
-    pub fn arm_ring(&self, vnodes: u32, members: impl IntoIterator<Item = WorkerId>) {
-        self.state().q.arm_ring(vnodes, members);
+    pub fn arm_ring(&mut self, vnodes: u32, members: impl IntoIterator<Item = WorkerId>) {
+        self.q.arm_ring(vnodes, members);
     }
 
     pub fn ring_armed(&self) -> bool {
-        self.state().q.ring_armed()
+        self.q.ring_armed()
     }
 
     /// Current ring membership (empty when the ring is unarmed).
     pub fn ring_members(&self) -> Vec<WorkerId> {
-        self.state().q.ring_members()
+        self.q.ring_members()
     }
 
     /// A worker joined: add it to the armed ring and record how many queued
     /// slots re-homed onto it. No-op (returning `None`) when the ring is
     /// unarmed or the member already present.
-    pub fn ring_join(&self, member: WorkerId) -> Option<ResizeRecord> {
-        self.state().q.resize(member, true)
+    pub fn ring_join(&mut self, member: WorkerId) -> Option<ResizeRecord> {
+        self.q.resize(member, true)
     }
 
     /// A worker departed for good: drop it from the armed ring and record the
     /// movement. The caller is responsible for rolling back its DOING leases
     /// via [`DdsService::fail_worker`] — departure and lease recovery are the
     /// same machinery a kill uses.
-    pub fn ring_leave(&self, member: WorkerId) -> Option<ResizeRecord> {
-        self.state().q.resize(member, false)
+    pub fn ring_leave(&mut self, member: WorkerId) -> Option<ResizeRecord> {
+        self.q.resize(member, false)
     }
 
     /// Every resize applied to the ring so far, in order.
     pub fn resize_log(&self) -> Vec<ResizeRecord> {
-        self.state().q.resize_log().to_vec()
+        self.q.resize_log().to_vec()
     }
 
     /// Distinct owners of currently-DOING slots, sorted. The chaos
     /// `membership-consistent` invariant checks no departed worker appears.
     pub fn doing_owners(&self) -> Vec<WorkerId> {
-        self.state().q.doing_owners()
+        self.q.doing_owners()
     }
 
     /// The integrity audit (§VII-D2).
     pub fn audit(&self) -> IntegrityAudit {
-        let g = self.state();
-        let expected = g.q.cfg.expected_done_shards();
-        let done = g.q.done_total();
+        let expected = self.q.cfg.expected_done_shards();
+        let done = self.q.done_total();
         IntegrityAudit {
             expected_done_shards: expected,
             done_shards: done,
             outstanding_shards: expected - done,
-            requeued_shards: g.stats.requeued_shards,
-            duplicate_samples_upper_bound: g.stats.requeued_samples,
+            requeued_shards: self.stats.requeued_shards,
+            duplicate_samples_upper_bound: self.stats.requeued_samples,
             at_least_once: done == expected,
-            at_most_once: !g.q.ever_double_served(),
+            at_most_once: !self.q.ever_double_served(),
         }
     }
 }
@@ -318,32 +250,9 @@ mod tests {
         assert_eq!(cfg.shards_per_epoch(), 110);
     }
 
-    /// The lock-free `_mut` accessors serve what the locking ones serve:
-    /// the same leases, the same completion answers, the same statistics.
-    #[test]
-    fn mut_accessors_match_the_locking_ones() {
-        let locked = svc(1_000, 10, 3, 2);
-        let mut owned = locked.clone();
-        let mut served = 0;
-        for step in 0u32..200 {
-            let w = step % 3;
-            let lease = locked.fetch(w);
-            assert_eq!(owned.fetch_mut(w), lease, "step {step}");
-            assert_eq!(owned.is_complete_mut(), locked.is_complete(), "step {step}");
-            // Two of three workers finish their shard; the third sits on it.
-            if let Some(l) = lease.filter(|_| w != 2) {
-                locked.report_done(w, l).unwrap();
-                owned.report_done(w, l).unwrap();
-                served += 1;
-            }
-        }
-        assert!(served > 10 && !locked.is_complete());
-        assert_eq!(owned.consumption(), locked.consumption());
-    }
-
     #[test]
     fn normal_lifecycle_todo_doing_done() {
-        let s = svc(1000, 10, 10, 1); // 10 shards of 100
+        let mut s = svc(1000, 10, 10, 1); // 10 shards of 100
         let mut done = 0;
         while let Some(lease) = s.fetch(0) {
             assert_eq!(lease.epoch, 0);
@@ -361,7 +270,7 @@ mod tests {
 
     #[test]
     fn doing_shard_is_not_reassigned() {
-        let s = svc(200, 10, 10, 1); // 2 shards
+        let mut s = svc(200, 10, 10, 1); // 2 shards
         let l0 = s.fetch(0).unwrap();
         let l1 = s.fetch(1).unwrap();
         assert_ne!(l0.shard.id, l1.shard.id);
@@ -373,7 +282,7 @@ mod tests {
 
     #[test]
     fn paused_service_serves_nothing_then_recovers() {
-        let s = svc(200, 10, 10, 1); // 2 shards
+        let mut s = svc(200, 10, 10, 1); // 2 shards
         s.set_paused(true);
         assert!(s.fetch(0).is_none(), "outage: fetch must serve nothing");
         assert!(s.fetch(1).is_none());
@@ -393,7 +302,7 @@ mod tests {
 
     #[test]
     fn fail_worker_requeues_at_tail() {
-        let s = svc(300, 10, 10, 1); // 3 shards
+        let mut s = svc(300, 10, 10, 1); // 3 shards
         let dead = s.fetch(0).unwrap();
         let requeued = s.fail_worker(0);
         assert_eq!(requeued, vec![dead.shard]);
@@ -413,7 +322,7 @@ mod tests {
 
     #[test]
     fn report_done_requires_lease() {
-        let s = svc(100, 10, 10, 1);
+        let mut s = svc(100, 10, 10, 1);
         let l = s.fetch(0).unwrap();
         assert!(matches!(s.report_done(1, l), Err(DdsError::NotLeased { .. })));
         s.report_done(0, l).unwrap();
@@ -426,7 +335,7 @@ mod tests {
         // 4 shards x 2 epochs. A straggler holds an epoch-0 shard while a
         // leader drains the rest — the leader must receive epoch-1 shards
         // immediately, not wait for the straggler.
-        let s = svc(400, 10, 10, 2);
+        let mut s = svc(400, 10, 10, 2);
         let straggler = s.fetch(9).unwrap();
         assert_eq!(straggler.epoch, 0);
         let mut leader_epochs = Vec::new();
@@ -454,7 +363,7 @@ mod tests {
 
     #[test]
     fn epochs_reshuffle() {
-        let s = svc(1600, 10, 10, 2); // 16 shards x 2 epochs
+        let mut s = svc(1600, 10, 10, 2); // 16 shards x 2 epochs
         let mut orders: Vec<Vec<ShardId>> = vec![Vec::new(), Vec::new()];
         while let Some(l) = s.fetch(0) {
             orders[l.epoch as usize].push(l.shard.id);
@@ -467,7 +376,7 @@ mod tests {
 
     #[test]
     fn report_failed_requeues_single_shard() {
-        let s = svc(200, 10, 10, 1);
+        let mut s = svc(200, 10, 10, 1);
         let l = s.fetch(0).unwrap();
         s.report_failed(0, l).unwrap();
         // Same worker can pick it up again later.
@@ -482,8 +391,8 @@ mod tests {
 
     #[test]
     fn consumption_tracks_per_worker() {
-        let s = svc(1000, 10, 10, 1); // 10 shards of 100
-                                      // Worker 0 takes 7 shards, worker 1 takes 3.
+        let mut s = svc(1000, 10, 10, 1); // 10 shards of 100
+                                          // Worker 0 takes 7 shards, worker 1 takes 3.
         for i in 0..10 {
             let w = if i < 7 { 0 } else { 1 };
             let l = s.fetch(w).unwrap();
@@ -497,10 +406,8 @@ mod tests {
     }
 
     #[test]
-    fn attached_counters_track_transitions() {
-        let s = svc(300, 10, 10, 1); // 3 shards
-        let c = DdsCounters::default();
-        s.attach_telemetry(c.clone());
+    fn counts_track_transitions() {
+        let mut s = svc(300, 10, 10, 1); // 3 shards
         let l = s.fetch(0).unwrap();
         s.report_failed(0, l).unwrap();
         let l = s.fetch(0).unwrap();
@@ -512,15 +419,16 @@ mod tests {
             s.report_done(2, l).unwrap();
         }
         assert!(s.is_complete());
-        assert_eq!(c.done.get(), 3);
-        assert_eq!(c.requeued.get(), 2);
-        assert_eq!(c.fetch_served.get(), 3 + 2); // 3 DONE serves + 2 requeue-causing serves
-        assert_eq!(c.fetch_empty.get(), 1); // the drained final fetch
+        let c = s.counts();
+        assert_eq!(c.done, 3);
+        assert_eq!(c.requeued, 2);
+        assert_eq!(c.fetch_served, 3 + 2); // 3 DONE serves + 2 requeue-causing serves
+        assert_eq!(c.fetch_empty, 1); // the drained final fetch
     }
 
     #[test]
     fn empty_dataset_serves_nothing() {
-        let s = svc(0, 10, 10, 1);
+        let mut s = svc(0, 10, 10, 1);
         assert!(s.fetch(0).is_none());
         assert_eq!(s.progress(), (0, 0));
         assert!(s.is_complete());
@@ -528,7 +436,7 @@ mod tests {
 
     #[test]
     fn audit_counts_unfinished_epochs() {
-        let s = svc(400, 10, 10, 3); // 4 shards x 3 epochs
+        let mut s = svc(400, 10, 10, 3); // 4 shards x 3 epochs
         let l = s.fetch(0).unwrap();
         s.report_done(0, l).unwrap();
         let a = s.audit();
@@ -540,7 +448,7 @@ mod tests {
 
     #[test]
     fn export_ckpt_freezes_queue_and_states() {
-        let s = svc(400, 10, 10, 1); // 4 shards
+        let mut s = svc(400, 10, 10, 1); // 4 shards
         let doing = s.fetch(0).unwrap();
         let done = s.fetch(1).unwrap();
         s.report_done(1, done).unwrap();
@@ -555,7 +463,7 @@ mod tests {
 
     #[test]
     fn rewind_ckpt_requeues_post_snapshot_done_work() {
-        let s = svc(400, 10, 10, 1); // 4 shards of 100
+        let mut s = svc(400, 10, 10, 1); // 4 shards of 100
         let early = s.fetch(0).unwrap();
         s.report_done(0, early).unwrap();
         let snap = s.export_ckpt(); // 1 DONE at snapshot time
@@ -579,7 +487,7 @@ mod tests {
 
     #[test]
     fn rewind_to_empty_snapshot_replays_everything_done() {
-        let s = svc(300, 10, 10, 1); // 3 shards
+        let mut s = svc(300, 10, 10, 1); // 3 shards
         for _ in 0..2 {
             let l = s.fetch(0).unwrap();
             s.report_done(0, l).unwrap();
@@ -598,8 +506,8 @@ mod tests {
     fn unarmed_ring_keeps_fifo_service_order() {
         // Two identically-configured services, one never touched by ring
         // APIs: serve order must match slot for slot.
-        let a = svc(1000, 10, 10, 1);
-        let b = svc(1000, 10, 10, 1);
+        let mut a = svc(1000, 10, 10, 1);
+        let mut b = svc(1000, 10, 10, 1);
         assert!(!a.ring_armed());
         loop {
             let (la, lb) = (a.fetch(0), b.fetch(0));
@@ -617,7 +525,7 @@ mod tests {
 
     #[test]
     fn armed_ring_prefers_owned_slots_but_conserves_work() {
-        let s = svc(1000, 10, 10, 1); // 10 shards
+        let mut s = svc(1000, 10, 10, 1); // 10 shards
         s.arm_ring(64, [0, 1]);
         assert_eq!(s.ring_members(), vec![0, 1]);
         // Worker 0 alone drains everything: its own slots first, then the
@@ -634,7 +542,7 @@ mod tests {
 
     #[test]
     fn ring_join_and_leave_log_movement() {
-        let s = svc(2000, 10, 10, 1); // 20 shards
+        let mut s = svc(2000, 10, 10, 1); // 20 shards
         s.arm_ring(64, [0, 1, 2]);
         let join = s.ring_join(3).expect("new member");
         assert!(join.joined);
@@ -648,14 +556,14 @@ mod tests {
         assert_eq!(s.ring_members(), vec![0, 2, 3]);
         assert_eq!(s.resize_log().len(), 2);
         // Unarmed service: resize APIs are inert.
-        let plain = svc(100, 10, 10, 1);
+        let mut plain = svc(100, 10, 10, 1);
         assert!(plain.ring_join(0).is_none());
         assert!(plain.resize_log().is_empty());
     }
 
     #[test]
     fn departed_worker_leaves_no_doing_slots_behind() {
-        let s = svc(500, 10, 10, 1); // 5 shards
+        let mut s = svc(500, 10, 10, 1); // 5 shards
         s.arm_ring(64, [0, 1]);
         let _held = s.fetch(1).unwrap();
         assert_eq!(s.doing_owners(), vec![1]);
@@ -672,8 +580,8 @@ mod tests {
 
     #[test]
     fn cross_epoch_failure_requeues_the_right_epoch_slot() {
-        let s = svc(200, 10, 10, 2); // 2 shards x 2 epochs
-                                     // Drain epoch 0 fully with worker 0, start epoch 1 with worker 1.
+        let mut s = svc(200, 10, 10, 2); // 2 shards x 2 epochs
+                                         // Drain epoch 0 fully with worker 0, start epoch 1 with worker 1.
         let a = s.fetch(0).unwrap();
         let b = s.fetch(0).unwrap();
         s.report_done(0, a).unwrap();
@@ -713,7 +621,7 @@ mod prop_tests {
                 epochs,
                 shuffle_seed: Some(rng.gen_range(0..u64::MAX)),
             };
-            let s = DdsService::new(cfg);
+            let mut s = DdsService::new(cfg);
             let mut held: Vec<Vec<ShardLease>> = vec![Vec::new(); 4];
 
             for _ in 0..rng.gen_range(0..400u32) {

@@ -3,21 +3,21 @@
 //! [`crate::service`].
 
 use crate::shard::{Shard, ShardId, WorkerId};
-use antdt_telemetry::Counter;
 
-/// Telemetry counters a runtime can attach to a [`crate::DdsService`]. The
-/// service's API is deliberately clock-free, so it counts state transitions
-/// itself and leaves timestamped tracing to its callers.
-#[derive(Debug, Clone, Default)]
-pub struct DdsCounters {
+/// State-transition counts a [`crate::DdsService`] always keeps
+/// ([`crate::DdsService::counts`]). The service's API is deliberately
+/// clock-free, so it counts transitions itself and leaves timestamped
+/// tracing to its callers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DdsCounts {
     /// `fetch` calls that handed out a lease.
-    pub fetch_served: Counter,
+    pub fetch_served: u64,
     /// `fetch` calls that served nothing (drained, all-DOING, or outage).
-    pub fetch_empty: Counter,
+    pub fetch_empty: u64,
     /// Shards reported `DONE`.
-    pub done: Counter,
+    pub done: u64,
     /// Shards requeued `DOING → TODO` (explicit failure or worker death).
-    pub requeued: Counter,
+    pub requeued: u64,
 }
 
 /// Static configuration of the sharding service.

@@ -24,7 +24,7 @@ pub mod window;
 
 pub use events::{ErrorClass, NodeEvent, RetryableError, UnretryableError};
 pub use snapshot::{ClusterInfo, MonitorSnapshot, NodeStats};
-pub use store::{MetricStore, MonitorConfig, MonitorCounters};
+pub use store::{MetricStore, MonitorConfig, MonitorCounts};
 pub use window::BptWindow;
 
 /// Role of a node in the Parameter Server architecture. AllReduce jobs only

@@ -6,7 +6,6 @@ use crate::snapshot::{ClusterInfo, MonitorSnapshot, NodeStats};
 use crate::window::BptWindow;
 use crate::{NodeId, Role};
 use antdt_sim::{SimDuration, SimTime};
-use antdt_telemetry::Counter;
 use std::collections::BTreeMap;
 
 /// Monitor configuration: the two sliding windows of §VI-A2 (defaults from
@@ -39,13 +38,13 @@ struct NodeEntry {
     alive: bool,
 }
 
-/// Telemetry counters for Monitor ingestion.
-#[derive(Debug, Clone, Default)]
-pub struct MonitorCounters {
+/// Ingestion counts a [`MetricStore`] always keeps ([`MetricStore::counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MonitorCounts {
     /// BPT reports ingested.
-    pub bpt_reports: Counter,
+    pub bpt_reports: u64,
     /// Node lifecycle events ingested.
-    pub node_events: Counter,
+    pub node_events: u64,
 }
 
 /// The Monitor's metric store.
@@ -55,7 +54,7 @@ pub struct MetricStore {
     nodes: BTreeMap<NodeId, NodeEntry>,
     events: Vec<NodeEvent>,
     cluster: ClusterInfo,
-    counters: Option<MonitorCounters>,
+    counts: MonitorCounts,
 }
 
 impl MetricStore {
@@ -65,13 +64,13 @@ impl MetricStore {
             nodes: BTreeMap::new(),
             events: Vec::new(),
             cluster: ClusterInfo::default(),
-            counters: None,
+            counts: MonitorCounts::default(),
         }
     }
 
-    /// Attach telemetry counters; subsequent ingestion updates them.
-    pub fn attach_telemetry(&mut self, counters: MonitorCounters) {
-        self.counters = Some(counters);
+    /// Ingestion counts since construction (the telemetry source).
+    pub fn counts(&self) -> MonitorCounts {
+        self.counts
     }
 
     pub fn config(&self) -> MonitorConfig {
@@ -94,9 +93,7 @@ impl MetricStore {
     /// Application-state report from an Agent: one iteration's BPT + batch.
     pub fn report_bpt(&mut self, node: NodeId, t: SimTime, bpt_secs: f64, batch: u64) {
         self.entry(node).window.push(t, bpt_secs, batch);
-        if let Some(c) = &self.counters {
-            c.bpt_reports.inc();
-        }
+        self.counts.bpt_reports += 1;
     }
 
     /// Node-state notification.
@@ -115,9 +112,7 @@ impl MetricStore {
             }
         }
         self.events.push(event);
-        if let Some(c) = &self.counters {
-            c.node_events.inc();
-        }
+        self.counts.node_events += 1;
     }
 
     /// Third-party information update.
@@ -226,10 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn ingestion_counters_track_reports_and_events() {
+    fn ingestion_counts_track_reports_and_events() {
         let mut m = MetricStore::new(cfg());
-        let c = MonitorCounters::default();
-        m.attach_telemetry(c.clone());
         m.report_bpt(NodeId::worker(0), t(1.0), 1.0, 100);
         m.report_bpt(NodeId::worker(1), t(2.0), 1.0, 100);
         m.report_event(NodeEvent::Killed {
@@ -237,8 +230,7 @@ mod tests {
             at: t(3.0),
             class: ErrorClass::Retryable(RetryableError::ProactiveKill),
         });
-        assert_eq!(c.bpt_reports.get(), 2);
-        assert_eq!(c.node_events.get(), 1);
+        assert_eq!(m.counts(), MonitorCounts { bpt_reports: 2, node_events: 1 });
     }
 
     #[test]

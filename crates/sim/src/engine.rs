@@ -12,7 +12,6 @@
 
 use crate::queue::{deadline_key, order_key, Arena, HeapQueue};
 use crate::time::{SimDuration, SimTime};
-use antdt_telemetry::Counter;
 
 /// A deterministic discrete-event engine over an arbitrary event type `E`.
 ///
@@ -38,8 +37,6 @@ pub struct Engine<E> {
     processed: u64,
     /// Events whose requested instant was in the past (clamped to `now`).
     clamped: u64,
-    /// Optional telemetry counters: (events scheduled, events processed).
-    counters: Option<(Counter, Counter)>,
 }
 
 /// A point-in-time capture of an engine: every pending event (with its exact
@@ -99,16 +96,7 @@ impl<E> Engine<E> {
             seq: 0,
             processed: 0,
             clamped: 0,
-            counters: None,
         }
-    }
-
-    /// Attach telemetry counters: `scheduled` increments on every
-    /// [`Engine::schedule`], `processed` on every [`Engine::step`]. Counting
-    /// never affects event ordering, so attaching telemetry cannot perturb a
-    /// deterministic run.
-    pub fn attach_telemetry(&mut self, scheduled: Counter, processed: Counter) {
-        self.counters = Some((scheduled, processed));
     }
 
     /// Current simulated instant (the timestamp of the event being handled).
@@ -121,6 +109,13 @@ impl<E> Engine<E> {
     #[inline]
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Number of events scheduled so far (the insertion sequence; a fork
+    /// inherits it, and [`Engine::clear`] does not reset it).
+    #[inline]
+    pub fn scheduled(&self) -> u64 {
+        self.seq
     }
 
     /// Number of events still pending.
@@ -158,9 +153,6 @@ impl<E> Engine<E> {
         let slot = self.arena.insert(ev);
         self.queue.push(key, slot);
         self.seq += 1;
-        if let Some((scheduled, _)) = &self.counters {
-            scheduled.inc();
-        }
     }
 
     /// Schedule `ev` to fire `delay` after the current instant.
@@ -175,9 +167,6 @@ impl<E> Engine<E> {
         debug_assert!(at >= self.now, "event queue produced non-monotonic time");
         self.now = at;
         self.processed += 1;
-        if let Some((_, processed)) = &self.counters {
-            processed.inc();
-        }
         Some(self.arena.remove(slot))
     }
 
@@ -201,9 +190,6 @@ impl<E> Engine<E> {
             debug_assert!(at >= self.now, "event queue produced non-monotonic time");
             self.now = at;
             self.processed += 1;
-            if let Some((_, processed)) = &self.counters {
-                processed.inc();
-            }
             let ev = self.arena.remove(slot);
             handler(self, ev);
         }
@@ -241,8 +227,7 @@ impl<E> Engine<E> {
     /// events under their original keys, same sequence counter — so the fork
     /// schedules future events with the very sequence numbers the snapshotted
     /// engine would have used, and its trace is byte-identical until the
-    /// driver diverges. Telemetry counters are *not* inherited (attach new
-    /// ones if the fork should count separately).
+    /// driver diverges.
     pub fn fork(snap: &EngineSnapshot<E>) -> Self
     where
         E: Clone,
@@ -350,19 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn attached_counters_track_scheduled_and_processed() {
-        use antdt_telemetry::MetricsRegistry;
-        let reg = MetricsRegistry::new();
+    fn scheduled_and_processed_counts_survive_clear_and_fork() {
         let mut eng: Engine<Ev> = Engine::new();
-        eng.attach_telemetry(reg.counter("sched", &[]), reg.counter("proc", &[]));
         for i in 0..4u32 {
             eng.schedule(SimTime::from_secs_f64(i as f64), Ev::Tick(i));
         }
         eng.run_until(SimTime::from_secs_f64(1.0), |_, _| {});
-        assert_eq!(reg.counter("sched", &[]).get(), 4);
-        assert_eq!(reg.counter("proc", &[]).get(), 2);
-        eng.run(|_, _| {});
-        assert_eq!(reg.counter("proc", &[]).get(), eng.processed());
+        assert_eq!((eng.scheduled(), eng.processed()), (4, 2));
+        let mut fork = Engine::fork(&eng.snapshot());
+        assert_eq!((fork.scheduled(), fork.processed()), (4, 2));
+        fork.schedule(SimTime::from_secs_f64(9.0), Ev::Tick(9));
+        fork.run(|_, _| {});
+        assert_eq!((fork.scheduled(), fork.processed()), (5, 5));
+        eng.clear();
+        assert_eq!((eng.scheduled(), eng.processed()), (4, 2));
     }
 
     #[test]

@@ -76,22 +76,6 @@ impl SchedulerModel {
         SimDuration::from_secs_f64(pending + self.node_init.sample(rng))
     }
 
-    /// [`SchedulerModel::sample_restart_delay`], additionally recording the
-    /// sampled delay (in microseconds) into a telemetry histogram. Sampling is
-    /// identical to the unobserved variant, so telemetry cannot shift the RNG
-    /// stream.
-    #[inline]
-    pub fn sample_restart_delay_observed(
-        &self,
-        now: SimTime,
-        rng: &mut StdRng,
-        hist: &antdt_telemetry::Histogram,
-    ) -> SimDuration {
-        let d = self.sample_restart_delay(now, rng);
-        hist.observe(d.as_micros());
-        d
-    }
-
     /// The expected pending time at `now` — what the Monitor surfaces to the
     /// Controller so AntDT-ND can gate `KILL_RESTART` on cluster busyness.
     pub fn expected_pending_secs(&self, now: SimTime) -> f64 {
@@ -130,20 +114,6 @@ mod tests {
         assert!(busy > idle, "busy {busy} idle {idle}");
         assert!(busy.as_secs_f64() > 600.0);
         assert!(idle.as_secs_f64() < 100.0);
-    }
-
-    #[test]
-    fn observed_sampling_matches_unobserved_stream() {
-        let m = SchedulerModel::paper_default();
-        let reg = antdt_telemetry::MetricsRegistry::new();
-        let h = reg.histogram("restart_us", &[], &[60_000_000]);
-        let mut r1 = StdRng::seed_from_u64(9);
-        let mut r2 = StdRng::seed_from_u64(9);
-        let a = m.sample_restart_delay(SimTime::ZERO, &mut r1);
-        let b = m.sample_restart_delay_observed(SimTime::ZERO, &mut r2, &h);
-        assert_eq!(a, b);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), a.as_micros());
     }
 
     #[test]

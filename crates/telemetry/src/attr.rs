@@ -29,12 +29,12 @@ pub trait AttrSink {
 /// end carrying the node's cumulative microseconds in that cause. One track
 /// per cause, one lane (`tid`) per node.
 pub struct CounterTrackSink<'a> {
-    tracer: &'a SpanTracer,
+    tracer: &'a mut SpanTracer,
     cum: BTreeMap<(u32, String), u64>,
 }
 
 impl<'a> CounterTrackSink<'a> {
-    pub fn new(tracer: &'a SpanTracer) -> Self {
+    pub fn new(tracer: &'a mut SpanTracer) -> Self {
         CounterTrackSink { tracer, cum: BTreeMap::new() }
     }
 }
@@ -65,8 +65,8 @@ mod tests {
 
     #[test]
     fn counter_track_sink_accumulates_per_node_and_cause() {
-        let t = SpanTracer::new();
-        let mut sink = CounterTrackSink::new(&t);
+        let mut t = SpanTracer::new();
+        let mut sink = CounterTrackSink::new(&mut t);
         sink.segment(0, "compute", 0, 100);
         sink.segment(0, "compute", 150, 250);
         sink.segment(1, "compute", 0, 40);

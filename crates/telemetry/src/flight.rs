@@ -4,9 +4,7 @@
 //! event history that led up to it.
 
 use crate::json;
-use crate::lock;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// One recorded event. `seq` is a global record index, so a dump makes clear
 /// how many events preceded the retained window.
@@ -70,61 +68,55 @@ impl FlightDump {
     }
 }
 
-#[derive(Debug)]
-struct FlightInner {
+/// Capacity-bounded recorder; `record` is O(1) and old events are evicted
+/// silently (counted in [`FlightDump::dropped`]). Owned by one job's event
+/// loop, like [`crate::SpanTracer`].
+#[derive(Debug, Clone)]
+pub struct FlightRecorder {
     capacity: usize,
     next_seq: u64,
     dropped: u64,
     ring: VecDeque<FlightEvent>,
 }
 
-/// Capacity-bounded recorder; `record` is O(1) and old events are evicted
-/// silently (counted in [`FlightDump::dropped`]).
-#[derive(Debug)]
-pub struct FlightRecorder {
-    inner: Mutex<FlightInner>,
-}
-
 impl FlightRecorder {
     pub const DEFAULT_CAPACITY: usize = 256;
 
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            inner: Mutex::new(FlightInner {
-                capacity: capacity.max(1),
-                next_seq: 0,
-                dropped: 0,
-                ring: VecDeque::new(),
-            }),
-        }
+        FlightRecorder { capacity: capacity.max(1), next_seq: 0, dropped: 0, ring: VecDeque::new() }
     }
 
-    pub fn record(&self, at_us: u64, category: &str, detail: String) {
-        let mut g = lock(&self.inner);
-        if g.ring.len() == g.capacity {
-            g.ring.pop_front();
-            g.dropped += 1;
+    pub fn record(&mut self, at_us: u64, category: &str, detail: String) {
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
         }
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        g.ring.push_back(FlightEvent { seq, at_us, category: category.to_string(), detail });
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.ring.push_back(FlightEvent { seq, at_us, category: category.to_string(), detail });
     }
 
     pub fn len(&self) -> usize {
-        lock(&self.inner).ring.len()
+        self.ring.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        lock(&self.inner).ring.is_empty()
+        self.ring.is_empty()
+    }
+
+    /// Estimated heap bytes of the ring (slots plus each event's strings) —
+    /// what a clone allocates.
+    pub fn estimate_bytes(&self) -> usize {
+        self.ring.capacity() * std::mem::size_of::<FlightEvent>()
+            + self.ring.iter().map(|e| e.category.capacity() + e.detail.capacity()).sum::<usize>()
     }
 
     /// Snapshot the ring without consuming it.
     pub fn dump(&self, reason: &str) -> FlightDump {
-        let g = lock(&self.inner);
         FlightDump {
             reason: reason.to_string(),
-            dropped: g.dropped,
-            events: g.ring.iter().cloned().collect(),
+            dropped: self.dropped,
+            events: self.ring.iter().cloned().collect(),
         }
     }
 }
@@ -141,7 +133,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let fr = FlightRecorder::new(3);
+        let mut fr = FlightRecorder::new(3);
         for i in 0..5u64 {
             fr.record(i * 10, "event", format!("ev{i}"));
         }
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     fn dump_serializes_to_parseable_json() {
         use crate::json::{self as js, Json};
-        let fr = FlightRecorder::new(8);
+        let mut fr = FlightRecorder::new(8);
         fr.record(1, "lifecycle", "worker \"w0\" start".into());
         let d = fr.dump("completed");
         let v = js::parse(&d.to_json()).expect("flight dump JSON parses");
@@ -170,7 +162,7 @@ mod tests {
 
     #[test]
     fn capacity_is_at_least_one() {
-        let fr = FlightRecorder::new(0);
+        let mut fr = FlightRecorder::new(0);
         fr.record(0, "event", "a".into());
         fr.record(1, "event", "b".into());
         let d = fr.dump("x");

@@ -6,7 +6,9 @@
 //!
 //! * [`MetricsRegistry`] — counters / gauges / fixed-bucket histograms keyed
 //!   by node and component, with a Prometheus text renderer and a JSON
-//!   snapshot. Hot-path updates are single relaxed atomics (no allocation).
+//!   snapshot. A job renders its plain counts into a fresh registry at report
+//!   time; process-level users (the what-if service) update it through
+//!   shared atomic handles.
 //! * [`SpanTracer`] — structured spans and instants exported as Chrome
 //!   trace-event JSON, loadable in Perfetto.
 //! * [`DecisionRecord`] — the Controller decision audit log (window stats,
@@ -34,39 +36,33 @@ pub use flight::{FlightDump, FlightEvent, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, SeriesSnapshot};
 pub use trace::{ChromeTrace, SpanTracer, TraceEvent};
 
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The telemetry bundle a runtime threads through its components. Shared as
-/// `Arc<Telemetry>`; all parts are internally synchronized.
-#[derive(Debug, Default)]
+/// The recording half of one job's telemetry: the span trace and the flight
+/// recorder. Plain data owned by the job's (single-threaded) event loop, so a
+/// clone — a forked job — carries an independent copy of everything recorded
+/// so far. Metrics are not recorded here: the job renders its counts into a
+/// fresh [`MetricsRegistry`] once, at report time.
+#[derive(Debug, Default, Clone)]
 pub struct Telemetry {
-    pub metrics: MetricsRegistry,
     pub tracer: SpanTracer,
     pub flight: FlightRecorder,
 }
 
 impl Telemetry {
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    pub fn with_flight_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(Telemetry {
-            metrics: MetricsRegistry::new(),
-            tracer: SpanTracer::new(),
-            flight: FlightRecorder::new(capacity),
-        })
-    }
-
-    /// Freeze the current state into a [`TelemetryReport`]. The strings are
-    /// pre-rendered so byte-identity across runs can be asserted directly.
-    pub fn report(&self, flight_reason: &str) -> TelemetryReport {
+    /// Freeze the recorded state and `metrics` into a [`TelemetryReport`].
+    /// The strings are pre-rendered so byte-identity across runs can be
+    /// asserted directly.
+    pub fn report(&self, metrics: &MetricsRegistry, flight_reason: &str) -> TelemetryReport {
         TelemetryReport {
-            prometheus: self.metrics.render_prometheus(),
-            metrics_json: self.metrics.snapshot_json(),
+            prometheus: metrics.render_prometheus(),
+            metrics_json: metrics.snapshot_json(),
             chrome_trace: self.tracer.export_json(),
             flight: self.flight.dump(flight_reason),
         }
+    }
+
+    /// Estimated heap bytes of the recorded trace and flight ring.
+    pub fn estimate_bytes(&self) -> usize {
+        self.tracer.estimate_bytes() + self.flight.estimate_bytes()
     }
 }
 
@@ -86,13 +82,6 @@ pub struct TelemetryReport {
     pub flight: FlightDump,
 }
 
-/// Lock `m`. A poisoned lock is recovered rather than propagated, so a
-/// panic elsewhere in the process does not disable telemetry (or any other
-/// caller's shared state).
-pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,14 +89,13 @@ mod tests {
     #[test]
     fn report_is_deterministic_for_identical_activity() {
         let run = || {
-            let t = Telemetry::new();
-            t.metrics.counter("antdt_events_handled_total", &[("runtime", "ps")]).add(12);
-            t.metrics
-                .histogram("antdt_restart_delay_us", &[], &[1_000_000, 60_000_000])
+            let (mut t, reg) = (Telemetry::default(), MetricsRegistry::new());
+            reg.counter("antdt_events_handled_total", &[("runtime", "ps")]).add(12);
+            reg.histogram("antdt_restart_delay_us", &[], &[1_000_000, 60_000_000])
                 .observe(45_000_000);
             t.tracer.complete("compute", "gantt", 0, 2_000_000, 0);
             t.flight.record(2_000_000, "event", "WorkerComputeDone { w: 0 }".into());
-            t.report("completed")
+            t.report(&reg, "completed")
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b);

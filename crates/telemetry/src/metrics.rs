@@ -5,15 +5,22 @@
 //! Registration (name/label lookup) takes a lock and may allocate; the handles
 //! it returns are `Arc<AtomicU64>` cells, so the hot path — `inc` / `add` /
 //! `set` / `observe` on an already-registered handle — is a single relaxed
-//! atomic op with no allocation and no lock. Runtimes register once at job
-//! start and update through the cached handles.
+//! atomic op with no allocation and no lock. Process-level users (the what-if
+//! service) register once and update through the cached handles; a simulated
+//! job keeps plain counts and writes them into a fresh registry once, at
+//! report time.
 
 use crate::json;
-use crate::lock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Lock `m`. A poisoned lock is recovered rather than propagated, so a panic
+/// elsewhere in the process does not disable the registry.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A monotonically increasing counter. Clones share the underlying cell.
 #[derive(Debug, Clone, Default)]

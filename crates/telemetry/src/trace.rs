@@ -6,9 +6,7 @@
 //! bit-for-bit reproducible across same-seed runs.
 
 use crate::json::{self, Json};
-use crate::lock;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// One event in the Chrome trace-event format. Only the fields the viewers
 /// actually consume are modelled: `ph = "X"` (complete span, with `dur`),
@@ -157,10 +155,12 @@ impl ChromeTrace {
     }
 }
 
-/// Collects [`TraceEvent`]s during a run.
-#[derive(Debug, Default)]
+/// Collects [`TraceEvent`]s during a run. Owned by one job's event loop,
+/// so recording takes `&mut self` and a clone (a forked job) carries its
+/// own copy of the events so far.
+#[derive(Debug, Default, Clone)]
 pub struct SpanTracer {
-    events: Mutex<Vec<TraceEvent>>,
+    events: Vec<TraceEvent>,
 }
 
 impl SpanTracer {
@@ -169,8 +169,8 @@ impl SpanTracer {
     }
 
     /// Record a complete span (`ph = "X"`).
-    pub fn complete(&self, name: &str, cat: &str, ts: u64, dur: u64, tid: u32) {
-        lock(&self.events).push(TraceEvent {
+    pub fn complete(&mut self, name: &str, cat: &str, ts: u64, dur: u64, tid: u32) {
+        self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             ph: "X".into(),
@@ -184,8 +184,8 @@ impl SpanTracer {
     }
 
     /// Record an instant event (`ph = "i"`) with optional arguments.
-    pub fn instant(&self, name: &str, cat: &str, ts: u64, tid: u32, args: &[(&str, &str)]) {
-        lock(&self.events).push(TraceEvent {
+    pub fn instant(&mut self, name: &str, cat: &str, ts: u64, tid: u32, args: &[(&str, &str)]) {
+        self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             ph: "i".into(),
@@ -200,8 +200,8 @@ impl SpanTracer {
 
     /// Record a counter sample (`ph = "C"`). Perfetto renders one counter
     /// track per `(name, tid)` pair from the numeric `args.value` payload.
-    pub fn counter(&self, name: &str, cat: &str, ts: u64, tid: u32, value: u64) {
-        lock(&self.events).push(TraceEvent {
+    pub fn counter(&mut self, name: &str, cat: &str, ts: u64, tid: u32, value: u64) {
+        self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             ph: "C".into(),
@@ -215,22 +215,35 @@ impl SpanTracer {
     }
 
     /// Append externally produced events (e.g. a converted Gantt chart).
-    pub fn extend(&self, events: Vec<TraceEvent>) {
-        lock(&self.events).extend(events);
+    pub fn extend(&mut self, events: Vec<TraceEvent>) {
+        self.events.extend(events);
     }
 
     pub fn len(&self) -> usize {
-        lock(&self.events).len()
+        self.events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        lock(&self.events).is_empty()
+        self.events.is_empty()
+    }
+
+    /// Estimated heap bytes of the recorded events (the event buffer plus
+    /// each event's strings and arguments) — what a clone allocates.
+    pub fn estimate_bytes(&self) -> usize {
+        let strings = |e: &TraceEvent| {
+            e.name.capacity()
+                + e.cat.capacity()
+                + e.ph.capacity()
+                + e.args.iter().map(|(k, v)| k.capacity() + v.capacity()).sum::<usize>()
+        };
+        self.events.capacity() * std::mem::size_of::<TraceEvent>()
+            + self.events.iter().map(strings).sum::<usize>()
     }
 
     /// The collected events, stably sorted by timestamp (insertion order breaks
     /// ties, so same-seed runs export identical sequences).
     pub fn export(&self) -> ChromeTrace {
-        let mut evs = lock(&self.events).clone();
+        let mut evs = self.events.clone();
         evs.sort_by_key(|e| e.ts);
         ChromeTrace { trace_events: evs }
     }
@@ -247,7 +260,7 @@ mod tests {
 
     #[test]
     fn export_round_trips_through_chrome_schema() {
-        let t = SpanTracer::new();
+        let mut t = SpanTracer::new();
         t.complete("compute", "gantt", 100, 50, 3);
         t.instant("kill", "lifecycle", 120, 1, &[("node", "w1")]);
         t.counter("attr_wait:sync_wait", "attr", 150, 2, 9_000);
@@ -265,7 +278,7 @@ mod tests {
 
     #[test]
     fn export_sorts_by_timestamp_with_stable_ties() {
-        let t = SpanTracer::new();
+        let mut t = SpanTracer::new();
         t.instant("b", "x", 200, 0, &[]);
         t.instant("a1", "x", 100, 0, &[]);
         t.instant("a2", "x", 100, 0, &[]);

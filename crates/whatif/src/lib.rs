@@ -26,9 +26,10 @@
 //! Suffix finishes and unavoidable full reruns fan out over the `antdt-par`
 //! work-stealing pool in input order, so every answer is **byte-identical**
 //! to a serial full rerun of the perturbed config — the differential tests
-//! and the `whatif` bench assert this via `JobReport::golden_dump`.
-//! Telemetry-armed configs always take the full-rerun path (forks share
-//! telemetry counters), so arming the service changes no existing behavior.
+//! and the `whatif` bench assert this via `JobReport::golden_dump`. A fork
+//! carries the telemetry its prefix recorded, so telemetry-armed configs
+//! fork like any other and their answers carry the same `TelemetryReport`
+//! a rerun renders.
 
 mod cache;
 
@@ -58,8 +59,7 @@ pub enum AnswerSource {
     /// Forked a prefix at the divergence instant; `from_cache` says whether
     /// the prefix was seeded from a cached snapshot (vs built fresh).
     Forked { from_cache: bool },
-    /// Full rerun: no divergence mark, a mark at time zero, or a
-    /// telemetry-armed config.
+    /// Full rerun: no divergence mark, or a mark at time zero.
     FullRerun,
 }
 
@@ -263,7 +263,7 @@ impl WhatIfService {
             }
             let perts: Vec<Perturbation> =
                 todo.iter().map(|&qi| queries[qi].perturbation).collect();
-            let plan = plan_replays(cfg, &self.bases[&digest], &perts);
+            let plan = plan_replays(&self.bases[&digest], &perts);
 
             // The shared prefix only ever advances forward; the plan sorted
             // the forkable queries by divergence instant to match.
@@ -351,9 +351,7 @@ impl WhatIfService {
     /// advance fires exactly the events `Job::run` fires, so the report is
     /// byte-identical to an un-spined base run.
     fn run_base_with_spine(&mut self, digest: u128, cfg: &JobConfig) -> JobReport {
-        if cfg.telemetry || self.cfg.spine_every == SimDuration::ZERO {
-            // Telemetry-armed configs cannot fork (shared counters); no
-            // spine, and every query against them full-reruns.
+        if self.cfg.spine_every == SimDuration::ZERO {
             return Job::run(cfg.clone());
         }
         let mut run = PrefixRun::new(cfg);

@@ -113,6 +113,23 @@ if [ -n "$offenders" ]; then
     fail "membership transitions constructed outside crates/core/src/runtime: $offenders"
 fi
 
+# A job is single-threaded: its DES loop runs on one thread, and threads
+# meet only at `par_map` joins, where whole jobs (or their reports) move
+# between workers. So the state inside a job — engine, DDS, Monitor, Agents,
+# the runtime kernel, the span tracer and flight recorder — is plain owned
+# data: no locks and no atomics. Shared handles would also make a forked job
+# write into its parent's state.
+lockfree_files=$(find crates/sim/src crates/dds/src crates/monitor/src crates/agent/src \
+    crates/core/src/runtime -name '*.rs' | sort)
+lockfree_files="$lockfree_files crates/telemetry/src/trace.rs crates/telemetry/src/flight.rs"
+hits=$(for f in $lockfree_files; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E '\b(Mutex|RwLock)\b|std::sync::atomic' || true)
+if [ -n "$hits" ]; then
+    fail "lock or atomic inside a job's state (a job is single-threaded; threads meet only at par_map joins):
+$hits"
+fi
+
 # ---- 2. Bus seam inside runtime/ -------------------------------------------
 
 # Endpoint constructors and methods that only runtime/bus.rs may touch.

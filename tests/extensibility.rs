@@ -8,8 +8,10 @@ use antdt::controller::{
     AdaptiveBackupWorkers, Composite, KillRestartOnly, LbBsp, MitigationPolicy,
 };
 use antdt::core::{
-    ps_run_with_policy, FailoverMode, FaultConfig, Job, JobConfig, MitigationChoice,
+    ps_run_with_policy, ChaosInjection, FailoverMode, InjectedFault, Job, JobConfig,
+    MitigationChoice,
 };
+use antdt::sim::rng::StdRng;
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
 
@@ -59,13 +61,21 @@ fn custom_composite_solution_beats_native_bsp() {
 
 #[test]
 fn faults_failover_modes_and_custom_policy_compose() {
-    // Everything at once: background faults, checkpoint-replay recovery, and
-    // a custom policy — the framework must still complete with exact
-    // accounting.
+    // Everything at once: seeded worker failures, checkpoint-replay
+    // recovery, and a custom policy — the framework must still complete with
+    // exact accounting. The kills land inside the first ~3/4 of the clean
+    // run (~600 s).
     let scenario = Scenario::WorkerTransient { intensity: 0.5 };
+    let mut rng = StdRng::seed_from_u64(400);
+    let kills = (0..8)
+        .map(|_| ChaosInjection {
+            at_secs: rng.gen_range(30.0..450.0),
+            fault: InjectedFault::KillWorker { w: rng.gen_range(0..8u32) },
+        })
+        .collect();
     let config = cfg(scenario)
         .with_failover_mode(FailoverMode::Replay)
-        .with_faults(FaultConfig { worker_mtbf: SimDuration::from_secs(400), server_mtbf: None })
+        .with_injections(kills)
         .with_mitigation(MitigationChoice::LbBsp);
     let r = Job::run(config);
     assert!(!r.timed_out);

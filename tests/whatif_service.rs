@@ -1,12 +1,13 @@
 //! Differential correctness of the what-if query service: for random query
 //! batches over the eight golden fixture configs, every answer the
 //! cached/forked/memoized service produces must be byte-identical (via
-//! `JobReport::golden_dump`) to a naive per-query full rerun — including the
-//! cache-eviction and snapshot-spine paths, which only change *how much
-//! simulation* an answer costs, never the answer.
+//! `JobReport::golden_dump`, plus the rendered telemetry) to a naive
+//! per-query full rerun — including the cache-eviction and snapshot-spine
+//! paths, which only change *how much simulation* an answer costs, never the
+//! answer.
 
 use antdt::core::{
-    apply_perturbation, ChaosInjection, InjectedFault, Job, JobConfig, MitigationChoice,
+    apply_perturbation, ChaosInjection, InjectedFault, Job, JobConfig, JobReport, MitigationChoice,
     Perturbation,
 };
 use antdt::sim::rng::StdRng;
@@ -122,8 +123,14 @@ fn perturbation(i: usize, cfg: &JobConfig) -> Perturbation {
 }
 
 /// The answer the service must reproduce byte-for-byte.
-fn naive(cfg: &JobConfig, p: &Perturbation) -> String {
-    Job::run(apply_perturbation(cfg.clone(), p)).golden_dump()
+fn naive(cfg: &JobConfig, p: &Perturbation) -> JobReport {
+    Job::run(apply_perturbation(cfg.clone(), p))
+}
+
+/// `answer` equals `naive`: the golden dump and the rendered telemetry.
+fn assert_same_report(answer: &JobReport, naive: &JobReport, ctx: &str) {
+    assert_eq!(answer.golden_dump(), naive.golden_dump(), "{ctx}: golden dump diverged");
+    assert_eq!(answer.telemetry, naive.telemetry, "{ctx}: telemetry diverged");
 }
 
 /// A job whose divergence sources all engage strictly after t=0 (worker 3
@@ -157,12 +164,8 @@ fn check_batch(service: &mut WhatIfService, queries: &[WhatIfQuery], ctx: &str) 
     let answers = service.answer_batch(queries);
     assert_eq!(answers.len(), queries.len(), "{ctx}: one answer per query");
     for (q, a) in queries.iter().zip(&answers) {
-        assert_eq!(
-            a.report.golden_dump(),
-            naive(&q.cfg, &q.perturbation),
-            "{ctx}: service answer for {:?} diverged from naive full rerun",
-            q.perturbation,
-        );
+        let what = format!("{ctx}: service answer for {:?} vs naive full rerun", q.perturbation);
+        assert_same_report(&a.report, &naive(&q.cfg, &q.perturbation), &what);
     }
 }
 
@@ -239,36 +242,47 @@ fn repeated_batches_are_memoized_and_cache_backed() {
 
 /// A cache squeezed far below one batch's snapshot footprint keeps evicting
 /// — and the answers still match naive reruns (eviction only costs speed).
+/// A telemetry-armed config's snapshots also carry its trace and flight
+/// ring, and the byte bound holds for them too.
 #[test]
 fn eviction_under_a_tiny_budget_preserves_answers() {
-    let cfg = forkable_cfg();
-    let queries: Vec<WhatIfQuery> = (0..4)
-        .map(|w| WhatIfQuery { cfg: cfg.clone(), perturbation: Perturbation::HealthyNode(w) })
-        .collect();
-    let budget = 64 << 10;
-    let mut service = WhatIfService::new(ServiceConfig {
-        cache_budget_bytes: budget,
-        spine_every: SimDuration::from_secs(45),
-        cache_fork_points: true,
-    });
-    check_batch(&mut service, &queries, "64 KiB budget");
-    let stats = service.cache_stats();
-    assert!(
-        stats.evictions > 0 || stats.oversize_rejections > 0,
-        "a 64 KiB budget must have forced evictions or oversize rejections: {stats:?}"
-    );
-    assert!(service.cache_bytes() <= budget, "the byte bound must hold after the batch");
+    for cfg in [forkable_cfg(), forkable_cfg().with_telemetry()] {
+        let ctx = format!("64 KiB budget, telemetry {}", cfg.telemetry);
+        let queries: Vec<WhatIfQuery> = (0..4)
+            .map(|w| WhatIfQuery { cfg: cfg.clone(), perturbation: Perturbation::HealthyNode(w) })
+            .collect();
+        let budget = 64 << 10;
+        let mut service = WhatIfService::new(ServiceConfig {
+            cache_budget_bytes: budget,
+            spine_every: SimDuration::from_secs(45),
+            cache_fork_points: true,
+        });
+        check_batch(&mut service, &queries, &ctx);
+        let stats = service.cache_stats();
+        assert!(
+            stats.evictions > 0 || stats.oversize_rejections > 0,
+            "{ctx}: must have forced evictions or oversize rejections: {stats:?}"
+        );
+        assert!(service.cache_bytes() <= budget, "{ctx}: the byte bound must hold");
+    }
 }
 
-/// Telemetry-armed configs cannot fork (shared counters): every query takes
-/// the full-rerun path and the answers still match naive reruns.
+/// A telemetry-armed query whose perturbation bites after t=0 forks like
+/// any other, and its whole report — the rendered telemetry included —
+/// equals a naive rerun's.
 #[test]
-fn telemetry_armed_configs_full_rerun() {
-    let cfg = bsp().with_telemetry();
-    let queries =
-        vec![WhatIfQuery { cfg: cfg.clone(), perturbation: Perturbation::HealthyNode(3) }];
+fn telemetry_armed_queries_fork_and_match_naive_reruns() {
+    let cfg = forkable_cfg().with_telemetry();
+    let query = WhatIfQuery { cfg: cfg.clone(), perturbation: Perturbation::HealthyNode(3) };
     let mut service = WhatIfService::new(ServiceConfig::default());
-    let answers = service.answer_batch(&queries);
-    assert_eq!(answers[0].source, AnswerSource::FullRerun);
-    assert_eq!(answers[0].report.golden_dump(), naive(&cfg, &queries[0].perturbation));
+    let answer = service.answer(&query);
+    assert!(
+        matches!(answer.source, AnswerSource::Forked { .. }),
+        "a telemetry-armed query with a divergence mark must fork: {:?}",
+        answer.source
+    );
+    assert!(answer.prefix_events > 0, "the fork inherits its prefix");
+    let want = naive(&cfg, &query.perturbation);
+    assert!(want.telemetry.is_some());
+    assert_same_report(&answer.report, &want, "telemetry-armed fork");
 }
