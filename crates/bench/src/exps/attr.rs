@@ -28,6 +28,9 @@ pub(crate) struct ForkShare {
     pub forked: usize,
     /// Answers that needed a full rerun.
     pub full_reruns: usize,
+    /// Answers served from a report the service already held (an edit that
+    /// leaves the config unchanged, or a repeat).
+    pub held: usize,
     /// Events the forked answers inherited from a shared prefix.
     pub prefix_events: u64,
     /// Events the forked answers report (prefix + suffix).
@@ -36,7 +39,8 @@ pub(crate) struct ForkShare {
 
 impl ForkShare {
     pub fn of(answers: &[WhatIfAnswer]) -> Self {
-        let mut s = ForkShare { forked: 0, full_reruns: 0, prefix_events: 0, total_events: 0 };
+        let mut s =
+            ForkShare { forked: 0, full_reruns: 0, held: 0, prefix_events: 0, total_events: 0 };
         for a in answers {
             match a.source {
                 AnswerSource::Forked { .. } => {
@@ -45,7 +49,7 @@ impl ForkShare {
                     s.total_events += a.report.events_processed;
                 }
                 AnswerSource::FullRerun => s.full_reruns += 1,
-                AnswerSource::Memo => {}
+                AnswerSource::Memo => s.held += 1,
             }
         }
         s
@@ -175,10 +179,12 @@ pub fn attr() -> String {
     out.push_str(&table(&rows));
     let _ = writeln!(
         out,
-        "  replay: {} forked / {} full reruns ({:.0}% of forked events inherited from \
-         the shared prefix)",
+        "  replay: {} forked / {} full rerun{} / {} from a held report ({:.0}% of forked \
+         events inherited from the shared prefix)",
         fork_stats.forked,
         fork_stats.full_reruns,
+        if fork_stats.full_reruns == 1 { "" } else { "s" },
+        fork_stats.held,
         fork_stats.prefix_share() * 100.0,
     );
     let _ = writeln!(

@@ -11,7 +11,9 @@
 //!
 //! 1. **Memo store** — a repeated `(config digest, perturbation)` query —
 //!    across batches or within one — returns its memoized [`JobReport`]
-//!    without simulating anything.
+//!    without simulating anything. So does a query whose edit leaves a
+//!    config the service already holds a base report for: equal config
+//!    digests mean the same simulated schedule.
 //! 2. **Snapshot cache** — an LRU, byte-budgeted store of advanced prefix
 //!    runs keyed by `(config digest, instant)` with nearest-predecessor
 //!    lookup ([`SnapshotCache`]); a query forks the closest cached snapshot
@@ -23,13 +25,15 @@
 //!    monotonically-advancing prefix at their (sorted) divergence instants
 //!    and only simulate their suffixes.
 //!
-//! Suffix finishes and unavoidable full reruns fan out over the `antdt-par`
-//! work-stealing pool in input order, so every answer is **byte-identical**
-//! to a serial full rerun of the perturbed config — the differential tests
-//! and the `whatif` bench assert this via `JobReport::golden_dump`. A fork
-//! carries the telemetry its prefix recorded, so telemetry-armed configs
-//! fork like any other and their answers carry the same `TelemetryReport`
-//! a rerun renders.
+//! A query with no divergence mark (or one at t = 0) cannot fork. An edit
+//! that leaves the config unchanged is answered from the held report; other
+//! non-forkable edits full-rerun. Suffix finishes and those full reruns fan
+//! out over the `antdt-par` work-stealing pool in input order, so every
+//! answer is **byte-identical** to a serial full rerun of the perturbed
+//! config — the differential tests and the `whatif` bench assert this via
+//! `JobReport::golden_dump`. A fork carries the telemetry its prefix
+//! recorded, so telemetry-armed configs fork like any other and their
+//! answers carry the same `TelemetryReport` a rerun renders.
 
 mod cache;
 
@@ -54,12 +58,16 @@ pub struct WhatIfQuery {
 /// How the service produced an answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AnswerSource {
-    /// This exact `(config, perturbation)` was answered before.
+    /// Answered from a report the service already held: this exact
+    /// `(config, perturbation)` was answered before, or the edit leaves a
+    /// config whose digest matches a held base report (e.g. healing a node
+    /// that was never contended).
     Memo,
     /// Forked a prefix at the divergence instant; `from_cache` says whether
     /// the prefix was seeded from a cached snapshot (vs built fresh).
     Forked { from_cache: bool },
-    /// Full rerun: no divergence mark, or a mark at time zero.
+    /// Full rerun: no divergence mark, or a mark at time zero, and the
+    /// edited config matches no held report.
     FullRerun,
 }
 
@@ -140,6 +148,7 @@ enum WorkItem {
 }
 
 /// An answer slot before the reports come home.
+#[derive(Clone)]
 enum Pending {
     Memo(Box<JobReport>),
     /// Index into the fan-out work list.
@@ -267,7 +276,7 @@ impl WhatIfService {
 
             // The shared prefix only ever advances forward; the plan sorted
             // the forkable queries by divergence instant to match.
-            let mut planned: Vec<Option<(usize, AnswerSource)>> = vec![None; todo.len()];
+            let mut planned: Vec<Option<Pending>> = vec![None; todo.len()];
             let mut cursor: Option<(bool, PrefixRun)> = None;
             for &(ti, t) in &plan.forkable {
                 // Events AT the divergence instant belong to the suffix.
@@ -283,22 +292,34 @@ impl WhatIfService {
                 }
                 let branch = run.fork_perturbed(&perts[ti]);
                 let prefix_events = branch.processed();
-                planned[ti] = Some((work.len(), AnswerSource::Forked { from_cache: *from_cache }));
+                let source = AnswerSource::Forked { from_cache: *from_cache };
+                planned[ti] = Some(Pending::Work { item: work.len(), source });
                 work.push(WorkItem::Branch { run: branch, prefix_events });
             }
             for &ti in &plan.full_reruns {
-                planned[ti] = Some((work.len(), AnswerSource::FullRerun));
-                work.push(WorkItem::Rerun(Box::new(apply_perturbation(cfg.clone(), &perts[ti]))));
+                let edited = apply_perturbation(cfg.clone(), &perts[ti]);
+                // Equal digests mean the same simulated schedule, so an edit
+                // that leaves the config unchanged (or turns it into another
+                // held trace) is answered from the held report.
+                planned[ti] = Some(match self.bases.get(&config_digest(&edited)) {
+                    Some(report) => {
+                        self.memo.insert((digest, perts[ti]), report.clone());
+                        Pending::Memo(Box::new(report.clone()))
+                    }
+                    None => {
+                        work.push(WorkItem::Rerun(Box::new(edited)));
+                        Pending::Work { item: work.len() - 1, source: AnswerSource::FullRerun }
+                    }
+                });
             }
             for (qi, ti) in member_slots {
-                let (item, source) = planned[ti].expect("every todo slot was planned");
                 // The first occurrence owns the work item (and memoizes its
                 // report); repeats are in-batch memo hits on that report.
-                pending[qi] = Some(if todo[ti] == qi {
-                    Pending::Work { item, source }
-                } else {
-                    Pending::Shared { item }
-                });
+                pending[qi] =
+                    Some(match planned[ti].as_ref().expect("every todo slot was planned") {
+                        &Pending::Work { item, .. } if todo[ti] != qi => Pending::Shared { item },
+                        slot => slot.clone(),
+                    });
             }
         }
 

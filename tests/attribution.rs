@@ -371,18 +371,50 @@ fn forked_what_if_table_matches_the_full_table() {
     assert!(share > 0.0 && share < 1.0, "prefix share {share} outside (0, 1)");
 }
 
-/// A perturbation whose mechanism never engages records no divergence and
-/// falls back to a full rerun — which equals the baseline schedule.
+/// A perturbation whose mechanism never engages records no divergence. When
+/// its edit leaves the config unchanged, the service answers it from the
+/// base report it already holds: nothing is simulated, and the answer still
+/// equals a naive rerun of the edited config.
 #[test]
-fn unengaged_perturbation_falls_back_to_a_full_rerun() {
+fn unchanged_config_edit_is_answered_from_the_base_report() {
     // `straggler_job` keeps the default Ideal control channel, so
-    // ZeroControlLatency never bites and no divergence is recorded.
+    // ZeroControlLatency never bites and leaves the config as it was.
     let (cfg, _) = straggler_job();
     let base = Job::run(cfg.clone());
     assert!(base.divergence.control_modeled.is_none());
     let perturbations = [Perturbation::ZeroControlLatency];
     let answers = answer_all(&cfg, &perturbations);
+    assert_eq!(answers[0].source, AnswerSource::Memo);
+    assert_eq!((answers[0].prefix_events, answers[0].suffix_events), (0, 0));
+    let naive = antdt::core::run_what_if(&cfg, &perturbations[0]);
+    assert_eq!(answers[0].report.golden_dump(), naive.golden_dump());
+    let rows = antdt::core::counterfactual_rows(&base, &perturbations, [&answers[0].report]);
+    assert_eq!(rows[0].measured_delta_us, 0, "an unengaged edit must not move JCT");
+}
+
+/// An edit that changes the config but never engages records no divergence
+/// either, and matches no held report, so it falls back to a full rerun.
+#[test]
+fn changed_but_unengaged_edit_falls_back_to_a_full_rerun() {
+    let late = 2u32;
+    let mut cfg =
+        ps_base(JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)).with_attribution();
+    cfg.cluster.workers[late as usize].profile.phases.push(
+        antdt::sim::ContentionPhase::Persistent {
+            delay_secs: 4.0,
+            from: antdt::sim::SimTime::from_secs_f64(100_000.0),
+            to: antdt::sim::SimTime::MAX,
+        },
+    );
+    let base = Job::run(cfg.clone());
+    assert!(base.jct.as_secs_f64() < 100_000.0, "the phase must start after the job ends");
+    assert!(base.divergence.worker_contended[late as usize].is_none());
+    let perturbations = [Perturbation::HealthyNode(late)];
+    let answers = answer_all(&cfg, &perturbations);
     assert_eq!(answers[0].source, AnswerSource::FullRerun);
+    let naive = antdt::core::run_what_if(&cfg, &perturbations[0]);
+    assert_eq!(answers[0].report.golden_dump(), naive.golden_dump());
+    assert_eq!(answers[0].suffix_events, naive.events_processed);
     let rows = antdt::core::counterfactual_rows(&base, &perturbations, [&answers[0].report]);
     assert_eq!(rows[0].measured_delta_us, 0, "an unengaged edit must not move JCT");
 }

@@ -286,3 +286,78 @@ fn telemetry_armed_queries_fork_and_match_naive_reruns() {
     assert!(want.telemetry.is_some());
     assert_same_report(&answer.report, &want, "telemetry-armed fork");
 }
+
+/// A batch mixing a no-op edit (healing worker 0, which is never
+/// contended), two forkable edits and an in-batch repeat of the no-op:
+/// every answer equals the naive rerun, the no-op is answered from the held
+/// base report without simulating anything, and a later batch answers it
+/// from the memo.
+#[test]
+fn unchanged_config_edits_are_answered_from_the_held_base_report() {
+    use antdt::telemetry::MetricsRegistry;
+    let cfg = forkable_cfg();
+    assert!(cfg.cluster.workers[0].profile.phases.is_empty());
+    let noop = Perturbation::HealthyNode(0);
+    let queries: Vec<WhatIfQuery> =
+        [noop, Perturbation::HealthyNode(3), Perturbation::NoCkptStalls, noop]
+            .into_iter()
+            .map(|perturbation| WhatIfQuery { cfg: cfg.clone(), perturbation })
+            .collect();
+    let reg = MetricsRegistry::new();
+    let mut service = WhatIfService::new(ServiceConfig::default());
+    service.attach_telemetry(&reg);
+    let counter = |name| reg.counter(name, &[]).get();
+
+    let first = service.answer_batch(&queries);
+    for (q, a) in queries.iter().zip(&first) {
+        let what = format!("first batch: {:?}", q.perturbation);
+        assert_same_report(&a.report, &naive(&q.cfg, &q.perturbation), &what);
+    }
+    let sources: Vec<AnswerSource> = first.iter().map(|a| a.source).collect();
+    assert_eq!(sources[0], AnswerSource::Memo, "the no-op edit must not simulate");
+    assert_eq!(sources[3], AnswerSource::Memo, "the in-batch repeat must not simulate");
+    assert!(sources[1..3].iter().all(|s| matches!(s, AnswerSource::Forked { .. })), "{sources:?}");
+    for a in [&first[0], &first[3]] {
+        assert_eq!((a.prefix_events, a.suffix_events), (0, 0), "the no-op simulates nothing");
+        assert_eq!(a.report.golden_dump(), service.base_report(&cfg).golden_dump());
+    }
+    assert_eq!(counter("antdt_whatif_full_reruns_total"), 0);
+    assert_eq!(counter("antdt_whatif_memo_hits_total"), 2);
+
+    let again = service.answer(&queries[0]);
+    assert_eq!(again.source, AnswerSource::Memo);
+    assert_eq!((again.prefix_events, again.suffix_events), (0, 0));
+    assert_eq!(again.report.golden_dump(), first[0].report.golden_dump());
+    assert_eq!(counter("antdt_whatif_full_reruns_total"), 0);
+}
+
+/// Trace B is trace A with worker 1's phases stripped, and A's contention
+/// on worker 1 bites from t = 0, so healing it cannot fork. Once B's base is
+/// held, `(A, HealthyNode(1))` is answered from it; without B it reruns.
+#[test]
+fn an_edit_equal_to_another_held_trace_is_answered_from_its_base() {
+    use antdt::sim::{ContentionPhase, SimTime};
+    let trace_b = forkable_cfg();
+    assert!(trace_b.cluster.workers[1].profile.phases.is_empty());
+    let mut trace_a = trace_b.clone();
+    trace_a.cluster.workers[1].profile.phases.push(ContentionPhase::Persistent {
+        delay_secs: 2.0,
+        from: SimTime::ZERO,
+        to: SimTime::MAX,
+    });
+    let query = WhatIfQuery { cfg: trace_a.clone(), perturbation: Perturbation::HealthyNode(1) };
+    let want = naive(&trace_a, &query.perturbation);
+
+    let mut cold = WhatIfService::new(ServiceConfig::default());
+    let rerun = cold.answer(&query);
+    assert_eq!(rerun.source, AnswerSource::FullRerun, "without B held, the edit must rerun");
+    assert_same_report(&rerun.report, &want, "full rerun");
+
+    let mut service = WhatIfService::new(ServiceConfig::default());
+    let base_b = service.base_report(&trace_b).golden_dump();
+    let answer = service.answer(&query);
+    assert_eq!(answer.source, AnswerSource::Memo, "B's held base must answer A's edit");
+    assert_eq!((answer.prefix_events, answer.suffix_events), (0, 0));
+    assert_same_report(&answer.report, &want, "cross-trace answer");
+    assert_eq!(answer.report.golden_dump(), base_b);
+}
