@@ -13,8 +13,7 @@
 //!    agreement percentage is the headline number (the job-level test
 //!    ratchets it at 15%).
 
-use super::kernel::timed;
-use crate::util::{header, secs, table};
+use crate::util::{header, secs, table, timed};
 use antdt_core::{JobConfig, MitigationChoice, Perturbation};
 use antdt_sim::SimDuration;
 use antdt_whatif::{AnswerSource, ServiceConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};

@@ -7,8 +7,7 @@
 //! sweep is the paper's Fig. 17 contrast: replayed work grows with the
 //! interval, DDS recovery replays nothing.
 
-use super::kernel::timed;
-use crate::util::{header, secs, table};
+use crate::util::{header, secs, table, timed};
 use antdt_core::{
     ChaosInjection, CkptConfig, CkptPolicy, FailoverMode, InjectedFault, JobConfig,
     MitigationChoice, StorageTier,

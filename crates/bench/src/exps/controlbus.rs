@@ -1,10 +1,7 @@
-//! The control-bus refactor benchmark: Ideal-channel JCT/event parity
-//! against the golden traces of the pre-bus direct-call loop, plus the cost of control-plane
-//! latency — JCT as a function of the modeled Monitor→Controller→Agent
-//! channel delay on a non-dedicated PS job.
+//! The cost of control-plane latency: JCT as a function of the modeled
+//! Monitor→Controller→Agent channel delay on a non-dedicated PS job.
 
-use super::kernel::{fixture, golden_parity, timed};
-use crate::util::{header, secs, table};
+use crate::util::{header, secs, table, timed};
 use antdt_core::{DirectiveFate, JobConfig, MitigationChoice};
 use antdt_sim::{ControlChannel, SimDuration};
 use antdt_workloads::cluster::cluster_a_scaled;
@@ -40,61 +37,11 @@ fn channel_for(latency_secs: f64) -> ControlChannel {
 }
 
 pub fn controlbus() -> String {
-    let mut out = header(
-        "controlbus",
-        "Control bus: Ideal-channel parity vs the pre-bus loop + JCT vs control latency",
-    );
+    let mut out = header("controlbus", "Control bus: JCT vs control-plane latency");
     const REPS: usize = 2;
 
-    // -- 1. Parity: the bus in Ideal mode must reproduce the pre-bus traces
-    //    bit-for-bit on the golden fixture configs (same ratchet as `kernel`,
-    //    with the channel made explicit).
-    let mut rows = vec![vec![
-        "fixture".into(),
-        "JCT (sim)".into(),
-        "events".into(),
-        "golden".into(),
-        "parity".into(),
-        "wall".into(),
-    ]];
-    let mut json_parity = String::new();
-    let mut all_match = true;
-    for (name, golden_jct_us, golden_events) in golden_parity() {
-        let (wall, r) = timed(REPS, || fixture(name).with_control_channel(ControlChannel::Ideal));
-        let parity = r.jct.as_micros() == golden_jct_us && r.events_processed == golden_events;
-        all_match &= parity;
-        rows.push(vec![
-            name.into(),
-            secs(r.jct.as_secs_f64()),
-            r.events_processed.to_string(),
-            format!("{:.3}s / {golden_events}", golden_jct_us as f64 / 1e6),
-            if parity { "MATCH".into() } else { "DIVERGED".into() },
-            format!("{:.4}s", wall),
-        ]);
-        let _ = write!(
-            json_parity,
-            concat!(
-                "{{\"fixture\":\"{}\",\"jct_micros\":{},\"events\":{},",
-                "\"golden_jct_micros\":{},\"golden_events\":{},\"parity\":{}}},"
-            ),
-            name,
-            r.jct.as_micros(),
-            r.events_processed,
-            golden_jct_us,
-            golden_events,
-            parity,
-        );
-    }
-    out.push_str(&table(&rows));
-    let _ = writeln!(
-        out,
-        "  parity: {} (Ideal channel reproduces the pre-bus direct-call traces)",
-        if all_match { "all fixtures MATCH" } else { "DIVERGENCE — see table" }
-    );
-
-    // -- 2. JCT vs control latency on the non-dedicated PS job: how much a
-    //    slow control plane erodes the mitigation win. The directive audit
-    //    shows the traffic the channel carried.
+    // How much a slow control plane erodes the mitigation win. The
+    // directive audit shows the traffic the channel carried.
     let mut rows = vec![vec![
         "latency".into(),
         "JCT (sim)".into(),
@@ -152,11 +99,8 @@ pub fn controlbus() -> String {
 
     // Machine-readable artifact (hand-rendered: the workspace has no serde).
     let json = format!(
-        "{{\"experiment\":\"controlbus\",\"reps\":{},\"parity\":{},\
-         \"fixtures\":[{}],\"latency_sweep\":[{}]}}\n",
+        "{{\"experiment\":\"controlbus\",\"reps\":{},\"latency_sweep\":[{}]}}\n",
         REPS,
-        all_match,
-        json_parity.trim_end_matches(','),
         json_sweep.trim_end_matches(','),
     );
     crate::util::write_artifact(&mut out, "BENCH_controlbus.json", &json);

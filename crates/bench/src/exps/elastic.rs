@@ -5,8 +5,7 @@
 //! must stay near 1/n of the queued backlog (minimal movement), not the ~all
 //! a naive modulo re-shard would pay.
 
-use super::kernel::timed;
-use crate::util::{header, secs, table};
+use crate::util::{header, secs, table, timed};
 use antdt_core::{ChaosInjection, InjectedFault, JobConfig, MitigationChoice};
 use antdt_sim::SimDuration;
 use antdt_workloads::cluster::cluster_a_scaled;

@@ -4,15 +4,14 @@
 //!
 //! Grouped by evaluation section: `motivation` (Figs. 1–9), `nd`
 //! (AntDT-ND, Figs. 10–14), `framework` (AntDT-DD + framework properties,
-//! Figs. 15–19 and Table III), `ops` (integrity, solver, ablations, chaos,
-//! telemetry) and `kernel` (runtime-kernel refactor parity + throughput).
+//! Figs. 15–19 and Table III) and `ops` (integrity, solver, ablations,
+//! chaos).
 
 mod attr;
 mod ckpt;
 mod controlbus;
 mod elastic;
 mod framework;
-mod kernel;
 mod motivation;
 mod nd;
 mod ops;
@@ -24,10 +23,9 @@ pub use ckpt::ckpt;
 pub use controlbus::controlbus;
 pub use elastic::elastic;
 pub use framework::{fig15, fig16, fig17, fig18, fig19, tab3};
-pub use kernel::kernel;
 pub use motivation::{fig1, fig2, fig3, fig7, fig8, fig9};
 pub use nd::{fig10, fig11, fig12, fig13, fig14};
-pub use ops::{ablate, chaos, integrity, solver, telemetry};
+pub use ops::{ablate, chaos, integrity, solver};
 pub use perf::perf;
 pub use whatif::whatif;
 

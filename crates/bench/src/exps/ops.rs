@@ -2,7 +2,7 @@
 //! design-choice ablations, the chaos-drill matrix and telemetry overhead.
 
 use super::{criteo_job, WORKER_SI};
-use crate::util::{header, pct, secs, table};
+use crate::util::{header, secs, table};
 use antdt_controller::solve::AffineCost;
 use antdt_controller::{grad_accum_allocation, minmax_batch_allocation, Eq4Class, Eq4Config};
 use antdt_core::{ExecutionMode, Job, JobConfig, JobReport, MitigationChoice};
@@ -285,93 +285,5 @@ pub fn chaos() -> String {
             "FAIL"
         }
     );
-    out
-}
-
-/// Telemetry overhead on the README quickstart workload: the identical job with
-/// instrumentation off vs on, best-of-N wall times. Emits
-/// `target/BENCH_telemetry.json` with events/sec and the wall-time delta.
-pub fn telemetry() -> String {
-    let mut out =
-        header("telemetry", "Telemetry overhead: quickstart workload, instrumentation off vs on");
-    let base = || {
-        JobConfig::ps_bsp(
-            antdt_workloads::cluster::cluster_a_scaled(8, 4),
-            Scenario::WorkerMix { intensity: 0.8 },
-        )
-        .with_model(ModelProfile::xdeepfm())
-        .with_global_batch(16_384)
-        .with_samples(8_000_000)
-        .with_batches_per_shard(20)
-        .with_mitigation(MitigationChoice::AntDtNd)
-    };
-
-    const REPS: usize = 3;
-    fn best_of(reps: usize, mk: impl Fn() -> JobConfig) -> (f64, JobReport) {
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..reps {
-            let t0 = std::time::Instant::now();
-            let r = Job::run(mk());
-            best = best.min(crate::util::elapsed_secs(t0));
-            last = Some(r);
-        }
-        (best, last.expect("reps >= 1"))
-    }
-    let (wall_off, plain) = best_of(REPS, base);
-    let (wall_on, instrumented) = best_of(REPS, || base().with_telemetry());
-    assert_eq!(plain.jct, instrumented.jct, "telemetry must not change the simulated schedule");
-
-    let tr = instrumented.telemetry.as_ref().expect("instrumented run carries telemetry");
-    let trace_events = antdt_telemetry::ChromeTrace::from_json(&tr.chrome_trace)
-        .expect("valid Chrome trace JSON")
-        .trace_events
-        .len() as u64;
-    let flight_recorded = tr.flight.dropped + tr.flight.events.len() as u64;
-    let total_events = trace_events + flight_recorded;
-    let events_per_sec = total_events as f64 / wall_on.max(1e-9);
-    let delta = (wall_on - wall_off) / wall_off.max(1e-9);
-
-    out.push_str(&table(&[
-        vec!["run".into(), "wall".into(), "JCT (sim)".into(), "telemetry events".into()],
-        vec![
-            "telemetry off".into(),
-            format!("{:.3}s", wall_off),
-            secs(plain.jct.as_secs_f64()),
-            "0".into(),
-        ],
-        vec![
-            "telemetry on".into(),
-            format!("{:.3}s", wall_on),
-            secs(instrumented.jct.as_secs_f64()),
-            total_events.to_string(),
-        ],
-    ]));
-    let _ = writeln!(
-        out,
-        "  events recorded: {trace_events} trace + {flight_recorded} flight = {total_events} \
-         ({events_per_sec:.0} events/s of wall time)"
-    );
-    let _ = writeln!(out, "  wall-time delta: {} (best of {REPS})", pct(delta));
-
-    // Machine-readable artifact (hand-rendered: the workspace has no serde).
-    let json = format!(
-        concat!(
-            "{{\"experiment\":\"telemetry\",\"workload\":\"quickstart\",\"reps\":{},",
-            "\"wall_secs_off\":{:.6},\"wall_secs_on\":{:.6},\"wall_delta_frac\":{:.6},",
-            "\"trace_events\":{},\"flight_events_recorded\":{},\"events_per_sec\":{:.1},",
-            "\"jct_secs\":{:.3},\"identical_jct\":{}}}\n"
-        ),
-        REPS,
-        wall_off,
-        wall_on,
-        delta,
-        trace_events,
-        flight_recorded,
-        events_per_sec,
-        instrumented.jct.as_secs_f64(),
-        plain.jct == instrumented.jct,
-    );
-    crate::util::write_artifact(&mut out, "BENCH_telemetry.json", &json);
     out
 }

@@ -9,28 +9,51 @@ use crate::util::{freeze_wall, header, table};
 use antdt_core::{Job, JobConfig, MitigationChoice, Perturbation};
 use antdt_sim::{ContentionPhase, ControlChannel, SimDuration, SimTime};
 use antdt_whatif::{ServiceConfig, WhatIfQuery, WhatIfService};
-use antdt_workloads::Scenario;
+use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
+use antdt_workloads::{ModelProfile, Scenario};
 use std::fmt::Write;
+
+/// The `bsp` and `allreduce` golden fixture configs, byte-for-byte the ones
+/// `tests/refactor_equivalence.rs` runs for `tests/golden/*_clean.txt`.
+fn fixture(name: &str) -> JobConfig {
+    match name {
+        "bsp" => JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::WorkerMix { intensity: 1.0 })
+            .with_model(ModelProfile::xdeepfm())
+            .with_global_batch(4_096)
+            .with_samples(200_000)
+            .with_batches_per_shard(10)
+            .with_fast_cadence(SimDuration::from_secs(60))
+            .with_seed(11)
+            .with_mitigation(MitigationChoice::AntDtNd),
+        "allreduce" => JobConfig::allreduce(cluster_b(), Scenario::None)
+            .with_model(ModelProfile::resnet101())
+            .with_global_batch(768)
+            .with_samples(345_600)
+            .with_batches_per_shard(2)
+            .with_fast_cadence(SimDuration::from_secs(60))
+            .with_seed(23),
+        _ => unreachable!("unknown fixture"),
+    }
+}
 
 /// The fork-replay demo job (mirrors `tests/attribution.rs`'s forkable job): every
 /// divergence source engages strictly after t=0, so all three stock
 /// perturbations replay from a fork.
 fn forkable_cfg() -> JobConfig {
-    let mut cfg =
-        JobConfig::ps_bsp(antdt_workloads::cluster::cluster_a_scaled(4, 2), Scenario::None)
-            .with_global_batch(4_096)
-            .with_samples(2_000_000)
-            .with_batches_per_shard(10)
-            .with_fast_cadence(SimDuration::from_secs(60))
-            .with_seed(11)
-            .with_attribution()
-            .with_control_channel(ControlChannel::Modeled {
-                latency_secs: 0.05,
-                jitter_secs: 0.02,
-                loss_prob: 0.01,
-                seed: 5,
-            })
-            .with_checkpoint_interval(SimDuration::from_secs(60));
+    let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_global_batch(4_096)
+        .with_samples(2_000_000)
+        .with_batches_per_shard(10)
+        .with_fast_cadence(SimDuration::from_secs(60))
+        .with_seed(11)
+        .with_attribution()
+        .with_control_channel(ControlChannel::Modeled {
+            latency_secs: 0.05,
+            jitter_secs: 0.02,
+            loss_prob: 0.01,
+            seed: 5,
+        })
+        .with_checkpoint_interval(SimDuration::from_secs(60));
     cfg.cluster.workers[3].profile.phases.push(ContentionPhase::Persistent {
         delay_secs: 4.0,
         from: SimTime::from_secs_f64(60.0),
@@ -51,7 +74,7 @@ pub fn perf() -> String {
     let mut rows = vec![vec!["fixture".into(), "allocations".into()]];
     let mut fixture_allocs: Vec<Option<u64>> = Vec::new();
     for name in ["bsp", "allreduce"] {
-        let (allocs, _report) = count_allocations(|| Job::run(super::kernel::fixture(name)));
+        let (allocs, _report) = count_allocations(|| Job::run(fixture(name)));
         fixture_allocs.push(allocs);
         let shown = allocs
             .map_or_else(|| "n/a (build with --features count-alloc)".into(), |a| a.to_string());
@@ -174,14 +197,11 @@ pub fn perf() -> String {
 /// pooled and serial — and compared structurally.
 fn chaos_matrix_parity() -> bool {
     use antdt_chaos::{ChaosDriver, Fault, FaultPlan, NodeRef};
-    let base = JobConfig::ps_bsp(
-        antdt_workloads::cluster::cluster_a_scaled(4, 2),
-        Scenario::WorkerMix { intensity: 0.5 },
-    )
-    .with_global_batch(4_096)
-    .with_samples(200_000)
-    .with_batches_per_shard(10)
-    .with_fast_cadence(SimDuration::from_secs(60));
+    let base = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::WorkerMix { intensity: 0.5 })
+        .with_global_batch(4_096)
+        .with_samples(200_000)
+        .with_batches_per_shard(10)
+        .with_fast_cadence(SimDuration::from_secs(60));
     let driver = ChaosDriver::new(base)
         .with_plan(FaultPlan::new("kill-w1").at(30.0, Fault::KillNode { node: NodeRef::Worker(1) }))
         .with_plan(FaultPlan::new("dds-outage").at(15.0, Fault::DdsOutage { window_secs: 30.0 }))

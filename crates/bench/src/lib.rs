@@ -4,8 +4,7 @@
 //! regenerates the corresponding artifact from scratch on the simulator and
 //! returns a printable report; the `experiments` binary dispatches on ids
 //! (`fig1`…`fig19`, `tab3`, `integrity`, `solver`, `ablate`, `chaos`,
-//! `telemetry`, `kernel`, `controlbus`, `ckpt`, `attr`, `elastic`, `whatif`,
-//! `all`).
+//! `controlbus`, `ckpt`, `attr`, `elastic`, `whatif`, `perf`, `all`).
 //!
 //! Absolute numbers come from a simulated substrate, so they are not expected
 //! to match the paper's testbed; the *shapes* — who wins, by what factor,
@@ -41,21 +40,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ("solver", "Optimization solver runtime at scale", exps::solver),
         ("ablate", "Ablations: M, lambda, windows, C_max, backup count", exps::ablate),
         ("chaos", "Chaos-drill matrix: fault plans x policies + invariant audit", exps::chaos),
-        (
-            "telemetry",
-            "Telemetry overhead: quickstart workload, instrumentation off vs on",
-            exps::telemetry,
-        ),
-        (
-            "kernel",
-            "Runtime-kernel refactor parity (fixed seeds) + event throughput + local-sgd",
-            exps::kernel,
-        ),
-        (
-            "controlbus",
-            "Control bus: Ideal-channel parity vs pre-bus + JCT vs control latency",
-            exps::controlbus,
-        ),
+        ("controlbus", "Control bus: JCT vs control-plane latency", exps::controlbus),
         (
             "ckpt",
             "Checkpointing: JCT vs checkpoint-interval sweep under kills, replay vs DDS-based",

@@ -1,6 +1,7 @@
 //! Formatting helpers for the experiment reports, plus the *frozen wall*
 //! switch that makes report strings byte-comparable across runs.
 
+use antdt_core::{Job, JobConfig, JobReport};
 use antdt_sim::{SimTime, TimeSeries};
 use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,6 +41,21 @@ pub fn elapsed_secs(t0: std::time::Instant) -> f64 {
     } else {
         t0.elapsed().as_secs_f64()
     }
+}
+
+/// Best-of-`reps` wall time plus the (deterministic) report. Under a frozen
+/// wall (see [`freeze_wall`]) the reported wall is exactly `0.0`, so report
+/// strings stay byte-comparable across parity runs.
+pub fn timed(reps: usize, mk: impl Fn() -> JobConfig) -> (f64, JobReport) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        let r = Job::run(mk());
+        best = best.min(elapsed_secs(t0));
+        last = Some(r);
+    }
+    (best, last.expect("reps >= 1"))
 }
 
 /// Write a machine-readable artifact under `target/`, appending the outcome

@@ -81,19 +81,19 @@ fn barrier_stall_is_detected_not_hung() {
 }
 
 /// The runtime kernel routes chaos through the same seam for every strategy:
-/// a rank kill during a Local-SGD job (H local steps per ring sync) drills
-/// through the identical driver path as PS. Rings drop the dead rank
-/// permanently (no scheduler restart), so the survivors must absorb its
-/// requeued shards and every invariant must still hold.
+/// a rank kill during a ring-AllReduce job drills through the identical
+/// driver path as PS. Rings drop the dead rank permanently (no scheduler
+/// restart), so the survivors must absorb its requeued shards and every
+/// invariant must still hold.
 #[test]
-fn rank_kill_under_local_sgd_completes_with_integrity() {
-    let base = JobConfig::local_sgd(cluster_b(), Scenario::None, 4)
+fn rank_kill_under_ring_allreduce_completes_with_integrity() {
+    let base = JobConfig::allreduce(cluster_b(), Scenario::None)
         .with_model(ModelProfile::resnet101())
         .with_global_batch(768)
         .with_samples(115_200)
         .with_batches_per_shard(2)
         .with_fast_cadence(SimDuration::from_secs(60));
-    let plan = FaultPlan::new("kill-rank1-localsgd")
+    let plan = FaultPlan::new("kill-rank1-allreduce")
         .at(45.0, Fault::KillNode { node: NodeRef::Worker(1) });
     let report = ChaosDriver::new(base)
         .with_liveness_timeout(SimDuration::from_secs(3600))

@@ -29,11 +29,6 @@ pub enum Arch {
     },
     /// Ring AllReduce (PyTorch DDP); always BSP.
     AllReduce,
-    /// Local SGD: `sync_every` local optimizer steps between ring syncs
-    /// (Stich ICLR'19). `sync_every == 1` degenerates to `AllReduce`.
-    LocalSgd {
-        sync_every: u32,
-    },
 }
 
 /// How training data is handed to workers.
@@ -342,12 +337,6 @@ impl JobConfig {
         Self::base(Arch::AllReduce, cluster)
     }
 
-    /// A Local-SGD job: `sync_every` local steps between ring syncs.
-    pub fn local_sgd(mut cluster: ClusterSpec, scenario: Scenario, sync_every: u32) -> Self {
-        antdt_workloads::straggler::apply(&mut cluster, scenario);
-        Self::base(Arch::LocalSgd { sync_every }, cluster)
-    }
-
     pub fn with_model(mut self, model: ModelProfile) -> Self {
         self.model = model;
         self
@@ -485,9 +474,6 @@ impl JobConfig {
         assert!(self.cluster.n_workers() > 0, "need at least one worker");
         if let Arch::ParameterServer { .. } = self.arch {
             assert!(self.cluster.n_servers() > 0, "PS architecture needs servers");
-        }
-        if let Arch::LocalSgd { sync_every } = self.arch {
-            assert!(sync_every >= 1, "LocalSgd sync_every must be at least 1");
         }
         assert!(self.global_batch > 0, "global batch must be positive");
         if let MitigationChoice::AntDtDd = self.mitigation {

@@ -9,9 +9,7 @@
 //!   Server flavors (per-server gradient queues, checkpointing, kill/restart
 //!   failover);
 //! * [`runtime::ring`] — the ring-AllReduce (PyTorch-DDP-style) runtime with
-//!   per-device batch sizes and gradient accumulation;
-//! * [`runtime::local_sgd`] — Local SGD (`H` local steps per ring sync), the
-//!   worked example of adding a strategy (see the README how-to).
+//!   per-device batch sizes and gradient accumulation.
 //!
 //! [`job::Job`] is the entry point: it takes a [`JobConfig`], runs the
 //! simulated job to completion and returns a [`JobReport`] with everything the

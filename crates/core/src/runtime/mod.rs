@@ -18,8 +18,7 @@
 //! | [`strategy`]  | the [`SyncStrategy`] trait + generic event-loop driver      |
 //! | [`ps_common`] | the PS driver: `PsFlavor` sub-seam shared by BSP/ASP/SSP    |
 //! | [`bsp`], [`asp`], [`ssp`] | PS consistency flavors                          |
-//! | [`ring`]      | round-driven driver + ring-AllReduce strategy               |
-//! | [`local_sgd`] | Local SGD (`H` local steps per ring sync) — the seam proof  |
+//! | [`ring`]      | the round-driven ring-AllReduce strategy                    |
 //!
 //! [`SyncStrategy`]: strategy::SyncStrategy
 
@@ -33,7 +32,6 @@ pub(crate) mod data;
 pub(crate) mod inflight;
 pub(crate) mod kernel;
 pub(crate) mod lifecycle;
-pub mod local_sgd;
 pub(crate) mod membership;
 pub(crate) mod ml_bridge;
 pub mod ps_common;

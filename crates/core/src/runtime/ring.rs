@@ -5,10 +5,6 @@
 //! sequential micro-batches of `Bᵢ` samples, then a ring AllReduce of the
 //! model gradients closes the round. Native DDP fixes `Bᵢ = B/n, Cᵢ = 1`;
 //! LB-BSP rebalances `Bᵢ`; AntDT-DD jointly picks `(Bᵢ, Cᵢ)` (§VI-B, Fig. 9).
-//!
-//! `RoundDriver` is shared with the Local-SGD strategy
-//! (`runtime/local_sgd.rs`), which simply runs `sync_every` local steps per
-//! communication round; plain ring AllReduce is `sync_every == 1`.
 
 use super::data::DataSource;
 use super::kernel::Kernel;
@@ -33,42 +29,20 @@ struct Part {
     grad: Option<Vec<f32>>,
 }
 
-/// The round state machine shared by the ring strategies. A killed rank
-/// leaves the ring for good (no per-rank restart in DDP); with failover its
-/// shards requeue and the surviving ranks absorb them (elastic-DDP
-/// assumption).
+/// The ring-AllReduce runtime: one optimizer step per communication round.
+/// A killed rank leaves the ring for good (no per-rank restart in DDP); with
+/// failover its shards requeue and the surviving ranks absorb them
+/// (elastic-DDP assumption).
 #[derive(Clone)]
-pub(crate) struct RoundDriver {
-    /// Local optimizer steps per communication round (1 = plain AllReduce).
-    sync_every: u32,
+pub struct RingAllReduce {
     round: u64,
     round_start: SimTime,
     parts: Vec<Part>,
 }
 
-impl RoundDriver {
-    pub(crate) fn new(sync_every: u32) -> Self {
-        RoundDriver { sync_every, round: 0, round_start: SimTime::ZERO, parts: Vec::new() }
-    }
-
-    pub(crate) fn bootstrap_head(&mut self, eng: &mut RtEngine) {
-        eng.schedule(SimTime::ZERO, Ev::RoundEnd { round: 0 }); // bootstraps round 0
-    }
-
-    pub(crate) fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev) {
-        match ev {
-            Ev::RoundEnd { round } if round == self.round => self.close_round(k, eng),
-            Ev::RoundEnd { .. } => {}
-            // A joiner becomes a live rank here; the next round open
-            // enumerates it like any other alive worker (no mid-round
-            // renegotiation).
-            Ev::WorkerJoin { w } => {
-                super::membership::complete_join(k, eng, w);
-            }
-            Ev::WorkerDepart { w, gen } => self.depart_rank(k, eng, w, gen),
-            // Round-driven jobs have no PS-style lifecycle events.
-            _ => {}
-        }
+impl RingAllReduce {
+    pub fn new() -> Self {
+        RingAllReduce { round: 0, round_start: SimTime::ZERO, parts: Vec::new() }
     }
 
     /// Open a round: every live rank applies its delivered actions, computes
@@ -105,10 +79,9 @@ impl RoundDriver {
             let accum = k.workers[w].accum.max(1);
             let quota = k.workers[w].quota;
             k.mark_worker_contended(w, now);
-            let steps = accum as u64 * self.sync_every as u64;
             let mut took = 0u64;
             let mut compute = 0.0f64;
-            for _ in 0..steps {
+            for _ in 0..accum {
                 let got = k.take_batch(w, quota);
                 if got == 0 {
                     break;
@@ -251,63 +224,6 @@ impl RoundDriver {
         self.start_round(k, eng);
     }
 
-    pub(crate) fn on_controller_action(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        now: SimTime,
-        action: Action,
-    ) {
-        match action {
-            Action::None | Action::KillRestart { .. } => {
-                // kill-restart is a PS-side action in this build
-            }
-            Action::ScaleOut { add } => {
-                k.record_action(now, &action);
-                super::membership::scale_out(k, eng, now, add);
-            }
-            Action::ScaleIn { node } => {
-                let text = k.record_action(now, &action);
-                super::bus::send_scale_in(k, eng, now, node, &text);
-            }
-            other => {
-                let text = k.record_action(now, &other);
-                // Every rank, dead or alive: the round open applies whatever
-                // arrived, and dead ranks never rejoin a DDP ring anyway.
-                super::bus::broadcast(
-                    k,
-                    eng,
-                    now,
-                    other,
-                    &text,
-                    super::bus::BroadcastScope::RingAll,
-                );
-            }
-        }
-    }
-
-    pub(crate) fn inject_kill(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        fault: &InjectedFault,
-    ) {
-        let now = eng.now();
-        match *fault {
-            InjectedFault::KillWorker { w } => self.kill_rank(k, now, w, true),
-            InjectedFault::KillWorkerNoFailover { w } => self.kill_rank(k, now, w, false),
-            // No per-rank restarts in DDP, so there is no restart to delay.
-            InjectedFault::RestartDelay { .. } => {}
-            InjectedFault::ScaleOut { add } => super::membership::scale_out(k, eng, now, add),
-            InjectedFault::ScaleIn { w } => {
-                let gen = k.workers[w as usize].gen;
-                self.depart_rank(k, eng, w, gen);
-            }
-            InjectedFault::KillServer { .. } => unreachable!("validated out for ring runtimes"),
-            _ => unreachable!("windowed faults are kernel-handled"),
-        }
-    }
-
     /// Kill rank `w`. With failover its open leases requeue for the survivors;
     /// without, they stay stuck DOING and the watchdog must catch the stall.
     fn kill_rank(&mut self, k: &mut Kernel, now: SimTime, w: u32, failover: bool) {
@@ -387,18 +303,6 @@ fn apply_rank_action(k: &mut Kernel, w: usize, action: Action) {
     }
 }
 
-/// The ring-AllReduce runtime: one optimizer step per communication round.
-#[derive(Clone)]
-pub struct RingAllReduce {
-    driver: RoundDriver,
-}
-
-impl RingAllReduce {
-    pub fn new() -> Self {
-        RingAllReduce { driver: RoundDriver::new(1) }
-    }
-}
-
 impl Default for RingAllReduce {
     fn default() -> Self {
         Self::new()
@@ -412,14 +316,25 @@ impl SyncStrategy for RingAllReduce {
     const USES_SERVERS: bool = false;
 
     fn bootstrap_head(&mut self, _k: &mut Kernel, eng: &mut RtEngine) {
-        self.driver.bootstrap_head(eng);
+        eng.schedule(SimTime::ZERO, Ev::RoundEnd { round: 0 }); // bootstraps round 0
     }
 
     fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev) {
-        self.driver.on_event(k, eng, ev);
         match ev {
-            Ev::WorkerJoin { w } => self.on_membership_change(k, eng, w, true),
-            Ev::WorkerDepart { w, .. } => self.on_membership_change(k, eng, w, false),
+            Ev::RoundEnd { round } if round == self.round => self.close_round(k, eng),
+            Ev::RoundEnd { .. } => {}
+            // A joiner becomes a live rank here; the next round open
+            // enumerates it like any other alive worker (no mid-round
+            // renegotiation).
+            Ev::WorkerJoin { w } => {
+                super::membership::complete_join(k, eng, w);
+                self.on_membership_change(k, eng, w, true);
+            }
+            Ev::WorkerDepart { w, gen } => {
+                self.depart_rank(k, eng, w, gen);
+                self.on_membership_change(k, eng, w, false);
+            }
+            // Round-driven jobs have no PS-style lifecycle events.
             _ => {}
         }
     }
@@ -431,7 +346,32 @@ impl SyncStrategy for RingAllReduce {
         now: SimTime,
         action: Action,
     ) {
-        self.driver.on_controller_action(k, eng, now, action);
+        match action {
+            Action::None | Action::KillRestart { .. } => {
+                // kill-restart is a PS-side action in this build
+            }
+            Action::ScaleOut { add } => {
+                k.record_action(now, &action);
+                super::membership::scale_out(k, eng, now, add);
+            }
+            Action::ScaleIn { node } => {
+                let text = k.record_action(now, &action);
+                super::bus::send_scale_in(k, eng, now, node, &text);
+            }
+            other => {
+                let text = k.record_action(now, &other);
+                // Every rank, dead or alive: the round open applies whatever
+                // arrived, and dead ranks never rejoin a DDP ring anyway.
+                super::bus::broadcast(
+                    k,
+                    eng,
+                    now,
+                    other,
+                    &text,
+                    super::bus::BroadcastScope::RingAll,
+                );
+            }
+        }
     }
 
     fn inject_kill(
@@ -441,6 +381,19 @@ impl SyncStrategy for RingAllReduce {
         fault: &InjectedFault,
         _rec_idx: usize,
     ) {
-        self.driver.inject_kill(k, eng, fault);
+        let now = eng.now();
+        match *fault {
+            InjectedFault::KillWorker { w } => self.kill_rank(k, now, w, true),
+            InjectedFault::KillWorkerNoFailover { w } => self.kill_rank(k, now, w, false),
+            // No per-rank restarts in DDP, so there is no restart to delay.
+            InjectedFault::RestartDelay { .. } => {}
+            InjectedFault::ScaleOut { add } => super::membership::scale_out(k, eng, now, add),
+            InjectedFault::ScaleIn { w } => {
+                let gen = k.workers[w as usize].gen;
+                self.depart_rank(k, eng, w, gen);
+            }
+            InjectedFault::KillServer { .. } => unreachable!("validated out for ring runtimes"),
+            _ => unreachable!("windowed faults are kernel-handled"),
+        }
     }
 }

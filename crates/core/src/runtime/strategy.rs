@@ -5,7 +5,7 @@
 //! staleness gates, ring-round bookkeeping) and implements a handful of
 //! hooks; the kernel owns the world (nodes, data plane, chaos, telemetry,
 //! report accumulators). Adding a new synchronization scheme is one strategy
-//! file — see `runtime/local_sgd.rs` and the README how-to.
+//! file — see `runtime/asp.rs` and the README how-to.
 
 use super::chaos_hooks;
 use super::kernel::Kernel;
@@ -305,8 +305,5 @@ fn erased_run(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Box<dyn Eras
             }
         },
         Arch::AllReduce => Box::new(SimRun::new(cfg, policy, super::ring::RingAllReduce::new())),
-        Arch::LocalSgd { sync_every } => {
-            Box::new(SimRun::new(cfg, policy, super::local_sgd::LocalSgd::new(sync_every)))
-        }
     }
 }

@@ -208,12 +208,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next `"` or `\` in one go;
+                    // multi-byte UTF-8 sequences pass through verbatim.
+                    let rest = &self.bytes[self.pos..];
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -305,6 +308,23 @@ mod tests {
         write_str(&mut out, nasty);
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn long_mixed_strings_round_trip() {
+        let mut long = String::new();
+        for i in 0..500 {
+            long.push_str("ascii run ");
+            long.push_str(["é", "中", "🦀"][i % 3]);
+            long.push_str(["\n", "\"", "\\"][i % 3]);
+        }
+        let mut out = String::new();
+        write_str(&mut out, &long);
+        assert_eq!(parse(&out).unwrap().as_str(), Some(long.as_str()));
+        // A `\u` surrogate pair (the escaper never emits one) between runs.
+        let doc = format!("\"{}\\ud83e\\udd80{}\"", "a中".repeat(100), "é".repeat(100));
+        let want = format!("{}🦀{}", "a中".repeat(100), "é".repeat(100));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(want.as_str()));
     }
 
     #[test]
