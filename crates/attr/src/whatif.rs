@@ -17,7 +17,7 @@ pub enum Perturbation {
     HealthyNode(u32),
     /// Deliver every control-bus directive with zero latency.
     ZeroControlLatency,
-    /// Remove checkpoint capture stalls (and the legacy save pause).
+    /// Remove checkpoint capture stalls.
     NoCkptStalls,
 }
 

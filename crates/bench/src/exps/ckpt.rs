@@ -1,15 +1,21 @@
-//! The checkpoint-subsystem benchmark: JCT as a function of the checkpoint
-//! interval under a fixed seeded kill plan — checkpoint-replay recovery
-//! (`FailoverMode::Replay`, the `antdt-ckpt` subsystem restoring the last
-//! durable snapshot and requeueing lost shards through the real drivers)
-//! against AntDT's DDS-based failover (`FailoverMode::DdsBased`, which
-//! requeues only the dead worker's DOING shards and rewinds nothing). The
-//! sweep is the paper's Fig. 17 contrast: replayed work grows with the
-//! interval, DDS recovery replays nothing.
+//! The checkpoint-interval sweep behind `experiments ckpt` and `experiments
+//! fig17`: JCT as a function of the checkpoint interval under a fixed seeded
+//! kill plan, for both worker-recovery policies. Both arms checkpoint through
+//! the same `antdt-ckpt` subsystem at the same cadence and stall; they differ
+//! only in what a worker kill recovers:
+//!
+//! * `dds` (`FailoverMode::DdsBased`, AntDT): the dead worker's DOING shards
+//!   are requeued and nothing else rewinds;
+//! * `replay` (`FailoverMode::Replay`, the mainstream libraries): the whole
+//!   job rewinds to the last durable snapshot and the lost work replays
+//!   through the real drivers.
+//!
+//! Short intervals pay capture stalls in both arms; long intervals pay
+//! replayed work in the replay arm only — the paper's Fig. 17 contrast.
 
 use crate::util::{header, secs, table, timed};
 use antdt_core::{
-    ChaosInjection, CkptConfig, CkptPolicy, FailoverMode, InjectedFault, JobConfig,
+    ChaosInjection, CkptConfig, CkptPolicy, FailoverMode, InjectedFault, JobConfig, JobReport,
     MitigationChoice, StorageTier,
 };
 use antdt_sim::SimDuration;
@@ -17,9 +23,14 @@ use antdt_workloads::cluster::cluster_a_scaled;
 use antdt_workloads::{ModelProfile, Scenario};
 use std::fmt::Write;
 
+/// Seconds each capture stalls the servers in the sweep. Small next to the
+/// default 15 s, so the short-interval end of the grid shows the stall arm
+/// without burying the recovery-model signal.
+const CAPTURE_STALL_SECS: f64 = 2.0;
+
 /// A clean mid-size PS job: no stragglers, no mitigation policy, so the only
 /// faults in the sweep are the injected kills and every JCT delta is pure
-/// recovery cost.
+/// checkpoint and recovery cost.
 fn base() -> JobConfig {
     JobConfig::ps_bsp(cluster_a_scaled(8, 3), Scenario::None)
         .with_model(ModelProfile::xdeepfm())
@@ -29,10 +40,6 @@ fn base() -> JobConfig {
         .with_fast_cadence(SimDuration::from_secs(60))
         .with_seed(29)
         .with_mitigation(MitigationChoice::None)
-        // Both arms pause for 2 s per checkpoint; at the 5%-of-JCT interval
-        // the default 15 s save would swamp the sweep with stall cost and
-        // bury the recovery-model signal this experiment is after.
-        .with_ckpt_save_secs(2.0)
 }
 
 /// The seeded kill plan, placed relative to the fault-free JCT so both kills
@@ -50,46 +57,72 @@ fn kills(clean_jct_secs: f64) -> Vec<ChaosInjection> {
     ]
 }
 
+/// One sweep point: a worker policy at one interval.
+struct Point {
+    mode: FailoverMode,
+    interval_secs: f64,
+    /// Best-of-`reps` host seconds of the run.
+    wall: f64,
+    report: JobReport,
+}
+
+/// Short label of a worker policy.
+fn label(mode: FailoverMode) -> &'static str {
+    match mode {
+        FailoverMode::DdsBased => "dds",
+        FailoverMode::Replay => "replay",
+    }
+}
+
+/// Run the kill plan at every interval in `fractions` (of the fault-free JCT)
+/// under both worker policies, `reps` times each, fanned out on the
+/// experiment pool. Returns the fault-free probe and the points, the `replay`
+/// arm first, each arm in grid order.
+fn sweep(fractions: &[f64], reps: usize) -> (JobReport, Vec<Point>) {
+    // The fault-free twin anchors the kill instants, the interval grid and
+    // the "vs clean" column.
+    let (_, clean) = timed(1, base);
+    let clean_jct = clean.jct.as_secs_f64();
+    let grid: Vec<(FailoverMode, f64)> = [FailoverMode::Replay, FailoverMode::DdsBased]
+        .iter()
+        .flat_map(|&m| fractions.iter().map(move |f| (m, f * clean_jct)))
+        .collect();
+    let points = antdt_par::par_map(grid, |(mode, interval_secs)| {
+        let (wall, report) = timed(reps, || {
+            base()
+                .with_injections(kills(clean_jct))
+                .with_liveness_timeout(SimDuration::from_secs(1_800))
+                .with_checkpoint_interval(SimDuration::from_secs_f64(interval_secs))
+                .with_ckpt(CkptConfig {
+                    tier: StorageTier::ObjectStore,
+                    policy: CkptPolicy::Fixed { interval_secs },
+                    capture_stall_secs: CAPTURE_STALL_SECS,
+                })
+                .with_failover_mode(mode)
+        });
+        Point { mode, interval_secs, wall, report }
+    });
+    (clean, points)
+}
+
+/// Snapshots and restores of one run.
+fn ckpt_counts(r: &JobReport) -> (usize, usize) {
+    r.ckpt.as_ref().map_or((0, 0), |c| (c.snapshots.len(), c.restores.len()))
+}
+
 pub fn ckpt() -> String {
     let mut out = header(
         "ckpt",
         "Checkpoint subsystem: JCT vs interval under a seeded kill plan, replay vs DDS-based",
     );
     const REPS: usize = 2;
-
-    // Probe the fault-free twin once: it anchors the kill instants, the
-    // interval grid, and the "vs clean" column.
-    let (_, clean) = timed(1, base);
+    let (clean, sweep) = sweep(&[0.05, 0.20, 0.60], REPS);
     let clean_jct = clean.jct.as_secs_f64();
-    let intervals: Vec<f64> = [0.05, 0.20, 0.60].iter().map(|f| f * clean_jct).collect();
     let _ = writeln!(
         out,
         "  clean JCT {} — kills at 30%/65% of it, intervals at 5%/20%/60% of it",
         secs(clean_jct)
     );
-
-    // The sweep grid: {replay, dds} x 3 intervals, fanned out on the
-    // experiment pool. Each point is an independent deterministic simulation.
-    let points: Vec<(&'static str, f64)> =
-        ["replay", "dds"].iter().flat_map(|m| intervals.iter().map(move |&i| (*m, i))).collect();
-    let sweep = antdt_par::par_map(points, |(mode, interval)| {
-        let mk = || {
-            let cfg = base()
-                .with_injections(kills(clean_jct))
-                .with_liveness_timeout(SimDuration::from_secs(1_800))
-                .with_checkpoint_interval(SimDuration::from_secs_f64(interval));
-            match mode {
-                "replay" => cfg.with_failover_mode(FailoverMode::Replay).with_ckpt(CkptConfig {
-                    tier: StorageTier::ObjectStore,
-                    policy: CkptPolicy::Fixed { interval_secs: interval },
-                    capture_stall_secs: 2.0,
-                }),
-                _ => cfg.with_failover_mode(FailoverMode::DdsBased),
-            }
-        };
-        let (wall, r) = timed(REPS, mk);
-        (mode, interval, wall, r)
-    });
 
     let mut rows = vec![vec![
         "mode".into(),
@@ -103,23 +136,20 @@ pub fn ckpt() -> String {
         "wall".into(),
     ]];
     let mut json_points = String::new();
-    for (mode, interval, wall, r) in &sweep {
+    for p in &sweep {
+        let r = &p.report;
         let jct = r.jct.as_secs_f64();
-        let (snaps, restores) = r
-            .ckpt
-            .as_ref()
-            .map(|c| (c.snapshots.len().to_string(), c.restores.len().to_string()))
-            .unwrap_or_else(|| ("-".into(), "-".into()));
+        let (snaps, restores) = ckpt_counts(r);
         rows.push(vec![
-            (*mode).into(),
-            secs(*interval),
+            label(p.mode).into(),
+            secs(p.interval_secs),
             secs(jct),
             format!("{:+.1}%", (jct / clean_jct.max(1e-9) - 1.0) * 100.0),
-            snaps,
-            restores,
+            snaps.to_string(),
+            restores.to_string(),
             r.replayed_samples.to_string(),
             r.rolled_back_samples.to_string(),
-            format!("{:.4}s", wall),
+            format!("{:.4}s", p.wall),
         ]);
         let _ = write!(
             json_points,
@@ -128,11 +158,11 @@ pub fn ckpt() -> String {
                 "\"snapshots\":{},\"restores\":{},\"replayed_samples\":{},",
                 "\"rolled_back_samples\":{}}},"
             ),
-            mode,
-            interval,
+            label(p.mode),
+            p.interval_secs,
             r.jct.as_micros(),
-            r.ckpt.as_ref().map_or(0, |c| c.snapshots.len()),
-            r.ckpt.as_ref().map_or(0, |c| c.restores.len()),
+            snaps,
+            restores,
             r.replayed_samples,
             r.rolled_back_samples,
         );
@@ -153,5 +183,58 @@ pub fn ckpt() -> String {
         json_points.trim_end_matches(','),
     );
     crate::util::write_artifact(&mut out, "BENCH_ckpt.json", &json);
+    out
+}
+
+/// Fig. 17 from live runs: JCT against the checkpoint interval for both
+/// worker policies, on a grid dense at short intervals where the
+/// capture-stall arm of the U lives.
+pub fn fig17() -> String {
+    let mut out = header(
+        "fig17",
+        "Worker failover: JCT vs checkpoint interval, DDS requeue vs global rewind (paper Fig. 17)",
+    );
+    // The grid starts where the interval exceeds the capture stall: below
+    // that, captures queue back to back and the servers barely run.
+    let fractions = [0.02, 0.03, 0.05, 0.075, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60, 0.80, 1.0];
+    let (clean, sweep) = sweep(&fractions, 1);
+    let clean_jct = clean.jct.as_secs_f64();
+    let _ = writeln!(
+        out,
+        "  clean JCT {} — workers 1 and 2 killed at 30%/65% of it; every capture stalls the \
+         servers {CAPTURE_STALL_SECS:.0}s",
+        secs(clean_jct)
+    );
+    let (replay, dds) = sweep.split_at(fractions.len());
+    let mut rows = vec![vec![
+        "ckpt interval".into(),
+        "snapshots".into(),
+        "DDS requeue (AntDT)".into(),
+        "global rewind".into(),
+        "rewind − DDS".into(),
+        "replayed samples".into(),
+    ]];
+    for (r, d) in replay.iter().zip(dds) {
+        let (rj, dj) = (r.report.jct.as_secs_f64(), d.report.jct.as_secs_f64());
+        rows.push(vec![
+            secs(r.interval_secs),
+            ckpt_counts(&d.report).0.to_string(),
+            secs(dj),
+            secs(rj),
+            format!("{:+.1}s", rj - dj),
+            r.report.replayed_samples.to_string(),
+        ]);
+    }
+    out.push_str(&table(&rows));
+    let best = |arm: &[Point]| {
+        arm.iter().min_by(|a, b| a.report.jct.cmp(&b.report.jct)).map_or(0.0, |p| p.interval_secs)
+    };
+    let _ = writeln!(
+        out,
+        "  best interval: DDS requeue {}, global rewind {} \
+         (paper: DDS ~2 min flat; checkpoint-based U-shaped, ~17 min at 5-min saves)",
+        secs(best(dds)),
+        secs(best(replay)),
+    );
     out
 }

@@ -1,12 +1,12 @@
 //! Q2–Q4 — AntDT-DD on heterogeneous GPUs, framework properties, the fleet
-//! A/B test and Table III (paper Figs. 15–19).
+//! A/B test and Table III (paper Figs. 15, 16, 18, 19; Fig. 17 is the
+//! checkpoint sweep in `ckpt.rs`).
 
 use super::{criteo_job, criteo_job_asp, dd_classes_for, imagenet_job, WORKER_SI};
 use crate::util::{header, pct, secs, table};
-use antdt_core::failover::fig17_curve;
 use antdt_core::fleet::{self, FleetConfig, FleetMethod};
 use antdt_core::{Job, JobConfig, MitigationChoice};
-use antdt_sim::{series::mean_std, SimDuration};
+use antdt_sim::series::mean_std;
 use antdt_workloads::cluster::{cluster_c, ClusterSize};
 use antdt_workloads::{ModelProfile, Scenario};
 use std::fmt::Write;
@@ -78,68 +78,6 @@ pub fn fig16() -> String {
     out.push_str(&table(&rows));
     out.push_str(
         "  (shard counts track throughput: slow workers naturally request fewer shards)\n",
-    );
-    out
-}
-
-pub fn fig17() -> String {
-    let mut out =
-        header("fig17", "Worker failover delay: DDS-based vs checkpoint-based (paper Fig. 17)");
-    let intervals: Vec<SimDuration> =
-        [5u64, 10, 15, 20, 30, 40, 50, 60].iter().map(|&m| SimDuration::from_minutes(m)).collect();
-    // Parameters from the Criteo job: one shard = 4096×100 samples at ~2000
-    // samples/s per worker; checkpoint write ~45 s; 2 h job.
-    let pts = fig17_curve(
-        &intervals,
-        SimDuration::from_secs(7_200),
-        45.0,
-        60.0,
-        0.8,
-        45.0,
-        4096 * 100,
-        2_000.0,
-    );
-    let mut rows =
-        vec![vec!["ckpt interval".into(), "checkpoint-based".into(), "DDS-based".into()]];
-    for p in &pts {
-        rows.push(vec![
-            format!("{:.0} min", p.ckpt_interval.as_secs_f64() / 60.0),
-            secs(p.checkpoint_based.as_secs_f64()),
-            secs(p.dds_based.as_secs_f64()),
-        ]);
-    }
-    out.push_str(&table(&rows));
-    out.push_str("  (paper: DDS ~2 min flat; checkpoint-based ~17 min at 5-min saves, U-shaped)\n");
-
-    // Live cross-check: the same kill under both recovery schemes in the full
-    // simulator (one persistent worker straggler, AntDT-ND kills it once).
-    // Checkpoint-based recovery is the real replay model: it rewinds to the
-    // last durable snapshot and redoes the lost iterations.
-    let live = |mode: antdt_core::FailoverMode| {
-        Job::run(
-            JobConfig::ps_bsp(
-                antdt_workloads::cluster::cluster_a_scaled(8, 4),
-                Scenario::WorkerPersistent { intensity: 0.8 },
-            )
-            .with_model(ModelProfile::xdeepfm())
-            .with_global_batch(8_192)
-            .with_samples(8_000_000)
-            .with_batches_per_shard(10)
-            .with_fast_cadence(SimDuration::from_secs(60))
-            .with_mitigation(MitigationChoice::AntDtNd)
-            .with_failover_mode(mode),
-        )
-    };
-    let dds_live = live(antdt_core::FailoverMode::DdsBased);
-    let ckpt_live = live(antdt_core::FailoverMode::Replay);
-    let _ = writeln!(
-        out,
-        "  live simulation (same kill, both schemes): DDS-based JCT {}, checkpoint replay JCT {} \
-         (+{:.0}s, {} samples replayed)",
-        secs(dds_live.jct.as_secs_f64()),
-        secs(ckpt_live.jct.as_secs_f64()),
-        ckpt_live.jct.as_secs_f64() - dds_live.jct.as_secs_f64(),
-        ckpt_live.replayed_samples,
     );
     out
 }

@@ -32,7 +32,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ("fig14", "Slow-server BPT + global throughput around KILL_RESTART", exps::fig14),
         ("fig15", "JCT of DDP/LB-BSP/AntDT-DD on mixed V100+P100", exps::fig15),
         ("fig16", "Shards consumed vs worker throughput (ASP-DDS)", exps::fig16),
-        ("fig17", "Failover delay: DDS-based vs checkpoint-based", exps::fig17),
+        ("fig17", "Worker failover: JCT vs checkpoint interval, DDS vs rewind", exps::fig17),
         ("fig18", "AntDT overhead at small/medium/large scale", exps::fig18),
         ("fig19", "Production fleet A/B test", exps::fig19),
         ("tab3", "Table III: JCT under varying straggler intensity", exps::tab3),

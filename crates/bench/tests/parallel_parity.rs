@@ -59,10 +59,11 @@ fn chaos_matrix_pooled_equals_serial() {
     assert_eq!(driver.run(), driver.run_serial());
 }
 
-/// The full `experiments all` suite, serial vs pooled. Minutes of wall time:
-/// run explicitly with `cargo test --release -- --ignored`.
+/// The full `experiments all` suite, serial vs pooled: seconds in a release
+/// build, far longer in a debug one. Release CI runs it with
+/// `cargo test --release -p antdt-bench --test parallel_parity -- --ignored`.
 #[test]
-#[ignore = "runs the full experiment suite twice; minutes of wall time"]
+#[ignore = "runs the full experiment suite twice; run in a release build with --ignored"]
 fn full_all_is_byte_identical() {
     let parallel = freeze_wall(|| antdt_bench::run_all(None));
     let serial = antdt_par::with_serial(|| freeze_wall(|| antdt_bench::run_all(None)));

@@ -6,7 +6,8 @@
 //! drill matrix can record *all* verdicts and render them side by side; tests
 //! then assert on `passed`.
 
-use antdt_core::JobReport;
+use antdt_core::{FailoverMode, JobReport};
+use antdt_monitor::Role;
 use std::collections::BTreeMap;
 
 /// The verdict of one invariant checker on one drill.
@@ -280,13 +281,17 @@ pub fn auc_parity(drill: &JobReport, clean: &JobReport, tolerance: f64) -> Invar
     }
 }
 
-/// Checkpoint-replay recovery: when a drill ran with the `antdt-ckpt`
-/// subsystem armed and lost nodes, recovery must have gone through the
-/// snapshot path — a restore was recorded — and the replay must have healed
-/// the data plane (at-least-once holds) without costing model quality (AUC
-/// parity against the clean twin, waived for simulated-math runs). Waived
-/// with a note when the subsystem was not armed, so the checker is safe to
-/// run on every drill in a matrix.
+/// Checkpoint-replay recovery. Every Parameter Server job checkpoints, and
+/// a kill restores a snapshot exactly when its node's recovery needs one:
+/// every server kill (the dead server's parameter shard is gone), and every
+/// worker kill under `FailoverMode::Replay` (the global rewind). So each such
+/// kill whose replacement came up must see a restore between the kill and
+/// that restart, and there is at most one restore per such kill — fewer only
+/// when recoveries overlap, since one restore serves every kill staged
+/// before it lands. The replay must also have healed the data plane
+/// (at-least-once holds) without costing model quality (AUC parity against
+/// the clean twin, waived for simulated-math runs). Waived with a note for
+/// ring jobs, which take no checkpoints.
 pub fn replay_recovery(
     drill: &JobReport,
     clean: &JobReport,
@@ -296,17 +301,35 @@ pub fn replay_recovery(
         return InvariantOutcome::new(
             "ckpt-replay",
             true,
-            "waived: checkpoint subsystem not enabled for this drill".into(),
+            "waived: ring job, no checkpoint subsystem".into(),
         );
     };
-    let restored = drill.kills.is_empty() || !ckpt.restores.is_empty();
+    let rewinds_workers = ckpt.failover == FailoverMode::Replay;
+    let (mut restoring, mut uncovered) = (0usize, 0usize);
+    for &(at, node) in &drill.kills {
+        if node.role == Role::Worker && !rewinds_workers {
+            continue;
+        }
+        // A kill whose replacement never came up (the job ended first, or
+        // the failover was disabled) has no restore to look for.
+        let Some(&(up, _)) = drill.restarts.iter().find(|&&(t, n)| n == node && t >= at) else {
+            continue;
+        };
+        restoring += 1;
+        let window = at.as_micros()..=up.as_micros();
+        if !ckpt.restores.iter().any(|r| window.contains(&r.restored_at_us)) {
+            uncovered += 1;
+        }
+    }
     let integrity = at_least_once(drill);
     let parity = auc_parity(drill, clean, auc_tolerance);
     InvariantOutcome::new(
         "ckpt-replay",
-        restored && integrity.passed && parity.passed,
+        uncovered == 0 && ckpt.restores.len() <= restoring && integrity.passed && parity.passed,
         format!(
-            "kills={} snapshots={} restores={} replayed_samples={} | {} | {}",
+            "{:?} kills={} restoring_kills={restoring} unrestored={uncovered} snapshots={} \
+             restores={} replayed_samples={} | {} | {}",
+            ckpt.failover,
             drill.kills.len(),
             ckpt.snapshots.len(),
             ckpt.restores.len(),

@@ -2,7 +2,7 @@
 //! exists to prove out, run end to end through [`ChaosDriver`].
 
 use antdt_chaos::{ChaosDriver, Fault, FaultPlan, NodeRef, PlanBounds};
-use antdt_core::{JobConfig, MitigationChoice};
+use antdt_core::{FailoverMode, JobConfig, MitigationChoice};
 use antdt_sim::rng::StdRng;
 use antdt_sim::SimDuration;
 use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
@@ -43,6 +43,33 @@ fn worker_kill_under_antdt_nd_completes_with_integrity() {
     assert!(rec.recovered_at > rec.restarted_at, "no post-restart commit");
     // Faults cost wall-clock: the drill is slower than its clean twin.
     assert!(report.overhead_frac > 0.0, "overhead {}", report.overhead_frac);
+}
+
+/// Acceptance: a server kill restores the last checkpoint under either
+/// worker policy. Under `DdsBased` the worker kill recovers from the DDS
+/// alone, so the server kill is the one restore; under `Replay` the worker
+/// kill rewinds too. The ckpt-replay invariant must see every one of them.
+#[test]
+fn server_kill_restores_the_last_checkpoint_under_both_worker_policies() {
+    let plan = FaultPlan::new("kill-w1-then-ps0")
+        .at(35.0, Fault::KillNode { node: NodeRef::Worker(1) })
+        .at(200.0, Fault::KillNode { node: NodeRef::Server(0) });
+    for (mode, restores) in [(FailoverMode::DdsBased, 1), (FailoverMode::Replay, 2)] {
+        let cfg = base(Scenario::None)
+            .with_samples(1_000_000)
+            .with_checkpoint_interval(SimDuration::from_secs(30))
+            .with_failover_mode(mode);
+        let report = ChaosDriver::new(cfg)
+            .with_liveness_timeout(SimDuration::from_secs(1800))
+            .run_one(&plan, &MitigationChoice::None);
+        assert!(report.passed, "{mode:?}: invariants failed: {:?}", report.invariants);
+        let inv = report.invariant("ckpt-replay").expect("checker ran");
+        assert!(
+            inv.detail.contains(&format!("restoring_kills={restores} unrestored=0"))
+                && inv.detail.contains(&format!("restores={restores} ")),
+            "{mode:?}: {inv:?}"
+        );
+    }
 }
 
 /// Acceptance: the same seed produces bit-for-bit identical drill reports —

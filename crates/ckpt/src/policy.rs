@@ -46,8 +46,7 @@ impl CkptPolicy {
 }
 
 /// Everything the runtime needs to run the checkpoint subsystem for a job.
-/// Attach with `JobConfig::with_ckpt`; `FailoverMode::Replay` implies the
-/// default config when none is given.
+/// Every Parameter Server job runs one; set it with `JobConfig::with_ckpt`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CkptConfig {
     /// Where snapshots drain to (and restores read from).

@@ -7,9 +7,10 @@
 //!
 //! Serialization is a hand-rolled line-oriented text format — the workspace
 //! has no serde, and byte-determinism is a contract here: two
-//! same-seed runs must export byte-identical snapshots, and the golden-trace
-//! harness compares digests across runs. Floats are encoded as IEEE-754 bit
-//! patterns in hex so the round-trip is lossless.
+//! same-seed runs must export byte-identical snapshots, and the determinism
+//! tests compare digests across runs. Floats are encoded as IEEE-754 bit
+//! patterns in hex so the round-trip is lossless. The digest hashes the
+//! fields directly, so a capture never renders the text.
 
 /// Identity and progress marks of the run that took the snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -193,16 +194,64 @@ impl Snapshot {
         Ok(Snapshot { meta, ps: PsState { params, model_bytes }, dds, workers })
     }
 
-    /// FNV-1a 64-bit digest of the serialized form — cheap, deterministic,
-    /// and stable across platforms; used to assert same-seed runs export
-    /// byte-identical snapshots without shipping the bytes around.
+    /// FNV-1a 64-bit digest over every field's little-endian bytes, lists
+    /// prefixed by their length and the optional DDS section by a presence
+    /// byte — cheap, deterministic and stable across platforms; used to
+    /// assert same-seed runs capture identical snapshots without building
+    /// the serialized text on every capture.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.serialize().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = Fnv64::default();
+        let m = &self.meta;
+        for v in [m.seed, m.taken_at_us, m.iteration, m.samples_done, self.ps.model_bytes] {
+            h.u64(v);
         }
-        h
+        h.u64(self.ps.params.len() as u64);
+        for p in &self.ps.params {
+            h.bytes(&p.to_bits().to_le_bytes());
+        }
+        match &self.dds {
+            None => h.bytes(&[0]),
+            Some(d) => {
+                h.bytes(&[1]);
+                h.bytes(&d.epochs_enqueued.to_le_bytes());
+                h.u64(d.done_total);
+                h.u64(d.queue.len() as u64);
+                for &q in &d.queue {
+                    h.u64(q);
+                }
+                h.u64(d.state.len() as u64);
+                h.bytes(&d.state);
+            }
+        }
+        h.u64(self.workers.len() as u64);
+        for w in &self.workers {
+            h.bytes(&w.worker.to_le_bytes());
+            h.bytes(&w.gen.to_le_bytes());
+            h.u64(w.samples);
+        }
+        h.0
+    }
+}
+
+/// FNV-1a, 64-bit.
+struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv64 {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
 }
 
@@ -308,6 +357,42 @@ mod tests {
         let mut other = sample();
         other.meta.samples_done += 1;
         assert_ne!(s.digest(), other.digest());
+    }
+
+    /// The digest covers every field: flipping any one of them, or moving a
+    /// value across a list boundary, changes it.
+    #[test]
+    fn digest_sees_every_field_and_list_boundary() {
+        let base = sample().digest();
+        let edits: Vec<fn(&mut Snapshot)> = vec![
+            |s| s.meta.seed += 1,
+            |s| s.meta.taken_at_us += 1,
+            |s| s.meta.iteration += 1,
+            |s| s.ps.model_bytes += 1,
+            |s| s.ps.params[1] = -s.ps.params[1],
+            |s| s.dds = None,
+            |s| s.dds.as_mut().unwrap().epochs_enqueued += 1,
+            |s| s.dds.as_mut().unwrap().done_total += 1,
+            |s| s.dds.as_mut().unwrap().queue[0] += 1,
+            |s| {
+                // One queue slot traded for a state byte.
+                let d = s.dds.as_mut().unwrap();
+                d.queue.pop();
+                d.state.insert(0, 9);
+            },
+            |s| s.dds.as_mut().unwrap().state[3] = 2,
+            |s| s.workers[1].worker += 1,
+            |s| s.workers[1].gen += 1,
+            |s| s.workers[0].samples += 1,
+            |s| {
+                s.workers.pop();
+            },
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut s = sample();
+            edit(&mut s);
+            assert_ne!(s.digest(), base, "edit {i} left the digest unchanged");
+        }
     }
 
     #[test]

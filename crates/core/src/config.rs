@@ -2,7 +2,7 @@
 //! mitigation solution, cost knobs and execution mode.
 
 use antdt_agent::{AgentConfig, BroadcastModel};
-use antdt_ckpt::CkptConfig;
+use antdt_ckpt::{CkptConfig, CkptPolicy};
 use antdt_controller::{DdConfig, DeviceClassSpec, ElasticConfig};
 use antdt_ml::Dataset;
 use antdt_monitor::MonitorConfig;
@@ -65,21 +65,23 @@ pub enum MitigationChoice {
     Elastic(ElasticConfig),
 }
 
-/// How a killed node's training state is recovered (§V-E3, Fig. 17): AntDT's
-/// DDS-based failover against the mainstream libraries' checkpoint rollback.
+/// How a killed *worker* is recovered (§V-E3, Fig. 17): AntDT's DDS-based
+/// failover against the mainstream libraries' checkpoint rollback.
+///
+/// A *server* kill recovers the same way under either mode: its parameter
+/// shard is gone, so the replacement reads the last durable `antdt-ckpt`
+/// snapshot back at storage-tier speed, the DDS queue is rewound to it and
+/// the lost work replays through the real `SyncStrategy` drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverMode {
     /// AntDT: servers keep the parameters; only the dead worker's DOING shards
-    /// replay. The rest of the fleet keeps training. A *server* kill
-    /// charges the closed-form restore + recompute delay
-    /// (`ckpt_restore_secs` + `rollback_recompute_factor` × lost progress).
+    /// are requeued. The rest of the fleet keeps training.
     DdsBased,
-    /// Checkpoint rollback, the mainstream libraries' recovery, modeled as
-    /// checkpoint-replay through the `antdt-ckpt` subsystem: the last
-    /// *durable* snapshot is read back at storage-tier speed, the DDS queue
-    /// is rewound to it, and the lost iterations replay through the real
-    /// `SyncStrategy` drivers — recovery time is emergent, not a constant.
-    /// Requires a Parameter Server job on the DDS data strategy.
+    /// Checkpoint rollback, the mainstream libraries' recovery: a worker kill
+    /// rewinds the whole job to the last *durable* snapshot (read back at
+    /// storage-tier speed) and the lost iterations replay through the real
+    /// drivers — recovery time is emergent, not a constant. Requires a
+    /// Parameter Server job on the DDS data strategy.
     Replay,
 }
 
@@ -103,9 +105,10 @@ pub enum InjectedFault {
     /// checkpoint-replay rewind under `FailoverMode::Replay`) and the
     /// scheduler restart both run as usual.
     KillWorker { w: u32 },
-    /// Kill server `s`; the configured failover path (closed-form restore +
-    /// recompute delay, or a checkpoint-replay rewind under
-    /// `FailoverMode::Replay`) and the scheduler restart follow as usual.
+    /// Kill server `s`: the replacement restores the last durable checkpoint
+    /// (a DDS rewind plus replay of the lost work, whatever the
+    /// `FailoverMode`) after the scheduler restart. Requires a Parameter
+    /// Server job on the DDS data strategy.
     KillServer { s: u32 },
     /// Kill worker `w` with the failover machinery disabled: its DOING shards
     /// are never requeued and no replacement pod is scheduled. This is the
@@ -227,24 +230,16 @@ pub struct JobConfig {
     /// through the event queue with latency/jitter/loss.
     pub control_channel: ControlChannel,
 
-    /// Checkpoint cadence and cost knobs (failover model, Fig. 17). With the
-    /// subsystem off, every `checkpoint_interval` stalls the servers for
-    /// `ckpt_save_secs`; a `DdsBased` server kill charges `ckpt_restore_secs`
-    /// plus the recompute of progress since the last save.
+    /// Instant of the first checkpoint capture; the `ckpt` cadence policy
+    /// times every later one.
     pub checkpoint_interval: SimDuration,
-    pub ckpt_save_secs: f64,
-    pub ckpt_restore_secs: f64,
     /// Communication-world rebuild on any restart.
     pub world_rebuild_secs: f64,
-    /// Wall-clock factor for recomputing lost progress after a `DdsBased`
-    /// *server* failover (< 1: the replay has no stragglers and a warm cache).
-    pub rollback_recompute_factor: f64,
-    /// The `antdt-ckpt` subsystem: storage tier, cadence policy, capture
-    /// stall. `None` (the default) keeps the plain periodic save above,
-    /// which captures nothing — golden traces depend on that.
-    /// `FailoverMode::Replay` turns the subsystem on with
-    /// `CkptConfig::default()` when this is unset.
-    pub ckpt: Option<CkptConfig>,
+    /// The `antdt-ckpt` subsystem every Parameter Server job checkpoints
+    /// through: storage tier, cadence policy, capture stall. The default is
+    /// a local-disk snapshot every 10 minutes that stalls the servers 15 s.
+    /// Ring AllReduce jobs take no checkpoints.
+    pub ckpt: CkptConfig,
 
     /// AntDT-DD device classes (required when `mitigation == AntDtDd`).
     pub dd_classes: Option<Vec<DeviceClassSpec>>,
@@ -296,11 +291,8 @@ impl JobConfig {
             broadcast: BroadcastModel::default(),
             control_channel: ControlChannel::Ideal,
             checkpoint_interval: SimDuration::from_minutes(10),
-            ckpt_save_secs: 15.0,
-            ckpt_restore_secs: 60.0,
             world_rebuild_secs: 45.0,
-            rollback_recompute_factor: 0.8,
-            ckpt: None,
+            ckpt: CkptConfig { capture_stall_secs: 15.0, ..CkptConfig::default() },
             dd_classes: None,
             failover: FailoverMode::DdsBased,
             injections: Vec::new(),
@@ -413,27 +405,22 @@ impl JobConfig {
         self.attribution = true;
         self
     }
+    /// Checkpoint every `d`: the first capture lands at `d` and the cadence
+    /// policy becomes `Fixed` at `d`. A later [`JobConfig::with_ckpt`]
+    /// replaces the policy but keeps the first capture at `d`.
     pub fn with_checkpoint_interval(mut self, d: SimDuration) -> Self {
         self.checkpoint_interval = d;
-        self
-    }
-    /// Seconds the plain (subsystem-off) checkpoint save stalls the servers.
-    /// When sweeping the interval for a `DdsBased` arm against a
-    /// `FailoverMode::Replay` arm, set this comparable to
-    /// [`antdt_ckpt::CkptConfig::capture_stall_secs`] so the two arms differ
-    /// in *recovery*, not in pause cost.
-    pub fn with_ckpt_save_secs(mut self, secs: f64) -> Self {
-        self.ckpt_save_secs = secs;
+        self.ckpt.policy = CkptPolicy::Fixed { interval_secs: d.as_secs_f64() };
         self
     }
     pub fn with_failover_mode(mut self, mode: FailoverMode) -> Self {
         self.failover = mode;
         self
     }
-    /// Enable the checkpoint subsystem with an explicit storage tier /
-    /// cadence policy / capture cost (see [`antdt_ckpt::CkptConfig`]).
+    /// Set the checkpoint storage tier, cadence policy and capture cost (see
+    /// [`antdt_ckpt::CkptConfig`]).
     pub fn with_ckpt(mut self, c: CkptConfig) -> Self {
-        self.ckpt = Some(c);
+        self.ckpt = c;
         self
     }
     pub fn with_injections(mut self, injections: Vec<ChaosInjection>) -> Self {
@@ -516,12 +503,7 @@ impl JobConfig {
                 "FailoverMode::Replay requires the DDS data strategy (there is no queue to rewind otherwise)"
             );
         }
-        if let Some(c) = &self.ckpt {
-            assert!(
-                c.capture_stall_secs.is_finite() && c.capture_stall_secs >= 0.0,
-                "ckpt capture stall must be finite and non-negative"
-            );
-        }
+        self.validate_ckpt();
         if let ExecutionMode::Real { dataset, .. } = &self.execution {
             assert!(
                 dataset.len() as u64 >= self.total_samples,
@@ -549,6 +531,10 @@ impl JobConfig {
                     assert!(
                         matches!(self.arch, Arch::ParameterServer { .. }),
                         "KillServer injection requires a Parameter Server job"
+                    );
+                    assert!(
+                        self.data == DataStrategy::Dds,
+                        "KillServer injection requires the DDS data strategy (a server restores from a checkpoint by rewinding the shard queue)"
                     );
                     assert!(
                         (*s as usize) < self.n_servers(),
@@ -604,6 +590,39 @@ impl JobConfig {
                 assert!(window.is_finite() && window > 0.0, "fault window must be positive");
             }
         }
+    }
+
+    /// A cadence that rounds to zero re-arms the checkpoint at the same
+    /// instant forever, so every interval the policy can produce must be at
+    /// least one simulated microsecond.
+    fn validate_ckpt(&self) {
+        let positive =
+            |secs: f64| secs.is_finite() && SimDuration::from_secs_f64(secs) > SimDuration::ZERO;
+        assert!(
+            self.checkpoint_interval > SimDuration::ZERO,
+            "checkpoint interval must be positive (a zero cadence never advances the clock)"
+        );
+        match self.ckpt.policy {
+            CkptPolicy::Fixed { interval_secs } => assert!(
+                positive(interval_secs),
+                "Fixed checkpoint interval must be finite and positive, got {interval_secs}"
+            ),
+            CkptPolicy::Adaptive { min_secs, max_secs } => {
+                assert!(
+                    positive(min_secs),
+                    "Adaptive checkpoint min_secs must be finite and positive, got {min_secs}"
+                );
+                assert!(
+                    min_secs <= max_secs,
+                    "Adaptive checkpoint min_secs {min_secs} exceeds max_secs {max_secs}"
+                );
+            }
+        }
+        let stall = self.ckpt.capture_stall_secs;
+        assert!(
+            stall.is_finite() && stall >= 0.0,
+            "ckpt capture stall must be finite and non-negative"
+        );
     }
 }
 
@@ -686,6 +705,74 @@ mod tests {
         JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
             .with_failover_mode(FailoverMode::Replay)
             .with_ckpt(CkptConfig::default())
+            .validate();
+    }
+
+    /// A small PS job checkpointing under `policy`.
+    fn with_policy(policy: CkptPolicy) -> JobConfig {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_ckpt(CkptConfig { policy, ..CkptConfig::default() })
+    }
+
+    /// A zero cadence would re-arm the checkpoint at the same instant
+    /// forever.
+    #[test]
+    #[should_panic(expected = "checkpoint interval must be positive")]
+    fn zero_checkpoint_interval_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_samples(200_000)
+            .with_checkpoint_interval(SimDuration::ZERO)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+    fn non_finite_fixed_cadence_rejected() {
+        with_policy(CkptPolicy::Fixed { interval_secs: f64::NAN }).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+    fn negative_fixed_cadence_rejected() {
+        with_policy(CkptPolicy::Fixed { interval_secs: -60.0 }).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+    fn sub_microsecond_fixed_cadence_rejected() {
+        with_policy(CkptPolicy::Fixed { interval_secs: 1e-9 }).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "Adaptive checkpoint min_secs must be finite and positive")]
+    fn adaptive_cadence_with_zero_floor_rejected() {
+        with_policy(CkptPolicy::Adaptive { min_secs: 0.0, max_secs: 600.0 }).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds max_secs")]
+    fn adaptive_cadence_with_inverted_bounds_rejected() {
+        with_policy(CkptPolicy::Adaptive { min_secs: 600.0, max_secs: 60.0 }).validate();
+    }
+
+    #[test]
+    fn default_checkpoint_cadence_is_a_fixed_ten_minute_local_save() {
+        let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+        assert_eq!(cfg.checkpoint_interval, SimDuration::from_minutes(10));
+        assert_eq!(cfg.ckpt, CkptConfig { capture_stall_secs: 15.0, ..CkptConfig::default() });
+        let cfg = cfg.with_checkpoint_interval(SimDuration::from_secs(60));
+        assert_eq!(cfg.ckpt.policy, CkptPolicy::Fixed { interval_secs: 60.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "KillServer injection requires the DDS data strategy")]
+    fn injection_kill_server_rejected_without_dds() {
+        JobConfig::ps_asp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_data_strategy(DataStrategy::EvenPartition)
+            .with_injections(vec![ChaosInjection {
+                at_secs: 10.0,
+                fault: InjectedFault::KillServer { s: 0 },
+            }])
             .validate();
     }
 

@@ -3,38 +3,12 @@
 //! A `KILL_RESTART` costs, on the scheduling side, pod pending time + node
 //! initialization, and on the application side, communication-world rebuild
 //! plus recovery work. The recovery work is where AntDT wins on workers:
-//!
-//! * **Checkpoint-based** (mainstream libraries): restore model + IO state from
-//!   the last checkpoint and *recompute every worker's* progress since then —
-//!   plus the amortized cost of writing checkpoints at all. Frequent saves make
-//!   the save overhead dominate; infrequent saves make the recompute dominate —
-//!   the U-shape of Fig. 17.
-//! * **DDS-based** (AntDT, worker side): the servers still hold the latest
-//!   parameters, so only the crashed worker's `DOING` shards are requeued and
-//!   recomputed — a small constant.
-
-use antdt_sim::SimDuration;
-
-/// Application-side delay of one *worker* failover under the checkpoint-based
-/// scheme (scheduling time excluded, as in Fig. 17).
-///
-/// `save_secs` — one checkpoint write; `job_secs`/`interval_secs` determine how
-/// many saves the job pays for (amortized per failover as the paper plots a
-/// single-failover job); `restore_secs` — read + rebuild; the expected
-/// recompute is half an interval, scaled by `recompute_factor`.
-pub fn checkpoint_failover_delay_secs(
-    interval_secs: f64,
-    job_secs: f64,
-    save_secs: f64,
-    restore_secs: f64,
-    recompute_factor: f64,
-) -> f64 {
-    assert!(interval_secs > 0.0);
-    let n_saves = (job_secs / interval_secs).max(0.0);
-    let save_overhead = n_saves * save_secs;
-    let expected_recompute = recompute_factor * interval_secs / 2.0;
-    save_overhead + restore_secs + expected_recompute
-}
+//! under DDS-based failover the servers still hold the latest parameters, so
+//! only the crashed worker's `DOING` shards are requeued and recomputed — a
+//! small constant, modeled here in closed form as the predictor the chaos
+//! drills check the simulator against. Checkpoint-based recovery has no
+//! formula: it runs live through the `antdt-ckpt` subsystem (`experiments
+//! fig17` sweeps it against the checkpoint interval).
 
 /// Application-side delay of one worker failover under the DDS-based scheme:
 /// rebuild the communication world and recompute only the crashed worker's
@@ -49,66 +23,9 @@ pub fn dds_failover_delay_secs(
     world_rebuild_secs + recompute
 }
 
-/// One point of the Fig. 17 curve.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig17Point {
-    pub ckpt_interval: SimDuration,
-    pub checkpoint_based: SimDuration,
-    pub dds_based: SimDuration,
-}
-
-/// Regenerate the Fig. 17 sweep for a job of `job` duration.
-#[allow(clippy::too_many_arguments)]
-pub fn fig17_curve(
-    intervals: &[SimDuration],
-    job: SimDuration,
-    save_secs: f64,
-    restore_secs: f64,
-    recompute_factor: f64,
-    world_rebuild_secs: f64,
-    shard_samples: u64,
-    worker_throughput: f64,
-) -> Vec<Fig17Point> {
-    intervals
-        .iter()
-        .map(|&iv| Fig17Point {
-            ckpt_interval: iv,
-            checkpoint_based: SimDuration::from_secs_f64(checkpoint_failover_delay_secs(
-                iv.as_secs_f64(),
-                job.as_secs_f64(),
-                save_secs,
-                restore_secs,
-                recompute_factor,
-            )),
-            dds_based: SimDuration::from_secs_f64(dds_failover_delay_secs(
-                world_rebuild_secs,
-                shard_samples,
-                worker_throughput,
-            )),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkpoint_curve_is_u_shaped() {
-        let job = 2.0 * 3600.0;
-        let delays: Vec<f64> = [300.0, 900.0, 1800.0, 3600.0, 7200.0]
-            .iter()
-            .map(|&iv| checkpoint_failover_delay_secs(iv, job, 45.0, 60.0, 0.8))
-            .collect();
-        // High frequency (5 min): save overhead dominates — paper reports ~17 min.
-        assert!(delays[0] > 600.0, "frequent-save delay {} too small", delays[0]);
-        // The minimum sits strictly inside the sweep.
-        let min_idx =
-            delays.iter().enumerate().min_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
-        assert!(min_idx > 0 && min_idx < delays.len() - 1, "delays {delays:?}");
-        // Long intervals: recompute dominates and grows.
-        assert!(delays[4] > delays[min_idx] * 1.5);
-    }
 
     #[test]
     fn dds_delay_is_small_and_interval_independent() {
@@ -116,32 +33,5 @@ mod tests {
         let d = dds_failover_delay_secs(45.0, 160_000, 2000.0);
         assert!((60.0..300.0).contains(&d), "dds delay {d}");
         assert_eq!(dds_failover_delay_secs(45.0, 100, 0.0), 45.0);
-    }
-
-    #[test]
-    fn fig17_dds_beats_checkpoints_at_high_save_frequency() {
-        let intervals: Vec<SimDuration> =
-            (1..=12).map(|m| SimDuration::from_minutes(m * 5)).collect();
-        let pts = fig17_curve(
-            &intervals,
-            SimDuration::from_secs(7200),
-            45.0,
-            60.0,
-            0.8,
-            45.0,
-            160_000,
-            2000.0,
-        );
-        assert_eq!(pts.len(), 12);
-        for p in &pts {
-            assert!(
-                p.dds_based < p.checkpoint_based,
-                "DDS {} vs ckpt {} at {}",
-                p.dds_based,
-                p.checkpoint_based,
-                p.ckpt_interval
-            );
-            assert_eq!(p.dds_based, pts[0].dds_based, "DDS delay is flat");
-        }
     }
 }

@@ -1,5 +1,6 @@
 //! The job report: every quantity the paper's tables and figures consume.
 
+use crate::config::FailoverMode;
 use antdt_agent::OverheadLedger;
 use antdt_controller::Action;
 use antdt_dds::{ConsumptionStats, IntegrityAudit, ResizeRecord};
@@ -100,10 +101,13 @@ pub struct ReplayRecord {
     pub requeued_samples: u64,
 }
 
-/// Checkpoint-subsystem section of the report; present iff the subsystem was
-/// armed (`FailoverMode::Replay` or an explicit `CkptConfig`).
+/// Checkpoint-subsystem section of the report; present iff the job had
+/// parameter servers (every Parameter Server job checkpoints).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptReport {
+    /// The job's worker-recovery policy: under `Replay` a worker kill
+    /// restores a snapshot too, under `DdsBased` only a server kill does.
+    pub failover: FailoverMode,
     pub snapshots: Vec<CkptRecord>,
     pub restores: Vec<ReplayRecord>,
     /// The cadence the `CkptPolicy` knob had settled on when the job ended.
@@ -295,7 +299,7 @@ pub struct DivergenceMarks {
     /// `ControlDegrade` overlay window don't count — the overlay channel is
     /// identical either way.
     pub control_modeled: Option<SimTime>,
-    /// First checkpoint event that charged a nonzero save/capture stall
+    /// First checkpoint capture that charged a nonzero stall
     /// (`Perturbation::NoCkptStalls`).
     pub ckpt_stall: Option<SimTime>,
 }
@@ -311,7 +315,7 @@ pub struct JobReport {
     /// mid-compute deaths) — recomputed later by the at-least-once machinery.
     pub rolled_back_samples: u64,
     /// Samples requeued by checkpoint-replay restores and re-done through the
-    /// real drivers. Zero unless the checkpoint subsystem was armed.
+    /// real drivers. Zero unless a kill restored a checkpoint.
     pub replayed_samples: u64,
     /// `true` if the safety cap fired before the data was exhausted.
     pub timed_out: bool,
@@ -361,7 +365,7 @@ pub struct JobReport {
     /// set.
     pub telemetry: Option<TelemetryReport>,
     /// Checkpoint-subsystem ledger (captures, restores, final cadence);
-    /// `None` unless the subsystem was armed.
+    /// `None` for ring AllReduce jobs, which take no checkpoints.
     pub ckpt: Option<CkptReport>,
     /// Straggler-attribution section (per-cause decomposition, blame
     /// ranking); `None` unless `JobConfig::attribution` armed the engine.
@@ -438,10 +442,12 @@ impl JobReport {
         for d in &self.decision_log {
             let _ = writeln!(w, "decision: {d:?}");
         }
-        // Checkpoint-subsystem lines render only when the subsystem was
-        // armed: every pre-subsystem fixture (and any default-config run)
-        // stays byte-identical.
-        if let Some(c) = &self.ckpt {
+        // Checkpoint-subsystem lines render only when a checkpoint was
+        // captured or restored: a job that ends before its first capture
+        // renders none.
+        if let Some(c) =
+            self.ckpt.as_ref().filter(|c| !c.snapshots.is_empty() || !c.restores.is_empty())
+        {
             let _ = writeln!(w, "replayed_samples: {}", self.replayed_samples);
             for r in &c.snapshots {
                 let _ = writeln!(w, "ckpt: {r:?}");

@@ -4,12 +4,13 @@
 //! The data model and cost knobs live in the std-only leaf crate
 //! [`antdt_ckpt`]; this module is the bridge that walks the kernel's world
 //! (DDS queue, worker watermarks, PS parameters) into a [`Snapshot`] and back.
-//! Under [`FailoverMode::Replay`](crate::config::FailoverMode) a kill stages
-//! the last *durable* snapshot, the storage tier prices the read-back, and
-//! [`Kernel::apply_ckpt_restore`] rewinds the DDS queue at the restore
-//! instant — the lost iterations then replay through the ordinary
-//! `SyncStrategy` drivers, so recovery time is emergent rather than a
-//! closed-form estimate.
+//! Every Parameter Server job checkpoints here. A server kill (and, under
+//! [`FailoverMode::Replay`](crate::config::FailoverMode), a worker kill)
+//! stages the last *durable* snapshot, the storage tier prices the
+//! read-back, and [`Kernel::apply_ckpt_restore`] rewinds the DDS queue at
+//! the restore instant — the lost iterations then replay through the
+//! ordinary `SyncStrategy` drivers, so recovery time is emergent rather than
+//! a closed-form estimate.
 
 use super::kernel::Kernel;
 use crate::events::{Ev, RtEngine};
@@ -24,8 +25,9 @@ use antdt_sim::{SimDuration, SimTime};
 use antdt_telemetry::DecisionRecord;
 use std::collections::BTreeMap;
 
-/// Runtime state of the checkpoint subsystem; present on the kernel iff the
-/// job runs `FailoverMode::Replay` or carries an explicit `CkptConfig`.
+/// Runtime state of the checkpoint subsystem: the one checkpoint model of a
+/// Parameter Server job. Present on the kernel iff the job has servers; a
+/// capture adds no events beyond its own re-arm and draws no randomness.
 #[derive(Clone)]
 pub(crate) struct CkptRt {
     pub(crate) tier: StorageTier,
@@ -42,11 +44,11 @@ pub(crate) struct CkptRt {
     pub(crate) pending: Vec<(u64, Snapshot)>,
     /// The newest snapshot whose drain write has completed.
     pub(crate) durable: Option<Snapshot>,
-    /// Snapshot staged by a Replay kill, applied at the restore instant.
+    /// Snapshot staged by a restoring kill, applied at the restore instant.
     pub(crate) pending_restore: Option<Snapshot>,
     pub(crate) records: Vec<CkptRecord>,
     pub(crate) restores: Vec<ReplayRecord>,
-    /// Interval currently armed, in seconds (starts at the legacy
+    /// Interval currently armed, in seconds (starts at the job's
     /// `checkpoint_interval`, then tracks the cadence policy).
     pub(crate) interval_now: f64,
 }
@@ -86,7 +88,6 @@ impl Kernel {
     /// progress watermarks, and (real-math mode) the PS parameter vector.
     fn ckpt_build_snapshot(&self, now: SimTime) -> Snapshot {
         let dds = self.dds.as_ref().map(|d| d.export_ckpt());
-        let consumption = self.dds.as_ref().map(|d| d.consumption());
         let workers = self
             .workers
             .iter()
@@ -94,10 +95,7 @@ impl Kernel {
             .map(|(i, w)| WorkerMark {
                 worker: i as u32,
                 gen: w.gen,
-                samples: consumption
-                    .as_ref()
-                    .and_then(|c| c.per_worker.get(&(i as u32)))
-                    .map_or(0, |c| c.samples_done),
+                samples: self.dds.as_ref().map_or(0, |d| d.worker_samples_done(i as u32)),
             })
             .collect();
         let params = self.math.as_ref().map_or_else(Vec::new, |m| m.model.params().to_vec());
@@ -123,13 +121,12 @@ impl Kernel {
             return;
         }
         let now = eng.now();
-        self.last_ckpt = now;
         if let Some(rt) = &mut self.tele {
             rt.tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
         }
         // A nonzero capture stall perturbs both the servers' booking and the
         // adaptive-cadence input (`stall + write_secs`), so the stall itself
-        // is the divergence condition even on a serverless topology.
+        // is the divergence condition, even while every server is down.
         if self.ckpt_rt.as_ref().is_some_and(|c| c.capture_stall_secs > 0.0) {
             self.mark_ckpt_stall(now);
         }
@@ -184,7 +181,7 @@ impl Kernel {
         eng.schedule(now + SimDuration::from_secs_f64(interval), Ev::Checkpoint);
     }
 
-    /// A Replay kill at `now`: settle drain completions, stage the newest
+    /// A restoring kill at `now`: settle drain completions, stage the newest
     /// durable snapshot for the restore, and price the read-back. Returns the
     /// tier read time to fold into the replacement pod's delay. With no
     /// durable snapshot yet the stage is an empty snapshot — the rewind then

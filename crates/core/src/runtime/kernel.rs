@@ -15,7 +15,7 @@ use super::ckpt::CkptRt;
 use super::data::{DataSource, LeaseState};
 use super::membership::Membership;
 use super::ml_bridge::MathState;
-use crate::config::{DataStrategy, ExecutionMode, FailoverMode, JobConfig};
+use crate::config::{DataStrategy, ExecutionMode, JobConfig};
 use crate::obs::RtTele;
 use crate::report::{ActionApplication, DivergenceMarks, InjectionRecord};
 use antdt_agent::OverheadLedger;
@@ -125,9 +125,8 @@ pub struct Kernel {
     /// Every scheduler restart delay sampled (µs): failover and scale-out
     /// pods alike. Feeds the `antdt_restart_delay_us` histogram.
     pub(crate) restart_delays_us: Vec<u64>,
-    pub(crate) last_ckpt: SimTime,
-    /// The checkpoint/state subsystem; `Some` iff the job runs
-    /// `FailoverMode::Replay` or carries an explicit `CkptConfig`.
+    /// The checkpoint/state subsystem; `Some` iff the job has parameter
+    /// servers (ring AllReduce takes no checkpoints).
     pub(crate) ckpt_rt: Option<CkptRt>,
     /// The straggler-attribution engine; `Some` iff `JobConfig::attribution`.
     /// Like telemetry it never schedules events or draws randomness — the
@@ -293,12 +292,8 @@ impl Kernel {
         // Telemetry implies Gantt recording: the recorded spans become the
         // bulk of the exported Chrome trace.
         let gantt = (cfg.record_gantt || cfg.telemetry).then(Gantt::new);
-        // The checkpoint subsystem arms iff asked for: Replay failover needs
-        // real snapshots, and an explicit CkptConfig opts in without changing
-        // the failover mode (capture-cost studies).
-        let ckpt_rt = (cfg.failover == FailoverMode::Replay || cfg.ckpt.is_some()).then(|| {
-            CkptRt::new(cfg.ckpt.unwrap_or_default(), cfg.checkpoint_interval.as_secs_f64())
-        });
+        let ckpt_rt =
+            uses_servers.then(|| CkptRt::new(cfg.ckpt, cfg.checkpoint_interval.as_secs_f64()));
         let attr = cfg.attribution.then(AttrRt::new);
         Kernel {
             sched_rng: pool.stream(7),
@@ -316,7 +311,6 @@ impl Kernel {
             kills: Vec::new(),
             restarts: Vec::new(),
             restart_delays_us: Vec::new(),
-            last_ckpt: SimTime::ZERO,
             ckpt_rt,
             attr,
             samples_done: 0,
@@ -367,8 +361,8 @@ impl Kernel {
     }
 
     /// Set-once divergence mark for `Perturbation::NoCkptStalls`: the first
-    /// checkpoint that charged a nonzero stall (legacy save or subsystem
-    /// capture — either also perturbs the adaptive cadence input).
+    /// checkpoint capture that charged a nonzero stall (which also perturbs
+    /// the adaptive cadence input).
     pub(crate) fn mark_ckpt_stall(&mut self, now: SimTime) {
         if self.marks.ckpt_stall.is_none() {
             self.marks.ckpt_stall = Some(now);

@@ -1,5 +1,5 @@
 //! Kernel lifecycle: node kill/restart state machines with generation
-//! counters, failover scheduling and checkpoints.
+//! counters and failover scheduling.
 //!
 //! Everything here is PS-family machinery (ranks in round-driven strategies
 //! never restart — a killed rank leaves for good, handled in the strategy),
@@ -14,14 +14,6 @@ use antdt_attr::WaitCause;
 use antdt_monitor::{ErrorClass, NodeEvent, NodeId, RetryableError};
 use antdt_sim::gantt::SpanKind;
 use antdt_sim::{NodeProfile, SimDuration};
-
-/// The closed-form recompute charge of a `DdsBased` *server* kill (§V-E3):
-/// `factor × min(time since last checkpoint, checkpoint interval)`. Extracted
-/// so the golden-trace-pinned formula has exactly one home and a unit test
-/// can pin it against the Replay rework.
-pub(crate) fn legacy_rollback_secs(factor: f64, since_ckpt_secs: f64, interval_secs: f64) -> f64 {
-    factor * since_ckpt_secs.min(interval_secs)
-}
 
 /// Kill worker `w` (generation-checked): roll back its in-flight samples,
 /// requeue its DOING shards, drop it from the consistency layer and schedule
@@ -85,16 +77,13 @@ pub(crate) fn worker_kill<F: PsFlavor>(
         if extra > 0.0 {
             delay += SimDuration::from_secs_f64(extra);
         }
-        match k.cfg.failover {
-            FailoverMode::DdsBased => {}
-            FailoverMode::Replay => {
-                // The snapshot read-back is on the replacement's critical
-                // path; the rewind applies just before the pod starts
-                // (CkptRestore is scheduled first at the same instant, and
-                // the engine processes same-time events in schedule order).
-                delay += k.stage_ckpt_restore(now);
-                eng.schedule(now + delay, Ev::CkptRestore);
-            }
+        if k.cfg.failover == FailoverMode::Replay {
+            // The snapshot read-back is on the replacement's critical path;
+            // the rewind applies just before the pod starts (CkptRestore is
+            // scheduled first at the same instant, and the engine processes
+            // same-time events in schedule order).
+            delay += k.stage_ckpt_restore(now);
+            eng.schedule(now + delay, Ev::CkptRestore);
         }
         if let Some(g) = k.gantt.as_mut() {
             g.record(w, SpanKind::Failover, now, now + delay);
@@ -220,13 +209,11 @@ impl Kernel {
         eng.schedule(now, Ev::WorkerStart { w, gen });
     }
 
-    /// Kill server `s` (generation-checked) and schedule its failover. Under
-    /// [`FailoverMode::DdsBased`] server recovery is a closed-form checkpoint
-    /// charge (the dead server's parameter shard is gone): pending + init +
-    /// rebuild + checkpoint restore + recompute of the progress since the
-    /// last checkpoint (§V-E2). Under Replay the closed-form restore + recompute
-    /// charge is replaced by the storage-tier read-back of the last durable
-    /// snapshot plus the emergent replay of the rewound work.
+    /// Kill server `s` (generation-checked) and schedule its failover. The
+    /// dead server's parameter shard is gone whatever the [`FailoverMode`],
+    /// so the replacement restores the last durable checkpoint: pending +
+    /// init + rebuild + the storage-tier read-back, after which the rewound
+    /// work replays through the real drivers (§V-E2).
     pub(crate) fn server_kill(&mut self, eng: &mut RtEngine, s: u32, gen: u32) {
         let sj = s as usize;
         if !self.servers[sj].alive || self.servers[sj].gen != gen {
@@ -246,82 +233,15 @@ impl Kernel {
             at: now,
             class: ErrorClass::Retryable(RetryableError::ProactiveKill),
         });
-        let delay = match self.cfg.failover {
-            FailoverMode::DdsBased => {
-                let rollback = legacy_rollback_secs(
-                    self.cfg.rollback_recompute_factor,
-                    now.since(self.last_ckpt).as_secs_f64(),
-                    self.cfg.checkpoint_interval.as_secs_f64(),
-                );
-                self.sched_restart_delay(now)
-                    + SimDuration::from_secs_f64(
-                        self.cfg.world_rebuild_secs + self.cfg.ckpt_restore_secs + rollback,
-                    )
-            }
-            FailoverMode::Replay => {
-                // The rewind lands just before the replacement server comes
-                // up (same-instant events process in schedule order).
-                let delay = self.sched_restart_delay(now)
-                    + SimDuration::from_secs_f64(self.cfg.world_rebuild_secs)
-                    + self.stage_ckpt_restore(now);
-                eng.schedule(now + delay, Ev::CkptRestore);
-                delay
-            }
-        };
+        // The rewind lands just before the replacement server comes up
+        // (same-instant events process in schedule order).
+        let delay = self.sched_restart_delay(now)
+            + SimDuration::from_secs_f64(self.cfg.world_rebuild_secs)
+            + self.stage_ckpt_restore(now);
+        eng.schedule(now + delay, Ev::CkptRestore);
         // Server lanes are push-driven (no boundary sync ever closes their
         // gaps), so charge the whole failover window to recovery up front.
         self.attr_fill(super::attr::SERVER_LANE + s, now + delay, WaitCause::FaultRecovery);
         eng.schedule(now + delay, Ev::ServerRestart { s, gen: self.servers[sj].gen });
-    }
-
-    /// Periodic checkpoint: stamp the rollback watermark, stall the servers
-    /// for the save, re-arm. With the checkpoint subsystem armed the event
-    /// instead captures a real [`antdt_ckpt::Snapshot`] (async-drained to the
-    /// storage tier, cadence re-armed by the `CkptPolicy` knob).
-    pub(crate) fn checkpoint(&mut self, eng: &mut RtEngine) {
-        if self.ckpt_rt.is_some() {
-            self.ckpt_capture(eng);
-            return;
-        }
-        if self.finished {
-            return;
-        }
-        let now = eng.now();
-        self.last_ckpt = now;
-        if let Some(rt) = &mut self.tele {
-            rt.tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
-        }
-        // Saving blocks the servers briefly.
-        if self.cfg.ckpt_save_secs > 0.0 && self.servers.iter().any(|s| s.alive) {
-            self.mark_ckpt_stall(now);
-        }
-        for j in 0..self.servers.len() {
-            if self.servers[j].alive {
-                let base = self.servers[j].free_at.max(now);
-                let end = base + SimDuration::from_secs_f64(self.cfg.ckpt_save_secs);
-                self.servers[j].free_at = end;
-                self.attr_fill(super::attr::SERVER_LANE + j as u32, base, WaitCause::SyncWait);
-                self.attr_fill(super::attr::SERVER_LANE + j as u32, end, WaitCause::CkptStall);
-            }
-        }
-        eng.schedule(now + self.cfg.checkpoint_interval, Ev::Checkpoint);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::legacy_rollback_secs;
-
-    /// Pins the closed-form recompute charge the golden traces depend on, so
-    /// the Replay rework can never silently perturb the server-kill delay.
-    #[test]
-    fn legacy_rollback_formula_is_pinned() {
-        // Mid-interval kill: factor × elapsed since the last checkpoint.
-        assert_eq!(legacy_rollback_secs(0.8, 300.0, 600.0), 240.0);
-        // Beyond one interval the recompute caps at factor × interval.
-        assert_eq!(legacy_rollback_secs(0.8, 900.0, 600.0), 480.0);
-        // Degenerate cases stay at zero.
-        assert_eq!(legacy_rollback_secs(0.8, 0.0, 600.0), 0.0);
-        assert_eq!(legacy_rollback_secs(0.0, 300.0, 600.0), 0.0);
     }
 }

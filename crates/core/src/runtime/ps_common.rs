@@ -406,7 +406,7 @@ impl<F: PsFlavor> SyncStrategy for PsStrategy<F> {
             Ev::ServerRestart { s, gen } => {
                 lifecycle::server_restart(k, &mut self.flavor, eng, s, gen)
             }
-            Ev::Checkpoint => k.checkpoint(eng),
+            Ev::Checkpoint => k.ckpt_capture(eng),
             Ev::WorkerJoin { w } => {
                 if super::membership::complete_join(k, eng, w) {
                     let gen = k.workers[w as usize].gen;

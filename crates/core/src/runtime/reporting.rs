@@ -95,6 +95,7 @@ impl Kernel {
         });
         let attr = attr_ledger.map(|l| super::attr::report_of(&l, jct_us));
         let ckpt = self.ckpt_rt.take().map(|rt| CkptReport {
+            failover: self.cfg.failover,
             snapshots: rt.records,
             restores: rt.restores,
             final_interval_secs: rt.interval_now,

@@ -40,12 +40,7 @@ pub fn apply_perturbation(mut cfg: JobConfig, p: &Perturbation) -> JobConfig {
         Perturbation::ZeroControlLatency => {
             cfg.control_channel = ControlChannel::Ideal;
         }
-        Perturbation::NoCkptStalls => {
-            cfg.ckpt_save_secs = 0.0;
-            if let Some(c) = cfg.ckpt.as_mut() {
-                c.capture_stall_secs = 0.0;
-            }
-        }
+        Perturbation::NoCkptStalls => cfg.ckpt.capture_stall_secs = 0.0,
     }
     cfg
 }
@@ -272,10 +267,10 @@ mod tests {
 
         let quiet = apply_perturbation(base.clone(), &Perturbation::ZeroControlLatency);
         assert_eq!(quiet.control_channel, ControlChannel::Ideal);
-        assert_eq!(quiet.ckpt_save_secs, base.ckpt_save_secs);
+        assert_eq!(quiet.ckpt, base.ckpt);
 
         let no_stall = apply_perturbation(base, &Perturbation::NoCkptStalls);
-        assert_eq!(no_stall.ckpt_save_secs, 0.0);
+        assert_eq!(no_stall.ckpt.capture_stall_secs, 0.0);
     }
 
     /// A fork owns a copy of the telemetry recorded so far: finishing a

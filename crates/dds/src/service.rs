@@ -171,6 +171,12 @@ impl DdsService {
         self.stats.clone()
     }
 
+    /// Samples worker `w` has completed so far (0 for a worker that never
+    /// reported); what [`DdsService::consumption`] holds, without the clone.
+    pub fn worker_samples_done(&self, w: WorkerId) -> u64 {
+        self.stats.per_worker.get(&w).map_or(0, |c| c.samples_done)
+    }
+
     /// Sample order for a lease (delegates to the shard shuffler).
     pub fn sample_order(&self, lease: &ShardLease) -> Vec<u64> {
         self.q.sample_order(lease)
@@ -403,6 +409,8 @@ mod tests {
         assert_eq!(c.per_worker[&0].samples_done, 700);
         assert_eq!(c.per_worker[&1].shards_done, 3);
         assert_eq!(c.total_samples_done(), 1000);
+        assert_eq!(s.worker_samples_done(0), c.per_worker[&0].samples_done);
+        assert_eq!(s.worker_samples_done(7), 0);
     }
 
     #[test]

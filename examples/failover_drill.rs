@@ -7,15 +7,17 @@
 //!   2. statistical integrity — the final model's holdout AUC matches a
 //!      failure-free run.
 //!
-//! Also prints the Fig. 17 comparison of DDS-based vs checkpoint-based
-//! recovery delay.
+//! Then kills one worker mid-job under both worker-recovery policies and
+//! prints the live Fig. 17 contrast: DDS requeue against a global rewind to
+//! the last checkpoint.
 //!
 //! ```sh
 //! cargo run --release --example failover_drill
 //! ```
 
-use antdt::core::failover;
-use antdt::core::{ExecutionMode, Job, JobConfig, MitigationChoice};
+use antdt::core::{
+    ChaosInjection, ExecutionMode, FailoverMode, InjectedFault, Job, JobConfig, MitigationChoice,
+};
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ctr, CtrConfig, Scenario};
 
@@ -65,27 +67,33 @@ fn main() {
     );
     println!("\nboth integrity properties hold.");
 
-    // Fig. 17: why DDS-based worker recovery beats checkpoint-based recovery.
-    println!("\nfailover delay model (worker side, scheduling time excluded):");
-    let intervals: Vec<SimDuration> =
-        [5u64, 10, 20, 40, 60].iter().map(|&m| SimDuration::from_minutes(m)).collect();
-    let pts = failover::fig17_curve(
-        &intervals,
-        SimDuration::from_secs(7_200),
-        45.0,
-        60.0,
-        0.8,
-        45.0,
-        4096 * 100,
-        2_000.0,
-    );
-    println!("  ckpt interval   checkpoint-based   DDS-based");
-    for p in pts {
-        println!(
-            "  {:>9.0} min   {:>14.0}s   {:>8.0}s",
-            p.ckpt_interval.as_secs_f64() / 60.0,
-            p.checkpoint_based.as_secs_f64(),
-            p.dds_based.as_secs_f64()
-        );
+    // Fig. 17, live: the same worker kill under both recovery policies, on
+    // a longer timing-only job so the replacement comes up well before the
+    // end. DDS requeue redoes only the dead worker's in-flight shard; a
+    // global rewind restores the last checkpoint and redoes everything since.
+    let long = || {
+        JobConfig::ps_bsp(cluster::cluster_a_scaled(8, 4), Scenario::None)
+            .with_global_batch(2_048)
+            .with_samples(2_000_000)
+            .with_batches_per_shard(4)
+            .with_fast_cadence(SimDuration::from_secs(60))
+            .with_checkpoint_interval(SimDuration::from_secs(60))
+    };
+    let kill_at = Job::run(long()).jct.as_secs_f64() * 0.4;
+    println!("\nworker kill at {kill_at:.0}s (40% of the fault-free JCT), checkpoint every 60 s:");
+    let killed = |mode| {
+        Job::run(long().with_failover_mode(mode).with_injections(vec![ChaosInjection {
+            at_secs: kill_at,
+            fault: InjectedFault::KillWorker { w: 3 },
+        }]))
+    };
+    let dds = killed(FailoverMode::DdsBased);
+    let rewind = killed(FailoverMode::Replay);
+    println!("  policy          JCT      replayed samples");
+    for (name, r) in [("DDS requeue", &dds), ("global rewind", &rewind)] {
+        println!("  {name:<13} {:>6.0}s   {:>8}", r.jct.as_secs_f64(), r.replayed_samples);
     }
+    assert_eq!(dds.replayed_samples, 0, "DDS requeue rewinds nothing");
+    assert!(rewind.replayed_samples > 0, "a global rewind replays work since the snapshot");
+    assert!(rewind.jct > dds.jct, "replaying lost work costs JCT");
 }

@@ -204,20 +204,28 @@ fn lossy_control_channel_runs_are_mutually_byte_identical() {
     assert_eq!(a, b);
 }
 
-/// Golden-trace safety of the checkpoint subsystem: with a default config
-/// (no `CkptConfig`, legacy failover) the subsystem is disarmed — the report
-/// carries no ckpt section and the dump renders no ckpt lines, so all eight
-/// fixtures above are byte-for-byte unaffected by its existence.
+/// The one fixture that captures checkpoints and restores one: every PS job
+/// checkpoints, but the eight fixtures above end before their first
+/// 10-minute capture (their dumps render no ckpt lines). Here the cadence is
+/// 60 s, a worker kill before the first capture recovers from the DDS alone,
+/// and a server kill restores the newest durable snapshot and replays the
+/// work done since.
 #[test]
-fn ckpt_subsystem_disabled_by_default() {
-    let report = Job::run(bsp());
-    assert!(report.ckpt.is_none(), "default config must not arm the subsystem");
-    assert_eq!(report.replayed_samples, 0);
-    let dump = report.golden_dump();
-    assert!(
-        !dump.lines().any(|l| l.starts_with("ckpt") || l.starts_with("replayed_samples")),
-        "disabled subsystem must not add dump lines"
-    );
+fn golden_bsp_server_kill() {
+    let cfg = bsp()
+        .with_checkpoint_interval(SimDuration::from_secs(60))
+        .with_injections(vec![
+            ChaosInjection { at_secs: 40.0, fault: InjectedFault::KillWorker { w: 2 } },
+            ChaosInjection { at_secs: 100.0, fault: InjectedFault::KillServer { s: 1 } },
+        ])
+        .with_liveness_timeout(SimDuration::from_secs(1_800));
+    let report = Job::run(cfg.clone());
+    let ckpt = report.ckpt.as_ref().expect("every PS job checkpoints");
+    assert!(ckpt.snapshots.len() >= 2, "captures at 60 s and 120 s at least");
+    assert_eq!(ckpt.restores.len(), 1, "the server kill restores, the worker kill does not");
+    assert_eq!(ckpt.restores[0].snapshot_at_us, 60_000_000, "the 60 s snapshot is restored");
+    assert!(report.replayed_samples > 0, "work done since the snapshot replays");
+    check("bsp_server_kill", cfg);
 }
 
 /// Same-seed determinism of the subsystem itself: two runs under Replay
