@@ -86,6 +86,20 @@ impl Snapshot {
         b
     }
 
+    /// Heap bytes this in-memory image owns (its lists' capacities) — what
+    /// a run holding it is charged in memory accounting, as opposed to the
+    /// modeled storage footprint [`Snapshot::size_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let dds = self
+            .dds
+            .as_ref()
+            .map_or(0, |d| d.queue.capacity() * size_of::<u64>() + d.state.capacity());
+        self.ps.params.capacity() * size_of::<f32>()
+            + dds
+            + self.workers.capacity() * size_of::<WorkerMark>()
+    }
+
     /// Deterministic line-oriented serialization. Every list line carries its
     /// element count up front so the parser can validate without lookahead.
     pub fn serialize(&self) -> String {

@@ -623,6 +623,16 @@ impl JobConfig {
             stall.is_finite() && stall >= 0.0,
             "ckpt capture stall must be finite and non-negative"
         );
+        // A stall as long as the shortest cadence queues captures back to
+        // back and the servers never train.
+        let shortest = match self.ckpt.policy {
+            CkptPolicy::Fixed { interval_secs } => interval_secs,
+            CkptPolicy::Adaptive { min_secs, .. } => min_secs,
+        };
+        assert!(
+            stall < shortest,
+            "ckpt capture stall {stall}s must be shorter than the shortest checkpoint interval {shortest}s"
+        );
     }
 }
 
@@ -712,6 +722,40 @@ mod tests {
     fn with_policy(policy: CkptPolicy) -> JobConfig {
         JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
             .with_ckpt(CkptConfig { policy, ..CkptConfig::default() })
+    }
+
+    /// A stall as long as the cadence queues captures back to back.
+    #[test]
+    #[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+    fn capture_stall_at_the_fixed_interval_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_ckpt(CkptConfig {
+                policy: CkptPolicy::Fixed { interval_secs: 15.0 },
+                capture_stall_secs: 15.0,
+                ..CkptConfig::default()
+            })
+            .validate();
+    }
+
+    /// The default 15 s stall against a 10 s cadence set by the builder.
+    #[test]
+    #[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+    fn capture_stall_beyond_the_builder_interval_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_checkpoint_interval(SimDuration::from_secs(10))
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+    fn capture_stall_at_the_adaptive_minimum_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_ckpt(CkptConfig {
+                policy: CkptPolicy::Adaptive { min_secs: 30.0, max_secs: 300.0 },
+                capture_stall_secs: 30.0,
+                ..CkptConfig::default()
+            })
+            .validate();
     }
 
     /// A zero cadence would re-arm the checkpoint at the same instant

@@ -42,8 +42,9 @@ pub use report::{
     MembershipEventKind, MembershipReport, ReplayRecord,
 };
 pub use whatif::{
-    apply_perturbation, config_digest, counterfactual_rows, divergence_instant, plan_replays,
-    run_what_if, what_if_table, Perturbation, PrefixRun, ReplayPlan,
+    apply_perturbation, config_digest, counterfactual_rows, divergence_instant,
+    divergence_mark_bound, perturbation_edits, plan_replays, run_what_if, what_if_table,
+    Perturbation, PrefixRun, ReplayPlan,
 };
 
 /// Run a job with an explicitly constructed policy — the escape hatch for

@@ -69,6 +69,19 @@ impl CkptRt {
         }
     }
 
+    /// Heap bytes the subsystem owns beyond its inline size: the snapshots
+    /// it holds (pending drains, the durable one, a staged restore) and its
+    /// record lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let held =
+            self.pending.iter().map(|(_, s)| s).chain(&self.durable).chain(&self.pending_restore);
+        held.map(Snapshot::heap_bytes).sum::<usize>()
+            + self.pending.capacity() * size_of::<(u64, Snapshot)>()
+            + self.records.capacity() * size_of::<CkptRecord>()
+            + self.restores.capacity() * size_of::<ReplayRecord>()
+    }
+
     /// Promote every pending snapshot whose drain write completed by `now_us`
     /// to the durable slot (drain order is capture order, so the last
     /// qualifying entry is the newest).
@@ -242,5 +255,40 @@ impl Kernel {
                 requeued_samples,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::JobConfig;
+    use antdt_controller::NoMitigation;
+    use antdt_workloads::cluster::cluster_a_scaled;
+    use antdt_workloads::Scenario;
+
+    /// A fork of a PS run copies the snapshots its checkpoint subsystem
+    /// holds, so the byte estimate a snapshot cache charges must count them.
+    #[test]
+    fn estimate_counts_the_snapshots_the_subsystem_holds() {
+        let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+        let mut k = Kernel::new(cfg, Box::new(NoMitigation), None, 11, true, true);
+        let mut eng = RtEngine::new();
+        let before = k.estimate_bytes();
+        k.ckpt_capture(&mut eng);
+        let c = k.ckpt_rt.as_ref().expect("a PS job checkpoints");
+        let held: usize = c
+            .pending
+            .iter()
+            .map(|(_, s)| s)
+            .chain(&c.durable)
+            .chain(&c.pending_restore)
+            .map(Snapshot::heap_bytes)
+            .sum();
+        assert!(held > 0, "the capture holds a snapshot with a DDS queue image");
+        assert!(
+            k.estimate_bytes() >= before + held,
+            "estimate {} must grow from {before} by at least the held {held} image bytes",
+            k.estimate_bytes()
+        );
     }
 }

@@ -369,6 +369,14 @@ impl Kernel {
         }
     }
 
+    /// How many divergence marks are set so far, the control-plane mark
+    /// (kept by the bus) included.
+    pub(crate) fn marks_set(&self) -> usize {
+        let workers = self.marks.worker_contended.iter().flatten().count();
+        let control = usize::from(self.bus.control_divergence().is_some());
+        workers + control + usize::from(self.marks.ckpt_stall.is_some())
+    }
+
     /// Record a non-trivial Controller action in the report timeline and the
     /// telemetry trace (shared by every strategy's monitor hook). Returns the
     /// action's one rendering, which the bus reuses for every directive.
@@ -468,6 +476,9 @@ impl Kernel {
         }
         if let Some(dds) = &self.dds {
             b += dds.estimate_bytes();
+        }
+        if let Some(c) = &self.ckpt_rt {
+            b += c.heap_bytes();
         }
         if let Some(g) = &self.gantt {
             b += g.spans.capacity() * size_of::<antdt_sim::Span>();

@@ -247,6 +247,7 @@ pub(crate) trait ErasedRun: Send {
     fn now(&self) -> SimTime;
     fn processed(&self) -> u64;
     fn finished(&self) -> bool;
+    fn marks_set(&self) -> usize;
     /// Estimated heap bytes an independent fork of this run would own
     /// (kernel clone + engine snapshot) — the cache-budget input.
     fn estimate_bytes(&self) -> usize;
@@ -269,6 +270,9 @@ impl<S: SyncStrategy + Clone + Send + 'static> ErasedRun for SimRun<S> {
     }
     fn finished(&self) -> bool {
         SimRun::finished(self)
+    }
+    fn marks_set(&self) -> usize {
+        self.k.marks_set()
     }
     fn estimate_bytes(&self) -> usize {
         self.k.estimate_bytes() + self.eng.snapshot_bytes_estimate()

@@ -13,7 +13,7 @@
 //! [`PrefixRun`]) and driven by one engine, the `antdt-whatif` service;
 //! [`what_if_table`] is the naive full-rerun oracle it is checked against.
 
-use crate::config::JobConfig;
+use crate::config::{Arch, JobConfig};
 use crate::job::Job;
 use crate::report::{CounterfactualRow, JobReport};
 use crate::runtime::attr::analysis_of;
@@ -43,6 +43,21 @@ pub fn apply_perturbation(mut cfg: JobConfig, p: &Perturbation) -> JobConfig {
         Perturbation::NoCkptStalls => cfg.ckpt.capture_stall_secs = 0.0,
     }
     cfg
+}
+
+/// Whether [`apply_perturbation`] would change `cfg` at all. `false` means
+/// the edited job is `cfg` itself, so its answer is `cfg`'s own report:
+/// healing a worker with no contention phases (or no such worker), zeroing
+/// the latency of an `Ideal` channel, or dropping a capture stall that is
+/// already `0.0` (bit for bit: `-0.0` renders differently).
+pub fn perturbation_edits(cfg: &JobConfig, p: &Perturbation) -> bool {
+    match p {
+        Perturbation::HealthyNode(n) => {
+            cfg.cluster.workers.get(*n as usize).is_some_and(|w| !w.profile.phases.is_empty())
+        }
+        Perturbation::ZeroControlLatency => !cfg.control_channel.is_ideal(),
+        Perturbation::NoCkptStalls => cfg.ckpt.capture_stall_secs.to_bits() != 0,
+    }
 }
 
 /// Re-run `cfg` with `p` applied (attribution stays armed so the replay is
@@ -82,6 +97,19 @@ pub fn divergence_instant(base: &JobReport, p: &Perturbation) -> Option<SimTime>
         Perturbation::ZeroControlLatency => marks.control_modeled,
         Perturbation::NoCkptStalls => marks.ckpt_stall,
     }
+}
+
+/// An upper bound on how many divergence marks a run of `cfg` can set: one
+/// per worker with contention phases, one for a `Modeled` base channel, and
+/// one for a Parameter Server job (the only kind that checkpoints) with a
+/// nonzero capture stall. [`PrefixRun::marks_set`] counts the same marks, so
+/// once it reaches this bound no later instant can be a fork point.
+pub fn divergence_mark_bound(cfg: &JobConfig) -> usize {
+    let contended = cfg.cluster.workers.iter().filter(|w| !w.profile.phases.is_empty()).count();
+    let control = usize::from(!cfg.control_channel.is_ideal());
+    let ps = matches!(cfg.arch, Arch::ParameterServer { .. });
+    let stall = usize::from(ps && cfg.ckpt.capture_stall_secs > 0.0);
+    contended + control + stall
 }
 
 /// 128-bit FNV-1a digest of a config's exhaustive `Debug` rendering — the
@@ -141,6 +169,12 @@ impl PrefixRun {
         self.0.finished()
     }
 
+    /// How many divergence marks the run has set so far (at most
+    /// [`divergence_mark_bound`] of its config).
+    pub fn marks_set(&self) -> usize {
+        self.0.marks_set()
+    }
+
     /// Estimated heap bytes an independent fork of this run owns (world
     /// clone + engine snapshot) — what a size-bounded cache charges.
     pub fn estimate_bytes(&self) -> usize {
@@ -159,6 +193,14 @@ impl PrefixRun {
         let mut f = self.0.fork_box();
         f.perturb(p);
         PrefixRun(f)
+    }
+
+    /// [`PrefixRun::fork_perturbed`] for the last branch off a prefix: the
+    /// run itself becomes the branch, without a copy.
+    pub fn into_perturbed(self, p: &Perturbation) -> PrefixRun {
+        let mut run = self.0;
+        run.perturb(p);
+        PrefixRun(run)
     }
 
     /// Drive to completion and assemble the report.
@@ -288,6 +330,42 @@ mod tests {
         assert!(plain.telemetry.is_some());
         assert_eq!(parent.telemetry, plain.telemetry);
         assert_eq!(forked.telemetry, plain.telemetry);
+    }
+
+    /// `perturbation_edits` is false exactly when the edit leaves the
+    /// config's digest unchanged, and the finished run sets no more marks
+    /// than `divergence_mark_bound` allows.
+    #[test]
+    fn edit_predicate_matches_the_digest_and_the_bound_holds() {
+        use antdt_ckpt::CkptConfig;
+        let modeled = ControlChannel::Modeled {
+            latency_secs: 0.05,
+            jitter_secs: 0.0,
+            loss_prob: 0.0,
+            seed: 3,
+        };
+        let stall = |secs: f64| CkptConfig { capture_stall_secs: secs, ..CkptConfig::default() };
+        let configs = [
+            cfg(),
+            cfg().with_control_channel(modeled).with_ckpt(stall(0.0)),
+            cfg().with_ckpt(stall(-0.0)),
+        ];
+        let perts = [0, 3, 99]
+            .map(Perturbation::HealthyNode)
+            .into_iter()
+            .chain([Perturbation::ZeroControlLatency, Perturbation::NoCkptStalls]);
+        for p in perts {
+            for c in &configs {
+                let changed = config_digest(&apply_perturbation(c.clone(), &p)) != config_digest(c);
+                assert_eq!(perturbation_edits(c, &p), changed, "{p:?} on {:?}", c.ckpt);
+            }
+        }
+        let report = Job::run(configs[1].clone().with_samples(200_000));
+        let d = &report.divergence;
+        let set = d.worker_contended.iter().flatten().count()
+            + usize::from(d.control_modeled.is_some())
+            + usize::from(d.ckpt_stall.is_some());
+        assert!(set > 0 && set <= divergence_mark_bound(&configs[1]), "{d:?}");
     }
 
     #[test]

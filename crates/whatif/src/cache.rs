@@ -77,6 +77,13 @@ impl SnapshotCache {
         self.len() == 0
     }
 
+    /// The instants `digest` has snapshots at, ascending.
+    pub fn instants(&self, digest: u128) -> Vec<SimTime> {
+        self.map
+            .get(&digest)
+            .map_or_else(Vec::new, |by_time| by_time.keys().map(|&t| SimTime(t)).collect())
+    }
+
     /// Running totals (never reset).
     pub fn stats(&self) -> CacheStats {
         self.stats

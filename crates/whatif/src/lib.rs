@@ -19,18 +19,24 @@
 //!    lookup ([`SnapshotCache`]); a query forks the closest cached snapshot
 //!    at or before its divergence instant instead of re-simulating the
 //!    prelude. A **snapshot spine** seeds the cache during the base run:
-//!    the first simulation of a config checkpoints itself every
-//!    [`ServiceConfig::spine_every`] sim-seconds.
+//!    the first simulation of a config holds a fork of itself at every
+//!    [`ServiceConfig::spine_every`] tick and keeps it only if the run sets
+//!    a divergence mark before the next tick. A query can only fork just
+//!    before a mark, so that tick is the one snapshot it can read; the
+//!    spine stops once every mark the config can set is set.
 //! 3. **Fork replay** — within a batch, queries sharing a config fork one
 //!    monotonically-advancing prefix at their (sorted) divergence instants
 //!    and only simulate their suffixes.
 //!
 //! A query with no divergence mark (or one at t = 0) cannot fork. An edit
-//! that leaves the config unchanged is answered from the held report; other
-//! non-forkable edits full-rerun. Suffix finishes and those full reruns fan
-//! out over the `antdt-par` work-stealing pool in input order, so every
-//! answer is **byte-identical** to a serial full rerun of the perturbed
-//! config — the differential tests and the `whatif` bench assert this via
+//! that changes nothing in the config (`perturbation_edits`) is answered
+//! from the trace's own report, one that turns it into another held trace
+//! from that trace's report; other non-forkable edits full-rerun. Within a
+//! group, the last forkable query takes the shared prefix itself rather
+//! than a copy. Suffix finishes and those full reruns fan out over the
+//! `antdt-par` work-stealing pool in input order, so every answer is
+//! **byte-identical** to a serial full rerun of the perturbed config — the
+//! differential tests and the `whatif` bench assert this via
 //! `JobReport::golden_dump`. A fork carries the telemetry its prefix
 //! recorded, so telemetry-armed configs fork like any other and their
 //! answers carry the same `TelemetryReport` a rerun renders.
@@ -40,8 +46,8 @@ mod cache;
 pub use cache::{CacheStats, SnapshotCache};
 
 use antdt_core::{
-    apply_perturbation, config_digest, plan_replays, Job, JobConfig, JobReport, Perturbation,
-    PrefixRun,
+    apply_perturbation, config_digest, divergence_mark_bound, perturbation_edits, plan_replays,
+    Job, JobConfig, JobReport, Perturbation, PrefixRun,
 };
 use antdt_sim::{SimDuration, SimTime};
 use antdt_telemetry::{Counter, Gauge, MetricsRegistry};
@@ -90,9 +96,9 @@ pub struct ServiceConfig {
     /// [`PrefixRun::estimate_bytes`]).
     pub cache_budget_bytes: usize,
     /// Snapshot-spine cadence: while first simulating a config's base run,
-    /// checkpoint it into the cache every this many sim-seconds so later
-    /// queries at any divergence instant find a near predecessor.
-    /// [`SimDuration::ZERO`] disables the spine.
+    /// snapshot it every this many sim-seconds so later queries at any
+    /// divergence instant find a near predecessor; only ticks that precede
+    /// a mark are kept. [`SimDuration::ZERO`] disables the spine.
     pub spine_every: SimDuration,
     /// Also cache a snapshot at each query's fork instant, so repeats of
     /// *similar* (not just identical) batches start even closer.
@@ -145,6 +151,16 @@ enum WorkItem {
     Branch { run: PrefixRun, prefix_events: u64 },
     /// A full perturbed rerun from time zero.
     Rerun(Box<JobConfig>),
+}
+
+/// The prefix a group's forkable queries branch off, advanced in
+/// divergence order.
+struct Cursor {
+    /// Whether the prefix was seeded from a cached snapshot.
+    from_cache: bool,
+    /// The newest instant the cache holds a snapshot of this prefix at.
+    cached_at: Option<SimTime>,
+    run: PrefixRun,
 }
 
 /// An answer slot before the reports come home.
@@ -202,6 +218,12 @@ impl WhatIfService {
     /// Number of cached snapshots.
     pub fn cached_snapshots(&self) -> usize {
         self.cache.len()
+    }
+
+    /// The instants the snapshot cache holds snapshots of `cfg` at,
+    /// ascending.
+    pub fn snapshot_instants(&self, cfg: &JobConfig) -> Vec<SimTime> {
+        self.cache.instants(config_digest(cfg))
     }
 
     /// The base (unperturbed) report of `cfg`, simulating it — with the
@@ -275,35 +297,52 @@ impl WhatIfService {
             let plan = plan_replays(&self.bases[&digest], &perts);
 
             // The shared prefix only ever advances forward; the plan sorted
-            // the forkable queries by divergence instant to match.
+            // the forkable queries by divergence instant to match. The last
+            // branch takes the cursor itself instead of a copy of it.
             let mut planned: Vec<Option<Pending>> = vec![None; todo.len()];
-            let mut cursor: Option<(bool, PrefixRun)> = None;
-            for &(ti, t) in &plan.forkable {
+            let mut cursor: Option<Cursor> = None;
+            let last = plan.forkable.len().saturating_sub(1);
+            for (j, &(ti, t)) in plan.forkable.iter().enumerate() {
                 // Events AT the divergence instant belong to the suffix.
                 let target = SimTime(t.as_micros() - 1);
-                let (from_cache, run) =
-                    cursor.get_or_insert_with(|| match self.cache.fork_at(digest, target) {
-                        Some((_, run)) => (true, run),
-                        None => (false, PrefixRun::new(cfg)),
+                let mut c =
+                    cursor.take().unwrap_or_else(|| match self.cache.fork_at(digest, target) {
+                        Some((at, run)) => Cursor { from_cache: true, cached_at: Some(at), run },
+                        None => {
+                            Cursor { from_cache: false, cached_at: None, run: PrefixRun::new(cfg) }
+                        }
                     });
-                run.advance_until(target);
-                if self.cfg.cache_fork_points {
-                    self.cache.insert(digest, target, run.fork());
+                c.run.advance_until(target);
+                if self.cfg.cache_fork_points && c.cached_at != Some(target) {
+                    self.cache.insert(digest, target, c.run.fork());
+                    c.cached_at = Some(target);
                 }
-                let branch = run.fork_perturbed(&perts[ti]);
+                let source = AnswerSource::Forked { from_cache: c.from_cache };
+                let branch = if j == last {
+                    c.run.into_perturbed(&perts[ti])
+                } else {
+                    let branch = c.run.fork_perturbed(&perts[ti]);
+                    cursor = Some(c);
+                    branch
+                };
                 let prefix_events = branch.processed();
-                let source = AnswerSource::Forked { from_cache: *from_cache };
                 planned[ti] = Some(Pending::Work { item: work.len(), source });
                 work.push(WorkItem::Branch { run: branch, prefix_events });
             }
             for &ti in &plan.full_reruns {
-                let edited = apply_perturbation(cfg.clone(), &perts[ti]);
-                // Equal digests mean the same simulated schedule, so an edit
-                // that leaves the config unchanged (or turns it into another
-                // held trace) is answered from the held report.
+                let p = &perts[ti];
+                // An edit that changes nothing is answered from this trace's
+                // own report. Otherwise equal digests mean the same simulated
+                // schedule, so an edit that turns the config into another
+                // held trace is answered from that trace's report.
+                if !perturbation_edits(cfg, p) {
+                    planned[ti] = Some(Pending::Memo(Box::new(self.bases[&digest].clone())));
+                    continue;
+                }
+                let edited = apply_perturbation(cfg.clone(), p);
                 planned[ti] = Some(match self.bases.get(&config_digest(&edited)) {
                     Some(report) => {
-                        self.memo.insert((digest, perts[ti]), report.clone());
+                        self.memo.insert((digest, *p), report.clone());
                         Pending::Memo(Box::new(report.clone()))
                     }
                     None => {
@@ -367,23 +406,38 @@ impl WhatIfService {
         answers
     }
 
-    /// Simulate the base run of `cfg`, inserting a spine of snapshots every
-    /// [`ServiceConfig::spine_every`] sim-seconds along the way. The stepwise
-    /// advance fires exactly the events `Job::run` fires, so the report is
-    /// byte-identical to an un-spined base run.
+    /// Simulate the base run of `cfg`, keeping the snapshots a query can
+    /// fork from. A query forks just before a divergence mark, from the
+    /// nearest cached predecessor, so of the [`ServiceConfig::spine_every`]
+    /// ticks only the last one before each mark is read: the run holds a
+    /// fork at each tick and caches it only if the next advance sets a mark.
+    /// Once every mark the config can set ([`divergence_mark_bound`]) is
+    /// set, the run finishes without stopping. The stepwise advance fires
+    /// exactly the events `Job::run` fires, so the report is byte-identical
+    /// to an un-spined base run.
     fn run_base_with_spine(&mut self, digest: u128, cfg: &JobConfig) -> JobReport {
-        if self.cfg.spine_every == SimDuration::ZERO {
+        let bound = divergence_mark_bound(cfg);
+        if self.cfg.spine_every == SimDuration::ZERO || bound == 0 {
             return Job::run(cfg.clone());
         }
         let mut run = PrefixRun::new(cfg);
-        let mut t = SimTime::ZERO + self.cfg.spine_every;
-        while t < cfg.max_sim_time {
+        let mut held: Option<(SimTime, PrefixRun)> = None;
+        let mut t = SimTime::ZERO;
+        loop {
+            let set = run.marks_set();
+            // No tick at or past the deadline; `finish` re-runs the last
+            // advance as a no-op.
+            t = (t + self.cfg.spine_every).min(cfg.max_sim_time);
             let drained = run.advance_until(t);
-            if drained || run.finished() {
+            if run.marks_set() > set {
+                if let Some((at, snapshot)) = held.take() {
+                    self.cache.insert(digest, at, snapshot);
+                }
+            }
+            if drained || run.finished() || t == cfg.max_sim_time || run.marks_set() >= bound {
                 break;
             }
-            self.cache.insert(digest, t, run.fork());
-            t += self.cfg.spine_every;
+            held = Some((t, run.fork()));
         }
         run.finish()
     }

@@ -11,7 +11,7 @@ use antdt::core::{
     Perturbation,
 };
 use antdt::sim::rng::StdRng;
-use antdt::sim::SimDuration;
+use antdt::sim::{SimDuration, SimTime};
 use antdt::whatif::{AnswerSource, ServiceConfig, WhatIfQuery, WhatIfService};
 use antdt::workloads::cluster::{cluster_a_scaled, cluster_b};
 use antdt::workloads::{ModelProfile, Scenario};
@@ -138,7 +138,7 @@ fn assert_same_report(answer: &JobReport, naive: &JobReport, ctx: &str) {
 /// queries take the fork path and the snapshot cache actually fills — the
 /// fixture scenarios contend from t=0 and always full-rerun.
 fn forkable_cfg() -> JobConfig {
-    use antdt::sim::{ContentionPhase, ControlChannel, SimTime};
+    use antdt::sim::{ContentionPhase, ControlChannel};
     let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
         .with_model(ModelProfile::xdeepfm())
         .with_global_batch(4_096)
@@ -195,17 +195,80 @@ fn service_answers_equal_naive_full_reruns() {
 }
 
 /// The spine-stepped base run (advance in slices, snapshot between, finish)
-/// must be byte-identical to a plain `Job::run` of the same config.
+/// must be byte-identical to a plain `Job::run` of the same config. The
+/// spine seeds the cache only for a config with a mark after its first
+/// tick: `bsp()` contends from t = 0 and never checkpoints, so it caches
+/// nothing.
 #[test]
 fn spine_base_report_matches_plain_run() {
-    let cfg = bsp();
-    let mut service = WhatIfService::new(ServiceConfig {
-        spine_every: SimDuration::from_secs(60),
-        ..ServiceConfig::default()
-    });
-    let spined = service.base_report(&cfg).golden_dump();
-    assert!(service.cached_snapshots() > 0, "the spine must have seeded the cache");
-    assert_eq!(spined, Job::run(cfg).golden_dump());
+    for (cfg, seeds) in [(forkable_cfg(), true), (bsp(), false)] {
+        let mut service = WhatIfService::new(ServiceConfig {
+            spine_every: SimDuration::from_secs(45),
+            ..ServiceConfig::default()
+        });
+        let spined = service.base_report(&cfg).golden_dump();
+        assert_eq!(service.cached_snapshots() > 0, seeds, "seeding: {seeds}");
+        assert_eq!(spined, Job::run(cfg).golden_dump());
+    }
+}
+
+/// Every divergence mark of a base report, the ones at t = 0 included.
+fn marks(base: &JobReport) -> Vec<SimTime> {
+    let d = &base.divergence;
+    d.worker_contended
+        .iter()
+        .flatten()
+        .chain(&d.control_modeled)
+        .chain(&d.ckpt_stall)
+        .copied()
+        .collect()
+}
+
+/// Differential check of the mark-following spine against the periodic
+/// one: a query on mark `m` forks from the nearest cached predecessor of
+/// `m - 1 us`, which must be the periodic spine's tick `floor((m-1)/S)*S`
+/// (none for a mark inside the first tick), and the spine caches no other
+/// tick. The expected instants are derived from the marks alone. At a 30 s
+/// cadence the checkpoint mark at 60 s falls exactly on a tick.
+#[test]
+fn spine_caches_the_periodic_predecessor_of_every_mark() {
+    use antdt::sim::ContentionPhase;
+    let mut staggered = forkable_cfg();
+    for (w, from) in [(1, 100.0), (2, 170.0)] {
+        staggered.cluster.workers[w].profile.phases.push(ContentionPhase::Persistent {
+            delay_secs: 4.0,
+            from: SimTime::from_secs_f64(from),
+            to: SimTime::MAX,
+        });
+    }
+    let forkable = [forkable_cfg(), forkable_cfg().with_telemetry(), staggered];
+    let cases = (0..8)
+        .map(|i| (fixture(i), 45))
+        .chain(forkable.into_iter().flat_map(|cfg| [(cfg.clone(), 45), (cfg, 30)]));
+    for (i, (cfg, secs)) in cases.enumerate() {
+        let every = SimDuration::from_secs(secs);
+        let s = every.as_micros();
+        let mut service =
+            WhatIfService::new(ServiceConfig { spine_every: every, ..ServiceConfig::default() });
+        let marks = marks(service.base_report(&cfg));
+        let cached: Vec<u64> =
+            service.snapshot_instants(&cfg).iter().map(|t| t.as_micros()).collect();
+        let mut expected: Vec<u64> = marks
+            .iter()
+            .filter(|m| **m > SimTime::ZERO)
+            .map(|m| (m.as_micros() - 1) / s * s)
+            .filter(|&tick| tick >= s)
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(cached, expected, "config {i}: marks {marks:?}");
+        for m in marks.iter().filter(|m| **m > SimTime::ZERO) {
+            let target = m.as_micros() - 1;
+            let tick = target / s * s;
+            let pred = cached.iter().rev().find(|&&t| t <= target).copied();
+            assert_eq!(pred, (tick >= s).then_some(tick), "config {i}: predecessor of {m:?}");
+        }
+    }
 }
 
 /// Repeats hit the memo store — no simulation, same bytes — and forkable
@@ -240,18 +303,20 @@ fn repeated_batches_are_memoized_and_cache_backed() {
     }
 }
 
-/// A cache squeezed far below one batch's snapshot footprint keeps evicting
-/// — and the answers still match naive reruns (eviction only costs speed).
-/// A telemetry-armed config's snapshots also carry its trace and flight
-/// ring, and the byte bound holds for them too.
+/// A cache squeezed below one batch's snapshot footprint evicts — and the
+/// answers still match naive reruns (eviction only costs speed). The plain
+/// config's spine snapshot and fork point fit one at a time but not
+/// together; a telemetry-armed config's snapshots also carry its trace and
+/// flight ring, outgrow the whole budget and are refused. The byte bound
+/// holds either way.
 #[test]
 fn eviction_under_a_tiny_budget_preserves_answers() {
     for cfg in [forkable_cfg(), forkable_cfg().with_telemetry()] {
-        let ctx = format!("64 KiB budget, telemetry {}", cfg.telemetry);
+        let ctx = format!("24 KiB budget, telemetry {}", cfg.telemetry);
         let queries: Vec<WhatIfQuery> = (0..4)
             .map(|w| WhatIfQuery { cfg: cfg.clone(), perturbation: Perturbation::HealthyNode(w) })
             .collect();
-        let budget = 64 << 10;
+        let budget = 24 << 10;
         let mut service = WhatIfService::new(ServiceConfig {
             cache_budget_bytes: budget,
             spine_every: SimDuration::from_secs(45),
@@ -287,22 +352,33 @@ fn telemetry_armed_queries_fork_and_match_naive_reruns() {
     assert_same_report(&answer.report, &want, "telemetry-armed fork");
 }
 
-/// A batch mixing a no-op edit (healing worker 0, which is never
-/// contended), two forkable edits and an in-batch repeat of the no-op:
-/// every answer equals the naive rerun, the no-op is answered from the held
-/// base report without simulating anything, and a later batch answers it
-/// from the memo.
+/// A batch mixing no-op edits of all three kinds (healing worker 0, which
+/// is never contended; zeroing an `Ideal` channel's latency; dropping a
+/// capture stall that is already zero), a forkable edit and an in-batch
+/// repeat: every answer equals the naive rerun, each no-op is answered from
+/// the held base report without simulating anything, and a later batch
+/// answers it again without simulating.
 #[test]
 fn unchanged_config_edits_are_answered_from_the_held_base_report() {
+    use antdt::ckpt::CkptConfig;
+    use antdt::sim::ControlChannel;
     use antdt::telemetry::MetricsRegistry;
     let cfg = forkable_cfg();
+    let cfg = cfg
+        .clone()
+        .with_control_channel(ControlChannel::Ideal)
+        .with_ckpt(CkptConfig { capture_stall_secs: 0.0, ..cfg.ckpt });
     assert!(cfg.cluster.workers[0].profile.phases.is_empty());
-    let noop = Perturbation::HealthyNode(0);
-    let queries: Vec<WhatIfQuery> =
-        [noop, Perturbation::HealthyNode(3), Perturbation::NoCkptStalls, noop]
-            .into_iter()
-            .map(|perturbation| WhatIfQuery { cfg: cfg.clone(), perturbation })
-            .collect();
+    let noops = [
+        Perturbation::HealthyNode(0),
+        Perturbation::ZeroControlLatency,
+        Perturbation::NoCkptStalls,
+    ];
+    let queries: Vec<WhatIfQuery> = noops
+        .into_iter()
+        .chain([Perturbation::HealthyNode(3), noops[0]])
+        .map(|perturbation| WhatIfQuery { cfg: cfg.clone(), perturbation })
+        .collect();
     let reg = MetricsRegistry::new();
     let mut service = WhatIfService::new(ServiceConfig::default());
     service.attach_telemetry(&reg);
@@ -314,20 +390,23 @@ fn unchanged_config_edits_are_answered_from_the_held_base_report() {
         assert_same_report(&a.report, &naive(&q.cfg, &q.perturbation), &what);
     }
     let sources: Vec<AnswerSource> = first.iter().map(|a| a.source).collect();
-    assert_eq!(sources[0], AnswerSource::Memo, "the no-op edit must not simulate");
-    assert_eq!(sources[3], AnswerSource::Memo, "the in-batch repeat must not simulate");
-    assert!(sources[1..3].iter().all(|s| matches!(s, AnswerSource::Forked { .. })), "{sources:?}");
-    for a in [&first[0], &first[3]] {
-        assert_eq!((a.prefix_events, a.suffix_events), (0, 0), "the no-op simulates nothing");
-        assert_eq!(a.report.golden_dump(), service.base_report(&cfg).golden_dump());
+    assert!(matches!(sources[3], AnswerSource::Forked { .. }), "{sources:?}");
+    let base = service.base_report(&cfg).golden_dump();
+    for (q, a) in queries.iter().zip(&first).filter(|(q, _)| noops.contains(&q.perturbation)) {
+        let what = format!("{:?}", q.perturbation);
+        assert_eq!(a.source, AnswerSource::Memo, "{what}: a no-op edit must not simulate");
+        assert_eq!((a.prefix_events, a.suffix_events), (0, 0), "{what}: simulates nothing");
+        assert_eq!(a.report.golden_dump(), base, "{what}: the held base report");
     }
     assert_eq!(counter("antdt_whatif_full_reruns_total"), 0);
-    assert_eq!(counter("antdt_whatif_memo_hits_total"), 2);
+    assert_eq!(counter("antdt_whatif_memo_hits_total"), 4);
 
-    let again = service.answer(&queries[0]);
-    assert_eq!(again.source, AnswerSource::Memo);
-    assert_eq!((again.prefix_events, again.suffix_events), (0, 0));
-    assert_eq!(again.report.golden_dump(), first[0].report.golden_dump());
+    for (q, a) in queries.iter().zip(&first).take(3) {
+        let again = service.answer(q);
+        assert_eq!(again.source, AnswerSource::Memo);
+        assert_eq!((again.prefix_events, again.suffix_events), (0, 0));
+        assert_eq!(again.report.golden_dump(), a.report.golden_dump());
+    }
     assert_eq!(counter("antdt_whatif_full_reruns_total"), 0);
 }
 
@@ -336,7 +415,7 @@ fn unchanged_config_edits_are_answered_from_the_held_base_report() {
 /// held, `(A, HealthyNode(1))` is answered from it; without B it reruns.
 #[test]
 fn an_edit_equal_to_another_held_trace_is_answered_from_its_base() {
-    use antdt::sim::{ContentionPhase, SimTime};
+    use antdt::sim::ContentionPhase;
     let trace_b = forkable_cfg();
     assert!(trace_b.cluster.workers[1].profile.phases.is_empty());
     let mut trace_a = trace_b.clone();
