@@ -26,7 +26,7 @@ pub use framework::{fig15, fig16, fig18, fig19, tab3};
 pub use motivation::{fig1, fig2, fig3, fig7, fig8, fig9};
 pub use nd::{fig10, fig11, fig12, fig13, fig14};
 pub use ops::{ablate, chaos, integrity, solver};
-pub use perf::perf;
+pub use perf::{chaos_matrix_parity, fork_parity, perf};
 pub use whatif::whatif;
 
 use antdt_controller::DeviceClassSpec;

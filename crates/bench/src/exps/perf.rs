@@ -117,36 +117,14 @@ pub fn perf() -> String {
         if chaos_parity { "MATCH (run == run_serial)" } else { "DIVERGED" }
     );
 
-    // -- 4. Fork-based what-if replay: the three stock perturbations answered
-    //    by the what-if service off one shared prefix must reproduce the
-    //    full-rerun table row-for-row, and the prefix share says how much
-    //    simulation the forks skipped.
-    let fork_cfg = forkable_cfg();
-    let fork_base = Job::run(fork_cfg.clone());
-    let fork_perturbations = [
-        Perturbation::HealthyNode(3),
-        Perturbation::ZeroControlLatency,
-        Perturbation::NoCkptStalls,
-    ];
-    let full_rows = antdt_core::what_if_table(&fork_cfg, &fork_base, &fork_perturbations);
-    let queries: Vec<WhatIfQuery> = fork_perturbations
-        .iter()
-        .map(|&perturbation| WhatIfQuery { cfg: fork_cfg.clone(), perturbation })
-        .collect();
-    let answers = WhatIfService::new(ServiceConfig::default()).answer_batch(&queries);
-    let fork_rows = antdt_core::counterfactual_rows(
-        &fork_base,
-        &fork_perturbations,
-        answers.iter().map(|a| &a.report),
-    );
-    let fork_stats = ForkShare::of(&answers);
-    let fork_parity = fork_rows == full_rows && fork_stats.forked == fork_perturbations.len();
+    // -- 4. Fork-based what-if replay (see [`fork_replay`]).
+    let (fork_parity, fork_stats) = fork_replay();
     let _ = writeln!(
         out,
         "  what-if fork replay: {} of {} forked, prefix share {:.1}% \
          ({} of {} events inherited)",
         fork_stats.forked,
-        fork_perturbations.len(),
+        FORK_PERTURBATIONS.len(),
         fork_stats.prefix_share() * 100.0,
         fork_stats.prefix_events,
         fork_stats.total_events,
@@ -193,9 +171,40 @@ pub fn perf() -> String {
     out
 }
 
+/// The perturbations [`fork_replay`] answers on [`forkable_cfg`].
+const FORK_PERTURBATIONS: [Perturbation; 3] =
+    [Perturbation::HealthyNode(3), Perturbation::ZeroControlLatency, Perturbation::NoCkptStalls];
+
+/// The three stock perturbations answered by the what-if service off one
+/// shared prefix must reproduce the full-rerun table row for row, each one
+/// forked; the share says how much simulation the forks skipped.
+fn fork_replay() -> (bool, ForkShare) {
+    let cfg = forkable_cfg();
+    let base = Job::run(cfg.clone());
+    let full_rows = antdt_core::what_if_table(&cfg, &base, &FORK_PERTURBATIONS);
+    let queries: Vec<WhatIfQuery> = FORK_PERTURBATIONS
+        .iter()
+        .map(|&perturbation| WhatIfQuery { cfg: cfg.clone(), perturbation })
+        .collect();
+    let answers = WhatIfService::new(ServiceConfig::default()).answer_batch(&queries);
+    let fork_rows = antdt_core::counterfactual_rows(
+        &base,
+        &FORK_PERTURBATIONS,
+        answers.iter().map(|a| &a.report),
+    );
+    let share = ForkShare::of(&answers);
+    (fork_rows == full_rows && share.forked == FORK_PERTURBATIONS.len(), share)
+}
+
+/// The fork ≡ full-rerun verdict of this harness (a tier-1 test gates it).
+pub fn fork_parity() -> bool {
+    fork_replay().0
+}
+
 /// A small but non-trivial chaos matrix (2 plans x 2 policies) drilled twice —
-/// pooled and serial — and compared structurally.
-fn chaos_matrix_parity() -> bool {
+/// pooled and serial — and compared structurally. The pooled ≡ serial
+/// verdict of this harness (a tier-1 test gates it).
+pub fn chaos_matrix_parity() -> bool {
     use antdt_chaos::{ChaosDriver, Fault, FaultPlan, NodeRef};
     let base = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::WorkerMix { intensity: 0.5 })
         .with_global_batch(4_096)

@@ -38,25 +38,24 @@ fn cheap_subset_is_byte_identical() {
 
 /// The pooled chaos plan x policy matrix must equal the nested serial loops,
 /// report for report ([`antdt_chaos::DrillReport`] is `PartialEq` for exactly
-/// this).
+/// this): the 2 x 2 matrix `experiments perf` reports on.
 #[test]
 fn chaos_matrix_pooled_equals_serial() {
-    use antdt_chaos::{ChaosDriver, Fault, FaultPlan, NodeRef};
-    use antdt_core::{JobConfig, MitigationChoice};
-    use antdt_workloads::Scenario;
-    let base = JobConfig::ps_bsp(
-        antdt_workloads::cluster::cluster_a_scaled(4, 2),
-        Scenario::WorkerMix { intensity: 0.5 },
-    )
-    .with_global_batch(4_096)
-    .with_samples(100_000)
-    .with_batches_per_shard(10)
-    .with_fast_cadence(antdt_sim::SimDuration::from_secs(60));
-    let driver = ChaosDriver::new(base)
-        .with_plan(FaultPlan::new("kill-w1").at(30.0, Fault::KillNode { node: NodeRef::Worker(1) }))
-        .with_plan(FaultPlan::new("dds-outage").at(15.0, Fault::DdsOutage { window_secs: 30.0 }))
-        .with_policies(vec![MitigationChoice::AntDtNd, MitigationChoice::None]);
-    assert_eq!(driver.run(), driver.run_serial());
+    assert!(
+        antdt_bench::exps::chaos_matrix_parity(),
+        "pooled chaos matrix diverged from the serial loops"
+    );
+}
+
+/// The what-if service's forked answers to the three stock perturbations
+/// must reproduce the full-rerun table row for row, every one of them
+/// forked: the fork-replay check `experiments perf` reports on.
+#[test]
+fn forked_what_if_table_equals_full_reruns() {
+    assert!(
+        antdt_bench::exps::fork_parity(),
+        "what-if service table diverged from the full-rerun table"
+    );
 }
 
 /// The full `experiments all` suite, serial vs pooled: seconds in a release

@@ -5,10 +5,8 @@
 //! crate stays a std-only leaf (enforced by `scripts/check-layering.sh`):
 //!
 //! * [`Snapshot`] — what a checkpoint *is*: parameter-server state, the DDS
-//!   TODO/DOING/DONE shard queue, and per-worker progress watermarks, with a
-//!   deterministic hand-rolled text serialization (the workspace has no
-//!   serde, so every on-disk format in it is hand-rolled)
-//!   and an FNV-1a content digest.
+//!   TODO/DOING/DONE shard queue, and per-worker progress watermarks, with
+//!   an FNV-1a content digest.
 //! * [`StorageTier`] — where a checkpoint *goes*: bandwidth + latency cost
 //!   model for local disk vs an object store (or anything custom).
 //! * [`DrainQueue`] — *when* it becomes durable: snapshot writes drain

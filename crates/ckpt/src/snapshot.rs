@@ -1,16 +1,11 @@
-//! The checkpoint snapshot model and its deterministic wire format.
+//! The checkpoint snapshot model.
 //!
 //! A [`Snapshot`] captures everything a replacement pod needs to resume a
 //! job: the parameter-server state (real model parameters when the job runs
 //! in real-math mode, a sizing figure either way), the DDS shard queue with
 //! per-slot TODO/DOING/DONE states, and per-worker progress watermarks.
-//!
-//! Serialization is a hand-rolled line-oriented text format — the workspace
-//! has no serde, and byte-determinism is a contract here: two
-//! same-seed runs must export byte-identical snapshots, and the determinism
-//! tests compare digests across runs. Floats are encoded as IEEE-754 bit
-//! patterns in hex so the round-trip is lossless. The digest hashes the
-//! fields directly, so a capture never renders the text.
+//! Snapshots live in memory; [`Snapshot::digest`] hashes their fields so the
+//! determinism tests can compare same-seed captures across runs.
 
 /// Identity and progress marks of the run that took the snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -100,119 +95,10 @@ impl Snapshot {
             + self.workers.capacity() * size_of::<WorkerMark>()
     }
 
-    /// Deterministic line-oriented serialization. Every list line carries its
-    /// element count up front so the parser can validate without lookahead.
-    pub fn serialize(&self) -> String {
-        let mut out = String::with_capacity(256 + self.ps.params.len() * 9);
-        out.push_str("antdt-ckpt v1\n");
-        let m = &self.meta;
-        out.push_str(&format!(
-            "meta {} {} {} {}\n",
-            m.seed, m.taken_at_us, m.iteration, m.samples_done
-        ));
-        out.push_str(&format!("ps {} {}", self.ps.model_bytes, self.ps.params.len()));
-        for p in &self.ps.params {
-            out.push_str(&format!(" {:08x}", p.to_bits()));
-        }
-        out.push('\n');
-        match &self.dds {
-            None => out.push_str("dds none\n"),
-            Some(d) => {
-                out.push_str(&format!(
-                    "dds {} {} {} {}\n",
-                    d.epochs_enqueued,
-                    d.done_total,
-                    d.queue.len(),
-                    d.state.len()
-                ));
-                out.push_str("queue");
-                for q in &d.queue {
-                    out.push_str(&format!(" {q}"));
-                }
-                out.push('\n');
-                out.push_str("state");
-                for s in &d.state {
-                    out.push_str(&format!(" {s}"));
-                }
-                out.push('\n');
-            }
-        }
-        out.push_str(&format!("workers {}\n", self.workers.len()));
-        for w in &self.workers {
-            out.push_str(&format!("w {} {} {}\n", w.worker, w.gen, w.samples));
-        }
-        out.push_str("end\n");
-        out
-    }
-
-    /// Parse a serialized snapshot. Errors are strings (no error-type dep in
-    /// a leaf crate) and name the offending line.
-    pub fn deserialize(text: &str) -> Result<Snapshot, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty snapshot")?;
-        if header != "antdt-ckpt v1" {
-            return Err(format!("bad header: {header:?}"));
-        }
-
-        let meta_line = lines.next().ok_or("missing meta line")?;
-        let mv = tagged_ints(meta_line, "meta", 4)?;
-        let meta =
-            SnapshotMeta { seed: mv[0], taken_at_us: mv[1], iteration: mv[2], samples_done: mv[3] };
-
-        let ps_line = lines.next().ok_or("missing ps line")?;
-        let mut it = ps_line.split_whitespace();
-        expect_tag(&mut it, "ps", ps_line)?;
-        let model_bytes = next_u64(&mut it, ps_line)?;
-        let n_params = next_u64(&mut it, ps_line)? as usize;
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            let hex = it.next().ok_or_else(|| format!("short params line: {ps_line:?}"))?;
-            let bits =
-                u32::from_str_radix(hex, 16).map_err(|e| format!("bad param hex {hex:?}: {e}"))?;
-            params.push(f32::from_bits(bits));
-        }
-        if it.next().is_some() {
-            return Err(format!("trailing tokens on ps line: {ps_line:?}"));
-        }
-
-        let dds_line = lines.next().ok_or("missing dds line")?;
-        let dds = if dds_line == "dds none" {
-            None
-        } else {
-            let dv = tagged_ints(dds_line, "dds", 4)?;
-            let queue = tagged_list(lines.next().ok_or("missing queue line")?, "queue", dv[2])?;
-            let state_raw = tagged_list(lines.next().ok_or("missing state line")?, "state", dv[3])?;
-            let state = state_raw
-                .into_iter()
-                .map(|s| u8::try_from(s).map_err(|_| format!("state byte out of range: {s}")))
-                .collect::<Result<Vec<u8>, String>>()?;
-            Some(DdsSnapshot { epochs_enqueued: dv[0] as u32, done_total: dv[1], queue, state })
-        };
-
-        let wl = lines.next().ok_or("missing workers line")?;
-        let n_workers = tagged_ints(wl, "workers", 1)?[0];
-        let mut workers = Vec::with_capacity(n_workers as usize);
-        for _ in 0..n_workers {
-            let line = lines.next().ok_or("missing worker mark line")?;
-            let wv = tagged_ints(line, "w", 3)?;
-            workers.push(WorkerMark { worker: wv[0] as u32, gen: wv[1] as u32, samples: wv[2] });
-        }
-
-        match lines.next() {
-            Some("end") => {}
-            other => return Err(format!("missing end marker, got {other:?}")),
-        }
-        if lines.next().is_some() {
-            return Err("trailing content after end marker".into());
-        }
-        Ok(Snapshot { meta, ps: PsState { params, model_bytes }, dds, workers })
-    }
-
     /// FNV-1a 64-bit digest over every field's little-endian bytes, lists
     /// prefixed by their length and the optional DDS section by a presence
     /// byte — cheap, deterministic and stable across platforms; used to
-    /// assert same-seed runs capture identical snapshots without building
-    /// the serialized text on every capture.
+    /// assert same-seed runs capture identical snapshots.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv64::default();
         let m = &self.meta;
@@ -269,56 +155,9 @@ impl Fnv64 {
     }
 }
 
-fn expect_tag<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    tag: &str,
-    line: &str,
-) -> Result<(), String> {
-    match it.next() {
-        Some(t) if t == tag => Ok(()),
-        _ => Err(format!("expected {tag:?} line, got {line:?}")),
-    }
-}
-
-fn next_u64<'a>(it: &mut impl Iterator<Item = &'a str>, line: &str) -> Result<u64, String> {
-    it.next()
-        .ok_or_else(|| format!("short line: {line:?}"))?
-        .parse()
-        .map_err(|e| format!("bad integer on {line:?}: {e}"))
-}
-
-/// Parse `tag v1 v2 ... vN` with exactly `n` integer fields.
-fn tagged_ints(line: &str, tag: &str, n: usize) -> Result<Vec<u64>, String> {
-    let mut it = line.split_whitespace();
-    expect_tag(&mut it, tag, line)?;
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(next_u64(&mut it, line)?);
-    }
-    if it.next().is_some() {
-        return Err(format!("trailing tokens on {tag:?} line: {line:?}"));
-    }
-    Ok(vals)
-}
-
-/// Parse `tag v1 ... vN` where N was announced on a prior line.
-fn tagged_list(line: &str, tag: &str, n: u64) -> Result<Vec<u64>, String> {
-    let mut it = line.split_whitespace();
-    expect_tag(&mut it, tag, line)?;
-    let mut vals = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        vals.push(next_u64(&mut it, line)?);
-    }
-    if it.next().is_some() {
-        return Err(format!("trailing tokens on {tag:?} line: {line:?}"));
-    }
-    Ok(vals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antdt_sim::rng::StdRng;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -345,34 +184,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_identity() {
-        let s = sample();
-        let text = s.serialize();
-        let back = Snapshot::deserialize(&text).unwrap();
-        assert_eq!(s, back);
-        assert_eq!(text, back.serialize());
-    }
-
-    #[test]
-    fn round_trip_without_dds() {
-        let mut s = sample();
-        s.dds = None;
-        s.ps.params.clear();
-        let back = Snapshot::deserialize(&s.serialize()).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn serialization_is_deterministic_and_digest_stable() {
-        let s = sample();
-        assert_eq!(s.serialize(), s.serialize());
-        assert_eq!(s.digest(), s.digest());
-        let mut other = sample();
-        other.meta.samples_done += 1;
-        assert_ne!(s.digest(), other.digest());
-    }
-
     /// The digest covers every field: flipping any one of them, or moving a
     /// value across a list boundary, changes it.
     #[test]
@@ -382,6 +193,7 @@ mod tests {
             |s| s.meta.seed += 1,
             |s| s.meta.taken_at_us += 1,
             |s| s.meta.iteration += 1,
+            |s| s.meta.samples_done += 1,
             |s| s.ps.model_bytes += 1,
             |s| s.ps.params[1] = -s.ps.params[1],
             |s| s.dds = None,
@@ -416,59 +228,5 @@ mod tests {
         let mut bigger = sample();
         bigger.dds.as_mut().unwrap().queue.push(17);
         assert_eq!(bigger.size_bytes(), base + 8);
-    }
-
-    #[test]
-    fn corrupt_inputs_are_rejected() {
-        assert!(Snapshot::deserialize("").is_err());
-        assert!(Snapshot::deserialize("antdt-ckpt v2\n").is_err());
-        let good = sample().serialize();
-        let truncated = &good[..good.len() - 5];
-        assert!(Snapshot::deserialize(truncated).is_err());
-        let tampered = good.replace("state 2", "state 9999");
-        assert!(Snapshot::deserialize(&tampered).is_err());
-    }
-
-    fn arb_snapshot(rng: &mut StdRng) -> Snapshot {
-        let params =
-            (0..rng.gen_range(0..64usize)).map(|_| f32::from_bits(rng.next_u64() as u32)).collect();
-        let dds = rng.gen_bool(0.5).then(|| DdsSnapshot {
-            epochs_enqueued: rng.next_u64() as u32,
-            done_total: rng.next_u64(),
-            queue: (0..rng.gen_range(0..32usize)).map(|_| rng.next_u64()).collect(),
-            state: (0..rng.gen_range(0..64usize)).map(|_| rng.gen_range(0u32..3) as u8).collect(),
-        });
-        let workers = (0..rng.gen_range(0..8usize))
-            .map(|_| WorkerMark {
-                worker: rng.next_u64() as u32,
-                gen: rng.next_u64() as u32,
-                samples: rng.next_u64(),
-            })
-            .collect();
-        Snapshot {
-            meta: SnapshotMeta {
-                seed: rng.next_u64(),
-                taken_at_us: rng.next_u64(),
-                iteration: rng.next_u64(),
-                samples_done: rng.next_u64(),
-            },
-            ps: PsState { params, model_bytes: rng.next_u64() },
-            dds,
-            workers,
-        }
-    }
-
-    /// The satellite guarantee: serialize -> deserialize is identity for
-    /// arbitrary snapshots, including NaN parameter bit patterns (the hex
-    /// encoding is bit-exact, and `PartialEq` on `f32` would lie for NaN, so
-    /// compare re-serialized bytes instead). 256 seeded cases.
-    #[test]
-    fn prop_round_trip_identity() {
-        for seed in 0..256 {
-            let s = arb_snapshot(&mut StdRng::seed_from_u64(seed));
-            let text = s.serialize();
-            let back = Snapshot::deserialize(&text).unwrap();
-            assert_eq!(text, back.serialize(), "seed {seed}");
-        }
     }
 }

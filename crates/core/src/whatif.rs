@@ -116,8 +116,9 @@ pub fn divergence_mark_bound(cfg: &JobConfig) -> usize {
 /// "same trace/config" identity for snapshot caches and memo stores.
 /// [`JobConfig`] is plain data with a derived, field-exhaustive `Debug`, so
 /// equal digests mean the same simulated schedule. The rendering is streamed
-/// straight into the hash (Real-mode configs debug-print their datasets;
-/// materialising that string would dwarf the simulation).
+/// straight into the hash. A Real-mode config's datasets render at a fixed
+/// size: their row and pair counts and a digest of the raw bits of every
+/// pair, offset and label (see `antdt_ml::Dataset`'s `Debug`).
 pub fn config_digest(cfg: &JobConfig) -> u128 {
     use std::fmt::Write;
     struct Fnv(u128);
@@ -366,6 +367,43 @@ mod tests {
             + usize::from(d.control_modeled.is_some())
             + usize::from(d.ckpt_stall.is_some());
         assert!(set > 0 && set <= divergence_mark_bound(&configs[1]), "{d:?}");
+    }
+
+    /// A Real-mode digest sees every bit of its datasets: equal data digests
+    /// equal, and each one-bit or one-boundary edit changes the digest.
+    #[test]
+    fn real_mode_digest_sees_each_dataset_bit() {
+        use crate::config::ExecutionMode;
+        use antdt_ml::Dataset;
+        let data = |rows: &[(&[(u32, f32)], f32)]| {
+            let mut d = Dataset::new(4);
+            rows.iter().for_each(|&(feats, label)| d.push(feats, label));
+            d
+        };
+        let real = |dataset: Dataset| {
+            cfg().with_execution(ExecutionMode::Real {
+                dataset,
+                holdout: data(&[(&[(1, 1.0)], 0.0)]),
+                latent_k: 4,
+                lr: 0.1,
+            })
+        };
+        let base = real(data(&[(&[(0, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 0.0)]));
+        let digest = config_digest(&base);
+        assert_eq!(digest, config_digest(&base.clone()));
+        assert_eq!(
+            digest,
+            config_digest(&real(data(&[(&[(0, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 0.0)])))
+        );
+        let edits = [
+            ("index", data(&[(&[(1, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 0.0)])),
+            ("value bits", data(&[(&[(0, 1.0), (2, -0.0)], 1.0), (&[(3, 1.0)], 0.0)])),
+            ("label", data(&[(&[(0, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 1.0)])),
+            ("row boundary", data(&[(&[(0, 1.0)], 1.0), (&[(2, 0.0), (3, 1.0)], 0.0)])),
+        ];
+        for (what, edited) in edits {
+            assert_ne!(config_digest(&real(edited)), digest, "{what}");
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! row is a borrowed [`Row`] view, so a dataset of `n` rows is two
 //! allocations, not `n + 1`.
 
+use std::fmt;
+
 /// One labelled example with sparse features, borrowed from a [`Dataset`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Row<'a> {
@@ -17,13 +19,28 @@ pub struct Row<'a> {
 }
 
 /// An in-memory dataset in CSR layout.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Every row's `(feature index, value)` pairs, rows back to back.
     feats: Vec<(u32, f32)>,
     /// Per row: the end offset of its pairs in `feats`, and its label.
     index: Vec<(u32, f32)>,
     pub n_features: u32,
+}
+
+/// A fixed-size rendering: rows, pairs, `n_features` and a digest of every
+/// bit. It tells apart any two datasets whose bits differ (configs that
+/// carry a dataset are identified by hashing their `Debug`), without
+/// printing millions of pairs.
+impl fmt::Debug for Dataset {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dataset")
+            .field("rows", &self.len())
+            .field("nnz", &self.feats.len())
+            .field("n_features", &self.n_features)
+            .field("digest", &format_args!("{:#034x}", self.digest()))
+            .finish()
+    }
 }
 
 impl Dataset {
@@ -76,6 +93,21 @@ impl Dataset {
             return 0.0;
         }
         self.labels().filter(|&l| l > 0.5).count() as f64 / self.len() as f64
+    }
+
+    /// 128-bit FNV-1a over the raw little-endian bits of both CSR arrays (the
+    /// pairs, then each row's end offset and label), so `0.0` and `-0.0`
+    /// differ, and so does a moved row boundary.
+    fn digest(&self) -> u128 {
+        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+        let mut h: u128 = 0x6C62_272E_07BB_0142_62B8_2175_6295_C58D;
+        for &(a, b) in self.feats.iter().chain(&self.index) {
+            for byte in a.to_le_bytes().into_iter().chain(b.to_bits().to_le_bytes()) {
+                h ^= byte as u128;
+                h = h.wrapping_mul(PRIME);
+            }
+        }
+        h
     }
 
     /// Split off the last `frac` of examples as a held-out set.
