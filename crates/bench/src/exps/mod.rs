@@ -10,7 +10,6 @@
 mod attr;
 mod ckpt;
 mod controlbus;
-mod elastic;
 mod framework;
 mod motivation;
 mod nd;
@@ -21,7 +20,6 @@ mod whatif;
 pub use attr::attr;
 pub use ckpt::{ckpt, fig17};
 pub use controlbus::controlbus;
-pub use elastic::elastic;
 pub use framework::{fig15, fig16, fig18, fig19, tab3};
 pub use motivation::{fig1, fig2, fig3, fig7, fig8, fig9};
 pub use nd::{fig10, fig11, fig12, fig13, fig14};

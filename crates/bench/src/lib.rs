@@ -4,7 +4,7 @@
 //! regenerates the corresponding artifact from scratch on the simulator and
 //! returns a printable report; the `experiments` binary dispatches on ids
 //! (`fig1`…`fig19`, `tab3`, `integrity`, `solver`, `ablate`, `chaos`,
-//! `controlbus`, `ckpt`, `attr`, `elastic`, `whatif`, `perf`, `all`).
+//! `controlbus`, `ckpt`, `attr`, `whatif`, `perf`, `all`).
 //!
 //! Absolute numbers come from a simulated substrate, so they are not expected
 //! to match the paper's testbed; the *shapes* — who wins, by what factor,
@@ -50,11 +50,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             "attr",
             "Attribution: engine overhead off vs on, blame ranking, counterfactual validation",
             exps::attr,
-        ),
-        (
-            "elastic",
-            "Elastic membership: static-N vs SCALE_OUT mid-run vs oracle, ring movement audit",
-            exps::elastic,
         ),
         (
             "whatif",

@@ -30,7 +30,7 @@ fn assert_same(serial: &str, parallel: &str) {
 #[test]
 fn cheap_subset_is_byte_identical() {
     let ids: Vec<String> =
-        ["solver", "controlbus", "ckpt", "elastic"].iter().map(|s| s.to_string()).collect();
+        ["solver", "controlbus", "ckpt", "ablate"].iter().map(|s| s.to_string()).collect();
     let parallel = freeze_wall(|| antdt_bench::run_all(Some(&ids)));
     let serial = antdt_par::with_serial(|| freeze_wall(|| antdt_bench::run_all(Some(&ids))));
     assert_same(&serial, &parallel);

@@ -52,15 +52,6 @@ pub enum Fault {
     /// directives delayed past a kill must be fence-rejected, never applied
     /// by the wrong incarnation.
     ControlDegrade { latency_secs: f64, loss_prob: f64, window_secs: f64, seed: u64 },
-    /// Elastic `SCALE_OUT`: provision `add` fresh worker slots mid-run; each
-    /// pays the scheduler pending delay plus the world rebuild before it
-    /// joins the working set.
-    ScaleOut { add: u32 },
-    /// Elastic `SCALE_IN`: retire the worker slot for good — kill machinery
-    /// (shard requeue, barrier drop) minus the replacement pod. The drill for
-    /// the membership-consistent invariant, especially racing a `KillNode`
-    /// of the same slot.
-    ScaleIn { node: NodeRef },
 }
 
 /// A fault scheduled at an absolute simulated time.
@@ -87,16 +78,13 @@ impl FaultPlan {
         self
     }
 
-    /// True when any event kills a node (with or without failover) or
-    /// retires one via `SCALE_IN` — such plans requeue in-flight shards, so
-    /// the at-most-once audit is expected to degrade.
+    /// True when any event kills a node (with or without failover) — such
+    /// plans requeue in-flight shards, so the at-most-once audit is expected
+    /// to degrade.
     pub fn has_kills(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e.fault,
-                Fault::KillNode { .. } | Fault::KillNodeNoFailover { .. } | Fault::ScaleIn { .. }
-            )
-        })
+        self.events
+            .iter()
+            .any(|e| matches!(e.fault, Fault::KillNode { .. } | Fault::KillNodeNoFailover { .. }))
     }
 
     /// True when any event disables failover — the job is expected to stall.
@@ -137,10 +125,6 @@ impl FaultPlan {
                     }
                     Fault::ControlDegrade { latency_secs, loss_prob, window_secs, seed } => {
                         InjectedFault::ControlDegrade { latency_secs, loss_prob, window_secs, seed }
-                    }
-                    Fault::ScaleOut { add } => InjectedFault::ScaleOut { add },
-                    Fault::ScaleIn { node } => {
-                        InjectedFault::ScaleIn { w: node.expect_worker("ScaleIn") }
                     }
                 },
             })
@@ -232,20 +216,6 @@ mod tests {
             assert!(e.at_secs >= 5.0 && e.at_secs <= 75.0);
         }
         assert!(!a.expects_stall(), "random plans must stay completable");
-    }
-
-    #[test]
-    fn scale_faults_compile_and_classify() {
-        let plan = FaultPlan::new("elastic")
-            .at(10.0, Fault::ScaleOut { add: 2 })
-            .at(40.0, Fault::ScaleIn { node: NodeRef::Worker(1) });
-        let inj = plan.compile();
-        assert_eq!(inj[0].fault, InjectedFault::ScaleOut { add: 2 });
-        assert_eq!(inj[1].fault, InjectedFault::ScaleIn { w: 1 });
-        // A scale-in requeues the retiree's in-flight shards like a kill, so
-        // it waives the at-most-once audit; a pure scale-out does not.
-        assert!(plan.has_kills() && !plan.expects_stall());
-        assert!(!FaultPlan::new("grow").at(5.0, Fault::ScaleOut { add: 1 }).has_kills());
     }
 
     #[test]

@@ -22,12 +22,6 @@ pub enum Action {
     /// Optimization: scale each worker's learning rate (penalize stale
     /// gradients from lagging workers).
     AdjustLr { scales: Arc<[f32]> },
-    /// Elasticity: grow the worker set by `add` nodes. New workers join at
-    /// the next topology rebuild and pull shards like everyone else.
-    ScaleOut { add: u32 },
-    /// Elasticity: retire `node` for good (no replacement is scheduled; its
-    /// DOING shards roll back exactly as on a kill).
-    ScaleIn { node: NodeId },
     /// Dummy action — explicitly "do nothing this round" (§V-E1).
     None,
 }
@@ -39,12 +33,6 @@ pub enum Action {
 pub enum ActionType {
     Node,
     Global,
-    /// Membership change growing the cluster (handled by the runtime
-    /// scheduler, not any single agent).
-    ScaleOut,
-    /// Membership change retiring one node (fenced like a kill so it cannot
-    /// race a restart into a double-remove).
-    ScaleIn,
     NoOp,
 }
 
@@ -55,8 +43,6 @@ impl Action {
             Action::AdjustBs { .. } | Action::BackupWorkers { .. } | Action::AdjustLr { .. } => {
                 ActionType::Global
             }
-            Action::ScaleOut { .. } => ActionType::ScaleOut,
-            Action::ScaleIn { .. } => ActionType::ScaleIn,
             Action::None => ActionType::NoOp,
         }
     }
@@ -71,8 +57,6 @@ impl Action {
             Action::BackupWorkers { .. } => 12,
             Action::KillRestart { .. } => 16,
             Action::AdjustLr { scales } => (scales.len() * 4 + 8) as u64,
-            Action::ScaleOut { .. } => 12,
-            Action::ScaleIn { .. } => 16,
             Action::None => 4,
         }
     }
@@ -91,15 +75,7 @@ mod tests {
         );
         assert_eq!(Action::BackupWorkers { b: 2 }.action_type(), ActionType::Global);
         assert_eq!(Action::AdjustLr { scales: vec![1.0].into() }.action_type(), ActionType::Global);
-        assert_eq!(Action::ScaleOut { add: 2 }.action_type(), ActionType::ScaleOut);
-        assert_eq!(Action::ScaleIn { node: NodeId::worker(3) }.action_type(), ActionType::ScaleIn);
         assert_eq!(Action::None.action_type(), ActionType::NoOp);
-    }
-
-    #[test]
-    fn elastic_payloads_are_bytes_level() {
-        assert!(Action::ScaleOut { add: 4 }.payload_bytes() <= 16);
-        assert!(Action::ScaleIn { node: NodeId::worker(1) }.payload_bytes() <= 16);
     }
 
     #[test]

@@ -44,9 +44,7 @@ impl MitigationPolicy for Composite {
         let mut saw_adjust_bs = false;
         let mut saw_backup = false;
         let mut saw_lr = false;
-        let mut saw_scale_out = false;
         let mut killed: HashSet<NodeId> = HashSet::new();
-        let mut removed: HashSet<NodeId> = HashSet::new();
         for p in &mut self.parts {
             for action in p.decide(now, snap, ctx) {
                 match &action {
@@ -71,17 +69,6 @@ impl MitigationPolicy for Composite {
                     }
                     Action::KillRestart { node } => {
                         if killed.insert(*node) {
-                            out.push(action);
-                        }
-                    }
-                    Action::ScaleOut { .. } => {
-                        if !saw_scale_out {
-                            saw_scale_out = true;
-                            out.push(action);
-                        }
-                    }
-                    Action::ScaleIn { node } => {
-                        if removed.insert(*node) {
                             out.push(action);
                         }
                     }

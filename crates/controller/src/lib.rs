@@ -24,7 +24,6 @@ pub mod action;
 pub mod baselines;
 pub mod compose;
 pub mod dd;
-pub mod elastic;
 pub mod nd;
 pub mod policy;
 pub mod solve;
@@ -38,7 +37,6 @@ pub use antdt_ckpt::CkptPolicy;
 pub use baselines::{AdjustLrPolicy, BackupWorkersPolicy, KillRestartOnly, LbBsp, NoMitigation};
 pub use compose::{AdaptiveBackupWorkers, Composite};
 pub use dd::{AntDtDd, DdConfig, DeviceClassSpec};
-pub use elastic::{ElasticConfig, ElasticPolicy};
 pub use nd::{AntDtNd, NdConfig};
 pub use policy::{MitigationPolicy, PolicyCtx};
 pub use solve::{

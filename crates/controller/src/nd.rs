@@ -274,11 +274,7 @@ mod tests {
     }
 
     fn snap(workers: Vec<NodeStats>, servers: Vec<NodeStats>, busy: bool) -> MonitorSnapshot {
-        MonitorSnapshot {
-            workers,
-            servers,
-            cluster: ClusterInfo { busy, expected_pending_secs: if busy { 900.0 } else { 10.0 } },
-        }
+        MonitorSnapshot { workers, servers, cluster: ClusterInfo { busy } }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use antdt_agent::{AgentConfig, BroadcastModel};
 use antdt_ckpt::{CkptConfig, CkptPolicy};
-use antdt_controller::{DdConfig, DeviceClassSpec, ElasticConfig};
+use antdt_controller::{DdConfig, DeviceClassSpec};
 use antdt_ml::Dataset;
 use antdt_monitor::MonitorConfig;
 use antdt_sim::{ControlChannel, SimDuration, SimTime};
@@ -59,10 +59,6 @@ pub enum MitigationChoice {
     KillRestartOnly,
     /// Optimization-based baseline.
     AdjustLr,
-    /// Elastic membership: `SCALE_OUT` under persistent stragglers when the
-    /// scheduler has capacity, `SCALE_IN` on sustained idle capacity. Arms
-    /// the consistent-hash shard ring (requires the DDS data strategy).
-    Elastic(ElasticConfig),
 }
 
 /// How a killed *worker* is recovered (§V-E3, Fig. 17): AntDT's DDS-based
@@ -135,14 +131,6 @@ pub enum InjectedFault {
     /// window — directives crawl, reports go missing, and the fencing /
     /// idempotence machinery has to hold the line.
     ControlDegrade { latency_secs: f64, loss_prob: f64, window_secs: f64, seed: u64 },
-    /// Force a `SCALE_OUT { add }` at a fixed instant, bypassing the policy —
-    /// the membership drill. Arms the consistent-hash ring like
-    /// [`MitigationChoice::Elastic`] does (requires the DDS data strategy).
-    ScaleOut { add: u32 },
-    /// Force a `SCALE_IN` of worker `w` at a fixed instant. Generation-fenced
-    /// like a kill, so a drill racing it against `KillWorker { w }` exercises
-    /// the double-remove guard.
-    ScaleIn { w: u32 },
 }
 
 impl InjectedFault {
@@ -172,8 +160,6 @@ impl InjectedFault {
                     loss_prob * 100.0
                 )
             }
-            InjectedFault::ScaleOut { add } => format!("scale out by {add} workers"),
-            InjectedFault::ScaleIn { w } => format!("scale in worker {w}"),
         }
     }
 
@@ -439,18 +425,6 @@ impl JobConfig {
         self.cluster.n_servers()
     }
 
-    /// Whether this job can change membership mid-run: the elastic policy is
-    /// the mitigation, or a chaos drill injects a scale fault. Everything
-    /// elastic — the consistent-hash ring, the membership report section —
-    /// keys off this, so an unarmed job takes the exact pre-elastic code
-    /// paths and its trace stays byte-identical.
-    pub fn elastic_armed(&self) -> bool {
-        matches!(self.mitigation, MitigationChoice::Elastic(_))
-            || self.injections.iter().any(|inj| {
-                matches!(inj.fault, InjectedFault::ScaleOut { .. } | InjectedFault::ScaleIn { .. })
-            })
-    }
-
     /// The DD config derived from `dd_classes`.
     pub fn dd_config(&self) -> Option<DdConfig> {
         self.dd_classes.clone().map(DdConfig::new)
@@ -463,6 +437,12 @@ impl JobConfig {
             assert!(self.cluster.n_servers() > 0, "PS architecture needs servers");
         }
         assert!(self.global_batch > 0, "global batch must be positive");
+        // A zero tick re-arms the Monitor tick at the same instant forever.
+        assert!(self.monitor_tick > SimDuration::ZERO, "monitor tick must be positive");
+        // A zero timeout declares a healthy job stalled at t = 0.
+        if let Some(timeout) = self.liveness_timeout {
+            assert!(timeout > SimDuration::ZERO, "liveness timeout must be positive");
+        }
         if let MitigationChoice::AntDtDd = self.mitigation {
             let n: usize = self
                 .dd_classes
@@ -472,20 +452,6 @@ impl JobConfig {
                 .map(|c| c.count as usize)
                 .sum();
             assert_eq!(n, self.n_workers(), "dd_classes must cover every worker");
-        }
-        if let MitigationChoice::Elastic(e) = &self.mitigation {
-            assert!(
-                self.data == DataStrategy::Dds,
-                "Elastic mitigation requires the DDS data strategy (joiners pull shards; a static partition cannot be re-cut mid-run)"
-            );
-            assert!(
-                self.n_workers() <= e.max_workers as usize,
-                "cluster already larger than the elastic max_workers ceiling"
-            );
-            assert!(
-                self.n_workers() >= e.min_workers as usize,
-                "cluster smaller than the elastic min_workers floor"
-            );
         }
         if let MitigationChoice::BackupWorkers { b } = self.mitigation {
             assert!(
@@ -564,24 +530,12 @@ impl JobConfig {
                         "ControlDegrade loss probability must be in [0, 1)"
                     );
                 }
-                InjectedFault::ScaleOut { add } => {
-                    assert!(*add >= 1, "ScaleOut must add at least one worker");
-                    assert!(
-                        self.data == DataStrategy::Dds,
-                        "ScaleOut injection requires the DDS data strategy (a static partition cannot feed joiners)"
-                    );
-                }
-                InjectedFault::ScaleIn { w } => {
-                    assert!(
-                        (*w as usize) < self.n_workers(),
-                        "injection retires worker {w} but the cluster starts with {} workers",
-                        self.n_workers()
-                    );
-                    assert!(
-                        self.data == DataStrategy::Dds,
-                        "ScaleIn injection requires the DDS data strategy (a departed worker's static partition would be lost)"
-                    );
-                }
+            }
+            if let InjectedFault::RestartDelay { extra_secs, .. } = inj.fault {
+                assert!(
+                    extra_secs.is_finite() && extra_secs >= 0.0,
+                    "RestartDelay extra_secs must be finite and non-negative"
+                );
             }
             if let InjectedFault::NetworkDegrade { factor, .. } = inj.fault {
                 assert!(factor.is_finite() && factor >= 1.0, "NetworkDegrade factor must be >= 1");
@@ -767,6 +721,46 @@ mod tests {
             .with_samples(200_000)
             .with_checkpoint_interval(SimDuration::ZERO)
             .validate();
+    }
+
+    /// A zero tick would re-arm the Monitor tick at the same instant forever.
+    #[test]
+    #[should_panic(expected = "monitor tick must be positive")]
+    fn zero_monitor_tick_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_fast_cadence(SimDuration::ZERO)
+            .validate();
+    }
+
+    /// A zero timeout would declare a healthy job stalled at t = 0.
+    #[test]
+    #[should_panic(expected = "liveness timeout must be positive")]
+    fn zero_liveness_timeout_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_liveness_timeout(SimDuration::ZERO)
+            .validate();
+    }
+
+    /// A small PS job whose worker 0 restarts `extra_secs` late.
+    fn with_restart_delay(extra_secs: f64) -> JobConfig {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_injections(vec![
+            ChaosInjection {
+                at_secs: 10.0,
+                fault: InjectedFault::RestartDelay { w: 0, extra_secs },
+            },
+        ])
+    }
+
+    #[test]
+    #[should_panic(expected = "RestartDelay extra_secs must be finite and non-negative")]
+    fn nan_restart_delay_rejected() {
+        with_restart_delay(f64::NAN).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "RestartDelay extra_secs must be finite and non-negative")]
+    fn negative_restart_delay_rejected() {
+        with_restart_delay(-5.0).validate();
     }
 
     #[test]

@@ -52,12 +52,4 @@ pub enum Ev {
     /// `seq` keys the bus's in-flight envelope table. Only scheduled under a
     /// `Modeled` control channel — the `Ideal` channel delivers inline.
     BusMsg { seq: u64 },
-    /// Elastic SCALE_OUT: provisioned worker `w` finishes its topology
-    /// rebuild and becomes a live member. Carries no generation — a joiner
-    /// starts at generation 0 and cannot be killed before it exists.
-    WorkerJoin { w: u32 },
-    /// Elastic SCALE_IN: the retire signal reaches worker `w`. Generation-
-    /// fenced exactly like `WorkerKill` so a SCALE_IN racing a kill-restart
-    /// of the same node cannot double-remove it.
-    WorkerDepart { w: u32, gen: u32 },
 }

@@ -5,7 +5,7 @@ use crate::config::{JobConfig, MitigationChoice};
 use crate::report::JobReport;
 use crate::runtime;
 use antdt_controller::{
-    AdjustLrPolicy, AntDtDd, AntDtNd, BackupWorkersPolicy, ElasticPolicy, KillRestartOnly, LbBsp,
+    AdjustLrPolicy, AntDtDd, AntDtNd, BackupWorkersPolicy, KillRestartOnly, LbBsp,
     MitigationPolicy, NdConfig, NoMitigation,
 };
 
@@ -35,7 +35,6 @@ pub(crate) fn build_policy(cfg: &JobConfig) -> Box<dyn MitigationPolicy> {
         MitigationChoice::BackupWorkers { b } => Box::new(BackupWorkersPolicy::new(*b)),
         MitigationChoice::KillRestartOnly => Box::new(KillRestartOnly::new(1.5)),
         MitigationChoice::AdjustLr => Box::new(AdjustLrPolicy::new(1.5)),
-        MitigationChoice::Elastic(ecfg) => Box::new(ElasticPolicy::new(*ecfg)),
     }
 }
 

@@ -38,8 +38,7 @@ pub use config::{
 pub use job::Job;
 pub use report::{
     ActionApplication, AttrBlame, AttrCrit, AttrNode, AttrReport, CkptRecord, CkptReport,
-    CounterfactualRow, DirectiveFate, DirectiveRecord, InjectionRecord, JobReport, MembershipEvent,
-    MembershipEventKind, MembershipReport, ReplayRecord,
+    CounterfactualRow, DirectiveFate, DirectiveRecord, InjectionRecord, JobReport, ReplayRecord,
 };
 pub use whatif::{
     apply_perturbation, config_digest, counterfactual_rows, divergence_instant,

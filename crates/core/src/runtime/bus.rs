@@ -236,18 +236,6 @@ impl ControlBus {
         self.overlays.retain(|(i, _, _)| *i != idx);
     }
 
-    /// A `SCALE_OUT` provisioned worker slot `wi`: register its Monitor
-    /// stream and construct its Agent endpoint. Worker ids are append-only
-    /// slot indices, so the agent vector stays index-aligned forever. This
-    /// lives here because the bus is the only module allowed to construct
-    /// control-plane endpoints (`scripts/check-layering.sh`).
-    pub(crate) fn register_worker(&mut self, wi: u32, agent_cfg: AgentConfig) {
-        debug_assert_eq!(wi as usize, self.agents.len(), "worker ids are append-only slots");
-        self.store.register(NodeId::worker(wi));
-        self.agents.push(Agent::new(NodeId::worker(wi), agent_cfg));
-        self.ctx.n_workers += 1;
-    }
-
     /// Whether worker `wi`'s agent wants to push a report this iteration
     /// (the `report_every_iters` cadence).
     pub(crate) fn report_due(&mut self, wi: usize) -> bool {
@@ -632,40 +620,6 @@ pub(crate) fn send_kill(
     k.bus.enqueue(eng, seq, msg, now, false, false);
 }
 
-/// Controller → worker: a `SCALE_IN` retire signal. Fenced exactly like a
-/// kill: the target's generation is resolved at decision time, and the
-/// depart event's generation guard is the fence. The two race outcomes of a
-/// SCALE_IN against a `KILL_RESTART` of the same node both end single-remove:
-/// depart lands first → the kill no-ops on the alive check; kill lands
-/// first → the generation bumped, so the depart is dropped stale (the
-/// Controller re-decides the scale-in against the replacement later).
-pub(crate) fn send_scale_in(
-    k: &mut Kernel,
-    eng: &mut RtEngine,
-    now: SimTime,
-    node: NodeId,
-    text: &Arc<str>,
-) {
-    debug_assert_eq!(node.role, Role::Worker, "only workers scale in");
-    let action = Action::ScaleIn { node };
-    let gen = k.workers[node.idx as usize].gen;
-    if k.bus.inline_mode() {
-        let delay = k.cfg.broadcast.direct_delay(16);
-        let at = now + delay;
-        let seq = k.bus.record(node, gen, now, text);
-        k.bus.mark(seq, DirectiveFate::Fired { at });
-        k.bus.hop_span(k.tele.as_mut(), "bus-directive", now, at, node);
-        eng.schedule(at, Ev::WorkerDepart { w: node.idx, gen });
-        return;
-    }
-    let seq = k.bus.record(node, gen, now, text);
-    let d = Directive { seq, decided_at: now, fence_gen: gen, action };
-    let msg = ControlMsg::Directive { target: node, directive: d };
-    // Like a kill: a lost retire signal is not replayed by the transport —
-    // the Controller re-decides at a later tick.
-    k.bus.enqueue(eng, seq, msg, now, false, false);
-}
-
 /// An `Ev::BusMsg` instant fired: a scheduled arrival or retransmission.
 pub(crate) fn on_bus_msg(k: &mut Kernel, eng: &mut RtEngine, seq: u64) {
     let Some(env) = k.bus.pending.remove(seq) else {
@@ -705,23 +659,14 @@ fn deliver_directive(
     d: Directive,
     now: SimTime,
 ) {
-    // KILL_RESTART and SCALE_IN bypass the agent inbox: the signal goes to
-    // the node's runtime, and the scheduled event's generation guard fences
-    // staleness (a SCALE_IN addressed to a killed-and-replaced incarnation
-    // must not retire the replacement).
-    if matches!(d.action, Action::KillRestart { .. } | Action::ScaleIn { .. }) {
+    // KILL_RESTART bypasses the agent inbox: the signal goes to the node's
+    // runtime, and the scheduled event's generation guard fences staleness.
+    if matches!(d.action, Action::KillRestart { .. }) {
         k.bus.mark(seq, DirectiveFate::Fired { at: now });
         k.bus.hop_span(k.tele.as_mut(), "bus-directive", env.sent_at, now, target);
-        match (&d.action, target.role) {
-            (Action::ScaleIn { .. }, _) => {
-                eng.schedule(now, Ev::WorkerDepart { w: target.idx, gen: d.fence_gen })
-            }
-            (_, Role::Worker) => {
-                eng.schedule(now, Ev::WorkerKill { w: target.idx, gen: d.fence_gen })
-            }
-            (_, Role::Server) => {
-                eng.schedule(now, Ev::ServerKill { s: target.idx, gen: d.fence_gen })
-            }
+        match target.role {
+            Role::Worker => eng.schedule(now, Ev::WorkerKill { w: target.idx, gen: d.fence_gen }),
+            Role::Server => eng.schedule(now, Ev::ServerKill { s: target.idx, gen: d.fence_gen }),
         }
         return;
     }

@@ -44,14 +44,12 @@ pub(crate) fn chaos_fault<S: SyncStrategy>(
         );
     }
     match inj.fault {
-        // Kill-class (instantaneous, consistency-specific) faults — including
-        // the membership drills — go to the strategy.
+        // Kill-class (instantaneous, consistency-specific) faults go to the
+        // strategy.
         InjectedFault::KillWorker { .. }
         | InjectedFault::KillServer { .. }
         | InjectedFault::KillWorkerNoFailover { .. }
-        | InjectedFault::RestartDelay { .. }
-        | InjectedFault::ScaleOut { .. }
-        | InjectedFault::ScaleIn { .. } => strat.inject_kill(k, eng, &inj.fault, rec_idx),
+        | InjectedFault::RestartDelay { .. } => strat.inject_kill(k, eng, &inj.fault, rec_idx),
         InjectedFault::NetworkDegrade { w, factor, window_secs } => {
             let link = &mut k.workers[w as usize].link;
             k.chaos_degraded.push((idx, w, link.bandwidth_bps));

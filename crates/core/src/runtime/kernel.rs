@@ -13,7 +13,6 @@ use super::attr::AttrRt;
 use super::bus::ControlBus;
 use super::ckpt::CkptRt;
 use super::data::{DataSource, LeaseState};
-use super::membership::Membership;
 use super::ml_bridge::MathState;
 use crate::config::{DataStrategy, ExecutionMode, JobConfig};
 use crate::obs::RtTele;
@@ -98,20 +97,12 @@ pub struct Kernel {
     pub(crate) cfg: JobConfig,
     pub(crate) pool: RngPool,
     pub(crate) sched_rng: StdRng,
-    /// Append-only worker slots: a slot's index is its stable node id for
-    /// the whole job. `SCALE_OUT` appends, `SCALE_IN` retires in place —
-    /// see [`super::membership`].
+    /// Workers, indexed by node id.
     pub(crate) workers: Vec<WorkerState>,
     pub(crate) servers: Vec<ServerState>,
     /// Bytes of one server's gradient piece: the model split evenly over
     /// the servers (whose count never changes after construction).
     pub(crate) piece_bytes: u64,
-    /// Elastic membership registry (event timeline + departed set); empty
-    /// for the whole run unless the job arms elasticity.
-    pub(crate) membership: Membership,
-    /// `RngPool::stream2` family for per-worker jitter streams — kept so
-    /// scale-out joiners draw from the same family as the initial fleet.
-    pub(crate) worker_stream_family: u64,
     pub(crate) dds: Option<DdsService>,
     /// The control plane: Monitor store, Controller policy, per-node Agents
     /// and the channel connecting them. Every Monitor/Controller/Agent
@@ -122,8 +113,8 @@ pub struct Kernel {
     pub(crate) actions: Vec<(SimTime, Action)>,
     pub(crate) kills: Vec<(SimTime, NodeId)>,
     pub(crate) restarts: Vec<(SimTime, NodeId)>,
-    /// Every scheduler restart delay sampled (µs): failover and scale-out
-    /// pods alike. Feeds the `antdt_restart_delay_us` histogram.
+    /// Every scheduler restart delay sampled (µs) for a replacement pod.
+    /// Feeds the `antdt_restart_delay_us` histogram.
     pub(crate) restart_delays_us: Vec<u64>,
     /// The checkpoint/state subsystem; `Some` iff the job has parameter
     /// servers (ring AllReduce takes no checkpoints).
@@ -207,7 +198,7 @@ impl Kernel {
         // Shards are sized in *local* batches: a shard is consumed by one
         // worker, so `M` counts that worker's batches (K = N / ((B/n)·M)).
         let local_batch = (cfg.global_batch / n.max(1) as u64).max(1);
-        let mut dds = match cfg.data {
+        let dds = match cfg.data {
             DataStrategy::Dds => Some(DdsService::new(
                 DdsConfig::new(cfg.total_samples, local_batch)
                     .with_batches_per_shard(cfg.batches_per_shard)
@@ -216,15 +207,6 @@ impl Kernel {
             )),
             DataStrategy::EvenPartition => None,
         };
-        // Elastic jobs place shards through the consistent-hash ring so a
-        // membership change re-homes the minimal fraction of the queue.
-        // Unarmed jobs keep the strictly-FIFO serve order the golden traces
-        // pin (arming changes which worker fetches which shard).
-        if let Some(dds) = &mut dds {
-            if cfg.elastic_armed() {
-                dds.arm_ring(antdt_dds::DEFAULT_VNODES, 0..n as u32);
-            }
-        }
 
         let math = match &cfg.execution {
             ExecutionMode::Simulated => None,
@@ -301,8 +283,6 @@ impl Kernel {
             workers,
             piece_bytes: (cfg.model.param_bytes / servers.len().max(1) as u64).max(1),
             servers,
-            membership: Membership::new(n),
-            worker_stream_family,
             dds,
             bus,
             math,

@@ -94,59 +94,6 @@ pub(crate) fn worker_kill<F: PsFlavor>(
     k.check_finished(eng);
 }
 
-/// Retire worker `w` for good (elastic `SCALE_IN`, generation-checked): kill
-/// machinery — rollback, lease recovery, barrier drop — minus the
-/// replacement pod. The generation guard is the double-remove fence: a
-/// SCALE_IN racing a `KILL_RESTART` of the same node resolves to exactly one
-/// removal whichever lands first (see [`super::bus::send_scale_in`]).
-/// Returns whether the departure took effect.
-pub(crate) fn worker_depart<F: PsFlavor>(
-    k: &mut Kernel,
-    f: &mut F,
-    eng: &mut RtEngine,
-    w: u32,
-    gen: u32,
-) -> bool {
-    let wi = w as usize;
-    if !k.workers[wi].alive || k.workers[wi].gen != gen {
-        return false; // stale: the slot was killed (and maybe replaced) since
-    }
-    let now = eng.now();
-    k.workers[wi].alive = false;
-    // Bump the generation so any in-flight kill addressed to the retiree
-    // drops stale instead of double-removing the slot.
-    k.workers[wi].gen += 1;
-    k.workers[wi].killed_at = Some(now);
-    // Permanent: the slot's attribution timeline freezes here (its lifetime
-    // is a strict subinterval of the job).
-    k.attr_kill(w, now, true);
-    k.membership.record(now, w, crate::report::MembershipEventKind::Departed);
-    if let Some(rt) = &mut k.tele {
-        rt.tele.tracer.instant("worker-depart", "lifecycle", now.as_micros(), w, &[]);
-    }
-    k.bus.node_event(NodeEvent::Killed {
-        node: NodeId::worker(w),
-        at: now,
-        class: ErrorClass::Retryable(RetryableError::ProactiveKill),
-    });
-    // Roll back in-flight samples; DOING shards requeue and the consistent-
-    // hash ring drops the member — departure reuses the kill's lease/rollback
-    // machinery end to end.
-    if let Some(inf) = k.workers[wi].inflight.take() {
-        k.rollback(wi, inf.took);
-    }
-    k.workers[wi].leases.clear();
-    if let Some(dds) = &mut k.dds {
-        dds.fail_worker(w);
-        dds.ring_leave(w);
-    }
-    f.on_worker_killed(k, eng, w);
-    // No replacement pod: that is the entire difference from a kill.
-    f.after_failover(k, eng);
-    k.check_finished(eng);
-    true
-}
-
 /// The replacement server came up: clean node, everyone stalled on it resumes.
 pub(crate) fn server_restart<F: PsFlavor>(
     k: &mut Kernel,

@@ -11,7 +11,6 @@
 //! | `inflight`    | the control bus's in-flight message table, keyed by seq     |
 //! | `ml_bridge`   | real-gradient computation + weighted optimizer steps        |
 //! | `lifecycle`   | kill / restart / failover / checkpoint state machines       |
-//! | `membership`  | elastic membership: scale-out joins, the member registry    |
 //! | `ckpt`        | snapshot capture, async storage drain, replay restore       |
 //! | `chaos_hooks` | windowed chaos faults, lifts, report-drop, liveness         |
 //! | `reporting`   | sample accounting, finish detection, `JobReport` assembly   |
@@ -32,7 +31,6 @@ pub(crate) mod data;
 pub(crate) mod inflight;
 pub(crate) mod kernel;
 pub(crate) mod lifecycle;
-pub(crate) mod membership;
 pub(crate) mod ml_bridge;
 pub mod ps_common;
 pub(crate) mod reporting;

@@ -335,12 +335,9 @@ fn apply_worker_action<F: PsFlavor>(k: &mut Kernel, f: &mut F, wi: usize, action
                 k.workers[wi].lr_scale = s;
             }
         }
-        // Membership and kill actions never transit an agent inbox (they are
-        // runtime/scheduler signals), so there is nothing to apply here.
-        Action::KillRestart { .. }
-        | Action::ScaleOut { .. }
-        | Action::ScaleIn { .. }
-        | Action::None => {}
+        // Kills never transit an agent inbox (they are runtime signals), so
+        // there is nothing to apply here.
+        Action::KillRestart { .. } | Action::None => {}
     }
 }
 
@@ -352,10 +349,6 @@ fn dispatch(k: &mut Kernel, eng: &mut RtEngine, action: Action, text: &Arc<str>,
     match action {
         Action::None => {}
         Action::KillRestart { node } => super::bus::send_kill(k, eng, now, node, text),
-        // Scale-out goes to the cluster scheduler (pods are provisioned at
-        // decision time); scale-in is a fenced retire signal to the node.
-        Action::ScaleOut { add } => super::membership::scale_out(k, eng, now, add),
-        Action::ScaleIn { node } => super::bus::send_scale_in(k, eng, now, node, text),
         global => {
             super::bus::broadcast(k, eng, now, global, text, super::bus::BroadcastScope::PsAlive)
         }
@@ -407,18 +400,6 @@ impl<F: PsFlavor> SyncStrategy for PsStrategy<F> {
                 lifecycle::server_restart(k, &mut self.flavor, eng, s, gen)
             }
             Ev::Checkpoint => k.ckpt_capture(eng),
-            Ev::WorkerJoin { w } => {
-                if super::membership::complete_join(k, eng, w) {
-                    let gen = k.workers[w as usize].gen;
-                    eng.schedule(eng.now(), Ev::WorkerStart { w, gen });
-                    self.on_membership_change(k, eng, w, true);
-                }
-            }
-            Ev::WorkerDepart { w, gen } => {
-                if lifecycle::worker_depart(k, &mut self.flavor, eng, w, gen) {
-                    self.on_membership_change(k, eng, w, false);
-                }
-            }
             Ev::RoundEnd { .. } => unreachable!("PS runtime has no rounds"),
             Ev::MonitorTick
             | Ev::ChaosFault { .. }
@@ -488,19 +469,6 @@ impl<F: PsFlavor> SyncStrategy for PsStrategy<F> {
             }
             InjectedFault::RestartDelay { w, extra_secs } => {
                 k.chaos_restart_extra[w as usize] += extra_secs;
-            }
-            InjectedFault::ScaleOut { add } => {
-                let now = eng.now();
-                super::membership::scale_out(k, eng, now, add);
-            }
-            InjectedFault::ScaleIn { w } => {
-                // Forced drill: the retire signal fires in place (the plan
-                // instant IS the delivery instant); the generation/alive
-                // guards still arbitrate any race with a kill.
-                let gen = k.workers[w as usize].gen;
-                if lifecycle::worker_depart(k, &mut self.flavor, eng, w, gen) {
-                    self.on_membership_change(k, eng, w, false);
-                }
             }
             _ => unreachable!("windowed faults are kernel-handled"),
         }

@@ -6,7 +6,7 @@ use super::data::DataSource;
 use super::kernel::Kernel;
 use crate::config::{DataStrategy, ExecutionMode};
 use crate::events::RtEngine;
-use crate::report::{CkptReport, JobReport, MembershipReport};
+use crate::report::{CkptReport, JobReport};
 use antdt_ml::Model;
 use antdt_sim::{SimDuration, SimTime};
 
@@ -100,29 +100,6 @@ impl Kernel {
             restores: rt.restores,
             final_interval_secs: rt.interval_now,
         });
-        // The membership section exists only when the worker set actually
-        // changed, so fixed-world runs (the golden fixtures) render `None`.
-        let membership = (!self.membership.events.is_empty()).then(|| {
-            let joins = self.membership.joins() as u32;
-            let events = std::mem::take(&mut self.membership.events);
-            let mut departed: Vec<u32> = self.membership.departed.iter().copied().collect();
-            departed.sort_unstable();
-            MembershipReport {
-                initial_workers: self.membership.initial as u32,
-                peak_workers: self.workers.len() as u32,
-                final_workers: self.workers.iter().filter(|w| w.alive || w.done).count() as u32,
-                joins,
-                departs: departed.len() as u32,
-                events,
-                departed,
-                resizes: self.dds.as_ref().map(|d| d.resize_log()).unwrap_or_default(),
-                doing_owners_at_end: self
-                    .dds
-                    .as_ref()
-                    .map(|d| d.doing_owners())
-                    .unwrap_or_default(),
-            }
-        });
         let auc = match (&self.math, &self.cfg.execution) {
             (Some(math), ExecutionMode::Real { holdout, .. }) if !holdout.is_empty() => {
                 let scores = math.model.scores(holdout);
@@ -173,7 +150,6 @@ impl Kernel {
             telemetry,
             ckpt,
             attr,
-            membership,
             divergence: {
                 let mut marks = self.marks;
                 marks.control_modeled = self.bus.control_divergence();

@@ -31,8 +31,7 @@ struct Part {
 
 /// The ring-AllReduce runtime: one optimizer step per communication round.
 /// A killed rank leaves the ring for good (no per-rank restart in DDP); with
-/// failover its shards requeue and the surviving ranks absorb them
-/// (elastic-DDP assumption).
+/// failover its shards requeue and the surviving ranks absorb them.
 #[derive(Clone)]
 pub struct RingAllReduce {
     round: u64,
@@ -245,40 +244,6 @@ impl RingAllReduce {
             }
         }
     }
-
-    /// Retire rank `w` mid-run (`SCALE_IN`, generation-checked): the kill
-    /// path — leases requeue for the survivors, the rank leaves the round
-    /// set for good — but audited as a membership departure, not a failure,
-    /// and dropped from the consistent-hash placement ring. A rank whose
-    /// contribution is already in the open round still synchronizes it (the
-    /// depart takes effect at the next round open, never mid-round).
-    fn depart_rank(&mut self, k: &mut Kernel, eng: &mut RtEngine, w: u32, gen: u32) {
-        let wi = w as usize;
-        if !k.workers[wi].alive || k.workers[wi].gen != gen {
-            return; // stale retire signal: the double-remove fence held
-        }
-        let now = eng.now();
-        k.workers[wi].alive = false;
-        k.workers[wi].gen += 1;
-        k.workers[wi].killed_at = Some(now);
-        k.workers[wi].leases.clear();
-        k.attr_kill(w, now, true);
-        k.membership.record(now, w, crate::report::MembershipEventKind::Departed);
-        k.bus.node_event(antdt_monitor::NodeEvent::Killed {
-            node: NodeId::worker(w),
-            at: now,
-            class: antdt_monitor::ErrorClass::Retryable(
-                antdt_monitor::RetryableError::ProactiveKill,
-            ),
-        });
-        if let Some(rt) = &mut k.tele {
-            rt.tele.tracer.instant("rank-depart", "lifecycle", now.as_micros(), w, &[]);
-        }
-        if let Some(dds) = &mut k.dds {
-            dds.fail_worker(w);
-            dds.ring_leave(w);
-        }
-    }
 }
 
 /// Apply one delivered Controller action at a rank's round boundary.
@@ -323,17 +288,6 @@ impl SyncStrategy for RingAllReduce {
         match ev {
             Ev::RoundEnd { round } if round == self.round => self.close_round(k, eng),
             Ev::RoundEnd { .. } => {}
-            // A joiner becomes a live rank here; the next round open
-            // enumerates it like any other alive worker (no mid-round
-            // renegotiation).
-            Ev::WorkerJoin { w } => {
-                super::membership::complete_join(k, eng, w);
-                self.on_membership_change(k, eng, w, true);
-            }
-            Ev::WorkerDepart { w, gen } => {
-                self.depart_rank(k, eng, w, gen);
-                self.on_membership_change(k, eng, w, false);
-            }
             // Round-driven jobs have no PS-style lifecycle events.
             _ => {}
         }
@@ -349,14 +303,6 @@ impl SyncStrategy for RingAllReduce {
         match action {
             Action::None | Action::KillRestart { .. } => {
                 // kill-restart is a PS-side action in this build
-            }
-            Action::ScaleOut { add } => {
-                k.record_action(now, &action);
-                super::membership::scale_out(k, eng, now, add);
-            }
-            Action::ScaleIn { node } => {
-                let text = k.record_action(now, &action);
-                super::bus::send_scale_in(k, eng, now, node, &text);
             }
             other => {
                 let text = k.record_action(now, &other);
@@ -387,11 +333,6 @@ impl SyncStrategy for RingAllReduce {
             InjectedFault::KillWorkerNoFailover { w } => self.kill_rank(k, now, w, false),
             // No per-rank restarts in DDP, so there is no restart to delay.
             InjectedFault::RestartDelay { .. } => {}
-            InjectedFault::ScaleOut { add } => super::membership::scale_out(k, eng, now, add),
-            InjectedFault::ScaleIn { w } => {
-                let gen = k.workers[w as usize].gen;
-                self.depart_rank(k, eng, w, gen);
-            }
             InjectedFault::KillServer { .. } => unreachable!("validated out for ring runtimes"),
             _ => unreachable!("windowed faults are kernel-handled"),
         }

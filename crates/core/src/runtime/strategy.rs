@@ -78,19 +78,6 @@ pub trait SyncStrategy {
     fn on_dds_restored(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
         let _ = (k, eng);
     }
-
-    /// Membership changed: worker `w` joined (`joined`) or departed, and the
-    /// kernel-side bookkeeping (slot state, DDS ring, Monitor) is already
-    /// done. Strategies renegotiate barrier/round membership at the *next*
-    /// iteration boundary, never mid-step — and the default no-op is exactly
-    /// that, because every shipped driver already re-derives membership per
-    /// boundary (BSP refreezes its participant set at each barrier close,
-    /// the ring re-enumerates live ranks at each round open, ASP/SSP
-    /// schedules are per-worker). Override only for a strategy that caches
-    /// membership across boundaries.
-    fn on_membership_change(&mut self, k: &mut Kernel, eng: &mut RtEngine, w: u32, joined: bool) {
-        let _ = (k, eng, w, joined);
-    }
 }
 
 /// Run a job under strategy `S`: build the kernel, bootstrap, drive the event
@@ -219,11 +206,7 @@ fn handle<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngine, ev
 /// through the strategy, re-arm.
 fn monitor_tick<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngine) {
     let now = eng.now();
-    let sched = &k.cfg.cluster.scheduler;
-    let info = ClusterInfo {
-        busy: sched.is_busy(now),
-        expected_pending_secs: sched.expected_pending_secs(now),
-    };
+    let info = ClusterInfo { busy: k.cfg.cluster.scheduler.is_busy(now) };
     let actions = k.bus.tick_decide(k.tele.as_mut(), now, info);
     let audit = k.bus.drain_decision_audit();
     k.decision_log.extend(audit);

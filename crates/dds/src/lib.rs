@@ -33,7 +33,7 @@ pub mod stats;
 pub mod types;
 
 pub use service::DdsService;
-pub use shard::{HashRing, Shard, ShardId, ShardState, WorkerId, DEFAULT_VNODES};
+pub use shard::{Shard, ShardId, ShardState, WorkerId};
 pub use shuffle::ShardShuffler;
 pub use stats::{ConsumptionStats, IntegrityAudit, WorkerConsumption};
-pub use types::{DdsConfig, DdsCounts, DdsError, ResizeRecord, ShardLease};
+pub use types::{DdsConfig, DdsCounts, DdsError, ShardLease};

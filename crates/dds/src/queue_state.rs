@@ -1,14 +1,13 @@
 //! The sharding service's queue state: the cross-epoch shard queue, the
-//! per-slot state table (`TODO`/`DOING`/`DONE` + owner + serve counts) and
-//! the optional consistent-hash placement ring.
+//! per-slot state table (`TODO`/`DOING`/`DONE` + owner + serve counts).
 //!
 //! This is pure, single-threaded state with the legal transitions as
 //! methods; [`crate::service::DdsService`] layers on what is *not* queue
 //! state — outage pausing, consumption statistics and transition counts.
 
-use crate::shard::{plan_shards, HashRing, Shard, ShardState, WorkerId};
+use crate::shard::{plan_shards, Shard, ShardState, WorkerId};
 use crate::shuffle::ShardShuffler;
-use crate::types::{DdsConfig, DdsError, ResizeRecord, ShardLease};
+use crate::types::{DdsConfig, DdsError, ShardLease};
 use std::collections::VecDeque;
 
 /// Queue + state table for every shard of every enqueued epoch. Slots are
@@ -28,14 +27,6 @@ pub(crate) struct QueueState {
     serves: Vec<u32>,
     done_total: u64,
     ever_double_served: bool,
-    /// Consistent-hash placement ring. `None` (the default) keeps
-    /// [`QueueState::take_next`] strictly FIFO and byte-identical to the
-    /// pre-elastic service; armed, a worker prefers queued slots the ring
-    /// assigns to it, so a topology change only re-homes the slots whose
-    /// ring arc moved.
-    ring: Option<HashRing>,
-    /// Membership changes applied to the armed ring, with movement counts.
-    resizes: Vec<ResizeRecord>,
 }
 
 impl QueueState {
@@ -56,8 +47,6 @@ impl QueueState {
             serves: Vec::new(),
             done_total: 0,
             ever_double_served: false,
-            ring: None,
-            resizes: Vec::new(),
         };
         q.refill();
         q
@@ -74,7 +63,6 @@ impl QueueState {
             + self.state.capacity() * size_of::<ShardState>()
             + self.owner.capacity() * size_of::<Option<WorkerId>>()
             + self.serves.capacity() * size_of::<u32>()
-            + self.resizes.capacity() * size_of::<ResizeRecord>()
     }
 
     pub(crate) fn k(&self) -> usize {
@@ -119,23 +107,11 @@ impl QueueState {
         ShardLease { shard: self.shards[(slot % k) as usize], epoch: (slot / k) as u32 }
     }
 
-    /// Serve the next `TODO` slot to `worker` (`TODO → DOING`). With an
-    /// armed placement ring, prefer the first queued slot the ring assigns
-    /// to this worker; fall back to the queue front so work is never left
-    /// stranded (a slot owned by a busy member still gets served by whoever
-    /// asks when its owner never comes). Refills from the next epoch when
-    /// the queue is dry.
+    /// Serve the queue's front `TODO` slot to `worker` (`TODO → DOING`),
+    /// refilling from the next epoch when the queue is dry.
     pub(crate) fn take_next(&mut self, worker: WorkerId) -> Option<ShardLease> {
         self.refill();
-        let preferred = self
-            .ring
-            .as_ref()
-            .filter(|r| r.contains(worker))
-            .and_then(|r| self.queue.iter().position(|&slot| r.owner_of(slot) == Some(worker)));
-        let slot = match preferred {
-            Some(idx) => self.queue.remove(idx),
-            None => self.queue.pop_front(),
-        }?;
+        let slot = self.queue.pop_front()?;
         debug_assert_eq!(self.state[slot as usize], ShardState::Todo);
         self.state[slot as usize] = ShardState::Doing;
         self.owner[slot as usize] = Some(worker);
@@ -174,8 +150,8 @@ impl QueueState {
         Ok(())
     }
 
-    /// Requeue every slot `worker` was DOING (crash / `KILL_RESTART` /
-    /// departure), returning the requeued shards in ascending slot order.
+    /// Requeue every slot `worker` was DOING (crash / `KILL_RESTART`),
+    /// returning the requeued shards in ascending slot order.
     pub(crate) fn requeue_worker(&mut self, worker: WorkerId) -> Vec<Shard> {
         let slots: Vec<usize> = (0..self.state.len())
             .filter(|&i| self.state[i] == ShardState::Doing && self.owner[i] == Some(worker))
@@ -229,55 +205,6 @@ impl QueueState {
             }
         }
         (shards_requeued, samples_requeued)
-    }
-
-    // ---- placement ring.
-
-    pub(crate) fn arm_ring(&mut self, vnodes: u32, members: impl IntoIterator<Item = WorkerId>) {
-        self.ring = Some(HashRing::with_members(vnodes, members));
-    }
-
-    pub(crate) fn ring_armed(&self) -> bool {
-        self.ring.is_some()
-    }
-
-    pub(crate) fn ring_members(&self) -> Vec<WorkerId> {
-        self.ring.as_ref().map(|r| r.members().to_vec()).unwrap_or_default()
-    }
-
-    /// Apply a membership change to the armed ring, recording how many
-    /// queued slots re-homed. `None` when the ring is unarmed or the change
-    /// is a no-op.
-    pub(crate) fn resize(&mut self, member: WorkerId, joined: bool) -> Option<ResizeRecord> {
-        let ring = self.ring.as_ref()?;
-        let before: Vec<Option<WorkerId>> = self.queue.iter().map(|&s| ring.owner_of(s)).collect();
-        let mut next = ring.clone();
-        let changed = if joined { next.add_node(member) } else { next.remove_node(member) };
-        if !changed {
-            return None;
-        }
-        let moved_slots =
-            self.queue.iter().zip(&before).filter(|&(&s, &b)| next.owner_of(s) != b).count() as u64;
-        let rec =
-            ResizeRecord { member, joined, moved_slots, queued_slots: self.queue.len() as u64 };
-        self.ring = Some(next);
-        self.resizes.push(rec);
-        Some(rec)
-    }
-
-    pub(crate) fn resize_log(&self) -> &[ResizeRecord] {
-        &self.resizes
-    }
-
-    /// Distinct owners of currently-DOING slots, sorted and deduplicated.
-    pub(crate) fn doing_owners(&self) -> Vec<WorkerId> {
-        let mut owners: Vec<WorkerId> = (0..self.state.len())
-            .filter(|&i| self.state[i] == ShardState::Doing)
-            .filter_map(|i| self.owner[i])
-            .collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners
     }
 
     /// Sample order for a lease (delegates to the shard shuffler).

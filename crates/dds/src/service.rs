@@ -12,7 +12,7 @@
 use crate::queue_state::QueueState;
 use crate::shard::{Shard, WorkerId};
 use crate::stats::{ConsumptionStats, IntegrityAudit};
-pub use crate::types::{DdsConfig, DdsCounts, DdsError, ResizeRecord, ShardLease};
+pub use crate::types::{DdsConfig, DdsCounts, DdsError, ShardLease};
 
 /// The sharding service: plain data owned by its caller (one simulated
 /// job's kernel). Cloning copies the full queue state — the basis for
@@ -180,48 +180,6 @@ impl DdsService {
     /// Sample order for a lease (delegates to the shard shuffler).
     pub fn sample_order(&self, lease: &ShardLease) -> Vec<u64> {
         self.q.sample_order(lease)
-    }
-
-    /// Arm the consistent-hash placement ring with the given initial members.
-    /// Until armed (the default), the service is strictly FIFO and its serve
-    /// order is byte-identical to the pre-elastic implementation.
-    pub fn arm_ring(&mut self, vnodes: u32, members: impl IntoIterator<Item = WorkerId>) {
-        self.q.arm_ring(vnodes, members);
-    }
-
-    pub fn ring_armed(&self) -> bool {
-        self.q.ring_armed()
-    }
-
-    /// Current ring membership (empty when the ring is unarmed).
-    pub fn ring_members(&self) -> Vec<WorkerId> {
-        self.q.ring_members()
-    }
-
-    /// A worker joined: add it to the armed ring and record how many queued
-    /// slots re-homed onto it. No-op (returning `None`) when the ring is
-    /// unarmed or the member already present.
-    pub fn ring_join(&mut self, member: WorkerId) -> Option<ResizeRecord> {
-        self.q.resize(member, true)
-    }
-
-    /// A worker departed for good: drop it from the armed ring and record the
-    /// movement. The caller is responsible for rolling back its DOING leases
-    /// via [`DdsService::fail_worker`] — departure and lease recovery are the
-    /// same machinery a kill uses.
-    pub fn ring_leave(&mut self, member: WorkerId) -> Option<ResizeRecord> {
-        self.q.resize(member, false)
-    }
-
-    /// Every resize applied to the ring so far, in order.
-    pub fn resize_log(&self) -> Vec<ResizeRecord> {
-        self.q.resize_log().to_vec()
-    }
-
-    /// Distinct owners of currently-DOING slots, sorted. The chaos
-    /// `membership-consistent` invariant checks no departed worker appears.
-    pub fn doing_owners(&self) -> Vec<WorkerId> {
-        self.q.doing_owners()
     }
 
     /// The integrity audit (§VII-D2).
@@ -508,82 +466,6 @@ mod tests {
             s.report_done(1, l).unwrap();
         }
         assert!(s.is_complete());
-    }
-
-    #[test]
-    fn unarmed_ring_keeps_fifo_service_order() {
-        // Two identically-configured services, one never touched by ring
-        // APIs: serve order must match slot for slot.
-        let mut a = svc(1000, 10, 10, 1);
-        let mut b = svc(1000, 10, 10, 1);
-        assert!(!a.ring_armed());
-        loop {
-            let (la, lb) = (a.fetch(0), b.fetch(0));
-            assert_eq!(la, lb);
-            match la {
-                Some(l) => {
-                    a.report_done(0, l).unwrap();
-                    b.report_done(0, l).unwrap();
-                }
-                None => break,
-            }
-        }
-        assert!(a.is_complete());
-    }
-
-    #[test]
-    fn armed_ring_prefers_owned_slots_but_conserves_work() {
-        let mut s = svc(1000, 10, 10, 1); // 10 shards
-        s.arm_ring(64, [0, 1]);
-        assert_eq!(s.ring_members(), vec![0, 1]);
-        // Worker 0 alone drains everything: its own slots first, then the
-        // fallback serves worker 1's (work conservation).
-        let mut served = 0;
-        while let Some(l) = s.fetch(0) {
-            s.report_done(0, l).unwrap();
-            served += 1;
-        }
-        assert_eq!(served, 10);
-        assert!(s.is_complete());
-        assert!(s.audit().at_most_once);
-    }
-
-    #[test]
-    fn ring_join_and_leave_log_movement() {
-        let mut s = svc(2000, 10, 10, 1); // 20 shards
-        s.arm_ring(64, [0, 1, 2]);
-        let join = s.ring_join(3).expect("new member");
-        assert!(join.joined);
-        assert_eq!(join.queued_slots, 20);
-        assert!(join.moved_slots <= 20);
-        // Idempotent: joining again is a no-op.
-        assert!(s.ring_join(3).is_none());
-        let leave = s.ring_leave(1).expect("present member");
-        assert!(!leave.joined);
-        assert!(s.ring_leave(1).is_none());
-        assert_eq!(s.ring_members(), vec![0, 2, 3]);
-        assert_eq!(s.resize_log().len(), 2);
-        // Unarmed service: resize APIs are inert.
-        let mut plain = svc(100, 10, 10, 1);
-        assert!(plain.ring_join(0).is_none());
-        assert!(plain.resize_log().is_empty());
-    }
-
-    #[test]
-    fn departed_worker_leaves_no_doing_slots_behind() {
-        let mut s = svc(500, 10, 10, 1); // 5 shards
-        s.arm_ring(64, [0, 1]);
-        let _held = s.fetch(1).unwrap();
-        assert_eq!(s.doing_owners(), vec![1]);
-        // Depart worker 1: ring removal + lease rollback.
-        s.ring_leave(1);
-        s.fail_worker(1);
-        assert!(s.doing_owners().is_empty());
-        while let Some(l) = s.fetch(0) {
-            s.report_done(0, l).unwrap();
-        }
-        assert!(s.is_complete());
-        assert!(s.audit().at_least_once);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Shard and state types. A shard is deliberately tiny — two integers — to keep
 //! the queue's network footprint at the bytes level (paper §V-C1).
 
-use antdt_sim::rng::mix64;
-
 /// Index of a shard within one epoch (`0..K`).
 pub type ShardId = u32;
 
@@ -38,100 +36,6 @@ pub enum ShardState {
     Doing,
     /// The worker reported that gradients for this shard reached the servers.
     Done,
-}
-
-/// A consistent-hash ring with virtual nodes, mapping shard keys to workers.
-///
-/// Each member contributes `vnodes` points on a 64-bit keyspace circle; a key
-/// is owned by the member whose point is the first at or after the key's hash
-/// (wrapping). Points and key hashes both come from the SplitMix64 finalizer
-/// [`mix64`]. Adding or removing one member therefore moves only the keys in
-/// the arcs adjacent to that member's points — the *minimal movement* property
-/// the DDS needs so a topology change re-homes `O(K/N)` shards instead of
-/// reshuffling everything (the property tests below pin the bound).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HashRing {
-    /// Sorted `(point, member)` pairs. Ties on `point` break by member id so
-    /// the ring is a pure function of its membership set.
-    points: Vec<(u64, WorkerId)>,
-    members: Vec<WorkerId>,
-    vnodes: u32,
-}
-
-/// Default virtual-node count per member: high enough that per-member load
-/// imbalance stays within a few percent, low enough that a resize is cheap.
-pub const DEFAULT_VNODES: u32 = 64;
-
-impl HashRing {
-    pub fn new(vnodes: u32) -> Self {
-        HashRing { points: Vec::new(), members: Vec::new(), vnodes: vnodes.max(1) }
-    }
-
-    pub fn with_members(vnodes: u32, members: impl IntoIterator<Item = WorkerId>) -> Self {
-        let mut ring = HashRing::new(vnodes);
-        for m in members {
-            ring.add_node(m);
-        }
-        ring
-    }
-
-    #[inline]
-    fn point(member: WorkerId, replica: u32) -> u64 {
-        mix64(((member as u64) << 32) | replica as u64)
-    }
-
-    /// Add a member (idempotent). Returns `true` if it was new.
-    pub fn add_node(&mut self, member: WorkerId) -> bool {
-        if self.members.contains(&member) {
-            return false;
-        }
-        self.members.push(member);
-        self.members.sort_unstable();
-        for r in 0..self.vnodes {
-            self.points.push((Self::point(member, r), member));
-        }
-        self.points.sort_unstable();
-        true
-    }
-
-    /// Remove a member (idempotent). Returns `true` if it was present.
-    pub fn remove_node(&mut self, member: WorkerId) -> bool {
-        let before = self.members.len();
-        self.members.retain(|&m| m != member);
-        if self.members.len() == before {
-            return false;
-        }
-        self.points.retain(|&(_, m)| m != member);
-        true
-    }
-
-    pub fn contains(&self, member: WorkerId) -> bool {
-        self.members.contains(&member)
-    }
-
-    /// Current membership, sorted by id.
-    pub fn members(&self) -> &[WorkerId] {
-        &self.members
-    }
-
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The member owning `key`, or `None` on an empty ring.
-    pub fn owner_of(&self, key: u64) -> Option<WorkerId> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let h = mix64(key);
-        let idx = self.points.partition_point(|&(p, _)| p < h);
-        let (_, member) = self.points[idx % self.points.len()];
-        Some(member)
-    }
 }
 
 /// Split `total_samples` into shards of `samples_per_shard` (the last one may be
@@ -192,56 +96,6 @@ mod tests {
         assert!(s.contains(14));
         assert!(!s.contains(15));
     }
-
-    #[test]
-    fn ring_owner_is_deterministic_and_total() {
-        let ring = HashRing::with_members(DEFAULT_VNODES, [0, 1, 2, 3]);
-        for key in 0..1000u64 {
-            let a = ring.owner_of(key).unwrap();
-            let b = ring.owner_of(key).unwrap();
-            assert_eq!(a, b);
-            assert!(ring.contains(a));
-        }
-        assert!(HashRing::new(DEFAULT_VNODES).owner_of(7).is_none());
-    }
-
-    #[test]
-    fn ring_membership_ops_are_idempotent() {
-        let mut ring = HashRing::new(8);
-        assert!(ring.add_node(5));
-        assert!(!ring.add_node(5));
-        assert_eq!(ring.members(), &[5]);
-        assert!(ring.remove_node(5));
-        assert!(!ring.remove_node(5));
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn ring_is_a_pure_function_of_membership() {
-        // Different insertion orders (and an add/remove detour) converge to
-        // the same ring, so ownership never depends on history.
-        let a = HashRing::with_members(32, [3, 1, 2]);
-        let mut b = HashRing::with_members(32, [1, 2]);
-        b.add_node(9);
-        b.remove_node(9);
-        b.add_node(3);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ring_load_is_roughly_balanced() {
-        let ring = HashRing::with_members(DEFAULT_VNODES, 0..8u32);
-        let keys = 10_000u64;
-        let mut counts = [0u64; 8];
-        for key in 0..keys {
-            counts[ring.owner_of(key).unwrap() as usize] += 1;
-        }
-        let ideal = keys as f64 / 8.0;
-        for (m, &c) in counts.iter().enumerate() {
-            let skew = c as f64 / ideal;
-            assert!((0.5..2.0).contains(&skew), "member {m} owns {c} of {keys} keys");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -263,71 +117,6 @@ mod prop_tests {
             let sum: u64 = shards.iter().map(|s| s.len).sum();
             assert_eq!(sum, total, "seed {seed}");
             assert_eq!(shards.len() as u64, total.div_ceil(per), "seed {seed}");
-        }
-    }
-
-    /// Ownership is a partition (total function into the member set) and
-    /// a single add/remove moves at most ~2/N of the keyspace — the
-    /// consistent-hashing minimal-movement bound, with slack for
-    /// virtual-node variance at small N. 256 seeded cases.
-    #[test]
-    fn ring_resize_moves_minimal_keys() {
-        for case in 0..256 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let n = rng.gen_range(2u32..12);
-            let seed = rng.gen_range(0u64..1_000);
-            let keys: Vec<u64> =
-                (0..4_000u64).map(|i| i.wrapping_mul(2654435761).wrapping_add(seed)).collect();
-            let ring = HashRing::with_members(DEFAULT_VNODES, 0..n);
-            let before: Vec<WorkerId> = keys.iter().map(|&k| ring.owner_of(k).unwrap()).collect();
-            for owner in &before {
-                assert!(ring.contains(*owner), "case {case}");
-            }
-
-            // Add one node: only keys that move may move *to* the new node.
-            let mut grown = ring.clone();
-            grown.add_node(n);
-            let mut moved_add = 0usize;
-            for (i, &k) in keys.iter().enumerate() {
-                let after = grown.owner_of(k).unwrap();
-                if after != before[i] {
-                    assert_eq!(
-                        after, n,
-                        "case {case}: a key moved between surviving members on add"
-                    );
-                    moved_add += 1;
-                }
-            }
-            // Expected fraction 1/(N+1); allow 2x slack for hash variance.
-            let bound_add = (2.0 / (n as f64 + 1.0) * keys.len() as f64).ceil() as usize;
-            assert!(
-                moved_add <= bound_add,
-                "case {case}: add moved {moved_add} > {bound_add} of {} keys",
-                keys.len()
-            );
-
-            // Remove one node: only that node's keys may move, to survivors.
-            let victim = (seed % n as u64) as WorkerId;
-            let mut shrunk = ring.clone();
-            shrunk.remove_node(victim);
-            let mut moved_rm = 0usize;
-            for (i, &k) in keys.iter().enumerate() {
-                let after = shrunk.owner_of(k).unwrap();
-                assert!(after != victim, "case {case}");
-                if after != before[i] {
-                    assert_eq!(
-                        before[i], victim,
-                        "case {case}: a surviving member's key moved on remove"
-                    );
-                    moved_rm += 1;
-                }
-            }
-            let bound_rm = (2.0 / n as f64 * keys.len() as f64).ceil() as usize;
-            assert!(
-                moved_rm <= bound_rm,
-                "case {case}: remove moved {moved_rm} > {bound_rm} of {} keys",
-                keys.len()
-            );
         }
     }
 }

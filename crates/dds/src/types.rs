@@ -102,16 +102,3 @@ impl std::fmt::Display for DdsError {
     }
 }
 impl std::error::Error for DdsError {}
-
-/// One membership change applied to an armed placement ring: who changed, in
-/// which direction, and how many *queued* slots re-homed as a result. The
-/// elastic bench reports these as "shards moved per resize".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResizeRecord {
-    pub member: WorkerId,
-    pub joined: bool,
-    /// Queued (TODO) slots whose ring owner changed across this resize.
-    pub moved_slots: u64,
-    /// Queued slots at the time of the resize (the movement denominator).
-    pub queued_slots: u64,
-}

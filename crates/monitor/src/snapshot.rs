@@ -21,16 +21,9 @@ pub struct NodeStats {
 }
 
 /// Third-party information (§V-D): cluster-scheduler signals.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClusterInfo {
     pub busy: bool,
-    pub expected_pending_secs: f64,
-}
-
-impl Default for ClusterInfo {
-    fn default() -> Self {
-        ClusterInfo { busy: false, expected_pending_secs: 10.0 }
-    }
 }
 
 /// Everything the Controller sees.

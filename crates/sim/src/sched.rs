@@ -75,16 +75,6 @@ impl SchedulerModel {
         };
         SimDuration::from_secs_f64(pending + self.node_init.sample(rng))
     }
-
-    /// The expected pending time at `now` — what the Monitor surfaces to the
-    /// Controller so AntDT-ND can gate `KILL_RESTART` on cluster busyness.
-    pub fn expected_pending_secs(&self, now: SimTime) -> f64 {
-        if self.is_busy(now) {
-            self.pending_busy.mean()
-        } else {
-            self.pending_idle.mean()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,15 +104,5 @@ mod tests {
         assert!(busy > idle, "busy {busy} idle {idle}");
         assert!(busy.as_secs_f64() > 600.0);
         assert!(idle.as_secs_f64() < 100.0);
-    }
-
-    #[test]
-    fn expected_pending_tracks_busyness() {
-        let m = SchedulerModel::paper_default().with_busyness(BusynessTimeline::busy(vec![(
-            SimTime::ZERO,
-            SimTime::from_secs_f64(100.0),
-        )]));
-        assert!(m.expected_pending_secs(SimTime::from_secs_f64(10.0)) > 600.0);
-        assert!(m.expected_pending_secs(SimTime::from_secs_f64(500.0)) < 30.0);
     }
 }

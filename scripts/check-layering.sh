@@ -100,19 +100,6 @@ if [ -n "$offenders" ]; then
     fail "antdt_agent::bus imported outside crates/core and crates/agent: $offenders"
 fi
 
-# Membership is a kernel-owned concern: only the runtime may mutate the slot
-# vector. The registry type and its transitions live in runtime/membership.rs
-# and runtime/lifecycle.rs; everything else (policies, chaos, benches, tests)
-# observes membership through JobReport.membership or acts through the
-# ScaleOut/ScaleIn actions. A new construction site outside runtime/ means
-# someone is resizing the fleet behind the kernel's back.
-offenders=$(grep -RlnE 'Membership::new\(|MembershipEvent \{|\.membership\.record\(' \
-    crates --include='*.rs' \
-    | grep -v '^crates/core/src/runtime/' | grep -v '^crates/core/src/report.rs' || true)
-if [ -n "$offenders" ]; then
-    fail "membership transitions constructed outside crates/core/src/runtime: $offenders"
-fi
-
 # A job is single-threaded: its DES loop runs on one thread, and threads
 # meet only at `par_map` joins, where whole jobs (or their reports) move
 # between workers. So the state inside a job — engine, DDS, Monitor, Agents,

@@ -69,7 +69,7 @@ fn ps_chaos_plan() -> Vec<ChaosInjection> {
 }
 
 /// AllReduce-legal subset (no server kills; restarts don't apply to the
-/// elastic-DDP path, where a killed rank leaves for good).
+/// ring AllReduce, where a killed rank leaves for good).
 fn ar_chaos_plan() -> Vec<ChaosInjection> {
     vec![
         ChaosInjection { at_secs: 60.0, fault: InjectedFault::KillWorker { w: 5 } },
