@@ -7,7 +7,7 @@
 //! ever suspending training.
 
 use antdt_sim::rng::mix64;
-use antdt_sim::{SimDuration, SimTime};
+use antdt_sim::SimDuration;
 
 /// Cost model for the agent control-plane messages (bytes-level signals, so
 /// latency dominates).
@@ -63,18 +63,6 @@ pub fn elect_primary(alive_workers: &[u32], seed: u64) -> Option<u32> {
     Some(alive_workers[pick])
 }
 
-/// Time at which each agent receives a globally-broadcast action issued at
-/// `decided_at` (index-aligned with `agents`).
-pub fn broadcast_deliveries(
-    model: &BroadcastModel,
-    decided_at: SimTime,
-    payload_bytes: u64,
-    n_agents: usize,
-) -> Vec<SimTime> {
-    let at = decided_at + model.full_broadcast_delay(payload_bytes);
-    vec![at; n_agents]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,14 +95,5 @@ mod tests {
         assert!(d > SimDuration::ZERO);
         // Direct (node action) path is strictly cheaper.
         assert!(m.direct_delay(256) < d);
-    }
-
-    #[test]
-    fn deliveries_are_simultaneous_and_after_decision() {
-        let m = BroadcastModel::default();
-        let t0 = SimTime::from_secs_f64(100.0);
-        let ds = broadcast_deliveries(&m, t0, 128, 5);
-        assert_eq!(ds.len(), 5);
-        assert!(ds.iter().all(|&d| d == ds[0] && d > t0));
     }
 }

@@ -10,7 +10,7 @@
 //!   its fastest peer. This is exact for barriered strategies (BSP, ring).
 //! * **Excess-over-median blame** — per cause, a node's time above the fleet
 //!   median within its role group (workers vs servers). This is the fallback
-//!   signal for barrier-free strategies (ASP, SSP) where no single arrival
+//!   signal for barrier-free strategies (ASP) where no single arrival
 //!   determines progress.
 //!
 //! The blame score is the critical-path sum when barrier records exist and

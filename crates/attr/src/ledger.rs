@@ -19,7 +19,7 @@ pub enum WaitCause {
     /// Waiting on the DDS for a shard lease: starvation polls and the
     /// per-batch lease-sync overhead.
     DataWait,
-    /// Parked at a BSP/SSP/ring barrier, or idle waiting for peers (includes
+    /// Parked at a BSP/ring barrier, or idle waiting for peers (includes
     /// a finished worker waiting for the fleet to drain).
     SyncWait,
     /// Gradient push, parameter pull, or ring all-reduce transfer time.

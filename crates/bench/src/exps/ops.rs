@@ -7,8 +7,7 @@ use antdt_controller::solve::AffineCost;
 use antdt_controller::{grad_accum_allocation, minmax_batch_allocation, Eq4Class, Eq4Config};
 use antdt_core::{ExecutionMode, Job, JobConfig, JobReport, MitigationChoice};
 use antdt_sim::SimDuration;
-use antdt_workloads::cluster::cluster_a;
-use antdt_workloads::{ctr, CtrConfig, ModelProfile, Scenario};
+use antdt_workloads::{ctr, CtrConfig, Scenario};
 use std::fmt::Write;
 
 pub fn integrity() -> String {
@@ -212,23 +211,6 @@ pub fn ablate() -> String {
     }
     out.push_str(&table(&rows));
 
-    // (e) SSP staleness sweep (extension beyond the paper's BSP/ASP).
-    out.push_str("  (e) SSP staleness bound (worker stragglers, DDS):\n");
-    let mut rows = vec![vec!["staleness".into(), "JCT".into()]];
-    let s_runs = antdt_par::par_map(vec![0u32, 2, 8], |s| {
-        let r = Job::run(
-            JobConfig::ps_ssp(cluster_a(), Scenario::WorkerMix { intensity: WORKER_SI }, s)
-                .with_model(ModelProfile::xdeepfm())
-                .with_global_batch(81_920)
-                .with_samples(15_000_000)
-                .with_batches_per_shard(100),
-        );
-        (s, r)
-    });
-    for (s, r) in s_runs {
-        rows.push(vec![s.to_string(), secs(r.jct.as_secs_f64())]);
-    }
-    out.push_str(&table(&rows));
     out
 }
 

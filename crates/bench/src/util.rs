@@ -4,31 +4,33 @@
 use antdt_core::{Job, JobConfig, JobReport};
 use antdt_sim::{SimTime, TimeSeries};
 use std::fmt::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// When set, stopwatch readings render as `0.0` and artifact files are not
-/// written (both sides print the identical "skipped" line instead). The perf
-/// harness and the parity tests freeze the wall so a serial and a parallel
-/// `run("all")` produce byte-identical strings — wall time is the only
-/// nondeterministic ingredient in any report.
-static WALL_FROZEN: AtomicBool = AtomicBool::new(false);
+/// While nonzero, stopwatch readings render as `0.0` and artifact files are
+/// not written (both sides print the identical "skipped" line instead). The
+/// perf harness and the parity tests freeze the wall so a serial and a
+/// parallel `run("all")` produce byte-identical strings — wall time is the
+/// only nondeterministic ingredient in any report. It counts the frozen
+/// sections currently running, so sections may nest or overlap (parity tests
+/// run side by side) and the wall thaws only when the last one ends.
+static WALL_FROZEN: AtomicUsize = AtomicUsize::new(0);
 
 /// Whether the wall clock is currently frozen (see [`freeze_wall`]).
 pub fn wall_frozen() -> bool {
-    WALL_FROZEN.load(Ordering::Relaxed)
+    WALL_FROZEN.load(Ordering::Relaxed) > 0
 }
 
-/// Run `f` with the wall clock frozen. The flag is global (worker threads of
-/// the experiment pool must observe it), so frozen sections should not be run
-/// concurrently with sections that want real timings.
+/// Run `f` with the wall clock frozen. The freeze is global (worker threads
+/// of the experiment pool must observe it), so frozen sections should not be
+/// run concurrently with sections that want real timings.
 pub fn freeze_wall<R>(f: impl FnOnce() -> R) -> R {
     struct Unfreeze;
     impl Drop for Unfreeze {
         fn drop(&mut self) {
-            WALL_FROZEN.store(false, Ordering::Relaxed);
+            WALL_FROZEN.fetch_sub(1, Ordering::Relaxed);
         }
     }
-    WALL_FROZEN.store(true, Ordering::Relaxed);
+    WALL_FROZEN.fetch_add(1, Ordering::Relaxed);
     let _guard = Unfreeze;
     f()
 }
@@ -175,6 +177,17 @@ mod tests {
         assert!(sp.starts_with('▁'));
         assert!(sp.ends_with('█'));
         assert_eq!(sparkline(&TimeSeries::new(), 4), "");
+    }
+
+    /// An inner (or overlapping) frozen section ending must not thaw an
+    /// outer one that is still running.
+    #[test]
+    fn nested_frozen_sections_keep_the_wall_frozen() {
+        freeze_wall(|| {
+            freeze_wall(|| assert!(wall_frozen()));
+            assert!(wall_frozen(), "the inner section thawed the outer one");
+            assert_eq!(elapsed_secs(std::time::Instant::now()), 0.0);
+        });
     }
 
     #[test]

@@ -60,9 +60,9 @@ fn forked_what_if_table_equals_full_reruns() {
 
 /// The full `experiments all` suite, serial vs pooled: seconds in a release
 /// build, far longer in a debug one. Release CI runs it with
-/// `cargo test --release -p antdt-bench --test parallel_parity -- --ignored`.
+/// `cargo test --release -p antdt-bench --test parallel_parity -- --include-ignored`.
 #[test]
-#[ignore = "runs the full experiment suite twice; run in a release build with --ignored"]
+#[ignore = "runs the full experiment suite twice; run in a release build with --include-ignored"]
 fn full_all_is_byte_identical() {
     let parallel = freeze_wall(|| antdt_bench::run_all(None));
     let serial = antdt_par::with_serial(|| freeze_wall(|| antdt_bench::run_all(None)));

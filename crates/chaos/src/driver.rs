@@ -100,6 +100,9 @@ impl MatrixReport {
     }
 }
 
+/// Largest AUC drop a drill may show against its clean twin (real-math runs).
+const AUC_TOLERANCE: f64 = 0.02;
+
 /// Runs chaos drills: each drill executes the base job twice — once clean,
 /// once with the plan's faults injected — and audits the drill run against
 /// the invariant suite.
@@ -108,7 +111,6 @@ pub struct ChaosDriver {
     plans: Vec<FaultPlan>,
     policies: Vec<MitigationChoice>,
     liveness_timeout: SimDuration,
-    auc_tolerance: f64,
 }
 
 impl ChaosDriver {
@@ -122,7 +124,6 @@ impl ChaosDriver {
             // Generous default: an order of magnitude above the scheduler
             // model's worst restart (pending_busy tops out at 1500 s).
             liveness_timeout: SimDuration::from_secs(3600),
-            auc_tolerance: 0.02,
         }
     }
 
@@ -139,11 +140,6 @@ impl ChaosDriver {
 
     pub fn with_liveness_timeout(mut self, d: SimDuration) -> Self {
         self.liveness_timeout = d;
-        self
-    }
-
-    pub fn with_auc_tolerance(mut self, tol: f64) -> Self {
-        self.auc_tolerance = tol;
         self
     }
 
@@ -173,7 +169,7 @@ impl ChaosDriver {
             plan.has_kills(),
             plan.expects_stall(),
             synchronous,
-            self.auc_tolerance,
+            AUC_TOLERANCE,
         );
         let jct_clean_secs = clean.jct.as_secs_f64();
         let jct_drill_secs = drill.jct.as_secs_f64();

@@ -288,7 +288,7 @@ pub fn replay_recovery(
 
 /// Run the whole checker suite for one drill. `expect_kills` / `expect_stall`
 /// come from the plan shape (see `FaultPlan::has_kills` / `expects_stall`);
-/// `synchronous` is whether the job trains with a global barrier (BSP/SSP or
+/// `synchronous` is whether the job trains with a global barrier (BSP or
 /// AllReduce) — action convergence across workers is only defined there, an
 /// ASP worker applies actions at its own private iteration counter.
 pub fn check_all(

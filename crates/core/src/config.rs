@@ -16,9 +16,6 @@ pub enum Consistency {
     Bsp,
     /// Asynchronous Parallel: no synchronization.
     Asp,
-    /// Stale Synchronous Parallel: leaders may run at most `staleness`
-    /// iterations ahead of the slowest worker.
-    Ssp { staleness: u32 },
 }
 
 /// Training architecture.
@@ -303,12 +300,6 @@ impl JobConfig {
         Self::base(Arch::ParameterServer { consistency: Consistency::Asp }, cluster)
     }
 
-    /// An SSP Parameter Server job with the given staleness bound.
-    pub fn ps_ssp(mut cluster: ClusterSpec, scenario: Scenario, staleness: u32) -> Self {
-        antdt_workloads::straggler::apply(&mut cluster, scenario);
-        Self::base(Arch::ParameterServer { consistency: Consistency::Ssp { staleness } }, cluster)
-    }
-
     /// An AllReduce (DDP-style) job.
     pub fn allreduce(mut cluster: ClusterSpec, scenario: Scenario) -> Self {
         antdt_workloads::straggler::apply(&mut cluster, scenario);
@@ -361,10 +352,6 @@ impl JobConfig {
     pub fn with_fast_cadence(mut self, tick: SimDuration) -> Self {
         self.monitor_tick = tick;
         self.monitor = MonitorConfig { l_trans: tick, l_per: tick * 2 };
-        self
-    }
-    pub fn with_monitor(mut self, m: MonitorConfig) -> Self {
-        self.monitor = m;
         self
     }
     /// Set the control-plane delivery model (see [`ControlChannel`]).
@@ -436,7 +423,19 @@ impl JobConfig {
         if let Arch::ParameterServer { .. } = self.arch {
             assert!(self.cluster.n_servers() > 0, "PS architecture needs servers");
         }
-        assert!(self.global_batch > 0, "global batch must be positive");
+        // Each worker's local batch is B/n: below one sample it is rounded up
+        // to one without a word, and the job trains at a larger realized B.
+        assert!(
+            self.global_batch >= self.n_workers() as u64,
+            "global batch {} is smaller than the worker count {}",
+            self.global_batch,
+            self.n_workers()
+        );
+        // With no data the job "completes" at t = 0 having trained nothing.
+        assert!(self.total_samples > 0, "total_samples must be positive");
+        assert!(self.epochs > 0, "epochs must be positive");
+        // M = 0 would cut one-sample shards, far finer than any M asked for.
+        assert!(self.batches_per_shard > 0, "batches_per_shard must be positive");
         // A zero tick re-arms the Monitor tick at the same instant forever.
         assert!(self.monitor_tick > SimDuration::ZERO, "monitor tick must be positive");
         // A zero timeout declares a healthy job stalled at t = 0.
@@ -720,6 +719,39 @@ mod tests {
         JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
             .with_samples(200_000)
             .with_checkpoint_interval(SimDuration::ZERO)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "batches_per_shard must be positive")]
+    fn zero_batches_per_shard_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_samples(100_000)
+            .with_batches_per_shard(0)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "epochs must be positive")]
+    fn zero_epochs_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_samples(100_000)
+            .with_epochs(0)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "total_samples must be positive")]
+    fn zero_total_samples_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_samples(0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "global batch 2 is smaller than the worker count 4")]
+    fn global_batch_below_worker_count_rejected() {
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+            .with_samples(100_000)
+            .with_global_batch(2)
             .validate();
     }
 

@@ -232,20 +232,17 @@ mod tests {
     }
 
     #[test]
-    fn ssp_sits_between_bsp_and_asp_under_transient_stragglers() {
+    fn asp_is_no_slower_than_bsp_under_transient_stragglers() {
         let mk = |cons: Consistency| {
             let mut cfg = small(Scenario::WorkerTransient { intensity: 0.8 });
             cfg.arch = Arch::ParameterServer { consistency: cons };
             Job::run(cfg)
         };
         let bsp = mk(Consistency::Bsp);
-        let ssp = mk(Consistency::Ssp { staleness: 4 });
         let asp = mk(Consistency::Asp);
-        assert!(!bsp.timed_out && !ssp.timed_out && !asp.timed_out);
-        assert_eq!(ssp.samples_done, 500_000);
-        // All complete the same data; ASP should not be slower than BSP here.
+        assert!(!bsp.timed_out && !asp.timed_out);
+        // Both complete the same data; ASP should not be slower than BSP here.
         assert!(asp.jct <= bsp.jct);
-        assert!(ssp.jct <= bsp.jct + antdt_sim::SimDuration::from_secs(60));
     }
 
     #[test]

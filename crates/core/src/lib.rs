@@ -5,9 +5,8 @@
 //! simulator. Consistency models plug in behind the
 //! [`runtime::SyncStrategy`] seam:
 //!
-//! * [`runtime::bsp`] / [`runtime::asp`] / [`runtime::ssp`] — the Parameter
-//!   Server flavors (per-server gradient queues, checkpointing, kill/restart
-//!   failover);
+//! * [`runtime::bsp`] / [`runtime::asp`] — the Parameter Server flavors
+//!   (per-server gradient queues, checkpointing, kill/restart failover);
 //! * [`runtime::ring`] — the ring-AllReduce (PyTorch-DDP-style) runtime with
 //!   per-device batch sizes and gradient accumulation.
 //!

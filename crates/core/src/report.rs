@@ -145,7 +145,7 @@ pub struct AttrBlame {
     pub node: u32,
     /// Summed barrier-determiner margins (exact for BSP/ring).
     pub crit_us: u64,
-    /// Summed per-cause time above the role-group median (ASP/SSP fallback).
+    /// Summed per-cause time above the role-group median (ASP fallback).
     pub excess_us: u64,
     /// `crit_us` when any barrier was recorded, `excess_us` otherwise.
     pub score_us: u64,

@@ -38,7 +38,7 @@ impl PsFlavor for AspFlavor {
             self.parked.push((w, gen, now));
             return;
         }
-        ps_common::finish_asp_push(k, self, eng, w, gen, now);
+        ps_common::finish_asp_push(k, eng, w, gen, now);
     }
 
     fn on_servers_recovered(&mut self, k: &mut Kernel, eng: &mut RtEngine, now: SimTime) {
@@ -46,7 +46,7 @@ impl PsFlavor for AspFlavor {
         for (w, g, _computed_at) in parked {
             // The push resumes now: the gradient transfer restarts against
             // the fresh server.
-            ps_common::finish_asp_push(k, self, eng, w, g, now);
+            ps_common::finish_asp_push(k, eng, w, g, now);
         }
     }
 }

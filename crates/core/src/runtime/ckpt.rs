@@ -20,7 +20,6 @@ use antdt_ckpt::{
     CkptConfig, CkptPolicy, DdsSnapshot, DrainQueue, PsState, Snapshot, SnapshotMeta, StorageTier,
     WorkerMark,
 };
-use antdt_ml::Model;
 use antdt_sim::{SimDuration, SimTime};
 use antdt_telemetry::DecisionRecord;
 use std::collections::BTreeMap;

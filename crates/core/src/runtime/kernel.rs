@@ -4,10 +4,9 @@
 //! A [`Kernel`] owns the nodes (workers and, for PS topologies, servers), the
 //! DDS handle, the control bus (the Monitor/Controller/Agent wiring — see
 //! [`super::bus`]), the ML math state, the chaos-drill ledgers and the report
-//! accumulators. Everything
-//! consistency-specific — barriers, async pushes, staleness gates, ring
-//! rounds — lives behind [`super::strategy::SyncStrategy`] and only borrows
-//! the kernel.
+//! accumulators. Everything consistency-specific — barriers, async pushes,
+//! ring rounds — lives behind [`super::strategy::SyncStrategy`] and only
+//! borrows the kernel.
 
 use super::attr::AttrRt;
 use super::bus::ControlBus;
@@ -20,7 +19,7 @@ use crate::report::{ActionApplication, DivergenceMarks, InjectionRecord};
 use antdt_agent::OverheadLedger;
 use antdt_controller::{Action, MitigationPolicy, PolicyCtx};
 use antdt_dds::{DdsConfig, DdsService};
-use antdt_ml::{FactorizationMachine, Model, Sgd};
+use antdt_ml::{FactorizationMachine, Sgd};
 use antdt_monitor::NodeId;
 use antdt_sim::rng::StdRng;
 use antdt_sim::{Gantt, Link, NodeProfile, RngPool, SimDuration, SimTime, TimeSeries};
@@ -61,8 +60,8 @@ pub struct WorkerState {
     pub(crate) series_batch: TimeSeries,
     pub(crate) killed_at: Option<SimTime>,
     /// Wants data but the shard queue is momentarily empty; excluded from the
-    /// SSP minimum so leaders holding leases are not gated on a worker that
-    /// cannot progress anyway (liveness guard).
+    /// next BSP participant set so the barrier does not wait on a worker that
+    /// cannot push (liveness guard).
     pub(crate) starving: bool,
     /// Earliest instant the worker may begin its next iteration — the barrier
     /// release + pull time. Guards against stray wake-ups (action-delivery

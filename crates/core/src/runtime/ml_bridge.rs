@@ -4,12 +4,12 @@
 //! copied between the PS and AllReduce monoliths; this module is the single
 //! implementation. Strategies differ only in *when* they call it: BSP and
 //! ring strategies aggregate a sample-weighted mean at the barrier/round
-//! close ([`weighted_step`]), ASP/SSP apply each push immediately
+//! close ([`weighted_step`]), ASP applies each push immediately
 //! ([`asp_step`]).
 
 use super::kernel::Kernel;
 use crate::config::ExecutionMode;
-use antdt_ml::{FactorizationMachine, Model, Optimizer, Sgd};
+use antdt_ml::{FactorizationMachine, Sgd};
 
 /// Real-math state: the model, its optimizer and the buffers the per-iteration
 /// math reuses instead of allocating: the aggregation/scaling buffer, the
@@ -241,7 +241,6 @@ mod known_answers {
     use super::super::strategy::{SimRun, SyncStrategy};
     use crate::config::{ExecutionMode, JobConfig};
     use crate::job::build_policy;
-    use antdt_ml::Model;
     use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
     use antdt_workloads::{ctr, CtrConfig, Scenario};
 

@@ -15,8 +15,8 @@
 //! | `chaos_hooks` | windowed chaos faults, lifts, report-drop, liveness         |
 //! | `reporting`   | sample accounting, finish detection, `JobReport` assembly   |
 //! | [`strategy`]  | the [`SyncStrategy`] trait + generic event-loop driver      |
-//! | [`ps_common`] | the PS driver: `PsFlavor` sub-seam shared by BSP/ASP/SSP    |
-//! | [`bsp`], [`asp`], [`ssp`] | PS consistency flavors                          |
+//! | [`ps_common`] | the PS driver: `PsFlavor` sub-seam shared by BSP and ASP    |
+//! | [`bsp`], [`asp`] | PS consistency flavors                                   |
 //! | [`ring`]      | the round-driven ring-AllReduce strategy                    |
 //!
 //! [`SyncStrategy`]: strategy::SyncStrategy
@@ -35,7 +35,6 @@ pub(crate) mod ml_bridge;
 pub mod ps_common;
 pub(crate) mod reporting;
 pub mod ring;
-pub mod ssp;
 pub mod strategy;
 
 pub use strategy::{run, run_with_policy, SyncStrategy};

@@ -1,10 +1,10 @@
 //! The shared parameter-server driver: worker iteration loop, push plumbing,
 //! action delivery and the PS-side [`SyncStrategy`] implementation.
 //!
-//! BSP/ASP/SSP share ~90% of their machinery; the residue — barrier
-//! membership, staleness gates, parked pushes — hangs off the [`PsFlavor`]
-//! hooks. [`PsStrategy`] lifts any flavor into a [`SyncStrategy`], so the
-//! three PS runtimes are three small flavor files over this module.
+//! BSP and ASP share most of their machinery; the residue — barrier
+//! membership, parked pushes — hangs off the [`PsFlavor`] hooks.
+//! [`PsStrategy`] lifts any flavor into a [`SyncStrategy`], so the two PS
+//! runtimes are two small flavor files over this module.
 
 use super::attr::SERVER_LANE;
 use super::data::{DataSource, DATA_POLL, DDS_SYNC_SECS};
@@ -30,22 +30,9 @@ pub trait PsFlavor {
         k.workers[wi].iter
     }
 
-    /// Pre-iteration admission gate; returning `true` parks the worker
-    /// (SSP staleness bound).
-    fn gate(&mut self, k: &Kernel, w: u32) -> bool {
-        let _ = (k, w);
-        false
-    }
-
     /// The worker's quota is zero at iteration start (it sits out).
     fn on_quota_zero(&mut self, k: &mut Kernel, eng: &mut RtEngine, w: u32) {
         let _ = (k, eng, w);
-    }
-
-    /// The worker is about to enter a data-poll wait (shard queue empty).
-    /// Runs before the `starving` flag is set.
-    fn before_data_wait(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        let _ = (k, eng);
     }
 
     /// The worker entered the data-poll wait (`starving` now set).
@@ -82,16 +69,10 @@ pub trait PsFlavor {
     fn set_backup_workers(&mut self, b: u32) {
         let _ = b;
     }
-
-    /// An async push committed; its worker restarts at `next` (SSP: waiters
-    /// may now pass the staleness bound).
-    fn after_async_commit(&mut self, k: &mut Kernel, eng: &mut RtEngine, next: SimTime) {
-        let _ = (k, eng, next);
-    }
 }
 
-/// One PS worker iteration start: apply delivered actions, pass the flavor
-/// gate, take a batch and schedule the compute completion.
+/// One PS worker iteration start: apply delivered actions, take a batch and
+/// schedule the compute completion.
 pub(crate) fn worker_start<F: PsFlavor>(
     k: &mut Kernel,
     f: &mut F,
@@ -136,12 +117,6 @@ pub(crate) fn worker_start<F: PsFlavor>(
     // (pending cause, plus the control-bus share if a directive sat queued).
     k.attr_sync(w, now, ctrl_us);
 
-    // Flavor admission gate (SSP: don't run ahead of the slowest alive
-    // worker).
-    if f.gate(k, w) {
-        return;
-    }
-
     let quota = k.workers[wi].quota;
     if quota == 0 {
         // Zero-quota workers sit out; a barrier must not wait for them.
@@ -174,11 +149,7 @@ pub(crate) fn worker_start<F: PsFlavor>(
         } else if k.workers[wi].quota == 0 {
             // Idle until an AdjustBs wakes it (delivery schedules a start).
         } else {
-            // Queue momentarily empty (epoch tail): retry shortly. Any
-            // flavor-parked workers must keep draining their leases, or the
-            // starving worker waits on them forever (they hold the DOING
-            // shards while it holds the minimum iteration count).
-            f.before_data_wait(k, eng);
+            // Queue momentarily empty (epoch tail): retry shortly.
             k.workers[wi].starving = true;
             k.attr_pending(w, WaitCause::DataWait);
             f.on_data_wait(k, eng, w);
@@ -232,11 +203,10 @@ pub(crate) fn compute_done<F: PsFlavor>(
 }
 
 /// Complete an asynchronous push against live servers: per-server booking,
-/// immediate optimizer apply, commit, next-iteration schedule. Shared by the
-/// ASP and SSP flavors (both directly and when draining parked pushes).
-pub(crate) fn finish_asp_push<F: PsFlavor>(
+/// immediate optimizer apply, commit, next-iteration schedule. The ASP flavor
+/// calls it directly and when draining parked pushes.
+pub(crate) fn finish_asp_push(
     k: &mut Kernel,
-    f: &mut F,
     eng: &mut RtEngine,
     w: u32,
     gen: u32,
@@ -310,9 +280,6 @@ pub(crate) fn finish_asp_push<F: PsFlavor>(
     k.attr_fill(w, next, WaitCause::Comm);
     k.workers[wi].next_allowed = next;
     eng.schedule(next, Ev::WorkerStart { w, gen });
-
-    // This worker's progress may unblock flavor-parked waiters.
-    f.after_async_commit(k, eng, next);
     k.check_finished(eng);
 }
 

@@ -7,7 +7,6 @@ use super::kernel::Kernel;
 use crate::config::{DataStrategy, ExecutionMode};
 use crate::events::RtEngine;
 use crate::report::{CkptReport, JobReport};
-use antdt_ml::Model;
 use antdt_sim::{SimDuration, SimTime};
 
 /// Bucket width of the global-throughput series (samples/sec, Fig. 14).

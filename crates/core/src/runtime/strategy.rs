@@ -2,7 +2,7 @@
 //! kernel, plus the generic event-loop driver shared by every strategy.
 //!
 //! A strategy owns *only* consistency-specific state (barrier membership,
-//! staleness gates, ring-round bookkeeping) and implements a handful of
+//! parked pushes, ring-round bookkeeping) and implements a handful of
 //! hooks; the kernel owns the world (nodes, data plane, chaos, telemetry,
 //! report accumulators). Adding a new synchronization scheme is one strategy
 //! file — see `runtime/asp.rs` and the README how-to.
@@ -287,9 +287,6 @@ fn erased_run(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Box<dyn Eras
                 Box::new(SimRun::new(cfg, policy, super::bsp::BspPs::new(n)))
             }
             Consistency::Asp => Box::new(SimRun::new(cfg, policy, super::asp::AspPs::new())),
-            Consistency::Ssp { staleness } => {
-                Box::new(SimRun::new(cfg, policy, super::ssp::SspPs::new(staleness)))
-            }
         },
         Arch::AllReduce => Box::new(SimRun::new(cfg, policy, super::ring::RingAllReduce::new())),
     }

@@ -77,10 +77,6 @@ impl QueueState {
         self.ever_double_served
     }
 
-    pub(crate) fn epochs_enqueued(&self) -> u32 {
-        self.epochs_enqueued
-    }
-
     /// Append the next epoch's shards when the queue is dry.
     fn refill(&mut self) {
         if !self.queue.is_empty() || self.epochs_enqueued >= self.cfg.epochs || self.k() == 0 {

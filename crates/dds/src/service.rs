@@ -142,10 +142,6 @@ impl DdsService {
         self.paused = paused;
     }
 
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Fetches rejected while the service was paused (drill diagnostics).
     pub fn paused_fetch_rejections(&self) -> u64 {
         self.paused_fetch_rejections
@@ -159,11 +155,6 @@ impl DdsService {
     /// `(done shards so far, expected total)`.
     pub fn progress(&self) -> (u64, u64) {
         (self.q.done_total(), self.q.cfg.expected_done_shards())
-    }
-
-    /// Number of epochs whose shards have entered the queue so far.
-    pub fn epochs_started(&self) -> u32 {
-        self.q.epochs_enqueued()
     }
 
     /// Snapshot of consumption statistics.
@@ -322,7 +313,6 @@ mod tests {
         }
         assert!(s.is_complete());
         assert_eq!(s.progress(), (8, 8));
-        assert_eq!(s.epochs_started(), 2);
     }
 
     #[test]

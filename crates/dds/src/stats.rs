@@ -29,10 +29,6 @@ impl ConsumptionStats {
         self.per_worker.entry(w).or_default()
     }
 
-    pub fn total_shards_done(&self) -> u64 {
-        self.per_worker.values().map(|c| c.shards_done).sum()
-    }
-
     pub fn total_samples_done(&self) -> u64 {
         self.per_worker.values().map(|c| c.samples_done).sum()
     }
@@ -68,7 +64,6 @@ mod tests {
         s.worker(5).shards_done += 2;
         s.worker(5).samples_done += 321;
         assert_eq!(s.per_worker.len(), 2);
-        assert_eq!(s.total_shards_done(), 2);
         assert_eq!(s.total_samples_done(), 321);
     }
 }

@@ -39,30 +39,6 @@ pub fn auc(scores: &[f32], labels: &[f32]) -> Option<f64> {
     Some(u / (n_pos as f64 * n_neg as f64))
 }
 
-/// Mean binary log loss with probability clamping.
-pub fn log_loss(scores: &[f32], labels: &[f32]) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    if scores.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0f64;
-    for (&p, &y) in scores.iter().zip(labels) {
-        let p = (p as f64).clamp(1e-7, 1.0 - 1e-7);
-        total -= if y > 0.5 { p.ln() } else { (1.0 - p).ln() };
-    }
-    total / scores.len() as f64
-}
-
-/// Classification accuracy at threshold 0.5.
-pub fn accuracy(scores: &[f32], labels: &[f32]) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    if scores.is_empty() {
-        return 0.0;
-    }
-    let hits = scores.iter().zip(labels).filter(|&(&p, &y)| (p >= 0.5) == (y > 0.5)).count();
-    hits as f64 / scores.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,17 +145,6 @@ mod tests {
         let fast = auc(&scores, &labels).unwrap();
         let slow = auc_naive(&scores, &labels).unwrap();
         assert!((fast - slow).abs() < 1e-12, "{fast} vs {slow}");
-    }
-
-    #[test]
-    fn log_loss_and_accuracy_basics() {
-        let perfect = log_loss(&[1e-9, 1.0 - 1e-9], &[0.0, 1.0]);
-        assert!(perfect < 1e-5);
-        let awful = log_loss(&[1.0, 0.0], &[0.0, 1.0]);
-        assert!(awful > 10.0);
-        assert_eq!(accuracy(&[0.9, 0.1, 0.6], &[1.0, 0.0, 0.0]), 2.0 / 3.0);
-        assert_eq!(log_loss(&[], &[]), 0.0);
-        assert_eq!(accuracy(&[], &[]), 0.0);
     }
 
     /// `n` random `(grid score, label)` pairs, scores `0..=grid` over `grid`.

@@ -1,6 +1,6 @@
-//! Models over sparse inputs: logistic regression and a second-order
-//! factorization machine (the stand-in for XDeepFM on CTR data — same family of
-//! explicit feature-interaction models, trained with log loss).
+//! The model over sparse inputs: a second-order factorization machine (the
+//! stand-in for XDeepFM on CTR data — an explicit feature-interaction model,
+//! trained with log loss).
 //!
 //! Parameters live in one flat `Vec<f32>`, the layout a parameter server
 //! range-partitions without knowing the model structure.
@@ -18,108 +18,19 @@ fn sigmoid(z: f32) -> f32 {
     }
 }
 
-/// One example's log likelihood for predicted probability `p`, clamped away
-/// from 0 and 1 (its log loss is the negation).
-#[inline]
-fn log_likelihood(p: f32, label: f32) -> f64 {
-    let pc = p.clamp(1e-7, 1.0 - 1e-7) as f64;
-    if label > 0.5 {
-        pc.ln()
-    } else {
-        (1.0 - pc).ln()
+/// Mean log loss of `predict` over `idx` (indices into `data`), each
+/// probability clamped away from 0 and 1.
+fn mean_log_loss(data: &Dataset, idx: &[u64], predict: impl Fn(Row<'_>) -> f32) -> f64 {
+    if idx.is_empty() {
+        return 0.0;
     }
-}
-
-/// A differentiable binary classifier with a flat parameter vector.
-pub trait Model {
-    /// Total number of parameters.
-    fn n_params(&self) -> usize;
-    fn params(&self) -> &[f32];
-    fn params_mut(&mut self) -> &mut [f32];
-
-    /// Predicted probability of the positive class.
-    fn predict(&self, x: Row<'_>) -> f32;
-
-    /// Accumulate the *mean* log-loss gradient of `idx` (indices into `data`)
-    /// into `grad` (same layout as `params`; caller zeroes). Computes no loss:
-    /// that is [`Self::loss_batch`].
-    fn grad_batch(&self, data: &Dataset, idx: &[u64], grad: &mut [f32]);
-
-    /// Mean log loss over `idx` without touching gradients.
-    fn loss_batch(&self, data: &Dataset, idx: &[u64]) -> f64 {
-        let mut total = 0.0f64;
-        for &i in idx {
-            let ex = data.get(i);
-            total -= log_likelihood(self.predict(ex), ex.label);
-        }
-        if idx.is_empty() {
-            0.0
-        } else {
-            total / idx.len() as f64
-        }
+    let mut total = 0.0f64;
+    for &i in idx {
+        let ex = data.get(i);
+        let pc = predict(ex).clamp(1e-7, 1.0 - 1e-7) as f64;
+        total -= if ex.label > 0.5 { pc.ln() } else { (1.0 - pc).ln() };
     }
-
-    /// Scores for a whole dataset (for AUC evaluation).
-    fn scores(&self, data: &Dataset) -> Vec<f32> {
-        data.iter().map(|e| self.predict(e)).collect()
-    }
-}
-
-/// Plain logistic regression: params = `[w₀ … w_{n-1}, b]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogisticRegression {
-    pub n_features: u32,
-    params: Vec<f32>,
-}
-
-impl LogisticRegression {
-    pub fn new(n_features: u32) -> Self {
-        LogisticRegression { n_features, params: vec![0.0; n_features as usize + 1] }
-    }
-
-    #[inline]
-    fn raw(&self, x: Row<'_>) -> f32 {
-        let b = self.params[self.n_features as usize];
-        let mut z = b;
-        for &(i, v) in x.feats {
-            z += self.params[i as usize] * v;
-        }
-        z
-    }
-}
-
-impl Model for LogisticRegression {
-    fn n_params(&self) -> usize {
-        self.params.len()
-    }
-    fn params(&self) -> &[f32] {
-        &self.params
-    }
-    fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    fn predict(&self, x: Row<'_>) -> f32 {
-        sigmoid(self.raw(x))
-    }
-
-    fn grad_batch(&self, data: &Dataset, idx: &[u64], grad: &mut [f32]) {
-        debug_assert_eq!(grad.len(), self.params.len());
-        if idx.is_empty() {
-            return;
-        }
-        let scale = 1.0 / idx.len() as f32;
-        let bias_at = self.n_features as usize;
-        for &i in idx {
-            let ex = data.get(i);
-            let p = sigmoid(self.raw(ex));
-            let err = (p - ex.label) * scale;
-            for &(j, v) in ex.feats {
-                grad[j as usize] += err * v;
-            }
-            grad[bias_at] += err;
-        }
-    }
+    total / idx.len() as f64
 }
 
 /// Rows whose forward passes the factorization machine runs in lockstep.
@@ -260,35 +171,47 @@ impl FactorizationMachine {
             }
         }
     }
-}
 
-impl Model for FactorizationMachine {
-    fn n_params(&self) -> usize {
+    /// Total number of parameters.
+    pub fn n_params(&self) -> usize {
         self.params.len()
     }
-    fn params(&self) -> &[f32] {
+
+    pub fn params(&self) -> &[f32] {
         &self.params
     }
-    fn params_mut(&mut self) -> &mut [f32] {
+
+    pub fn params_mut(&mut self) -> &mut [f32] {
         &mut self.params
     }
 
-    fn predict(&self, x: Row<'_>) -> f32 {
+    /// Predicted probability of the positive class.
+    pub fn predict(&self, x: Row<'_>) -> f32 {
         let mut p = 0.0;
         self.forward_rows(std::iter::once(x), |_, z, _, _| p = sigmoid(z));
         p
     }
 
-    fn scores(&self, data: &Dataset) -> Vec<f32> {
+    /// Scores for a whole dataset (for AUC evaluation).
+    pub fn scores(&self, data: &Dataset) -> Vec<f32> {
         let mut out = Vec::with_capacity(data.len());
         self.forward_rows(data.iter(), |_, z, _, _| out.push(sigmoid(z)));
         out
     }
 
+    /// Mean log loss over `idx` without touching gradients.
+    pub fn loss_batch(&self, data: &Dataset, idx: &[u64]) -> f64 {
+        mean_log_loss(data, idx, |x| self.predict(x))
+    }
+
+    /// Accumulate the *mean* log-loss gradient of `idx` (indices into `data`)
+    /// into `grad` (same layout as `params`; caller zeroes). Computes no loss:
+    /// that is [`Self::loss_batch`].
+    ///
     /// Forward passes run four rows in lockstep; backward passes then
     /// accumulate into `grad` strictly in `idx` order, so the gradient is
     /// bit-identical to a row-at-a-time loop.
-    fn grad_batch(&self, data: &Dataset, idx: &[u64], grad: &mut [f32]) {
+    pub fn grad_batch(&self, data: &Dataset, idx: &[u64], grad: &mut [f32]) {
         debug_assert_eq!(grad.len(), self.params.len());
         if idx.is_empty() {
             return;
@@ -321,6 +244,66 @@ mod tests {
     use super::*;
     use antdt_sim::rng::StdRng;
 
+    /// Plain logistic regression, params = `[w₀ … w_{n-1}, b]`: the model an
+    /// FM with all-zero factors reduces to, and the baseline that cannot
+    /// learn feature interactions.
+    #[derive(Clone)]
+    struct LogisticRegression {
+        n_features: u32,
+        params: Vec<f32>,
+    }
+
+    impl LogisticRegression {
+        fn new(n_features: u32) -> Self {
+            LogisticRegression { n_features, params: vec![0.0; n_features as usize + 1] }
+        }
+
+        fn predict(&self, x: Row<'_>) -> f32 {
+            let mut z = self.params[self.n_features as usize];
+            for &(i, v) in x.feats {
+                z += self.params[i as usize] * v;
+            }
+            sigmoid(z)
+        }
+
+        fn loss_batch(&self, data: &Dataset, idx: &[u64]) -> f64 {
+            mean_log_loss(data, idx, |x| self.predict(x))
+        }
+
+        fn grad_batch(&self, data: &Dataset, idx: &[u64], grad: &mut [f32]) {
+            if idx.is_empty() {
+                return;
+            }
+            let scale = 1.0 / idx.len() as f32;
+            let bias_at = self.n_features as usize;
+            for &i in idx {
+                let ex = data.get(i);
+                let err = (self.predict(ex) - ex.label) * scale;
+                for &(j, v) in ex.feats {
+                    grad[j as usize] += err * v;
+                }
+                grad[bias_at] += err;
+            }
+        }
+
+        /// `steps` full-batch gradient-descent steps at rate `rate`.
+        fn descend(&mut self, d: &Dataset, steps: usize, rate: f32) {
+            let idx = all_rows(d);
+            let mut grad = vec![0.0f32; self.params.len()];
+            for _ in 0..steps {
+                grad.fill(0.0);
+                self.grad_batch(d, &idx, &mut grad);
+                for (p, g) in self.params.iter_mut().zip(&grad) {
+                    *p -= rate * g;
+                }
+            }
+        }
+    }
+
+    fn all_rows(d: &Dataset) -> Vec<u64> {
+        (0..d.len() as u64).collect()
+    }
+
     fn toy_dataset() -> Dataset {
         // Linearly separable: feature 0 on => positive, feature 1 on => negative.
         let mut d = Dataset::new(2);
@@ -342,17 +325,10 @@ mod tests {
     #[test]
     fn lr_learns_separable_data() {
         let d = toy_dataset();
+        let idx = all_rows(&d);
         let mut m = LogisticRegression::new(2);
-        let idx: Vec<u64> = (0..d.len() as u64).collect();
-        let mut grad = vec![0.0f32; m.n_params()];
         let first_loss = m.loss_batch(&d, &idx);
-        for _ in 0..200 {
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            m.grad_batch(&d, &idx, &mut grad);
-            for (p, g) in m.params_mut().iter_mut().zip(&grad) {
-                *p -= 1.0 * g;
-            }
-        }
+        m.descend(&d, 200, 1.0);
         let final_loss = m.loss_batch(&d, &idx);
         assert!(final_loss < first_loss * 0.2, "{first_loss} -> {final_loss}");
         assert!(m.predict(d.get(0)) > 0.9);
@@ -365,8 +341,13 @@ mod tests {
         d.push(&[(0, 0.5), (2, -1.5)], 1.0);
         d.push(&[(1, 2.0)], 0.0);
         let mut m = LogisticRegression::new(3);
-        m.params_mut().copy_from_slice(&[0.1, -0.2, 0.3, 0.05]);
-        check_grad(&mut m, &d);
+        m.params.copy_from_slice(&[0.1, -0.2, 0.3, 0.05]);
+        let idx = all_rows(&d);
+        let mut grad = vec![0.0f32; m.params.len()];
+        m.grad_batch(&d, &idx, &mut grad);
+        check_grad(&m.params, &grad, |params| {
+            LogisticRegression { params: params.to_vec(), ..m.clone() }.loss_batch(&d, &idx)
+        });
     }
 
     #[test]
@@ -375,23 +356,27 @@ mod tests {
         d.push(&[(0, 1.0), (1, 1.0)], 1.0);
         d.push(&[(1, 1.0), (2, 1.0)], 0.0);
         d.push(&[(0, 0.5), (2, 2.0)], 1.0);
-        let mut m = FactorizationMachine::new(3, 2, 0.1);
-        check_grad(&mut m, &d);
+        let m = FactorizationMachine::new(3, 2, 0.1);
+        let idx = all_rows(&d);
+        let mut grad = vec![0.0f32; m.n_params()];
+        m.grad_batch(&d, &idx, &mut grad);
+        check_grad(m.params(), &grad, |params| {
+            FactorizationMachine { params: params.to_vec(), ..m.clone() }.loss_batch(&d, &idx)
+        });
     }
 
-    fn check_grad<M: Model>(m: &mut M, d: &Dataset) {
-        let idx: Vec<u64> = (0..d.len() as u64).collect();
-        let mut grad = vec![0.0f32; m.n_params()];
-        m.grad_batch(d, &idx, &mut grad);
+    /// Check the analytic gradient `grad` at `params` against central finite
+    /// differences of `loss`.
+    fn check_grad(params: &[f32], grad: &[f32], loss: impl Fn(&[f32]) -> f64) {
         let eps = 1e-3f32;
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..m.n_params() {
-            let orig = m.params()[p];
-            m.params_mut()[p] = orig + eps;
-            let lp = m.loss_batch(d, &idx);
-            m.params_mut()[p] = orig - eps;
-            let lm = m.loss_batch(d, &idx);
-            m.params_mut()[p] = orig;
+        let mut at = params.to_vec();
+        for p in 0..at.len() {
+            let orig = at[p];
+            at[p] = orig + eps;
+            let lp = loss(&at);
+            at[p] = orig - eps;
+            let lm = loss(&at);
+            at[p] = orig;
             let fd = ((lp - lm) / (2.0 * eps as f64)) as f32;
             assert!(
                 (fd - grad[p]).abs() < 2e-2 * (1.0 + fd.abs()),
@@ -413,7 +398,7 @@ mod tests {
             d.push(&[(0, 1.0), (3, 1.0)], 0.0);
             d.push(&[(1, 1.0), (2, 1.0)], 0.0);
         }
-        let idx: Vec<u64> = (0..d.len() as u64).collect();
+        let idx = all_rows(&d);
         let mut fm = FactorizationMachine::new(4, 4, 0.1);
         let mut grad = vec![0.0f32; fm.n_params()];
         for _ in 0..800 {
@@ -425,12 +410,16 @@ mod tests {
         }
         let loss = fm.loss_batch(&d, &idx);
         assert!(loss < 0.3, "FM should fit XOR-like data, loss {loss}");
+        let mut lr = LogisticRegression::new(4);
+        lr.descend(&d, 800, 0.5);
+        let lr_loss = lr.loss_batch(&d, &idx);
+        assert!(lr_loss > 0.6, "LR cannot beat chance on XOR-like data, loss {lr_loss}");
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
         let d = toy_dataset();
-        let m = LogisticRegression::new(2);
+        let m = FactorizationMachine::new(2, 3, 0.1);
         let mut grad = vec![0.0f32; m.n_params()];
         m.grad_batch(&d, &[], &mut grad);
         assert!(grad.iter().all(|&g| g.to_bits() == 0));
@@ -440,12 +429,16 @@ mod tests {
     #[test]
     fn fm_zero_init_equals_logistic_regression() {
         let d = toy_dataset();
-        let idx: Vec<u64> = (0..4).collect();
-        let fm = FactorizationMachine::new(2, 3, 0.0);
-        let lr = LogisticRegression::new(2);
-        for i in &idx {
-            let a = fm.predict(d.get(*i));
-            let b = lr.predict(d.get(*i));
+        // Equal linear weights and bias; the FM's factors stay zero.
+        let mut fm = FactorizationMachine::new(2, 3, 0.0);
+        let mut lr = LogisticRegression::new(2);
+        lr.params.copy_from_slice(&[0.7, -1.3, 0.2]);
+        let n = fm.n_params();
+        fm.params_mut()[..2].copy_from_slice(&[0.7, -1.3]);
+        fm.params_mut()[n - 1] = 0.2;
+        for i in 0..4 {
+            let a = fm.predict(d.get(i));
+            let b = lr.predict(d.get(i));
             assert!((a - b).abs() < 1e-7);
         }
     }

@@ -1,25 +1,5 @@
-//! Optimizers. The parameter server applies these on the server side; each
-//! server instance owns the slice of the parameter vector assigned to it by the
-//! partition plan, so `step_range` exists alongside the whole-vector `step`.
-
-use std::ops::Range;
-
-pub trait Optimizer {
-    /// `params[r] -= update(grad[r])` for the sub-range `r` (slices are indexed
-    /// relative to the full parameter vector).
-    fn step_range(&mut self, params: &mut [f32], grad: &[f32], range: Range<usize>);
-
-    fn step(&mut self, params: &mut [f32], grad: &[f32]) {
-        let n = params.len();
-        self.step_range(params, grad, 0..n);
-    }
-
-    fn lr(&self) -> f32;
-    /// Scale the learning rate (the `ADJUST_LR` action multiplies per-worker
-    /// gradients; the optimizer-level scale is used by the Pollux-style
-    /// baseline).
-    fn set_lr(&mut self, lr: f32);
-}
+//! The optimizer. The parameter server and the ring both apply one
+//! whole-vector SGD step per aggregated (or, under ASP, per pushed) gradient.
 
 /// Plain SGD.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,84 +11,13 @@ impl Sgd {
     pub fn new(lr: f32) -> Self {
         Sgd { lr }
     }
-}
 
-impl Optimizer for Sgd {
-    fn step_range(&mut self, params: &mut [f32], grad: &[f32], range: Range<usize>) {
+    /// `params -= lr · grad`.
+    pub fn step(&self, params: &mut [f32], grad: &[f32]) {
         debug_assert_eq!(params.len(), grad.len());
-        for i in range {
-            params[i] -= self.lr * grad[i];
+        for (p, g) in params.iter_mut().zip(grad) {
+            *p -= self.lr * g;
         }
-    }
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// SGD with classical momentum: `v ← β v + g; p ← p − lr·v`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Momentum {
-    pub lr: f32,
-    pub beta: f32,
-    velocity: Vec<f32>,
-}
-
-impl Momentum {
-    pub fn new(lr: f32, beta: f32, n_params: usize) -> Self {
-        Momentum { lr, beta, velocity: vec![0.0; n_params] }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step_range(&mut self, params: &mut [f32], grad: &[f32], range: Range<usize>) {
-        debug_assert_eq!(params.len(), grad.len());
-        debug_assert_eq!(params.len(), self.velocity.len());
-        for i in range {
-            self.velocity[i] = self.beta * self.velocity[i] + grad[i];
-            params[i] -= self.lr * self.velocity[i];
-        }
-    }
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// AdaGrad: per-coordinate adaptive rates, `p ← p − lr·g/√(G+ε)` with
-/// `G ← G + g²` — the classic choice for sparse CTR models, where rare
-/// features keep large effective rates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaGrad {
-    pub lr: f32,
-    pub eps: f32,
-    accum: Vec<f32>,
-}
-
-impl AdaGrad {
-    pub fn new(lr: f32, n_params: usize) -> Self {
-        AdaGrad { lr, eps: 1e-8, accum: vec![0.0; n_params] }
-    }
-}
-
-impl Optimizer for AdaGrad {
-    fn step_range(&mut self, params: &mut [f32], grad: &[f32], range: Range<usize>) {
-        debug_assert_eq!(params.len(), grad.len());
-        debug_assert_eq!(params.len(), self.accum.len());
-        for i in range {
-            self.accum[i] += grad[i] * grad[i];
-            params[i] -= self.lr * grad[i] / (self.accum[i].sqrt() + self.eps);
-        }
-    }
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -122,81 +31,5 @@ mod tests {
         let g = vec![0.5f32, -0.5, 1.0];
         Sgd::new(0.1).step(&mut p, &g);
         assert_eq!(p, vec![0.95, 2.05, 2.9]);
-    }
-
-    #[test]
-    fn sgd_range_step_touches_only_its_slice() {
-        let mut p = vec![1.0f32; 6];
-        let g = vec![1.0f32; 6];
-        Sgd::new(0.5).step_range(&mut p, &g, 2..4);
-        assert_eq!(p, vec![1.0, 1.0, 0.5, 0.5, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut p = vec![0.0f32];
-        let g = vec![1.0f32];
-        let mut opt = Momentum::new(1.0, 0.5, 1);
-        opt.step(&mut p, &g); // v=1,   p=-1
-        opt.step(&mut p, &g); // v=1.5, p=-2.5
-        assert!((p[0] + 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic_faster_than_sgd() {
-        // Minimize f(p) = 0.5 p^2 from p=10 for a few steps; both go down.
-        let run = |mut opt: Box<dyn Optimizer>| {
-            let mut p = vec![10.0f32];
-            for _ in 0..50 {
-                let g = vec![p[0]];
-                opt.step(&mut p, &g);
-            }
-            p[0].abs()
-        };
-        let sgd = run(Box::new(Sgd::new(0.05)));
-        let mom = run(Box::new(Momentum::new(0.05, 0.9, 1)));
-        assert!(mom < sgd, "momentum {mom} vs sgd {sgd}");
-    }
-
-    #[test]
-    fn adagrad_shrinks_effective_rate_for_hot_coordinates() {
-        let mut opt = AdaGrad::new(0.1, 2);
-        let mut p = vec![0.0f32, 0.0];
-        // Coordinate 0 sees large repeated gradients, coordinate 1 one tiny one.
-        for _ in 0..10 {
-            opt.step(&mut p, &[1.0, 0.0]);
-        }
-        let first_cold_step = {
-            let before = p[1];
-            opt.step(&mut p, &[0.0, 0.1]);
-            p[1] - before
-        };
-        // The cold coordinate's first step is near the full lr; the hot
-        // coordinate's latest step is much smaller than its first.
-        assert!(first_cold_step.abs() > 0.09, "cold step {first_cold_step}");
-        let hot_step = {
-            let before = p[0];
-            opt.step(&mut p, &[1.0, 0.0]);
-            (p[0] - before).abs()
-        };
-        assert!(hot_step < 0.04, "hot step {hot_step}");
-    }
-
-    #[test]
-    fn adagrad_converges_on_quadratic() {
-        let mut opt = AdaGrad::new(1.0, 1);
-        let mut p = vec![4.0f32];
-        for _ in 0..300 {
-            let g = vec![p[0]];
-            opt.step(&mut p, &g);
-        }
-        assert!(p[0].abs() < 0.5, "p = {}", p[0]);
-    }
-
-    #[test]
-    fn lr_is_adjustable() {
-        let mut opt = Sgd::new(0.1);
-        opt.set_lr(0.2);
-        assert_eq!(opt.lr(), 0.2);
     }
 }

@@ -124,10 +124,6 @@ impl MetricStore {
         &self.events
     }
 
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(&node).is_none_or(|e| e.alive)
-    }
-
     /// Build the Controller-facing snapshot at time `now`.
     pub fn snapshot(&self, now: SimTime) -> MonitorSnapshot {
         let mut workers = Vec::new();
@@ -195,12 +191,10 @@ mod tests {
             at: t(20.0),
             class: ErrorClass::Retryable(RetryableError::ProactiveKill),
         });
-        assert!(!m.is_alive(NodeId::worker(1)));
         let snap = m.snapshot(t(20.0));
         assert!(!snap.workers[0].alive);
 
         m.report_event(NodeEvent::Restarted { node: NodeId::worker(1), at: t(50.0) });
-        assert!(m.is_alive(NodeId::worker(1)));
         let snap = m.snapshot(t(50.0));
         assert!(snap.workers[0].alive);
         // Pre-kill BPT history is gone.

@@ -101,10 +101,6 @@ impl BptWindow {
     pub fn last_batch(&self) -> Option<u64> {
         self.samples.back().map(|s| s.batch)
     }
-
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.samples.back().map(|s| s.t)
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +158,6 @@ mod tests {
         assert_eq!(w.mean_bpt(t(100.0), SimDuration::from_minutes(5)), None);
         assert_eq!(w.mean_throughput(t(100.0), SimDuration::from_minutes(5)), None);
         assert_eq!(w.last_batch(), None);
-        assert_eq!(w.last_time(), None);
     }
 
     #[test]
@@ -174,7 +169,6 @@ mod tests {
         let v = w.mean_throughput(t(30.0), SimDuration::from_minutes(5)).unwrap();
         assert!((v - 200.0).abs() < 1e-9);
         assert_eq!(w.last_batch(), Some(500));
-        assert_eq!(w.last_time(), Some(t(30.0)));
         // A query window that ends before the sample sees nothing.
         assert_eq!(w.mean_bpt(t(20.0), SimDuration::from_minutes(5)), None);
     }

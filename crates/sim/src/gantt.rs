@@ -57,14 +57,6 @@ impl Gantt {
             .fold(SimDuration::ZERO, |acc, s| acc + s.duration())
     }
 
-    /// Total time across all nodes in spans of `kind`.
-    pub fn total_all(&self, kind: SpanKind) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == kind)
-            .fold(SimDuration::ZERO, |acc, s| acc + s.duration())
-    }
-
     /// Nodes appearing in the chart, sorted.
     pub fn nodes(&self) -> Vec<u32> {
         let mut ns: Vec<u32> = self.spans.iter().map(|s| s.node).collect();
@@ -155,7 +147,6 @@ mod tests {
         g.record(1, SpanKind::Compute, SimTime::ZERO, SimTime::from_secs_f64(5.0));
         assert_eq!(g.total(0, SpanKind::Compute), SimDuration::from_secs(2));
         assert_eq!(g.total(0, SpanKind::Comm), SimDuration::from_secs(1));
-        assert_eq!(g.total_all(SpanKind::Compute), SimDuration::from_secs(7));
         assert_eq!(g.nodes(), vec![0, 1]);
     }
 

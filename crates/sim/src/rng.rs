@@ -207,12 +207,6 @@ impl RngPool {
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < p
     }
-
-    /// A deterministic uniform draw in `[0, 1)` addressed by `(stream, index)`.
-    pub fn uniform_at(&self, stream: u64, index: u64) -> f64 {
-        let h = mix64(derive_seed(self.master, stream ^ 0xA5A5_A5A5) ^ mix64(index));
-        (h >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]
@@ -332,15 +326,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(pool.bernoulli_at(3, i, 0.3), pool.bernoulli_at(3, i, 0.3));
         }
-    }
-
-    #[test]
-    fn uniform_at_covers_unit_interval() {
-        let pool = RngPool::new(9);
-        let xs: Vec<f64> = (0..1000).map(|i| pool.uniform_at(1, i)).collect();
-        assert!(xs.iter().all(|&x| (0.0..1.0).contains(&x)));
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

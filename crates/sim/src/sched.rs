@@ -55,11 +55,6 @@ impl SchedulerModel {
         }
     }
 
-    pub fn with_busyness(mut self, busyness: BusynessTimeline) -> Self {
-        self.busyness = busyness;
-        self
-    }
-
     pub fn is_busy(&self, now: SimTime) -> bool {
         self.busyness.is_busy(now)
     }
@@ -94,10 +89,10 @@ mod tests {
 
     #[test]
     fn restart_delay_larger_when_busy() {
-        let m = SchedulerModel::paper_default().with_busyness(BusynessTimeline::busy(vec![(
-            SimTime::ZERO,
-            SimTime::from_secs_f64(1000.0),
-        )]));
+        let m = SchedulerModel {
+            busyness: BusynessTimeline::busy(vec![(SimTime::ZERO, SimTime::from_secs_f64(1000.0))]),
+            ..SchedulerModel::paper_default()
+        };
         let mut rng = StdRng::seed_from_u64(5);
         let busy = m.sample_restart_delay(SimTime::from_secs_f64(10.0), &mut rng);
         let idle = m.sample_restart_delay(SimTime::from_secs_f64(2000.0), &mut rng);

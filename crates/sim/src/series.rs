@@ -2,7 +2,7 @@
 //! trajectories, global throughput…). Points are `(SimTime, f64)` in insertion
 //! order; insertion order is expected to be time-ordered for windowed queries.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
@@ -47,28 +47,6 @@ impl TimeSeries {
                 sum += v;
                 n += 1;
             }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
-    /// Mean of values in the trailing window `(now - span, now]`.
-    pub fn mean_trailing(&self, now: SimTime, span: SimDuration) -> Option<f64> {
-        let from = now - span;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(t, v) in self.points.iter().rev() {
-            if t > now {
-                continue;
-            }
-            if t <= from && !(from == SimTime::ZERO && t == SimTime::ZERO) {
-                break;
-            }
-            sum += v;
-            n += 1;
         }
         if n == 0 {
             None
@@ -154,21 +132,6 @@ mod tests {
         let s = series(&[(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]);
         assert_eq!(s.mean_in(SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(4.0)), Some(25.0));
         assert_eq!(s.mean_in(SimTime::from_secs_f64(10.0), SimTime::from_secs_f64(20.0)), None);
-    }
-
-    #[test]
-    fn trailing_mean() {
-        let s = series(&[(1.0, 10.0), (5.0, 20.0), (9.0, 30.0)]);
-        // Window (4, 9]: picks 20 and 30.
-        assert_eq!(
-            s.mean_trailing(SimTime::from_secs_f64(9.0), SimDuration::from_secs(5)),
-            Some(25.0)
-        );
-        // Window wider than all data.
-        assert_eq!(
-            s.mean_trailing(SimTime::from_secs_f64(9.0), SimDuration::from_secs(100)),
-            Some(20.0)
-        );
     }
 
     #[test]

@@ -199,7 +199,7 @@ pub fn generate(cfg: &CtrConfig) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antdt_ml::{auc, FactorizationMachine, Model, Optimizer, Sgd};
+    use antdt_ml::{auc, FactorizationMachine, Sgd};
 
     /// The row-at-a-time generator the lockstep one must reproduce bit for
     /// bit, kept as written before blocking (category modulo included).
@@ -367,7 +367,7 @@ mod tests {
         let d = generate(&CtrConfig::default().with_samples(24_000));
         let (train, test) = d.split_holdout(0.2);
         let mut fm = FactorizationMachine::new(train.n_features, 8, 0.05);
-        let mut opt = Sgd::new(0.5);
+        let opt = Sgd::new(0.5);
         let mut grad = vec![0.0f32; fm.n_params()];
         let idx: Vec<u64> = (0..train.len() as u64).collect();
         for epoch in 0..15 {

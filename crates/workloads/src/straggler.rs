@@ -149,11 +149,6 @@ pub fn worker_mix(intensity: f64) -> Scenario {
     Scenario::WorkerMix { intensity }
 }
 
-/// Convenience: the paper's server-straggler scenario.
-pub fn server_persistent(intensity: f64) -> Scenario {
-    Scenario::ServerPersistent { intensity }
-}
-
 /// Convenience: non-dedicated background noise averaging ~4× slowdown (Fig. 2).
 pub fn non_dedicated_background() -> Scenario {
     Scenario::NonDedicated { mean_slowdown: 4.0 }
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn server_persistent_slows_service_and_link() {
         let mut spec = cluster_a_scaled(4, 3);
-        apply(&mut spec, server_persistent(0.8));
+        apply(&mut spec, Scenario::ServerPersistent { intensity: 0.8 });
         let s = &spec.servers[2];
         assert!((s.profile.slowdown(SimTime::ZERO) - 7.4).abs() < 1e-9);
         assert!((s.link.congestion_at(SimTime::ZERO) - 2.6).abs() < 1e-9);

@@ -11,7 +11,7 @@ use antdt::workloads::cluster::{cluster_a_scaled, cluster_b};
 use antdt::workloads::{ModelProfile, Scenario};
 use std::path::PathBuf;
 
-// ---- The eight golden-fixture configs of `refactor_equivalence.rs`,
+// ---- The six golden-fixture configs of `refactor_equivalence.rs`,
 // duplicated here so attribution can be layered on without touching the
 // determinism ratchet.
 
@@ -70,15 +70,6 @@ fn asp() -> JobConfig {
     .with_samples(800_000)
 }
 
-fn ssp() -> JobConfig {
-    ps_base(JobConfig::ps_ssp(
-        cluster_a_scaled(4, 2),
-        Scenario::WorkerTransient { intensity: 0.8 },
-        3,
-    ))
-    .with_samples(800_000)
-}
-
 fn allreduce() -> JobConfig {
     JobConfig::allreduce(cluster_b(), Scenario::None)
         .with_model(ModelProfile::resnet101())
@@ -93,14 +84,12 @@ fn chaos(cfg: JobConfig, plan: Vec<ChaosInjection>) -> JobConfig {
     cfg.with_injections(plan).with_liveness_timeout(SimDuration::from_secs(1_800))
 }
 
-fn all_eight() -> Vec<(&'static str, JobConfig)> {
+fn all_six() -> Vec<(&'static str, JobConfig)> {
     vec![
         ("bsp_clean", bsp()),
         ("bsp_chaos", chaos(bsp(), ps_chaos_plan())),
         ("asp_clean", asp()),
         ("asp_chaos", chaos(asp(), ps_chaos_plan())),
-        ("ssp_clean", ssp()),
-        ("ssp_chaos", chaos(ssp(), ps_chaos_plan())),
         ("allreduce_clean", allreduce()),
         ("allreduce_chaos", chaos(allreduce(), ar_chaos_plan())),
     ]
@@ -109,8 +98,8 @@ fn all_eight() -> Vec<(&'static str, JobConfig)> {
 /// Exact per-node conservation: the cause totals of every node partition its
 /// attributed wall time with ε = 0 (integer microseconds, no residual).
 #[test]
-fn conservation_is_exact_on_all_eight_fixture_configs() {
-    for (name, cfg) in all_eight() {
+fn conservation_is_exact_on_all_six_fixture_configs() {
+    for (name, cfg) in all_six() {
         let report = Job::run(cfg.with_attribution());
         let attr = report.attr.as_ref().unwrap_or_else(|| panic!("{name}: attr section missing"));
         assert!(!attr.nodes.is_empty(), "{name}: no nodes attributed");
@@ -131,7 +120,7 @@ fn conservation_is_exact_on_all_eight_fixture_configs() {
 /// to the attribution-off dump — for every fixture config.
 #[test]
 fn attribution_on_is_schedule_neutral() {
-    for (name, cfg) in all_eight() {
+    for (name, cfg) in all_six() {
         let off = Job::run(cfg.clone()).golden_dump();
         let on = Job::run(cfg.with_attribution()).golden_dump();
         let stripped: String =
@@ -425,7 +414,7 @@ fn changed_but_unengaged_edit_falls_back_to_a_full_rerun() {
 #[test]
 fn conservation_holds_across_seeds_and_flavors() {
     for seed in [1u64, 42, 1234] {
-        for cfg in [bsp(), asp(), ssp(), allreduce()] {
+        for cfg in [bsp(), asp(), allreduce()] {
             let report = Job::run(cfg.with_seed(seed).with_attribution());
             for n in &report.attr.as_ref().unwrap().nodes {
                 let sum: u64 = n.totals_us.iter().sum();

@@ -88,30 +88,15 @@ fn every_mitigation_choice_completes_the_same_data() {
 }
 
 #[test]
-fn asp_and_ssp_complete_with_dds() {
-    let mk = |cfg: JobConfig| {
-        let r = Job::run(cfg);
-        assert!(!r.timed_out);
-        assert_eq!(r.samples_done, 1_000_000);
-        r
-    };
-    let asp = mk(JobConfig::ps_asp(
-        cluster::cluster_a_scaled(6, 3),
-        Scenario::WorkerMix { intensity: 0.6 },
-    )
-    .with_global_batch(6_144)
-    .with_samples(1_000_000)
-    .with_batches_per_shard(10));
-    let ssp = mk(JobConfig::ps_ssp(
-        cluster::cluster_a_scaled(6, 3),
-        Scenario::WorkerMix { intensity: 0.6 },
-        4,
-    )
-    .with_global_batch(6_144)
-    .with_samples(1_000_000)
-    .with_batches_per_shard(10));
-    // Bounded staleness sits at or above the fully-async throughput.
-    assert!(ssp.jct >= asp.jct - SimDuration::from_secs(30));
+fn asp_completes_with_dds() {
+    let r = Job::run(
+        JobConfig::ps_asp(cluster::cluster_a_scaled(6, 3), Scenario::WorkerMix { intensity: 0.6 })
+            .with_global_batch(6_144)
+            .with_samples(1_000_000)
+            .with_batches_per_shard(10),
+    );
+    assert!(!r.timed_out);
+    assert_eq!(r.samples_done, 1_000_000);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! ratchet behind the runtime-kernel extraction.
 //!
 //! Each test runs one fixed-seed job covering one runtime flavour
-//! (BSP / ASP / SSP parameter server, ring AllReduce), clean and under a
+//! (BSP / ASP parameter server, ring AllReduce), clean and under a
 //! chaos plan, renders the full `JobReport` with `JobReport::golden_dump`
 //! and compares it byte-for-byte against a fixture in `tests/golden/`.
 //!
@@ -106,15 +106,6 @@ fn asp() -> JobConfig {
     .with_samples(800_000)
 }
 
-fn ssp() -> JobConfig {
-    ps_base(JobConfig::ps_ssp(
-        cluster_a_scaled(4, 2),
-        Scenario::WorkerTransient { intensity: 0.8 },
-        3,
-    ))
-    .with_samples(800_000)
-}
-
 fn allreduce() -> JobConfig {
     JobConfig::allreduce(cluster_b(), Scenario::None)
         .with_model(ModelProfile::resnet101())
@@ -148,19 +139,6 @@ fn golden_asp_chaos() {
     check(
         "asp_chaos",
         asp().with_injections(ps_chaos_plan()).with_liveness_timeout(SimDuration::from_secs(1_800)),
-    );
-}
-
-#[test]
-fn golden_ssp_clean() {
-    check("ssp_clean", ssp());
-}
-
-#[test]
-fn golden_ssp_chaos() {
-    check(
-        "ssp_chaos",
-        ssp().with_injections(ps_chaos_plan()).with_liveness_timeout(SimDuration::from_secs(1_800)),
     );
 }
 
@@ -205,7 +183,7 @@ fn lossy_control_channel_runs_are_mutually_byte_identical() {
 }
 
 /// The one fixture that captures checkpoints and restores one: every PS job
-/// checkpoints, but the eight fixtures above end before their first
+/// checkpoints, but the six fixtures above end before their first
 /// 10-minute capture (their dumps render no ckpt lines). Here the cadence is
 /// 60 s, a worker kill before the first capture recovers from the DDS alone,
 /// and a server kill restores the newest durable snapshot and replays the

@@ -100,24 +100,6 @@ fn any_job_is_deterministic() {
 }
 
 #[test]
-fn ssp_terminates_for_any_staleness() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(case);
-        let staleness = rng.gen_range(0u32..16);
-        let scenario = random_scenario(&mut rng);
-        let cl = cluster::cluster_a_scaled(4, 2);
-        let cfg = JobConfig::ps_ssp(cl, scenario, staleness)
-            .with_model(ModelProfile::xdeepfm())
-            .with_global_batch(4_096)
-            .with_samples(100_000)
-            .with_batches_per_shard(5);
-        let r = Job::run(cfg);
-        assert!(!r.timed_out, "case {case}");
-        assert_eq!(r.samples_done, 100_000, "case {case}");
-    }
-}
-
-#[test]
 fn even_partition_asp_processes_every_sample() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(case);

@@ -1,5 +1,5 @@
 //! Differential correctness of the what-if query service: for random query
-//! batches over the eight golden fixture configs, every answer the
+//! batches over the six golden fixture configs, every answer the
 //! cached/forked/memoized service produces must be byte-identical (via
 //! `JobReport::golden_dump`, plus the rendered telemetry) to a naive
 //! per-query full rerun — including the cache-eviction and snapshot-spine
@@ -16,7 +16,7 @@ use antdt::whatif::{AnswerSource, ServiceConfig, WhatIfQuery, WhatIfService};
 use antdt::workloads::cluster::{cluster_a_scaled, cluster_b};
 use antdt::workloads::{ModelProfile, Scenario};
 
-// ---- the eight golden fixture configs (tests/refactor_equivalence.rs) ----
+// ---- the six golden fixture configs (tests/refactor_equivalence.rs) ----
 
 fn ps_chaos_plan() -> Vec<ChaosInjection> {
     vec![
@@ -73,15 +73,6 @@ fn asp() -> JobConfig {
     .with_samples(800_000)
 }
 
-fn ssp() -> JobConfig {
-    ps_base(JobConfig::ps_ssp(
-        cluster_a_scaled(4, 2),
-        Scenario::WorkerTransient { intensity: 0.8 },
-        3,
-    ))
-    .with_samples(800_000)
-}
-
 fn allreduce() -> JobConfig {
     JobConfig::allreduce(cluster_b(), Scenario::None)
         .with_model(ModelProfile::resnet101())
@@ -92,7 +83,7 @@ fn allreduce() -> JobConfig {
         .with_seed(23)
 }
 
-/// Fixture config by index 0..8, in the golden-test order.
+/// Fixture config by index 0..6, in the golden-test order.
 fn fixture(i: usize) -> JobConfig {
     let chaos_ps = |c: JobConfig| {
         c.with_injections(ps_chaos_plan()).with_liveness_timeout(SimDuration::from_secs(1_800))
@@ -105,10 +96,8 @@ fn fixture(i: usize) -> JobConfig {
         1 => chaos_ps(bsp()),
         2 => asp(),
         3 => chaos_ps(asp()),
-        4 => ssp(),
-        5 => chaos_ps(ssp()),
-        6 => allreduce(),
-        7 => chaos_ar(allreduce()),
+        4 => allreduce(),
+        5 => chaos_ar(allreduce()),
         _ => unreachable!(),
     }
 }
@@ -176,7 +165,7 @@ fn check_batch(service: &mut WhatIfService, queries: &[WhatIfQuery], ctx: &str) 
 fn service_answers_equal_naive_full_reruns() {
     for seed in 0..5 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = fixture(rng.gen_range(0..8));
+        let cfg = fixture(rng.gen_range(0..6));
         let queries: Vec<WhatIfQuery> = (0..rng.gen_range(2..5u32))
             .map(|_| {
                 let perturbation = perturbation(rng.gen_range(0..6), &cfg);
@@ -242,7 +231,7 @@ fn spine_caches_the_periodic_predecessor_of_every_mark() {
         });
     }
     let forkable = [forkable_cfg(), forkable_cfg().with_telemetry(), staggered];
-    let cases = (0..8)
+    let cases = (0..6)
         .map(|i| (fixture(i), 45))
         .chain(forkable.into_iter().flat_map(|cfg| [(cfg.clone(), 45), (cfg, 30)]));
     for (i, (cfg, secs)) in cases.enumerate() {
