@@ -27,6 +27,8 @@ pub mod job;
 pub(crate) mod obs;
 pub mod report;
 pub mod runtime;
+#[cfg(test)]
+mod telemetry_known_answers;
 pub mod whatif;
 
 pub use antdt_ckpt::{CkptConfig, CkptPolicy, StorageTier};
