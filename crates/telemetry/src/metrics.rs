@@ -227,17 +227,29 @@ impl MetricsRegistry {
     /// Render the registry in the Prometheus text exposition format. Output is
     /// byte-identical across runs that registered and updated the same series.
     pub fn render_prometheus(&self) -> String {
+        /// `{k="v",...}`, or nothing for an empty set. Values are escaped
+        /// as the text format requires: `\` as `\\`, `"` as `\"` and a
+        /// newline as `\n`.
         fn label_str(labels: &Labels, extra: Option<(&str, &str)>) -> String {
-            let mut parts: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-            if let Some((k, v)) = extra {
-                parts.push(format!("{k}=\"{v}\""));
+            let mut out = String::new();
+            for (k, v) in labels.iter().map(|(k, v)| (&**k, &**v)).chain(extra) {
+                out.push(if out.is_empty() { '{' } else { ',' });
+                out.push_str(k);
+                out.push_str("=\"");
+                for c in v.chars() {
+                    match c {
+                        '\\' => out.push_str("\\\\"),
+                        '"' => out.push_str("\\\""),
+                        '\n' => out.push_str("\\n"),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
             }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
+            if !out.is_empty() {
+                out.push('}');
             }
+            out
         }
 
         let s = lock(&self.series);
@@ -452,6 +464,18 @@ mod tests {
             (reg.render_prometheus(), reg.snapshot_json())
         };
         assert_eq!(build(false), build(true));
+    }
+
+    #[test]
+    fn prometheus_label_values_are_escaped() {
+        let reg = MetricsRegistry::new();
+        reg.counter("m", &[("path", "C:\\tmp"), ("quote", "say \"hi\""), ("text", "a\nb")]).inc();
+        reg.histogram("h", &[("q", "\"")], &[1]).observe(0);
+        let text = reg.render_prometheus();
+        assert!(text.contains(r#"m{path="C:\\tmp",quote="say \"hi\"",text="a\nb"} 1"#), "{text}");
+        assert!(text.contains(r#"h_bucket{q="\"",le="1"} 1"#), "{text}");
+        // Every sample stays on one line.
+        assert_eq!(text.lines().count(), 7, "{text}");
     }
 
     #[test]
