@@ -30,20 +30,40 @@ pub trait AttrSink {
 /// per cause, one lane (`tid`) per node.
 pub struct CounterTrackSink<'a> {
     tracer: &'a mut SpanTracer,
-    cum: BTreeMap<(u32, String), u64>,
+    /// One entry per cause seen so far (a handful): its label, its track
+    /// name and each node's running total, so a segment allocates nothing.
+    tracks: Vec<CauseTrack>,
+}
+
+struct CauseTrack {
+    cause: String,
+    name: String,
+    cum: BTreeMap<u32, u64>,
 }
 
 impl<'a> CounterTrackSink<'a> {
     pub fn new(tracer: &'a mut SpanTracer) -> Self {
-        CounterTrackSink { tracer, cum: BTreeMap::new() }
+        CounterTrackSink { tracer, tracks: Vec::new() }
     }
 }
 
 impl AttrSink for CounterTrackSink<'_> {
     fn segment(&mut self, node: u32, cause: &str, start_us: u64, end_us: u64) {
-        let cum = self.cum.entry((node, cause.to_string())).or_insert(0);
+        let at = match self.tracks.iter().position(|t| t.cause == cause) {
+            Some(at) => at,
+            None => {
+                self.tracks.push(CauseTrack {
+                    cause: cause.to_string(),
+                    name: format!("attr_wait:{cause}"),
+                    cum: BTreeMap::new(),
+                });
+                self.tracks.len() - 1
+            }
+        };
+        let track = &mut self.tracks[at];
+        let cum = track.cum.entry(node).or_insert(0);
         *cum += end_us.saturating_sub(start_us);
-        self.tracer.counter(&format!("attr_wait:{cause}"), "attr", end_us, node, *cum);
+        self.tracer.counter(&track.name, "attr", end_us, node, *cum);
     }
 }
 

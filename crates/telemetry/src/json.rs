@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 pub enum Json {
     Null,
     Bool(bool),
-    /// All numbers parse as `f64`; the exporters only emit unsigned integers
-    /// well inside the exact-integer range of a double.
+    /// All numbers parse as `f64`; [`Json::as_u64`] reads back only the
+    /// integers a double holds exactly.
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -37,11 +37,12 @@ impl Json {
         }
     }
 
+    /// The value as an unsigned integer, if it is one below 2⁵³. Larger
+    /// values are refused: the parse to `f64` may already have rounded them.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -61,23 +62,55 @@ impl Json {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal (quotes included).
+/// Append `s` to `out` as a JSON string literal (quotes included). Runs
+/// that need no escaping are pushed whole, so a clean string is one copy.
 pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append `v` in decimal, without a formatting temporary.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+}
+
+/// Decimal digits of `v`: the bytes [`write_u64`] appends.
+pub fn u64_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Parse a complete JSON document. Errors carry a byte offset and reason.
@@ -207,12 +240,18 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character in string at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Copy the run up to the next `"` or `\` in one go;
-                    // multi-byte UTF-8 sequences pass through verbatim.
+                    // Copy the run up to the next `"`, `\` or control
+                    // character in one go; multi-byte UTF-8 sequences pass
+                    // through verbatim.
                     let rest = &self.bytes[self.pos..];
-                    let len =
-                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
                     let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| "invalid utf-8".to_string())?;
                     out.push_str(run);
@@ -340,5 +379,27 @@ mod tests {
         // Simulated-time microsecond stamps fit well inside f64's 2^53.
         let v = parse("2592000000000").unwrap();
         assert_eq!(v.as_u64(), Some(2_592_000_000_000));
+        assert_eq!(parse("9007199254740991").unwrap().as_u64(), Some((1 << 53) - 1));
+    }
+
+    #[test]
+    fn integers_a_double_cannot_hold_are_refused() {
+        // 2^53 + 1 parses to 2^53: reading it back would be off by one.
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
+        // 2^64 does not fit a u64 at all; it must not saturate to u64::MAX.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for doc in ["\"a\u{0001}b\"", "\"tab\there\"", "[\"ok\", \"line\nbreak\"]"] {
+            let err = parse(doc).expect_err("a raw control character is not JSON");
+            assert!(err.contains("control character"), "{err}");
+        }
+        let err = parse("{\"k\": \"v\u{001f}\"}").unwrap_err();
+        assert!(err.ends_with("at byte 8"), "{err}");
+        // Escaped, the same characters are fine.
+        assert_eq!(parse("\"a\\u0001b\\t\"").unwrap().as_str(), Some("a\u{0001}b\t"));
     }
 }

@@ -44,6 +44,30 @@ pub struct ChromeTrace {
 }
 
 impl TraceEvent {
+    /// Rendered length in bytes when no string needs escaping — a lower
+    /// bound on what [`TraceEvent::write_json`] appends.
+    fn json_len(&self) -> usize {
+        let mut n = r#"{"name":"","cat":"","ph":"","ts":,"pid":,"tid":}"#.len()
+            + self.name.len()
+            + self.cat.len()
+            + self.ph.len()
+            + json::u64_len(self.ts)
+            + json::u64_len(self.pid.into())
+            + json::u64_len(self.tid.into());
+        if let Some(d) = self.dur {
+            n += r#","dur":"#.len() + json::u64_len(d);
+        }
+        if self.value.is_some() || !self.args.is_empty() {
+            let entries = usize::from(self.value.is_some()) + self.args.len();
+            n += r#","args":{}"#.len() + entries - 1;
+            if let Some(v) = self.value {
+                n += r#""value":"#.len() + json::u64_len(v);
+            }
+            n += self.args.iter().map(|(k, v)| r#""":"""#.len() + k.len() + v.len()).sum::<usize>();
+        }
+        n
+    }
+
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"name\":");
         json::write_str(out, &self.name);
@@ -51,16 +75,22 @@ impl TraceEvent {
         json::write_str(out, &self.cat);
         out.push_str(",\"ph\":");
         json::write_str(out, &self.ph);
-        out.push_str(&format!(",\"ts\":{}", self.ts));
+        out.push_str(",\"ts\":");
+        json::write_u64(out, self.ts);
         if let Some(d) = self.dur {
-            out.push_str(&format!(",\"dur\":{d}"));
+            out.push_str(",\"dur\":");
+            json::write_u64(out, d);
         }
-        out.push_str(&format!(",\"pid\":{},\"tid\":{}", self.pid, self.tid));
+        out.push_str(",\"pid\":");
+        json::write_u64(out, self.pid.into());
+        out.push_str(",\"tid\":");
+        json::write_u64(out, self.tid.into());
         if self.value.is_some() || !self.args.is_empty() {
             out.push_str(",\"args\":{");
             let mut first = true;
             if let Some(v) = self.value {
-                out.push_str(&format!("\"value\":{v}"));
+                out.push_str("\"value\":");
+                json::write_u64(out, v);
                 first = false;
             }
             for (k, v) in &self.args {
@@ -131,15 +161,7 @@ impl TraceEvent {
 impl ChromeTrace {
     /// Serialize to Chrome trace-event JSON (deterministic field order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.trace_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            e.write_json(&mut out);
-        }
-        out.push_str("]}");
-        out
+        render(self.trace_events.iter())
     }
 
     /// Parse a Chrome trace-event JSON document — the schema-validation half
@@ -153,6 +175,23 @@ impl ChromeTrace {
         let trace_events = evs.iter().map(TraceEvent::from_json).collect::<Result<Vec<_>, _>>()?;
         Ok(ChromeTrace { trace_events })
     }
+}
+
+/// Render `events`, in order, as a `{"traceEvents":[...]}` document into one
+/// string sized up front.
+fn render<'a>(events: impl Iterator<Item = &'a TraceEvent> + Clone) -> String {
+    const HEAD: &str = "{\"traceEvents\":[";
+    let len = HEAD.len() + 2 + events.clone().map(|e| e.json_len() + 1).sum::<usize>();
+    let mut out = String::with_capacity(len);
+    out.push_str(HEAD);
+    for (i, e) in events.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        e.write_json(&mut out);
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Collects [`TraceEvent`]s during a run. Owned by one job's event loop,
@@ -240,17 +279,29 @@ impl SpanTracer {
             + self.events.iter().map(strings).sum::<usize>()
     }
 
-    /// The collected events, stably sorted by timestamp (insertion order breaks
-    /// ties, so same-seed runs export identical sequences).
-    pub fn export(&self) -> ChromeTrace {
-        let mut evs = self.events.clone();
-        evs.sort_by_key(|e| e.ts);
-        ChromeTrace { trace_events: evs }
+    /// `(ts, index)` of every recorded event, stably sorted by timestamp:
+    /// insertion order breaks ties, so same-seed runs export identical
+    /// sequences. Each layer records in time order (node by node for the
+    /// Gantt and attribution tracks), so the keys arrive as sorted runs,
+    /// which the stable sort merges.
+    fn sorted_keys(&self) -> Vec<(u64, usize)> {
+        let mut keys: Vec<(u64, usize)> =
+            self.events.iter().enumerate().map(|(i, e)| (e.ts, i)).collect();
+        keys.sort_by_key(|&(ts, _)| ts);
+        keys
     }
 
-    /// [`SpanTracer::export`] serialized as Chrome trace JSON.
+    /// The collected events, stably sorted by timestamp.
+    pub fn export(&self) -> ChromeTrace {
+        let trace_events =
+            self.sorted_keys().into_iter().map(|(_, i)| self.events[i].clone()).collect();
+        ChromeTrace { trace_events }
+    }
+
+    /// [`SpanTracer::export`] serialized as Chrome trace JSON, rendered
+    /// straight from the recorded events in sorted-key order.
     pub fn export_json(&self) -> String {
-        self.export().to_json()
+        render(self.sorted_keys().iter().map(|&(_, i)| &self.events[i]))
     }
 }
 
@@ -285,5 +336,161 @@ mod tests {
         let exported = t.export();
         let names: Vec<&str> = exported.trace_events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["a1", "a2", "b"]);
+    }
+
+    /// The exporter as it was before it rendered from sorted keys: clone the
+    /// events, stable-sort the copies by timestamp, and write every number
+    /// and escape through `format!`.
+    fn oracle_export_json(t: &SpanTracer) -> String {
+        fn write_str(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let mut evs = t.events.clone();
+        evs.sort_by_key(|e| e.ts);
+        let mut out = String::from("{\"traceEvents\":[");
+        for (i, e) in evs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            write_str(&mut out, &e.name);
+            out.push_str(",\"cat\":");
+            write_str(&mut out, &e.cat);
+            out.push_str(",\"ph\":");
+            write_str(&mut out, &e.ph);
+            out.push_str(&format!(",\"ts\":{}", e.ts));
+            if let Some(d) = e.dur {
+                out.push_str(&format!(",\"dur\":{d}"));
+            }
+            out.push_str(&format!(",\"pid\":{},\"tid\":{}", e.pid, e.tid));
+            if e.value.is_some() || !e.args.is_empty() {
+                out.push_str(",\"args\":{");
+                let mut first = true;
+                if let Some(v) = e.value {
+                    out.push_str(&format!("\"value\":{v}"));
+                    first = false;
+                }
+                for (k, v) in &e.args {
+                    if !first {
+                        out.push(',');
+                    }
+                    first = false;
+                    write_str(&mut out, k);
+                    out.push(':');
+                    write_str(&mut out, v);
+                }
+                out.push('}');
+            }
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// A seeded tracer mixing every event shape: ties on a few timestamps,
+    /// the extremes 0 and `u64::MAX`, and strings that need escaping or
+    /// are not ASCII.
+    fn random_tracer(seed: u64) -> SpanTracer {
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        const TEXT: [&str; 12] = [
+            "compute",
+            "",
+            "say \"hi\"",
+            "C:\\tmp\\",
+            "line\nbreak\r\ttab",
+            "\u{0000}\u{0001}\u{001f}\u{007f}",
+            "é",
+            "中文 🦀",
+            "attr_wait:sync_wait",
+            "mixed \u{0008} é \\ \" 中",
+            "w12",
+            "\u{000c}",
+        ];
+        let n = (next() % 40) as usize;
+        let mut t = SpanTracer::new();
+        for _ in 0..n {
+            let num = |r: u64| match r % 5 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => r % 7,
+                _ => r >> (r % 64),
+            };
+            let (r, ts) = (next(), num(next()));
+            let text = |r: u64| TEXT[(r % TEXT.len() as u64) as usize];
+            match r % 4 {
+                0 => t.complete(text(next()), text(next()), ts, num(next()), next() as u32),
+                1 => {
+                    let args: Vec<(&str, &str)> =
+                        (0..next() % 4).map(|_| (text(next()), text(next()))).collect();
+                    t.instant(text(next()), text(next()), ts, next() as u32, &args);
+                }
+                2 => t.counter(text(next()), text(next()), ts, next() as u32, num(next())),
+                _ => {
+                    // Any field combination, as `extend` accepts it.
+                    let opt = |r: u64| r.is_multiple_of(2).then(|| num(r >> 1));
+                    let args = (0..next() % 3)
+                        .map(|_| (text(next()).to_string(), text(next()).to_string()))
+                        .collect();
+                    t.extend(vec![TraceEvent {
+                        name: text(next()).into(),
+                        cat: text(next()).into(),
+                        ph: text(next()).into(),
+                        ts,
+                        dur: opt(next()),
+                        pid: next() as u32,
+                        tid: if next().is_multiple_of(2) { u32::MAX } else { 0 },
+                        value: opt(next()),
+                        args,
+                    }]);
+                }
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn export_json_matches_the_oracle_byte_for_byte() {
+        assert_eq!(SpanTracer::new().export_json(), oracle_export_json(&SpanTracer::new()));
+        let mut ties = false;
+        for seed in 0..256 {
+            let t = random_tracer(seed);
+            let json = t.export_json();
+            assert_eq!(json, oracle_export_json(&t), "seed {seed}");
+            assert_eq!(json, t.export().to_json(), "seed {seed}");
+            let ts: Vec<u64> = t.events.iter().map(|e| e.ts).collect();
+            ties |= (1..ts.len()).any(|i| ts[..i].contains(&ts[i]));
+            // The up-front size is exact unless a string needed escaping.
+            for e in &t.events {
+                let mut one = String::new();
+                e.write_json(&mut one);
+                let clean = [&e.name, &e.cat, &e.ph]
+                    .into_iter()
+                    .chain(e.args.iter().flat_map(|(k, v)| [k, v]))
+                    .all(|s| !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\'));
+                assert!(e.json_len() <= one.len(), "seed {seed}: {one}");
+                assert!(!clean || e.json_len() == one.len(), "seed {seed}: {one}");
+            }
+        }
+        assert!(ties, "the seeds must produce timestamp ties");
     }
 }
