@@ -30,40 +30,31 @@ pub trait AttrSink {
 /// per cause, one lane (`tid`) per node.
 pub struct CounterTrackSink<'a> {
     tracer: &'a mut SpanTracer,
-    /// One entry per cause seen so far (a handful): its label, its track
-    /// name and each node's running total, so a segment allocates nothing.
-    tracks: Vec<CauseTrack>,
-}
-
-struct CauseTrack {
-    cause: String,
-    name: String,
-    cum: BTreeMap<u32, u64>,
+    /// Track name of each cause label seen so far.
+    names: BTreeMap<String, String>,
+    /// Each node's running total per cause label.
+    cum: BTreeMap<u32, BTreeMap<String, u64>>,
 }
 
 impl<'a> CounterTrackSink<'a> {
     pub fn new(tracer: &'a mut SpanTracer) -> Self {
-        CounterTrackSink { tracer, tracks: Vec::new() }
+        CounterTrackSink { tracer, names: BTreeMap::new(), cum: BTreeMap::new() }
     }
 }
 
 impl AttrSink for CounterTrackSink<'_> {
     fn segment(&mut self, node: u32, cause: &str, start_us: u64, end_us: u64) {
-        let at = match self.tracks.iter().position(|t| t.cause == cause) {
-            Some(at) => at,
-            None => {
-                self.tracks.push(CauseTrack {
-                    cause: cause.to_string(),
-                    name: format!("attr_wait:{cause}"),
-                    cum: BTreeMap::new(),
-                });
-                self.tracks.len() - 1
-            }
-        };
-        let track = &mut self.tracks[at];
-        let cum = track.cum.entry(node).or_insert(0);
+        // Both maps are searched by `&str`: only a first sighting allocates.
+        if !self.names.contains_key(cause) {
+            self.names.insert(cause.to_string(), format!("attr_wait:{cause}"));
+        }
+        let totals = self.cum.entry(node).or_default();
+        if !totals.contains_key(cause) {
+            totals.insert(cause.to_string(), 0);
+        }
+        let cum = totals.get_mut(cause).expect("inserted above");
         *cum += end_us.saturating_sub(start_us);
-        self.tracer.counter(&track.name, "attr", end_us, node, *cum);
+        self.tracer.counter(&self.names[cause], "attr", end_us, node, *cum);
     }
 }
 

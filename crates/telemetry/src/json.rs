@@ -94,7 +94,7 @@ pub fn write_str(out: &mut String, s: &str) {
 }
 
 /// Append `v` in decimal, without a formatting temporary.
-pub fn write_u64(out: &mut String, mut v: u64) {
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
@@ -109,7 +109,7 @@ pub fn write_u64(out: &mut String, mut v: u64) {
 }
 
 /// Decimal digits of `v`: the bytes [`write_u64`] appends.
-pub fn u64_len(v: u64) -> usize {
+pub(crate) fn u64_len(v: u64) -> usize {
     v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
