@@ -1,0 +1,306 @@
+use super::*;
+use antdt_workloads::cluster::cluster_a_scaled;
+
+#[test]
+fn builders_apply_scenario_and_defaults() {
+    let cfg =
+        JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::WorkerPersistent { intensity: 1.0 });
+    cfg.validate();
+    assert_eq!(cfg.n_workers(), 4);
+    // Scenario applied: last worker has a persistent phase.
+    assert!(!cfg.cluster.workers[3].profile.phases.is_empty());
+    assert!(cfg.cluster.workers[0].profile.phases.is_empty());
+}
+
+#[test]
+#[should_panic(expected = "PS architecture needs servers")]
+fn ps_without_servers_is_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 0), Scenario::None).validate();
+}
+
+#[test]
+#[should_panic(expected = "backup worker count")]
+fn too_many_backup_workers_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(2, 1), Scenario::None)
+        .with_mitigation(MitigationChoice::BackupWorkers { b: 2 })
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "dd_classes")]
+fn dd_requires_classes() {
+    JobConfig::allreduce(cluster_a_scaled(2, 0), Scenario::None)
+        .with_mitigation(MitigationChoice::AntDtDd)
+        .validate();
+}
+
+#[test]
+fn valid_injections_pass_validation() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_injections(vec![
+            ChaosInjection { at_secs: 10.0, fault: InjectedFault::KillWorker { w: 3 } },
+            ChaosInjection { at_secs: 20.0, fault: InjectedFault::DdsOutage { window_secs: 30.0 } },
+            ChaosInjection {
+                at_secs: 30.0,
+                fault: InjectedFault::DropReports { prob: 0.5, window_secs: 60.0, seed: 7 },
+            },
+        ])
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "Replay requires a Parameter Server")]
+fn replay_failover_rejected_for_allreduce() {
+    JobConfig::allreduce(cluster_a_scaled(4, 0), Scenario::None)
+        .with_failover_mode(FailoverMode::Replay)
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "Replay requires the DDS data strategy")]
+fn replay_failover_rejected_without_dds() {
+    JobConfig::ps_asp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_data_strategy(DataStrategy::EvenPartition)
+        .with_failover_mode(FailoverMode::Replay)
+        .validate();
+}
+
+#[test]
+fn replay_failover_with_ckpt_config_passes_validation() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_failover_mode(FailoverMode::Replay)
+        .with_ckpt(CkptConfig::default())
+        .validate();
+}
+
+/// A small PS job checkpointing under `policy`.
+fn with_policy(policy: CkptPolicy) -> JobConfig {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_ckpt(CkptConfig { policy, ..CkptConfig::default() })
+}
+
+/// A stall as long as the cadence queues captures back to back.
+#[test]
+#[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+fn capture_stall_at_the_fixed_interval_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_ckpt(CkptConfig {
+            policy: CkptPolicy::Fixed { interval_secs: 15.0 },
+            capture_stall_secs: 15.0,
+            ..CkptConfig::default()
+        })
+        .validate();
+}
+
+/// The default 15 s stall against a 10 s cadence set by the builder.
+#[test]
+#[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+fn capture_stall_beyond_the_builder_interval_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_checkpoint_interval(SimDuration::from_secs(10))
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+fn capture_stall_at_the_adaptive_minimum_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_ckpt(CkptConfig {
+            policy: CkptPolicy::Adaptive { min_secs: 30.0, max_secs: 300.0 },
+            capture_stall_secs: 30.0,
+            ..CkptConfig::default()
+        })
+        .validate();
+}
+
+/// A zero cadence would re-arm the checkpoint at the same instant
+/// forever.
+#[test]
+#[should_panic(expected = "checkpoint interval must be positive")]
+fn zero_checkpoint_interval_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_samples(200_000)
+        .with_checkpoint_interval(SimDuration::ZERO)
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "batches_per_shard must be positive")]
+fn zero_batches_per_shard_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_samples(100_000)
+        .with_batches_per_shard(0)
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "epochs must be positive")]
+fn zero_epochs_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_samples(100_000)
+        .with_epochs(0)
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "total_samples must be positive")]
+fn zero_total_samples_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_samples(0).validate();
+}
+
+#[test]
+#[should_panic(expected = "global batch 2 is smaller than the worker count 4")]
+fn global_batch_below_worker_count_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_samples(100_000)
+        .with_global_batch(2)
+        .validate();
+}
+
+/// A zero tick would re-arm the Monitor tick at the same instant forever.
+#[test]
+#[should_panic(expected = "monitor tick must be positive")]
+fn zero_monitor_tick_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_fast_cadence(SimDuration::ZERO)
+        .validate();
+}
+
+/// A zero timeout would declare a healthy job stalled at t = 0.
+#[test]
+#[should_panic(expected = "liveness timeout must be positive")]
+fn zero_liveness_timeout_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_liveness_timeout(SimDuration::ZERO)
+        .validate();
+}
+
+/// A small PS job whose worker 0 restarts `extra_secs` late.
+fn with_restart_delay(extra_secs: f64) -> JobConfig {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_injections(vec![
+        ChaosInjection { at_secs: 10.0, fault: InjectedFault::RestartDelay { w: 0, extra_secs } },
+    ])
+}
+
+#[test]
+#[should_panic(expected = "RestartDelay extra_secs must be finite and non-negative")]
+fn nan_restart_delay_rejected() {
+    with_restart_delay(f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(expected = "RestartDelay extra_secs must be finite and non-negative")]
+fn negative_restart_delay_rejected() {
+    with_restart_delay(-5.0).validate();
+}
+
+#[test]
+#[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+fn non_finite_fixed_cadence_rejected() {
+    with_policy(CkptPolicy::Fixed { interval_secs: f64::NAN }).validate();
+}
+
+#[test]
+#[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+fn negative_fixed_cadence_rejected() {
+    with_policy(CkptPolicy::Fixed { interval_secs: -60.0 }).validate();
+}
+
+#[test]
+#[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+fn sub_microsecond_fixed_cadence_rejected() {
+    with_policy(CkptPolicy::Fixed { interval_secs: 1e-9 }).validate();
+}
+
+#[test]
+#[should_panic(expected = "Adaptive checkpoint min_secs must be finite and positive")]
+fn adaptive_cadence_with_zero_floor_rejected() {
+    with_policy(CkptPolicy::Adaptive { min_secs: 0.0, max_secs: 600.0 }).validate();
+}
+
+#[test]
+#[should_panic(expected = "exceeds max_secs")]
+fn adaptive_cadence_with_inverted_bounds_rejected() {
+    with_policy(CkptPolicy::Adaptive { min_secs: 600.0, max_secs: 60.0 }).validate();
+}
+
+#[test]
+fn default_checkpoint_cadence_is_a_fixed_ten_minute_local_save() {
+    let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+    assert_eq!(cfg.checkpoint_interval, SimDuration::from_minutes(10));
+    assert_eq!(cfg.ckpt, CkptConfig { capture_stall_secs: 15.0, ..CkptConfig::default() });
+    let cfg = cfg.with_checkpoint_interval(SimDuration::from_secs(60));
+    assert_eq!(cfg.ckpt.policy, CkptPolicy::Fixed { interval_secs: 60.0 });
+}
+
+#[test]
+#[should_panic(expected = "KillServer injection requires the DDS data strategy")]
+fn injection_kill_server_rejected_without_dds() {
+    JobConfig::ps_asp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_data_strategy(DataStrategy::EvenPartition)
+        .with_injections(vec![ChaosInjection {
+            at_secs: 10.0,
+            fault: InjectedFault::KillServer { s: 0 },
+        }])
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "targets worker")]
+fn injection_worker_out_of_range_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_injections(vec![ChaosInjection {
+            at_secs: 10.0,
+            fault: InjectedFault::KillWorker { w: 4 },
+        }])
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "Parameter Server")]
+fn injection_kill_server_rejected_for_allreduce() {
+    JobConfig::allreduce(cluster_a_scaled(4, 0), Scenario::None)
+        .with_injections(vec![ChaosInjection {
+            at_secs: 10.0,
+            fault: InjectedFault::KillServer { s: 0 },
+        }])
+        .validate();
+}
+
+/// A Real-mode job over two rows of 4 features whose holdout has
+/// `holdout_features` features. (`lr = 0` is valid: it freezes the model,
+/// the untrained baseline `tests/integrity.rs` compares AUCs with.)
+fn real(lr: f32, holdout_features: u32) -> JobConfig {
+    let mut dataset = Dataset::new(4);
+    dataset.push(&[0, 2], 1.0);
+    dataset.push(&[3], 0.0);
+    let holdout = Dataset::new(holdout_features);
+    JobConfig::allreduce(cluster_a_scaled(2, 0), Scenario::None)
+        .with_samples(2)
+        .with_global_batch(2)
+        .with_execution(ExecutionMode::Real { dataset, holdout, latent_k: 2, lr })
+}
+
+#[test]
+#[should_panic(expected = "real-math lr NaN must be finite and >= 0")]
+fn nan_lr_rejected() {
+    real(f32::NAN, 4).validate();
+}
+
+#[test]
+#[should_panic(expected = "real-math lr inf must be finite and >= 0")]
+fn infinite_lr_rejected() {
+    real(f32::INFINITY, 4).validate();
+}
+
+#[test]
+#[should_panic(expected = "real-math lr -50 must be finite and >= 0")]
+fn negative_lr_rejected() {
+    real(-50.0, 4).validate();
+}
+
+#[test]
+#[should_panic(expected = "real-math holdout n_features")]
+fn holdout_with_other_n_features_rejected() {
+    real(0.4, 5).validate();
+}

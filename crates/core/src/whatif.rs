@@ -375,7 +375,7 @@ mod tests {
     fn real_mode_digest_sees_each_dataset_bit() {
         use crate::config::ExecutionMode;
         use antdt_ml::Dataset;
-        let data = |rows: &[(&[(u32, f32)], f32)]| {
+        let data = |rows: &[(&[u32], f32)]| {
             let mut d = Dataset::new(4);
             rows.iter().for_each(|&(feats, label)| d.push(feats, label));
             d
@@ -383,23 +383,19 @@ mod tests {
         let real = |dataset: Dataset| {
             cfg().with_execution(ExecutionMode::Real {
                 dataset,
-                holdout: data(&[(&[(1, 1.0)], 0.0)]),
+                holdout: data(&[(&[1], 0.0)]),
                 latent_k: 4,
                 lr: 0.1,
             })
         };
-        let base = real(data(&[(&[(0, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 0.0)]));
+        let base = real(data(&[(&[0, 2], 1.0), (&[3], 0.0)]));
         let digest = config_digest(&base);
         assert_eq!(digest, config_digest(&base.clone()));
-        assert_eq!(
-            digest,
-            config_digest(&real(data(&[(&[(0, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 0.0)])))
-        );
+        assert_eq!(digest, config_digest(&real(data(&[(&[0, 2], 1.0), (&[3], 0.0)]))));
         let edits = [
-            ("index", data(&[(&[(1, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 0.0)])),
-            ("value bits", data(&[(&[(0, 1.0), (2, -0.0)], 1.0), (&[(3, 1.0)], 0.0)])),
-            ("label", data(&[(&[(0, 1.0), (2, 0.0)], 1.0), (&[(3, 1.0)], 1.0)])),
-            ("row boundary", data(&[(&[(0, 1.0)], 1.0), (&[(2, 0.0), (3, 1.0)], 0.0)])),
+            ("index", data(&[(&[1, 2], 1.0), (&[3], 0.0)])),
+            ("label", data(&[(&[0, 2], 1.0), (&[3], 1.0)])),
+            ("row boundary", data(&[(&[0], 1.0), (&[2, 3], 0.0)])),
         ];
         for (what, edited) in edits {
             assert_ne!(config_digest(&real(edited)), digest, "{what}");

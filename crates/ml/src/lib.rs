@@ -5,7 +5,7 @@
 //! gradient math, not just a timing model. This crate provides exactly enough ML
 //! to make those experiments honest:
 //!
-//! * sparse classification datasets in a flat CSR layout ([`data`]),
+//! * one-hot classification datasets in a flat CSR layout ([`data`]),
 //! * a factorization-machine model — the stand-in for the XDeepFM CTR model
 //!   trained on Criteo in the paper ([`model`]),
 //! * an SGD optimizer ([`optim`]),

@@ -46,8 +46,8 @@ fn each<T: Copy, U>(a: [T; BLOCK], f: impl Fn(T) -> U) -> [U; BLOCK] {
     [f(a[0]), f(a[1]), f(a[2]), f(a[3])]
 }
 
-/// Second-order factorization machine:
-/// `score = w₀ + Σᵢ wᵢxᵢ + ½ Σ_f [(Σᵢ v_{if} xᵢ)² − Σᵢ v_{if}² xᵢ²]`.
+/// Second-order factorization machine on one-hot rows (`xᵢ ∈ {0, 1}`, active
+/// set `A`): `score = w₀ + Σ_{i∈A} wᵢ + ½ Σ_f [(Σ_{i∈A} v_{if})² − Σ_{i∈A} v_{if}²]`.
 ///
 /// Params layout: `[w (n), v (n×k) row-major, w₀]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,16 +86,16 @@ impl FactorizationMachine {
     }
 
     /// Raw scores of up to [`BLOCK`] rows (unused slots are empty rows),
-    /// leaving each row's factor sums `s_f = Σᵢ v_{if} xᵢ` in `sums`.
+    /// leaving each row's factor sums `s_f = Σ_{i∈A} v_{if}` in `sums`.
     ///
     /// The rows advance through their features together, row `r` in lane
     /// `r` of one [`F32x4`]: per feature position, each row's latent
     /// factors load four at a time and transpose into factor-major lanes
     /// (the `k % 4` factors after the last full four are set lane by lane).
     /// Every accumulator still sees its own row's terms in feature order,
-    /// one IEEE `mul` then `add` each, so each score is bit-identical to a
+    /// the same IEEE operations each, so each score is bit-identical to a
     /// row-at-a-time pass. What is left of the longer rows runs scalar.
-    fn forward(&self, rows: &[&[(u32, f32)]; BLOCK], sums: &mut BlockSums) -> [f32; BLOCK] {
+    fn forward(&self, rows: &[&[u32]; BLOCK], sums: &mut BlockSums) -> [f32; BLOCK] {
         let k = self.k;
         let (w, v, w0) = self.split();
         let sums = &mut sums[..k];
@@ -106,10 +106,9 @@ impl FactorizationMachine {
         let heads = each(*rows, |r| &r[..common]);
         let tail = k - k % 4;
         for t in 0..common {
-            let pairs = each(heads, |r| r[t]);
-            let x = F32x4::new(each(pairs, |(_, xv)| xv));
-            z = z + F32x4::new(each(pairs, |(i, _)| w[i as usize])) * x;
-            let [v0, v1, v2, v3] = each(pairs, |(i, _)| &v[i as usize * k..][..k]);
+            let feats = each(heads, |r| r[t] as usize);
+            z = z + F32x4::new(each(feats, |i| w[i]));
+            let [v0, v1, v2, v3] = each(feats, |i| &v[i * k..][..k]);
             let mut quads = sums.chunks_exact_mut(4);
             for ((((s4, a), b), c), d) in (&mut quads)
                 .zip(v0.chunks_exact(4))
@@ -119,25 +118,25 @@ impl FactorizationMachine {
             {
                 let vt = F32x4::transpose(each([a, b, c, d], F32x4::load));
                 for (s, vf) in s4.iter_mut().zip(vt) {
-                    (F32x4::load(s) + vf * x).store(s);
-                    sq = sq + vf * vf * x * x;
+                    (F32x4::load(s) + vf).store(s);
+                    sq = sq + vf * vf;
                 }
             }
             for (f, s) in (tail..).zip(quads.into_remainder()) {
                 let vf = F32x4::new([v0[f], v1[f], v2[f], v3[f]]);
-                (F32x4::load(s) + vf * x).store(s);
-                sq = sq + vf * vf * x * x;
+                (F32x4::load(s) + vf).store(s);
+                sq = sq + vf * vf;
             }
         }
         let (mut z, mut sq) = (z.to_array(), sq.to_array());
         // Ragged tails: what is left of the longer rows, one row at a time.
         for (r, row) in rows.iter().enumerate() {
-            for &(i, xv) in &row[common..] {
+            for &i in &row[common..] {
                 let i = i as usize;
-                z[r] += w[i] * xv;
+                z[r] += w[i];
                 for (s, &vif) in sums.iter_mut().zip(&v[i * k..i * k + k]) {
-                    s[r] += vif * xv;
-                    sq[r] += vif * vif * xv * xv;
+                    s[r] += vif;
+                    sq[r] += vif * vif;
                 }
             }
         }
@@ -226,13 +225,13 @@ impl FactorizationMachine {
             let p = sigmoid(z);
             let err = (p - ex.label) * scale;
             *g_w0 += err;
-            for &(j, xv) in ex.feats {
+            for &j in ex.feats {
                 let j = j as usize;
-                g_w[j] += err * xv;
+                g_w[j] += err;
                 let (g_vj, vj) = (&mut g_v[j * k..j * k + k], &v[j * k..j * k + k]);
                 for ((g, &vif), s) in g_vj.iter_mut().zip(vj).zip(sums) {
-                    // d score / d v_{jf} = x_j * (s_f - v_{jf} x_j)
-                    *g += err * xv * (s[slot] - vif * xv);
+                    // d score / d v_{jf} = x_j (s_f - v_{jf} x_j) = s_f - v_{jf}
+                    *g += err * (s[slot] - vif);
                 }
             }
         });
@@ -260,8 +259,8 @@ mod tests {
 
         fn predict(&self, x: Row<'_>) -> f32 {
             let mut z = self.params[self.n_features as usize];
-            for &(i, v) in x.feats {
-                z += self.params[i as usize] * v;
+            for &i in x.feats {
+                z += self.params[i as usize];
             }
             sigmoid(z)
         }
@@ -279,8 +278,8 @@ mod tests {
             for &i in idx {
                 let ex = data.get(i);
                 let err = (self.predict(ex) - ex.label) * scale;
-                for &(j, v) in ex.feats {
-                    grad[j as usize] += err * v;
+                for &j in ex.feats {
+                    grad[j as usize] += err;
                 }
                 grad[bias_at] += err;
             }
@@ -308,8 +307,8 @@ mod tests {
         // Linearly separable: feature 0 on => positive, feature 1 on => negative.
         let mut d = Dataset::new(2);
         for _ in 0..50 {
-            d.push(&[(0, 1.0)], 1.0);
-            d.push(&[(1, 1.0)], 0.0);
+            d.push(&[0], 1.0);
+            d.push(&[1], 0.0);
         }
         d
     }
@@ -338,8 +337,9 @@ mod tests {
     #[test]
     fn lr_gradient_matches_finite_difference() {
         let mut d = Dataset::new(3);
-        d.push(&[(0, 0.5), (2, -1.5)], 1.0);
-        d.push(&[(1, 2.0)], 0.0);
+        d.push(&[0, 2], 1.0);
+        d.push(&[1, 1], 0.0);
+        d.push(&[], 1.0);
         let mut m = LogisticRegression::new(3);
         m.params.copy_from_slice(&[0.1, -0.2, 0.3, 0.05]);
         let idx = all_rows(&d);
@@ -353,9 +353,10 @@ mod tests {
     #[test]
     fn fm_gradient_matches_finite_difference() {
         let mut d = Dataset::new(3);
-        d.push(&[(0, 1.0), (1, 1.0)], 1.0);
-        d.push(&[(1, 1.0), (2, 1.0)], 0.0);
-        d.push(&[(0, 0.5), (2, 2.0)], 1.0);
+        d.push(&[0, 1], 1.0);
+        d.push(&[1, 2], 0.0);
+        d.push(&[0, 2, 2], 1.0);
+        d.push(&[], 0.0);
         let m = FactorizationMachine::new(3, 2, 0.1);
         let idx = all_rows(&d);
         let mut grad = vec![0.0f32; m.n_params()];
@@ -392,11 +393,11 @@ mod tests {
         let mut d = Dataset::new(4);
         for _ in 0..50 {
             // (A=0, B=2) => positive; (A=1, B=3) => positive
-            d.push(&[(0, 1.0), (2, 1.0)], 1.0);
-            d.push(&[(1, 1.0), (3, 1.0)], 1.0);
+            d.push(&[0, 2], 1.0);
+            d.push(&[1, 3], 1.0);
             // cross pairs => negative
-            d.push(&[(0, 1.0), (3, 1.0)], 0.0);
-            d.push(&[(1, 1.0), (2, 1.0)], 0.0);
+            d.push(&[0, 3], 0.0);
+            d.push(&[1, 2], 0.0);
         }
         let idx = all_rows(&d);
         let mut fm = FactorizationMachine::new(4, 4, 0.1);
@@ -444,21 +445,29 @@ mod tests {
     }
 
     /// The row-at-a-time FM pass the blocked kernel replaced, kept as the
-    /// oracle it must match bit for bit.
+    /// oracle it must match bit for bit. It keeps the valued form, every
+    /// term multiplied by its `xᵢ`, and is fed each index as an `(i, 1.0)`
+    /// pair, so the match also pins that the one-hot passes, which skip
+    /// those multiplications, change no bit.
     mod rowwise {
         use super::*;
 
-        fn raw_with_sums(m: &FactorizationMachine, x: Row<'_>, sums: &mut [f32]) -> f32 {
+        /// A row's indices as `(index, 1.0)` pairs.
+        fn valued(x: Row<'_>) -> Vec<(u32, f32)> {
+            x.feats.iter().map(|&i| (i, 1.0)).collect()
+        }
+
+        fn raw_with_sums(m: &FactorizationMachine, x: &[(u32, f32)], sums: &mut [f32]) -> f32 {
             let (n, k, p) = (m.n_features as usize, m.k, m.params());
             let mut z = p[p.len() - 1];
-            for &(i, v) in x.feats {
+            for &(i, v) in x {
                 z += p[i as usize] * v;
             }
             for s in sums.iter_mut() {
                 *s = 0.0;
             }
             let mut sq = 0.0f32;
-            for &(i, xv) in x.feats {
+            for &(i, xv) in x {
                 for (f, s) in sums.iter_mut().enumerate() {
                     let vif = p[n + i as usize * k + f];
                     *s += vif * xv;
@@ -470,7 +479,7 @@ mod tests {
         }
 
         pub fn predict(m: &FactorizationMachine, x: Row<'_>) -> f32 {
-            sigmoid(raw_with_sums(m, x, &mut vec![0.0; m.k]))
+            sigmoid(raw_with_sums(m, &valued(x), &mut vec![0.0; m.k]))
         }
 
         pub fn grad_batch(
@@ -488,11 +497,11 @@ mod tests {
             let mut sums = vec![0.0f32; k];
             let mut loss = 0.0f64;
             for &i in idx {
-                let ex = d.get(i);
-                let pr = sigmoid(raw_with_sums(m, ex, &mut sums));
+                let (ex, x) = (d.get(i), valued(d.get(i)));
+                let pr = sigmoid(raw_with_sums(m, &x, &mut sums));
                 let err = (pr - ex.label) * scale;
                 g[bias_at] += err;
-                for &(j, xv) in ex.feats {
+                for &(j, xv) in &x {
                     g[j as usize] += err * xv;
                     for f in 0..k {
                         let vif = p[n + j as usize * k + f];
@@ -510,9 +519,10 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A seeded FM with every parameter (w, v, w₀) random, and a dataset whose
-    /// rows have 0–12 pairs over few features (so indices repeat within a
-    /// row) with non-unit values.
+    /// A seeded FM with every parameter (w, v, w₀) random, and a one-hot
+    /// dataset of ragged rows with 0–12 indices (empty rows included) over
+    /// few features, so indices repeat within a row; half the rows of two or
+    /// more repeat their first index.
     fn random_fm(rng: &mut StdRng, k: usize) -> (FactorizationMachine, Dataset) {
         let n_features = rng.gen_range(1..24u32);
         let mut fm = FactorizationMachine::new(n_features, k, 0.0);
@@ -524,11 +534,10 @@ mod tests {
         for _ in 0..rng.gen_range(1..20usize) {
             feats.clear();
             for _ in 0..rng.gen_range(0..13usize) {
-                let x = if rng.gen_bool(0.3) { 1.0 } else { rng.gen_range(-3.0f32..3.0) };
-                feats.push((rng.gen_range(0..n_features), x));
+                feats.push(rng.gen_range(0..n_features));
             }
             if feats.len() >= 2 && rng.gen_bool(0.5) {
-                feats[1].0 = feats[0].0;
+                feats[1] = feats[0];
             }
             d.push(&feats, if rng.gen_bool(0.4) { 1.0 } else { 0.0 });
         }

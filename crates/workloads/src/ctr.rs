@@ -73,7 +73,7 @@ impl CtrConfig {
             self.n_samples
                 .checked_mul(self.n_fields as u64)
                 .is_some_and(|nnz| nnz <= u32::MAX as u64),
-            "CtrConfig: n_samples × n_fields exceeds u32::MAX pairs"
+            "CtrConfig: n_samples × n_fields exceeds u32::MAX indices"
         );
     }
 }
@@ -104,7 +104,7 @@ const LANES: usize = 4;
 /// Generate the dataset. Deterministic in `cfg.seed`. Panics, naming the
 /// field, when `n_fields` or `field_dim` is 0, `n_fields × field_dim`
 /// overflows `u32`, `noise` is outside [0, 1], or the dataset would hold
-/// more than `u32::MAX` pairs.
+/// more than `u32::MAX` feature indices.
 ///
 /// Rows are made four at a time. Every row's draws are taken in stream order
 /// (its `n_fields` categories, then its label draw, then its noise draw), and
@@ -131,10 +131,10 @@ pub fn generate(cfg: &CtrConfig) -> Dataset {
 
     let rows = cfg.n_samples as usize;
     let mut data = Dataset::with_capacity(cfg.n_features(), rows, rows * nf);
-    // Lane `l`'s features are `feats[l * nf..(l + 1) * nf]`; one active
-    // category per field, at field-local offsets. In a last, partial block
-    // the unused lanes score stale rows that are never pushed.
-    let mut feats = vec![(0u32, 1.0f32); LANES * nf];
+    // Lane `l`'s feature indices are `feats[l * nf..(l + 1) * nf]`; one
+    // active category per field, at field-local offsets. In a last, partial
+    // block the unused lanes score stale rows that are never pushed.
+    let mut feats = vec![0u32; LANES * nf];
     let mut sums = vec![[0.0f32; LANES]; k];
     let mut done = 0;
     while done < rows {
@@ -144,7 +144,7 @@ pub fn generate(cfg: &CtrConfig) -> Dataset {
         for l in 0..m {
             for (f, feat) in feats[l * nf..(l + 1) * nf].iter_mut().enumerate() {
                 let u: f64 = rng.gen_range(0.0..1.0);
-                feat.0 = f as u32 * cfg.field_dim + category(u, dim);
+                *feat = f as u32 * cfg.field_dim + category(u, dim);
             }
             label_u[l] = rng.gen_range(0.0f32..1.0);
             noise_u[l] = rng.gen_range(0.0f64..1.0);
@@ -155,7 +155,7 @@ pub fn generate(cfg: &CtrConfig) -> Dataset {
         let mut sq = [0.0f32; LANES];
         sums.iter_mut().for_each(|s| *s = [0.0; LANES]);
         for f in 0..nf {
-            let idx: [usize; LANES] = std::array::from_fn(|l| feats[l * nf + f].0 as usize);
+            let idx: [usize; LANES] = std::array::from_fn(|l| feats[l * nf + f] as usize);
             // Each lane's row, sliced once: the loops below then index
             // slices of known length.
             let lane_truth: [&[f32]; LANES] =
@@ -219,12 +219,12 @@ mod tests {
             for f in 0..cfg.n_fields {
                 let u: f64 = rng.gen_range(0.0..1.0);
                 let cat = ((u * u) * cfg.field_dim as f64) as u32 % cfg.field_dim;
-                feats.push((f as u32 * cfg.field_dim + cat, 1.0f32));
+                feats.push(f as u32 * cfg.field_dim + cat);
             }
             let mut z = cfg.bias;
             sums.iter_mut().for_each(|s| *s = 0.0);
             let mut sq = 0.0f32;
-            for &(i, _) in &feats {
+            for &i in &feats {
                 z += w[i as usize];
                 for (f, s) in sums.iter_mut().enumerate() {
                     let vif = v[i as usize * cfg.k_true + f];
@@ -323,9 +323,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "CtrConfig: n_samples × n_fields exceeds u32::MAX pairs")]
-    fn more_pairs_than_u32_is_rejected() {
-        // 8 × (2³² / 8) = 2³² pairs, one past the limit; rejected before any
+    #[should_panic(expected = "CtrConfig: n_samples × n_fields exceeds u32::MAX indices")]
+    fn more_indices_than_u32_is_rejected() {
+        // 8 × (2³² / 8) = 2³² indices, one past the limit; rejected before any
         // allocation or draw.
         generate(&CtrConfig::default().with_samples(1 << 29));
     }
@@ -341,8 +341,7 @@ mod tests {
         // One active feature per field, field-local indices.
         for ex in a.iter() {
             assert_eq!(ex.feats.len(), 8);
-            for (f, &(idx, val)) in ex.feats.iter().enumerate() {
-                assert_eq!(val, 1.0);
+            for (f, &idx) in ex.feats.iter().enumerate() {
                 assert!(idx >= f as u32 * 64 && idx < (f as u32 + 1) * 64);
             }
         }
