@@ -23,7 +23,13 @@
 //!    [`ServiceConfig::spine_every`] tick and keeps it only if the run sets
 //!    a divergence mark before the next tick. A query can only fork just
 //!    before a mark, so that tick is the one snapshot it can read; the
-//!    spine stops once every mark the config can set is set.
+//!    spine stops once every mark the config can set is set. The cache
+//!    holds a snapshot only while a later query can read it: an **open
+//!    target** is `mark − 1 µs` of a perturbation with a mark above zero
+//!    that is not yet memoized, and a snapshot is kept only if it is the
+//!    nearest held predecessor of one. A batch caches a fork point only if
+//!    an open target outside the batch would read it, and once its answers
+//!    are memoized it drops every snapshot of its configs that none reads.
 //! 3. **Fork replay** — within a batch, queries sharing a config fork one
 //!    monotonically-advancing prefix at their (sorted) divergence instants
 //!    and only simulate their suffixes.
@@ -46,8 +52,8 @@ mod cache;
 pub use cache::{CacheStats, SnapshotCache};
 
 use antdt_core::{
-    apply_perturbation, config_digest, divergence_mark_bound, perturbation_edits, plan_replays,
-    Job, JobConfig, JobReport, Perturbation, PrefixRun,
+    apply_perturbation, config_digest, divergence_instant, divergence_mark_bound,
+    perturbation_edits, plan_replays, Job, JobConfig, JobReport, Perturbation, PrefixRun,
 };
 use antdt_sim::{SimDuration, SimTime};
 use antdt_telemetry::{Counter, Gauge, MetricsRegistry};
@@ -100,8 +106,9 @@ pub struct ServiceConfig {
     /// divergence instant find a near predecessor; only ticks that precede
     /// a mark are kept. [`SimDuration::ZERO`] disables the spine.
     pub spine_every: SimDuration,
-    /// Also cache a snapshot at each query's fork instant, so repeats of
-    /// *similar* (not just identical) batches start even closer.
+    /// Also cache a query's fork point when a later query can read it:
+    /// when it is the nearest predecessor of an open target outside the
+    /// batch (see the crate docs), which then starts closer.
     pub cache_fork_points: bool,
 }
 
@@ -113,6 +120,19 @@ impl Default for ServiceConfig {
             cache_fork_points: true,
         }
     }
+}
+
+/// Where a query diverging at `mark` forks: events AT the divergence
+/// instant belong to the suffix.
+fn fork_instant(mark: SimTime) -> SimTime {
+    SimTime(mark.as_micros() - 1)
+}
+
+/// Whether an open query would read a snapshot at `s`: for some target
+/// `t` in `open`, `s` is the nearest held predecessor — `s <= t` and no
+/// other instant of `held` lies in `(s, t]`.
+fn readable(s: SimTime, held: &[SimTime], open: &[SimTime]) -> bool {
+    open.iter().any(|&t| s <= t && !held.iter().any(|&h| s < h && h <= t))
 }
 
 /// Cache and throughput counters, exported through `antdt-telemetry`.
@@ -265,7 +285,7 @@ impl WhatIfService {
         // shared prefix seeded from the cache, the rest full-rerun.
         let mut pending: Vec<Option<Pending>> = (0..queries.len()).map(|_| None).collect();
         let mut work: Vec<WorkItem> = Vec::new();
-        for digest in group_order {
+        for &digest in &group_order {
             let members = &groups[&digest];
             let cfg = &queries[members[0]].cfg;
             if !self.bases.contains_key(&digest) {
@@ -295,6 +315,9 @@ impl WhatIfService {
             let perts: Vec<Perturbation> =
                 todo.iter().map(|&qi| queries[qi].perturbation).collect();
             let plan = plan_replays(&self.bases[&digest], &perts);
+            // Every perturbation of this batch is memoized below, so none of
+            // them reads a fork point after it.
+            let open = self.open_targets(digest, &perts);
 
             // The shared prefix only ever advances forward; the plan sorted
             // the forkable queries by divergence instant to match. The last
@@ -303,8 +326,7 @@ impl WhatIfService {
             let mut cursor: Option<Cursor> = None;
             let last = plan.forkable.len().saturating_sub(1);
             for (j, &(ti, t)) in plan.forkable.iter().enumerate() {
-                // Events AT the divergence instant belong to the suffix.
-                let target = SimTime(t.as_micros() - 1);
+                let target = fork_instant(t);
                 let mut c =
                     cursor.take().unwrap_or_else(|| match self.cache.fork_at(digest, target) {
                         Some((at, run)) => Cursor { from_cache: true, cached_at: Some(at), run },
@@ -313,7 +335,10 @@ impl WhatIfService {
                         }
                     });
                 c.run.advance_until(target);
-                if self.cfg.cache_fork_points && c.cached_at != Some(target) {
+                if self.cfg.cache_fork_points
+                    && c.cached_at != Some(target)
+                    && readable(target, &self.cache.instants(digest), &open)
+                {
                     self.cache.insert(digest, target, c.run.fork());
                     c.cached_at = Some(target);
                 }
@@ -402,6 +427,16 @@ impl WhatIfService {
             })
             .collect();
 
+        // The batch's perturbations are memoized now and never fork again:
+        // drop the snapshots only they would have read.
+        for &digest in &group_order {
+            let open = self.open_targets(digest, &[]);
+            let held = self.cache.instants(digest);
+            for &s in held.iter().filter(|&&s| !readable(s, &held, &open)) {
+                self.cache.remove(digest, s);
+            }
+        }
+
         self.update_counters(&answers, stats_before);
         answers
     }
@@ -440,6 +475,23 @@ impl WhatIfService {
             held = Some((t, run.fork()));
         }
         run.finish()
+    }
+
+    /// The instants open queries on `digest` would fork at: `mark − 1 µs`
+    /// for every perturbation whose base-report divergence mark is above
+    /// zero, that is not memoized (the memo never evicts, so an answered
+    /// perturbation never forks again) and not in `skip`.
+    fn open_targets(&self, digest: u128, skip: &[Perturbation]) -> Vec<SimTime> {
+        let base = &self.bases[&digest];
+        let workers =
+            (0..base.divergence.worker_contended.len() as u32).map(Perturbation::HealthyNode);
+        workers
+            .chain([Perturbation::ZeroControlLatency, Perturbation::NoCkptStalls])
+            .filter(|p| !skip.contains(p) && !self.memo.contains_key(&(digest, *p)))
+            .filter_map(|p| divergence_instant(base, &p))
+            .filter(|&t| t > SimTime::ZERO)
+            .map(fork_instant)
+            .collect()
     }
 
     fn update_counters(&self, answers: &[WhatIfAnswer], before: CacheStats) {

@@ -149,13 +149,33 @@ fn forkable_cfg() -> JobConfig {
     cfg
 }
 
-fn check_batch(service: &mut WhatIfService, queries: &[WhatIfQuery], ctx: &str) {
+/// [`forkable_cfg`] with workers 1 and 2 also contended, from 100 s and
+/// 170 s: its spine keeps a snapshot before each of several marks.
+fn staggered_cfg() -> JobConfig {
+    use antdt::sim::ContentionPhase;
+    let mut cfg = forkable_cfg();
+    for (w, from) in [(1, 100.0), (2, 170.0)] {
+        cfg.cluster.workers[w].profile.phases.push(ContentionPhase::Persistent {
+            delay_secs: 4.0,
+            from: SimTime::from_secs_f64(from),
+            to: SimTime::MAX,
+        });
+    }
+    cfg
+}
+
+fn check_batch(
+    service: &mut WhatIfService,
+    queries: &[WhatIfQuery],
+    ctx: &str,
+) -> Vec<AnswerSource> {
     let answers = service.answer_batch(queries);
     assert_eq!(answers.len(), queries.len(), "{ctx}: one answer per query");
     for (q, a) in queries.iter().zip(&answers) {
         let what = format!("{ctx}: service answer for {:?} vs naive full rerun", q.perturbation);
         assert_same_report(&a.report, &naive(&q.cfg, &q.perturbation), &what);
     }
+    answers.iter().map(|a| a.source).collect()
 }
 
 /// Random batches over the fixture configs, random cache budget (the tiny
@@ -221,16 +241,7 @@ fn marks(base: &JobReport) -> Vec<SimTime> {
 /// cadence the checkpoint mark at 60 s falls exactly on a tick.
 #[test]
 fn spine_caches_the_periodic_predecessor_of_every_mark() {
-    use antdt::sim::ContentionPhase;
-    let mut staggered = forkable_cfg();
-    for (w, from) in [(1, 100.0), (2, 170.0)] {
-        staggered.cluster.workers[w].profile.phases.push(ContentionPhase::Persistent {
-            delay_secs: 4.0,
-            from: SimTime::from_secs_f64(from),
-            to: SimTime::MAX,
-        });
-    }
-    let forkable = [forkable_cfg(), forkable_cfg().with_telemetry(), staggered];
+    let forkable = [forkable_cfg(), forkable_cfg().with_telemetry(), staggered_cfg()];
     let cases = (0..6)
         .map(|i| (fixture(i), 45))
         .chain(forkable.into_iter().flat_map(|cfg| [(cfg.clone(), 45), (cfg, 30)]));
@@ -282,7 +293,7 @@ fn repeated_batches_are_memoized_and_cache_backed() {
     );
     assert!(first.iter().all(|a| a.prefix_events > 0), "forks inherit prefix events");
     let stats = service.cache_stats();
-    assert!(stats.insertions > 0, "spine + fork points must populate the cache");
+    assert!(stats.insertions > 0, "the spine must populate the cache");
 
     let again = service.answer_batch(&queries);
     for (a, b) in first.iter().zip(&again) {
@@ -292,15 +303,15 @@ fn repeated_batches_are_memoized_and_cache_backed() {
     }
 }
 
-/// A cache squeezed below one batch's snapshot footprint evicts — and the
-/// answers still match naive reruns (eviction only costs speed). The plain
-/// config's spine snapshot and fork point fit one at a time but not
-/// together; a telemetry-armed config's snapshots also carry its trace and
-/// flight ring, outgrow the whole budget and are refused. The byte bound
-/// holds either way.
+/// A cache squeezed below one session's snapshot footprint evicts — and
+/// the answers still match naive reruns (eviction only costs speed). The
+/// staggered config's spine keeps a snapshot before each of its marks,
+/// which fit one at a time but not together; a telemetry-armed config's
+/// snapshots also carry its trace and flight ring, outgrow the whole budget
+/// and are refused. The byte bound holds either way.
 #[test]
 fn eviction_under_a_tiny_budget_preserves_answers() {
-    for cfg in [forkable_cfg(), forkable_cfg().with_telemetry()] {
+    for cfg in [staggered_cfg(), forkable_cfg().with_telemetry()] {
         let ctx = format!("24 KiB budget, telemetry {}", cfg.telemetry);
         let queries: Vec<WhatIfQuery> = (0..4)
             .map(|w| WhatIfQuery { cfg: cfg.clone(), perturbation: Perturbation::HealthyNode(w) })
@@ -318,6 +329,123 @@ fn eviction_under_a_tiny_budget_preserves_answers() {
             "{ctx}: must have forced evictions or oversize rejections: {stats:?}"
         );
         assert!(service.cache_bytes() <= budget, "{ctx}: the byte bound must hold");
+    }
+}
+
+/// The fork targets a query on `base` can still read: `mark - 1 us` for
+/// every perturbation with a mark above zero that is not in `answered`.
+fn open_targets(base: &JobReport, answered: &[Perturbation]) -> Vec<u64> {
+    let d = &base.divergence;
+    let workers = d.worker_contended.iter().enumerate();
+    workers
+        .map(|(n, m)| (Perturbation::HealthyNode(n as u32), *m))
+        .chain([
+            (Perturbation::ZeroControlLatency, d.control_modeled),
+            (Perturbation::NoCkptStalls, d.ckpt_stall),
+        ])
+        .filter(|(p, _)| !answered.contains(p))
+        .filter_map(|(_, m)| m.filter(|&m| m > SimTime::ZERO))
+        .map(|m| m.as_micros() - 1)
+        .collect()
+}
+
+/// The instants `service` holds snapshots of `cfg` at, ascending.
+fn instants(service: &WhatIfService, cfg: &JobConfig) -> Vec<u64> {
+    service.snapshot_instants(cfg).iter().map(|t| t.as_micros()).collect()
+}
+
+/// The nearest instant of `held` (ascending) at or before `t`.
+fn nearest(held: &[u64], t: u64) -> Option<u64> {
+    held.iter().rev().find(|&&s| s <= t).copied()
+}
+
+/// The snapshot cache holds exactly what a later query can read. Seeded
+/// multi-batch sessions over three forkable configs — cold, fork and
+/// repeat batches mixed, a budget nothing is evicted from — at 30 s and
+/// 45 s spines: after every batch each held snapshot is the nearest
+/// predecessor of an open target, no open target's nearest predecessor
+/// moved earlier (nothing readable was dropped), a config with no open
+/// target holds nothing, and every answer equals its naive rerun.
+#[test]
+fn the_cache_holds_only_snapshots_an_open_query_reads() {
+    let cfgs = [forkable_cfg(), staggered_cfg(), staggered_cfg().with_seed(12)];
+    let perts: Vec<Perturbation> = (0..4)
+        .map(Perturbation::HealthyNode)
+        .chain([Perturbation::ZeroControlLatency, Perturbation::NoCkptStalls])
+        .collect();
+    for (seed, secs) in [(0, 30), (1, 45)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut service = WhatIfService::new(ServiceConfig {
+            cache_budget_bytes: 1 << 30,
+            spine_every: SimDuration::from_secs(secs),
+            cache_fork_points: true,
+        });
+        let mut answered: Vec<Vec<Perturbation>> = vec![Vec::new(); cfgs.len()];
+        let mut seen = [false; 3];
+        let mut sources = Vec::new();
+        let mut most_held = 0;
+        let mut picks: Vec<(usize, Perturbation)> = Vec::new();
+        for batch in 0..12 {
+            let ctx = format!("spine {secs} s, batch {batch}");
+            // Every third batch repeats the one before it.
+            if batch % 3 != 2 {
+                picks = (0..rng.gen_range(1..5u32))
+                    .map(|_| (rng.gen_range(0..cfgs.len()), perts[rng.gen_range(0..perts.len())]))
+                    .collect();
+            }
+            let queries: Vec<WhatIfQuery> = picks
+                .iter()
+                .map(|&(c, perturbation)| WhatIfQuery { cfg: cfgs[c].clone(), perturbation })
+                .collect();
+            let before: Vec<Vec<(u64, Option<u64>)>> = (0..cfgs.len())
+                .map(|c| {
+                    if !seen[c] {
+                        return Vec::new();
+                    }
+                    let held = instants(&service, &cfgs[c]);
+                    let open = open_targets(service.base_report(&cfgs[c]), &answered[c]);
+                    open.into_iter().map(|t| (t, nearest(&held, t))).collect()
+                })
+                .collect();
+            sources.extend(check_batch(&mut service, &queries, &ctx));
+            for &(c, p) in &picks {
+                seen[c] = true;
+                if !answered[c].contains(&p) {
+                    answered[c].push(p);
+                }
+            }
+            for (c, cfg) in cfgs.iter().enumerate() {
+                let held = instants(&service, cfg);
+                if !seen[c] {
+                    assert!(held.is_empty(), "{ctx}: config {c} was never queried");
+                    continue;
+                }
+                let open = open_targets(service.base_report(cfg), &answered[c]);
+                for &s in &held {
+                    assert!(
+                        open.iter().any(|&t| nearest(&held, t) == Some(s)),
+                        "{ctx}: config {c} holds {s} us, which no open target {open:?} reads"
+                    );
+                }
+                for &(t, pred) in &before[c] {
+                    if open.contains(&t) {
+                        assert!(
+                            nearest(&held, t) >= pred,
+                            "{ctx}: config {c} dropped {pred:?}, the predecessor of open {t} us"
+                        );
+                    }
+                }
+                if open.is_empty() {
+                    assert!(held.is_empty(), "{ctx}: config {c} has no open target");
+                }
+                most_held = most_held.max(held.len());
+            }
+        }
+        // The session exercised every path the invariants guard.
+        for want in [AnswerSource::Memo, AnswerSource::Forked { from_cache: true }] {
+            assert!(sources.contains(&want), "spine {secs} s: no {want:?} answer in {sources:?}");
+        }
+        assert!(most_held > 1, "spine {secs} s: the cache never held two snapshots of a config");
     }
 }
 
