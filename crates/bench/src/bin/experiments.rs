@@ -8,7 +8,7 @@
 //! experiments all             # everything, in paper order
 //! experiments list            # show the registry
 //! experiments --out DIR <id>  # additionally write each report to DIR/<id>.txt
-//! experiments --jobs N <id>   # run on N pool threads (1 = fully serial)
+//! experiments --jobs N <id>   # run on N threads (1 = fully serial)
 //! experiments --only a,b all  # restrict `all` to the listed ids
 //! ```
 

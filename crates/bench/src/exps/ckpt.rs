@@ -75,8 +75,8 @@ fn label(mode: FailoverMode) -> &'static str {
 }
 
 /// Run the kill plan at every interval in `fractions` (of the fault-free JCT)
-/// under both worker policies, `reps` times each, fanned out on the
-/// experiment pool. Returns the fault-free probe and the points, the `replay`
+/// under both worker policies, `reps` times each, fanned out with
+/// `par_map`. Returns the fault-free probe and the points, the `replay`
 /// arm first, each arm in grid order.
 fn sweep(fractions: &[f64], reps: usize) -> (JobReport, Vec<Point>) {
     // The fault-free twin anchors the kill instants, the interval grid and

@@ -51,7 +51,7 @@ pub fn controlbus() -> String {
         "wall".into(),
     ]];
     let mut json_sweep = String::new();
-    // Fan the sweep points out on the experiment pool; each point is an
+    // Fan the sweep points out with `par_map`; each point is an
     // independent deterministic simulation. The latency-0 baseline is read
     // back from the collected results (order is preserved), so the rendered
     // rows are identical to the serial sweep.

@@ -18,7 +18,7 @@ pub fn fig15() -> String {
     {
         let name = model.name;
         // The three methods are independent runs on the same cluster: fan
-        // them out on the experiment pool.
+        // them out with `par_map`.
         let configs = vec![
             imagenet_job(model.clone(), membound),
             imagenet_job(model.clone(), membound).with_mitigation(MitigationChoice::LbBsp),
@@ -198,27 +198,35 @@ pub fn fig19() -> String {
 pub fn tab3() -> String {
     let mut out =
         header("tab3", "JCT under AntDT-ND and BSP, varying straggler intensity (paper Table III)");
+    let intensities = [0.1f64, 0.3, 0.5, 0.8];
     let seeds = [1u64, 2, 3];
-    // Each seed is an independent deterministic run; fan them out on the
-    // experiment pool. `par_map` preserves input order, so the mean/std see
-    // the same sequence as a serial sweep.
-    let cell = |scenario: Scenario, m: MitigationChoice| -> (f64, f64) {
-        let jcts = antdt_par::par_map(seeds.to_vec(), |s| {
-            Job::run(criteo_job(scenario).with_mitigation(m.clone()).with_seed(s)).jct.as_secs_f64()
-        });
-        mean_std(&jcts)
-    };
+    // All 48 runs (side × SI × method × seed) are independent and
+    // deterministic: fan them out in one call, so no thread idles while a
+    // cell finishes its last seed. `par_map` preserves input order, so each
+    // cell's mean/std see the same sequence as a serial sweep.
+    let mut runs = Vec::new();
     for side in ["worker", "server"] {
-        let _ = writeln!(out, "  {side} stragglers:");
-        let mut rows = vec![vec!["SI".into(), "BSP".into(), "AntDT-ND".into(), "speedup".into()]];
-        for si in [0.1f64, 0.3, 0.5, 0.8] {
+        for si in intensities {
             let scenario = if side == "worker" {
                 Scenario::WorkerMix { intensity: si }
             } else {
                 Scenario::ServerPersistent { intensity: si }
             };
-            let (b_m, b_s) = cell(scenario, MitigationChoice::None);
-            let (n_m, n_s) = cell(scenario, MitigationChoice::AntDtNd);
+            for m in [MitigationChoice::None, MitigationChoice::AntDtNd] {
+                runs.extend(seeds.map(|s| (scenario, m.clone(), s)));
+            }
+        }
+    }
+    let jcts = antdt_par::par_map(runs, |(scenario, m, s)| {
+        Job::run(criteo_job(scenario).with_mitigation(m).with_seed(s)).jct.as_secs_f64()
+    });
+    let mut cells = jcts.chunks(seeds.len()).map(mean_std);
+    for side in ["worker", "server"] {
+        let _ = writeln!(out, "  {side} stragglers:");
+        let mut rows = vec![vec!["SI".into(), "BSP".into(), "AntDT-ND".into(), "speedup".into()]];
+        for si in intensities {
+            let (b_m, b_s) = cells.next().expect("a BSP cell per side and SI");
+            let (n_m, n_s) = cells.next().expect("an AntDT-ND cell per side and SI");
             rows.push(vec![
                 format!("{si:.1}"),
                 format!("{b_m:.0}s±{b_s:.0}s"),

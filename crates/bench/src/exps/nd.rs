@@ -14,7 +14,7 @@ fn fig10_runs(worker_side: bool) -> Vec<(&'static str, JobReport)> {
         Scenario::ServerPersistent { intensity: SERVER_SI }
     };
     // Four independent runs of the same scenario under different mitigations:
-    // fan them out on the experiment pool (order-preserving, so the table and
+    // fan them out with `par_map` (order-preserving, so the table and
     // the AntDT baseline row are unchanged).
     let methods = vec![
         ("BSP", MitigationChoice::None),

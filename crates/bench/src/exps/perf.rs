@@ -82,8 +82,8 @@ pub fn perf() -> String {
     }
     out.push_str(&table(&rows));
 
-    // -- 2. Serial vs parallel `experiments all`: the full suite once on the
-    //    pool and once forced serial, both under a frozen wall so every
+    // -- 2. Serial vs parallel `experiments all`: the full suite once fanned
+    //    out and once forced serial, both under a frozen wall so every
     //    embedded wall-time figure renders as 0 and the two report strings
     //    can be compared byte for byte. The speedup itself is measured by
     //    this harness's own (unfrozen) stopwatch around each pass.

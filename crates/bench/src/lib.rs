@@ -69,7 +69,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
 const EXCLUDED_FROM_ALL: [&str; 1] = ["perf"];
 
 /// Run everything (minus the ids excluded from `all`), fanned out on the
-/// [`antdt_par`] pool. Per-id outputs are stitched back in registry order, so
+/// [`antdt_par`] fan-out. Per-id outputs are stitched back in registry order, so
 /// the result is byte-identical to a serial pass. `only` restricts the set to
 /// the listed ids (the `--only` flag of the `experiments` binary); registry
 /// order still governs.

@@ -21,7 +21,7 @@ pub fn wall_frozen() -> bool {
 }
 
 /// Run `f` with the wall clock frozen. The freeze is global (worker threads
-/// of the experiment pool must observe it), so frozen sections should not be
+/// of the experiment fan-out must observe it), so frozen sections should not be
 /// run concurrently with sections that want real timings.
 pub fn freeze_wall<R>(f: impl FnOnce() -> R) -> R {
     struct Unfreeze;

@@ -200,8 +200,8 @@ impl ChaosDriver {
         }
     }
 
-    /// Drill the full plan × policy matrix, fanning the cells out on the
-    /// [`antdt_par`] experiment pool. Every cell is an independent
+    /// Drill the full plan × policy matrix, fanning the cells out with
+    /// [`antdt_par::par_map`]. Every cell is an independent
     /// deterministic simulation, so the report is bit-for-bit identical to
     /// [`ChaosDriver::run_serial`] — the parity tests assert it.
     pub fn run(&self) -> MatrixReport {
@@ -213,7 +213,7 @@ impl ChaosDriver {
         MatrixReport { drills }
     }
 
-    /// [`ChaosDriver::run`] without the pool: the serial reference used by the
+    /// [`ChaosDriver::run`] without the fan-out: the serial reference used by the
     /// byte-parity assertions.
     pub fn run_serial(&self) -> MatrixReport {
         let mut drills = Vec::new();

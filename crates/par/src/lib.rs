@@ -1,301 +1,41 @@
-//! # antdt-par — the parallel execution fabric
+//! # antdt-par — ordered fan-out for the experiment fabric
 //!
-//! A hand-rolled, fixed-size, work-stealing thread pool built on
-//! `std::thread` + channels only (the offline registry forbids rayon), plus a
-//! process-global pool behind [`par_map`]. The one primitive the experiment
-//! harness needs is *ordered fan-out*: run `f` over every item of a `Vec`,
-//! possibly on many threads, and hand back the results **in input order**.
+//! The one primitive the experiment harness needs: [`par_map`] runs `f` over
+//! every item of a `Vec` on up to [`jobs`] threads and hands back the
+//! results **in input order**. std only (the offline registry has no rayon).
 //!
-//! Design notes:
-//!
-//! - **Work stealing.** Each worker owns a deque; tasks submitted *from* a
-//!   worker (a nested [`par_map`] inside a running task) push onto that
-//!   worker's own deque (LIFO for locality), idle workers steal from the
-//!   front (FIFO), and external submissions land on a shared injector queue.
-//! - **Caller helps.** The thread that called [`par_map`] does not block on a
-//!   condvar while its results are outstanding — it pops and executes pool
-//!   tasks itself. This is what makes *nested* `par_map` deadlock-free on a
-//!   saturated pool: every waiting thread is also an executor.
-//! - **Panic isolation.** Every task runs under `catch_unwind`; one
-//!   panicking task cannot poison its siblings. [`try_par_map`] surfaces
-//!   per-task results, [`par_map`] re-raises the first panic *after* all
-//!   tasks have finished (so no task can touch borrowed data after the call
-//!   returns).
-//! - **Determinism.** The pool changes *where* and *when* tasks run, never
-//!   *what* they compute, and results are reassembled by input index. A
-//!   caller whose tasks are independent deterministic functions (every AntDT
-//!   simulation is: one seeded RNG per job, no shared mutable state) gets
-//!   byte-identical output to a serial loop — asserted by the `perf` bench
-//!   and the parity tests in `antdt-bench`.
-//!
-//! `--jobs 1` (or [`with_serial`]) short-circuits to an inline serial loop on
-//! the calling thread: no pool, no threads, the degenerate mode.
+//! - **Scoped fan-out.** A call spawns at most `jobs() − 1` threads inside a
+//!   `std::thread::scope`, and the calling thread works alongside them. Each
+//!   thread claims the next input index from one atomic counter and fills
+//!   that input's slot. The scope joins every thread before the call
+//!   returns, so `f` and the items may borrow from the caller.
+//! - **Nested calls run inline.** A call made inside a fan-out's item,
+//!   inside [`with_serial`], or with `jobs() == 1` is a serial loop on its
+//!   own thread (the same code, with no thread spawned). The thread count
+//!   never exceeds `jobs()` and nesting cannot deadlock.
+//! - **Panic isolation.** Every item runs under `catch_unwind`; [`par_map`]
+//!   re-raises the first panic (by input order) after every item finished.
+//! - **Determinism.** Every AntDT simulation is a deterministic function of
+//!   its item, so the output is byte-identical to a serial loop (asserted by
+//!   the parity tests in `antdt-bench`).
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
-
-/// A type-erased unit of work. Tasks are `'static` from the pool's point of
-/// view; `try_par_map` erases shorter lifetimes and guarantees (by joining
-/// all tasks before returning) that no task outlives its borrows.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Distinguishes pools so a worker of pool A never treats itself as a worker
-/// of pool B (e.g. a test pool nested under the global pool).
-static POOL_IDS: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(pool id, worker index)` when the current thread is a pool worker.
-    static WORKER: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
-
-struct Shared {
-    id: u64,
-    /// External submissions (from non-worker threads).
-    injector: Mutex<VecDeque<Task>>,
-    /// Per-worker deques: owner pushes/pops the back, thieves pop the front.
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Bumped on every submit; workers sleep only while it is unchanged.
-    ticket: Mutex<u64>,
-    available: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    /// Queue `task`, preferring the submitting worker's own deque.
-    fn submit(&self, task: Task) {
-        match WORKER.with(Cell::get) {
-            Some((id, w)) if id == self.id => {
-                self.locals[w].lock().expect("pool lock").push_back(task)
-            }
-            _ => self.injector.lock().expect("pool lock").push_back(task),
-        }
-        *self.ticket.lock().expect("pool lock") += 1;
-        self.available.notify_all();
-    }
-
-    /// Pop one runnable task: own deque (LIFO), then the injector, then steal
-    /// from the other workers (FIFO), scanning from the neighbour so thieves
-    /// spread out instead of all hitting worker 0.
-    fn find_task(&self) -> Option<Task> {
-        let me = match WORKER.with(Cell::get) {
-            Some((id, w)) if id == self.id => Some(w),
-            _ => None,
-        };
-        if let Some(w) = me {
-            if let Some(t) = self.locals[w].lock().expect("pool lock").pop_back() {
-                return Some(t);
-            }
-        }
-        if let Some(t) = self.injector.lock().expect("pool lock").pop_front() {
-            return Some(t);
-        }
-        let n = self.locals.len();
-        let start = me.map_or(0, |w| w + 1);
-        for k in 0..n {
-            let j = (start + k) % n;
-            if Some(j) == me {
-                continue;
-            }
-            if let Some(t) = self.locals[j].lock().expect("pool lock").pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
-fn worker_main(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.id, index))));
-    let mut seen = 0u64;
-    loop {
-        if let Some(task) = shared.find_task() {
-            task();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let guard = shared.ticket.lock().expect("pool lock");
-        if *guard == seen {
-            // Timed wait as a lost-wakeup backstop; the ticket check is the
-            // real protocol.
-            let (guard, _) =
-                shared.available.wait_timeout(guard, Duration::from_millis(1)).expect("pool lock");
-            seen = *guard;
-        } else {
-            seen = *guard;
-        }
-    }
-}
-
-/// A fixed-size work-stealing thread pool. Dropping it shuts the workers
-/// down (after they drain whatever is already queued is *not* guaranteed —
-/// join all your `par_map` calls first; `par_map` always joins).
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawn `threads` workers (`threads` is clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            ticket: Mutex::new(0),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("antdt-par-{i}"))
-                    .spawn(move || worker_main(shared, i))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        ThreadPool { shared, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.shared.locals.len()
-    }
-
-    /// Fan `f` out over `items` and return per-task results **in input
-    /// order**; a panicking task yields `Err(payload)` in its slot while the
-    /// rest complete normally.
-    pub fn try_par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<std::thread::Result<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut results: Vec<Option<std::thread::Result<R>>> = Vec::new();
-        results.resize_with(n, || None);
-
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-        let fref = &f;
-        for (i, item) in items.into_iter().enumerate() {
-            let tx = tx.clone();
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| fref(item)));
-                // The receiver lives until all n results arrive, so this
-                // send cannot fail.
-                let _ = tx.send((i, r));
-            });
-            // SAFETY: the join loop below does not return until all `n`
-            // tasks have sent their result, and every task sends exactly
-            // once (the send sits after the catch_unwind, so a panicking
-            // task still reports). No task can therefore outlive the
-            // borrows (`items`, `f`) captured in this frame, which is the
-            // sole obligation of pretending the closure is 'static.
-            let task: Task =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
-            self.shared.submit(task);
-        }
-        drop(tx);
-
-        let mut done = 0usize;
-        while done < n {
-            match rx.try_recv() {
-                Ok((i, r)) => {
-                    results[i] = Some(r);
-                    done += 1;
-                }
-                Err(TryRecvError::Empty) => {
-                    // Caller helps: execute a queued task instead of
-                    // blocking. With every waiter also an executor, a
-                    // nested par_map on a saturated pool still progresses.
-                    if let Some(task) = self.shared.find_task() {
-                        task();
-                    } else {
-                        match rx.recv_timeout(Duration::from_micros(200)) {
-                            Ok((i, r)) => {
-                                results[i] = Some(r);
-                                done += 1;
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        results.into_iter().map(|r| r.expect("every task delivers exactly one result")).collect()
-    }
-
-    /// [`ThreadPool::try_par_map`] with panic propagation: all tasks run to
-    /// completion, then the first panic (by input order) is re-raised.
-    pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        collect_or_panic(self.try_par_map(items, f))
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        *self.shared.ticket.lock().expect("pool lock") += 1;
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn collect_or_panic<R>(results: Vec<std::thread::Result<R>>) -> Vec<R> {
-    let mut out = Vec::with_capacity(results.len());
-    let mut first_panic = None;
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                first_panic.get_or_insert(p);
-            }
-        }
-    }
-    if let Some(p) = first_panic {
-        resume_unwind(p);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The process-global pool
-// ---------------------------------------------------------------------------
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// 0 = unset (use the machine's available parallelism).
 static CONFIGURED_JOBS: AtomicUsize = AtomicUsize::new(0);
-static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 thread_local! {
-    /// Forces the global [`par_map`] into the inline serial path on this
-    /// thread (and, transitively, on everything it calls — serial execution
-    /// never leaves the thread).
+    /// Forces every [`par_map`] on this thread into the inline serial loop:
+    /// set inside [`with_serial`] and while a thread runs fan-out items.
     static FORCE_SERIAL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Set the global pool size. Call before the first global [`par_map`]; once
-/// the pool is built its thread count is fixed and later calls only affect
-/// what [`jobs`] reports. `1` disables the pool entirely (inline serial).
+/// Set the number of threads a top-level [`par_map`] runs on, the calling
+/// thread included. It takes effect from the next call. `1` runs every call
+/// inline on the calling thread.
 pub fn configure_jobs(n: usize) {
     CONFIGURED_JOBS.store(n.max(1), Ordering::SeqCst);
 }
@@ -309,57 +49,109 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Run `f` with the global [`par_map`] forced serial on this thread —
-/// the reference runs for the parity assertions.
+/// Run `f` with every [`par_map`] on this thread inline — the reference
+/// runs for the parity assertions.
 pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
-    FORCE_SERIAL.with(|s| s.set(true));
-    let r = f();
-    FORCE_SERIAL.with(|s| s.set(false));
-    r
+    /// Puts back the flag `with_serial` found, on return and on unwind, so
+    /// an inner call cannot un-serialise its outer scope and a panic cannot
+    /// leave the thread serial.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCE_SERIAL.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(FORCE_SERIAL.with(|s| s.replace(true)));
+    f()
 }
 
-fn serial_try_map<T, R, F>(items: Vec<T>, f: F) -> Vec<std::thread::Result<R>>
-where
-    F: Fn(T) -> R,
-{
-    items.into_iter().map(|item| catch_unwind(AssertUnwindSafe(|| f(item)))).collect()
-}
-
-/// Ordered fan-out over the global pool. Inline serial when the effective
-/// job count is 1 or inside [`with_serial`]; otherwise the work-stealing
-/// pool (lazily built at the configured size) runs the tasks and the caller
-/// helps until every result is home.
+/// Ordered fan-out on [`jobs`] threads: the results of `f` over `items`, in
+/// input order. Inline on the calling thread inside a fan-out, inside
+/// [`with_serial`] or when `jobs() == 1`. If any item panics, every item
+/// still runs and then the first panic by input order is re-raised.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    collect_or_panic(try_par_map(items, f))
+    collect_or_panic(try_par_map(jobs(), items, f))
 }
 
-/// [`par_map`] with per-task results instead of panic propagation.
-pub fn try_par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<std::thread::Result<R>>
+/// The fan-out behind [`par_map`] on `threads` threads (the caller counts
+/// as one), with per-item results instead of panic propagation.
+fn try_par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<std::thread::Result<R>>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if FORCE_SERIAL.with(Cell::get) || jobs() == 1 {
-        return serial_try_map(items, f);
-    }
-    GLOBAL.get_or_init(|| ThreadPool::new(jobs())).try_par_map(items, f)
+    let threads = if FORCE_SERIAL.with(Cell::get) { 1 } else { threads.min(items.len()) };
+    // One slot per input: its item until a thread claims it, then its result.
+    let slots: Vec<_> = items.into_iter().map(|t| Mutex::new((Some(t), None))).collect();
+    let next = AtomicUsize::new(0);
+    // Relaxed: the counter publishes nothing; slot locks and the join do.
+    let work = || {
+        with_serial(|| {
+            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let item = slot.lock().expect("slot lock").0.take().expect("index claimed once");
+                let result = catch_unwind(AssertUnwindSafe(|| f(item)));
+                slot.lock().expect("slot lock").1 = Some(result);
+            }
+        })
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot lock").1.expect("every item ran"))
+        .collect()
+}
+
+/// Unwraps every result, or re-raises the first panic by input order.
+fn collect_or_panic<R>(results: Vec<std::thread::Result<R>>) -> Vec<R> {
+    results.into_iter().collect::<std::thread::Result<_>>().unwrap_or_else(|p| resume_unwind(p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    fn map<T: Send, R: Send>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        collect_or_panic(try_par_map(threads, items, f))
+    }
+
+    fn serial_flag() -> bool {
+        FORCE_SERIAL.with(Cell::get)
+    }
+
+    /// SplitMix64. The crate is a std-only leaf with no workspace
+    /// dependencies, dev-dependencies included, so its tests carry their
+    /// own generator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        /// A draw from `lo..hi` (modulo bias is irrelevant at these spans).
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            lo + ((z ^ (z >> 31)) % (hi - lo) as u64) as i64
+        }
+    }
 
     #[test]
     fn results_come_back_in_input_order() {
-        let pool = ThreadPool::new(4);
         // Reverse sleeps: later items finish first, order must still hold.
-        let out = pool.par_map((0..64u64).collect(), |i| {
+        let out = map(4, (0..64u64).collect(), |i| {
             std::thread::sleep(Duration::from_micros(500 - i.min(500) * 7));
             i * i
         });
@@ -368,30 +160,26 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let pool = ThreadPool::new(2);
-        let out: Vec<u32> = pool.par_map(Vec::<u32>::new(), |x| x);
+        let out: Vec<u32> = map(2, Vec::<u32>::new(), |x| x);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn single_thread_pool_degenerates_gracefully() {
-        let pool = ThreadPool::new(1);
-        let out = pool.par_map(vec![3, 1, 4, 1, 5], |x| x * 2);
+    fn single_thread_degenerates_gracefully() {
+        let out = map(1, vec![3, 1, 4, 1, 5], |x| x * 2);
         assert_eq!(out, vec![6, 2, 8, 2, 10]);
     }
 
     #[test]
     fn borrowed_state_is_visible_to_tasks() {
-        let pool = ThreadPool::new(3);
         let base = [10u64, 20, 30];
-        let out = pool.par_map(vec![0usize, 1, 2], |i| base[i] + 1);
+        let out = map(3, vec![0usize, 1, 2], |i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
     }
 
     #[test]
     fn one_panicking_task_does_not_poison_siblings() {
-        let pool = ThreadPool::new(4);
-        let results = pool.try_par_map((0..8u32).collect(), |i| {
+        let results = try_par_map(4, (0..8u32).collect(), |i| {
             if i == 3 {
                 panic!("task {i} exploded");
             }
@@ -411,11 +199,9 @@ mod tests {
 
     #[test]
     fn par_map_surfaces_the_panic_after_all_tasks_finish() {
-        use std::sync::atomic::AtomicU32;
-        let pool = ThreadPool::new(2);
         let completed = AtomicU32::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map((0..8u32).collect(), |i| {
+            map(2, (0..8u32).collect(), |i| {
                 if i == 0 {
                     panic!("boom");
                 }
@@ -428,21 +214,75 @@ mod tests {
     }
 
     #[test]
-    fn nested_par_map_does_not_deadlock_on_a_saturated_pool() {
-        // 2 threads, 8 outer tasks each fanning out 8 inner tasks: strictly
-        // more blocked joins than workers. Caller-helping must keep it live.
-        let pool = Arc::new(ThreadPool::new(2));
-        let p = Arc::clone(&pool);
-        let out = pool.par_map((0..8u64).collect(), move |i| {
-            p.par_map((0..8u64).collect(), |j| i * 10 + j).iter().sum::<u64>()
+    fn nested_fan_out_completes_with_more_tasks_than_threads() {
+        // 2 threads, 8 outer tasks each fanning out 8 inner tasks.
+        let out = map(2, (0..8u64).collect(), |i| {
+            map(2, (0..8u64).collect(), |j| i * 10 + j).iter().sum::<u64>()
         });
         let expect: Vec<u64> = (0..8u64).map(|i| (0..8u64).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(out, expect);
     }
 
     #[test]
+    fn a_nested_call_runs_on_the_calling_thread() {
+        let out = map(3, (0..6u32).collect(), |_| {
+            let outer = std::thread::current().id();
+            let inner: Vec<ThreadId> = map(3, (0..6u32).collect(), |_| std::thread::current().id());
+            inner.iter().all(|&id| id == outer)
+        });
+        assert!(
+            out.iter().all(|&inline| inline),
+            "every inner item ran on its outer item's thread"
+        );
+    }
+
+    #[test]
     fn with_serial_forces_the_inline_path() {
-        let out = with_serial(|| par_map(vec![1u8, 2, 3], |x| x + 1));
-        assert_eq!(out, vec![2, 3, 4]);
+        let caller = std::thread::current().id();
+        let out =
+            with_serial(|| par_map(vec![1u8, 2, 3], |x| (x + 1, std::thread::current().id())));
+        assert_eq!(out, vec![(2, caller), (3, caller), (4, caller)]);
+    }
+
+    #[test]
+    fn a_nested_with_serial_keeps_the_outer_scope_serial() {
+        with_serial(|| {
+            with_serial(|| ());
+            assert!(serial_flag(), "the inner call put the outer scope's flag back");
+        });
+        assert!(!serial_flag());
+    }
+
+    #[test]
+    fn a_panic_inside_with_serial_does_not_leave_the_thread_serial() {
+        let caught = catch_unwind(|| with_serial(|| panic!("inside with_serial")));
+        assert!(caught.is_err());
+        assert!(!serial_flag(), "the unwind put the flag back");
+    }
+
+    #[test]
+    fn par_map_equals_serial_map() {
+        for seed in 0..256 {
+            let mut rng = SplitMix(seed);
+            let items: Vec<i64> =
+                (0..rng.range(0, 200)).map(|_| rng.range(-1_000_000, 1_000_000)).collect();
+            let threads = rng.range(1, 6) as usize;
+            let (mul, add) = (rng.range(-3, 4), rng.range(-100, 100));
+            let f = |x: i64| x.wrapping_mul(mul).wrapping_add(add);
+            let expect: Vec<i64> = items.iter().copied().map(f).collect();
+            assert_eq!(map(threads, items, f), expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn global_par_map_equals_serial_map() {
+        for seed in 0..256 {
+            let mut rng = SplitMix(seed);
+            let items: Vec<u32> =
+                (0..rng.range(0, 200)).map(|_| rng.range(0, 5_000_000) as u32).collect();
+            let f = |x: u32| u64::from(x) * 7 + 1;
+            let expect: Vec<u64> = items.iter().copied().map(f).collect();
+            assert_eq!(par_map(items, f), expect, "seed {seed}");
+        }
     }
 }

@@ -40,7 +40,7 @@
 //! from that trace's report; other non-forkable edits full-rerun. Within a
 //! group, the last forkable query takes the shared prefix itself rather
 //! than a copy. Suffix finishes and those full reruns fan out over the
-//! `antdt-par` work-stealing pool in input order, so every answer is
+//! `antdt-par` fan-out in input order, so every answer is
 //! **byte-identical** to a serial full rerun of the perturbed config — the
 //! differential tests and the `whatif` bench assert this via
 //! `JobReport::golden_dump`. A fork carries the telemetry its prefix

@@ -33,14 +33,22 @@ for crate in monitor controller agent; do
         fail "crates/$crate depends on antdt-core (component crates are leaves)"
     fi
 done
-# antdt-par is the pool under the whole experiment fabric: it must stay a
+# antdt-par is the fan-out under the whole experiment fabric: it must stay a
 # std-only leaf (no workspace crates, no external deps) so nothing above it
 # can leak back in and every layer may use it freely.
 if grep -En '^\s*antdt-' crates/par/Cargo.toml >/dev/null; then
-    fail "crates/par depends on a workspace crate (the pool is a std-only leaf)"
+    fail "crates/par depends on a workspace crate (the fan-out is a std-only leaf)"
+fi
+# Its scoped fan-out joins every thread before returning and hands results
+# back through one slot per input, so it needs no lifetime erasure, no
+# sleep/wake protocol and no channel.
+hits=$(grep -REn '\b(unsafe|Condvar|mpsc)\b' crates/par/src || true)
+if [ -n "$hits" ]; then
+    fail "unsafe, Condvar or mpsc in crates/par (the scoped fan-out needs none):
+$hits"
 fi
 # antdt-ckpt is the snapshot/cost-model leaf shared by the runtime and the
-# controller: like the pool it must stay std-only (dev-deps excluded) so a
+# controller: like antdt-par it must stay std-only (dev-deps excluded) so a
 # checkpoint format change can never drag runtime types into the leaves.
 if sed -n '/^\[dependencies\]/,/^\[/p' crates/ckpt/Cargo.toml \
     | grep -E '^\s*[a-zA-Z]' >/dev/null; then
