@@ -5,7 +5,7 @@ use super::{criteo_job, WORKER_SI};
 use crate::util::{header, secs, table};
 use antdt_controller::solve::AffineCost;
 use antdt_controller::{grad_accum_allocation, minmax_batch_allocation, Eq4Class, Eq4Config};
-use antdt_core::{ExecutionMode, Job, JobConfig, JobReport, MitigationChoice};
+use antdt_core::{ExecutionMode, Job, JobConfig, MitigationChoice};
 use antdt_sim::SimDuration;
 use antdt_workloads::{ctr, CtrConfig, Scenario};
 use std::fmt::Write;
@@ -153,7 +153,7 @@ pub fn ablate() -> String {
             lambda,
             ..Default::default()
         });
-        (lambda, antdt_core_run_with(cfg, Box::new(nd)))
+        (lambda, antdt_core::run_with_policy(cfg, Box::new(nd)))
     });
     for (lambda, r) in lambda_runs {
         rows.push(vec![format!("{lambda:.1}"), secs(r.jct.as_secs_f64()), r.n_kills().to_string()]);
@@ -212,14 +212,6 @@ pub fn ablate() -> String {
     out.push_str(&table(&rows));
 
     out
-}
-
-/// Run a job with an explicitly constructed policy (used by the lambda sweep).
-fn antdt_core_run_with(
-    cfg: JobConfig,
-    policy: Box<dyn antdt_controller::MitigationPolicy>,
-) -> JobReport {
-    antdt_core::ps_run_with_policy(cfg, policy)
 }
 
 /// Chaos-drill matrix (antdt-chaos): deterministic fault plans × mitigation

@@ -17,7 +17,7 @@
 //!   fault rate.
 //!
 //! The runtime side (capture, staged restore, replay through the
-//! `SyncStrategy` drivers) lives in `antdt-core`'s `runtime/ckpt.rs`; this
+//! strategy drivers) lives in `antdt-core`'s `runtime/ckpt.rs`; this
 //! crate is pure model + math so it can also back offline what-if analyses.
 
 mod drain;

@@ -28,6 +28,35 @@ pub enum Arch {
     AllReduce,
 }
 
+impl Arch {
+    /// Whether the job runs on parameter servers. Only a PS job books work
+    /// on servers, checkpoints, and charges the DDS fetch round-trip per
+    /// `report_done` (a ring round folds it into the round).
+    pub(crate) fn is_ps(self) -> bool {
+        matches!(self, Arch::ParameterServer { .. })
+    }
+
+    /// The `runtime` label on every telemetry metric.
+    pub(crate) fn runtime_label(self) -> &'static str {
+        if self.is_ps() {
+            "ps"
+        } else {
+            "allreduce"
+        }
+    }
+
+    /// `RngPool::stream2(family, i)` keys worker `i`'s jitter stream; each
+    /// runtime family keeps its historical assignment so same-seed runs
+    /// reproduce pre-kernel traces.
+    pub(crate) fn worker_stream_family(self) -> u64 {
+        if self.is_ps() {
+            11
+        } else {
+            21
+        }
+    }
+}
+
 /// How training data is handed to workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataStrategy {
@@ -64,7 +93,7 @@ pub enum MitigationChoice {
 /// A *server* kill recovers the same way under either mode: its parameter
 /// shard is gone, so the replacement reads the last durable `antdt-ckpt`
 /// snapshot back at storage-tier speed, the DDS queue is rewound to it and
-/// the lost work replays through the real `SyncStrategy` drivers.
+/// the lost work replays through the real strategy drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverMode {
     /// AntDT: servers keep the parameters; only the dead worker's DOING shards
@@ -420,7 +449,7 @@ impl JobConfig {
     /// Validate cross-field invariants; panics with a clear message on misuse.
     pub fn validate(&self) {
         assert!(self.cluster.n_workers() > 0, "need at least one worker");
-        if let Arch::ParameterServer { .. } = self.arch {
+        if self.arch.is_ps() {
             assert!(self.cluster.n_servers() > 0, "PS architecture needs servers");
         }
         // Each worker's local batch is B/n: below one sample it is rounded up
@@ -442,6 +471,21 @@ impl JobConfig {
         if let Some(timeout) = self.liveness_timeout {
             assert!(timeout > SimDuration::ZERO, "liveness timeout must be positive");
         }
+        // NaN or negative seconds would round to 0 µs without a word, and an
+        // infinite rebuild would saturate the restart instant.
+        let secs = |name: &str, v: f64| {
+            assert!(v.is_finite() && v >= 0.0, "{name} {v} must be finite and non-negative")
+        };
+        secs("world_rebuild_secs", self.world_rebuild_secs);
+        let b = &self.broadcast;
+        secs("broadcast ctrl_latency_secs", b.ctrl_latency_secs);
+        secs("broadcast fanout_latency_secs", b.fanout_latency_secs);
+        secs("broadcast barrier_secs", b.barrier_secs);
+        assert!(
+            b.bandwidth_bps > 0.0,
+            "broadcast bandwidth_bps {} must be positive",
+            b.bandwidth_bps
+        );
         if let MitigationChoice::AntDtDd = self.mitigation {
             let n: usize = self
                 .dd_classes
@@ -459,10 +503,7 @@ impl JobConfig {
             );
         }
         if self.failover == FailoverMode::Replay {
-            assert!(
-                matches!(self.arch, Arch::ParameterServer { .. }),
-                "FailoverMode::Replay requires a Parameter Server job"
-            );
+            assert!(self.arch.is_ps(), "FailoverMode::Replay requires a Parameter Server job");
             assert!(
                 self.data == DataStrategy::Dds,
                 "FailoverMode::Replay requires the DDS data strategy (there is no queue to rewind otherwise)"
@@ -496,7 +537,7 @@ impl JobConfig {
                 }
                 InjectedFault::KillServer { s } => {
                     assert!(
-                        matches!(self.arch, Arch::ParameterServer { .. }),
+                        self.arch.is_ps(),
                         "KillServer injection requires a Parameter Server job"
                     );
                     assert!(

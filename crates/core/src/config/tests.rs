@@ -304,3 +304,69 @@ fn negative_lr_rejected() {
 fn holdout_with_other_n_features_rejected() {
     real(0.4, 5).validate();
 }
+
+fn with_rebuild(secs: f64) -> JobConfig {
+    let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+    cfg.world_rebuild_secs = secs;
+    cfg
+}
+
+#[test]
+#[should_panic(expected = "world_rebuild_secs NaN must be finite and non-negative")]
+fn nan_world_rebuild_rejected() {
+    with_rebuild(f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(expected = "world_rebuild_secs -1 must be finite and non-negative")]
+fn negative_world_rebuild_rejected() {
+    with_rebuild(-1.0).validate();
+}
+
+#[test]
+#[should_panic(expected = "world_rebuild_secs inf must be finite and non-negative")]
+fn infinite_world_rebuild_rejected() {
+    with_rebuild(f64::INFINITY).validate();
+}
+
+fn with_broadcast(edit: impl FnOnce(&mut BroadcastModel)) -> JobConfig {
+    let mut cfg = JobConfig::allreduce(cluster_a_scaled(4, 0), Scenario::None);
+    edit(&mut cfg.broadcast);
+    cfg
+}
+
+#[test]
+#[should_panic(expected = "broadcast ctrl_latency_secs NaN must be finite and non-negative")]
+fn nan_broadcast_ctrl_latency_rejected() {
+    with_broadcast(|b| b.ctrl_latency_secs = f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(expected = "broadcast fanout_latency_secs -0.001 must be finite and non-negative")]
+fn negative_broadcast_fanout_latency_rejected() {
+    with_broadcast(|b| b.fanout_latency_secs = -1e-3).validate();
+}
+
+#[test]
+#[should_panic(expected = "broadcast barrier_secs inf must be finite and non-negative")]
+fn infinite_broadcast_barrier_rejected() {
+    with_broadcast(|b| b.barrier_secs = f64::INFINITY).validate();
+}
+
+#[test]
+#[should_panic(expected = "broadcast bandwidth_bps 0 must be positive")]
+fn zero_broadcast_bandwidth_rejected() {
+    with_broadcast(|b| b.bandwidth_bps = 0.0).validate();
+}
+
+#[test]
+#[should_panic(expected = "broadcast bandwidth_bps NaN must be positive")]
+fn nan_broadcast_bandwidth_rejected() {
+    with_broadcast(|b| b.bandwidth_bps = f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(expected = "broadcast bandwidth_bps -1000 must be positive")]
+fn negative_broadcast_bandwidth_rejected() {
+    with_broadcast(|b| b.bandwidth_bps = -1e3).validate();
+}

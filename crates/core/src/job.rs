@@ -3,7 +3,7 @@
 
 use crate::config::{JobConfig, MitigationChoice};
 use crate::report::JobReport;
-use crate::runtime;
+use crate::runtime::strategy::PrefixRun;
 use antdt_controller::{
     AdjustLrPolicy, AntDtDd, AntDtNd, BackupWorkersPolicy, KillRestartOnly, LbBsp,
     MitigationPolicy, NdConfig, NoMitigation,
@@ -15,8 +15,16 @@ pub struct Job;
 impl Job {
     pub fn run(cfg: JobConfig) -> JobReport {
         let policy = build_policy(&cfg);
-        runtime::run_with_policy(cfg, policy)
+        run_with_policy(cfg, policy)
     }
+}
+
+/// Run a job with an explicitly constructed policy — the escape hatch for
+/// ablations that sweep policy hyper-parameters the standard
+/// [`MitigationChoice`] doesn't expose. Dispatches on `cfg.arch` like
+/// [`Job::run`].
+pub fn run_with_policy(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> JobReport {
+    PrefixRun::with_policy(cfg, policy).finish()
 }
 
 pub(crate) fn build_policy(cfg: &JobConfig) -> Box<dyn MitigationPolicy> {

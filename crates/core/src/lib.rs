@@ -2,15 +2,16 @@
 //!
 //! Wires the four AntDT components (Stateful DDS, Monitor, Controller, Agent)
 //! around a single shared [`runtime`] kernel built on the discrete-event
-//! simulator. Consistency models plug in behind the
-//! [`runtime::SyncStrategy`] seam:
+//! simulator. A run ([`PrefixRun`]) is one concrete type over a closed set
+//! of consistency models, one arm each of its strategy enum:
 //!
 //! * [`runtime::bsp`] / [`runtime::asp`] — the Parameter Server flavors
 //!   (per-server gradient queues, checkpointing, kill/restart failover);
 //! * [`runtime::ring`] — the ring-AllReduce (PyTorch-DDP-style) runtime with
 //!   per-device batch sizes and gradient accumulation.
 //!
-//! [`job::Job`] is the entry point: it takes a [`JobConfig`], runs the
+//! The open, user-extensible part is the Controller: [`run_with_policy`]
+//! runs a job under any `MitigationPolicy`. [`job::Job`] is the entry point: it takes a [`JobConfig`], runs the
 //! simulated job to completion and returns a [`JobReport`] with everything the
 //! paper's figures need — JCT, per-node BPT trajectories, batch-size
 //! trajectories, shard-consumption stats, the integrity audit, action/failover
@@ -36,24 +37,13 @@ pub use config::{
     Arch, ChaosInjection, Consistency, DataStrategy, ExecutionMode, FailoverMode, InjectedFault,
     JobConfig, MitigationChoice,
 };
-pub use job::Job;
+pub use job::{run_with_policy, Job};
 pub use report::{
     ActionApplication, AttrBlame, AttrCrit, AttrNode, AttrReport, CkptRecord, CkptReport,
     CounterfactualRow, DirectiveFate, DirectiveRecord, InjectionRecord, JobReport, ReplayRecord,
 };
 pub use whatif::{
     apply_perturbation, config_digest, counterfactual_rows, divergence_instant,
-    divergence_mark_bound, perturbation_edits, plan_replays, run_what_if, what_if_table,
-    Perturbation, PrefixRun, ReplayPlan,
+    divergence_mark_bound, perturbation_edits, plan_replays, what_if_table, Perturbation,
+    PrefixRun, ReplayPlan,
 };
-
-/// Run a job with an explicitly constructed policy — the escape hatch for
-/// ablations that sweep policy hyper-parameters the standard
-/// [`MitigationChoice`] doesn't expose. Dispatches on `cfg.arch` like
-/// [`Job::run`].
-pub fn ps_run_with_policy(
-    cfg: JobConfig,
-    policy: Box<dyn antdt_controller::MitigationPolicy>,
-) -> JobReport {
-    runtime::run_with_policy(cfg, policy)
-}

@@ -1,6 +1,5 @@
-//! Runtime-side telemetry shared by the PS and AllReduce runtimes: the
-//! per-job recording bundle, and the one place a job's plain counts become
-//! named metrics.
+//! Runtime-side telemetry shared by the PS and AllReduce runtimes: the one
+//! place a job's plain counts become named metrics.
 //!
 //! A job's event loop runs on one thread, so nothing here is shared or
 //! locked: the components (engine, DDS, Monitor, Agents, control bus) always
@@ -8,7 +7,7 @@
 //! [`MetricsRegistry`] once, at report time.
 
 use crate::runtime::kernel::Kernel;
-use antdt_telemetry::{MetricsRegistry, Telemetry};
+use antdt_telemetry::MetricsRegistry;
 
 /// Histogram bucket bounds for restart delays, in microseconds: 15 s / 1 min /
 /// 5 min / 15 min / 30 min (+Inf implied). Chosen around the scheduler model's
@@ -16,33 +15,12 @@ use antdt_telemetry::{MetricsRegistry, Telemetry};
 const RESTART_DELAY_BOUNDS_US: [u64; 5] =
     [15_000_000, 60_000_000, 300_000_000, 900_000_000, 1_800_000_000];
 
-/// The per-job telemetry bundle: present iff `JobConfig::telemetry`. Owned
-/// by the kernel, so a forked kernel carries its own copy of the trace and
-/// flight ring recorded so far.
-#[derive(Debug, Clone)]
-pub(crate) struct RtTele {
-    pub tele: Telemetry,
-    /// The `runtime` label on every metric (`SyncStrategy::LABEL`).
-    pub runtime: &'static str,
-}
-
-impl RtTele {
-    pub fn new(runtime: &'static str) -> Self {
-        RtTele { tele: Telemetry::default(), runtime }
-    }
-}
-
 /// The job's metrics: every count the kernel and its components kept, under
 /// the names and `runtime` label the telemetry report carries. `scheduled`
 /// and `processed` are the engine's event counts.
-pub(crate) fn job_metrics(
-    k: &Kernel,
-    runtime: &str,
-    scheduled: u64,
-    processed: u64,
-) -> MetricsRegistry {
+pub(crate) fn job_metrics(k: &Kernel, scheduled: u64, processed: u64) -> MetricsRegistry {
     let reg = MetricsRegistry::new();
-    let rt: &[(&str, &str)] = &[("runtime", runtime)];
+    let rt: &[(&str, &str)] = &[("runtime", k.cfg.arch.runtime_label())];
     let count = |name: &str, v: u64| reg.counter(name, rt).add(v);
     count("antdt_engine_events_scheduled_total", scheduled);
     count("antdt_engine_events_processed_total", processed);

@@ -5,30 +5,15 @@
 //! down and resuming them on recovery.
 
 use super::kernel::Kernel;
-use super::ps_common::{self, PsFlavor, PsStrategy};
+use super::ps_common::{self, PsFlavor};
 use crate::events::RtEngine;
 use antdt_sim::SimTime;
 
 /// The ASP flavor over the shared PS driver.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct AspFlavor {
     /// Pushes that arrived while a server was down: `(worker, gen, at)`.
     parked: Vec<(u32, u32, SimTime)>,
-}
-
-/// The ASP parameter-server runtime.
-pub type AspPs = PsStrategy<AspFlavor>;
-
-impl AspPs {
-    pub fn new() -> Self {
-        PsStrategy { flavor: AspFlavor { parked: Vec::new() } }
-    }
-}
-
-impl Default for AspPs {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PsFlavor for AspFlavor {

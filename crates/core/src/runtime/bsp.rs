@@ -18,7 +18,7 @@
 use super::attr::SERVER_LANE;
 use super::kernel::{Kernel, ServerEnd, ServerState};
 use super::ml_bridge;
-use super::ps_common::{PsFlavor, PsStrategy};
+use super::ps_common::PsFlavor;
 use crate::events::{Ev, RtEngine};
 use antdt_attr::WaitCause;
 use antdt_monitor::NodeId;
@@ -112,29 +112,23 @@ pub struct BspFlavor {
     close_pending: bool,
 }
 
-/// The BSP parameter-server runtime.
-pub type BspPs = PsStrategy<BspFlavor>;
-
-impl BspPs {
-    pub fn new(n: usize) -> Self {
-        PsStrategy {
-            flavor: BspFlavor {
-                iter: 0,
-                participants: vec![true; n],
-                n_participants: n,
-                pushes: Vec::new(),
-                arrivals: Vec::new(),
-                pushed: Vec::new(),
-                arrivals_scratch: Vec::new(),
-                ends_scratch: Vec::new(),
-                backup_b: 0,
-                close_pending: false,
-            },
+impl BspFlavor {
+    /// A barrier over `n` workers, all of them participants.
+    pub(crate) fn new(n: usize) -> Self {
+        BspFlavor {
+            iter: 0,
+            participants: vec![true; n],
+            n_participants: n,
+            pushes: Vec::new(),
+            arrivals: Vec::new(),
+            pushed: Vec::new(),
+            arrivals_scratch: Vec::new(),
+            ends_scratch: Vec::new(),
+            backup_b: 0,
+            close_pending: false,
         }
     }
-}
 
-impl BspFlavor {
     fn required(&self) -> usize {
         self.n_participants.saturating_sub(self.backup_b as usize).max(1)
     }
@@ -389,9 +383,9 @@ mod tests {
     #[test]
     fn backup_close_pokes_exactly_the_idle_non_pushed_workers() {
         let cfg = JobConfig::ps_bsp(cluster_a_scaled(5, 2), Scenario::None);
-        let mut k = Kernel::new(cfg, Box::new(NoMitigation), None, 11, true, true);
+        let mut k = Kernel::new(cfg, Box::new(NoMitigation));
         let mut eng = RtEngine::new();
-        let mut f = BspPs::new(5).flavor;
+        let mut f = BspFlavor::new(5);
         f.set_backup_workers(1);
         let computing = || {
             Some(Inflight { took: 0, start: SimTime::ZERO, compute_end: SimTime::ZERO, grad: None })
@@ -505,7 +499,7 @@ mod tests {
     fn close_matches_the_per_piece_oracle_bit_for_bit() {
         let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
         let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
-        let mut k = Kernel::new(cfg, Box::new(NoMitigation), None, 11, true, true);
+        let mut k = Kernel::new(cfg, Box::new(NoMitigation));
         // Server 0 slows 2.5x over 30–40 ms and server 1 1.75x over 20–30
         // ms of the first close's FIFO chains; the later windows catch
         // server 1's chain and server 0's apply in the second close. Server
@@ -528,7 +522,7 @@ mod tests {
         k.servers[1].link = Link::datacenter().with_congestion(ms(500), ms(800), 3.0);
         k.workers[2].link = Link::datacenter().with_congestion(ms(5), ms(12), 2.0);
         let mut eng = RtEngine::new();
-        let mut f = BspPs::new(4).flavor;
+        let mut f = BspFlavor::new(4);
         for w in 0..4 {
             eng.schedule(SimTime::ZERO, Ev::WorkerStart { w, gen: 0 });
         }
@@ -589,7 +583,7 @@ mod tests {
     /// Leaving is idempotent.
     #[test]
     fn leave_is_idempotent() {
-        let mut f = BspPs::new(3).flavor;
+        let mut f = BspFlavor::new(3);
         assert_eq!((f.participants.len(), f.n_participants), (3, 3));
         assert!(f.leave(1));
         assert!(!f.leave(1), "a second leave is a no-op");

@@ -29,7 +29,6 @@
 use super::inflight::InFlight;
 use super::kernel::Kernel;
 use crate::events::{Ev, RtEngine};
-use crate::obs::RtTele;
 use crate::report::{DirectiveFate, DirectiveRecord};
 use antdt_agent::bus::{ControlMsg, DeliveryOutcome, Directive};
 use antdt_agent::{Agent, AgentConfig, AgentCounts};
@@ -39,7 +38,7 @@ use antdt_monitor::{
 };
 use antdt_sim::rng::StdRng;
 use antdt_sim::{ChannelVerdict, ControlChannel, SimDuration, SimTime};
-use antdt_telemetry::DecisionRecord;
+use antdt_telemetry::{DecisionRecord, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -268,7 +267,7 @@ impl ControlBus {
     /// inline.
     pub(crate) fn tick_decide(
         &mut self,
-        tele: Option<&mut RtTele>,
+        tele: Option<&mut Telemetry>,
         now: SimTime,
         info: ClusterInfo,
     ) -> Vec<Action> {
@@ -276,8 +275,8 @@ impl ControlBus {
         let snap = self.store.snapshot(now);
         let snapshot =
             ControlMsg::Snapshot { at: now, nodes: self.agents.len() + self.ctx.n_servers };
-        if let (Some(rt), ControlMsg::Snapshot { nodes, .. }) = (tele, &snapshot) {
-            rt.tele.tracer.instant(
+        if let (Some(tele), ControlMsg::Snapshot { nodes, .. }) = (tele, &snapshot) {
+            tele.tracer.instant(
                 "bus-snapshot",
                 "bus",
                 now.as_micros(),
@@ -379,15 +378,15 @@ impl ControlBus {
     /// delivered_at` on the target's telemetry lane.
     fn hop_span(
         &mut self,
-        tele: Option<&mut RtTele>,
+        tele: Option<&mut Telemetry>,
         name: &'static str,
         sent_at: SimTime,
         delivered_at: SimTime,
         node: NodeId,
     ) {
         self.counts.delivered += 1;
-        if let Some(rt) = tele {
-            rt.tele.tracer.complete(
+        if let Some(tele) = tele {
+            tele.tracer.complete(
                 name,
                 "bus",
                 sent_at.as_micros(),
@@ -400,7 +399,7 @@ impl ControlBus {
     /// Audit a fence rejection: decision-audit record + telemetry instant.
     fn audit_rejection(
         &mut self,
-        tele: Option<&mut RtTele>,
+        tele: Option<&mut Telemetry>,
         now: SimTime,
         target: NodeId,
         d: &Directive,
@@ -421,8 +420,8 @@ impl ControlBus {
                 self.directive_text(d.seq).map_or("", |t| &**t),
             )],
         });
-        if let Some(rt) = tele {
-            rt.tele.tracer.instant(
+        if let Some(tele) = tele {
+            tele.tracer.instant(
                 "bus-reject",
                 "bus",
                 now.as_micros(),

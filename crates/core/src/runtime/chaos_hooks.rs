@@ -3,12 +3,13 @@
 //!
 //! The kernel owns every windowed fault (network degrade, DDS outage, report
 //! drops) and the injection/action audit logs; kill-class faults are handed
-//! to the strategy ([`SyncStrategy::inject_kill`]) because what "killing a
-//! node" means is consistency-specific — a PS worker fails over, a DDP rank
-//! leaves the ring for good.
+//! to the job's strategy because what "killing a node" means is
+//! consistency-specific — a PS worker fails over, a DDP rank leaves the ring
+//! for good.
 
 use super::kernel::Kernel;
-use super::strategy::SyncStrategy;
+use super::ps_common;
+use super::strategy::Strategy;
 use crate::config::InjectedFault;
 use crate::events::{Ev, RtEngine};
 use crate::report::InjectionRecord;
@@ -18,12 +19,7 @@ use antdt_sim::SimDuration;
 /// An injected fault fires. The target generation is resolved *now*, so a
 /// plan survives unrelated restarts; kills of already-dead nodes no-op but
 /// are still logged.
-pub(crate) fn chaos_fault<S: SyncStrategy>(
-    k: &mut Kernel,
-    strat: &mut S,
-    eng: &mut RtEngine,
-    idx: u32,
-) {
+pub(crate) fn chaos_fault(k: &mut Kernel, strat: &mut Strategy, eng: &mut RtEngine, idx: u32) {
     let now = eng.now();
     let inj = k.cfg.injections[idx as usize].clone();
     k.injections_log.push(InjectionRecord {
@@ -34,8 +30,8 @@ pub(crate) fn chaos_fault<S: SyncStrategy>(
         recovered_at: None,
     });
     let rec_idx = k.injections_log.len() - 1;
-    if let Some(rt) = &mut k.tele {
-        rt.tele.tracer.instant(
+    if let Some(tele) = &mut k.tele {
+        tele.tracer.instant(
             "chaos-fault",
             "chaos",
             now.as_micros(),
@@ -49,7 +45,11 @@ pub(crate) fn chaos_fault<S: SyncStrategy>(
         InjectedFault::KillWorker { .. }
         | InjectedFault::KillServer { .. }
         | InjectedFault::KillWorkerNoFailover { .. }
-        | InjectedFault::RestartDelay { .. } => strat.inject_kill(k, eng, &inj.fault, rec_idx),
+        | InjectedFault::RestartDelay { .. } => match strat {
+            Strategy::Bsp(f) => ps_common::inject_kill(k, f, eng, &inj.fault, rec_idx),
+            Strategy::Asp(f) => ps_common::inject_kill(k, f, eng, &inj.fault, rec_idx),
+            Strategy::Ring(r) => r.inject_kill(k, eng, &inj.fault),
+        },
         InjectedFault::NetworkDegrade { w, factor, window_secs } => {
             let link = &mut k.workers[w as usize].link;
             k.chaos_degraded.push((idx, w, link.bandwidth_bps));
@@ -75,12 +75,7 @@ pub(crate) fn chaos_fault<S: SyncStrategy>(
 }
 
 /// A windowed fault's window closes: undo its effect.
-pub(crate) fn chaos_lift<S: SyncStrategy>(
-    k: &mut Kernel,
-    strat: &mut S,
-    eng: &mut RtEngine,
-    idx: u32,
-) {
+pub(crate) fn chaos_lift(k: &mut Kernel, strat: &Strategy, eng: &mut RtEngine, idx: u32) {
     match k.cfg.injections[idx as usize].fault {
         InjectedFault::NetworkDegrade { .. } => {
             if let Some(pos) = k.chaos_degraded.iter().position(|d| d.0 == idx) {
@@ -94,7 +89,11 @@ pub(crate) fn chaos_lift<S: SyncStrategy>(
                 if let Some(dds) = &mut k.dds {
                     dds.set_paused(false);
                 }
-                strat.on_dds_restored(k, eng);
+                match strat {
+                    Strategy::Bsp(_) | Strategy::Asp(_) => ps_common::on_dds_restored(k, eng),
+                    // A ring round that found no data retries on its own.
+                    Strategy::Ring(_) => {}
+                }
             }
         }
         InjectedFault::DropReports { .. } => {
@@ -127,9 +126,9 @@ impl Kernel {
         let now = eng.now();
         if now.since(self.last_progress) >= timeout {
             self.stalled = true;
-            if let Some(rt) = &mut self.tele {
-                rt.tele.tracer.instant("stalled", "chaos", now.as_micros(), 0, &[]);
-                rt.tele.flight.record(
+            if let Some(tele) = &mut self.tele {
+                tele.tracer.instant("stalled", "chaos", now.as_micros(), 0, &[]);
+                tele.flight.record(
                     now.as_micros(),
                     "liveness",
                     format!("stalled: no progress since {}us", self.last_progress.as_micros()),

@@ -9,7 +9,7 @@
 //! stages the last *durable* snapshot, the storage tier prices the
 //! read-back, and [`Kernel::apply_ckpt_restore`] rewinds the DDS queue at
 //! the restore instant — the lost iterations then replay through the
-//! ordinary `SyncStrategy` drivers, so recovery time is emergent rather than
+//! ordinary strategy drivers, so recovery time is emergent rather than
 //! a closed-form estimate.
 
 use super::kernel::Kernel;
@@ -133,8 +133,8 @@ impl Kernel {
             return;
         }
         let now = eng.now();
-        if let Some(rt) = &mut self.tele {
-            rt.tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
+        if let Some(tele) = &mut self.tele {
+            tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
         }
         // A nonzero capture stall perturbs both the servers' booking and the
         // adaptive-cadence input (`stall + write_secs`), so the stall itself
@@ -237,8 +237,8 @@ impl Kernel {
                 dst.copy_from_slice(&snap.ps.params);
             }
         }
-        if let Some(rt) = &mut self.tele {
-            rt.tele.tracer.instant(
+        if let Some(tele) = &mut self.tele {
+            tele.tracer.instant(
                 "ckpt-restore",
                 "lifecycle",
                 now.as_micros(),
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn estimate_counts_the_snapshots_the_subsystem_holds() {
         let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
-        let mut k = Kernel::new(cfg, Box::new(NoMitigation), None, 11, true, true);
+        let mut k = Kernel::new(cfg, Box::new(NoMitigation));
         let mut eng = RtEngine::new();
         let before = k.estimate_bytes();
         k.ckpt_capture(&mut eng);

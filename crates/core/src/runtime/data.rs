@@ -3,8 +3,9 @@
 //! Both runtime families consume data the same way — take up to a batch
 //! quota across (possibly several) open shard leases, commit on a successful
 //! push / round close, roll back on a dropped push or mid-compute death. The
-//! only per-family difference is whether a commit charges the DDS fetch
-//! round-trip on the overhead ledger ([`Kernel::charge_report_fetch`]).
+//! only per-family difference is that a Parameter Server commit charges the
+//! DDS fetch round-trip on the overhead ledger (a ring round folds it into
+//! the round).
 
 use super::kernel::Kernel;
 use crate::config::ExecutionMode;
@@ -118,7 +119,7 @@ impl Kernel {
             let dds = self.dds.as_mut().expect("dds source");
             for l in finished {
                 dds.report_done(w as u32, l).expect("lease held by this worker");
-                if self.charge_report_fetch {
+                if self.cfg.arch.is_ps() {
                     self.overhead.add_dds(SimDuration::from_secs_f64(DDS_FETCH_SECS));
                 }
             }

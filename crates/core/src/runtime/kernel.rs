@@ -5,7 +5,7 @@
 //! DDS handle, the control bus (the Monitor/Controller/Agent wiring — see
 //! [`super::bus`]), the ML math state, the chaos-drill ledgers and the report
 //! accumulators. Everything consistency-specific — barriers, async pushes,
-//! ring rounds — lives behind [`super::strategy::SyncStrategy`] and only
+//! ring rounds — lives in the run's [`super::strategy::Strategy`] and only
 //! borrows the kernel.
 
 use super::attr::AttrRt;
@@ -14,7 +14,6 @@ use super::ckpt::CkptRt;
 use super::data::{DataSource, LeaseState};
 use super::ml_bridge::MathState;
 use crate::config::{DataStrategy, ExecutionMode, JobConfig};
-use crate::obs::RtTele;
 use crate::report::{ActionApplication, DivergenceMarks, InjectionRecord};
 use antdt_agent::OverheadLedger;
 use antdt_controller::{Action, MitigationPolicy, PolicyCtx};
@@ -23,7 +22,7 @@ use antdt_ml::{FactorizationMachine, Sgd};
 use antdt_monitor::NodeId;
 use antdt_sim::rng::StdRng;
 use antdt_sim::{Gantt, Link, NodeProfile, RngPool, SimDuration, SimTime, TimeSeries};
-use antdt_telemetry::DecisionRecord;
+use antdt_telemetry::{DecisionRecord, Telemetry};
 use antdt_workloads::DeviceClass;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -136,9 +135,6 @@ pub struct Kernel {
     pub(crate) bucket_start: SimTime,
     pub(crate) bucket_samples: u64,
     pub(crate) gantt: Option<Gantt>,
-    /// Whether `commit` charges a DDS fetch round-trip per `report_done`
-    /// (the PS runtimes do; the round-driven runtimes fold it into the round).
-    pub(crate) charge_report_fetch: bool,
     /// Reused buffer for draining due Controller actions at iteration/round
     /// boundaries (taken and restored around the apply loop).
     pub(crate) actions_scratch: Vec<(SimTime, Action, Arc<str>)>,
@@ -173,26 +169,20 @@ pub struct Kernel {
     /// components). Recording never touches the event order or any RNG
     /// stream, so a run's simulated results are identical with telemetry on
     /// or off.
-    pub(crate) tele: Option<RtTele>,
+    pub(crate) tele: Option<Telemetry>,
     /// Controller decision audit drained from the policy after every tick.
     pub(crate) decision_log: Vec<DecisionRecord>,
 }
 
 impl Kernel {
-    /// Build the world from a validated config. `worker_stream_family` keys
-    /// the per-worker jitter RNG streams (`RngPool::stream2(family, i)`) so
-    /// each runtime family keeps its historical stream assignment.
-    pub(crate) fn new(
-        cfg: JobConfig,
-        policy: Box<dyn MitigationPolicy>,
-        tele: Option<RtTele>,
-        worker_stream_family: u64,
-        charge_report_fetch: bool,
-        uses_servers: bool,
-    ) -> Self {
+    /// Build the world from a validated config. Only a Parameter Server job
+    /// gets servers and a checkpoint subsystem: serverless strategies get
+    /// an empty server list even if the cluster spec carries servers.
+    pub(crate) fn new(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Self {
         let pool = RngPool::new(cfg.seed);
         let n = cfg.n_workers();
-        let m = if uses_servers { cfg.n_servers() } else { 0 };
+        let ps = cfg.arch.is_ps();
+        let m = if ps { cfg.n_servers() } else { 0 };
 
         // Shards are sized in *local* batches: a shard is consumed by one
         // worker, so `M` counts that worker's batches (K = N / ((B/n)·M)).
@@ -245,7 +235,7 @@ impl Kernel {
                     leases: Vec::new(),
                     iter: 0,
                     inflight: None,
-                    rng: pool.stream2(worker_stream_family, i as u64),
+                    rng: pool.stream2(cfg.arch.worker_stream_family(), i as u64),
                     series_bpt: TimeSeries::new(),
                     series_batch: TimeSeries::new(),
                     killed_at: None,
@@ -273,8 +263,7 @@ impl Kernel {
         // Telemetry implies Gantt recording: the recorded spans become the
         // bulk of the exported Chrome trace.
         let gantt = (cfg.record_gantt || cfg.telemetry).then(Gantt::new);
-        let ckpt_rt =
-            uses_servers.then(|| CkptRt::new(cfg.ckpt, cfg.checkpoint_interval.as_secs_f64()));
+        let ckpt_rt = ps.then(|| CkptRt::new(cfg.ckpt, cfg.checkpoint_interval.as_secs_f64()));
         let attr = cfg.attribution.then(AttrRt::new);
         Kernel {
             sched_rng: pool.stream(7),
@@ -303,7 +292,6 @@ impl Kernel {
             bucket_start: SimTime::ZERO,
             bucket_samples: 0,
             gantt,
-            charge_report_fetch,
             actions_scratch: Vec::new(),
             injections_log: Vec::new(),
             action_log: Vec::new(),
@@ -316,7 +304,7 @@ impl Kernel {
             last_progress: SimTime::ZERO,
             stalled: false,
             marks: DivergenceMarks { worker_contended: vec![None; n], ..Default::default() },
-            tele,
+            tele: cfg.telemetry.then(Telemetry::default),
             decision_log: Vec::new(),
             cfg,
         }
@@ -362,8 +350,8 @@ impl Kernel {
     pub(crate) fn record_action(&mut self, now: SimTime, action: &Action) -> Arc<str> {
         let text = super::bus::render(action);
         self.actions.push((now, action.clone()));
-        if let Some(rt) = &mut self.tele {
-            rt.tele.tracer.instant(
+        if let Some(tele) = &mut self.tele {
+            tele.tracer.instant(
                 "controller-action",
                 "controller",
                 now.as_micros(),
@@ -462,8 +450,8 @@ impl Kernel {
         if let Some(g) = &self.gantt {
             b += g.spans.capacity() * size_of::<antdt_sim::Span>();
         }
-        if let Some(rt) = &self.tele {
-            b += rt.tele.estimate_bytes();
+        if let Some(tele) = &self.tele {
+            b += tele.estimate_bytes();
         }
         b + series(&self.throughput)
             + self.actions.capacity() * size_of::<(SimTime, Action)>()

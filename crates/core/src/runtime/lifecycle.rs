@@ -39,8 +39,8 @@ pub(crate) fn worker_kill<F: PsFlavor>(
     // replacement's first iteration boundary charges the gap to recovery.
     k.attr_kill(w, now, k.chaos_no_failover.contains(&w));
     k.kills.push((now, NodeId::worker(w)));
-    if let Some(rt) = &mut k.tele {
-        rt.tele.tracer.instant(
+    if let Some(tele) = &mut k.tele {
+        tele.tracer.instant(
             "worker-kill",
             "lifecycle",
             now.as_micros(),
@@ -115,8 +115,8 @@ pub(crate) fn server_restart<F: PsFlavor>(
     k.servers[sj].link.congestion.clear();
     k.servers[sj].free_at = now;
     k.restarts.push((now, NodeId::server(s)));
-    if let Some(rt) = &mut k.tele {
-        rt.tele.tracer.instant("server-restart", "lifecycle", now.as_micros(), 1000 + s, &[]);
+    if let Some(tele) = &mut k.tele {
+        tele.tracer.instant("server-restart", "lifecycle", now.as_micros(), 1000 + s, &[]);
     }
     k.last_progress = k.last_progress.max(now);
     k.bus.node_event(NodeEvent::Restarted { node: NodeId::server(s), at: now });
@@ -143,8 +143,8 @@ impl Kernel {
         self.bus.agent_reset(wi, now);
         self.workers[wi].next_allowed = now;
         self.restarts.push((now, NodeId::worker(w)));
-        if let Some(rt) = &mut self.tele {
-            rt.tele.tracer.instant("worker-restart", "lifecycle", now.as_micros(), w, &[]);
+        if let Some(tele) = &mut self.tele {
+            tele.tracer.instant("worker-restart", "lifecycle", now.as_micros(), w, &[]);
         }
         self.last_progress = self.last_progress.max(now);
         if let Some(&idx) = self.chaos_awaiting_recovery.get(&w) {
@@ -171,9 +171,9 @@ impl Kernel {
         self.servers[sj].gen += 1;
         self.attr_kill(super::attr::SERVER_LANE + s, now, false);
         self.kills.push((now, NodeId::server(s)));
-        if let Some(rt) = &mut self.tele {
+        if let Some(tele) = &mut self.tele {
             // Server lanes sit above the worker lanes in the trace viewer.
-            rt.tele.tracer.instant("server-kill", "lifecycle", now.as_micros(), 1000 + s, &[]);
+            tele.tracer.instant("server-kill", "lifecycle", now.as_micros(), 1000 + s, &[]);
         }
         self.bus.node_event(NodeEvent::Killed {
             node: NodeId::server(s),

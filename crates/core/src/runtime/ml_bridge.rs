@@ -235,12 +235,8 @@ mod tests {
 /// gradient, optimizer-step or AUC arithmetic changes them.
 #[cfg(test)]
 mod known_answers {
-    use super::super::asp::AspPs;
-    use super::super::bsp::BspPs;
-    use super::super::ring::RingAllReduce;
-    use super::super::strategy::{SimRun, SyncStrategy};
+    use super::super::strategy::PrefixRun;
     use crate::config::{ExecutionMode, JobConfig};
-    use crate::job::build_policy;
     use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
     use antdt_workloads::{ctr, CtrConfig, Scenario};
 
@@ -254,10 +250,10 @@ mod known_answers {
             .with_execution(ExecutionMode::Real { dataset: train, holdout, latent_k: 8, lr: 0.4 })
     }
 
-    /// `(auc bits, parameter hash)` of `cfg` run to completion under `strat`.
-    fn run<S: SyncStrategy>(cfg: JobConfig, strat: S) -> (u64, u64) {
+    /// `(auc bits, parameter hash)` of `cfg` run to completion.
+    fn run(cfg: JobConfig) -> (u64, u64) {
         let deadline = cfg.max_sim_time;
-        let mut run = SimRun::new(cfg.clone(), build_policy(&cfg), strat);
+        let mut run = PrefixRun::new(&cfg);
         run.advance_until(deadline);
         let params = run.k.math.as_ref().unwrap().model.params();
         let hash = params.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
@@ -270,7 +266,7 @@ mod known_answers {
     #[test]
     fn allreduce_real_run_is_pinned() {
         let cfg = real(JobConfig::allreduce(cluster_b(), Scenario::None).with_global_batch(768));
-        let (auc, hash) = run(cfg, RingAllReduce::new());
+        let (auc, hash) = run(cfg);
         assert_eq!(auc, 0x3fe5_94fc_bdd3_f298, "auc {}", f64::from_bits(auc));
         assert_eq!(hash, 0x4574_3734_9599_88c3);
     }
@@ -282,7 +278,7 @@ mod known_answers {
         let cfg = real(
             JobConfig::ps_asp(cluster_a_scaled(3, 2), Scenario::None).with_global_batch(1_000),
         );
-        let (auc, hash) = run(cfg, AspPs::new());
+        let (auc, hash) = run(cfg);
         assert_eq!(auc, 0x3fe6_49a9_86a4_e35a, "auc {}", f64::from_bits(auc));
         assert_eq!(hash, 0x461d_5d2a_fc0b_8036);
     }
@@ -293,7 +289,7 @@ mod known_answers {
     fn bsp_real_run_is_pinned() {
         let cfg =
             real(JobConfig::ps_bsp(cluster_a_scaled(3, 2), Scenario::None).with_global_batch(768));
-        let (auc, hash) = run(cfg, BspPs::new(3));
+        let (auc, hash) = run(cfg);
         assert_eq!(auc, 0x3fe5_9666_d6eb_725b, "auc {}", f64::from_bits(auc));
         assert_eq!(hash, 0xa238_9bc4_9dac_8d1b);
     }

@@ -14,12 +14,10 @@
 //! | `ckpt`        | snapshot capture, async storage drain, replay restore       |
 //! | `chaos_hooks` | windowed chaos faults, lifts, report-drop, liveness         |
 //! | `reporting`   | sample accounting, finish detection, `JobReport` assembly   |
-//! | [`strategy`]  | the [`SyncStrategy`] trait + generic event-loop driver      |
+//! | [`strategy`]  | the run: the closed `Strategy` enum + the event loop        |
 //! | [`ps_common`] | the PS driver: `PsFlavor` sub-seam shared by BSP and ASP    |
 //! | [`bsp`], [`asp`] | PS consistency flavors                                   |
 //! | [`ring`]      | the round-driven ring-AllReduce strategy                    |
-//!
-//! [`SyncStrategy`]: strategy::SyncStrategy
 
 pub mod asp;
 pub(crate) mod attr;
@@ -36,5 +34,3 @@ pub mod ps_common;
 pub(crate) mod reporting;
 pub mod ring;
 pub mod strategy;
-
-pub use strategy::{run, run_with_policy, SyncStrategy};

@@ -1,15 +1,16 @@
 //! The shared parameter-server driver: worker iteration loop, push plumbing,
-//! action delivery and the PS-side [`SyncStrategy`] implementation.
+//! action delivery and the event, action and kill handlers of the PS arms
+//! of the run's `Strategy`.
 //!
 //! BSP and ASP share most of their machinery; the residue — barrier
-//! membership, parked pushes — hangs off the [`PsFlavor`] hooks.
-//! [`PsStrategy`] lifts any flavor into a [`SyncStrategy`], so the two PS
-//! runtimes are two small flavor files over this module.
+//! membership, parked pushes — hangs off the [`PsFlavor`] hooks. The
+//! handlers are generic over the flavor, so each PS arm runs its own
+//! monomorphized copy and the two PS runtimes are two small flavor files
+//! over this module.
 
 use super::attr::SERVER_LANE;
 use super::data::{DataSource, DATA_POLL, DDS_SYNC_SECS};
 use super::kernel::{Inflight, Kernel};
-use super::strategy::SyncStrategy;
 use super::{lifecycle, ml_bridge};
 use crate::config::InjectedFault;
 use crate::events::{Ev, RtEngine};
@@ -73,13 +74,7 @@ pub trait PsFlavor {
 
 /// One PS worker iteration start: apply delivered actions, take a batch and
 /// schedule the compute completion.
-pub(crate) fn worker_start<F: PsFlavor>(
-    k: &mut Kernel,
-    f: &mut F,
-    eng: &mut RtEngine,
-    w: u32,
-    gen: u32,
-) {
+fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u32, gen: u32) {
     let wi = w as usize;
     if !k.workers[wi].alive || k.workers[wi].gen != gen || k.finished {
         return;
@@ -187,7 +182,7 @@ pub(crate) fn worker_start<F: PsFlavor>(
 }
 
 /// A worker's compute finished: hand the push to the flavor.
-pub(crate) fn compute_done<F: PsFlavor>(
+fn compute_done<F: PsFlavor>(
     k: &mut Kernel,
     f: &mut F,
     eng: &mut RtEngine,
@@ -312,142 +307,114 @@ fn apply_worker_action<F: PsFlavor>(k: &mut Kernel, f: &mut F, wi: usize, action
 /// direct sends, global actions as a fenced broadcast (Fig. 6: controller →
 /// primary agent → broadcast → local barrier; every worker applies at its
 /// next iteration boundary).
-fn dispatch(k: &mut Kernel, eng: &mut RtEngine, action: Action, text: &Arc<str>, now: SimTime) {
+pub(crate) fn on_controller_action(
+    k: &mut Kernel,
+    eng: &mut RtEngine,
+    now: SimTime,
+    action: Action,
+) {
+    if matches!(action, Action::None) {
+        return;
+    }
+    let text = k.record_action(now, &action);
     match action {
-        Action::None => {}
-        Action::KillRestart { node } => super::bus::send_kill(k, eng, now, node, text),
+        Action::KillRestart { node } => super::bus::send_kill(k, eng, now, node, &text),
         global => {
-            super::bus::broadcast(k, eng, now, global, text, super::bus::BroadcastScope::PsAlive)
+            super::bus::broadcast(k, eng, now, global, &text, super::bus::BroadcastScope::PsAlive)
         }
     }
 }
 
-/// A [`PsFlavor`] lifted into a [`SyncStrategy`]: the full parameter-server
-/// runtime over the shared kernel.
-#[derive(Clone)]
-pub struct PsStrategy<F: PsFlavor> {
-    pub(crate) flavor: F,
+/// Route one PS lifecycle or compute event to its handler.
+pub(crate) fn on_event<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, ev: Ev) {
+    match ev {
+        Ev::WorkerStart { w, gen } => worker_start(k, f, eng, w, gen),
+        Ev::WorkerComputeDone { w, gen, iter } => compute_done(k, f, eng, w, gen, iter),
+        // Alias of WorkerStart after a pull completes.
+        Ev::WorkerReady { w, gen } => worker_start(k, f, eng, w, gen),
+        Ev::WorkerKill { w, gen } => lifecycle::worker_kill(
+            k,
+            f,
+            eng,
+            w,
+            gen,
+            ErrorClass::Retryable(RetryableError::ProactiveKill),
+        ),
+        Ev::WorkerRestart { w, gen } => k.worker_restart(eng, w, gen),
+        Ev::ServerKill { s, gen } => k.server_kill(eng, s, gen),
+        Ev::ServerRestart { s, gen } => lifecycle::server_restart(k, f, eng, s, gen),
+        Ev::Checkpoint => k.ckpt_capture(eng),
+        Ev::RoundEnd { .. } => unreachable!("PS runtime has no rounds"),
+        Ev::MonitorTick
+        | Ev::ChaosFault { .. }
+        | Ev::ChaosLift { .. }
+        | Ev::LivenessCheck
+        | Ev::CkptRestore
+        | Ev::BusMsg { .. } => {
+            unreachable!("kernel-routed event reached the strategy")
+        }
+    }
 }
 
-impl<F: PsFlavor> SyncStrategy for PsStrategy<F> {
-    const LABEL: &'static str = "ps";
-    const WORKER_STREAM_FAMILY: u64 = 11;
-    const CHARGE_REPORT_FETCH: bool = true;
-    const USES_SERVERS: bool = true;
-
-    fn bootstrap_head(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        for w in 0..k.workers.len() as u32 {
-            eng.schedule(SimTime::ZERO, Ev::WorkerStart { w, gen: 0 });
-        }
-    }
-
-    fn bootstrap_tail(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        eng.schedule(SimTime::ZERO + k.cfg.checkpoint_interval, Ev::Checkpoint);
-    }
-
-    fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev) {
-        match ev {
-            Ev::WorkerStart { w, gen } => worker_start(k, &mut self.flavor, eng, w, gen),
-            Ev::WorkerComputeDone { w, gen, iter } => {
-                compute_done(k, &mut self.flavor, eng, w, gen, iter)
-            }
-            // Alias of WorkerStart after a pull completes.
-            Ev::WorkerReady { w, gen } => worker_start(k, &mut self.flavor, eng, w, gen),
-            Ev::WorkerKill { w, gen } => lifecycle::worker_kill(
-                k,
-                &mut self.flavor,
-                eng,
-                w,
-                gen,
-                ErrorClass::Retryable(RetryableError::ProactiveKill),
-            ),
-            Ev::WorkerRestart { w, gen } => k.worker_restart(eng, w, gen),
-            Ev::ServerKill { s, gen } => k.server_kill(eng, s, gen),
-            Ev::ServerRestart { s, gen } => {
-                lifecycle::server_restart(k, &mut self.flavor, eng, s, gen)
-            }
-            Ev::Checkpoint => k.ckpt_capture(eng),
-            Ev::RoundEnd { .. } => unreachable!("PS runtime has no rounds"),
-            Ev::MonitorTick
-            | Ev::ChaosFault { .. }
-            | Ev::ChaosLift { .. }
-            | Ev::LivenessCheck
-            | Ev::CkptRestore
-            | Ev::BusMsg { .. } => {
-                unreachable!("kernel-routed event reached the strategy")
+/// Execute a kill-class chaos injection (worker/server kill, restart delay).
+/// `rec_idx` indexes the already-appended injection record, so a killed
+/// worker's recovery marks land on it.
+pub(crate) fn inject_kill<F: PsFlavor>(
+    k: &mut Kernel,
+    f: &mut F,
+    eng: &mut RtEngine,
+    fault: &InjectedFault,
+    rec_idx: usize,
+) {
+    match *fault {
+        InjectedFault::KillWorker { w } => {
+            if k.workers[w as usize].alive {
+                let gen = k.workers[w as usize].gen;
+                k.chaos_awaiting_recovery.insert(w, rec_idx);
+                lifecycle::worker_kill(
+                    k,
+                    f,
+                    eng,
+                    w,
+                    gen,
+                    ErrorClass::Retryable(RetryableError::NodeFailure),
+                );
             }
         }
-    }
-
-    fn on_controller_action(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        now: SimTime,
-        action: Action,
-    ) {
-        if !matches!(action, Action::None) {
-            let text = k.record_action(now, &action);
-            dispatch(k, eng, action, &text, now);
+        InjectedFault::KillServer { s } => {
+            if k.servers[s as usize].alive {
+                let gen = k.servers[s as usize].gen;
+                k.server_kill(eng, s, gen);
+            }
         }
-    }
-
-    fn inject_kill(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        fault: &InjectedFault,
-        rec_idx: usize,
-    ) {
-        match *fault {
-            InjectedFault::KillWorker { w } => {
-                if k.workers[w as usize].alive {
-                    let gen = k.workers[w as usize].gen;
-                    k.chaos_awaiting_recovery.insert(w, rec_idx);
-                    lifecycle::worker_kill(
-                        k,
-                        &mut self.flavor,
-                        eng,
-                        w,
-                        gen,
-                        ErrorClass::Retryable(RetryableError::NodeFailure),
-                    );
-                }
+        InjectedFault::KillWorkerNoFailover { w } => {
+            if k.workers[w as usize].alive {
+                let gen = k.workers[w as usize].gen;
+                k.chaos_no_failover.insert(w);
+                lifecycle::worker_kill(
+                    k,
+                    f,
+                    eng,
+                    w,
+                    gen,
+                    ErrorClass::Retryable(RetryableError::NodeFailure),
+                );
             }
-            InjectedFault::KillServer { s } => {
-                if k.servers[s as usize].alive {
-                    let gen = k.servers[s as usize].gen;
-                    k.server_kill(eng, s, gen);
-                }
-            }
-            InjectedFault::KillWorkerNoFailover { w } => {
-                if k.workers[w as usize].alive {
-                    let gen = k.workers[w as usize].gen;
-                    k.chaos_no_failover.insert(w);
-                    lifecycle::worker_kill(
-                        k,
-                        &mut self.flavor,
-                        eng,
-                        w,
-                        gen,
-                        ErrorClass::Retryable(RetryableError::NodeFailure),
-                    );
-                }
-            }
-            InjectedFault::RestartDelay { w, extra_secs } => {
-                k.chaos_restart_extra[w as usize] += extra_secs;
-            }
-            _ => unreachable!("windowed faults are kernel-handled"),
         }
+        InjectedFault::RestartDelay { w, extra_secs } => {
+            k.chaos_restart_extra[w as usize] += extra_secs;
+        }
+        _ => unreachable!("windowed faults are kernel-handled"),
     }
+}
 
-    fn on_dds_restored(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        // Starving workers poll every DATA_POLL anyway; poke them so
-        // recovery isn't charged the tail of a poll interval.
-        for w in 0..k.workers.len() {
-            if k.workers[w].alive && !k.workers[w].done && k.workers[w].inflight.is_none() {
-                eng.schedule(eng.now(), Ev::WorkerStart { w: w as u32, gen: k.workers[w].gen });
-            }
+/// The last overlapping DDS outage window lifted. Starving workers poll
+/// every `DATA_POLL` anyway; poke them so recovery isn't charged the tail of
+/// a poll interval.
+pub(crate) fn on_dds_restored(k: &mut Kernel, eng: &mut RtEngine) {
+    for w in 0..k.workers.len() {
+        if k.workers[w].alive && !k.workers[w].done && k.workers[w].inflight.is_none() {
+            eng.schedule(eng.now(), Ev::WorkerStart { w: w as u32, gen: k.workers[w].gen });
         }
     }
 }

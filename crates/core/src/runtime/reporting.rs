@@ -71,17 +71,17 @@ impl Kernel {
         let scheduled = eng.scheduled();
         let metrics = self
             .tele
-            .as_ref()
-            .map(|rt| crate::obs::job_metrics(&self, rt.runtime, scheduled, events_processed));
-        let telemetry = self.tele.as_mut().zip(metrics).map(|(rt, metrics)| {
+            .is_some()
+            .then(|| crate::obs::job_metrics(&self, scheduled, events_processed));
+        let telemetry = self.tele.as_mut().zip(metrics).map(|(tele, metrics)| {
             // Merge the Gantt spans into the trace before rendering: they are
             // the bulk of the Perfetto timeline (compute/comm/idle/failover
             // lanes per node).
             if let Some(g) = &self.gantt {
-                rt.tele.tracer.extend(g.to_trace_events());
+                tele.tracer.extend(g.to_trace_events());
             }
             if let Some(l) = &attr_ledger {
-                super::attr::export_telemetry(l, &metrics, &mut rt.tele.tracer);
+                super::attr::export_telemetry(l, &metrics, &mut tele.tracer);
             }
             let reason = if self.stalled {
                 "stalled"
@@ -90,7 +90,7 @@ impl Kernel {
             } else {
                 "completed"
             };
-            rt.tele.report(&metrics, reason)
+            tele.report(&metrics, reason)
         });
         let attr = attr_ledger.map(|l| super::attr::report_of(&l, jct_us));
         let ckpt = self.ckpt_rt.take().map(|rt| CkptReport {

@@ -9,7 +9,6 @@
 use super::data::DataSource;
 use super::kernel::Kernel;
 use super::ml_bridge;
-use super::strategy::SyncStrategy;
 use crate::config::{DataStrategy, InjectedFault};
 use crate::events::{Ev, RtEngine};
 use crate::report::ActionApplication;
@@ -32,7 +31,7 @@ struct Part {
 /// The ring-AllReduce runtime: one optimizer step per communication round.
 /// A killed rank leaves the ring for good (no per-rank restart in DDP); with
 /// failover its shards requeue and the surviving ranks absorb them.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct RingAllReduce {
     round: u64,
     round_start: SimTime,
@@ -40,8 +39,30 @@ pub struct RingAllReduce {
 }
 
 impl RingAllReduce {
-    pub fn new() -> Self {
-        RingAllReduce { round: 0, round_start: SimTime::ZERO, parts: Vec::new() }
+    /// Route one ring event: only the open round's end moves the job
+    /// (round-driven jobs have no PS-style lifecycle events).
+    pub(crate) fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev) {
+        if matches!(ev, Ev::RoundEnd { round } if round == self.round) {
+            self.close_round(k, eng);
+        }
+    }
+
+    /// Execute a kill-class chaos injection: the rank leaves the ring.
+    pub(crate) fn inject_kill(
+        &mut self,
+        k: &mut Kernel,
+        eng: &mut RtEngine,
+        fault: &InjectedFault,
+    ) {
+        let now = eng.now();
+        match *fault {
+            InjectedFault::KillWorker { w } => self.kill_rank(k, now, w, true),
+            InjectedFault::KillWorkerNoFailover { w } => self.kill_rank(k, now, w, false),
+            // No per-rank restarts in DDP, so there is no restart to delay.
+            InjectedFault::RestartDelay { .. } => {}
+            InjectedFault::KillServer { .. } => unreachable!("validated out for ring runtimes"),
+            _ => unreachable!("windowed faults are kernel-handled"),
+        }
     }
 
     /// Open a round: every live rank applies its delivered actions, computes
@@ -235,8 +256,8 @@ impl RingAllReduce {
         // A killed rank never rejoins a DDP ring: freeze its timeline here.
         k.attr_kill(w, now, true);
         k.kills.push((now, NodeId::worker(w)));
-        if let Some(rt) = &mut k.tele {
-            rt.tele.tracer.instant("rank-kill", "lifecycle", now.as_micros(), w, &[]);
+        if let Some(tele) = &mut k.tele {
+            tele.tracer.instant("rank-kill", "lifecycle", now.as_micros(), w, &[]);
         }
         if failover {
             if let Some(dds) = &mut k.dds {
@@ -268,73 +289,21 @@ fn apply_rank_action(k: &mut Kernel, w: usize, action: Action) {
     }
 }
 
-impl Default for RingAllReduce {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SyncStrategy for RingAllReduce {
-    const LABEL: &'static str = "allreduce";
-    const WORKER_STREAM_FAMILY: u64 = 21;
-    const CHARGE_REPORT_FETCH: bool = false;
-    const USES_SERVERS: bool = false;
-
-    fn bootstrap_head(&mut self, _k: &mut Kernel, eng: &mut RtEngine) {
-        eng.schedule(SimTime::ZERO, Ev::RoundEnd { round: 0 }); // bootstraps round 0
-    }
-
-    fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev) {
-        match ev {
-            Ev::RoundEnd { round } if round == self.round => self.close_round(k, eng),
-            Ev::RoundEnd { .. } => {}
-            // Round-driven jobs have no PS-style lifecycle events.
-            _ => {}
-        }
-    }
-
-    fn on_controller_action(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        now: SimTime,
-        action: Action,
-    ) {
-        match action {
-            Action::None | Action::KillRestart { .. } => {
-                // kill-restart is a PS-side action in this build
-            }
-            other => {
-                let text = k.record_action(now, &other);
-                // Every rank, dead or alive: the round open applies whatever
-                // arrived, and dead ranks never rejoin a DDP ring anyway.
-                super::bus::broadcast(
-                    k,
-                    eng,
-                    now,
-                    other,
-                    &text,
-                    super::bus::BroadcastScope::RingAll,
-                );
-            }
-        }
-    }
-
-    fn inject_kill(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        fault: &InjectedFault,
-        _rec_idx: usize,
-    ) {
-        let now = eng.now();
-        match *fault {
-            InjectedFault::KillWorker { w } => self.kill_rank(k, now, w, true),
-            InjectedFault::KillWorkerNoFailover { w } => self.kill_rank(k, now, w, false),
-            // No per-rank restarts in DDP, so there is no restart to delay.
-            InjectedFault::RestartDelay { .. } => {}
-            InjectedFault::KillServer { .. } => unreachable!("validated out for ring runtimes"),
-            _ => unreachable!("windowed faults are kernel-handled"),
+/// Deliver one Controller action decided at a monitor tick: every global
+/// action goes to every rank, dead or alive — the round open applies
+/// whatever arrived, and dead ranks never rejoin a DDP ring anyway.
+/// Kill-restart is a PS-side action in this build.
+pub(crate) fn on_controller_action(
+    k: &mut Kernel,
+    eng: &mut RtEngine,
+    now: SimTime,
+    action: Action,
+) {
+    match action {
+        Action::None | Action::KillRestart { .. } => {}
+        other => {
+            let text = k.record_action(now, &other);
+            super::bus::broadcast(k, eng, now, other, &text, super::bus::BroadcastScope::RingAll);
         }
     }
 }

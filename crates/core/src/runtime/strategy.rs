@@ -1,128 +1,92 @@
-//! The `SyncStrategy` seam: the pluggable consistency layer over the runtime
-//! kernel, plus the generic event-loop driver shared by every strategy.
+//! The run: one in-flight job over the kernel and its synchronization
+//! strategy, plus the event loop that drives it.
 //!
 //! A strategy owns *only* consistency-specific state (barrier membership,
-//! parked pushes, ring-round bookkeeping) and implements a handful of
-//! hooks; the kernel owns the world (nodes, data plane, chaos, telemetry,
-//! report accumulators). Adding a new synchronization scheme is one strategy
-//! file — see `runtime/asp.rs` and the README how-to.
+//! parked pushes, ring-round bookkeeping); the kernel owns the world (nodes,
+//! data plane, chaos, telemetry, report accumulators). The strategies are a
+//! closed set — PS-BSP, PS-ASP and ring AllReduce — so `Strategy` is an
+//! enum and each routing point is one `match`. The two PS arms share the
+//! `ps_common` driver, generic over their [`PsFlavor`]; see the README
+//! how-to for adding a scheme.
+//!
+//! [`PsFlavor`]: super::ps_common::PsFlavor
 
+use super::asp::AspFlavor;
+use super::bsp::BspFlavor;
 use super::chaos_hooks;
 use super::kernel::Kernel;
-use crate::config::{Arch, Consistency, InjectedFault, JobConfig};
+use super::ps_common;
+use super::ring::{self, RingAllReduce};
+use crate::config::{Arch, Consistency, JobConfig};
 use crate::events::{Ev, RtEngine};
-use crate::obs::RtTele;
 use crate::report::JobReport;
-use antdt_controller::{Action, MitigationPolicy};
+use crate::whatif::{apply_live_perturbation, Perturbation};
+use antdt_controller::MitigationPolicy;
 use antdt_monitor::ClusterInfo;
 use antdt_sim::SimTime;
 
-/// One synchronization strategy over the shared `Kernel`.
-///
-/// The kernel drives the event loop and handles everything
-/// strategy-agnostic (monitor ticks, windowed chaos faults, the liveness
-/// watchdog); a strategy supplies the consistency-specific behaviour through
-/// these hooks. Hooks receive the kernel and the engine as separate borrows,
-/// so strategy state and world state compose without aliasing.
-pub trait SyncStrategy {
-    /// Telemetry label for this runtime family (`("runtime", LABEL)` on every
-    /// metric).
-    const LABEL: &'static str;
-    /// `RngPool::stream2(FAMILY, i)` keys the per-worker jitter streams; each
-    /// runtime family keeps its historical assignment so same-seed runs
-    /// reproduce pre-kernel traces.
-    const WORKER_STREAM_FAMILY: u64;
-    /// Whether a lease commit charges the DDS fetch round-trip per
-    /// `report_done` on the overhead ledger (PS true, round-driven false).
-    const CHARGE_REPORT_FETCH: bool;
-    /// Whether this strategy books work on parameter servers. Serverless
-    /// strategies get an empty server list even if the cluster spec carries
-    /// servers (they are simply not part of the job).
-    const USES_SERVERS: bool;
-
-    /// Schedule the strategy's initial events (worker starts / round zero).
-    /// Runs before the kernel arms the monitor tick.
-    fn bootstrap_head(&mut self, k: &mut Kernel, eng: &mut RtEngine);
-
-    /// Schedule trailing bootstrap events (checkpoints).
-    /// Runs after the monitor tick, before chaos injections.
-    fn bootstrap_tail(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        let _ = (k, eng);
-    }
-
-    /// Handle a strategy-routed event (anything the kernel doesn't own:
-    /// worker/server lifecycle, compute completions, round ends).
-    fn on_event(&mut self, k: &mut Kernel, eng: &mut RtEngine, ev: Ev);
-
-    /// Deliver one Controller action decided at a monitor tick.
-    fn on_controller_action(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        now: SimTime,
-        action: Action,
-    );
-
-    /// Execute a kill-class chaos injection (worker/server kill, restart
-    /// delay). `rec_idx` indexes the already-appended injection record so the
-    /// strategy can wire up recovery marks.
-    fn inject_kill(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        fault: &InjectedFault,
-        rec_idx: usize,
-    );
-
-    /// The last overlapping DDS outage window lifted; data is flowing again.
-    fn on_dds_restored(&mut self, k: &mut Kernel, eng: &mut RtEngine) {
-        let _ = (k, eng);
-    }
+/// A job's synchronization strategy: the consistency-specific state the
+/// kernel's events are routed through.
+#[derive(Clone)]
+pub(crate) enum Strategy {
+    Bsp(BspFlavor),
+    Asp(AspFlavor),
+    Ring(RingAllReduce),
 }
 
-/// Run a job under strategy `S`: build the kernel, bootstrap, drive the event
-/// loop to completion and assemble the report.
-pub fn run<S: SyncStrategy>(
-    cfg: JobConfig,
-    policy: Box<dyn MitigationPolicy>,
-    strat: S,
-) -> JobReport {
-    SimRun::new(cfg, policy, strat).finish()
-}
-
-/// An in-flight job that can be advanced in stages, snapshotted and forked —
-/// the substrate for counterfactual replay (`whatif`): run the shared prefix
-/// once, fork at each divergence point, and only simulate the suffixes.
-pub struct SimRun<S: SyncStrategy> {
+/// An in-flight job that can be advanced in stages, forked and finished —
+/// the substrate for counterfactual replay (`whatif`) and the unit a what-if
+/// snapshot cache stores: run the shared prefix once, fork at each
+/// divergence point, and only simulate the suffixes. A fork carries
+/// everything the run recorded so far, telemetry included, so a finished
+/// fork reports exactly what a from-scratch run of its (perturbed) config
+/// reports.
+pub struct PrefixRun {
     pub(crate) k: Kernel,
-    strat: S,
+    strat: Strategy,
     eng: RtEngine,
 }
 
-impl<S: SyncStrategy> SimRun<S> {
-    /// Build and bootstrap a job without running any events yet.
-    pub fn new(cfg: JobConfig, policy: Box<dyn MitigationPolicy>, mut strat: S) -> Self {
+impl PrefixRun {
+    /// Build and bootstrap a run of `cfg` under its configured mitigation
+    /// policy, without firing any events.
+    pub fn new(cfg: &JobConfig) -> Self {
+        Self::with_policy(cfg.clone(), crate::job::build_policy(cfg))
+    }
+
+    /// Build and bootstrap a run of `cfg` under `policy`.
+    pub(crate) fn with_policy(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Self {
         cfg.validate();
-        let rt = cfg.telemetry.then(|| RtTele::new(S::LABEL));
-        let mut k = Kernel::new(
-            cfg,
-            policy,
-            rt,
-            S::WORKER_STREAM_FAMILY,
-            S::CHARGE_REPORT_FETCH,
-            S::USES_SERVERS,
-        );
+        let strat = match cfg.arch {
+            Arch::ParameterServer { consistency: Consistency::Bsp } => {
+                Strategy::Bsp(BspFlavor::new(cfg.n_workers()))
+            }
+            Arch::ParameterServer { consistency: Consistency::Asp } => {
+                Strategy::Asp(AspFlavor::default())
+            }
+            Arch::AllReduce => Strategy::Ring(RingAllReduce::default()),
+        };
+        let k = Kernel::new(cfg, policy);
         let mut eng = RtEngine::new();
-        strat.bootstrap_head(&mut k, &mut eng);
+        match strat {
+            Strategy::Bsp(_) | Strategy::Asp(_) => {
+                for w in 0..k.workers.len() as u32 {
+                    eng.schedule(SimTime::ZERO, Ev::WorkerStart { w, gen: 0 });
+                }
+            }
+            Strategy::Ring(_) => eng.schedule(SimTime::ZERO, Ev::RoundEnd { round: 0 }),
+        }
         eng.schedule(SimTime::ZERO + k.cfg.monitor_tick, Ev::MonitorTick);
-        strat.bootstrap_tail(&mut k, &mut eng);
+        if k.cfg.arch.is_ps() {
+            eng.schedule(SimTime::ZERO + k.cfg.checkpoint_interval, Ev::Checkpoint);
+        }
         for (i, inj) in k.cfg.injections.iter().enumerate() {
             eng.schedule(SimTime::from_secs_f64(inj.at_secs), Ev::ChaosFault { k: i as u32 });
         }
         if let Some(timeout) = k.cfg.liveness_timeout {
             eng.schedule(SimTime::ZERO + timeout, Ev::LivenessCheck);
         }
-        SimRun { k, strat, eng }
+        PrefixRun { k, strat, eng }
     }
 
     /// Fire every event up to and including instant `t` (but no further).
@@ -147,22 +111,37 @@ impl<S: SyncStrategy> SimRun<S> {
         self.k.finished
     }
 
-    /// Mutable access to the kernel, for applying a counterfactual edit at
-    /// the fork instant (see `crate::whatif`).
-    pub(crate) fn kernel_mut(&mut self) -> &mut Kernel {
-        &mut self.k
+    /// How many divergence marks the run has set so far (at most
+    /// [`crate::divergence_mark_bound`] of its config).
+    pub fn marks_set(&self) -> usize {
+        self.k.marks_set()
     }
 
-    /// Fork the run: an independent job resuming from this exact instant
-    /// with identical pending events, world state, RNG positions and
-    /// telemetry recorded so far (counts, trace, flight ring). The original
-    /// run is untouched.
-    pub fn fork(&self) -> Self
-    where
-        S: Clone,
-    {
+    /// Estimated heap bytes an independent fork of this run owns (world
+    /// clone + engine snapshot) — what a size-bounded cache charges.
+    pub fn estimate_bytes(&self) -> usize {
+        self.k.estimate_bytes() + self.eng.snapshot_bytes_estimate()
+    }
+
+    /// An independent run resuming from this exact instant with identical
+    /// pending events, world state, RNG positions and telemetry recorded so
+    /// far (counts, trace, flight ring); `self` is untouched.
+    pub fn fork(&self) -> PrefixRun {
         let eng = RtEngine::fork(&self.eng.snapshot());
-        SimRun { k: self.k.clone(), strat: self.strat.clone(), eng }
+        PrefixRun { k: self.k.clone(), strat: self.strat.clone(), eng }
+    }
+
+    /// [`PrefixRun::fork`], then apply `p` to the forked kernel live — the
+    /// counterfactual branch point.
+    pub fn fork_perturbed(&self, p: &Perturbation) -> PrefixRun {
+        self.fork().into_perturbed(p)
+    }
+
+    /// [`PrefixRun::fork_perturbed`] for the last branch off a prefix: the
+    /// run itself becomes the branch, without a copy.
+    pub fn into_perturbed(mut self, p: &Perturbation) -> PrefixRun {
+        apply_live_perturbation(&mut self.k, p);
+        self
     }
 
     /// Drive the job to completion (finish, drain or deadline) and assemble
@@ -184,12 +163,12 @@ impl<S: SyncStrategy> SimRun<S> {
 
 /// Route one event: kernel-owned events are handled here, everything else
 /// goes to the strategy.
-fn handle<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngine, ev: Ev) {
+fn handle(k: &mut Kernel, strat: &mut Strategy, eng: &mut RtEngine, ev: Ev) {
     if k.finished {
         return;
     }
-    if let Some(rt) = &mut k.tele {
-        rt.tele.flight.record(eng.now().as_micros(), "event", format!("{ev:?}"));
+    if let Some(tele) = &mut k.tele {
+        tele.flight.record(eng.now().as_micros(), "event", format!("{ev:?}"));
     }
     match ev {
         Ev::MonitorTick => monitor_tick(k, strat, eng),
@@ -198,96 +177,29 @@ fn handle<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngine, ev
         Ev::LivenessCheck => k.liveness_check(eng),
         Ev::CkptRestore => k.apply_ckpt_restore(eng),
         Ev::BusMsg { seq } => super::bus::on_bus_msg(k, eng, seq),
-        other => strat.on_event(k, eng, other),
+        other => match strat {
+            Strategy::Bsp(f) => ps_common::on_event(k, f, eng, other),
+            Strategy::Asp(f) => ps_common::on_event(k, f, eng, other),
+            Strategy::Ring(r) => r.on_event(k, eng, other),
+        },
     }
 }
 
 /// One Monitor→Controller tick: snapshot, decide, audit, dispatch each action
 /// through the strategy, re-arm.
-fn monitor_tick<S: SyncStrategy>(k: &mut Kernel, strat: &mut S, eng: &mut RtEngine) {
+fn monitor_tick(k: &mut Kernel, strat: &Strategy, eng: &mut RtEngine) {
     let now = eng.now();
     let info = ClusterInfo { busy: k.cfg.cluster.scheduler.is_busy(now) };
     let actions = k.bus.tick_decide(k.tele.as_mut(), now, info);
     let audit = k.bus.drain_decision_audit();
     k.decision_log.extend(audit);
     for action in actions {
-        strat.on_controller_action(k, eng, now, action);
+        match strat {
+            Strategy::Bsp(_) | Strategy::Asp(_) => {
+                ps_common::on_controller_action(k, eng, now, action)
+            }
+            Strategy::Ring(_) => ring::on_controller_action(k, eng, now, action),
+        }
     }
     eng.schedule(now + k.cfg.monitor_tick, Ev::MonitorTick);
-}
-
-/// Arch-dispatching entry point: pick the strategy for `cfg.arch` and run.
-pub fn run_with_policy(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> JobReport {
-    erased_run(cfg, policy).finish_box()
-}
-
-/// Object-safe, arch-erased view of a [`SimRun`]. The what-if query service
-/// caches prefix runs for jobs of *any* architecture in one store and fans
-/// suffix finishes over the work-stealing pool, so the strategy type
-/// parameter is erased behind a `Send` trait object.
-pub(crate) trait ErasedRun: Send {
-    fn advance_until(&mut self, t: SimTime) -> bool;
-    fn now(&self) -> SimTime;
-    fn processed(&self) -> u64;
-    fn finished(&self) -> bool;
-    fn marks_set(&self) -> usize;
-    /// Estimated heap bytes an independent fork of this run would own
-    /// (kernel clone + engine snapshot) — the cache-budget input.
-    fn estimate_bytes(&self) -> usize;
-    /// [`SimRun::fork`], boxed.
-    fn fork_box(&self) -> Box<dyn ErasedRun>;
-    /// Apply a counterfactual edit to the live kernel (fork first!).
-    fn perturb(&mut self, p: &crate::whatif::Perturbation);
-    fn finish_box(self: Box<Self>) -> JobReport;
-}
-
-impl<S: SyncStrategy + Clone + Send + 'static> ErasedRun for SimRun<S> {
-    fn advance_until(&mut self, t: SimTime) -> bool {
-        SimRun::advance_until(self, t)
-    }
-    fn now(&self) -> SimTime {
-        SimRun::now(self)
-    }
-    fn processed(&self) -> u64 {
-        SimRun::processed(self)
-    }
-    fn finished(&self) -> bool {
-        SimRun::finished(self)
-    }
-    fn marks_set(&self) -> usize {
-        self.k.marks_set()
-    }
-    fn estimate_bytes(&self) -> usize {
-        self.k.estimate_bytes() + self.eng.snapshot_bytes_estimate()
-    }
-    fn fork_box(&self) -> Box<dyn ErasedRun> {
-        Box::new(SimRun::fork(self))
-    }
-    fn perturb(&mut self, p: &crate::whatif::Perturbation) {
-        crate::whatif::apply_live_perturbation(self.kernel_mut(), p);
-    }
-    fn finish_box(self: Box<Self>) -> JobReport {
-        SimRun::finish(*self)
-    }
-}
-
-/// Build and bootstrap an arch-erased run of `cfg` under its configured
-/// mitigation policy.
-pub(crate) fn erased_run_for(cfg: &JobConfig) -> Box<dyn ErasedRun> {
-    erased_run(cfg.clone(), crate::job::build_policy(cfg))
-}
-
-/// Pick the strategy for `cfg.arch`, then build and bootstrap the run behind
-/// the arch-erased [`ErasedRun`] view.
-fn erased_run(cfg: JobConfig, policy: Box<dyn MitigationPolicy>) -> Box<dyn ErasedRun> {
-    match cfg.arch {
-        Arch::ParameterServer { consistency } => match consistency {
-            Consistency::Bsp => {
-                let n = cfg.n_workers();
-                Box::new(SimRun::new(cfg, policy, super::bsp::BspPs::new(n)))
-            }
-            Consistency::Asp => Box::new(SimRun::new(cfg, policy, super::asp::AspPs::new())),
-        },
-        Arch::AllReduce => Box::new(SimRun::new(cfg, policy, super::ring::RingAllReduce::new())),
-    }
 }

@@ -13,15 +13,15 @@
 //! [`PrefixRun`]) and driven by one engine, the `antdt-whatif` service;
 //! [`what_if_table`] is the naive full-rerun oracle it is checked against.
 
-use crate::config::{Arch, JobConfig};
+use crate::config::JobConfig;
 use crate::job::Job;
 use crate::report::{CounterfactualRow, JobReport};
 use crate::runtime::attr::analysis_of;
 use crate::runtime::kernel::Kernel;
-use crate::runtime::strategy::{erased_run_for, ErasedRun};
 use antdt_attr::predicted_delta_us;
 use antdt_sim::{ControlChannel, SimTime};
 
+pub use crate::runtime::strategy::PrefixRun;
 pub use antdt_attr::Perturbation;
 
 /// Apply one counterfactual edit to a job config. The returned config is the
@@ -58,12 +58,6 @@ pub fn perturbation_edits(cfg: &JobConfig, p: &Perturbation) -> bool {
         Perturbation::ZeroControlLatency => !cfg.control_channel.is_ideal(),
         Perturbation::NoCkptStalls => cfg.ckpt.capture_stall_secs.to_bits() != 0,
     }
-}
-
-/// Re-run `cfg` with `p` applied (attribution stays armed so the replay is
-/// itself explainable).
-pub fn run_what_if(cfg: &JobConfig, p: &Perturbation) -> JobReport {
-    Job::run(apply_perturbation(cfg.clone(), p))
 }
 
 /// Apply one counterfactual edit to a *live* forked kernel, mid-run. This is
@@ -107,8 +101,7 @@ pub fn divergence_instant(base: &JobReport, p: &Perturbation) -> Option<SimTime>
 pub fn divergence_mark_bound(cfg: &JobConfig) -> usize {
     let contended = cfg.cluster.workers.iter().filter(|w| !w.profile.phases.is_empty()).count();
     let control = usize::from(!cfg.control_channel.is_ideal());
-    let ps = matches!(cfg.arch, Arch::ParameterServer { .. });
-    let stall = usize::from(ps && cfg.ckpt.capture_stall_secs > 0.0);
+    let stall = usize::from(cfg.arch.is_ps() && cfg.ckpt.capture_stall_secs > 0.0);
     contended + control + stall
 }
 
@@ -134,80 +127,6 @@ pub fn config_digest(cfg: &JobConfig) -> u128 {
     let mut h = Fnv(0x6C62_272E_07BB_0142_62B8_2175_6295_C58D);
     write!(h, "{cfg:?}").expect("hashing a Debug rendering cannot fail");
     h.0
-}
-
-/// An arch-erased in-flight job that can be advanced, forked and finished —
-/// the unit a what-if snapshot cache stores. A fork carries everything the
-/// run recorded so far, telemetry included, so a finished fork reports
-/// exactly what a from-scratch run of its (perturbed) config reports (see
-/// [`crate::runtime::strategy::SimRun::fork`]).
-pub struct PrefixRun(Box<dyn ErasedRun>);
-
-impl PrefixRun {
-    /// Build and bootstrap a run of `cfg` without firing any events.
-    pub fn new(cfg: &JobConfig) -> Self {
-        PrefixRun(erased_run_for(cfg))
-    }
-
-    /// Fire every event up to and including instant `t` (but no further).
-    /// Returns `true` if the queue drained.
-    pub fn advance_until(&mut self, t: SimTime) -> bool {
-        self.0.advance_until(t)
-    }
-
-    /// The job's current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.0.now()
-    }
-
-    /// Events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.0.processed()
-    }
-
-    /// Whether the job has reached its finish condition.
-    pub fn finished(&self) -> bool {
-        self.0.finished()
-    }
-
-    /// How many divergence marks the run has set so far (at most
-    /// [`divergence_mark_bound`] of its config).
-    pub fn marks_set(&self) -> usize {
-        self.0.marks_set()
-    }
-
-    /// Estimated heap bytes an independent fork of this run owns (world
-    /// clone + engine snapshot) — what a size-bounded cache charges.
-    pub fn estimate_bytes(&self) -> usize {
-        self.0.estimate_bytes()
-    }
-
-    /// An independent run resuming from this exact instant; `self` is
-    /// untouched.
-    pub fn fork(&self) -> PrefixRun {
-        PrefixRun(self.0.fork_box())
-    }
-
-    /// [`PrefixRun::fork`], then apply `p` to the forked kernel live — the
-    /// counterfactual branch point.
-    pub fn fork_perturbed(&self, p: &Perturbation) -> PrefixRun {
-        let mut f = self.0.fork_box();
-        f.perturb(p);
-        PrefixRun(f)
-    }
-
-    /// [`PrefixRun::fork_perturbed`] for the last branch off a prefix: the
-    /// run itself becomes the branch, without a copy.
-    pub fn into_perturbed(self, p: &Perturbation) -> PrefixRun {
-        let mut run = self.0;
-        run.perturb(p);
-        PrefixRun(run)
-    }
-
-    /// Drive to completion and assemble the report.
-    pub fn finish(self) -> JobReport {
-        self.0.finish_box()
-    }
 }
 
 /// How one batch of perturbations against a finished base run will be
@@ -279,7 +198,8 @@ pub fn what_if_table(
     base: &JobReport,
     perturbations: &[Perturbation],
 ) -> Vec<CounterfactualRow> {
-    let what_ifs: Vec<JobReport> = perturbations.iter().map(|p| run_what_if(cfg, p)).collect();
+    let what_ifs: Vec<JobReport> =
+        perturbations.iter().map(|p| Job::run(apply_perturbation(cfg.clone(), p))).collect();
     counterfactual_rows(base, perturbations, &what_ifs)
 }
 

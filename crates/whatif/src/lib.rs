@@ -168,7 +168,7 @@ impl ServiceCounters {
 /// What one item of the fan-out stage simulates.
 enum WorkItem {
     /// A perturbed fork to finish; `prefix_events` were inherited.
-    Branch { run: PrefixRun, prefix_events: u64 },
+    Branch { run: Box<PrefixRun>, prefix_events: u64 },
     /// A full perturbed rerun from time zero.
     Rerun(Box<JobConfig>),
 }
@@ -352,7 +352,7 @@ impl WhatIfService {
                 };
                 let prefix_events = branch.processed();
                 planned[ti] = Some(Pending::Work { item: work.len(), source });
-                work.push(WorkItem::Branch { run: branch, prefix_events });
+                work.push(WorkItem::Branch { run: Box::new(branch), prefix_events });
             }
             for &ti in &plan.full_reruns {
                 let p = &perts[ti];
@@ -388,9 +388,9 @@ impl WhatIfService {
         }
 
         // Fan the whole batch — suffix finishes and full reruns alike —
-        // over the work-stealing pool. Results come home in input order and
-        // every job is an independent deterministic simulation, so the
-        // reports are byte-identical to a serial loop's.
+        // out over `antdt_par`'s scoped threads. Results come home in input
+        // order and every job is an independent deterministic simulation,
+        // so the reports are byte-identical to a serial loop's.
         let reports: Vec<(JobReport, u64)> = antdt_par::par_map(work, |item| match item {
             WorkItem::Branch { run, prefix_events } => (run.finish(), prefix_events),
             WorkItem::Rerun(cfg) => (Job::run(*cfg), 0),

@@ -47,6 +47,16 @@ if [ -n "$hits" ]; then
     fail "unsafe, Condvar or mpsc in crates/par (the scoped fan-out needs none):
 $hits"
 fi
+# A run is one concrete type: the strategies are a closed enum, so the run
+# (runtime/strategy.rs) and the what-if code that forks it hold no trait
+# object. The mitigation policy, the one open seam, is the only `dyn` they
+# may name.
+hits=$(grep -Ewn 'dyn' crates/core/src/runtime/strategy.rs crates/core/src/whatif.rs \
+    | grep -v 'dyn MitigationPolicy' || true)
+if [ -n "$hits" ]; then
+    fail "dyn in the run or the what-if fork path (a run is one concrete type over the closed Strategy enum):
+$hits"
+fi
 # antdt-ckpt is the snapshot/cost-model leaf shared by the runtime and the
 # controller: like antdt-par it must stay std-only (dev-deps excluded) so a
 # checkpoint format change can never drag runtime types into the leaves.

@@ -3,7 +3,8 @@
 //! counterfactual-replay validation.
 
 use antdt::core::{
-    ChaosInjection, InjectedFault, Job, JobConfig, JobReport, MitigationChoice, Perturbation,
+    apply_perturbation, ChaosInjection, InjectedFault, Job, JobConfig, JobReport, MitigationChoice,
+    Perturbation,
 };
 use antdt::sim::SimDuration;
 use antdt::whatif::{AnswerSource, ServiceConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
@@ -318,7 +319,7 @@ fn forked_replay_is_byte_identical_and_simulates_only_the_suffix() {
             "{label}: not forked ({:?})",
             forked.source
         );
-        let full = antdt::core::run_what_if(&cfg, p);
+        let full = Job::run(apply_perturbation(cfg.clone(), p));
         assert_eq!(
             forked.report.golden_dump(),
             full.golden_dump(),
@@ -375,7 +376,7 @@ fn unchanged_config_edit_is_answered_from_the_base_report() {
     let answers = answer_all(&cfg, &perturbations);
     assert_eq!(answers[0].source, AnswerSource::Memo);
     assert_eq!((answers[0].prefix_events, answers[0].suffix_events), (0, 0));
-    let naive = antdt::core::run_what_if(&cfg, &perturbations[0]);
+    let naive = Job::run(apply_perturbation(cfg.clone(), &perturbations[0]));
     assert_eq!(answers[0].report.golden_dump(), naive.golden_dump());
     let rows = antdt::core::counterfactual_rows(&base, &perturbations, [&answers[0].report]);
     assert_eq!(rows[0].measured_delta_us, 0, "an unengaged edit must not move JCT");
@@ -401,7 +402,7 @@ fn changed_but_unengaged_edit_falls_back_to_a_full_rerun() {
     let perturbations = [Perturbation::HealthyNode(late)];
     let answers = answer_all(&cfg, &perturbations);
     assert_eq!(answers[0].source, AnswerSource::FullRerun);
-    let naive = antdt::core::run_what_if(&cfg, &perturbations[0]);
+    let naive = Job::run(apply_perturbation(cfg.clone(), &perturbations[0]));
     assert_eq!(answers[0].report.golden_dump(), naive.golden_dump());
     assert_eq!(answers[0].suffix_events, naive.events_processed);
     let rows = antdt::core::counterfactual_rows(&base, &perturbations, [&answers[0].report]);

@@ -8,8 +8,7 @@ use antdt::controller::{
     AdaptiveBackupWorkers, Composite, KillRestartOnly, LbBsp, MitigationPolicy,
 };
 use antdt::core::{
-    ps_run_with_policy, ChaosInjection, FailoverMode, InjectedFault, Job, JobConfig,
-    MitigationChoice,
+    run_with_policy, ChaosInjection, FailoverMode, InjectedFault, Job, JobConfig, MitigationChoice,
 };
 use antdt::sim::rng::StdRng;
 use antdt::sim::SimDuration;
@@ -36,7 +35,7 @@ fn custom_policy(n_workers: usize) -> Box<dyn MitigationPolicy> {
 fn custom_composite_solution_beats_native_bsp() {
     let scenario = Scenario::WorkerMix { intensity: 0.8 };
     let native = Job::run(cfg(scenario));
-    let custom = ps_run_with_policy(cfg(scenario), custom_policy(8));
+    let custom = run_with_policy(cfg(scenario), custom_policy(8));
     assert!(!custom.timed_out);
     assert!(
         custom.jct.as_secs_f64() < native.jct.as_secs_f64(),

@@ -557,3 +557,45 @@ fn an_edit_equal_to_another_held_trace_is_answered_from_its_base() {
     assert_same_report(&answer.report, &want, "cross-trace answer");
     assert_eq!(answer.report.golden_dump(), base_b);
 }
+
+/// Fork ≡ rerun on every strategy arm: a BSP, an ASP and a ring AllReduce
+/// job, each with a `Modeled` control channel and one worker contended from
+/// a late instant, answer every query by forking a shared prefix, and each
+/// answer equals the naive full rerun, telemetry included.
+#[test]
+fn every_strategy_arm_forks_and_matches_naive_reruns() {
+    use antdt::sim::{ContentionPhase, ControlChannel};
+    let late = |mut cfg: JobConfig, w: usize| {
+        cfg.cluster.workers[w].profile.phases.push(ContentionPhase::Persistent {
+            delay_secs: 4.0,
+            from: SimTime::from_secs_f64(20.0),
+            to: SimTime::MAX,
+        });
+        cfg.with_control_channel(ControlChannel::Modeled {
+            latency_secs: 0.05,
+            jitter_secs: 0.02,
+            loss_prob: 0.01,
+            seed: 5,
+        })
+        .with_telemetry()
+    };
+    let arms = [
+        ("bsp", ps_base(JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)), 3),
+        ("asp", ps_base(JobConfig::ps_asp(cluster_a_scaled(4, 2), Scenario::None)), 2),
+        ("ring", allreduce(), 5),
+    ];
+    for (arm, cfg, w) in arms {
+        let cfg = late(cfg, w);
+        let queries = [Perturbation::HealthyNode(w as u32), Perturbation::ZeroControlLatency]
+            .map(|perturbation| WhatIfQuery { cfg: cfg.clone(), perturbation });
+        let mut service = WhatIfService::new(ServiceConfig::default());
+        let answers = service.answer_batch(&queries);
+        for (q, a) in queries.iter().zip(&answers) {
+            let ctx = format!("{arm}: {:?}", q.perturbation);
+            assert!(matches!(a.source, AnswerSource::Forked { .. }), "{ctx}: {:?}", a.source);
+            let want = naive(&q.cfg, &q.perturbation);
+            assert!(want.telemetry.is_some());
+            assert_same_report(&a.report, &want, &ctx);
+        }
+    }
+}
