@@ -370,7 +370,9 @@ impl PsFlavor for BspFlavor {
 mod tests {
     use super::*;
     use crate::config::JobConfig;
+    use crate::runtime::data::DATA_POLL;
     use crate::runtime::kernel::Inflight;
+    use crate::runtime::ps_common;
     use antdt_controller::NoMitigation;
     use antdt_sim::{ContentionPhase, Link};
     use antdt_workloads::cluster::cluster_a_scaled;
@@ -415,6 +417,32 @@ mod tests {
         started.sort_unstable();
         assert_eq!(started, vec![0, 1, 4], "releases for w0/w1, one poke for idle w4");
         assert!(k.workers[2].inflight.is_some(), "the dropped straggler is still computing");
+    }
+
+    /// Pokes of a starving worker (barrier closes, broadcasts, DDS
+    /// recovery) do not start retry chains of their own: however often it
+    /// is poked, the worker holds one pending data-poll retry.
+    #[test]
+    fn a_starving_worker_holds_one_pending_poll_retry() {
+        let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+        let mut k = Kernel::new(cfg, Box::new(NoMitigation));
+        k.dds.as_mut().expect("a PS job reads from the DDS").set_paused(true);
+        let mut eng = RtEngine::new();
+        let mut f = BspFlavor::new(4);
+        let secs = |s: f64| SimTime::from_secs_f64(s);
+        // Four starts of w0 one second apart, all inside its first poll.
+        for s in 0..4 {
+            eng.schedule(secs(s as f64), Ev::WorkerStart { w: 0, gen: 0 });
+        }
+        eng.run_until(secs(3.5), |eng, ev| ps_common::on_event(&mut k, &mut f, eng, ev));
+        assert!(k.workers[0].starving, "the paused DDS starves w0");
+        let mut pending = Vec::new();
+        eng.run_until(secs(3.5) + DATA_POLL + DATA_POLL, |eng, ev| {
+            if let Ev::WorkerStart { w: 0, .. } = ev {
+                pending.push(eng.now());
+            }
+        });
+        assert_eq!(pending, vec![SimTime::ZERO + DATA_POLL], "one retry, from the first start");
     }
 
     /// What the plain close arithmetic gives for one barrier, per server
@@ -558,7 +586,7 @@ mod tests {
                     closes += 1;
                     for j in 0..m {
                         let s = &k.servers[j];
-                        let (at, busy) = *s.series_bpt.points.last().unwrap();
+                        let (at, busy) = s.series_bpt.last().unwrap();
                         assert_eq!((s.free_at, at), (o.free_at[j], o.free_at[j]), "s{j} free_at");
                         assert_eq!(busy.to_bits(), o.busy[j].to_bits(), "s{j} busy");
                         let fs = &o.factors[j];
@@ -568,7 +596,7 @@ mod tests {
                     }
                     for (i, p) in pushes.iter().enumerate() {
                         let wk = &k.workers[p.w as usize];
-                        let bpt = wk.series_bpt.points.last().unwrap().1;
+                        let bpt = wk.series_bpt.last().unwrap().1;
                         assert_eq!(bpt.to_bits(), o.bpt[i].to_bits(), "w{} bpt", p.w);
                         assert_eq!(wk.next_allowed, o.next[i], "w{} next_allowed", p.w);
                     }

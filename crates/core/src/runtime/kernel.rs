@@ -62,6 +62,10 @@ pub struct WorkerState {
     /// next BSP participant set so the barrier does not wait on a worker that
     /// cannot push (liveness guard).
     pub(crate) starving: bool,
+    /// Instant of the worker's latest data-poll retry; a retry is pending
+    /// while it lies after now. One retry chain per worker: pokes of a
+    /// starving worker do not start more.
+    pub(crate) poll_at: SimTime,
     /// Earliest instant the worker may begin its next iteration — the barrier
     /// release + pull time. Guards against stray wake-ups (action-delivery
     /// pokes, duplicate events) starting an iteration before the release,
@@ -240,6 +244,7 @@ impl Kernel {
                     series_batch: TimeSeries::new(),
                     killed_at: None,
                     starving: false,
+                    poll_at: SimTime::ZERO,
                     next_allowed: SimTime::ZERO,
                 }
             })
@@ -424,19 +429,18 @@ impl Kernel {
     /// this sizes snapshot caches, which need budgets, not audits.
     pub(crate) fn estimate_bytes(&self) -> usize {
         use std::mem::size_of;
-        let series = |s: &TimeSeries| s.points.capacity() * size_of::<(SimTime, f64)>();
         let mut b = size_of::<Self>();
         for w in &self.workers {
             b += size_of::<WorkerState>()
                 + w.leases.capacity() * size_of::<LeaseState>()
-                + series(&w.series_bpt)
-                + series(&w.series_batch);
+                + w.series_bpt.heap_bytes()
+                + w.series_batch.heap_bytes();
             if let Some(g) = w.inflight.as_ref().and_then(|i| i.grad.as_ref()) {
                 b += g.capacity() * size_of::<f32>();
             }
         }
         for s in &self.servers {
-            b += size_of::<ServerState>() + series(&s.series_bpt);
+            b += size_of::<ServerState>() + s.series_bpt.heap_bytes();
         }
         if let Some(m) = &self.math {
             b += (m.model.n_params() + m.agg.capacity()) * size_of::<f32>();
@@ -453,7 +457,7 @@ impl Kernel {
         if let Some(tele) = &self.tele {
             b += tele.estimate_bytes();
         }
-        b + series(&self.throughput)
+        b + self.throughput.heap_bytes()
             + self.actions.capacity() * size_of::<(SimTime, Action)>()
             + self.kills.capacity() * size_of::<(SimTime, NodeId)>()
             + self.restarts.capacity() * size_of::<(SimTime, NodeId)>()

@@ -13,7 +13,7 @@ use crate::events::{Ev, RtEngine};
 use antdt_attr::WaitCause;
 use antdt_monitor::{ErrorClass, NodeEvent, NodeId, RetryableError};
 use antdt_sim::gantt::SpanKind;
-use antdt_sim::{NodeProfile, SimDuration};
+use antdt_sim::{NodeProfile, SimDuration, SimTime};
 
 /// Kill worker `w` (generation-checked): roll back its in-flight samples,
 /// requeue its DOING shards, drop it from the consistency layer and schedule
@@ -33,6 +33,8 @@ pub(crate) fn worker_kill<F: PsFlavor>(
     let now = eng.now();
     k.workers[wi].alive = false;
     k.workers[wi].gen += 1;
+    // The dead incarnation's pending data-poll retry is stale now.
+    k.workers[wi].poll_at = SimTime::ZERO;
     k.workers[wi].killed_at = Some(now);
     // Clip attributed work past the kill instant; without a replacement
     // coming (chaos no-failover) the timeline freezes here, otherwise the

@@ -144,11 +144,15 @@ fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u
         } else if k.workers[wi].quota == 0 {
             // Idle until an AdjustBs wakes it (delivery schedules a start).
         } else {
-            // Queue momentarily empty (epoch tail): retry shortly.
+            // Queue momentarily empty (epoch tail): retry shortly, unless a
+            // retry is already pending (this was a poke).
             k.workers[wi].starving = true;
             k.attr_pending(w, WaitCause::DataWait);
             f.on_data_wait(k, eng, w);
-            eng.schedule_after(DATA_POLL, Ev::WorkerStart { w, gen });
+            if k.workers[wi].poll_at <= now {
+                k.workers[wi].poll_at = now + DATA_POLL;
+                eng.schedule(now + DATA_POLL, Ev::WorkerStart { w, gen });
+            }
         }
         return;
     }

@@ -92,9 +92,9 @@ fn stalled_run_telemetry_is_pinned() {
         pins(&t),
         [
             (152_945, 0x36c1_aa95_6b3d_1d19),
-            (2_380, 0x623b_7730_3ca3_35e3),
-            (2_124, 0x628c_774b_963b_1dfe),
-            (23_035, 0x0afa_67b5_cc42_ec81),
+            (2_379, 0x23c8_27a1_354b_255a),
+            (2_123, 0xcaeb_d01c_1352_5ddb),
+            (24_226, 0x6901_51e9_5dfb_ea82),
         ]
     );
 }

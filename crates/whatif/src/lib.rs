@@ -192,11 +192,10 @@ enum Pending {
         item: usize,
         source: AnswerSource,
     },
-    /// An in-batch repeat of the query that owns work item `item`: answered
-    /// from its report without simulating anything, like a memo hit.
-    Shared {
-        item: usize,
-    },
+    /// An in-batch repeat of a query that owns a work item: answered from
+    /// the report that query memoized, without simulating anything, like a
+    /// memo hit.
+    Shared,
 }
 
 /// See the crate docs. The service is stateful on purpose: the memo store,
@@ -381,7 +380,7 @@ impl WhatIfService {
                 // report); repeats are in-batch memo hits on that report.
                 pending[qi] =
                     Some(match planned[ti].as_ref().expect("every todo slot was planned") {
-                        &Pending::Work { item, .. } if todo[ti] != qi => Pending::Shared { item },
+                        Pending::Work { .. } if todo[ti] != qi => Pending::Shared,
                         slot => slot.clone(),
                     });
             }
@@ -391,12 +390,16 @@ impl WhatIfService {
         // out over `antdt_par`'s scoped threads. Results come home in input
         // order and every job is an independent deterministic simulation,
         // so the reports are byte-identical to a serial loop's.
-        let reports: Vec<(JobReport, u64)> = antdt_par::par_map(work, |item| match item {
-            WorkItem::Branch { run, prefix_events } => (run.finish(), prefix_events),
-            WorkItem::Rerun(cfg) => (Job::run(*cfg), 0),
-        });
+        let mut reports: Vec<Option<(JobReport, u64)>> =
+            antdt_par::par_map(work, |item| match item {
+                WorkItem::Branch { run, prefix_events } => Some((run.finish(), prefix_events)),
+                WorkItem::Rerun(cfg) => Some((Job::run(*cfg), 0)),
+            });
 
         // Assemble answers in query order and memoize the fresh reports.
+        // Each report moves into its owner's answer and is cloned once for
+        // the memo; an in-batch repeat comes after its owner in query order,
+        // so it clones the memoized copy.
         let answers: Vec<WhatIfAnswer> = pending
             .into_iter()
             .enumerate()
@@ -408,18 +411,18 @@ impl WhatIfService {
                     suffix_events: 0,
                 },
                 Pending::Work { item, source } => {
-                    let (report, prefix_events) = &reports[item];
-                    let key = (digests[qi], queries[qi].perturbation);
-                    self.memo.entry(key).or_insert_with(|| report.clone());
+                    let (report, prefix_events) =
+                        reports[item].take().expect("each work item has one owner");
+                    self.memo.insert((digests[qi], queries[qi].perturbation), report.clone());
                     WhatIfAnswer {
-                        report: report.clone(),
-                        source,
-                        prefix_events: *prefix_events,
                         suffix_events: report.events_processed - prefix_events,
+                        report,
+                        source,
+                        prefix_events,
                     }
                 }
-                Pending::Shared { item } => WhatIfAnswer {
-                    report: reports[item].0.clone(),
+                Pending::Shared => WhatIfAnswer {
+                    report: self.memo[&(digests[qi], queries[qi].perturbation)].clone(),
                     source: AnswerSource::Memo,
                     prefix_events: 0,
                     suffix_events: 0,
