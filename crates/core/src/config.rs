@@ -6,7 +6,7 @@ use antdt_ckpt::{CkptConfig, CkptPolicy};
 use antdt_controller::{DdConfig, DeviceClassSpec};
 use antdt_ml::Dataset;
 use antdt_monitor::MonitorConfig;
-use antdt_sim::{ControlChannel, SimDuration, SimTime};
+use antdt_sim::{ContentionPhase, ControlChannel, SimDuration, SimTime};
 use antdt_workloads::{ClusterSpec, ModelProfile, Scenario};
 
 /// Consistency model of the Parameter Server (§I).
@@ -486,6 +486,7 @@ impl JobConfig {
             "broadcast bandwidth_bps {} must be positive",
             b.bandwidth_bps
         );
+        self.validate_nodes();
         if let MitigationChoice::AntDtDd = self.mitigation {
             let n: usize = self
                 .dd_classes
@@ -584,6 +585,51 @@ impl JobConfig {
             }
             if let Some(window) = inj.fault.window_secs() {
                 assert!(window.is_finite() && window > 0.0, "fault window must be positive");
+            }
+        }
+    }
+
+    /// Every node profile and link must be one the cost model can run: a
+    /// zero speed never finishes an iteration, a zero bandwidth sizes a
+    /// transfer at infinity, and a NaN or negative term rounds to 0 µs
+    /// without a word.
+    fn validate_nodes(&self) {
+        for (role, nodes) in [("worker", &self.cluster.workers), ("server", &self.cluster.servers)]
+        {
+            for (i, node) in nodes.iter().enumerate() {
+                let check = |field: &str, v: f64, ok: bool, rule: &str| {
+                    assert!(ok, "{role} {i} {field} {v} must be {rule}")
+                };
+                let positive = |field: &str, v: f64| {
+                    check(field, v, v.is_finite() && v > 0.0, "finite and positive")
+                };
+                let non_negative = |field: &str, v: f64| {
+                    check(field, v, v.is_finite() && v >= 0.0, "finite and non-negative")
+                };
+                let factor = |field: &str, v: f64| {
+                    check(field, v, v.is_finite() && v >= 1.0, "finite and >= 1")
+                };
+                let (p, link) = (&node.profile, &node.link);
+                positive("speed_factor", p.speed_factor);
+                non_negative("jitter_sigma", p.jitter_sigma);
+                for phase in &p.phases {
+                    match *phase {
+                        ContentionPhase::Persistent { delay_secs, .. } => {
+                            non_negative("persistent delay_secs", delay_secs)
+                        }
+                        ContentionPhase::Transient(t) => non_negative(
+                            "transient delay sleep_secs × intensity",
+                            t.sleep_secs * t.intensity,
+                        ),
+                        ContentionPhase::Slowdown { factor: f, .. } => factor("slowdown factor", f),
+                    }
+                }
+                let bw = link.bandwidth_bps;
+                check("link bandwidth_bps", bw, bw > 0.0, "positive");
+                non_negative("link latency_secs", link.latency_secs);
+                for &(_, _, f) in &link.congestion {
+                    factor("link congestion factor", f);
+                }
             }
         }
     }

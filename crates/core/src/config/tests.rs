@@ -1,5 +1,7 @@
 use super::*;
+use antdt_sim::{ContentionPhase, TransientPattern};
 use antdt_workloads::cluster::cluster_a_scaled;
+use antdt_workloads::NodeSpec;
 
 #[test]
 fn builders_apply_scenario_and_defaults() {
@@ -369,4 +371,71 @@ fn nan_broadcast_bandwidth_rejected() {
 #[should_panic(expected = "broadcast bandwidth_bps -1000 must be positive")]
 fn negative_broadcast_bandwidth_rejected() {
     with_broadcast(|b| b.bandwidth_bps = -1e3).validate();
+}
+
+/// A 4-worker, 2-server PS-BSP job whose worker 1 and server 0 carry the
+/// edits.
+fn with_node(edit: impl FnOnce(&mut NodeSpec, &mut NodeSpec)) -> JobConfig {
+    let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_samples(200_000);
+    let (workers, servers) = (&mut cfg.cluster.workers, &mut cfg.cluster.servers);
+    edit(&mut workers[1], &mut servers[0]);
+    cfg
+}
+
+#[test]
+#[should_panic(expected = "worker 1 speed_factor 0 must be finite and positive")]
+fn zero_speed_factor_rejected() {
+    with_node(|w, _| w.profile.speed_factor = 0.0).validate();
+}
+
+#[test]
+#[should_panic(expected = "server 0 speed_factor -1 must be finite and positive")]
+fn negative_speed_factor_rejected() {
+    with_node(|_, s| s.profile.speed_factor = -1.0).validate();
+}
+
+#[test]
+#[should_panic(expected = "worker 1 jitter_sigma NaN must be finite and non-negative")]
+fn nan_jitter_sigma_rejected() {
+    with_node(|w, _| w.profile.jitter_sigma = f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(expected = "worker 1 link bandwidth_bps 0 must be positive")]
+fn zero_link_bandwidth_rejected() {
+    with_node(|w, _| w.link.bandwidth_bps = 0.0).validate();
+}
+
+#[test]
+#[should_panic(expected = "server 0 link latency_secs NaN must be finite and non-negative")]
+fn nan_link_latency_rejected() {
+    with_node(|_, s| s.link.latency_secs = f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(expected = "worker 1 persistent delay_secs -4 must be finite and non-negative")]
+fn negative_persistent_delay_rejected() {
+    let phase =
+        ContentionPhase::Persistent { delay_secs: -4.0, from: SimTime::ZERO, to: SimTime::MAX };
+    with_node(|w, _| w.profile.phases.push(phase)).validate();
+}
+
+#[test]
+#[should_panic(expected = "worker 1 transient delay sleep_secs × intensity NaN must be")]
+fn nan_transient_delay_rejected() {
+    let phase = ContentionPhase::Transient(TransientPattern::paper_default(f64::NAN));
+    with_node(|w, _| w.profile.phases.push(phase)).validate();
+}
+
+#[test]
+#[should_panic(expected = "server 0 slowdown factor 0.5 must be finite and >= 1")]
+fn below_one_slowdown_factor_rejected() {
+    let phase = ContentionPhase::Slowdown { factor: 0.5, from: SimTime::ZERO, to: SimTime::MAX };
+    with_node(|_, s| s.profile.phases.push(phase)).validate();
+}
+
+#[test]
+#[should_panic(expected = "server 0 link congestion factor NaN must be finite and >= 1")]
+fn nan_link_congestion_factor_rejected() {
+    with_node(|_, s| s.link.congestion.push((SimTime::ZERO, SimTime::MAX, f64::NAN))).validate();
 }

@@ -8,9 +8,12 @@
 //! keys, which is exactly the schedule. Payloads live in an arena slab and
 //! only slot handles move through the heap, so the hot schedule/step path
 //! never allocates per event and the payload type needs no trait bounds at
-//! all. Scheduling panics past 2^40 events per engine or 2^24 pending ones.
+//! all. An event scheduled at the same instant as the previous `schedule`
+//! call's, while that one is still pending, joins its run outside the heap
+//! and later pops in O(1) (see the `queue` module). Scheduling panics past
+//! 2^40 events per engine or 2^24 pending ones.
 
-use crate::queue::{deadline_key, order_key, Arena, HeapQueue};
+use crate::queue::{deadline_key, order_key, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// A deterministic discrete-event engine over an arbitrary event type `E`.
@@ -30,8 +33,7 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug)]
 pub struct Engine<E> {
-    queue: HeapQueue,
-    arena: Arena<E>,
+    queue: EventQueue<E>,
     now: SimTime,
     seq: u64,
     processed: u64,
@@ -90,8 +92,7 @@ impl<E> Default for Engine<E> {
 impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
-            queue: HeapQueue::default(),
-            arena: Arena::default(),
+            queue: EventQueue::default(),
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
@@ -118,7 +119,8 @@ impl<E> Engine<E> {
         self.seq
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, counting every member of a
+    /// same-instant run.
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -149,9 +151,7 @@ impl<E> Engine<E> {
             self.clamped += 1;
         }
         let at = at.max(self.now);
-        let key = order_key(at.0, self.seq);
-        let slot = self.arena.insert(ev);
-        self.queue.push(key, slot);
+        self.queue.push(order_key(at.0, self.seq), ev);
         self.seq += 1;
     }
 
@@ -162,12 +162,12 @@ impl<E> Engine<E> {
 
     /// Pop the next event, advancing the clock. Returns `None` when drained.
     pub fn step(&mut self) -> Option<E> {
-        let (key, slot) = self.queue.pop()?;
+        let (key, ev) = self.queue.pop()?;
         let at = SimTime((key >> 64) as u64);
         debug_assert!(at >= self.now, "event queue produced non-monotonic time");
         self.now = at;
         self.processed += 1;
-        Some(self.arena.remove(slot))
+        Some(ev)
     }
 
     /// Run to quiescence. The handler receives `&mut Engine` so it can schedule
@@ -185,12 +185,11 @@ impl<E> Engine<E> {
     /// followed by a pop; this loop is the hot path of every simulated job.
     pub fn run_until(&mut self, deadline: SimTime, mut handler: impl FnMut(&mut Self, E)) -> bool {
         let limit = deadline_key(deadline.0);
-        while let Some((key, slot)) = self.queue.pop_at_most(limit) {
+        while let Some((key, ev)) = self.queue.pop_at_most(limit) {
             let at = SimTime((key >> 64) as u64);
             debug_assert!(at >= self.now, "event queue produced non-monotonic time");
             self.now = at;
             self.processed += 1;
-            let ev = self.arena.remove(slot);
             handler(self, ev);
         }
         self.queue.is_empty()
@@ -200,7 +199,6 @@ impl<E> Engine<E> {
     /// shard completes while stray monitor ticks are still queued).
     pub fn clear(&mut self) {
         self.queue.clear();
-        self.arena.clear();
     }
 
     /// Capture the engine: pending events (with exact ordering keys), clock,
@@ -210,7 +208,7 @@ impl<E> Engine<E> {
         E: Clone,
     {
         let mut entries: Vec<(u128, E)> =
-            self.queue.iter().map(|(key, slot)| (key, self.arena.get(slot).clone())).collect();
+            self.queue.iter().map(|(key, ev)| (key, ev.clone())).collect();
         // Keys are unique (distinct sequence numbers), so this total order
         // is exactly the pop order.
         entries.sort_unstable_by_key(|&(key, _)| key);
@@ -233,9 +231,9 @@ impl<E> Engine<E> {
         E: Clone,
     {
         let mut eng = Self::new();
+        // Ascending keys rebuild every same-instant run of the original.
         for (key, ev) in &snap.entries {
-            let slot = eng.arena.insert(ev.clone());
-            eng.queue.push(*key, slot);
+            eng.queue.push(*key, ev.clone());
         }
         eng.now = snap.now;
         eng.seq = snap.seq;
@@ -478,6 +476,144 @@ mod tests {
             };
             assert_eq!(drain(&mut fork), drain(&mut eng), "seed {seed}");
         }
+    }
+
+    /// The plain reference the engine must agree with: a `BinaryHeap` of
+    /// `(time, seq)` and the same clamp and counters.
+    #[derive(Default)]
+    struct Oracle {
+        heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+        now: u64,
+        seq: u64,
+        processed: u64,
+        clamped: u64,
+    }
+
+    impl Oracle {
+        fn schedule(&mut self, at: u64) {
+            self.clamped += u64::from(at < self.now);
+            self.heap.push(std::cmp::Reverse((at.max(self.now), self.seq)));
+            self.seq += 1;
+        }
+
+        fn pop_at_most(&mut self, deadline: u64) -> Option<u64> {
+            let std::cmp::Reverse((at, seq)) = *self.heap.peek()?;
+            if at > deadline {
+                return None;
+            }
+            self.heap.pop();
+            (self.now, self.processed) = (at, self.processed + 1);
+            Some(seq)
+        }
+
+        /// Pending `(key, seq)` pairs in pop order, as a snapshot holds them.
+        fn entries(&self) -> Vec<(u128, u64)> {
+            let mut all: Vec<_> = self.heap.iter().map(|r| r.0).collect();
+            all.sort_unstable();
+            all.into_iter().map(|(at, seq)| (order_key(at, seq), seq)).collect()
+        }
+    }
+
+    /// Each handled event may schedule follow-ups: some at its own instant
+    /// (extending the run being drained), some a little later. Both sides
+    /// get the same list, and every payload is its own sequence number.
+    fn follow_ups(seq: u64, now: u64) -> Vec<u64> {
+        match seq % 6 {
+            0 => vec![now, now],
+            1 => vec![now + 3],
+            2 => vec![now + seq % 4, now],
+            _ => vec![],
+        }
+    }
+
+    fn agree(eng: &Engine<u64>, oracle: &Oracle, ctx: &str) {
+        assert_eq!(eng.now().0, oracle.now, "now: {ctx}");
+        assert_eq!(eng.pending(), oracle.heap.len(), "pending: {ctx}");
+        assert_eq!(eng.processed(), oracle.processed, "processed: {ctx}");
+        assert_eq!(eng.scheduled(), oracle.seq, "scheduled: {ctx}");
+        assert_eq!(eng.clamped(), oracle.clamped, "clamped: {ctx}");
+    }
+
+    #[test]
+    fn engine_matches_the_binary_heap_oracle() {
+        let mut mid_run_forks = 0;
+        for seed in 0..64u64 {
+            let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+            let mut eng = Engine::<u64>::new();
+            let mut oracle = Oracle::default();
+            for op in 0..400 {
+                let ctx = format!("seed {seed} op {op}");
+                // Few distinct instants, so same-instant runs are the norm.
+                let at = |rng: &mut crate::rng::StdRng, now: u64| {
+                    (now + rng.gen_range(0..6u64)).saturating_sub(rng.gen_range(0..2u64) * 4)
+                };
+                match rng.gen_range(0..100u32) {
+                    // A burst at one instant, sometimes in the past (clamped).
+                    0..=24 => {
+                        let t = at(&mut rng, oracle.now);
+                        for _ in 0..rng.gen_range(1..12u32) {
+                            eng.schedule(SimTime(t), eng.scheduled());
+                            oracle.schedule(t);
+                        }
+                    }
+                    // Single schedules at scattered instants.
+                    25..=44 => {
+                        for _ in 0..rng.gen_range(1..4u32) {
+                            let t = at(&mut rng, oracle.now);
+                            eng.schedule(SimTime(t), eng.scheduled());
+                            oracle.schedule(t);
+                        }
+                    }
+                    45..=69 => {
+                        for _ in 0..rng.gen_range(1..6u32) {
+                            let got = eng.step();
+                            assert_eq!(got, oracle.pop_at_most(u64::MAX), "step: {ctx}");
+                        }
+                    }
+                    // A deadline at a pending instant, so it lands inside a
+                    // run that its own handler keeps extending.
+                    70..=84 => {
+                        let deadline = oracle.now + rng.gen_range(0..4u64);
+                        let mut seen = Vec::new();
+                        let drained = eng.run_until(SimTime(deadline), |e, n| {
+                            seen.push((e.now().0, n));
+                            for t in follow_ups(n, e.now().0) {
+                                e.schedule(SimTime(t), e.scheduled());
+                            }
+                        });
+                        let mut want = Vec::new();
+                        while let Some(n) = oracle.pop_at_most(deadline) {
+                            want.push((oracle.now, n));
+                            for t in follow_ups(n, oracle.now) {
+                                oracle.schedule(t);
+                            }
+                        }
+                        assert_eq!(seen, want, "run_until: {ctx}");
+                        assert_eq!(drained, oracle.heap.is_empty(), "drained: {ctx}");
+                    }
+                    // Snapshot, then carry on in a fork of it.
+                    85..=97 => {
+                        let snap = eng.snapshot();
+                        let entries: Vec<_> = snap.entries.iter().map(|&(k, n)| (k, n)).collect();
+                        assert_eq!(entries, oracle.entries(), "snapshot: {ctx}");
+                        let front = oracle.heap.peek().map(|r| r.0 .0);
+                        mid_run_forks +=
+                            usize::from(oracle.processed > 0 && front == Some(oracle.now));
+                        eng = Engine::fork(&snap);
+                    }
+                    _ => {
+                        eng.clear();
+                        oracle.heap.clear();
+                    }
+                }
+                agree(&eng, &oracle, &ctx);
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| eng.step()).collect();
+            let want: Vec<_> = std::iter::from_fn(|| oracle.pop_at_most(u64::MAX)).collect();
+            assert_eq!(rest, want, "drain: seed {seed}");
+            agree(&eng, &oracle, &format!("seed {seed} drained"));
+        }
+        assert!(mid_run_forks > 100, "only {mid_run_forks} forks split a same-instant run");
     }
 
     #[test]

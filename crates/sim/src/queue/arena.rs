@@ -1,75 +1,82 @@
 //! Slab storage for pending event payloads.
 //!
 //! The engine keeps payloads here and routes only slot handles through the
-//! event queue (packed into each heap entry's low bits): pushes reuse freed
-//! slots via an intrusive free list, so
-//! steady-state scheduling performs zero allocations no matter how large the
-//! payload type is.
+//! event queue (packed into each heap entry's low bits). Each slot also holds
+//! the link to the next member of its same-instant run (see
+//! [`super::EventQueue`]). Freed slots go on a stack of their own, so a push
+//! reuses the most recently freed slot without reading the freed slot's
+//! memory first, and steady-state scheduling performs zero allocations no
+//! matter how large the payload type is.
 
-/// Sentinel for "no next free slot".
-const NIL: u32 = u32::MAX;
+/// Sentinel for "no next slot".
+pub(crate) const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
-enum Slot<E> {
-    Full(E),
-    /// Freed slot, linking to the next free slot (or [`NIL`]).
-    Free(u32),
+struct Slot<E> {
+    /// The payload, or `None` once the slot is freed.
+    ev: Option<E>,
+    /// The next member of this slot's run, or [`NIL`].
+    next: u32,
 }
 
-/// A slab of event payloads with an intrusive free list.
+/// A slab of event payloads with a stack of free slots.
 #[derive(Debug)]
 pub struct Arena<E> {
     slots: Vec<Slot<E>>,
-    free_head: u32,
+    free: Vec<u32>,
 }
 
 impl<E> Default for Arena<E> {
     fn default() -> Self {
-        Arena { slots: Vec::new(), free_head: NIL }
+        Arena { slots: Vec::new(), free: Vec::new() }
     }
 }
 
 impl<E> Arena<E> {
-    /// Store `ev`, returning its slot handle. Reuses a freed slot when one
-    /// exists; only grows (allocates) when the arena is at capacity.
+    /// Store `ev` with no run successor, returning its slot handle. Reuses
+    /// the most recently freed slot when one exists; only grows (allocates)
+    /// when the arena is at capacity.
     pub fn insert(&mut self, ev: E) -> u32 {
-        if self.free_head != NIL {
-            let slot = self.free_head;
-            match std::mem::replace(&mut self.slots[slot as usize], Slot::Full(ev)) {
-                Slot::Free(next) => self.free_head = next,
-                Slot::Full(_) => unreachable!("free list pointed at an occupied slot"),
+        let slot = Slot { ev: Some(ev), next: NIL };
+        match self.free.pop() {
+            Some(free) => {
+                self.slots[free as usize] = slot;
+                free
             }
-            slot
-        } else {
-            assert!(self.slots.len() < NIL as usize, "event arena overflow");
-            self.slots.push(Slot::Full(ev));
-            (self.slots.len() - 1) as u32
+            None => {
+                assert!(self.slots.len() < NIL as usize, "event arena overflow");
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
         }
     }
 
-    /// Remove and return the payload at `slot`, recycling the slot.
-    pub fn remove(&mut self, slot: u32) -> E {
-        match std::mem::replace(&mut self.slots[slot as usize], Slot::Free(self.free_head)) {
-            Slot::Full(ev) => {
-                self.free_head = slot;
-                ev
-            }
-            Slot::Free(_) => panic!("double free of arena slot {slot}"),
-        }
+    /// Make `next` the run successor of the payload at `slot`.
+    pub fn link(&mut self, slot: u32, next: u32) {
+        self.slots[slot as usize].next = next;
     }
 
-    /// Read the payload at `slot` without removing it (for snapshots).
-    pub fn get(&self, slot: u32) -> &E {
-        match &self.slots[slot as usize] {
-            Slot::Full(ev) => ev,
-            Slot::Free(_) => panic!("read of freed arena slot {slot}"),
-        }
+    /// Remove and return the payload at `slot` with its run successor (or
+    /// [`NIL`]), recycling the slot.
+    pub fn remove(&mut self, slot: u32) -> (E, u32) {
+        let s = &mut self.slots[slot as usize];
+        let ev = s.ev.take().unwrap_or_else(|| panic!("double free of arena slot {slot}"));
+        self.free.push(slot);
+        (ev, s.next)
+    }
+
+    /// Read the payload at `slot` and its run successor without removing
+    /// them (for snapshots).
+    pub fn get(&self, slot: u32) -> (&E, u32) {
+        let s = &self.slots[slot as usize];
+        let ev = s.ev.as_ref().unwrap_or_else(|| panic!("read of freed arena slot {slot}"));
+        (ev, s.next)
     }
 
     /// Drop every payload and reset the slab (capacity retained).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.free_head = NIL;
+        self.free.clear();
     }
 }
 
@@ -82,17 +89,29 @@ mod tests {
         let mut a: Arena<String> = Arena::default();
         let s0 = a.insert("a".into());
         let s1 = a.insert("b".into());
-        assert_eq!(a.remove(s0), "a");
+        assert_eq!(a.remove(s0), ("a".into(), NIL));
         // The freed slot is reused before the slab grows.
         let s2 = a.insert("c".into());
         assert_eq!(s2, s0);
-        assert_eq!(a.get(s1), "b");
-        assert_eq!(a.get(s2), "c");
-        assert_eq!(a.remove(s1), "b");
-        assert_eq!(a.remove(s2), "c");
-        // Free-list order: last freed, first reused.
+        assert_eq!(a.get(s1).0, "b");
+        assert_eq!(a.get(s2).0, "c");
+        assert_eq!(a.remove(s1).0, "b");
+        assert_eq!(a.remove(s2).0, "c");
+        // Free-stack order: last freed, first reused.
         assert_eq!(a.insert("d".into()), s2);
         assert_eq!(a.insert("e".into()), s1);
+    }
+
+    #[test]
+    fn links_travel_with_the_payload_and_reset_on_reuse() {
+        let mut a: Arena<u8> = Arena::default();
+        let (s0, s1) = (a.insert(0), a.insert(1));
+        a.link(s0, s1);
+        assert_eq!(a.get(s0), (&0, s1));
+        assert_eq!(a.remove(s0), (0, s1));
+        // A reused slot starts a run of its own.
+        assert_eq!(a.insert(2), s0);
+        assert_eq!(a.get(s0), (&2, NIL));
     }
 
     #[test]
