@@ -36,10 +36,6 @@ pub enum ControlMsg {
     /// is the measurement instant; a delayed channel shifts *visibility*, not
     /// the measurement itself.
     Report { node: NodeId, at: SimTime, bpt_secs: f64, batch: u64 },
-    /// Monitor → Controller: the aggregated cluster view is ready. Monitor
-    /// and Controller are colocated on the AntDT master, so this hop is
-    /// always inline; the type exists so the loop is fully enumerated.
-    Snapshot { at: SimTime, nodes: usize },
     /// Controller → Agent: one fenced action.
     Directive { target: NodeId, directive: Directive },
     /// Agent → Controller: delivery receipt (`accepted == false` for a

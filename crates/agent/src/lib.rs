@@ -25,4 +25,4 @@ pub mod sync;
 pub use bus::{ControlMsg, DeliveryOutcome, Directive};
 pub use overhead::OverheadLedger;
 pub use runtime::{Agent, AgentConfig, AgentCounts};
-pub use sync::{elect_primary, BroadcastModel};
+pub use sync::{direct_delay, elect_primary, full_broadcast_delay, BARRIER_SECS};

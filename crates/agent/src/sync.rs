@@ -9,47 +9,29 @@
 use antdt_sim::rng::mix64;
 use antdt_sim::SimDuration;
 
-/// Cost model for the agent control-plane messages (bytes-level signals, so
-/// latency dominates).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BroadcastModel {
-    /// Controller → primary one-way latency.
-    pub ctrl_latency_secs: f64,
-    /// Primary → secondary one-way latency (parallel fan-out).
-    pub fanout_latency_secs: f64,
-    /// Effective bandwidth for the payload.
-    pub bandwidth_bps: f64,
-    /// Local barrier hand-off between agent and training process.
-    pub barrier_secs: f64,
+// Cost model for the agent control-plane messages (bytes-level signals, so
+// latency dominates).
+
+/// Controller → primary one-way latency.
+const CTRL_LATENCY_SECS: f64 = 2e-3;
+/// Primary → secondary one-way latency (parallel fan-out).
+const FANOUT_LATENCY_SECS: f64 = 1e-3;
+/// Effective bandwidth for the payload.
+const BANDWIDTH_BPS: f64 = 1.0e9;
+/// Local barrier hand-off between agent and training process.
+pub const BARRIER_SECS: f64 = 5e-4;
+
+/// Time from the Controller's decision until *every* agent holds the action:
+/// controller→primary, then the parallel fan-out, then the local barrier.
+pub fn full_broadcast_delay(payload_bytes: u64) -> SimDuration {
+    let xfer = payload_bytes as f64 / BANDWIDTH_BPS;
+    SimDuration::from_secs_f64(CTRL_LATENCY_SECS + xfer + FANOUT_LATENCY_SECS + xfer + BARRIER_SECS)
 }
 
-impl Default for BroadcastModel {
-    fn default() -> Self {
-        BroadcastModel {
-            ctrl_latency_secs: 2e-3,
-            fanout_latency_secs: 1e-3,
-            bandwidth_bps: 1.0e9,
-            barrier_secs: 5e-4,
-        }
-    }
-}
-
-impl BroadcastModel {
-    /// Time from the Controller's decision until *every* agent holds the
-    /// action: controller→primary, then the parallel fan-out, then the local
-    /// barrier.
-    pub fn full_broadcast_delay(&self, payload_bytes: u64) -> SimDuration {
-        let xfer = payload_bytes as f64 / self.bandwidth_bps;
-        SimDuration::from_secs_f64(
-            self.ctrl_latency_secs + xfer + self.fanout_latency_secs + xfer + self.barrier_secs,
-        )
-    }
-
-    /// Delay for a node action sent directly to one agent.
-    pub fn direct_delay(&self, payload_bytes: u64) -> SimDuration {
-        let xfer = payload_bytes as f64 / self.bandwidth_bps;
-        SimDuration::from_secs_f64(self.ctrl_latency_secs + xfer + self.barrier_secs)
-    }
+/// Delay for a node action sent directly to one agent.
+pub fn direct_delay(payload_bytes: u64) -> SimDuration {
+    let xfer = payload_bytes as f64 / BANDWIDTH_BPS;
+    SimDuration::from_secs_f64(CTRL_LATENCY_SECS + xfer + BARRIER_SECS)
 }
 
 /// "Randomly elected similar to the primary worker" (§V-F): a deterministic
@@ -89,11 +71,10 @@ mod tests {
 
     #[test]
     fn broadcast_delay_is_milliseconds_for_bytes_level_payloads() {
-        let m = BroadcastModel::default();
-        let d = m.full_broadcast_delay(256);
+        let d = full_broadcast_delay(256);
         assert!(d.as_secs_f64() < 0.01, "{d}");
         assert!(d > SimDuration::ZERO);
         // Direct (node action) path is strictly cheaper.
-        assert!(m.direct_delay(256) < d);
+        assert!(direct_delay(256) < d);
     }
 }

@@ -169,7 +169,7 @@ pub fn fig9() -> String {
             .with_samples(768 * 40) // 40 rounds: the policies act around round ~15
             .with_batches_per_shard(2)
             .with_monitor_tick(SimDuration::from_secs(5))
-            .with_gantt();
+            .with_telemetry();
         cfg.agent = antdt_agent::AgentConfig { report_every_iters: 1 };
         if matches!(m, MitigationChoice::AntDtDd) {
             cfg = cfg.with_dd_classes(super::dd_classes_for(&ModelProfile::resnet101()));

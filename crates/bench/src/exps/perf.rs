@@ -108,13 +108,13 @@ pub fn perf() -> String {
         if all_parity { "MATCH (byte-identical reports)" } else { "DIVERGED" }
     );
 
-    // -- 3. Chaos matrix parity: the pooled plan x policy fan-out must equal
-    //    the nested serial loops, report for report.
+    // -- 3. Chaos matrix parity: the fanned-out plan x policy matrix must
+    //    equal the same matrix run serially, report for report.
     let chaos_parity = chaos_matrix_parity();
     let _ = writeln!(
         out,
         "  chaos matrix parity: {}",
-        if chaos_parity { "MATCH (run == run_serial)" } else { "DIVERGED" }
+        if chaos_parity { "MATCH (fanned out == serial)" } else { "DIVERGED" }
     );
 
     // -- 4. Fork-based what-if replay (see [`fork_replay`]).
@@ -202,8 +202,8 @@ pub fn fork_parity() -> bool {
 }
 
 /// A small but non-trivial chaos matrix (2 plans x 2 policies) drilled twice —
-/// pooled and serial — and compared structurally. The pooled ≡ serial
-/// verdict of this harness (a tier-1 test gates it).
+/// fanned out and under [`antdt_par::with_serial`] — and compared
+/// structurally. The fanned-out ≡ serial verdict of this harness (a tier-1 test gates it).
 pub fn chaos_matrix_parity() -> bool {
     use antdt_chaos::{ChaosDriver, Fault, FaultPlan, NodeRef};
     let base = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::WorkerMix { intensity: 0.5 })
@@ -215,5 +215,5 @@ pub fn chaos_matrix_parity() -> bool {
         .with_plan(FaultPlan::new("kill-w1").at(30.0, Fault::KillNode { node: NodeRef::Worker(1) }))
         .with_plan(FaultPlan::new("dds-outage").at(15.0, Fault::DdsOutage { window_secs: 30.0 }))
         .with_policies(vec![MitigationChoice::AntDtNd, MitigationChoice::None]);
-    driver.run() == driver.run_serial()
+    driver.run() == antdt_par::with_serial(|| driver.run())
 }

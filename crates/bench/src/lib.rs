@@ -56,11 +56,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             "What-if service: 64-query batch throughput vs naive full reruns + parity",
             exps::whatif,
         ),
-        (
-            "perf",
-            "Perf harness: engine throughput, allocation counts, parallel speedup + parity",
-            exps::perf,
-        ),
+        ("perf", "Perf harness: allocation counts, parallel speedup + parity verdicts", exps::perf),
     ]
 }
 

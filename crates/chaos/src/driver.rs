@@ -4,7 +4,9 @@
 
 use crate::invariants::{self, InvariantOutcome};
 use crate::plan::FaultPlan;
-use antdt_core::{Arch, AttrBlame, Consistency, InjectionRecord, Job, JobConfig, MitigationChoice};
+use antdt_core::{
+    Arch, AttrBlame, Consistency, InjectionRecord, Job, JobConfig, JobReport, MitigationChoice,
+};
 use antdt_sim::SimDuration;
 use antdt_telemetry::FlightDump;
 
@@ -103,9 +105,9 @@ impl MatrixReport {
 /// Largest AUC drop a drill may show against its clean twin (real-math runs).
 const AUC_TOLERANCE: f64 = 0.02;
 
-/// Runs chaos drills: each drill executes the base job twice — once clean,
-/// once with the plan's faults injected — and audits the drill run against
-/// the invariant suite.
+/// Runs chaos drills: each drill runs the base job with the plan's faults
+/// injected and audits it against the invariant suite, comparing with the
+/// clean run of the same policy (its fault-free twin).
 pub struct ChaosDriver {
     base: JobConfig,
     plans: Vec<FaultPlan>,
@@ -143,11 +145,14 @@ impl ChaosDriver {
         self
     }
 
-    /// Drill a single (plan, policy) cell.
+    /// Drill a single (plan, policy) cell against its own clean twin.
     pub fn run_one(&self, plan: &FaultPlan, policy: &MitigationChoice) -> DrillReport {
-        let clean_cfg = self.base.clone().with_mitigation(policy.clone());
-        let clean = Job::run(clean_cfg);
+        self.drill(plan, policy, &Job::run(self.base.clone().with_mitigation(policy.clone())))
+    }
 
+    /// Drill one cell against `clean`, the fault-free run of the same seed
+    /// and policy.
+    fn drill(&self, plan: &FaultPlan, policy: &MitigationChoice, clean: &JobReport) -> DrillReport {
         // Drills run with telemetry and attribution on so a failure leaves a
         // flight-recorder trail and a blame ranking; neither changes the
         // simulated schedule.
@@ -165,7 +170,7 @@ impl ChaosDriver {
             !matches!(self.base.arch, Arch::ParameterServer { consistency: Consistency::Asp });
         let invariants = invariants::check_all(
             &drill,
-            &clean,
+            clean,
             plan.has_kills(),
             plan.expects_stall(),
             synchronous,
@@ -200,28 +205,22 @@ impl ChaosDriver {
         }
     }
 
-    /// Drill the full plan × policy matrix, fanning the cells out with
-    /// [`antdt_par::par_map`]. Every cell is an independent
-    /// deterministic simulation, so the report is bit-for-bit identical to
-    /// [`ChaosDriver::run_serial`] — the parity tests assert it.
+    /// Drill the full plan × policy matrix. The clean twins depend only on
+    /// the policy, so each runs once; then the drill cells fan out with
+    /// [`antdt_par::par_map`]. Every run is an independent deterministic
+    /// simulation, so the report is bit-for-bit identical to a serial run
+    /// (`antdt_par::with_serial(|| driver.run())`) — the parity tests assert
+    /// it.
     pub fn run(&self) -> MatrixReport {
+        let clean = antdt_par::par_map(self.policies.clone(), |policy| {
+            Job::run(self.base.clone().with_mitigation(policy))
+        });
         let cells: Vec<(usize, usize)> = (0..self.plans.len())
             .flat_map(|i| (0..self.policies.len()).map(move |j| (i, j)))
             .collect();
-        let drills =
-            antdt_par::par_map(cells, |(i, j)| self.run_one(&self.plans[i], &self.policies[j]));
-        MatrixReport { drills }
-    }
-
-    /// [`ChaosDriver::run`] without the fan-out: the serial reference used by the
-    /// byte-parity assertions.
-    pub fn run_serial(&self) -> MatrixReport {
-        let mut drills = Vec::new();
-        for plan in &self.plans {
-            for policy in &self.policies {
-                drills.push(self.run_one(plan, policy));
-            }
-        }
+        let drills = antdt_par::par_map(cells, |(i, j)| {
+            self.drill(&self.plans[i], &self.policies[j], &clean[j])
+        });
         MatrixReport { drills }
     }
 }

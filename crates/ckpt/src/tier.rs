@@ -3,7 +3,7 @@
 //!
 //! Numbers are deliberately coarse — the subsystem's experiments care about
 //! the *shape* of the tradeoff (fast-but-local vs slow-but-durable), not
-//! about any particular device. Calibrate with [`StorageTier::Custom`].
+//! about any particular device.
 
 /// A checkpoint storage target with asymmetric read/write bandwidth and
 /// fixed per-operation latency.
@@ -16,8 +16,6 @@ pub enum StorageTier {
     /// Remote object store (S3/OSS-class): durable, high-latency, modest
     /// per-stream bandwidth.
     ObjectStore,
-    /// Bring-your-own numbers.
-    Custom { write_bw_bps: f64, read_bw_bps: f64, write_latency_secs: f64, read_latency_secs: f64 },
 }
 
 impl StorageTier {
@@ -26,25 +24,19 @@ impl StorageTier {
         match *self {
             StorageTier::LocalDisk => (1.2e9, 2.0e9, 0.002, 0.001),
             StorageTier::ObjectStore => (150.0e6, 300.0e6, 0.12, 0.08),
-            StorageTier::Custom {
-                write_bw_bps,
-                read_bw_bps,
-                write_latency_secs,
-                read_latency_secs,
-            } => (write_bw_bps, read_bw_bps, write_latency_secs, read_latency_secs),
         }
     }
 
     /// Seconds for a `bytes`-sized snapshot write to fully drain.
     pub fn write_secs(&self, bytes: u64) -> f64 {
         let (wbw, _, wlat, _) = self.model();
-        wlat + bytes as f64 / wbw.max(1.0)
+        wlat + bytes as f64 / wbw
     }
 
     /// Seconds for a restore to read a `bytes`-sized snapshot back.
     pub fn read_secs(&self, bytes: u64) -> f64 {
         let (_, rbw, _, rlat) = self.model();
-        rlat + bytes as f64 / rbw.max(1.0)
+        rlat + bytes as f64 / rbw
     }
 }
 
@@ -65,17 +57,5 @@ mod tests {
         let t = StorageTier::ObjectStore;
         assert!(t.write_secs(0) >= 0.12);
         assert!(t.read_secs(0) >= 0.08);
-    }
-
-    #[test]
-    fn custom_tier_is_linear_in_bytes() {
-        let t = StorageTier::Custom {
-            write_bw_bps: 100.0,
-            read_bw_bps: 50.0,
-            write_latency_secs: 1.0,
-            read_latency_secs: 2.0,
-        };
-        assert!((t.write_secs(200) - 3.0).abs() < 1e-12);
-        assert!((t.read_secs(200) - 6.0).abs() < 1e-12);
     }
 }

@@ -1,10 +1,10 @@
 //! Baseline policies the paper compares against (§VII-A3).
 
 use crate::action::Action;
-use crate::policy::{worker_throughputs, MitigationPolicy, PolicyCtx};
+use crate::policy::{worker_throughputs, MitigationPolicy, PolicyCtx, KILL_COOLDOWN};
 use crate::solve::lb_bsp_allocation;
 use antdt_monitor::{MonitorSnapshot, NodeId};
-use antdt_sim::{SimDuration, SimTime};
+use antdt_sim::SimTime;
 use std::collections::HashMap;
 
 /// Native BSP/ASP/DDP: never mitigates.
@@ -106,23 +106,16 @@ impl MitigationPolicy for BackupWorkersPolicy {
 #[derive(Debug, Clone)]
 pub struct KillRestartOnly {
     pub lambda: f64,
-    pub kill_cooldown: SimDuration,
-    pub gate_on_busy: bool,
     last_kill: HashMap<NodeId, SimTime>,
 }
 
 impl KillRestartOnly {
     pub fn new(lambda: f64) -> Self {
-        KillRestartOnly {
-            lambda,
-            kill_cooldown: SimDuration::from_minutes(15),
-            gate_on_busy: true,
-            last_kill: HashMap::new(),
-        }
+        KillRestartOnly { lambda, last_kill: HashMap::new() }
     }
 
     fn may_kill(&self, node: NodeId, now: SimTime) -> bool {
-        self.last_kill.get(&node).is_none_or(|&t| now.since(t) >= self.kill_cooldown)
+        self.last_kill.get(&node).is_none_or(|&t| now.since(t) >= KILL_COOLDOWN)
     }
 }
 
@@ -136,7 +129,7 @@ impl MitigationPolicy for KillRestartOnly {
     }
 
     fn decide(&mut self, now: SimTime, snap: &MonitorSnapshot, _ctx: &PolicyCtx) -> Vec<Action> {
-        if self.gate_on_busy && snap.cluster.busy {
+        if snap.cluster.busy {
             return vec![Action::None];
         }
         let mut actions = Vec::new();

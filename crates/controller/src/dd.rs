@@ -28,37 +28,25 @@ pub struct DeviceClassSpec {
     pub b_max: u64,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub struct DdConfig {
-    pub classes: Vec<DeviceClassSpec>,
-    /// `Ĉᵐⁱⁿ` (usually 1) and `Ĉᵐᵃˣ` (e.g. 5).
-    pub c_min: u32,
-    pub c_max: u32,
-    /// Wait this many decision ticks for throughput statistics to stabilize
-    /// before the one-shot solve.
-    pub warmup_ticks: u32,
-}
-
-impl DdConfig {
-    pub fn new(classes: Vec<DeviceClassSpec>) -> Self {
-        DdConfig { classes, c_min: 1, c_max: 5, warmup_ticks: 1 }
-    }
-
-    pub fn n_workers(&self) -> usize {
-        self.classes.iter().map(|c| c.count as usize).sum()
-    }
-}
+/// `Ĉᵐⁱⁿ`, the fewest gradient-accumulation steps per round.
+const C_MIN: u32 = 1;
+/// `Ĉᵐᵃˣ`, the most gradient-accumulation steps per round: a round holds at
+/// most `Σ count·C_MAX·b_max` samples.
+pub const C_MAX: u32 = 5;
+/// Decision ticks to wait for throughput statistics to stabilize before the
+/// one-shot solve.
+const WARMUP_TICKS: u32 = 1;
 
 #[derive(Debug, Clone)]
 pub struct AntDtDd {
-    cfg: DdConfig,
+    classes: Vec<DeviceClassSpec>,
     ticks: u32,
     done: bool,
 }
 
 impl AntDtDd {
-    pub fn new(cfg: DdConfig) -> Self {
-        AntDtDd { cfg, ticks: 0, done: false }
+    pub fn new(classes: Vec<DeviceClassSpec>) -> Self {
+        AntDtDd { classes, ticks: 0, done: false }
     }
 
     pub fn is_done(&self) -> bool {
@@ -69,9 +57,9 @@ impl AntDtDd {
     /// `per_sample = (mean BPT − c0) / batch`, averaged over the class's
     /// workers. Returns `None` until every class has at least one measurement.
     fn estimate_classes(&self, snap: &MonitorSnapshot) -> Option<Vec<Eq4Class>> {
-        let mut out = Vec::with_capacity(self.cfg.classes.len());
+        let mut out = Vec::with_capacity(self.classes.len());
         let mut at = 0usize;
-        for spec in &self.cfg.classes {
+        for spec in &self.classes {
             let members = snap.workers.get(at..at + spec.count as usize)?;
             at += spec.count as usize;
             let mut sum = 0.0;
@@ -112,18 +100,14 @@ impl MitigationPolicy for AntDtDd {
             return vec![Action::None];
         }
         self.ticks += 1;
-        if self.ticks <= self.cfg.warmup_ticks {
+        if self.ticks <= WARMUP_TICKS {
             return vec![Action::None];
         }
         let Some(classes) = self.estimate_classes(snap) else {
             return vec![Action::None];
         };
         let Some(sol) = grad_accum_allocation(
-            Eq4Config {
-                global_batch: ctx.global_batch,
-                c_min: self.cfg.c_min,
-                c_max: self.cfg.c_max,
-            },
+            Eq4Config { global_batch: ctx.global_batch, c_min: C_MIN, c_max: C_MAX },
             &classes,
         ) else {
             return vec![Action::None];
@@ -132,7 +116,7 @@ impl MitigationPolicy for AntDtDd {
         // Expand per-class (B, C) to per-worker vectors.
         let mut batch_sizes = Vec::with_capacity(ctx.n_workers);
         let mut accums = Vec::with_capacity(ctx.n_workers);
-        for (spec, &(b, c)) in self.cfg.classes.iter().zip(&sol.per_class) {
+        for (spec, &(b, c)) in self.classes.iter().zip(&sol.per_class) {
             for _ in 0..spec.count {
                 batch_sizes.push(b);
                 accums.push(c);
@@ -148,11 +132,11 @@ mod tests {
     use super::*;
     use antdt_monitor::{ClusterInfo, NodeId, NodeStats};
 
-    fn gpu_cfg() -> DdConfig {
-        DdConfig::new(vec![
+    fn gpu_cfg() -> Vec<DeviceClassSpec> {
+        vec![
             DeviceClassSpec { count: 2, c0_secs: 0.15, b_min: 16, b_max: 112 }, // V100-ish
             DeviceClassSpec { count: 2, c0_secs: 0.15, b_min: 16, b_max: 96 },  // P100-ish
-        ])
+        ]
     }
 
     fn snap_with_bpts(bpts: &[f64], batch: u64) -> MonitorSnapshot {

@@ -36,7 +36,7 @@ pub use action::{Action, ActionType};
 pub use antdt_ckpt::CkptPolicy;
 pub use baselines::{AdjustLrPolicy, BackupWorkersPolicy, KillRestartOnly, LbBsp, NoMitigation};
 pub use compose::{AdaptiveBackupWorkers, Composite};
-pub use dd::{AntDtDd, DdConfig, DeviceClassSpec};
+pub use dd::{AntDtDd, DeviceClassSpec, C_MAX};
 pub use nd::{AntDtNd, NdConfig};
 pub use policy::{MitigationPolicy, PolicyCtx};
 pub use solve::{

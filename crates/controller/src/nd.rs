@@ -9,44 +9,28 @@
 //! by `KILL_RESTART` since no load-balancing action can shrink `Tᵢˢ`/`Tᵢᵐ`.
 
 use crate::action::Action;
-use crate::policy::{worker_throughputs, MitigationPolicy, PolicyCtx};
+use crate::policy::{worker_throughputs, MitigationPolicy, PolicyCtx, KILL_COOLDOWN};
 use crate::solve::minmax_batch_allocation;
 use antdt_monitor::{MonitorSnapshot, NodeId};
-use antdt_sim::{SimDuration, SimTime};
+use antdt_sim::SimTime;
 use antdt_telemetry::{DecisionRecord, SolverTrace};
 use std::collections::{BTreeMap, HashMap};
+
+/// Smallest batch a live worker may be assigned by the Eq. 3 re-solve.
+const B_MIN: u64 = 1;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NdConfig {
     /// Relative slowness ratio `λ` (paper default 1.5; must be > 1).
     pub lambda: f64,
-    /// Smallest batch a live worker may be assigned.
-    pub b_min: u64,
-    /// Re-kill cooldown per node, so an in-flight failover or a just-restarted
-    /// node isn't immediately killed again on stale statistics.
-    pub kill_cooldown: SimDuration,
-    /// Skip `KILL_RESTART` while the cluster is busy (§VI-A4).
-    pub gate_on_busy: bool,
     /// Take `ADJUST_BS` for transient worker stragglers (true in BSP; in ASP
     /// the DDS already balances data, so AntDT-ND only kills — §VII-A3).
     pub adjust_bs: bool,
-    /// Take `KILL_RESTART` on persistent worker stragglers.
-    pub kill_workers: bool,
-    /// Take `KILL_RESTART` on persistent server stragglers.
-    pub kill_servers: bool,
 }
 
 impl Default for NdConfig {
     fn default() -> Self {
-        NdConfig {
-            lambda: 1.5,
-            b_min: 1,
-            kill_cooldown: SimDuration::from_minutes(15),
-            gate_on_busy: true,
-            adjust_bs: true,
-            kill_workers: true,
-            kill_servers: true,
-        }
+        NdConfig { lambda: 1.5, adjust_bs: true }
     }
 }
 
@@ -84,7 +68,7 @@ impl AntDtNd {
 
     fn may_kill(&self, node: NodeId, now: SimTime) -> bool {
         match self.last_kill.get(&node) {
-            Some(&t) => now.since(t) >= self.cfg.kill_cooldown,
+            Some(&t) => now.since(t) >= KILL_COOLDOWN,
             None => true,
         }
     }
@@ -102,13 +86,12 @@ impl MitigationPolicy for AntDtNd {
     fn decide(&mut self, now: SimTime, snap: &MonitorSnapshot, ctx: &PolicyCtx) -> Vec<Action> {
         let mut actions = Vec::new();
         let lambda = self.cfg.lambda;
-        let busy_gated = self.cfg.gate_on_busy && snap.cluster.busy;
 
         // ---- Worker side: persistent stragglers -> KILL_RESTART (step 4),
         // decided first so the batch re-solve below can route the victim's
         // share to the survivors in the very same tick.
         let mut worker_victim: Option<u32> = None;
-        if self.cfg.kill_workers && !busy_gated {
+        if !snap.cluster.busy {
             if let Some(mean) = snap.mean_worker_bpt_per() {
                 // Kill at most one worker per tick: each failover perturbs the
                 // statistics of everyone else behind the barrier.
@@ -165,7 +148,7 @@ impl MitigationPolicy for AntDtNd {
                         *slot = 0.0; // the victim is as good as dead already
                     }
                 }
-                let alloc = minmax_batch_allocation(ctx.global_batch, &v, self.cfg.b_min);
+                let alloc = minmax_batch_allocation(ctx.global_batch, &v, B_MIN);
                 if self.last_alloc.as_ref() != Some(&alloc) {
                     self.last_alloc = Some(alloc.clone());
                     let mut window = BTreeMap::from([
@@ -188,7 +171,7 @@ impl MitigationPolicy for AntDtNd {
                         solver: Some(SolverTrace {
                             global_batch: ctx.global_batch,
                             throughputs: v,
-                            b_min: self.cfg.b_min,
+                            b_min: B_MIN,
                             allocation: alloc,
                         }),
                         actions: vec![format!("{action:?}")],
@@ -199,7 +182,7 @@ impl MitigationPolicy for AntDtNd {
         }
 
         // ---- Server side: persistent stragglers -> KILL_RESTART (§VI-A). ----
-        if self.cfg.kill_servers && !busy_gated {
+        if !snap.cluster.busy {
             if let Some(mean) = snap.mean_server_bpt_per() {
                 if let Some(victim) = snap
                     .servers

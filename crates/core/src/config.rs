@@ -1,13 +1,17 @@
 //! Job configuration: architecture, consistency model, data strategy,
 //! mitigation solution, cost knobs and execution mode.
 
-use antdt_agent::{AgentConfig, BroadcastModel};
+use antdt_agent::AgentConfig;
 use antdt_ckpt::{CkptConfig, CkptPolicy};
-use antdt_controller::{DdConfig, DeviceClassSpec};
+use antdt_controller::{DeviceClassSpec, C_MAX};
 use antdt_ml::Dataset;
 use antdt_monitor::MonitorConfig;
 use antdt_sim::{ContentionPhase, ControlChannel, SimDuration, SimTime};
 use antdt_workloads::{ClusterSpec, ModelProfile, Scenario};
+
+/// Safety cap on simulated time: a run still incomplete after 30 days stops
+/// and reports `timed_out`.
+pub const MAX_SIM_TIME: SimTime = SimTime(30 * 24 * 3600 * 1_000_000);
 
 /// Consistency model of the Parameter Server (§I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +239,6 @@ pub struct JobConfig {
     /// Monitor aggregation + Controller decision cadence (paper: 5 min).
     pub monitor_tick: SimDuration,
     pub agent: AgentConfig,
-    pub broadcast: BroadcastModel,
     /// Delivery model of the Monitor/Controller/Agent control plane.
     /// `Ideal` (the default) delivers inline at the classic broadcast-model
     /// instants — trace-preserving; `Modeled` routes every control message
@@ -265,16 +268,13 @@ pub struct JobConfig {
     pub liveness_timeout: Option<SimDuration>,
 
     pub seed: u64,
-    /// Safety cap; the run reports `timed_out` when exceeded.
-    pub max_sim_time: SimTime,
-    /// Record a Gantt chart (costly on long runs).
-    pub record_gantt: bool,
-    /// Record the span trace and flight recorder, and attach a
-    /// `TelemetryReport` (those two plus the job's counts rendered as
-    /// metrics) to the `JobReport`. The counts themselves are kept either
-    /// way. Implies Gantt recording, whose spans feed the Chrome trace
-    /// export. Telemetry never participates in event scheduling or RNG
-    /// draws, so enabling it cannot change a run's simulated results.
+    /// Record the span trace, the Gantt chart (Fig. 9; its spans feed the
+    /// Chrome trace export and `JobReport::gantt`) and the flight recorder,
+    /// and attach a `TelemetryReport` (the trace and the flight dump plus
+    /// the job's counts rendered as Prometheus text) to the `JobReport`. The
+    /// counts themselves are kept either way. Telemetry never participates
+    /// in event scheduling or RNG draws, so enabling it cannot change a
+    /// run's simulated results.
     pub telemetry: bool,
     /// Run the straggler-attribution engine: tag every node interval with a
     /// `WaitCause`, extract blame scores, and attach an `AttrReport` to the
@@ -300,7 +300,6 @@ impl JobConfig {
             monitor: MonitorConfig::default(),
             monitor_tick: SimDuration::from_minutes(5),
             agent: AgentConfig::default(),
-            broadcast: BroadcastModel::default(),
             control_channel: ControlChannel::Ideal,
             checkpoint_interval: SimDuration::from_minutes(10),
             world_rebuild_secs: 45.0,
@@ -310,8 +309,6 @@ impl JobConfig {
             injections: Vec::new(),
             liveness_timeout: None,
             seed: 1,
-            max_sim_time: SimTime::from_secs_f64(30.0 * 24.0 * 3600.0),
-            record_gantt: false,
             telemetry: false,
             attribution: false,
         }
@@ -392,10 +389,6 @@ impl JobConfig {
         self.dd_classes = Some(classes);
         self
     }
-    pub fn with_gantt(mut self) -> Self {
-        self.record_gantt = true;
-        self
-    }
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;
         self
@@ -441,11 +434,6 @@ impl JobConfig {
         self.cluster.n_servers()
     }
 
-    /// The DD config derived from `dd_classes`.
-    pub fn dd_config(&self) -> Option<DdConfig> {
-        self.dd_classes.clone().map(DdConfig::new)
-    }
-
     /// Validate cross-field invariants; panics with a clear message on misuse.
     pub fn validate(&self) {
         assert!(self.cluster.n_workers() > 0, "need at least one worker");
@@ -477,25 +465,9 @@ impl JobConfig {
             assert!(v.is_finite() && v >= 0.0, "{name} {v} must be finite and non-negative")
         };
         secs("world_rebuild_secs", self.world_rebuild_secs);
-        let b = &self.broadcast;
-        secs("broadcast ctrl_latency_secs", b.ctrl_latency_secs);
-        secs("broadcast fanout_latency_secs", b.fanout_latency_secs);
-        secs("broadcast barrier_secs", b.barrier_secs);
-        assert!(
-            b.bandwidth_bps > 0.0,
-            "broadcast bandwidth_bps {} must be positive",
-            b.bandwidth_bps
-        );
         self.validate_nodes();
         if let MitigationChoice::AntDtDd = self.mitigation {
-            let n: usize = self
-                .dd_classes
-                .as_ref()
-                .expect("AntDT-DD needs dd_classes")
-                .iter()
-                .map(|c| c.count as usize)
-                .sum();
-            assert_eq!(n, self.n_workers(), "dd_classes must cover every worker");
+            self.validate_dd(self.dd_classes.as_ref().expect("AntDT-DD needs dd_classes"));
         }
         if let MitigationChoice::BackupWorkers { b } = self.mitigation {
             assert!(
@@ -632,6 +604,37 @@ impl JobConfig {
                 }
             }
         }
+    }
+
+    /// AntDT-DD's one `ADJUST_BS` needs a feasible Eq. 4 and a BPT estimate
+    /// for every class; without them the policy never acts and the job runs
+    /// as plain DDP without a word.
+    fn validate_dd(&self, classes: &[DeviceClassSpec]) {
+        let n: usize = classes.iter().map(|c| c.count as usize).sum();
+        assert_eq!(n, self.n_workers(), "dd_classes must cover every worker");
+        let mut capacity = 0u64;
+        for (i, c) in classes.iter().enumerate() {
+            assert!(
+                c.b_min <= c.b_max,
+                "dd_classes[{i}] b_min {} exceeds b_max {}",
+                c.b_min,
+                c.b_max
+            );
+            // A BPT is never accepted against a NaN c0, so that class is
+            // never estimated.
+            assert!(
+                c.c0_secs.is_finite() && c.c0_secs >= 0.0,
+                "dd_classes[{i}] c0_secs {} must be finite and non-negative",
+                c.c0_secs
+            );
+            let most = u64::from(c.count).saturating_mul(u64::from(C_MAX)).saturating_mul(c.b_max);
+            capacity = capacity.saturating_add(most);
+        }
+        assert!(
+            self.global_batch <= capacity,
+            "global batch {} exceeds the dd_classes capacity Σ count·C_MAX·b_max = {capacity}",
+            self.global_batch
+        );
     }
 
     /// A cadence that rounds to zero re-arms the checkpoint at the same

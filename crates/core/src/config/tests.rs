@@ -36,6 +36,38 @@ fn dd_requires_classes() {
         .validate();
 }
 
+/// A Cluster-B ResNet-101 job under AntDT-DD with its two stock device
+/// classes (4× V100, 4× P100); `edit` changes the classes.
+fn with_dd(edit: impl FnOnce(&mut Vec<DeviceClassSpec>)) -> JobConfig {
+    let spec = |b_max| DeviceClassSpec { count: 4, c0_secs: 0.15, b_min: 16, b_max };
+    let mut classes = vec![spec(112), spec(96)];
+    edit(&mut classes);
+    JobConfig::allreduce(antdt_workloads::cluster::cluster_b(), Scenario::None)
+        .with_global_batch(768)
+        .with_mitigation(MitigationChoice::AntDtDd)
+        .with_dd_classes(classes)
+}
+
+#[test]
+#[should_panic(expected = "dd_classes[1] b_min 96 exceeds b_max 16")]
+fn dd_class_with_swapped_batch_bounds_rejected() {
+    with_dd(|c| (c[1].b_min, c[1].b_max) = (c[1].b_max, c[1].b_min)).validate();
+}
+
+#[test]
+#[should_panic(expected = "dd_classes[0] c0_secs NaN must be finite and non-negative")]
+fn dd_class_with_nan_overhead_rejected() {
+    with_dd(|c| c[0].c0_secs = f64::NAN).validate();
+}
+
+#[test]
+#[should_panic(
+    expected = "global batch 4161 exceeds the dd_classes capacity Σ count·C_MAX·b_max = 4160"
+)]
+fn global_batch_beyond_dd_capacity_rejected() {
+    with_dd(|_| {}).with_global_batch(4_161).validate();
+}
+
 #[test]
 fn valid_injections_pass_validation() {
     JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
@@ -329,48 +361,6 @@ fn negative_world_rebuild_rejected() {
 #[should_panic(expected = "world_rebuild_secs inf must be finite and non-negative")]
 fn infinite_world_rebuild_rejected() {
     with_rebuild(f64::INFINITY).validate();
-}
-
-fn with_broadcast(edit: impl FnOnce(&mut BroadcastModel)) -> JobConfig {
-    let mut cfg = JobConfig::allreduce(cluster_a_scaled(4, 0), Scenario::None);
-    edit(&mut cfg.broadcast);
-    cfg
-}
-
-#[test]
-#[should_panic(expected = "broadcast ctrl_latency_secs NaN must be finite and non-negative")]
-fn nan_broadcast_ctrl_latency_rejected() {
-    with_broadcast(|b| b.ctrl_latency_secs = f64::NAN).validate();
-}
-
-#[test]
-#[should_panic(expected = "broadcast fanout_latency_secs -0.001 must be finite and non-negative")]
-fn negative_broadcast_fanout_latency_rejected() {
-    with_broadcast(|b| b.fanout_latency_secs = -1e-3).validate();
-}
-
-#[test]
-#[should_panic(expected = "broadcast barrier_secs inf must be finite and non-negative")]
-fn infinite_broadcast_barrier_rejected() {
-    with_broadcast(|b| b.barrier_secs = f64::INFINITY).validate();
-}
-
-#[test]
-#[should_panic(expected = "broadcast bandwidth_bps 0 must be positive")]
-fn zero_broadcast_bandwidth_rejected() {
-    with_broadcast(|b| b.bandwidth_bps = 0.0).validate();
-}
-
-#[test]
-#[should_panic(expected = "broadcast bandwidth_bps NaN must be positive")]
-fn nan_broadcast_bandwidth_rejected() {
-    with_broadcast(|b| b.bandwidth_bps = f64::NAN).validate();
-}
-
-#[test]
-#[should_panic(expected = "broadcast bandwidth_bps -1000 must be positive")]
-fn negative_broadcast_bandwidth_rejected() {
-    with_broadcast(|b| b.bandwidth_bps = -1e3).validate();
 }
 
 /// A 4-worker, 2-server PS-BSP job whose worker 1 and server 0 carry the

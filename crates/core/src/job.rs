@@ -33,7 +33,7 @@ pub(crate) fn build_policy(cfg: &JobConfig) -> Box<dyn MitigationPolicy> {
         MitigationChoice::AntDtNd => Box::new(AntDtNd::new(NdConfig::default())),
         MitigationChoice::AntDtNdAsp => Box::new(AntDtNd::new(NdConfig::asp())),
         MitigationChoice::AntDtDd => {
-            Box::new(AntDtDd::new(cfg.dd_config().expect("AntDT-DD requires dd_classes")))
+            Box::new(AntDtDd::new(cfg.dd_classes.clone().expect("AntDT-DD requires dd_classes")))
         }
         MitigationChoice::LbBsp => {
             let caps: Vec<u64> =

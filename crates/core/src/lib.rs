@@ -35,7 +35,7 @@ pub mod whatif;
 pub use antdt_ckpt::{CkptConfig, CkptPolicy, StorageTier};
 pub use config::{
     Arch, ChaosInjection, Consistency, DataStrategy, ExecutionMode, FailoverMode, InjectedFault,
-    JobConfig, MitigationChoice,
+    JobConfig, MitigationChoice, MAX_SIM_TIME,
 };
 pub use job::{run_with_policy, Job};
 pub use report::{

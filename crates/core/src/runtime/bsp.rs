@@ -20,6 +20,7 @@ use super::kernel::{Kernel, ServerEnd, ServerState};
 use super::ml_bridge;
 use super::ps_common::PsFlavor;
 use crate::events::{Ev, RtEngine};
+use antdt_agent::BARRIER_SECS;
 use antdt_attr::WaitCause;
 use antdt_monitor::NodeId;
 use antdt_sim::gantt::SpanKind;
@@ -232,7 +233,7 @@ impl BspFlavor {
             k.workers[wi].series_batch.push(now, inf.took as f64);
             if k.bus.report_due(wi) && !k.report_dropped() {
                 super::bus::send_report(k, eng, NodeId::worker(p.w), now, bpt, inf.took);
-                k.overhead.add_sync(SimDuration::from_secs_f64(k.cfg.broadcast.barrier_secs));
+                k.overhead.add_sync(SimDuration::from_secs_f64(BARRIER_SECS));
             }
             // The barrier arrival is when the last gradient piece landed.
             let arrived = inf.compute_end + SimDuration::from_secs_f64(push_tx);

@@ -1,12 +1,13 @@
 //! The control bus: the single seam through which the runtime talks to the
 //! Monitor, the Controller and the Agents (paper Fig. 6, made explicit).
 //!
-//! Every hop of the control loop is a typed [`ControlMsg`]:
+//! Every hop of the control loop between processes is a typed
+//! [`ControlMsg`]; Monitor and Controller are colocated on the master, so
+//! the snapshot between them is a plain call at the tick:
 //!
 //! | hop                  | message     | carried by                          |
 //! |----------------------|-------------|-------------------------------------|
 //! | Agent → Monitor      | `Report`    | bus (channel-modeled)               |
-//! | Monitor → Controller | `Snapshot`  | inline (colocated on the master)    |
 //! | Controller → Agent   | `Directive` | bus (channel-modeled, fenced)       |
 //! | Agent → Controller   | `Ack`       | bus (channel-modeled)               |
 //!
@@ -31,7 +32,7 @@ use super::kernel::Kernel;
 use crate::events::{Ev, RtEngine};
 use crate::report::{DirectiveFate, DirectiveRecord};
 use antdt_agent::bus::{ControlMsg, DeliveryOutcome, Directive};
-use antdt_agent::{Agent, AgentConfig, AgentCounts};
+use antdt_agent::{direct_delay, full_broadcast_delay, Agent, AgentConfig, AgentCounts};
 use antdt_controller::{Action, MitigationPolicy, PolicyCtx};
 use antdt_monitor::{
     ClusterInfo, MetricStore, MonitorConfig, MonitorCounts, NodeEvent, NodeId, Role,
@@ -261,10 +262,9 @@ impl ControlBus {
         self.store.report_event(ev);
     }
 
-    /// One Monitor→Controller tick: aggregate, snapshot, decide. The
-    /// `Snapshot` message is constructed and consumed in place — Monitor and
-    /// Controller are colocated on the AntDT master, so this hop is always
-    /// inline.
+    /// One Monitor→Controller tick: aggregate, snapshot, decide. Monitor and
+    /// Controller are colocated on the AntDT master, so the snapshot hop is
+    /// always inline and never a bus message.
     pub(crate) fn tick_decide(
         &mut self,
         tele: Option<&mut Telemetry>,
@@ -273,9 +273,8 @@ impl ControlBus {
     ) -> Vec<Action> {
         self.store.set_cluster_info(info);
         let snap = self.store.snapshot(now);
-        let snapshot =
-            ControlMsg::Snapshot { at: now, nodes: self.agents.len() + self.ctx.n_servers };
-        if let (Some(tele), ControlMsg::Snapshot { nodes, .. }) = (tele, &snapshot) {
+        if let Some(tele) = tele {
+            let nodes = self.agents.len() + self.ctx.n_servers;
             tele.tracer.instant(
                 "bus-snapshot",
                 "bus",
@@ -546,7 +545,7 @@ pub(crate) fn broadcast(
 ) {
     if k.bus.inline_mode() {
         let payload = action.payload_bytes();
-        let delay = k.cfg.broadcast.full_broadcast_delay(payload);
+        let delay = full_broadcast_delay(payload);
         k.overhead.add_sync(delay);
         let at = now + delay;
         for w in 0..k.workers.len() {
@@ -600,7 +599,7 @@ pub(crate) fn send_kill(
         Role::Server => k.servers[node.idx as usize].gen,
     };
     if k.bus.inline_mode() {
-        let delay = k.cfg.broadcast.direct_delay(16);
+        let delay = direct_delay(16);
         let at = now + delay;
         let seq = k.bus.record(node, gen, now, text);
         k.bus.mark(seq, DirectiveFate::Fired { at });
@@ -638,7 +637,6 @@ fn deliver(k: &mut Kernel, eng: &mut RtEngine, seq: u64, env: Envelope, now: Sim
             k.bus.store.report_bpt(node, at, bpt_secs, batch);
             k.bus.hop_span(k.tele.as_mut(), "bus-report", env.sent_at, now, node);
         }
-        ControlMsg::Snapshot { .. } => unreachable!("snapshot hops are always inline"),
         ControlMsg::Directive { target, directive } => {
             deliver_directive(k, eng, seq, env, target, directive, now);
         }

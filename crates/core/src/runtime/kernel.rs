@@ -265,9 +265,9 @@ impl Kernel {
 
         let ctx = PolicyCtx { global_batch: cfg.global_batch, n_workers: n, n_servers: m };
         let bus = ControlBus::new(cfg.control_channel, cfg.monitor, cfg.agent, policy, ctx);
-        // Telemetry implies Gantt recording: the recorded spans become the
-        // bulk of the exported Chrome trace.
-        let gantt = (cfg.record_gantt || cfg.telemetry).then(Gantt::new);
+        // Telemetry records the Gantt chart: its spans become the bulk of the
+        // exported Chrome trace.
+        let gantt = cfg.telemetry.then(Gantt::new);
         let ckpt_rt = ps.then(|| CkptRt::new(cfg.ckpt, cfg.checkpoint_interval.as_secs_f64()));
         let attr = cfg.attribution.then(AttrRt::new);
         Kernel {

@@ -236,7 +236,7 @@ mod tests {
 #[cfg(test)]
 mod known_answers {
     use super::super::strategy::PrefixRun;
-    use crate::config::{ExecutionMode, JobConfig};
+    use crate::config::{ExecutionMode, JobConfig, MAX_SIM_TIME};
     use antdt_workloads::cluster::{cluster_a_scaled, cluster_b};
     use antdt_workloads::{ctr, CtrConfig, Scenario};
 
@@ -252,9 +252,8 @@ mod known_answers {
 
     /// `(auc bits, parameter hash)` of `cfg` run to completion.
     fn run(cfg: JobConfig) -> (u64, u64) {
-        let deadline = cfg.max_sim_time;
         let mut run = PrefixRun::new(&cfg);
-        run.advance_until(deadline);
+        run.advance_until(MAX_SIM_TIME);
         let params = run.k.math.as_ref().unwrap().model.params();
         let hash = params.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
             (h ^ u64::from(p.to_bits())).wrapping_mul(0x0100_0000_01b3)

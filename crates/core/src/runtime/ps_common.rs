@@ -15,6 +15,7 @@ use super::{lifecycle, ml_bridge};
 use crate::config::InjectedFault;
 use crate::events::{Ev, RtEngine};
 use crate::report::ActionApplication;
+use antdt_agent::BARRIER_SECS;
 use antdt_attr::WaitCause;
 use antdt_controller::Action;
 use antdt_monitor::{ErrorClass, NodeId, RetryableError};
@@ -263,7 +264,7 @@ pub(crate) fn finish_asp_push(
     k.workers[wi].series_batch.push(ready, inf.took as f64);
     if k.bus.report_due(wi) && !k.report_dropped() {
         super::bus::send_report(k, eng, NodeId::worker(w), ready, bpt, inf.took);
-        k.overhead.add_sync(SimDuration::from_secs_f64(k.cfg.broadcast.barrier_secs));
+        k.overhead.add_sync(SimDuration::from_secs_f64(BARRIER_SECS));
     }
     // Amortized DDS-state sync share of this push (one sync per global
     // batch worth of pushes).

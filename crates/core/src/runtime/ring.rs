@@ -12,6 +12,7 @@ use super::ml_bridge;
 use crate::config::{DataStrategy, InjectedFault};
 use crate::events::{Ev, RtEngine};
 use crate::report::ActionApplication;
+use antdt_agent::BARRIER_SECS;
 use antdt_attr::WaitCause;
 use antdt_controller::Action;
 use antdt_monitor::NodeId;
@@ -225,7 +226,7 @@ impl RingAllReduce {
                     p.compute_secs,
                     p.took,
                 );
-                k.overhead.add_sync(SimDuration::from_secs_f64(k.cfg.broadcast.barrier_secs));
+                k.overhead.add_sync(SimDuration::from_secs_f64(BARRIER_SECS));
             }
         }
         if round_samples > 0 {

@@ -17,7 +17,7 @@ use super::chaos_hooks;
 use super::kernel::Kernel;
 use super::ps_common;
 use super::ring::{self, RingAllReduce};
-use crate::config::{Arch, Consistency, JobConfig};
+use crate::config::{Arch, Consistency, JobConfig, MAX_SIM_TIME};
 use crate::events::{Ev, RtEngine};
 use crate::report::JobReport;
 use crate::whatif::{apply_live_perturbation, Perturbation};
@@ -147,7 +147,7 @@ impl PrefixRun {
     /// Drive the job to completion (finish, drain or deadline) and assemble
     /// its report.
     pub fn finish(mut self) -> JobReport {
-        let deadline = self.k.cfg.max_sim_time;
+        let deadline = MAX_SIM_TIME;
         let drained = self.advance_until(deadline);
         if !drained && !self.k.finished {
             self.k.timed_out = true;

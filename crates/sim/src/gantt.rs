@@ -15,8 +15,6 @@ pub enum SpanKind {
     Idle,
     /// Node down: killed/pending/init/restore.
     Failover,
-    /// AntDT bookkeeping: DDS round-trips, agent synchronization.
-    Overhead,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,14 +47,6 @@ impl Gantt {
         }
     }
 
-    /// Total time a node spent in spans of `kind`.
-    pub fn total(&self, node: u32, kind: SpanKind) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.node == node && s.kind == kind)
-            .fold(SimDuration::ZERO, |acc, s| acc + s.duration())
-    }
-
     /// Nodes appearing in the chart, sorted.
     pub fn nodes(&self) -> Vec<u32> {
         let mut ns: Vec<u32> = self.spans.iter().map(|s| s.node).collect();
@@ -68,7 +58,7 @@ impl Gantt {
     /// Convert every span into a Chrome trace-event (`ph = "X"`) so the chart
     /// can be merged into a [`antdt_telemetry::SpanTracer`] export and loaded
     /// in Perfetto. Each node gets one track *per span kind* (`tid = node * 8
-    /// + kind lane`: compute 0, comm 1, idle 2, failover 3, overhead 4) —
+    /// + kind lane`: compute 0, comm 1, idle 2, failover 3) —
     /// collapsing everything onto one row per node used to hide exactly the
     /// wait intervals the attribution engine decomposes. The span kind
     /// becomes the event name; the category stays `gantt`.
@@ -81,7 +71,6 @@ impl Gantt {
                     SpanKind::Comm => ("comm", 1),
                     SpanKind::Idle => ("idle", 2),
                     SpanKind::Failover => ("failover", 3),
-                    SpanKind::Overhead => ("overhead", 4),
                 };
                 TraceEvent {
                     name: name.to_string(),
@@ -121,7 +110,6 @@ impl Gantt {
                     SpanKind::Comm => '=',
                     SpanKind::Idle => '.',
                     SpanKind::Failover => 'X',
-                    SpanKind::Overhead => 'o',
                 };
                 for c in row.iter_mut().take(b).skip(a.min(cols)) {
                     *c = ch;
@@ -140,13 +128,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_accumulate_per_node_and_kind() {
+    fn nodes_are_sorted_and_distinct() {
         let mut g = Gantt::new();
+        g.record(1, SpanKind::Compute, SimTime::ZERO, SimTime::from_secs_f64(5.0));
         g.record(0, SpanKind::Compute, SimTime::ZERO, SimTime::from_secs_f64(2.0));
         g.record(0, SpanKind::Comm, SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(3.0));
-        g.record(1, SpanKind::Compute, SimTime::ZERO, SimTime::from_secs_f64(5.0));
-        assert_eq!(g.total(0, SpanKind::Compute), SimDuration::from_secs(2));
-        assert_eq!(g.total(0, SpanKind::Comm), SimDuration::from_secs(1));
         assert_eq!(g.nodes(), vec![0, 1]);
     }
 

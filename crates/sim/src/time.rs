@@ -47,11 +47,11 @@ impl SimDuration {
         SimDuration(secs_to_micros(secs))
     }
     #[inline]
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * MICROS_PER_SEC)
     }
     #[inline]
-    pub fn from_minutes(mins: u64) -> Self {
+    pub const fn from_minutes(mins: u64) -> Self {
         Self::from_secs(mins * 60)
     }
     #[inline]

@@ -29,25 +29,6 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "flight recorder dump — reason: {}, {} events retained, {} dropped\n",
-            self.reason,
-            self.events.len(),
-            self.dropped
-        );
-        for e in &self.events {
-            out.push_str(&format!(
-                "  #{:<6} t={:>12.3}s [{}] {}\n",
-                e.seq,
-                e.at_us as f64 / 1e6,
-                e.category,
-                e.detail
-            ));
-        }
-        out
-    }
-
     /// The dump as a JSON document (deterministic field order).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"reason\":");
@@ -143,7 +124,6 @@ mod tests {
         assert_eq!(d.events.len(), 3);
         assert_eq!(d.events[0].seq, 2);
         assert_eq!(d.events[2].detail, "ev4");
-        assert!(d.render().contains("ev4"));
     }
 
     #[test]

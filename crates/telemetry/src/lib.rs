@@ -5,8 +5,7 @@
 //! killed a node. This crate is the diagnostic layer underneath it:
 //!
 //! * [`MetricsRegistry`] — counters / gauges / fixed-bucket histograms keyed
-//!   by node and component, with a Prometheus text renderer and a JSON
-//!   snapshot. A job renders its plain counts into a fresh registry at report
+//!   by node and component, with a Prometheus text renderer. A job renders its plain counts into a fresh registry at report
 //!   time; process-level users (the what-if service) update it through
 //!   shared atomic handles.
 //! * [`SpanTracer`] — structured spans and instants exported as Chrome
@@ -33,7 +32,7 @@ pub mod trace;
 pub use attr::{AttrSink, CollectSink, CounterTrackSink};
 pub use audit::{DecisionRecord, SolverTrace};
 pub use flight::{FlightDump, FlightEvent, FlightRecorder};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, SeriesSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use trace::{ChromeTrace, SpanTracer, TraceEvent};
 
 /// The recording half of one job's telemetry: the span trace and the flight
@@ -54,7 +53,6 @@ impl Telemetry {
     pub fn report(&self, metrics: &MetricsRegistry, flight_reason: &str) -> TelemetryReport {
         TelemetryReport {
             prometheus: metrics.render_prometheus(),
-            metrics_json: metrics.snapshot_json(),
             chrome_trace: self.tracer.export_json(),
             flight: self.flight.dump(flight_reason),
         }
@@ -74,8 +72,6 @@ impl Telemetry {
 pub struct TelemetryReport {
     /// Prometheus text-exposition rendering of the metrics registry.
     pub prometheus: String,
-    /// JSON snapshot of the metrics registry.
-    pub metrics_json: String,
     /// Chrome trace-event JSON (`{"traceEvents": [...]}`), Perfetto-loadable.
     pub chrome_trace: String,
     /// Final flight-recorder ring (`reason` is `stalled` or `completed`).

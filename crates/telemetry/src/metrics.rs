@@ -10,7 +10,6 @@
 //! job keeps plain counts and writes them into a fresh registry once, at
 //! report time.
 
-use crate::json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,19 +133,6 @@ enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
-}
-
-/// One series in a [`MetricsRegistry::snapshot`], serialized to JSON in a
-/// stable, fully sorted order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSnapshot {
-    pub name: String,
-    pub labels: BTreeMap<String, String>,
-    pub kind: String,
-    pub value: Option<u64>,
-    pub sum: Option<u64>,
-    pub count: Option<u64>,
-    pub buckets: Option<Vec<(String, u64)>>,
 }
 
 /// The registry. Series are keyed `(name, sorted labels)`; iteration order is
@@ -297,107 +283,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// A structured snapshot of every series, sorted by `(name, labels)`.
-    pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
-        let s = lock(&self.series);
-        let mut out = Vec::new();
-        for (name, by_labels) in s.iter() {
-            for (labels, metric) in by_labels.iter() {
-                let labels: BTreeMap<String, String> =
-                    labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-                let snap = match metric {
-                    Metric::Counter(c) => SeriesSnapshot {
-                        name: name.to_string(),
-                        labels,
-                        kind: "counter".into(),
-                        value: Some(c.get()),
-                        sum: None,
-                        count: None,
-                        buckets: None,
-                    },
-                    Metric::Gauge(g) => SeriesSnapshot {
-                        name: name.to_string(),
-                        labels,
-                        kind: "gauge".into(),
-                        value: Some(g.get()),
-                        sum: None,
-                        count: None,
-                        buckets: None,
-                    },
-                    Metric::Histogram(h) => {
-                        let counts = h.bucket_counts();
-                        let mut buckets: Vec<(String, u64)> = h
-                            .inner
-                            .bounds
-                            .iter()
-                            .enumerate()
-                            .map(|(i, b)| (b.to_string(), counts[i]))
-                            .collect();
-                        buckets.push(("+Inf".into(), counts[h.inner.bounds.len()]));
-                        SeriesSnapshot {
-                            name: name.to_string(),
-                            labels,
-                            kind: "histogram".into(),
-                            value: None,
-                            sum: Some(h.sum()),
-                            count: Some(h.count()),
-                            buckets: Some(buckets),
-                        }
-                    }
-                };
-                out.push(snap);
-            }
-        }
-        out
-    }
-
-    /// [`MetricsRegistry::snapshot`] serialized as JSON (deterministic order).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json::write_str(&mut out, &s.name);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in s.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json::write_str(&mut out, k);
-                out.push(':');
-                json::write_str(&mut out, v);
-            }
-            out.push_str("},\"kind\":");
-            json::write_str(&mut out, &s.kind);
-            if let Some(v) = s.value {
-                out.push_str(&format!(",\"value\":{v}"));
-            }
-            if let Some(v) = s.sum {
-                out.push_str(&format!(",\"sum\":{v}"));
-            }
-            if let Some(v) = s.count {
-                out.push_str(&format!(",\"count\":{v}"));
-            }
-            if let Some(buckets) = &s.buckets {
-                out.push_str(",\"buckets\":[");
-                for (j, (le, n)) in buckets.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('[');
-                    json::write_str(&mut out, le);
-                    out.push_str(&format!(",{n}]"));
-                }
-                out.push(']');
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -429,7 +314,7 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2);
-        assert_eq!(reg.snapshot().len(), 1);
+        assert_eq!(reg.render_prometheus(), "# TYPE m counter\nm{a=\"1\",b=\"2\"} 2\n");
     }
 
     #[test]
@@ -461,7 +346,7 @@ mod tests {
             for n in names {
                 reg.counter(n, &[("node", "w0")]).add(7);
             }
-            (reg.render_prometheus(), reg.snapshot_json())
+            reg.render_prometheus()
         };
         assert_eq!(build(false), build(true));
     }
@@ -476,24 +361,5 @@ mod tests {
         assert!(text.contains(r#"h_bucket{q="\"",le="1"} 1"#), "{text}");
         // Every sample stays on one line.
         assert_eq!(text.lines().count(), 7, "{text}");
-    }
-
-    #[test]
-    fn snapshot_json_parses_back() {
-        use crate::json::{self, Json};
-        let reg = MetricsRegistry::new();
-        reg.counter("c", &[("k", "v")]).inc();
-        reg.histogram("h", &[], &[1]).observe(3);
-        let parsed = json::parse(&reg.snapshot_json()).expect("snapshot JSON parses");
-        let series = parsed.as_array().expect("array of series");
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].get("name").and_then(Json::as_str), Some("c"));
-        assert_eq!(series[0].get("value").and_then(Json::as_u64), Some(1));
-        assert_eq!(series[0].get("labels").unwrap().get("k").and_then(Json::as_str), Some("v"));
-        assert_eq!(series[1].get("kind").and_then(Json::as_str), Some("histogram"));
-        assert_eq!(series[1].get("sum").and_then(Json::as_u64), Some(3));
-        let buckets = series[1].get("buckets").and_then(Json::as_array).unwrap();
-        assert_eq!(buckets.len(), 2, "one bound plus +Inf");
-        assert_eq!(buckets[1].as_array().unwrap()[0].as_str(), Some("+Inf"));
     }
 }

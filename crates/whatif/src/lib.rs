@@ -54,6 +54,7 @@ pub use cache::{CacheStats, SnapshotCache};
 use antdt_core::{
     apply_perturbation, config_digest, divergence_instant, divergence_mark_bound,
     perturbation_edits, plan_replays, Job, JobConfig, JobReport, Perturbation, PrefixRun,
+    MAX_SIM_TIME,
 };
 use antdt_sim::{SimDuration, SimTime};
 use antdt_telemetry::{Counter, Gauge, MetricsRegistry};
@@ -465,14 +466,14 @@ impl WhatIfService {
             let set = run.marks_set();
             // No tick at or past the deadline; `finish` re-runs the last
             // advance as a no-op.
-            t = (t + self.cfg.spine_every).min(cfg.max_sim_time);
+            t = (t + self.cfg.spine_every).min(MAX_SIM_TIME);
             let drained = run.advance_until(t);
             if run.marks_set() > set {
                 if let Some((at, snapshot)) = held.take() {
                     self.cache.insert(digest, at, snapshot);
                 }
             }
-            if drained || run.finished() || t == cfg.max_sim_time || run.marks_set() >= bound {
+            if drained || run.finished() || t == MAX_SIM_TIME || run.marks_set() >= bound {
                 break;
             }
             held = Some((t, run.fork()));

@@ -36,17 +36,6 @@ impl DeviceClass {
         DeviceClass { name: "cpu16", speed: 1.0, saturation_batch: 1, mem_cap_batch: u64::MAX / 2 }
     }
 
-    /// An older CPU series, ~3× slower (the deterministic CPU straggler of
-    /// paper Fig. 1a, worker w3).
-    pub fn cpu_old() -> Self {
-        DeviceClass {
-            name: "cpu16-old",
-            speed: 1.0 / 3.0,
-            saturation_batch: 1,
-            mem_cap_batch: u64::MAX / 2,
-        }
-    }
-
     /// A parameter-server node (4–12 cores; only relative speed matters).
     pub fn cpu_server() -> Self {
         DeviceClass {
