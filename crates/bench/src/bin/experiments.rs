@@ -4,8 +4,8 @@
 //! experiments <id>...         # fig1 fig2 fig3 fig7 fig8 fig9 fig10 fig11
 //!                             # fig12 fig13 fig14 fig15 fig16 fig17 fig18
 //!                             # fig19 tab3 integrity solver ablate chaos
-//!                             # telemetry
-//! experiments all             # everything, in paper order
+//!                             # controlbus whatif perf
+//! experiments all             # everything but perf, in paper order
 //! experiments list            # show the registry
 //! experiments --out DIR <id>  # additionally write each report to DIR/<id>.txt
 //! experiments --jobs N <id>   # run on N threads (1 = fully serial)
@@ -45,12 +45,9 @@ fn main() {
         list.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
     });
     if let Some(ids) = &only {
-        let known: Vec<&str> = antdt_bench::registry().iter().map(|(id, _, _)| *id).collect();
-        for id in ids {
-            if !known.contains(&id.as_str()) {
-                eprintln!("unknown experiment id in --only: {id} (try `experiments list`)");
-                std::process::exit(2);
-            }
+        if let Err(e) = antdt_bench::check_only(ids) {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
         // `--only a,b` with no positional ids means "run exactly those".
         if args.is_empty() {
@@ -64,7 +61,7 @@ fn main() {
         for (id, desc, _) in antdt_bench::registry() {
             let _ = writeln!(out, "  {id:<10} {desc}");
         }
-        let _ = writeln!(out, "  {:<10} run everything in paper order", "all");
+        let _ = writeln!(out, "  {:<10} run everything but perf, in paper order", "all");
         return;
     }
     for id in &args {

@@ -1,5 +1,4 @@
-//! The checkpoint-interval sweep behind `experiments ckpt` and `experiments
-//! fig17`: JCT as a function of the checkpoint interval under a fixed seeded
+//! The checkpoint-interval sweep behind `experiments fig17`: JCT as a function of the checkpoint interval under a fixed seeded
 //! kill plan, for both worker-recovery policies. Both arms checkpoint through
 //! the same `antdt-ckpt` subsystem at the same cadence and stall; they differ
 //! only in what a worker kill recovers:
@@ -13,9 +12,9 @@
 //! Short intervals pay capture stalls in both arms; long intervals pay
 //! replayed work in the replay arm only — the paper's Fig. 17 contrast.
 
-use crate::util::{header, secs, table, timed};
+use crate::util::{header, secs, table};
 use antdt_core::{
-    ChaosInjection, CkptConfig, CkptPolicy, FailoverMode, InjectedFault, JobConfig, JobReport,
+    ChaosInjection, CkptConfig, CkptPolicy, FailoverMode, InjectedFault, Job, JobConfig, JobReport,
     MitigationChoice, StorageTier,
 };
 use antdt_sim::SimDuration;
@@ -59,36 +58,25 @@ fn kills(clean_jct_secs: f64) -> Vec<ChaosInjection> {
 
 /// One sweep point: a worker policy at one interval.
 struct Point {
-    mode: FailoverMode,
     interval_secs: f64,
-    /// Best-of-`reps` host seconds of the run.
-    wall: f64,
     report: JobReport,
 }
 
-/// Short label of a worker policy.
-fn label(mode: FailoverMode) -> &'static str {
-    match mode {
-        FailoverMode::DdsBased => "dds",
-        FailoverMode::Replay => "replay",
-    }
-}
-
 /// Run the kill plan at every interval in `fractions` (of the fault-free JCT)
-/// under both worker policies, `reps` times each, fanned out with
-/// `par_map`. Returns the fault-free probe and the points, the `replay`
-/// arm first, each arm in grid order.
-fn sweep(fractions: &[f64], reps: usize) -> (JobReport, Vec<Point>) {
+/// under both worker policies, fanned out with `par_map`. Returns the
+/// fault-free probe and the points, the `replay` arm first, each arm in grid
+/// order.
+fn sweep(fractions: &[f64]) -> (JobReport, Vec<Point>) {
     // The fault-free twin anchors the kill instants, the interval grid and
     // the "vs clean" column.
-    let (_, clean) = timed(1, base);
+    let clean = Job::run(base());
     let clean_jct = clean.jct.as_secs_f64();
     let grid: Vec<(FailoverMode, f64)> = [FailoverMode::Replay, FailoverMode::DdsBased]
         .iter()
         .flat_map(|&m| fractions.iter().map(move |f| (m, f * clean_jct)))
         .collect();
     let points = antdt_par::par_map(grid, |(mode, interval_secs)| {
-        let (wall, report) = timed(reps, || {
+        let report = Job::run(
             base()
                 .with_injections(kills(clean_jct))
                 .with_liveness_timeout(SimDuration::from_secs(1_800))
@@ -98,92 +86,16 @@ fn sweep(fractions: &[f64], reps: usize) -> (JobReport, Vec<Point>) {
                     policy: CkptPolicy::Fixed { interval_secs },
                     capture_stall_secs: CAPTURE_STALL_SECS,
                 })
-                .with_failover_mode(mode)
-        });
-        Point { mode, interval_secs, wall, report }
+                .with_failover_mode(mode),
+        );
+        Point { interval_secs, report }
     });
     (clean, points)
 }
 
-/// Snapshots and restores of one run.
-fn ckpt_counts(r: &JobReport) -> (usize, usize) {
-    r.ckpt.as_ref().map_or((0, 0), |c| (c.snapshots.len(), c.restores.len()))
-}
-
-pub fn ckpt() -> String {
-    let mut out = header(
-        "ckpt",
-        "Checkpoint subsystem: JCT vs interval under a seeded kill plan, replay vs DDS-based",
-    );
-    const REPS: usize = 2;
-    let (clean, sweep) = sweep(&[0.05, 0.20, 0.60], REPS);
-    let clean_jct = clean.jct.as_secs_f64();
-    let _ = writeln!(
-        out,
-        "  clean JCT {} — kills at 30%/65% of it, intervals at 5%/20%/60% of it",
-        secs(clean_jct)
-    );
-
-    let mut rows = vec![vec![
-        "mode".into(),
-        "interval".into(),
-        "JCT (sim)".into(),
-        "vs clean".into(),
-        "snapshots".into(),
-        "restores".into(),
-        "replayed".into(),
-        "rolled-back".into(),
-        "wall".into(),
-    ]];
-    let mut json_points = String::new();
-    for p in &sweep {
-        let r = &p.report;
-        let jct = r.jct.as_secs_f64();
-        let (snaps, restores) = ckpt_counts(r);
-        rows.push(vec![
-            label(p.mode).into(),
-            secs(p.interval_secs),
-            secs(jct),
-            format!("{:+.1}%", (jct / clean_jct.max(1e-9) - 1.0) * 100.0),
-            snaps.to_string(),
-            restores.to_string(),
-            r.replayed_samples.to_string(),
-            r.rolled_back_samples.to_string(),
-            format!("{:.4}s", p.wall),
-        ]);
-        let _ = write!(
-            json_points,
-            concat!(
-                "{{\"mode\":\"{}\",\"interval_secs\":{:.3},\"jct_micros\":{},",
-                "\"snapshots\":{},\"restores\":{},\"replayed_samples\":{},",
-                "\"rolled_back_samples\":{}}},"
-            ),
-            label(p.mode),
-            p.interval_secs,
-            r.jct.as_micros(),
-            snaps,
-            restores,
-            r.replayed_samples,
-            r.rolled_back_samples,
-        );
-    }
-    out.push_str(&table(&rows));
-    let _ = writeln!(
-        out,
-        "  sweep: 8 workers / 3 servers, two injected kills; short intervals pay \
-         capture stalls, long intervals pay replay (a kill before the first \
-         snapshot replays from scratch); DDS-based failover replays nothing"
-    );
-
-    // Machine-readable artifact (hand-rendered: the workspace has no serde).
-    let json = format!(
-        "{{\"experiment\":\"ckpt\",\"reps\":{},\"clean_jct_micros\":{},\"points\":[{}]}}\n",
-        REPS,
-        clean.jct.as_micros(),
-        json_points.trim_end_matches(','),
-    );
-    crate::util::write_artifact(&mut out, "BENCH_ckpt.json", &json);
-    out
+/// Snapshots one run captured.
+fn snapshots(r: &JobReport) -> usize {
+    r.ckpt.as_ref().map_or(0, |c| c.snapshots.len())
 }
 
 /// Fig. 17 from live runs: JCT against the checkpoint interval for both
@@ -197,7 +109,7 @@ pub fn fig17() -> String {
     // The grid starts where the interval exceeds the capture stall: below
     // that, captures queue back to back and the servers barely run.
     let fractions = [0.02, 0.03, 0.05, 0.075, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60, 0.80, 1.0];
-    let (clean, sweep) = sweep(&fractions, 1);
+    let (clean, sweep) = sweep(&fractions);
     let clean_jct = clean.jct.as_secs_f64();
     let _ = writeln!(
         out,
@@ -218,7 +130,7 @@ pub fn fig17() -> String {
         let (rj, dj) = (r.report.jct.as_secs_f64(), d.report.jct.as_secs_f64());
         rows.push(vec![
             secs(r.interval_secs),
-            ckpt_counts(&d.report).0.to_string(),
+            snapshots(&d.report).to_string(),
             secs(dj),
             secs(rj),
             format!("{:+.1}s", rj - dj),

@@ -1,8 +1,8 @@
 //! The cost of control-plane latency: JCT as a function of the modeled
 //! Monitor→Controller→Agent channel delay on a non-dedicated PS job.
 
-use crate::util::{header, secs, table, timed};
-use antdt_core::{DirectiveFate, JobConfig, MitigationChoice};
+use crate::util::{header, secs, table};
+use antdt_core::{DirectiveFate, Job, JobConfig, MitigationChoice};
 use antdt_sim::{ControlChannel, SimDuration};
 use antdt_workloads::cluster::cluster_a_scaled;
 use antdt_workloads::{ModelProfile, Scenario};
@@ -38,7 +38,6 @@ fn channel_for(latency_secs: f64) -> ControlChannel {
 
 pub fn controlbus() -> String {
     let mut out = header("controlbus", "Control bus: JCT vs control-plane latency");
-    const REPS: usize = 2;
 
     // How much a slow control plane erodes the mitigation win. The
     // directive audit shows the traffic the channel carried.
@@ -48,24 +47,17 @@ pub fn controlbus() -> String {
         "events".into(),
         "directives".into(),
         "applied".into(),
-        "wall".into(),
     ]];
-    let mut json_sweep = String::new();
     // Fan the sweep points out with `par_map`; each point is an
     // independent deterministic simulation. The latency-0 baseline is read
     // back from the collected results (order is preserved), so the rendered
     // rows are identical to the serial sweep.
     let sweep = antdt_par::par_map(LATENCIES.to_vec(), |latency| {
-        let (wall, r) = timed(REPS, || non_dedicated(channel_for(latency)));
-        (latency, wall, r)
+        (latency, Job::run(non_dedicated(channel_for(latency))))
     });
-    let baseline_jct = sweep
-        .iter()
-        .find(|(l, _, _)| *l == 0.0)
-        .map(|(_, _, r)| r.jct.as_secs_f64())
-        .unwrap_or(0.0);
-    for (latency, wall, r) in &sweep {
-        let (latency, wall) = (*latency, *wall);
+    let baseline_jct =
+        sweep.iter().find(|(l, _)| *l == 0.0).map(|(_, r)| r.jct.as_secs_f64()).unwrap_or(0.0);
+    for (latency, r) in &sweep {
         let jct = r.jct.as_secs_f64();
         let applied =
             r.directives.iter().filter(|d| matches!(d.fate, DirectiveFate::Applied { .. })).count();
@@ -75,20 +67,7 @@ pub fn controlbus() -> String {
             r.events_processed.to_string(),
             r.directives.len().to_string(),
             applied.to_string(),
-            format!("{:.4}s", wall),
         ]);
-        let _ = write!(
-            json_sweep,
-            concat!(
-                "{{\"latency_secs\":{},\"jct_micros\":{},\"events\":{},",
-                "\"directives\":{},\"applied\":{}}},"
-            ),
-            latency,
-            r.jct.as_micros(),
-            r.events_processed,
-            r.directives.len(),
-            applied,
-        );
     }
     out.push_str(&table(&rows));
     let _ = writeln!(
@@ -96,13 +75,5 @@ pub fn controlbus() -> String {
         "  sweep: non-dedicated PS (10 workers / 4 servers, WorkerMix 0.8), \
          one-way control latency 0→60 s"
     );
-
-    // Machine-readable artifact (hand-rendered: the workspace has no serde).
-    let json = format!(
-        "{{\"experiment\":\"controlbus\",\"reps\":{},\"latency_sweep\":[{}]}}\n",
-        REPS,
-        json_sweep.trim_end_matches(','),
-    );
-    crate::util::write_artifact(&mut out, "BENCH_controlbus.json", &json);
     out
 }

@@ -7,7 +7,6 @@
 //! Figs. 15–19 and Table III) and `ops` (integrity, solver, ablations,
 //! chaos).
 
-mod attr;
 mod ckpt;
 mod controlbus;
 mod framework;
@@ -17,14 +16,13 @@ mod ops;
 mod perf;
 mod whatif;
 
-pub use attr::attr;
-pub use ckpt::{ckpt, fig17};
+pub use ckpt::fig17;
 pub use controlbus::controlbus;
 pub use framework::{fig15, fig16, fig18, fig19, tab3};
 pub use motivation::{fig1, fig2, fig3, fig7, fig8, fig9};
 pub use nd::{fig10, fig11, fig12, fig13, fig14};
 pub use ops::{ablate, chaos, integrity, solver};
-pub use perf::{chaos_matrix_parity, fork_parity, perf};
+pub use perf::perf;
 pub use whatif::whatif;
 
 use antdt_controller::DeviceClassSpec;
@@ -108,6 +106,18 @@ mod tests {
             assert!(out.lines().count() > 3);
         }
         assert!(crate::run("nope").is_none());
+    }
+
+    /// `--only` restricts `all`, so an id `all` never runs is an error that
+    /// names it, not an empty report.
+    #[test]
+    fn only_rejects_unknown_and_excluded_ids() {
+        let ids = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(crate::check_only(&ids(&["fig7", "solver"])), Ok(()));
+        let err = crate::check_only(&ids(&["fig7", "perf"])).unwrap_err();
+        assert!(err.contains("perf") && err.contains("all"), "{err}");
+        let err = crate::check_only(&ids(&["nope"])).unwrap_err();
+        assert!(err.contains("unknown") && err.contains("nope"), "{err}");
     }
 
     #[test]

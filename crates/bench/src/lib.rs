@@ -4,7 +4,7 @@
 //! regenerates the corresponding artifact from scratch on the simulator and
 //! returns a printable report; the `experiments` binary dispatches on ids
 //! (`fig1`…`fig19`, `tab3`, `integrity`, `solver`, `ablate`, `chaos`,
-//! `controlbus`, `ckpt`, `attr`, `whatif`, `perf`, `all`).
+//! `controlbus`, `whatif`, `perf`, `all`).
 //!
 //! Absolute numbers come from a simulated substrate, so they are not expected
 //! to match the paper's testbed; the *shapes* — who wins, by what factor,
@@ -42,27 +42,35 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ("chaos", "Chaos-drill matrix: fault plans x policies + invariant audit", exps::chaos),
         ("controlbus", "Control bus: JCT vs control-plane latency", exps::controlbus),
         (
-            "ckpt",
-            "Checkpointing: JCT vs checkpoint-interval sweep under kills, replay vs DDS-based",
-            exps::ckpt,
-        ),
-        (
-            "attr",
-            "Attribution: engine overhead off vs on, blame ranking, counterfactual validation",
-            exps::attr,
-        ),
-        (
             "whatif",
             "What-if service: 64-query batch throughput vs naive full reruns + parity",
             exps::whatif,
         ),
-        ("perf", "Perf harness: allocation counts, parallel speedup + parity verdicts", exps::perf),
+        ("perf", "Perf harness: allocation counts + serial vs parallel `all` speedup", exps::perf),
     ]
 }
 
 /// Ids excluded from `all`: `perf` itself runs `all` twice (serial and
 /// parallel) to measure the speedup, so including it would recurse.
 const EXCLUDED_FROM_ALL: [&str; 1] = ["perf"];
+
+/// Check an `--only` list (the ids `all` is restricted to): `Err` names the
+/// first id that is unknown or excluded from `all`, which `all` would
+/// otherwise drop without a word.
+pub fn check_only(ids: &[String]) -> Result<(), String> {
+    let reg = registry();
+    for id in ids {
+        if !reg.iter().any(|(eid, _, _)| eid == id) {
+            return Err(format!("unknown experiment id in --only: {id} (try `experiments list`)"));
+        }
+        if EXCLUDED_FROM_ALL.contains(&id.as_str()) {
+            return Err(format!(
+                "--only restricts `all`, which never runs {id}; run `experiments {id}` instead"
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// Run everything (minus the ids excluded from `all`), fanned out on the
 /// [`antdt_par`] fan-out. Per-id outputs are stitched back in registry order, so

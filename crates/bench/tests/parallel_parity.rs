@@ -2,6 +2,10 @@
 //! produce exactly the strings and reports the serial paths produce.
 
 use antdt_bench::util::freeze_wall;
+use antdt_core::{JobConfig, MitigationChoice};
+use antdt_sim::SimDuration;
+use antdt_workloads::cluster::cluster_a_scaled;
+use antdt_workloads::Scenario;
 
 /// Print a readable first-divergence context before failing.
 fn assert_same(serial: &str, parallel: &str) {
@@ -30,31 +34,30 @@ fn assert_same(serial: &str, parallel: &str) {
 #[test]
 fn cheap_subset_is_byte_identical() {
     let ids: Vec<String> =
-        ["solver", "controlbus", "ckpt", "ablate"].iter().map(|s| s.to_string()).collect();
+        ["solver", "controlbus", "fig17", "ablate"].iter().map(|s| s.to_string()).collect();
     let parallel = freeze_wall(|| antdt_bench::run_all(Some(&ids)));
     let serial = antdt_par::with_serial(|| freeze_wall(|| antdt_bench::run_all(Some(&ids))));
     assert_same(&serial, &parallel);
 }
 
-/// The pooled chaos plan x policy matrix must equal the nested serial loops,
-/// report for report ([`antdt_chaos::DrillReport`] is `PartialEq` for exactly
-/// this): the 2 x 2 matrix `experiments perf` reports on.
+/// A small but non-trivial chaos matrix (2 plans x 2 policies), fanned out
+/// and under [`antdt_par::with_serial`], must match report for report
+/// ([`antdt_chaos::DrillReport`] is `PartialEq` for exactly this).
 #[test]
 fn chaos_matrix_pooled_equals_serial() {
+    use antdt_chaos::{ChaosDriver, Fault, FaultPlan, NodeRef};
+    let base = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::WorkerMix { intensity: 0.5 })
+        .with_global_batch(4_096)
+        .with_samples(200_000)
+        .with_batches_per_shard(10)
+        .with_fast_cadence(SimDuration::from_secs(60));
+    let driver = ChaosDriver::new(base)
+        .with_plan(FaultPlan::new("kill-w1").at(30.0, Fault::KillNode { node: NodeRef::Worker(1) }))
+        .with_plan(FaultPlan::new("dds-outage").at(15.0, Fault::DdsOutage { window_secs: 30.0 }))
+        .with_policies(vec![MitigationChoice::AntDtNd, MitigationChoice::None]);
     assert!(
-        antdt_bench::exps::chaos_matrix_parity(),
+        driver.run() == antdt_par::with_serial(|| driver.run()),
         "pooled chaos matrix diverged from the serial loops"
-    );
-}
-
-/// The what-if service's forked answers to the three stock perturbations
-/// must reproduce the full-rerun table row for row, every one of them
-/// forked: the fork-replay check `experiments perf` reports on.
-#[test]
-fn forked_what_if_table_equals_full_reruns() {
-    assert!(
-        antdt_bench::exps::fork_parity(),
-        "what-if service table diverged from the full-rerun table"
     );
 }
 

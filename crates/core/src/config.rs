@@ -455,6 +455,12 @@ impl JobConfig {
         assert!(self.batches_per_shard > 0, "batches_per_shard must be positive");
         // A zero tick re-arms the Monitor tick at the same instant forever.
         assert!(self.monitor_tick > SimDuration::ZERO, "monitor tick must be positive");
+        // An empty BPT window averages no reports, so the Monitor never sees
+        // a straggler and AntDT-ND runs as the unmitigated job.
+        assert!(self.monitor.l_trans > SimDuration::ZERO, "monitor.l_trans must be positive");
+        assert!(self.monitor.l_per > SimDuration::ZERO, "monitor.l_per must be positive");
+        // Zero would silently report every iteration, as 1 does.
+        assert!(self.agent.report_every_iters > 0, "agent.report_every_iters must be positive");
         // A zero timeout declares a healthy job stalled at t = 0.
         if let Some(timeout) = self.liveness_timeout {
             assert!(timeout > SimDuration::ZERO, "liveness timeout must be positive");

@@ -21,6 +21,30 @@ fn ps_without_servers_is_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "monitor.l_trans must be positive")]
+fn zero_transient_window_rejected() {
+    let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+    cfg.monitor.l_trans = SimDuration::ZERO;
+    cfg.validate();
+}
+
+#[test]
+#[should_panic(expected = "monitor.l_per must be positive")]
+fn zero_persistent_window_rejected() {
+    let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+    cfg.monitor.l_per = SimDuration::ZERO;
+    cfg.validate();
+}
+
+#[test]
+#[should_panic(expected = "agent.report_every_iters must be positive")]
+fn zero_report_cadence_rejected() {
+    let mut cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
+    cfg.agent.report_every_iters = 0;
+    cfg.validate();
+}
+
+#[test]
 #[should_panic(expected = "backup worker count")]
 fn too_many_backup_workers_rejected() {
     JobConfig::ps_bsp(cluster_a_scaled(2, 1), Scenario::None)
