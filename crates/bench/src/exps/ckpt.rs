@@ -80,7 +80,6 @@ fn sweep(fractions: &[f64]) -> (JobReport, Vec<Point>) {
             base()
                 .with_injections(kills(clean_jct))
                 .with_liveness_timeout(SimDuration::from_secs(1_800))
-                .with_checkpoint_interval(SimDuration::from_secs_f64(interval_secs))
                 .with_ckpt(CkptConfig {
                     tier: StorageTier::ObjectStore,
                     policy: CkptPolicy::Fixed { interval_secs },

@@ -8,13 +8,11 @@
 //!   TODO/DOING/DONE shard queue, and per-worker progress watermarks, with
 //!   an FNV-1a content digest.
 //! * [`StorageTier`] — where a checkpoint *goes*: bandwidth + latency cost
-//!   model for local disk vs an object store (or anything custom).
+//!   model for local disk vs an object store.
 //! * [`DrainQueue`] — *when* it becomes durable: snapshot writes drain
 //!   asynchronously and overlap training; a snapshot only counts for
 //!   recovery once its write has fully drained.
-//! * [`CkptPolicy`] — *how often*: a fixed cadence, or an adaptive one that
-//!   re-solves Young's approximation `T = sqrt(2·C·MTBF)` from the observed
-//!   fault rate.
+//! * [`CkptPolicy`] — *how often*: one fixed interval between captures.
 //!
 //! The runtime side (capture, staged restore, replay through the
 //! strategy drivers) lives in `antdt-core`'s `runtime/ckpt.rs`; this

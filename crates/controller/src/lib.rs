@@ -31,8 +31,7 @@ pub mod solve;
 pub use action::{Action, ActionType};
 /// The Controller's checkpoint-cadence knob, re-exported from the
 /// `antdt-ckpt` leaf so policies and callers configure it from one place:
-/// `Fixed` pins the interval, `Adaptive` retunes it online from the observed
-/// fault rate (Young's approximation, clamped to `[min_secs, max_secs]`).
+/// `Fixed` pins the interval between captures.
 pub use antdt_ckpt::CkptPolicy;
 pub use baselines::{AdjustLrPolicy, BackupWorkersPolicy, KillRestartOnly, LbBsp, NoMitigation};
 pub use compose::{AdaptiveBackupWorkers, Composite};

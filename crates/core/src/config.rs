@@ -245,9 +245,6 @@ pub struct JobConfig {
     /// through the event queue with latency/jitter/loss.
     pub control_channel: ControlChannel,
 
-    /// Instant of the first checkpoint capture; the `ckpt` cadence policy
-    /// times every later one.
-    pub checkpoint_interval: SimDuration,
     /// Communication-world rebuild on any restart.
     pub world_rebuild_secs: f64,
     /// The `antdt-ckpt` subsystem every Parameter Server job checkpoints
@@ -301,7 +298,6 @@ impl JobConfig {
             monitor_tick: SimDuration::from_minutes(5),
             agent: AgentConfig::default(),
             control_channel: ControlChannel::Ideal,
-            checkpoint_interval: SimDuration::from_minutes(10),
             world_rebuild_secs: 45.0,
             ckpt: CkptConfig { capture_stall_secs: 15.0, ..CkptConfig::default() },
             dd_classes: None,
@@ -400,11 +396,9 @@ impl JobConfig {
         self.attribution = true;
         self
     }
-    /// Checkpoint every `d`: the first capture lands at `d` and the cadence
-    /// policy becomes `Fixed` at `d`. A later [`JobConfig::with_ckpt`]
-    /// replaces the policy but keeps the first capture at `d`.
+    /// Checkpoint every `d`, the first capture at `d`: sets the `Fixed`
+    /// cadence of [`JobConfig::ckpt`] and keeps its tier and capture stall.
     pub fn with_checkpoint_interval(mut self, d: SimDuration) -> Self {
-        self.checkpoint_interval = d;
         self.ckpt.policy = CkptPolicy::Fixed { interval_secs: d.as_secs_f64() };
         self
     }
@@ -412,8 +406,9 @@ impl JobConfig {
         self.failover = mode;
         self
     }
-    /// Set the checkpoint storage tier, cadence policy and capture cost (see
-    /// [`antdt_ckpt::CkptConfig`]).
+    /// Set the checkpoint storage tier, cadence and capture cost (see
+    /// [`antdt_ckpt::CkptConfig`]); replaces any earlier
+    /// [`JobConfig::with_checkpoint_interval`].
     pub fn with_ckpt(mut self, c: CkptConfig) -> Self {
         self.ckpt = c;
         self
@@ -644,45 +639,24 @@ impl JobConfig {
     }
 
     /// A cadence that rounds to zero re-arms the checkpoint at the same
-    /// instant forever, so every interval the policy can produce must be at
-    /// least one simulated microsecond.
+    /// instant forever, so the interval must be at least one simulated
+    /// microsecond.
     fn validate_ckpt(&self) {
-        let positive =
-            |secs: f64| secs.is_finite() && SimDuration::from_secs_f64(secs) > SimDuration::ZERO;
+        let interval = self.ckpt.interval_secs();
         assert!(
-            self.checkpoint_interval > SimDuration::ZERO,
-            "checkpoint interval must be positive (a zero cadence never advances the clock)"
+            interval.is_finite() && SimDuration::from_secs_f64(interval) > SimDuration::ZERO,
+            "checkpoint interval must be finite and at least 1 µs, got {interval}s"
         );
-        match self.ckpt.policy {
-            CkptPolicy::Fixed { interval_secs } => assert!(
-                positive(interval_secs),
-                "Fixed checkpoint interval must be finite and positive, got {interval_secs}"
-            ),
-            CkptPolicy::Adaptive { min_secs, max_secs } => {
-                assert!(
-                    positive(min_secs),
-                    "Adaptive checkpoint min_secs must be finite and positive, got {min_secs}"
-                );
-                assert!(
-                    min_secs <= max_secs,
-                    "Adaptive checkpoint min_secs {min_secs} exceeds max_secs {max_secs}"
-                );
-            }
-        }
         let stall = self.ckpt.capture_stall_secs;
         assert!(
             stall.is_finite() && stall >= 0.0,
             "ckpt capture stall must be finite and non-negative"
         );
-        // A stall as long as the shortest cadence queues captures back to
-        // back and the servers never train.
-        let shortest = match self.ckpt.policy {
-            CkptPolicy::Fixed { interval_secs } => interval_secs,
-            CkptPolicy::Adaptive { min_secs, .. } => min_secs,
-        };
+        // A stall as long as the cadence queues captures back to back and
+        // the servers never train.
         assert!(
-            stall < shortest,
-            "ckpt capture stall {stall}s must be shorter than the shortest checkpoint interval {shortest}s"
+            stall < interval,
+            "ckpt capture stall {stall}s must be shorter than the checkpoint interval {interval}s"
         );
     }
 }

@@ -139,7 +139,7 @@ fn with_policy(policy: CkptPolicy) -> JobConfig {
 
 /// A stall as long as the cadence queues captures back to back.
 #[test]
-#[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+#[should_panic(expected = "must be shorter than the checkpoint interval")]
 fn capture_stall_at_the_fixed_interval_rejected() {
     JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
         .with_ckpt(CkptConfig {
@@ -152,29 +152,17 @@ fn capture_stall_at_the_fixed_interval_rejected() {
 
 /// The default 15 s stall against a 10 s cadence set by the builder.
 #[test]
-#[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
+#[should_panic(expected = "must be shorter than the checkpoint interval")]
 fn capture_stall_beyond_the_builder_interval_rejected() {
     JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
         .with_checkpoint_interval(SimDuration::from_secs(10))
         .validate();
 }
 
-#[test]
-#[should_panic(expected = "must be shorter than the shortest checkpoint interval")]
-fn capture_stall_at_the_adaptive_minimum_rejected() {
-    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
-        .with_ckpt(CkptConfig {
-            policy: CkptPolicy::Adaptive { min_secs: 30.0, max_secs: 300.0 },
-            capture_stall_secs: 30.0,
-            ..CkptConfig::default()
-        })
-        .validate();
-}
-
 /// A zero cadence would re-arm the checkpoint at the same instant
 /// forever.
 #[test]
-#[should_panic(expected = "checkpoint interval must be positive")]
+#[should_panic(expected = "checkpoint interval must be finite and at least 1 µs")]
 fn zero_checkpoint_interval_rejected() {
     JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
         .with_samples(200_000)
@@ -253,39 +241,27 @@ fn negative_restart_delay_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+#[should_panic(expected = "checkpoint interval must be finite and at least 1 µs")]
 fn non_finite_fixed_cadence_rejected() {
     with_policy(CkptPolicy::Fixed { interval_secs: f64::NAN }).validate();
 }
 
 #[test]
-#[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+#[should_panic(expected = "checkpoint interval must be finite and at least 1 µs")]
 fn negative_fixed_cadence_rejected() {
     with_policy(CkptPolicy::Fixed { interval_secs: -60.0 }).validate();
 }
 
 #[test]
-#[should_panic(expected = "Fixed checkpoint interval must be finite and positive")]
+#[should_panic(expected = "checkpoint interval must be finite and at least 1 µs")]
 fn sub_microsecond_fixed_cadence_rejected() {
     with_policy(CkptPolicy::Fixed { interval_secs: 1e-9 }).validate();
 }
 
 #[test]
-#[should_panic(expected = "Adaptive checkpoint min_secs must be finite and positive")]
-fn adaptive_cadence_with_zero_floor_rejected() {
-    with_policy(CkptPolicy::Adaptive { min_secs: 0.0, max_secs: 600.0 }).validate();
-}
-
-#[test]
-#[should_panic(expected = "exceeds max_secs")]
-fn adaptive_cadence_with_inverted_bounds_rejected() {
-    with_policy(CkptPolicy::Adaptive { min_secs: 600.0, max_secs: 60.0 }).validate();
-}
-
-#[test]
 fn default_checkpoint_cadence_is_a_fixed_ten_minute_local_save() {
     let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
-    assert_eq!(cfg.checkpoint_interval, SimDuration::from_minutes(10));
+    assert_eq!(cfg.ckpt.policy, CkptPolicy::Fixed { interval_secs: 600.0 });
     assert_eq!(cfg.ckpt, CkptConfig { capture_stall_secs: 15.0, ..CkptConfig::default() });
     let cfg = cfg.with_checkpoint_interval(SimDuration::from_secs(60));
     assert_eq!(cfg.ckpt.policy, CkptPolicy::Fixed { interval_secs: 60.0 });

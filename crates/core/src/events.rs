@@ -6,10 +6,6 @@
 /// The engine type every runtime drives.
 pub type RtEngine = antdt_sim::Engine<Ev>;
 
-/// A point-in-time capture of an [`RtEngine`] (see
-/// [`antdt_sim::EngineSnapshot`]).
-pub type RtEngineSnapshot = antdt_sim::EngineSnapshot<Ev>;
-
 // No equality derives: the engine orders events by its packed `(time, seq)`
 // key alone, and nothing in the runtimes compares `Ev` values.
 #[derive(Debug, Clone, Copy)]

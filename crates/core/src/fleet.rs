@@ -10,32 +10,28 @@ use antdt_sim::rng::mix64;
 use antdt_workloads::cluster::cluster_a_scaled;
 use antdt_workloads::{ModelProfile, Scenario};
 
+/// Workers per job.
+const N_WORKERS: usize = 6;
+/// Parameter servers per job.
+const N_SERVERS: usize = 3;
+/// Global batch of every job.
+const GLOBAL_BATCH: u64 = 6144;
+/// Fraction of jobs with no straggler at all.
+const HEALTHY_FRACTION: f64 = 0.4;
+/// Seed of the population draw; job `j` runs with seed `SEED + j`.
+const SEED: u64 = 99;
+
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Number of jobs in the A/B population.
     pub n_jobs: usize,
-    /// Workers / servers per job.
-    pub n_workers: usize,
-    pub n_servers: usize,
     /// Samples per job (kept small; only ratios matter).
     pub samples: u64,
-    pub global_batch: u64,
-    /// Fraction of jobs with no straggler at all.
-    pub healthy_fraction: f64,
-    pub seed: u64,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig {
-            n_jobs: 10,
-            n_workers: 6,
-            n_servers: 3,
-            samples: 1_500_000,
-            global_batch: 6144,
-            healthy_fraction: 0.4,
-            seed: 99,
-        }
+        FleetConfig { n_jobs: 10, samples: 1_500_000 }
     }
 }
 
@@ -74,10 +70,10 @@ impl FleetMethod {
 }
 
 /// The straggler condition drawn for one job in the population.
-fn job_scenario(cfg: &FleetConfig, job: usize) -> Scenario {
-    let h = mix64(cfg.seed ^ mix64(job as u64));
+fn job_scenario(job: usize) -> Scenario {
+    let h = mix64(SEED ^ mix64(job as u64));
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-    if u < cfg.healthy_fraction {
+    if u < HEALTHY_FRACTION {
         return Scenario::None;
     }
     let intensity = 0.2 + 0.6 * ((h >> 7) & 0xff) as f64 / 255.0;
@@ -89,8 +85,8 @@ fn job_scenario(cfg: &FleetConfig, job: usize) -> Scenario {
 }
 
 fn job_config(cfg: &FleetConfig, job: usize, method: FleetMethod) -> JobConfig {
-    let cluster = cluster_a_scaled(cfg.n_workers, cfg.n_servers);
-    let scenario = job_scenario(cfg, job);
+    let cluster = cluster_a_scaled(N_WORKERS, N_SERVERS);
+    let scenario = job_scenario(job);
     let base = match method {
         FleetMethod::Bsp
         | FleetMethod::BackupWorkers
@@ -100,11 +96,11 @@ fn job_config(cfg: &FleetConfig, job: usize, method: FleetMethod) -> JobConfig {
     };
     let base = base
         .with_model(ModelProfile::xdeepfm())
-        .with_global_batch(cfg.global_batch)
+        .with_global_batch(GLOBAL_BATCH)
         .with_samples(cfg.samples)
         .with_batches_per_shard(4)
         .with_fast_cadence(antdt_sim::SimDuration::from_secs(120))
-        .with_seed(cfg.seed.wrapping_add(job as u64));
+        .with_seed(SEED.wrapping_add(job as u64));
     match method {
         FleetMethod::Bsp => base,
         FleetMethod::BackupWorkers => {
@@ -155,8 +151,8 @@ mod tests {
     #[test]
     fn scenarios_are_deterministic_and_mixed() {
         let cfg = FleetConfig::default();
-        let a: Vec<Scenario> = (0..cfg.n_jobs).map(|j| job_scenario(&cfg, j)).collect();
-        let b: Vec<Scenario> = (0..cfg.n_jobs).map(|j| job_scenario(&cfg, j)).collect();
+        let a: Vec<Scenario> = (0..cfg.n_jobs).map(job_scenario).collect();
+        let b: Vec<Scenario> = (0..cfg.n_jobs).map(job_scenario).collect();
         assert_eq!(a, b);
         assert!(a.iter().any(|s| matches!(s, Scenario::None)));
         assert!(a.iter().any(|s| !matches!(s, Scenario::None)));
@@ -164,7 +160,7 @@ mod tests {
 
     #[test]
     fn antdt_nd_wins_the_bsp_family_on_average() {
-        let cfg = FleetConfig { n_jobs: 4, samples: 200_000, ..Default::default() };
+        let cfg = FleetConfig { n_jobs: 4, samples: 200_000 };
         let bsp = run_arm(&cfg, FleetMethod::Bsp);
         let nd = run_arm(&cfg, FleetMethod::AntDtNd);
         assert!(

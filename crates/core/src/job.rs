@@ -359,7 +359,6 @@ mod tests {
         let drill = Job::run(
             base(train, holdout)
                 .with_failover_mode(FailoverMode::Replay)
-                .with_checkpoint_interval(SimDuration::from_secs_f64(interval))
                 .with_ckpt(CkptConfig {
                     tier: StorageTier::ObjectStore,
                     policy: CkptPolicy::Fixed { interval_secs: interval },

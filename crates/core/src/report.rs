@@ -110,7 +110,7 @@ pub struct CkptReport {
     pub failover: FailoverMode,
     pub snapshots: Vec<CkptRecord>,
     pub restores: Vec<ReplayRecord>,
-    /// The cadence the `CkptPolicy` knob had settled on when the job ended.
+    /// The fixed interval the job checkpointed at (`CkptConfig::interval_secs`).
     pub final_interval_secs: f64,
 }
 

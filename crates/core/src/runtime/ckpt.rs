@@ -17,12 +17,9 @@ use crate::events::{Ev, RtEngine};
 use crate::report::{CkptRecord, ReplayRecord};
 use antdt_attr::WaitCause;
 use antdt_ckpt::{
-    CkptConfig, CkptPolicy, DdsSnapshot, DrainQueue, PsState, Snapshot, SnapshotMeta, StorageTier,
-    WorkerMark,
+    CkptConfig, DdsSnapshot, DrainQueue, PsState, Snapshot, SnapshotMeta, StorageTier, WorkerMark,
 };
 use antdt_sim::{SimDuration, SimTime};
-use antdt_telemetry::DecisionRecord;
-use std::collections::BTreeMap;
 
 /// Runtime state of the checkpoint subsystem: the one checkpoint model of a
 /// Parameter Server job. Present on the kernel iff the job has servers; a
@@ -30,9 +27,6 @@ use std::collections::BTreeMap;
 #[derive(Clone)]
 pub(crate) struct CkptRt {
     pub(crate) tier: StorageTier,
-    /// The Controller's cadence knob ([`CkptPolicy`]); recomputed after every
-    /// capture from the observed fault count.
-    pub(crate) cadence: CkptPolicy,
     /// Seconds the capture stalls live servers (copy-on-snapshot pause).
     pub(crate) capture_stall_secs: f64,
     /// Serializes snapshot writes to the tier: captures overlap training, but
@@ -47,16 +41,12 @@ pub(crate) struct CkptRt {
     pub(crate) pending_restore: Option<Snapshot>,
     pub(crate) records: Vec<CkptRecord>,
     pub(crate) restores: Vec<ReplayRecord>,
-    /// Interval currently armed, in seconds (starts at the job's
-    /// `checkpoint_interval`, then tracks the cadence policy).
-    pub(crate) interval_now: f64,
 }
 
 impl CkptRt {
-    pub(crate) fn new(c: CkptConfig, initial_interval_secs: f64) -> Self {
+    pub(crate) fn new(c: CkptConfig) -> Self {
         CkptRt {
             tier: c.tier,
-            cadence: c.policy,
             capture_stall_secs: c.capture_stall_secs,
             drain: DrainQueue::default(),
             pending: Vec::new(),
@@ -64,7 +54,6 @@ impl CkptRt {
             pending_restore: None,
             records: Vec::new(),
             restores: Vec::new(),
-            interval_now: initial_interval_secs,
         }
     }
 
@@ -96,6 +85,12 @@ impl CkptRt {
 }
 
 impl Kernel {
+    /// The fixed checkpoint interval, from the job start to the first capture
+    /// and between every two later ones.
+    pub(crate) fn ckpt_interval(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.cfg.ckpt.interval_secs())
+    }
+
     /// Walk the world into a snapshot: DDS queue + shard states, per-worker
     /// progress watermarks, and (real-math mode) the PS parameter vector.
     fn ckpt_build_snapshot(&self, now: SimTime) -> Snapshot {
@@ -126,8 +121,8 @@ impl Kernel {
 
     /// Capture one checkpoint: stall the live servers for the copy, hand the
     /// bytes to the async drain (training resumes immediately; durability
-    /// lands when the tier write completes), recompute the cadence from the
-    /// observed fault rate and re-arm.
+    /// lands when the tier write completes) and re-arm one fixed interval
+    /// later.
     pub(crate) fn ckpt_capture(&mut self, eng: &mut RtEngine) {
         if self.finished {
             return;
@@ -136,17 +131,15 @@ impl Kernel {
         if let Some(tele) = &mut self.tele {
             tele.tracer.instant("checkpoint", "lifecycle", now.as_micros(), 0, &[]);
         }
-        // A nonzero capture stall perturbs both the servers' booking and the
-        // adaptive-cadence input (`stall + write_secs`), so the stall itself
-        // is the divergence condition, even while every server is down.
+        // A nonzero capture stall perturbs the servers' booking, so the stall
+        // itself is the divergence condition, even while every server is down.
         if self.ckpt_rt.as_ref().is_some_and(|c| c.capture_stall_secs > 0.0) {
             self.mark_ckpt_stall(now);
         }
         let snap = self.ckpt_build_snapshot(now);
         let bytes = snap.size_bytes();
         let digest = snap.digest();
-        let faults = self.kills.len() as u64;
-        let elapsed = now.since(SimTime::ZERO).as_secs_f64();
+        let interval = self.ckpt_interval();
 
         let Some(c) = self.ckpt_rt.as_mut() else {
             return;
@@ -160,11 +153,6 @@ impl Kernel {
         c.pending.push((durable_at_us, snap));
         c.promote_durable(now.as_micros());
 
-        let (interval, rule) = c.cadence.interval_secs(stall + write_secs, faults, elapsed);
-        let changed = (interval - c.interval_now).abs() > 1e-9;
-        let prev = c.interval_now;
-        c.interval_now = interval;
-
         for j in 0..self.servers.len() {
             if self.servers[j].alive {
                 let base = self.servers[j].free_at.max(now);
@@ -174,23 +162,7 @@ impl Kernel {
                 self.attr_fill(super::attr::SERVER_LANE + j as u32, end, WaitCause::CkptStall);
             }
         }
-        if changed {
-            // Audit the adaptive-cadence decision alongside the Controller's
-            // mitigation decisions so the interval history is explainable.
-            let mut window = BTreeMap::new();
-            window.insert("faults_observed".to_string(), faults as f64);
-            window.insert("interval_prev_secs".to_string(), prev);
-            window.insert("interval_next_secs".to_string(), interval);
-            self.decision_log.push(DecisionRecord {
-                at_us: now.as_micros(),
-                rule: rule.to_string(),
-                node: String::new(),
-                window,
-                solver: None,
-                actions: vec![format!("ckpt-interval {prev:.3}s -> {interval:.3}s")],
-            });
-        }
-        eng.schedule(now + SimDuration::from_secs_f64(interval), Ev::Checkpoint);
+        eng.schedule(now + interval, Ev::Checkpoint);
     }
 
     /// A restoring kill at `now`: settle drain completions, stage the newest
@@ -289,5 +261,54 @@ mod tests {
             "estimate {} must grow from {before} by at least the held {held} image bytes",
             k.estimate_bytes()
         );
+    }
+
+    /// The Fig. 17 sweep point at 2% of the clean JCT: a fixed interval that
+    /// is not a whole µs. Capture `k` lands at `k` rounded intervals from the
+    /// job start, under either worker recovery, and the cadence logs no
+    /// decision record.
+    #[test]
+    fn fractional_fixed_interval_captures_on_its_grid_and_logs_no_decision() {
+        use crate::config::{ChaosInjection, FailoverMode, InjectedFault};
+        use crate::job::Job;
+        use antdt_ckpt::CkptPolicy;
+        const INTERVAL_SECS: f64 = 3.0655489;
+        let step_us = SimDuration::from_secs_f64(INTERVAL_SECS).as_micros();
+        assert_ne!(step_us as f64, INTERVAL_SECS * 1e6, "the interval must not be a whole µs");
+        for mode in [FailoverMode::Replay, FailoverMode::DdsBased] {
+            // Both setters name the same cadence: the rounded duration and
+            // the raw seconds.
+            let cfg = JobConfig::ps_bsp(cluster_a_scaled(8, 3), Scenario::None)
+                .with_global_batch(8_192)
+                .with_samples(1_000_000)
+                .with_batches_per_shard(10)
+                .with_fast_cadence(SimDuration::from_secs(60))
+                .with_seed(29)
+                .with_injections(vec![ChaosInjection {
+                    at_secs: 46.0,
+                    fault: InjectedFault::KillWorker { w: 1 },
+                }])
+                .with_checkpoint_interval(SimDuration::from_secs_f64(INTERVAL_SECS))
+                .with_ckpt(CkptConfig {
+                    tier: StorageTier::ObjectStore,
+                    policy: CkptPolicy::Fixed { interval_secs: INTERVAL_SECS },
+                    capture_stall_secs: 2.0,
+                })
+                .with_failover_mode(mode);
+            let report = Job::run(cfg);
+            let rules: Vec<&str> = report
+                .decision_log
+                .iter()
+                .map(|d| d.rule.as_str())
+                .filter(|r| r.starts_with("ckpt"))
+                .collect();
+            assert!(rules.is_empty(), "{mode:?} logged cadence decisions {rules:?}");
+            let ckpt = report.ckpt.as_ref().expect("a PS job checkpoints");
+            assert!(ckpt.snapshots.len() > 40, "{mode:?}: {} captures", ckpt.snapshots.len());
+            for (k, snap) in (1..).zip(&ckpt.snapshots) {
+                assert_eq!(snap.taken_at_us, k * step_us, "{mode:?} capture {k}");
+            }
+            assert_eq!(ckpt.final_interval_secs, INTERVAL_SECS);
+        }
     }
 }

@@ -268,7 +268,7 @@ impl Kernel {
         // Telemetry records the Gantt chart: its spans become the bulk of the
         // exported Chrome trace.
         let gantt = cfg.telemetry.then(Gantt::new);
-        let ckpt_rt = ps.then(|| CkptRt::new(cfg.ckpt, cfg.checkpoint_interval.as_secs_f64()));
+        let ckpt_rt = ps.then(|| CkptRt::new(cfg.ckpt));
         let attr = cfg.attribution.then(AttrRt::new);
         Kernel {
             sched_rng: pool.stream(7),
@@ -333,8 +333,7 @@ impl Kernel {
     }
 
     /// Set-once divergence mark for `Perturbation::NoCkptStalls`: the first
-    /// checkpoint capture that charged a nonzero stall (which also perturbs
-    /// the adaptive cadence input).
+    /// checkpoint capture that charged a nonzero stall.
     pub(crate) fn mark_ckpt_stall(&mut self, now: SimTime) {
         if self.marks.ckpt_stall.is_none() {
             self.marks.ckpt_stall = Some(now);
@@ -347,6 +346,30 @@ impl Kernel {
         let workers = self.marks.worker_contended.iter().flatten().count();
         let control = usize::from(self.bus.control_divergence().is_some());
         workers + control + usize::from(self.marks.ckpt_stall.is_some())
+    }
+
+    /// Apply a delivered per-worker knob (`AdjustBs`, `AdjustLr`) at worker
+    /// `w`'s iteration or round boundary. Kills never transit an agent inbox
+    /// (they are runtime signals), and `BackupWorkers` is the PS strategy's
+    /// own knob, so neither has anything to apply here.
+    pub(crate) fn apply_worker_action(&mut self, w: usize, action: Action) {
+        let worker = &mut self.workers[w];
+        match action {
+            Action::AdjustBs { batch_sizes, grad_accum } => {
+                if let Some(&b) = batch_sizes.get(w) {
+                    worker.quota = b;
+                }
+                if let Some(&c) = grad_accum.as_ref().and_then(|acc| acc.get(w)) {
+                    worker.accum = c.max(1);
+                }
+            }
+            Action::AdjustLr { scales } => {
+                if let Some(&s) = scales.get(w) {
+                    worker.lr_scale = s;
+                }
+            }
+            Action::BackupWorkers { .. } | Action::KillRestart { .. } | Action::None => {}
+        }
     }
 
     /// Record a non-trivial Controller action in the report timeline and the

@@ -105,7 +105,10 @@ fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u
         if !k.cfg.injections.is_empty() {
             applied.push((delivered_at, text));
         }
-        apply_worker_action(k, f, wi, action);
+        match action {
+            Action::BackupWorkers { b } => f.set_backup_workers(b),
+            other => k.apply_worker_action(wi, other),
+        }
     }
     k.actions_scratch = due;
 
@@ -281,31 +284,6 @@ pub(crate) fn finish_asp_push(
     k.workers[wi].next_allowed = next;
     eng.schedule(next, Ev::WorkerStart { w, gen });
     k.check_finished(eng);
-}
-
-/// Apply one delivered Controller action at a worker's iteration boundary.
-fn apply_worker_action<F: PsFlavor>(k: &mut Kernel, f: &mut F, wi: usize, action: Action) {
-    match action {
-        Action::AdjustBs { batch_sizes, grad_accum } => {
-            if let Some(&b) = batch_sizes.get(wi) {
-                k.workers[wi].quota = b;
-            }
-            if let Some(acc) = grad_accum {
-                if let Some(&c) = acc.get(wi) {
-                    k.workers[wi].accum = c.max(1);
-                }
-            }
-        }
-        Action::BackupWorkers { b } => f.set_backup_workers(b),
-        Action::AdjustLr { scales } => {
-            if let Some(&s) = scales.get(wi) {
-                k.workers[wi].lr_scale = s;
-            }
-        }
-        // Kills never transit an agent inbox (they are runtime signals), so
-        // there is nothing to apply here.
-        Action::KillRestart { .. } | Action::None => {}
-    }
 }
 
 /// Route one decided Controller action onto the bus: targeted kills as fenced

@@ -97,7 +97,7 @@ impl Kernel {
             failover: self.cfg.failover,
             snapshots: rt.records,
             restores: rt.restores,
-            final_interval_secs: rt.interval_now,
+            final_interval_secs: self.cfg.ckpt.interval_secs(),
         });
         let auc = match (&self.math, &self.cfg.execution) {
             (Some(math), ExecutionMode::Real { holdout, .. }) if !holdout.is_empty() => {

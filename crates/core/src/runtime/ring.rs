@@ -91,7 +91,7 @@ impl RingAllReduce {
                         action: text,
                     });
                 }
-                apply_rank_action(k, w, a);
+                k.apply_worker_action(w, a);
             }
             k.actions_scratch = due;
             // Round boundary: close the rank's open idle gap (pending cause
@@ -265,28 +265,6 @@ impl RingAllReduce {
                 dds.fail_worker(w);
             }
         }
-    }
-}
-
-/// Apply one delivered Controller action at a rank's round boundary.
-fn apply_rank_action(k: &mut Kernel, w: usize, action: Action) {
-    match action {
-        Action::AdjustBs { batch_sizes, grad_accum } => {
-            if let Some(&b) = batch_sizes.get(w) {
-                k.workers[w].quota = b;
-            }
-            if let Some(acc) = grad_accum {
-                if let Some(&c) = acc.get(w) {
-                    k.workers[w].accum = c.max(1);
-                }
-            }
-        }
-        Action::AdjustLr { scales } => {
-            if let Some(&s) = scales.get(w) {
-                k.workers[w].lr_scale = s;
-            }
-        }
-        _ => {}
     }
 }
 

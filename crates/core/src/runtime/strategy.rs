@@ -78,7 +78,7 @@ impl PrefixRun {
         }
         eng.schedule(SimTime::ZERO + k.cfg.monitor_tick, Ev::MonitorTick);
         if k.cfg.arch.is_ps() {
-            eng.schedule(SimTime::ZERO + k.cfg.checkpoint_interval, Ev::Checkpoint);
+            eng.schedule(SimTime::ZERO + k.ckpt_interval(), Ev::Checkpoint);
         }
         for (i, inj) in k.cfg.injections.iter().enumerate() {
             eng.schedule(SimTime::from_secs_f64(inj.at_secs), Ev::ChaosFault { k: i as u32 });
@@ -118,17 +118,16 @@ impl PrefixRun {
     }
 
     /// Estimated heap bytes an independent fork of this run owns (world
-    /// clone + engine snapshot) — what a size-bounded cache charges.
+    /// clone + engine clone) — what a size-bounded cache charges.
     pub fn estimate_bytes(&self) -> usize {
-        self.k.estimate_bytes() + self.eng.snapshot_bytes_estimate()
+        self.k.estimate_bytes() + self.eng.fork_bytes_estimate()
     }
 
     /// An independent run resuming from this exact instant with identical
     /// pending events, world state, RNG positions and telemetry recorded so
     /// far (counts, trace, flight ring); `self` is untouched.
     pub fn fork(&self) -> PrefixRun {
-        let eng = RtEngine::fork(&self.eng.snapshot());
-        PrefixRun { k: self.k.clone(), strat: self.strat.clone(), eng }
+        PrefixRun { k: self.k.clone(), strat: self.strat.clone(), eng: self.eng.clone() }
     }
 
     /// [`PrefixRun::fork`], then apply `p` to the forked kernel live — the

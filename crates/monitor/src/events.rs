@@ -32,33 +32,6 @@ pub enum ErrorClass {
     Unretryable(UnretryableError),
 }
 
-impl ErrorClass {
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, ErrorClass::Retryable(_))
-    }
-
-    /// Classify a Kubernetes-style exit code / reason string. Unknown codes are
-    /// treated as retryable node failures — the conservative choice, since
-    /// killing a healthy job on a flaky signal is worse than one spurious
-    /// restart.
-    pub fn classify(reason: &str) -> ErrorClass {
-        let r = reason.to_ascii_lowercase();
-        if r.contains("config") || r.contains("invalid") {
-            ErrorClass::Unretryable(UnretryableError::ConfigError)
-        } else if r.contains("assert") || r.contains("panic") || r.contains("exception") {
-            ErrorClass::Unretryable(UnretryableError::ProgramError)
-        } else if r.contains("evict") || r.contains("preempt") {
-            ErrorClass::Retryable(RetryableError::JobEviction)
-        } else if r.contains("network") || r.contains("timeout") || r.contains("conn") {
-            ErrorClass::Retryable(RetryableError::NetworkError)
-        } else if r.contains("sigterm") || r.contains("kill_restart") {
-            ErrorClass::Retryable(RetryableError::ProactiveKill)
-        } else {
-            ErrorClass::Retryable(RetryableError::NodeFailure)
-        }
-    }
-}
-
 /// A node lifecycle notification delivered to the Monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeEvent {
@@ -83,86 +56,6 @@ impl NodeEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification_covers_the_taxonomy() {
-        assert_eq!(
-            ErrorClass::classify("pod evicted by scheduler"),
-            ErrorClass::Retryable(RetryableError::JobEviction)
-        );
-        assert_eq!(
-            ErrorClass::classify("connection reset by peer"),
-            ErrorClass::Retryable(RetryableError::NetworkError)
-        );
-        assert_eq!(
-            ErrorClass::classify("SIGTERM from kill_restart"),
-            ErrorClass::Retryable(RetryableError::ProactiveKill)
-        );
-        assert_eq!(
-            ErrorClass::classify("invalid config: bad learning rate"),
-            ErrorClass::Unretryable(UnretryableError::ConfigError)
-        );
-        assert_eq!(
-            ErrorClass::classify("panicked at train.rs:42"),
-            ErrorClass::Unretryable(UnretryableError::ProgramError)
-        );
-        // Unknown => retryable node failure.
-        assert_eq!(ErrorClass::classify("???"), ErrorClass::Retryable(RetryableError::NodeFailure));
-    }
-
-    #[test]
-    fn classification_is_case_insensitive() {
-        assert_eq!(
-            ErrorClass::classify("NETWORK unreachable"),
-            ErrorClass::Retryable(RetryableError::NetworkError)
-        );
-        assert_eq!(
-            ErrorClass::classify("Pod EVICTED"),
-            ErrorClass::Retryable(RetryableError::JobEviction)
-        );
-        assert_eq!(
-            ErrorClass::classify("InvalidImageName"),
-            ErrorClass::Unretryable(UnretryableError::ConfigError)
-        );
-        assert_eq!(
-            ErrorClass::classify("PANIC in worker"),
-            ErrorClass::Unretryable(UnretryableError::ProgramError)
-        );
-    }
-
-    #[test]
-    fn config_substring_outranks_conn() {
-        // "config"/"invalid" are checked before "conn": a connection error whose
-        // reason also mentions configuration must fail the job, not retry.
-        assert_eq!(
-            ErrorClass::classify("conn refused due to invalid config"),
-            ErrorClass::Unretryable(UnretryableError::ConfigError)
-        );
-        assert_eq!(
-            ErrorClass::classify("config server connection lost"),
-            ErrorClass::Unretryable(UnretryableError::ConfigError)
-        );
-        // Plain "conn" with no config hint stays retryable.
-        assert_eq!(
-            ErrorClass::classify("conn refused"),
-            ErrorClass::Retryable(RetryableError::NetworkError)
-        );
-    }
-
-    #[test]
-    fn unknown_reasons_default_to_retryable_node_failure() {
-        for reason in ["", "exit code 137", "oom", "disk pressure", "unknown"] {
-            let c = ErrorClass::classify(reason);
-            assert_eq!(c, ErrorClass::Retryable(RetryableError::NodeFailure), "reason {reason:?}");
-            assert!(c.is_retryable());
-        }
-    }
-
-    #[test]
-    fn retryability_flag() {
-        assert!(ErrorClass::Retryable(RetryableError::NetworkError).is_retryable());
-        assert!(!ErrorClass::Unretryable(UnretryableError::ProgramError).is_retryable());
-    }
 
     #[test]
     fn event_accessors() {

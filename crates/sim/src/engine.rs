@@ -31,7 +31,12 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(seen[0].1, "a");
 /// assert_eq!(seen[1], (SimTime::from_secs_f64(2.0), "b"));
 /// ```
-#[derive(Debug)]
+///
+/// A clone is a fork: it resumes from the same instant with every pending
+/// event under its original key and the same sequence counter, so it pops —
+/// and schedules — exactly what the original would until their drivers
+/// diverge.
+#[derive(Debug, Clone)]
 pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
@@ -41,47 +46,9 @@ pub struct Engine<E> {
     clamped: u64,
 }
 
-/// A point-in-time capture of an engine: every pending event (with its exact
-/// ordering key) plus the clock, sequence and progress counters. Feed it to
-/// [`Engine::fork`] to resume any number of divergent futures from the same
-/// prefix — the forked engines replay the identical schedule until their
-/// drivers actually diverge.
-#[derive(Debug, Clone)]
-pub struct EngineSnapshot<E> {
-    /// Pending events, ascending by ordering key (slot bits clear: a fork
-    /// stores each payload in a slot of its own).
-    entries: Vec<(u128, E)>,
-    now: SimTime,
-    seq: u64,
-    processed: u64,
-    clamped: u64,
-}
-
-impl<E> EngineSnapshot<E> {
-    /// Number of pending events captured.
-    pub fn pending(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Events processed by the engine up to the capture instant.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// The capture instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Estimated heap footprint of this snapshot in bytes: one packed key
-    /// plus one inline payload per pending event, plus the struct itself.
-    /// Payloads are measured at their inline size (`size_of::<E>()`), so
-    /// payload-owned heap data is not counted — callers that cache snapshots
-    /// add their own estimate for the world state the events point into.
-    pub fn estimate_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.entries.capacity() * std::mem::size_of::<(u128, E)>()
-    }
-}
+/// Bytes a fork is charged beyond its pending events: one `Vec` header and
+/// the clock, sequence and two progress counters.
+const FORK_HEADER_BYTES: usize = std::mem::size_of::<Vec<u8>>() + 4 * std::mem::size_of::<u64>();
 
 impl<E> Default for Engine<E> {
     fn default() -> Self {
@@ -112,7 +79,7 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events scheduled so far (the insertion sequence; a fork
+    /// Number of events scheduled so far (the insertion sequence; a clone
     /// inherits it, and [`Engine::clear`] does not reset it).
     #[inline]
     pub fn scheduled(&self) -> u64 {
@@ -134,12 +101,13 @@ impl<E> Engine<E> {
         self.clamped
     }
 
-    /// Estimated bytes a [`Engine::snapshot`] taken right now would occupy
-    /// (see [`EngineSnapshot::estimate_bytes`]) — the sizing input for
-    /// snapshot caches that must budget before actually capturing.
-    pub fn snapshot_bytes_estimate(&self) -> usize {
-        std::mem::size_of::<EngineSnapshot<E>>()
-            + self.queue.len() * std::mem::size_of::<(u128, E)>()
+    /// Estimated bytes a fork (clone) of the engine holds: a fixed header
+    /// plus one packed key and one inline payload per pending event. Payloads
+    /// are measured at their inline size (`size_of::<E>()`), so payload-owned
+    /// heap data is not counted — callers that cache forks add their own
+    /// estimate for the world state the events point into.
+    pub fn fork_bytes_estimate(&self) -> usize {
+        FORK_HEADER_BYTES + self.queue.len() * std::mem::size_of::<(u128, E)>()
     }
 
     /// Schedule `ev` at absolute instant `at`. Scheduling in the past is a logic
@@ -199,47 +167,6 @@ impl<E> Engine<E> {
     /// shard completes while stray monitor ticks are still queued).
     pub fn clear(&mut self) {
         self.queue.clear();
-    }
-
-    /// Capture the engine: pending events (with exact ordering keys), clock,
-    /// sequence and progress counters. O(pending · log pending).
-    pub fn snapshot(&self) -> EngineSnapshot<E>
-    where
-        E: Clone,
-    {
-        let mut entries: Vec<(u128, E)> =
-            self.queue.iter().map(|(key, ev)| (key, ev.clone())).collect();
-        // Keys are unique (distinct sequence numbers), so this total order
-        // is exactly the pop order.
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        EngineSnapshot {
-            entries,
-            now: self.now,
-            seq: self.seq,
-            processed: self.processed,
-            clamped: self.clamped,
-        }
-    }
-
-    /// Build a fresh engine resuming from `snap`: same clock, same pending
-    /// events under their original keys, same sequence counter — so the fork
-    /// schedules future events with the very sequence numbers the snapshotted
-    /// engine would have used, and its trace is byte-identical until the
-    /// driver diverges.
-    pub fn fork(snap: &EngineSnapshot<E>) -> Self
-    where
-        E: Clone,
-    {
-        let mut eng = Self::new();
-        // Ascending keys rebuild every same-instant run of the original.
-        for (key, ev) in &snap.entries {
-            eng.queue.push(*key, ev.clone());
-        }
-        eng.now = snap.now;
-        eng.seq = snap.seq;
-        eng.processed = snap.processed;
-        eng.clamped = snap.clamped;
-        eng
     }
 }
 
@@ -333,14 +260,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_and_processed_counts_survive_clear_and_fork() {
+    fn scheduled_and_processed_counts_survive_clear_and_clone() {
         let mut eng: Engine<Ev> = Engine::new();
         for i in 0..4u32 {
             eng.schedule(SimTime::from_secs_f64(i as f64), Ev::Tick(i));
         }
         eng.run_until(SimTime::from_secs_f64(1.0), |_, _| {});
         assert_eq!((eng.scheduled(), eng.processed()), (4, 2));
-        let mut fork = Engine::fork(&eng.snapshot());
+        let mut fork = eng.clone();
         assert_eq!((fork.scheduled(), fork.processed()), (4, 2));
         fork.schedule(SimTime::from_secs_f64(9.0), Ev::Tick(9));
         fork.run(|_, _| {});
@@ -366,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_fork_replays_identical_suffix() {
+    fn clone_replays_identical_suffix() {
         fn feed(eng: &mut Engine<u32>, n: u32) {
             if n < 40 {
                 eng.schedule_after(SimDuration((n as u64 * 733) % 977 + 1), n + 1);
@@ -388,17 +315,15 @@ mod tests {
             feed(eng, n);
         });
 
-        // Forked: stop after 10 steps, snapshot, fork, replay the suffix.
+        // Forked: stop after 10 steps, clone, replay the suffix.
         let mut prefix = Engine::<u32>::new();
         prefix.schedule(SimTime::ZERO, 0);
         for _ in 0..10 {
             let n = prefix.step().unwrap();
             feed(&mut prefix, n);
         }
-        let snap = prefix.snapshot();
-        assert_eq!(snap.processed(), 10);
-        assert_eq!(snap.now(), prefix.now());
-        let mut fork = Engine::<u32>::fork(&snap);
+        let mut fork = prefix.clone();
+        assert_eq!(fork.processed(), 10);
         assert_eq!(fork.now(), prefix.now());
         assert_eq!(fork.pending(), prefix.pending());
         let mut fork_tail = Vec::new();
@@ -409,7 +334,7 @@ mod tests {
         assert_eq!(fork_tail, ref_tail);
         assert_eq!(fork.processed(), reference.processed());
 
-        // The snapshotted engine is untouched and can itself continue.
+        // The cloned engine is untouched and can itself continue.
         let mut orig_tail = Vec::new();
         prefix.run(|eng, n| {
             orig_tail.push((eng.now(), n));
@@ -419,8 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn fork_resumes_identical_schedule() {
-        // A fork carries every pending event under its original key and the
+    fn clone_resumes_identical_schedule() {
+        // A clone carries every pending event under its original key and the
         // parent's sequence counter, so it pops — and schedules — exactly
         // what the parent would, including same-instant FIFO order.
         let mut eng = Engine::<u32>::new();
@@ -430,7 +355,7 @@ mod tests {
         for _ in 0..7 {
             eng.step();
         }
-        let mut fork = Engine::fork(&eng.snapshot());
+        let mut fork = eng.clone();
         assert_eq!(fork.pending(), 13);
         for eng in [&mut eng, &mut fork] {
             eng.schedule(SimTime(66), 100);
@@ -447,10 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn fork_after_slot_reuse_keeps_the_original_order() {
+    fn clone_after_slot_reuse_keeps_the_original_order() {
         // Interleave pops and pushes so the arena recycles slots out of
-        // key order: the snapshot must drop the old slots and the fork must
-        // pop exactly what the original pops, in the same order.
+        // key order: the clone must pop exactly what the original pops, in
+        // the same order, and reuse its free slots the same way.
         for seed in 0..32u64 {
             let mut rng = crate::rng::StdRng::seed_from_u64(seed);
             let mut eng = Engine::<u32>::new();
@@ -464,7 +389,7 @@ mod tests {
                     eng.step();
                 }
             }
-            let mut fork = Engine::fork(&eng.snapshot());
+            let mut fork = eng.clone();
             assert_eq!(fork.pending(), eng.pending(), "seed {seed}");
             for e in [&mut eng, &mut fork] {
                 e.schedule_after(SimDuration(7), u32::MAX);
@@ -506,11 +431,11 @@ mod tests {
             Some(seq)
         }
 
-        /// Pending `(key, seq)` pairs in pop order, as a snapshot holds them.
-        fn entries(&self) -> Vec<(u128, u64)> {
+        /// Pending `(time, seq)` pairs in pop order.
+        fn entries(&self) -> Vec<(u64, u64)> {
             let mut all: Vec<_> = self.heap.iter().map(|r| r.0).collect();
             all.sort_unstable();
-            all.into_iter().map(|(at, seq)| (order_key(at, seq), seq)).collect()
+            all
         }
     }
 
@@ -591,15 +516,18 @@ mod tests {
                         assert_eq!(seen, want, "run_until: {ctx}");
                         assert_eq!(drained, oracle.heap.is_empty(), "drained: {ctx}");
                     }
-                    // Snapshot, then carry on in a fork of it.
+                    // Drain one clone against the oracle's pending events,
+                    // then carry on in another.
                     85..=97 => {
-                        let snap = eng.snapshot();
-                        let entries: Vec<_> = snap.entries.iter().map(|&(k, n)| (k, n)).collect();
-                        assert_eq!(entries, oracle.entries(), "snapshot: {ctx}");
+                        let mut probe = eng.clone();
+                        let pending: Vec<_> =
+                            std::iter::from_fn(|| probe.step().map(|n| (probe.now().0, n)))
+                                .collect();
+                        assert_eq!(pending, oracle.entries(), "clone: {ctx}");
                         let front = oracle.heap.peek().map(|r| r.0 .0);
                         mid_run_forks +=
                             usize::from(oracle.processed > 0 && front == Some(oracle.now));
-                        eng = Engine::fork(&snap);
+                        eng = eng.clone();
                     }
                     _ => {
                         eng.clear();

@@ -27,7 +27,7 @@ pub mod series;
 pub mod time;
 
 pub use control::{ChannelVerdict, ControlChannel};
-pub use engine::{Engine, EngineSnapshot};
+pub use engine::Engine;
 pub use gantt::{Gantt, Span, SpanKind};
 pub use network::Link;
 pub use profile::{ContentionPhase, NodeProfile, TransientPattern};

@@ -11,7 +11,7 @@
 /// Sentinel for "no next slot".
 pub(crate) const NIL: u32 = u32::MAX;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<E> {
     /// The payload, or `None` once the slot is freed.
     ev: Option<E>,
@@ -20,7 +20,7 @@ struct Slot<E> {
 }
 
 /// A slab of event payloads with a stack of free slots.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Arena<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
@@ -65,14 +65,6 @@ impl<E> Arena<E> {
         (ev, s.next)
     }
 
-    /// Read the payload at `slot` and its run successor without removing
-    /// them (for snapshots).
-    pub fn get(&self, slot: u32) -> (&E, u32) {
-        let s = &self.slots[slot as usize];
-        let ev = s.ev.as_ref().unwrap_or_else(|| panic!("read of freed arena slot {slot}"));
-        (ev, s.next)
-    }
-
     /// Drop every payload and reset the slab (capacity retained).
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -93,8 +85,6 @@ mod tests {
         // The freed slot is reused before the slab grows.
         let s2 = a.insert("c".into());
         assert_eq!(s2, s0);
-        assert_eq!(a.get(s1).0, "b");
-        assert_eq!(a.get(s2).0, "c");
         assert_eq!(a.remove(s1).0, "b");
         assert_eq!(a.remove(s2).0, "c");
         // Free-stack order: last freed, first reused.
@@ -107,11 +97,10 @@ mod tests {
         let mut a: Arena<u8> = Arena::default();
         let (s0, s1) = (a.insert(0), a.insert(1));
         a.link(s0, s1);
-        assert_eq!(a.get(s0), (&0, s1));
         assert_eq!(a.remove(s0), (0, s1));
         // A reused slot starts a run of its own.
         assert_eq!(a.insert(2), s0);
-        assert_eq!(a.get(s0), (&2, NIL));
+        assert_eq!(a.remove(s0), (2, NIL));
     }
 
     #[test]

@@ -64,8 +64,9 @@ fn slot_bits(slot: u32) -> u128 {
 
 /// Min-queue of pending events under unique [`order_key`]s: one `BinaryHeap`
 /// entry per run, O(log runs) to start a run or pop its last member, O(1)
-/// to join a run or pop any other member.
-#[derive(Debug)]
+/// to join a run or pop any other member. A clone pops the same events in
+/// the same order.
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// One entry per run: its front member's key | slot.
     heap: BinaryHeap<Reverse<u128>>,
@@ -155,18 +156,6 @@ impl<E> EventQueue<E> {
         self.arena.clear();
         self.tail_key = NO_TAIL;
         self.len = 0;
-    }
-
-    /// Every pending event with its exact key, in unspecified order (for
-    /// engine snapshots).
-    pub fn iter(&self) -> impl Iterator<Item = (u128, &E)> + '_ {
-        self.heap.iter().flat_map(move |&Reverse(entry)| {
-            let run = std::iter::successors(Some(unpack(entry)), move |&(key, slot)| {
-                let next = self.arena.get(slot).1;
-                (next != NIL).then_some((key + SEQ_ONE, next))
-            });
-            run.map(move |(key, slot)| (key, self.arena.get(slot).0))
-        })
     }
 }
 
@@ -352,22 +341,28 @@ mod tests {
         for &(k, n) in &pushed {
             q.push(k, n);
         }
-        assert_eq!(q.iter().count(), 5);
+        assert_eq!(q.len(), 5);
         let mut expect = pushed;
         expect.push((key(400, 10), 10));
         assert_eq!(drain(&mut q), sorted(expect));
     }
 
     #[test]
-    fn iter_yields_every_run_member_with_its_key() {
+    fn clone_keeps_every_run_member_with_its_key() {
         let mut q = EventQueue::default();
         for i in 0..9u64 {
             q.push(key(i / 3, i), i as u32);
         }
         q.pop();
-        let mut seen: Vec<_> = q.iter().map(|(k, &n)| (k, n)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (1..9u64).map(|i| (key(i / 3, i), i as u32)).collect::<Vec<_>>());
+        let mut fork = q.clone();
+        // The clone's tail still takes a successor, like the original's.
+        for q in [&mut q, &mut fork] {
+            q.push(key(2, 9), 9);
+        }
+        assert_eq!(fork.heap.len(), q.heap.len());
+        let want: Vec<_> = (1..10u64).map(|i| (key((i / 3).min(2), i), i as u32)).collect();
+        assert_eq!(drain(&mut fork), want);
+        assert_eq!(drain(&mut q), want);
     }
 
     #[test]

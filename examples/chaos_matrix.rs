@@ -108,17 +108,14 @@ fn main() {
     // snapshot from the storage tier and the DDS queue rewinds to it, so the
     // lost work replays through the real drivers. The `ckpt-replay` invariant
     // audits that the restore actually happened and integrity survived.
-    println!("\nckpt-replay drill (kill w1 under Replay failover, adaptive cadence):");
-    let replay = ChaosDriver::new(
-        base.clone()
-            .with_failover_mode(FailoverMode::Replay)
-            .with_checkpoint_interval(SimDuration::from_secs(30))
-            .with_ckpt(CkptConfig {
-                tier: StorageTier::LocalDisk,
-                policy: CkptPolicy::Adaptive { min_secs: 30.0, max_secs: 300.0 },
-                capture_stall_secs: 1.0,
-            }),
-    )
+    println!("\nckpt-replay drill (kill w1 under Replay failover, 30 s cadence):");
+    let replay = ChaosDriver::new(base.clone().with_failover_mode(FailoverMode::Replay).with_ckpt(
+        CkptConfig {
+            tier: StorageTier::LocalDisk,
+            policy: CkptPolicy::Fixed { interval_secs: 30.0 },
+            capture_stall_secs: 1.0,
+        },
+    ))
     .run_one(
         &FaultPlan::new("ckpt-replay").at(40.0, Fault::KillNode { node: NodeRef::Worker(1) }),
         &MitigationChoice::AntDtNd,

@@ -158,10 +158,8 @@ endpoint_patterns=(
     '\.decide\('
 )
 runtime_files=$(find crates/core/src/runtime -name '*.rs' ! -name 'bus.rs' | sort)
-# The DES engine's snapshot/fork API (`eng.snapshot()`) is scheduling-core,
-# not a control-plane endpoint — exempt it from the `.snapshot(` pattern.
 for pat in "${endpoint_patterns[@]}"; do
-    hits=$(grep -En "$pat" $runtime_files | grep -v 'eng\.snapshot(' || true)
+    hits=$(grep -En "$pat" $runtime_files || true)
     if [ -n "$hits" ]; then
         fail "direct control-plane endpoint call in runtime/ outside bus.rs (pattern '$pat'):
 $hits"

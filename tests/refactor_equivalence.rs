@@ -207,7 +207,7 @@ fn golden_bsp_server_kill() {
 }
 
 /// Same-seed determinism of the subsystem itself: two runs under Replay
-/// failover with an adaptive cadence must produce byte-identical dumps and
+/// failover with a 60 s cadence must produce byte-identical dumps and
 /// identical snapshot digests (the hand-rolled serialization is part of the
 /// determinism surface).
 #[test]
@@ -217,10 +217,9 @@ fn replay_runs_are_mutually_byte_identical_with_equal_digests() {
     let cfg = || {
         bsp()
             .with_failover_mode(FailoverMode::Replay)
-            .with_checkpoint_interval(SimDuration::from_secs(60))
             .with_ckpt(CkptConfig {
                 tier: StorageTier::ObjectStore,
-                policy: CkptPolicy::Adaptive { min_secs: 30.0, max_secs: 240.0 },
+                policy: CkptPolicy::Fixed { interval_secs: 60.0 },
                 capture_stall_secs: 1.0,
             })
             .with_injections(ps_chaos_plan())

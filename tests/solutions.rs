@@ -114,7 +114,7 @@ fn fig15_gpu_ordering_with_accumulation() {
 #[test]
 fn fleet_ab_test_matches_fig19_ordering() {
     use antdt::core::fleet::{run_arm, FleetConfig, FleetMethod};
-    let cfg = FleetConfig { n_jobs: 4, samples: 800_000, ..Default::default() };
+    let cfg = FleetConfig { n_jobs: 4, samples: 800_000 };
     let bsp = run_arm(&cfg, FleetMethod::Bsp).mean_jct_secs;
     let nd = run_arm(&cfg, FleetMethod::AntDtNd).mean_jct_secs;
     let asp = run_arm(&cfg, FleetMethod::Asp).mean_jct_secs;
