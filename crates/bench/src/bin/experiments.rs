@@ -10,6 +10,9 @@
 //! experiments --out DIR <id>  # additionally write each report to DIR/<id>.txt
 //! experiments --jobs N <id>   # run on N threads (1 = fully serial)
 //! experiments --only a,b all  # restrict `all` to the listed ids
+//! experiments --frozen-wall <id>  # print every wall reading as 0 and
+//!                             # write no artifact: the same source prints
+//!                             # the same bytes
 //! ```
 
 use std::io::Write;
@@ -54,6 +57,22 @@ fn main() {
             args = ids.clone();
         }
     }
+    let frozen = match args.iter().position(|a| a == "--frozen-wall") {
+        Some(pos) => {
+            args.remove(pos);
+            true
+        }
+        None => false,
+    };
+    if frozen {
+        antdt_bench::util::freeze_wall(|| run_ids(&args, only.as_deref(), out_dir.as_deref()));
+    } else {
+        run_ids(&args, only.as_deref(), out_dir.as_deref());
+    }
+}
+
+/// List the registry, or run each id in `args` and print its report.
+fn run_ids(args: &[String], only: Option<&[String]>, out_dir: Option<&std::path::Path>) {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     if args.is_empty() || args[0] == "list" {
@@ -64,16 +83,13 @@ fn main() {
         let _ = writeln!(out, "  {:<10} run everything but perf, in paper order", "all");
         return;
     }
-    for id in &args {
-        let report = if id == "all" {
-            Some(antdt_bench::run_all(only.as_deref()))
-        } else {
-            antdt_bench::run(id)
-        };
+    for id in args {
+        let report =
+            if id == "all" { Some(antdt_bench::run_all(only)) } else { antdt_bench::run(id) };
         match report {
             Some(report) => {
                 let _ = write!(out, "{report}");
-                if let Some(dir) = &out_dir {
+                if let Some(dir) = out_dir {
                     std::fs::write(dir.join(format!("{id}.txt")), &report)
                         .expect("write experiment artifact");
                 }

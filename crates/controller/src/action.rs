@@ -26,27 +26,7 @@ pub enum Action {
     None,
 }
 
-/// The paper's two execution classes (§V-E1): node actions fire independently;
-/// global actions need the Agent synchronization mechanism so every worker
-/// applies them in the same iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActionType {
-    Node,
-    Global,
-    NoOp,
-}
-
 impl Action {
-    pub fn action_type(&self) -> ActionType {
-        match self {
-            Action::KillRestart { .. } => ActionType::Node,
-            Action::AdjustBs { .. } | Action::BackupWorkers { .. } | Action::AdjustLr { .. } => {
-                ActionType::Global
-            }
-            Action::None => ActionType::NoOp,
-        }
-    }
-
     /// Rough payload size in bytes when broadcast through the Agent mechanism
     /// (the paper notes these messages are bytes-level signals).
     pub fn payload_bytes(&self) -> u64 {
@@ -65,18 +45,6 @@ impl Action {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification_matches_table_ii() {
-        assert_eq!(Action::KillRestart { node: NodeId::worker(0) }.action_type(), ActionType::Node);
-        assert_eq!(
-            Action::AdjustBs { batch_sizes: vec![1, 2].into(), grad_accum: None }.action_type(),
-            ActionType::Global
-        );
-        assert_eq!(Action::BackupWorkers { b: 2 }.action_type(), ActionType::Global);
-        assert_eq!(Action::AdjustLr { scales: vec![1.0].into() }.action_type(), ActionType::Global);
-        assert_eq!(Action::None.action_type(), ActionType::NoOp);
-    }
 
     #[test]
     fn payloads_are_bytes_level() {

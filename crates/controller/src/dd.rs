@@ -49,10 +49,6 @@ impl AntDtDd {
         AntDtDd { classes, ticks: 0, done: false }
     }
 
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Estimate each class's marginal per-sample cost from the measured BPTs:
     /// `per_sample = (mean BPT − c0) / batch`, averaged over the class's
     /// workers. Returns `None` until every class has at least one measurement.
@@ -184,7 +180,7 @@ mod tests {
         // Total per round covers the global batch.
         let total: u64 = batch_sizes.iter().zip(accums.iter()).map(|(&b, &c)| b * c as u64).sum();
         assert!(total >= 384);
-        assert!(p.is_done());
+        assert!(p.done);
         // Deterministic stragglers: never acts again.
         assert_eq!(p.decide(SimTime::from_secs_f64(600.0), &s, &ctx()), vec![Action::None]);
     }
@@ -208,7 +204,7 @@ mod tests {
         };
         assert_eq!(p.decide(SimTime::ZERO, &empty, &ctx()), vec![Action::None]);
         assert_eq!(p.decide(SimTime::ZERO, &empty, &ctx()), vec![Action::None]);
-        assert!(!p.is_done());
+        assert!(!p.done);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod nd;
 pub mod policy;
 pub mod solve;
 
-pub use action::{Action, ActionType};
+pub use action::Action;
 /// The Controller's checkpoint-cadence knob, re-exported from the
 /// `antdt-ckpt` leaf so policies and callers configure it from one place:
 /// `Fixed` pins the interval between captures.

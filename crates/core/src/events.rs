@@ -49,3 +49,45 @@ pub enum Ev {
     /// `Modeled` control channel — the `Ideal` channel delivers inline.
     BusMsg { seq: u64 },
 }
+
+impl Ev {
+    /// Every kind's name, in declaration order: [`Ev::kind`] indexes it.
+    pub const KINDS: [&'static str; 15] = [
+        "WorkerStart",
+        "WorkerComputeDone",
+        "WorkerReady",
+        "MonitorTick",
+        "WorkerKill",
+        "WorkerRestart",
+        "ServerKill",
+        "ServerRestart",
+        "Checkpoint",
+        "CkptRestore",
+        "RoundEnd",
+        "ChaosFault",
+        "ChaosLift",
+        "LivenessCheck",
+        "BusMsg",
+    ];
+
+    /// This event's index in [`Ev::KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Ev::WorkerStart { .. } => 0,
+            Ev::WorkerComputeDone { .. } => 1,
+            Ev::WorkerReady { .. } => 2,
+            Ev::MonitorTick => 3,
+            Ev::WorkerKill { .. } => 4,
+            Ev::WorkerRestart { .. } => 5,
+            Ev::ServerKill { .. } => 6,
+            Ev::ServerRestart { .. } => 7,
+            Ev::Checkpoint => 8,
+            Ev::CkptRestore => 9,
+            Ev::RoundEnd { .. } => 10,
+            Ev::ChaosFault { .. } => 11,
+            Ev::ChaosLift { .. } => 12,
+            Ev::LivenessCheck => 13,
+            Ev::BusMsg { .. } => 14,
+        }
+    }
+}

@@ -41,6 +41,7 @@ pub use job::{run_with_policy, Job};
 pub use report::{
     ActionApplication, AttrBlame, AttrCrit, AttrNode, AttrReport, CkptRecord, CkptReport,
     CounterfactualRow, DirectiveFate, DirectiveRecord, InjectionRecord, JobReport, ReplayRecord,
+    WorkCensus,
 };
 pub use whatif::{
     apply_perturbation, config_digest, counterfactual_rows, divergence_instant,

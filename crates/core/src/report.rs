@@ -1,6 +1,7 @@
 //! The job report: every quantity the paper's tables and figures consume.
 
 use crate::config::FailoverMode;
+use crate::events::Ev;
 use antdt_agent::OverheadLedger;
 use antdt_controller::Action;
 use antdt_dds::{ConsumptionStats, IntegrityAudit};
@@ -231,6 +232,33 @@ impl AttrReport {
     }
 }
 
+/// What a job's event loop did: the events it handled per [`Ev`] kind, and
+/// how many handlings changed nothing. The kinds sum to
+/// [`JobReport::events_processed`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WorkCensus {
+    /// Handled events per kind, indexed like [`Ev::KINDS`].
+    pub events: [u64; Ev::KINDS.len()],
+    /// Node events addressed to a previous generation, dropped on receipt.
+    pub stale_gen: u64,
+    /// Worker starts that took no batch (starving, sitting out, done).
+    pub empty_starts: u64,
+    /// Worker starts before the worker's barrier release.
+    pub early_starts: u64,
+}
+
+impl WorkCensus {
+    /// Count one handled event.
+    pub(crate) fn handled(&mut self, ev: &Ev) {
+        self.events[ev.kind()] += 1;
+    }
+
+    /// Total handled events.
+    pub fn total(&self) -> u64 {
+        self.events.iter().sum()
+    }
+}
+
 /// Set-once divergence instants collected by every run: for each supported
 /// [`Perturbation`](antdt_attr::Perturbation) kind, the first simulated
 /// instant at which the perturbed job would have behaved differently from
@@ -307,6 +335,8 @@ pub struct JobReport {
     pub auc: Option<f64>,
     pub gantt: Option<Gantt>,
     pub events_processed: u64,
+    /// Events handled per kind, and the handlings that changed nothing.
+    pub census: WorkCensus,
     /// Controller decision audit: per emitted action, the window stats, solver
     /// inputs/outputs and the rule that fired. Populated by auditing policies
     /// (AntDT-ND); empty for baselines that don't audit.
@@ -386,6 +416,16 @@ impl JobReport {
         let _ = writeln!(w, "auc: {:?}", self.auc);
         let _ = writeln!(w, "gantt_recorded: {}", self.gantt.is_some());
         let _ = writeln!(w, "events_processed: {}", self.events_processed);
+        let c = &self.census;
+        let _ = write!(w, "census:");
+        for (name, n) in Ev::KINDS.iter().zip(c.events).filter(|&(_, n)| n > 0) {
+            let _ = write!(w, " {name}={n}");
+        }
+        let _ = writeln!(
+            w,
+            " | stale_gen={} empty_starts={} early_starts={}",
+            c.stale_gen, c.empty_starts, c.early_starts
+        );
         for d in &self.decision_log {
             let _ = writeln!(w, "decision: {d:?}");
         }
@@ -432,15 +472,5 @@ impl JobReport {
     /// Number of KILL_RESTART actions that actually fired.
     pub fn n_kills(&self) -> usize {
         self.kills.len()
-    }
-
-    /// Throughput of the whole job: samples per second of JCT.
-    pub fn job_throughput(&self) -> f64 {
-        let secs = self.jct.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.samples_done as f64 / secs
-        }
     }
 }

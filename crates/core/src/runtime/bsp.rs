@@ -10,10 +10,22 @@
 //! A close does the float operations of the plain per-piece pass, in their
 //! order, with less work around them. Each server's piece durations go
 //! through a one-entry memo, so the seconds→µs rounding leaves the
-//! serial `t` chain while the slowdown factor repeats, and the piece loop
-//! without attribution has no call in it. A push's transfer time is read
-//! from its latest arrival instead of folded over its row. The servers'
-//! link terms of the pull are derived once per close, not once per worker.
+//! serial `t` chain while the slowdown factor repeats, and the factor is
+//! read from the server's held contention span, so the piece loop without
+//! attribution has no call in it while the span holds. A push's transfer
+//! time is read from its latest arrival instead of folded over its row.
+//! The servers' link terms of the pull are derived once per close, not once
+//! per worker.
+//!
+//! Workers mostly share one link shape, so a push's per-server piece
+//! durations and a released worker's pull go through one-entry memos keyed
+//! by the bits of the worker link's latency, bandwidth and congestion
+//! factor at the instant. A chaos `NetworkDegrade` rewrites the bandwidth
+//! and so changes the key. Server links keep their latency and bandwidth
+//! for the whole job, and a restart can only clear their congestion
+//! windows, so a push memo slot derived while its server link had no
+//! windows answers every later push with the same key; a server link with
+//! windows re-derives its end on every push.
 
 use super::attr::SERVER_LANE;
 use super::kernel::{Kernel, ServerEnd, ServerState};
@@ -24,7 +36,7 @@ use antdt_agent::BARRIER_SECS;
 use antdt_attr::WaitCause;
 use antdt_monitor::NodeId;
 use antdt_sim::gantt::SpanKind;
-use antdt_sim::{SimDuration, SimTime};
+use antdt_sim::{RngPool, SimDuration, SimTime};
 
 /// One worker's arrived push awaiting the barrier close. Its per-server
 /// gradient-piece arrival instants are row `i` of [`BspFlavor::arrivals`],
@@ -69,7 +81,8 @@ impl SecsMemo {
 /// loop without attribution keeps `t` and `busy` in registers.
 #[inline(always)]
 fn serve(
-    server: &ServerState,
+    server: &mut ServerState,
+    pool: &RngPool,
     arrivals: &[SimTime],
     agg_secs: f64,
     mut on_piece: impl FnMut(SimTime, SimTime),
@@ -79,7 +92,7 @@ fn serve(
     let mut svc_dur = SecsMemo::new();
     for &a in arrivals {
         let start = t.max(a);
-        let svc = agg_secs * server.profile.slowdown(start);
+        let svc = agg_secs * server.profile.at(pool, start).slowdown;
         t = start + svc_dur.get(svc);
         busy += svc;
         on_piece(start, t);
@@ -107,6 +120,10 @@ pub struct BspFlavor {
     arrivals_scratch: Vec<SimTime>,
     /// Reused per-server link terms of the pull at the barrier close.
     ends_scratch: Vec<ServerEnd>,
+    /// The last pushing worker link's key and its per-server piece
+    /// durations; `None` for a server whose link had congestion windows.
+    push_key: Option<[u64; 3]>,
+    push_durs: Vec<Option<SimDuration>>,
     /// Backup-workers knob: how many stragglers the barrier may drop.
     backup_b: u32,
     /// A close was attempted while a server was down; retry on recovery.
@@ -125,6 +142,8 @@ impl BspFlavor {
             pushed: Vec::new(),
             arrivals_scratch: Vec::new(),
             ends_scratch: Vec::new(),
+            push_key: None,
+            push_durs: Vec::new(),
             backup_b: 0,
             close_pending: false,
         }
@@ -169,17 +188,17 @@ impl BspFlavor {
             arrivals.sort_unstable();
             let agg = k.cfg.model.server_agg_secs;
             let lane = SERVER_LANE + j as u32;
-            let server = &k.servers[j];
+            let (server, pool) = (&mut k.servers[j], &k.pool);
             let (mut t, mut busy) = match k.attr.as_mut() {
-                None => serve(server, &arrivals, agg, |_, _| {}),
+                None => serve(server, pool, &arrivals, agg, |_, _| {}),
                 // Server lane: idle until the piece arrives, Comm while
                 // aggregating it.
-                Some(attr) => serve(server, &arrivals, agg, |start, end| {
+                Some(attr) => serve(server, pool, &arrivals, agg, |start, end| {
                     attr.ledger.fill(lane, start.as_micros(), WaitCause::SyncWait);
                     attr.ledger.fill(lane, end.as_micros(), WaitCause::Comm);
                 }),
             };
-            let apply = k.cfg.model.server_apply_secs * k.servers[j].profile.slowdown(t);
+            let apply = k.cfg.model.server_apply_secs * server.profile.at(pool, t).slowdown;
             t += SimDuration::from_secs_f64(apply);
             busy += apply;
             k.attr_fill(SERVER_LANE + j as u32, t, WaitCause::Comm);
@@ -215,6 +234,8 @@ impl BspFlavor {
         // Per-participant barrier-arrival instants for the critical-path
         // analysis (only collected when attribution is armed).
         let mut arrs: Vec<(u32, u64)> = Vec::new();
+        // The last released worker link's key and its pull.
+        let mut pull_memo: Option<([u64; 3], f64)> = None;
         for p in &self.pushes {
             let wi = p.w as usize;
             let Some(inf) = k.workers[wi].inflight.take() else {
@@ -225,7 +246,16 @@ impl BspFlavor {
             }
             iteration_samples += inf.took;
             k.commit(wi, ready_max);
-            let pull = k.pull_secs_over(&ends, ready_max, wi);
+            let (key, cw) = k.link_key(wi, ready_max);
+            let pull = match pull_memo {
+                Some((memo_key, pull)) if memo_key == key => pull,
+                _ => {
+                    let wl = &k.workers[wi].link;
+                    let pull = ends.iter().map(|&s| k.piece_secs(wl, cw, s)).fold(0.0, f64::max);
+                    pull_memo = Some((key, pull));
+                    pull
+                }
+            };
             let push_tx = p.last_arrival.since(p.compute_end).as_secs_f64();
             let bpt = inf.compute_end.since(inf.start).as_secs_f64() + push_tx + pull;
             k.workers[wi].iter += 1;
@@ -283,16 +313,10 @@ impl BspFlavor {
             self.pushed[p.w as usize] = true;
         }
         for w in 0..k.workers.len() {
-            if k.workers[w].alive
-                && !k.workers[w].done
-                && k.workers[w].inflight.is_none()
-                && !self.pushed[w]
-            {
+            let x = &k.workers[w];
+            if x.alive && !x.done && !x.parked && x.inflight.is_none() && !self.pushed[w] {
                 // Same deferred-close consideration as the release above.
-                eng.schedule(
-                    ready_max.max(eng.now()),
-                    Ev::WorkerStart { w: w as u32, gen: k.workers[w].gen },
-                );
+                k.poke(eng, w, ready_max.max(eng.now()));
             }
         }
         for p in self.pushes.drain(..) {
@@ -337,10 +361,26 @@ impl PsFlavor for BspFlavor {
             eng.schedule(now, Ev::WorkerStart { w, gen });
             return;
         }
+        let (key, cw) = k.link_key(wi, now);
+        if self.push_key != Some(key) {
+            self.push_key = Some(key);
+            self.push_durs.clear();
+            self.push_durs.resize(k.servers.len(), None);
+        }
         let mut last_arrival = now;
-        let mut tx_dur = SecsMemo::new();
-        for tx in k.path_transfers(now, wi) {
-            let a = now + tx_dur.get(tx);
+        for (j, slot) in self.push_durs.iter_mut().enumerate() {
+            let d = match *slot {
+                Some(d) => d,
+                None => {
+                    let tx = k.piece_secs(&k.workers[wi].link, cw, k.server_end(j, now));
+                    let d = SimDuration::from_secs_f64(tx);
+                    if k.servers[j].link.congestion.is_empty() {
+                        *slot = Some(d);
+                    }
+                    d
+                }
+            };
+            let a = now + d;
             last_arrival = last_arrival.max(a);
             self.arrivals.push(a);
         }
@@ -375,20 +415,20 @@ mod tests {
     use crate::runtime::kernel::Inflight;
     use crate::runtime::ps_common;
     use antdt_controller::NoMitigation;
-    use antdt_sim::{ContentionPhase, Link};
+    use antdt_sim::{ContentionPhase, Link, NodeProfile};
     use antdt_workloads::cluster::cluster_a_scaled;
     use antdt_workloads::Scenario;
 
     /// A barrier that closes without its dropped backup straggler pokes every
     /// idle worker that did not push, once, and nobody else: pushed workers
     /// get only their release, the straggler keeps computing, the dead
-    /// worker stays down.
+    /// worker stays down, and the parked worker stays parked.
     #[test]
     fn backup_close_pokes_exactly_the_idle_non_pushed_workers() {
-        let cfg = JobConfig::ps_bsp(cluster_a_scaled(5, 2), Scenario::None);
+        let cfg = JobConfig::ps_bsp(cluster_a_scaled(6, 2), Scenario::None);
         let mut k = Kernel::new(cfg, Box::new(NoMitigation));
         let mut eng = RtEngine::new();
-        let mut f = BspFlavor::new(5);
+        let mut f = BspFlavor::new(6);
         f.set_backup_workers(1);
         let computing = || {
             Some(Inflight { took: 0, start: SimTime::ZERO, compute_end: SimTime::ZERO, grad: None })
@@ -402,6 +442,10 @@ mod tests {
         f.on_worker_killed(&mut k, &mut eng, 3);
         k.workers[4].quota = 0;
         f.on_quota_zero(&mut k, &mut eng, 4);
+        // w5 found the shard queue empty and parked.
+        k.workers[5].starving = true;
+        f.on_data_wait(&mut k, &mut eng, 5);
+        k.park(5, SimTime::ZERO);
 
         f.on_push(&mut k, &mut eng, 0, 0, 0);
         assert_eq!(f.iter, 0, "one push of two required must not close");
@@ -417,14 +461,15 @@ mod tests {
         });
         started.sort_unstable();
         assert_eq!(started, vec![0, 1, 4], "releases for w0/w1, one poke for idle w4");
+        assert!(k.workers[5].parked, "no poke for the parked w5");
         assert!(k.workers[2].inflight.is_some(), "the dropped straggler is still computing");
     }
 
-    /// Pokes of a starving worker (barrier closes, broadcasts, DDS
-    /// recovery) do not start retry chains of their own: however often it
-    /// is poked, the worker holds one pending data-poll retry.
+    /// A starving worker parks: however often it is poked, it schedules no
+    /// retry. A requeue wakes it with one start at the first instant of its
+    /// poll grid (from its first starving start) at or after the wake.
     #[test]
-    fn a_starving_worker_holds_one_pending_poll_retry() {
+    fn a_starving_worker_parks_until_a_wake_starts_it_on_its_grid() {
         let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None);
         let mut k = Kernel::new(cfg, Box::new(NoMitigation));
         k.dds.as_mut().expect("a PS job reads from the DDS").set_paused(true);
@@ -436,14 +481,23 @@ mod tests {
             eng.schedule(secs(s as f64), Ev::WorkerStart { w: 0, gen: 0 });
         }
         eng.run_until(secs(3.5), |eng, ev| ps_common::on_event(&mut k, &mut f, eng, ev));
-        assert!(k.workers[0].starving, "the paused DDS starves w0");
+        assert!(k.workers[0].starving && k.workers[0].parked, "the paused DDS parks w0");
+        assert_eq!(k.parked, vec![0]);
+        assert_eq!(k.census.empty_starts, 4);
+        // Nothing is pending for w0; move the clock to 12 s and wake it.
+        eng.schedule(secs(12.0), Ev::LivenessCheck);
         let mut pending = Vec::new();
-        eng.run_until(secs(3.5) + DATA_POLL + DATA_POLL, |eng, ev| {
+        eng.run_until(secs(12.0), |_, ev| pending.push(format!("{ev:?}")));
+        assert_eq!(pending, vec!["LivenessCheck"], "a parked worker schedules nothing");
+        k.wake_parked(&mut eng);
+        assert!(!k.workers[0].parked && k.parked.is_empty());
+        eng.run_until(secs(60.0), |eng, ev| {
             if let Ev::WorkerStart { w: 0, .. } = ev {
-                pending.push(eng.now());
+                pending.push(format!("{:?}", eng.now()));
             }
         });
-        assert_eq!(pending, vec![SimTime::ZERO + DATA_POLL], "one retry, from the first start");
+        let grid = SimTime::ZERO + DATA_POLL + DATA_POLL + DATA_POLL;
+        assert_eq!(pending[1..], [format!("{grid:?}")], "one start, on the grid 5 s, 10 s, 15 s");
     }
 
     /// What the plain close arithmetic gives for one barrier, per server
@@ -490,13 +544,13 @@ mod tests {
             let mut factors = Vec::new();
             for &a in &arrivals {
                 let start = t.max(a);
-                let factor = k.servers[j].profile.slowdown(start);
+                let factor = k.servers[j].profile.slowdown(&k.pool, start);
                 factors.push(factor);
                 let svc = k.cfg.model.server_agg_secs * factor;
                 t = start + SimDuration::from_secs_f64(svc);
                 busy += svc;
             }
-            let apply = k.cfg.model.server_apply_secs * k.servers[j].profile.slowdown(t);
+            let apply = k.cfg.model.server_apply_secs * k.servers[j].profile.slowdown(&k.pool, t);
             t += SimDuration::from_secs_f64(apply);
             busy += apply;
             o.free_at.push(t);
@@ -521,7 +575,9 @@ mod tests {
 
     /// Barrier closes whose server chains cross a `Slowdown` window that
     /// opens and shuts inside one close, with congested links on both the
-    /// push and the pull, match the plain per-piece arithmetic bit for bit:
+    /// push and the pull, worker links of two latencies and a worker
+    /// bandwidth that changes between closes, match the plain per-piece
+    /// arithmetic bit for bit:
     /// server `free_at`, `busy` and BPT series, worker BPT series and
     /// release instants, and every push's per-server arrival row.
     #[test]
@@ -542,14 +598,16 @@ mod tests {
         .enumerate()
         {
             for (from, to) in windows {
-                k.servers[j].profile = k.servers[j]
-                    .profile
-                    .clone()
-                    .with_phase(ContentionPhase::Slowdown { factor, from: ms(from), to: ms(to) });
+                let phase = ContentionPhase::Slowdown { factor, from: ms(from), to: ms(to) };
+                let profile = NodeProfile::clone(&k.servers[j].profile).with_phase(phase);
+                k.servers[j].profile.set_profile(profile);
             }
         }
         k.servers[1].link = Link::datacenter().with_congestion(ms(500), ms(800), 3.0);
         k.workers[2].link = Link::datacenter().with_congestion(ms(5), ms(12), 2.0);
+        // Worker 3 sits one rack further out: the same bandwidth as worker
+        // 2's, a longer latency.
+        k.workers[3].link.latency_secs *= 3.0;
         let mut eng = RtEngine::new();
         let mut f = BspFlavor::new(4);
         for w in 0..4 {
@@ -568,6 +626,15 @@ mod tests {
                 }
                 Ev::WorkerComputeDone { w, iter, .. } => {
                     let wi = w as usize;
+                    // Between the first two closes w0's link drops to a
+                    // quarter of its bandwidth, as a chaos `NetworkDegrade`
+                    // does, and it comes back after the second: its pushes
+                    // and pulls must not be answered for the other links.
+                    if w == 0 && closes == 1 {
+                        k.workers[0].link.bandwidth_bps /= 4.0;
+                    } else if w == 0 && closes == 2 {
+                        k.workers[0].link.bandwidth_bps = Link::datacenter().bandwidth_bps;
+                    }
                     let row: Vec<SimTime> = (0..m)
                         .map(|j| {
                             now + SimDuration::from_secs_f64(oracle_path_transfer(&k, now, wi, j))

@@ -565,7 +565,7 @@ pub(crate) fn broadcast(
             {
                 // Idle workers (quota 0 / parked) need a poke to pick the
                 // action up.
-                eng.schedule(at, Ev::WorkerStart { w: w as u32, gen: k.workers[w].gen });
+                k.poke(eng, w, at);
             }
         }
         return;
@@ -680,7 +680,7 @@ fn deliver_directive(
     let accepted = match outcome {
         DeliveryOutcome::Accepted => {
             if env.poke && k.workers[wi].inflight.is_none() && !k.workers[wi].done {
-                eng.schedule(now, Ev::WorkerStart { w: target.idx, gen: k.workers[wi].gen });
+                k.poke(eng, wi, now);
             }
             true
         }

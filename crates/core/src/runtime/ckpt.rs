@@ -203,6 +203,9 @@ impl Kernel {
             None => (0, 0),
         };
         self.replayed_samples += requeued_samples;
+        if requeued_shards > 0 {
+            self.wake_parked(eng);
+        }
         if let Some(m) = self.math.as_mut() {
             let dst = m.model.params_mut();
             if dst.len() == snap.ps.params.len() {

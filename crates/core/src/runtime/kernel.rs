@@ -14,14 +14,14 @@ use super::ckpt::CkptRt;
 use super::data::{DataSource, LeaseState};
 use super::ml_bridge::MathState;
 use crate::config::{DataStrategy, ExecutionMode, JobConfig};
-use crate::report::{ActionApplication, DivergenceMarks, InjectionRecord};
+use crate::report::{ActionApplication, DivergenceMarks, InjectionRecord, WorkCensus};
 use antdt_agent::OverheadLedger;
 use antdt_controller::{Action, MitigationPolicy, PolicyCtx};
 use antdt_dds::{DdsConfig, DdsService};
 use antdt_ml::{FactorizationMachine, Sgd};
 use antdt_monitor::NodeId;
 use antdt_sim::rng::StdRng;
-use antdt_sim::{Gantt, Link, NodeProfile, RngPool, SimDuration, SimTime, TimeSeries};
+use antdt_sim::{Gantt, Link, NodeContention, RngPool, SimDuration, SimTime, TimeSeries};
 use antdt_telemetry::{DecisionRecord, Telemetry};
 use antdt_workloads::DeviceClass;
 use std::collections::{HashMap, HashSet};
@@ -44,7 +44,8 @@ pub struct WorkerState {
     pub(crate) gen: u32,
     pub(crate) alive: bool,
     pub(crate) done: bool,
-    pub(crate) profile: NodeProfile,
+    /// The node's profile and the contention span it last read.
+    pub(crate) profile: NodeContention,
     pub(crate) device: DeviceClass,
     pub(crate) link: Link,
     pub(crate) quota: u64,
@@ -62,9 +63,15 @@ pub struct WorkerState {
     /// next BSP participant set so the barrier does not wait on a worker that
     /// cannot push (liveness guard).
     pub(crate) starving: bool,
-    /// Instant of the worker's latest data-poll retry; a retry is pending
-    /// while it lies after now. One retry chain per worker: pokes of a
-    /// starving worker do not start more.
+    /// Starving with nothing scheduled until the shard queue changes (see
+    /// [`super::data`]); on [`Kernel::parked`], and skipped by barrier-close
+    /// pokes.
+    pub(crate) parked: bool,
+    /// The worker's poll grid: while parked, the grid's first instant
+    /// (`poll_at + k·DATA_POLL` are the retries its chain would make);
+    /// otherwise the instant of its latest data-poll retry, pending while
+    /// it lies after now. One retry chain per worker: pokes of a starving
+    /// worker do not start more.
     pub(crate) poll_at: SimTime,
     /// Earliest instant the worker may begin its next iteration — the barrier
     /// release + pull time. Guards against stray wake-ups (action-delivery
@@ -86,7 +93,8 @@ pub(crate) struct ServerEnd {
 pub struct ServerState {
     pub(crate) gen: u32,
     pub(crate) alive: bool,
-    pub(crate) profile: NodeProfile,
+    /// The node's profile and the contention span it last read.
+    pub(crate) profile: NodeContention,
     pub(crate) link: Link,
     pub(crate) free_at: SimTime,
     pub(crate) series_bpt: TimeSeries,
@@ -102,6 +110,8 @@ pub struct Kernel {
     /// Workers, indexed by node id.
     pub(crate) workers: Vec<WorkerState>,
     pub(crate) servers: Vec<ServerState>,
+    /// Parked workers in park order (see [`super::data`]).
+    pub(crate) parked: Vec<u32>,
     /// Bytes of one server's gradient piece: the model split evenly over
     /// the servers (whose count never changes after construction).
     pub(crate) piece_bytes: u64,
@@ -176,6 +186,8 @@ pub struct Kernel {
     pub(crate) tele: Option<Telemetry>,
     /// Controller decision audit drained from the policy after every tick.
     pub(crate) decision_log: Vec<DecisionRecord>,
+    /// Events handled per kind and the no-op handlings.
+    pub(crate) census: WorkCensus,
 }
 
 impl Kernel {
@@ -224,7 +236,7 @@ impl Kernel {
                     gen: 0,
                     alive: true,
                     done: false,
-                    profile: spec.profile.clone(),
+                    profile: NodeContention::new(spec.profile.clone()),
                     device: spec.device,
                     link: spec.link.clone(),
                     quota: even_quota(i),
@@ -244,6 +256,7 @@ impl Kernel {
                     series_batch: TimeSeries::new(),
                     killed_at: None,
                     starving: false,
+                    parked: false,
                     poll_at: SimTime::ZERO,
                     next_allowed: SimTime::ZERO,
                 }
@@ -255,7 +268,7 @@ impl Kernel {
                 ServerState {
                     gen: 0,
                     alive: true,
-                    profile: spec.profile.clone(),
+                    profile: NodeContention::new(spec.profile.clone()),
                     link: spec.link.clone(),
                     free_at: SimTime::ZERO,
                     series_bpt: TimeSeries::new(),
@@ -274,6 +287,7 @@ impl Kernel {
             sched_rng: pool.stream(7),
             pool,
             workers,
+            parked: Vec::new(),
             piece_bytes: (cfg.model.param_bytes / servers.len().max(1) as u64).max(1),
             servers,
             dds,
@@ -311,6 +325,7 @@ impl Kernel {
             marks: DivergenceMarks { worker_contended: vec![None; n], ..Default::default() },
             tele: cfg.telemetry.then(Telemetry::default),
             decision_log: Vec::new(),
+            census: WorkCensus::default(),
             cfg,
         }
     }
@@ -326,10 +341,33 @@ impl Kernel {
             self.marks.worker_contended.resize(wi + 1, None);
         }
         if self.marks.worker_contended[wi].is_none()
-            && self.workers[wi].profile.contended(&self.pool, now)
+            && self.workers[wi].profile.at(&self.pool, now).contended()
         {
             self.marks.worker_contended[wi] = Some(now);
         }
+    }
+
+    /// Worker `wi`'s cost of one micro-batch of base cost `base_secs`
+    /// started at `now`: one jitter draw under its held contention span.
+    pub(crate) fn worker_iteration_secs(&mut self, wi: usize, now: SimTime, base_secs: f64) -> f64 {
+        let worker = &mut self.workers[wi];
+        let span = worker.profile.at(&self.pool, now);
+        worker.profile.iteration_secs(&span, base_secs, &mut worker.rng)
+    }
+
+    /// Whether an event for worker `wi`'s generation `gen` is stale (the
+    /// worker was killed after it was scheduled); counts the drop.
+    pub(crate) fn stale_worker(&mut self, wi: usize, gen: u32) -> bool {
+        let stale = self.workers[wi].gen != gen;
+        self.census.stale_gen += u64::from(stale);
+        stale
+    }
+
+    /// [`Kernel::stale_worker`] for server `sj`.
+    pub(crate) fn stale_server(&mut self, sj: usize, gen: u32) -> bool {
+        let stale = self.servers[sj].gen != gen;
+        self.census.stale_gen += u64::from(stale);
+        stale
     }
 
     /// Set-once divergence mark for `Perturbation::NoCkptStalls`: the first
@@ -412,7 +450,7 @@ impl Kernel {
     /// One gradient piece over worker link `wl` (congestion factor `cw`)
     /// and server end `s`.
     #[inline]
-    fn piece_secs(&self, wl: &Link, cw: f64, s: ServerEnd) -> f64 {
+    pub(crate) fn piece_secs(&self, wl: &Link, cw: f64, s: ServerEnd) -> f64 {
         let bw = wl.bandwidth_bps.min(s.bandwidth_bps);
         wl.latency_secs + s.latency_secs + self.piece_bytes as f64 / bw * cw * s.congestion
     }
@@ -423,26 +461,22 @@ impl Kernel {
         self.piece_secs(wl, wl.congestion_at(now), self.server_end(sj, now))
     }
 
-    /// [`Kernel::path_transfer`] to every server in index order, reading
-    /// the worker link's congestion once.
-    pub(crate) fn path_transfers(&self, now: SimTime, wi: usize) -> impl Iterator<Item = f64> + '_ {
-        let wl = &self.workers[wi].link;
-        let cw = wl.congestion_at(now);
-        (0..self.servers.len()).map(move |j| self.piece_secs(wl, cw, self.server_end(j, now)))
-    }
-
-    /// Max pull transfer over all servers (parallel pulls).
+    /// Max pull transfer over all servers (parallel pulls), reading the
+    /// worker link's congestion once.
     pub(crate) fn pull_secs(&self, now: SimTime, wi: usize) -> f64 {
-        self.path_transfers(now, wi).fold(0.0, f64::max)
-    }
-
-    /// [`Kernel::pull_secs`] over server ends already derived for `now`
-    /// (one [`Kernel::server_end`] per server, in index order): a barrier
-    /// close releases every pushed worker at the same instant.
-    pub(crate) fn pull_secs_over(&self, ends: &[ServerEnd], now: SimTime, wi: usize) -> f64 {
         let wl = &self.workers[wi].link;
         let cw = wl.congestion_at(now);
-        ends.iter().map(|&s| self.piece_secs(wl, cw, s)).fold(0.0, f64::max)
+        (0..self.servers.len())
+            .map(|j| self.piece_secs(wl, cw, self.server_end(j, now)))
+            .fold(0.0, f64::max)
+    }
+
+    /// Worker `wi`'s link terms at `now` as a memo key (the bits of its
+    /// latency, bandwidth and congestion factor), with the factor.
+    pub(crate) fn link_key(&self, wi: usize, now: SimTime) -> ([u64; 3], f64) {
+        let wl = &self.workers[wi].link;
+        let cw = wl.congestion_at(now);
+        ([wl.latency_secs.to_bits(), wl.bandwidth_bps.to_bits(), cw.to_bits()], cw)
     }
 
     /// Estimated heap footprint of this world in bytes: the struct plus the

@@ -27,13 +27,16 @@ pub(crate) fn worker_kill<F: PsFlavor>(
     class: ErrorClass,
 ) {
     let wi = w as usize;
-    if !k.workers[wi].alive || k.workers[wi].gen != gen {
+    if k.stale_worker(wi, gen) || !k.workers[wi].alive {
         return;
     }
     let now = eng.now();
     k.workers[wi].alive = false;
     k.workers[wi].gen += 1;
-    // The dead incarnation's pending data-poll retry is stale now.
+    // The dead incarnation's parked or pending data poll is stale now.
+    if k.workers[wi].parked {
+        k.unpark(eng, wi, false);
+    }
     k.workers[wi].poll_at = SimTime::ZERO;
     k.workers[wi].killed_at = Some(now);
     // Clip attributed work past the kill instant; without a replacement
@@ -56,13 +59,15 @@ pub(crate) fn worker_kill<F: PsFlavor>(
         k.rollback(wi, inf.took);
     }
     k.workers[wi].leases.clear();
-    if let Some(dds) = &mut k.dds {
-        // A no-failover chaos kill models the failover machinery itself
-        // being broken: the dead worker's DOING shards stay stuck, so the
-        // job can never complete — the liveness watchdog must catch it.
-        if !k.chaos_no_failover.contains(&w) {
-            dds.fail_worker(w);
-        }
+    // A no-failover chaos kill models the failover machinery itself being
+    // broken: the dead worker's DOING shards stay stuck, so the job can
+    // never complete — the liveness watchdog must catch it.
+    let requeued = match &mut k.dds {
+        Some(dds) if !k.chaos_no_failover.contains(&w) => !dds.fail_worker(w).is_empty(),
+        _ => false,
+    };
+    if requeued {
+        k.wake_parked(eng);
     }
     f.on_worker_killed(k, eng, w);
     // Schedule the replacement pod; what the replacement must recover is the
@@ -105,7 +110,7 @@ pub(crate) fn server_restart<F: PsFlavor>(
     gen: u32,
 ) {
     let sj = s as usize;
-    if k.servers[sj].alive || k.servers[sj].gen != gen || k.finished {
+    if k.stale_server(sj, gen) || k.servers[sj].alive || k.finished {
         return;
     }
     let now = eng.now();
@@ -113,7 +118,7 @@ pub(crate) fn server_restart<F: PsFlavor>(
     // Replacement server: clean profile and link (the congestion followed
     // the contended host, not the pod identity).
     let stream = k.servers[sj].profile.stream + 100_000 * gen as u64;
-    k.servers[sj].profile = NodeProfile::clean(stream);
+    k.servers[sj].profile.set_profile(NodeProfile::clean(stream));
     k.servers[sj].link.congestion.clear();
     k.servers[sj].free_at = now;
     k.restarts.push((now, NodeId::server(s)));
@@ -132,7 +137,7 @@ impl Kernel {
     /// The replacement worker pod came up on healthy hardware.
     pub(crate) fn worker_restart(&mut self, eng: &mut RtEngine, w: u32, gen: u32) {
         let wi = w as usize;
-        if self.workers[wi].alive || self.workers[wi].gen != gen || self.finished {
+        if self.stale_worker(wi, gen) || self.workers[wi].alive || self.finished {
             return;
         }
         let now = eng.now();
@@ -141,7 +146,7 @@ impl Kernel {
         // The replacement lands on healthy hardware: clean profile, fresh
         // stream so its jitter doesn't replay the old node's.
         let stream = self.workers[wi].profile.stream + 100_000 * gen as u64;
-        self.workers[wi].profile = NodeProfile::clean(stream);
+        self.workers[wi].profile.set_profile(NodeProfile::clean(stream));
         self.bus.agent_reset(wi, now);
         self.workers[wi].next_allowed = now;
         self.restarts.push((now, NodeId::worker(w)));
@@ -165,7 +170,7 @@ impl Kernel {
     /// work replays through the real drivers (§V-E2).
     pub(crate) fn server_kill(&mut self, eng: &mut RtEngine, s: u32, gen: u32) {
         let sj = s as usize;
-        if !self.servers[sj].alive || self.servers[sj].gen != gen {
+        if self.stale_server(sj, gen) || !self.servers[sj].alive {
             return;
         }
         let now = eng.now();

@@ -9,7 +9,7 @@
 //! over this module.
 
 use super::attr::SERVER_LANE;
-use super::data::{DataSource, DATA_POLL, DDS_SYNC_SECS};
+use super::data::{DataSource, DDS_SYNC_SECS};
 use super::kernel::{Inflight, Kernel};
 use super::{lifecycle, ml_bridge};
 use crate::config::InjectedFault;
@@ -77,7 +77,7 @@ pub trait PsFlavor {
 /// schedule the compute completion.
 fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u32, gen: u32) {
     let wi = w as usize;
-    if !k.workers[wi].alive || k.workers[wi].gen != gen || k.finished {
+    if k.stale_worker(wi, gen) || !k.workers[wi].alive || k.finished {
         return;
     }
     if k.workers[wi].inflight.is_some() || k.workers[wi].done {
@@ -87,6 +87,7 @@ fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u
     if now < k.workers[wi].next_allowed {
         // A wake-up arrived before this worker's barrier release; the
         // event scheduled for the release instant will start it.
+        k.census.early_starts += 1;
         return;
     }
 
@@ -124,6 +125,11 @@ fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u
     let took = k.take_batch(wi, quota);
     if took > 0 {
         k.workers[wi].starving = false;
+        if k.workers[wi].parked {
+            // Data after an outage lift: its chain's pending retry still
+            // fires.
+            k.unpark(eng, wi, true);
+        }
         for (delivered_at, action) in applied {
             let iter = f.iter_tag(k, wi);
             k.action_log.push(ActionApplication {
@@ -136,27 +142,32 @@ fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u
         }
     }
     if took == 0 {
+        k.census.empty_starts += 1;
         let dds_complete = k.dds.as_ref().map(|d| d.is_complete()).unwrap_or(true);
         let fixed_done = matches!(k.workers[wi].source, DataSource::Fixed { remaining: 0 });
         let holds_data = k.workers[wi].leases.iter().any(|l| l.consumed < l.lease.shard.len);
         if (matches!(k.workers[wi].source, DataSource::Dds) && dds_complete && !holds_data)
             || fixed_done
         {
+            if k.workers[wi].parked {
+                k.unpark(eng, wi, false);
+            }
             k.workers[wi].done = true;
             f.on_worker_done(k, eng, w);
             k.check_finished(eng);
         } else if k.workers[wi].quota == 0 {
-            // Idle until an AdjustBs wakes it (delivery schedules a start).
+            // Idle until an AdjustBs wakes it (delivery schedules a start);
+            // a parked chain's pending retry still fires.
+            if k.workers[wi].parked {
+                k.unpark(eng, wi, true);
+            }
         } else {
-            // Queue momentarily empty (epoch tail): retry shortly, unless a
-            // retry is already pending (this was a poke).
+            // Queue momentarily empty (epoch tail): park until it changes,
+            // unless parked already or a retry is pending (this was a poke).
             k.workers[wi].starving = true;
             k.attr_pending(w, WaitCause::DataWait);
             f.on_data_wait(k, eng, w);
-            if k.workers[wi].poll_at <= now {
-                k.workers[wi].poll_at = now + DATA_POLL;
-                eng.schedule(now + DATA_POLL, Ev::WorkerStart { w, gen });
-            }
+            k.park(wi, now);
         }
         return;
     }
@@ -169,9 +180,7 @@ fn worker_start<F: PsFlavor>(k: &mut Kernel, f: &mut F, eng: &mut RtEngine, w: u
     let mut dur = 0.0;
     for _ in 0..accum {
         let base = k.cfg.model.compute.time(took, k.workers[wi].device.speed);
-        let worker = &mut k.workers[wi];
-        let (profile, rng) = (&worker.profile, &mut worker.rng);
-        dur += profile.iteration_secs(&k.pool, now, base, rng);
+        dur += k.worker_iteration_secs(wi, now, base);
     }
     dur += DDS_SYNC_SECS;
 
@@ -199,7 +208,7 @@ fn compute_done<F: PsFlavor>(
     iter: u64,
 ) {
     let wi = w as usize;
-    if !k.workers[wi].alive || k.workers[wi].gen != gen || k.finished {
+    if k.stale_worker(wi, gen) || !k.workers[wi].alive || k.finished {
         return;
     }
     f.on_push(k, eng, w, gen, iter);
@@ -234,7 +243,7 @@ pub(crate) fn finish_asp_push(
         let arrival = compute_end + SimDuration::from_secs_f64(k.path_transfer(compute_end, wi, j));
         let start = k.servers[j].free_at.max(arrival);
         let svc = (k.cfg.model.server_agg_secs + k.cfg.model.server_apply_asp_secs)
-            * k.servers[j].profile.slowdown(start);
+            * k.servers[j].profile.at(&k.pool, start).slowdown;
         let end = start + SimDuration::from_secs_f64(svc);
         k.servers[j].free_at = end;
         k.servers[j].series_bpt.push(end, svc);
@@ -391,13 +400,13 @@ pub(crate) fn inject_kill<F: PsFlavor>(
     }
 }
 
-/// The last overlapping DDS outage window lifted. Starving workers poll
-/// every `DATA_POLL` anyway; poke them so recovery isn't charged the tail of
-/// a poll interval.
+/// The last overlapping DDS outage window lifted. Poke every idle worker,
+/// parked ones included, at the lift instant, so recovery isn't charged the
+/// tail of a poll interval.
 pub(crate) fn on_dds_restored(k: &mut Kernel, eng: &mut RtEngine) {
     for w in 0..k.workers.len() {
         if k.workers[w].alive && !k.workers[w].done && k.workers[w].inflight.is_none() {
-            eng.schedule(eng.now(), Ev::WorkerStart { w: w as u32, gen: k.workers[w].gen });
+            k.poke(eng, w, eng.now());
         }
     }
 }

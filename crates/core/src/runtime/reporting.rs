@@ -44,6 +44,9 @@ impl Kernel {
         if data_done && no_inflight {
             self.finished = true;
             eng.clear();
+        } else if data_done {
+            // DDS completion: parked workers go done at their next poll.
+            self.wake_parked(eng);
         }
     }
 
@@ -145,6 +148,7 @@ impl Kernel {
             auc,
             gantt: self.gantt,
             events_processed,
+            census: std::mem::take(&mut self.census),
             decision_log: self.decision_log,
             telemetry,
             ckpt,

@@ -109,9 +109,7 @@ impl RingAllReduce {
                 }
                 took += got;
                 let base = k.cfg.model.compute.time(got, k.workers[w].device.speed);
-                let worker = &mut k.workers[w];
-                let (profile, rng) = (&worker.profile, &mut worker.rng);
-                compute += profile.iteration_secs(&k.pool, now, base, rng);
+                compute += k.worker_iteration_secs(w, now, base);
             }
             if took == 0 {
                 // The rank sits this round out waiting for data.

@@ -163,6 +163,7 @@ impl PrefixRun {
 /// Route one event: kernel-owned events are handled here, everything else
 /// goes to the strategy.
 fn handle(k: &mut Kernel, strat: &mut Strategy, eng: &mut RtEngine, ev: Ev) {
+    k.census.handled(&ev);
     if k.finished {
         return;
     }

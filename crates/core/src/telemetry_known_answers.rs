@@ -59,8 +59,8 @@ fn asp_failover_telemetry_is_pinned() {
         pins(&t),
         [
             (1_799_398, 0xdd48_8e41_9890_7f08),
-            (4_126, 0x7b48_689e_5dee_84e4),
-            (23_119, 0xcb04_f6cd_6632_6e45),
+            (4_126, 0x3d4f_e4c9_4242_dd5a),
+            (23_111, 0x255b_c259_12ac_6519),
         ]
     );
 }
@@ -90,8 +90,8 @@ fn stalled_run_telemetry_is_pinned() {
         pins(&t),
         [
             (152_945, 0x36c1_aa95_6b3d_1d19),
-            (2_379, 0x23c8_27a1_354b_255a),
-            (24_226, 0x6901_51e9_5dfb_ea82),
+            (2_376, 0xf9c6_7dc6_8bb5_6791),
+            (24_869, 0x262b_477a_9d0d_a689),
         ]
     );
 }

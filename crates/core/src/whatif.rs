@@ -19,7 +19,7 @@ use crate::report::{CounterfactualRow, JobReport};
 use crate::runtime::attr::analysis_of;
 use crate::runtime::kernel::Kernel;
 use antdt_attr::predicted_delta_us;
-use antdt_sim::{ControlChannel, SimTime};
+use antdt_sim::{ControlChannel, NodeProfile, SimTime};
 
 pub use crate::runtime::strategy::PrefixRun;
 pub use antdt_attr::Perturbation;
@@ -69,7 +69,8 @@ pub(crate) fn apply_live_perturbation(k: &mut Kernel, p: &Perturbation) {
     match p {
         Perturbation::HealthyNode(n) => {
             if let Some(w) = k.workers.get_mut(*n as usize) {
-                w.profile.phases.clear();
+                let healthy = NodeProfile { phases: Vec::new(), ..NodeProfile::clone(&w.profile) };
+                w.profile.set_profile(healthy);
             }
         }
         Perturbation::ZeroControlLatency => k.bus.set_ideal_channel(),
@@ -206,6 +207,7 @@ pub fn what_if_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use antdt_sim::ContentionPhase;
     use antdt_workloads::cluster::cluster_a_scaled;
     use antdt_workloads::Scenario;
 
@@ -251,6 +253,37 @@ mod tests {
         assert!(plain.telemetry.is_some());
         assert_eq!(parent.telemetry, plain.telemetry);
         assert_eq!(forked.telemetry, plain.telemetry);
+    }
+
+    /// A `HealthyNode` edit applied to a live fork while the straggler
+    /// holds its contended span answers what a rerun answers whose
+    /// contention ends at the fork instant: the edit drops the held span.
+    #[test]
+    fn healthy_node_fork_inside_a_held_contended_span_matches_a_rerun() {
+        let cfg = JobConfig::ps_bsp(
+            cluster_a_scaled(4, 2),
+            Scenario::WorkerPersistent { intensity: 1.0 },
+        );
+        let straggler = 3;
+        let phases = &cfg.cluster.workers[straggler].profile.phases;
+        assert!(matches!(phases[..], [ContentionPhase::Persistent { to: SimTime::MAX, .. }]));
+        let plain = Job::run(cfg.clone());
+        let fork_at = SimTime::ZERO + plain.jct / 2;
+        let mut run = PrefixRun::new(&cfg);
+        run.advance_until(fork_at);
+        let held = run.k.workers[straggler].profile.at(&run.k.pool, fork_at);
+        assert!(held.contended() && held.lo < fork_at, "the straggler holds {held:?}");
+        let healed = run.into_perturbed(&Perturbation::HealthyNode(straggler as u32)).finish();
+
+        let mut rerun = cfg.clone();
+        if let ContentionPhase::Persistent { to, .. } =
+            &mut rerun.cluster.workers[straggler].profile.phases[0]
+        {
+            *to = SimTime(fork_at.as_micros() + 1);
+        }
+        let rerun = Job::run(rerun);
+        assert!(rerun.jct < plain.jct, "healing must shorten the job");
+        assert_eq!(healed.golden_dump(), rerun.golden_dump());
     }
 
     /// `perturbation_edits` is false exactly when the edit leaves the

@@ -132,20 +132,6 @@ impl QueueState {
         Ok(())
     }
 
-    /// `DOING → TODO` at the queue tail for a lease held by `worker`.
-    pub(crate) fn requeue(&mut self, worker: WorkerId, lease: ShardLease) -> Result<(), DdsError> {
-        let slot = self.slot(&lease);
-        if self.state.get(slot).copied() != Some(ShardState::Doing)
-            || self.owner[slot] != Some(worker)
-        {
-            return Err(DdsError::NotLeased { shard: lease.shard.id, worker });
-        }
-        self.state[slot] = ShardState::Todo;
-        self.owner[slot] = None;
-        self.queue.push_back(slot as u64);
-        Ok(())
-    }
-
     /// Requeue every slot `worker` was DOING (crash / `KILL_RESTART`),
     /// returning the requeued shards in ascending slot order.
     pub(crate) fn requeue_worker(&mut self, worker: WorkerId) -> Vec<Shard> {

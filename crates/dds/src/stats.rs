@@ -28,10 +28,6 @@ impl ConsumptionStats {
     pub fn worker(&mut self, w: WorkerId) -> &mut WorkerConsumption {
         self.per_worker.entry(w).or_default()
     }
-
-    pub fn total_samples_done(&self) -> u64 {
-        self.per_worker.values().map(|c| c.samples_done).sum()
-    }
 }
 
 /// The integrity report: both semantics from the paper's §IV challenge 3.
@@ -64,6 +60,6 @@ mod tests {
         s.worker(5).shards_done += 2;
         s.worker(5).samples_done += 321;
         assert_eq!(s.per_worker.len(), 2);
-        assert_eq!(s.total_samples_done(), 321);
+        assert_eq!(s.per_worker[&5].samples_done, 321);
     }
 }

@@ -33,9 +33,9 @@ fn concurrent_workers_complete_every_shard_exactly() {
             match held[w].take() {
                 // Every worker is flaky once: it drops the first shard it
                 // fetches, forcing requeues.
-                Some(lease) if !dropped_one[w] => {
+                Some(_) if !dropped_one[w] => {
                     dropped_one[w] = true;
-                    svc.report_failed(w as u32, lease).unwrap();
+                    svc.fail_worker(w as u32);
                 }
                 Some(lease) => {
                     svc.report_done(w as u32, lease).unwrap();

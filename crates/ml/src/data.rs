@@ -86,14 +86,6 @@ impl Dataset {
         self.index.iter().map(|&(_, label)| label)
     }
 
-    /// Fraction of positive labels.
-    pub fn positive_rate(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.labels().filter(|&l| l > 0.5).count() as f64 / self.len() as f64
-    }
-
     /// 128-bit FNV-1a over the little-endian bytes of the indices, then of each
     /// row's end offset and label bits (so a moved row boundary differs).
     fn digest(&self) -> u128 {
@@ -124,16 +116,6 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn positive_rate_counts_labels() {
-        let mut d = Dataset::new(4);
-        for label in [1.0, 0.0, 0.0, 1.0] {
-            d.push(&[0], label);
-        }
-        assert!((d.positive_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(Dataset::new(1).positive_rate(), 0.0);
-    }
 
     #[test]
     fn rows_round_trip_including_empty_ones() {

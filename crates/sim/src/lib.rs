@@ -30,7 +30,7 @@ pub use control::{ChannelVerdict, ControlChannel};
 pub use engine::Engine;
 pub use gantt::{Gantt, Span, SpanKind};
 pub use network::Link;
-pub use profile::{ContentionPhase, NodeProfile, TransientPattern};
+pub use profile::{ContentionPhase, ContentionSpan, NodeContention, NodeProfile, TransientPattern};
 pub use rng::RngPool;
 pub use sched::{BusynessTimeline, SchedulerModel};
 pub use series::TimeSeries;

@@ -44,11 +44,6 @@ impl Link {
         }
         f
     }
-
-    /// Time to move `bytes` over this link starting at `now`, in seconds.
-    pub fn transfer_secs(&self, now: SimTime, bytes: u64) -> f64 {
-        self.latency_secs + bytes as f64 / self.bandwidth_bps * self.congestion_at(now)
-    }
 }
 
 /// Cost of a ring AllReduce of `bytes` gradient data over `n` ranks:
@@ -72,22 +67,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_includes_latency_and_bandwidth() {
-        let l = Link { latency_secs: 0.001, bandwidth_bps: 1_000_000.0, congestion: Vec::new() };
-        let t = l.transfer_secs(SimTime::ZERO, 500_000);
-        assert!((t - 0.501).abs() < 1e-9);
-    }
-
-    #[test]
     fn congestion_window_multiplies() {
         let l = Link {
             latency_secs: 0.0,
             bandwidth_bps: 1_000_000.0,
             congestion: vec![(SimTime::from_secs_f64(10.0), SimTime::from_secs_f64(20.0), 4.0)],
         };
-        assert!((l.transfer_secs(SimTime::from_secs_f64(5.0), 1_000_000) - 1.0).abs() < 1e-9);
-        assert!((l.transfer_secs(SimTime::from_secs_f64(15.0), 1_000_000) - 4.0).abs() < 1e-9);
-        assert!((l.transfer_secs(SimTime::from_secs_f64(25.0), 1_000_000) - 1.0).abs() < 1e-9);
+        assert_eq!(l.congestion_at(SimTime::from_secs_f64(5.0)), 1.0);
+        assert_eq!(l.congestion_at(SimTime::from_secs_f64(15.0)), 4.0);
+        assert_eq!(l.congestion_at(SimTime::from_secs_f64(25.0)), 1.0);
     }
 
     #[test]

@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn labels_are_imbalanced_like_ctr_data() {
         let d = generate(&CtrConfig::default().with_samples(20_000));
-        let rate = d.positive_rate();
+        let rate = d.labels().filter(|&l| l > 0.5).count() as f64 / d.len() as f64;
         assert!((0.05..0.45).contains(&rate), "positive rate {rate}");
     }
 

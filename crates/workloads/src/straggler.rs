@@ -193,17 +193,21 @@ mod tests {
         let mut spec = cluster_a_scaled(4, 3);
         apply(&mut spec, Scenario::ServerPersistent { intensity: 0.8 });
         let s = &spec.servers[2];
-        assert!((s.profile.slowdown(SimTime::ZERO) - 7.4).abs() < 1e-9);
+        assert!((s.profile.slowdown(&RngPool::new(1), SimTime::ZERO) - 7.4).abs() < 1e-9);
         assert!((s.link.congestion_at(SimTime::ZERO) - 2.6).abs() < 1e-9);
         // Other servers untouched.
-        assert_eq!(spec.servers[0].profile.slowdown(SimTime::ZERO), 1.0);
+        assert_eq!(spec.servers[0].profile.slowdown(&RngPool::new(1), SimTime::ZERO), 1.0);
     }
 
     #[test]
     fn non_dedicated_mean_slowdown_is_close_to_target() {
         let mut spec = cluster_a_scaled(30, 12);
         apply(&mut spec, Scenario::NonDedicated { mean_slowdown: 4.0 });
-        let mean: f64 = spec.workers.iter().map(|w| w.profile.slowdown(SimTime::ZERO)).sum::<f64>()
+        let mean: f64 = spec
+            .workers
+            .iter()
+            .map(|w| w.profile.slowdown(&RngPool::new(1), SimTime::ZERO))
+            .sum::<f64>()
             / spec.workers.len() as f64;
         assert!((2.5..5.5).contains(&mean), "mean slowdown {mean}");
     }
@@ -218,7 +222,9 @@ mod tests {
             .phases
             .iter()
             .any(|p| matches!(p, ContentionPhase::Persistent { .. })));
-        assert!((spec.servers[3].profile.slowdown(SimTime::ZERO) - 3.0).abs() < 1e-9);
+        assert!(
+            (spec.servers[3].profile.slowdown(&RngPool::new(1), SimTime::ZERO) - 3.0).abs() < 1e-9
+        );
     }
 
     #[test]

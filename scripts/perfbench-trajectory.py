@@ -8,10 +8,12 @@
 Run from the repository root. The file has two sections:
 
 * "deterministic": the `--record` fields of seeds 0-31 for every benchmark
-  workload, the Rust line counts and a digest of tests/golden/. The same
-  source always gives the same bytes, so CI regenerates this section with
-  --check and fails on any difference: a change that moves an event count,
-  a line count or a golden must commit the new numbers.
+  workload, the Rust line counts, a digest of tests/golden/ and a sha256 of
+  each experiment id's `experiments --frozen-wall <id>` report (every id
+  `experiments all` runs). The same source always gives the same bytes, so
+  CI regenerates this section with --check and fails on any difference: a
+  change that moves an event count, a line count, a golden or a printed
+  figure must commit the new numbers.
 * "calibrated": the median and IQR of every end-to-end metric over RUNS
   runs of SECONDS each at the held-out seed SEED, with the host's core
   count and the rustc version. Host timings are noisy, so nothing gates
@@ -40,13 +42,33 @@ SEED, SECONDS, RUNS = 23, 5, 7
 
 
 def build():
+    """Build the benchmark and the `experiments` binary; return both paths."""
     target = os.path.abspath(os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
     subprocess.run(
         ["cargo", "build", "--release", "--offline", "--quiet",
          "--manifest-path", os.path.join("perfbench", "Cargo.toml"), "--target-dir", target],
         check=True,
     )
-    return os.path.join(target, "release", "antdt-perfbench")
+    subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--quiet",
+         "-p", "antdt-bench", "--bin", "experiments", "--target-dir", target],
+        check=True,
+    )
+    release = os.path.join(target, "release")
+    return os.path.join(release, "antdt-perfbench"), os.path.join(release, "experiments")
+
+
+def experiment_digests(experiments):
+    """sha256 of each id's frozen-wall report, for the ids `all` runs."""
+    listing = subprocess.run([experiments, "list"], check=True, capture_output=True,
+                             text=True).stdout.splitlines()[1:]
+    ids = [line.split()[0] for line in listing if line.split()[0] not in ("all", "perf")]
+    out = {}
+    for eid in ids:
+        report = subprocess.run([experiments, "--frozen-wall", eid], check=True,
+                                capture_output=True).stdout
+        out[eid] = {"sha256": hashlib.sha256(report).hexdigest()}
+    return out
 
 
 def scalar(token):
@@ -142,11 +164,12 @@ def golden_digest():
     return {"sha256": total.hexdigest(), "files": per_file}
 
 
-def deterministic(binary):
+def deterministic(binary, experiments):
     return {
         "records": records(binary),
         "lines": line_counts(),
         "golden": golden_digest(),
+        "experiments": experiment_digests(experiments),
     }
 
 
@@ -203,8 +226,8 @@ def main():
                       help="refresh the deterministic section, keep the calibrated one")
     args = ap.parse_args()
 
-    binary = build()
-    fresh = deterministic(binary)
+    binary, experiments = build()
+    fresh = deterministic(binary, experiments)
     committed = None
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as f:
