@@ -7,8 +7,8 @@
 //!    the Monitor every `report_every_iters` iterations (paper default 10).
 //! 2. **Execute**: receives actions from the Controller. *Node actions*
 //!    (`KILL_RESTART`) fire independently. *Global actions* (`ADJUST_BS`,
-//!    `BACKUP_WORKERS`, `ADJUST_LR`) go through the synchronization mechanism
-//!    of Fig. 6: a randomly-elected **primary agent** receives the Controller's
+//!    `BACKUP_WORKERS`) go through the synchronization mechanism of Fig. 6:
+//!    a randomly-elected **primary agent** receives the Controller's
 //!    response and broadcasts it to all secondary agents; a local barrier
 //!    between each agent and its training process guarantees every worker
 //!    applies the action *in the same iteration*.

@@ -16,11 +16,6 @@ use antdt_monitor::NodeId;
 use antdt_sim::SimTime;
 use std::collections::BTreeSet;
 
-/// Directly-delivered (non-bus) actions draw seqs from a disjoint namespace
-/// so tests and embedders of the bare `deliver` API never collide with
-/// bus-assigned sequence numbers.
-const LOCAL_SEQ_BASE: u64 = 1 << 63;
-
 /// Delivery counts one [`Agent`] always keeps ([`Agent::counts`]); a job
 /// sums them over its agents (broadcast/barrier visibility: deliveries fan
 /// out, applications happen at iteration boundaries).
@@ -28,7 +23,7 @@ const LOCAL_SEQ_BASE: u64 = 1 << 63;
 pub struct AgentCounts {
     /// Actions delivered into the inbox by the broadcast.
     pub delivered: u64,
-    /// Actions applied at an iteration boundary (`take_due`).
+    /// Actions applied at an iteration boundary (`take_due_into`).
     pub applied: u64,
     /// Directives rejected by the generation fence (stale after a restart).
     pub rejected: u64,
@@ -71,7 +66,6 @@ pub struct Agent {
     inbox: Vec<(SimTime, u64, Action)>,
     /// Seqs accepted by this incarnation (dedup under redelivery).
     seen: BTreeSet<u64>,
-    next_local_seq: u64,
     counts: AgentCounts,
 }
 
@@ -84,7 +78,6 @@ impl Agent {
             gen: 0,
             inbox: Vec::new(),
             seen: BTreeSet::new(),
-            next_local_seq: LOCAL_SEQ_BASE,
             counts: AgentCounts::default(),
         }
     }
@@ -133,36 +126,18 @@ impl Agent {
         DeliveryOutcome::Accepted
     }
 
-    /// Deliver a broadcast action that becomes effective at `at` without bus
-    /// framing: the action is wrapped in a directive fenced to the current
-    /// incarnation with a locally-drawn seq (disjoint from bus seqs).
-    pub fn deliver(&mut self, at: SimTime, action: Action) {
-        let seq = self.next_local_seq;
-        self.next_local_seq += 1;
-        let d = Directive { seq, decided_at: at, fence_gen: self.gen, action };
-        let outcome = self.deliver_directive(at, &d);
-        debug_assert_eq!(outcome, DeliveryOutcome::Accepted);
-    }
-
-    /// At an iteration boundary at time `now`, drain every action whose
-    /// delivery time has passed, in `(delivery time, seq)` order. The delivery
-    /// timestamp and seq are kept so the runtime can audit that every survivor
-    /// applied the same broadcast (chaos-drill convergence invariant) and mark
-    /// the directive's fate.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<(SimTime, u64, Action)> {
-        let mut due = Vec::new();
-        self.take_due_into(now, &mut due);
-        due
-    }
-
-    /// Whether [`Agent::take_due`] at `now` would return anything. The inbox
-    /// is sorted by delivery time, so its first entry decides.
+    /// Whether [`Agent::take_due_into`] at `now` would drain anything. The
+    /// inbox is sorted by delivery time, so its first entry decides.
     pub fn has_due(&self, now: SimTime) -> bool {
         self.inbox.first().is_some_and(|&(at, _, _)| at <= now)
     }
 
-    /// Allocation-free [`Agent::take_due`]: appends the due actions to `out`
-    /// so a caller-owned buffer can be reused across iteration boundaries.
+    /// At an iteration boundary at time `now`, drain every action whose
+    /// delivery time has passed into `out`, in `(delivery time, seq)` order,
+    /// so a caller-owned buffer is reused across boundaries. The delivery
+    /// timestamp and seq are kept so the runtime can audit that every
+    /// survivor applied the same broadcast (chaos-drill convergence
+    /// invariant) and mark the directive's fate.
     pub fn take_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, u64, Action)>) {
         let n = self.inbox.iter().take_while(|&&(at, _, _)| at <= now).count();
         self.counts.applied += n as u64;
@@ -180,10 +155,6 @@ impl Agent {
         self.seen.clear();
         self.inbox.drain(..).map(|(_, seq, _)| seq).collect()
     }
-
-    pub fn pending(&self) -> usize {
-        self.inbox.len()
-    }
 }
 
 #[cfg(test)]
@@ -199,6 +170,17 @@ mod tests {
         Directive { seq, decided_at: t(0.0), fence_gen, action }
     }
 
+    fn take_due(a: &mut Agent, now: SimTime) -> Vec<(SimTime, u64, Action)> {
+        let mut due = Vec::new();
+        a.take_due_into(now, &mut due);
+        due
+    }
+
+    /// Nothing left in the inbox, due or not.
+    fn drained(a: &Agent) -> bool {
+        !a.has_due(t(1e9))
+    }
+
     #[test]
     fn reports_every_n_iterations() {
         let mut a = Agent::new(NodeId::worker(0), AgentConfig { report_every_iters: 3 });
@@ -209,25 +191,25 @@ mod tests {
     #[test]
     fn actions_apply_only_after_delivery_time() {
         let mut a = Agent::new(NodeId::worker(1), AgentConfig::default());
-        a.deliver(t(10.0), Action::BackupWorkers { b: 1 });
-        a.deliver(t(20.0), Action::None);
-        assert!(a.take_due(t(5.0)).is_empty());
-        let first = a.take_due(t(10.0));
+        a.deliver_directive(t(10.0), &dir(1, 0, Action::BackupWorkers { b: 1 }));
+        a.deliver_directive(t(20.0), &dir(2, 0, Action::None));
+        assert!(take_due(&mut a, t(5.0)).is_empty());
+        let first = take_due(&mut a, t(10.0));
         assert_eq!(first.len(), 1);
         assert_eq!((first[0].0, &first[0].2), (t(10.0), &Action::BackupWorkers { b: 1 }));
-        let second = a.take_due(t(25.0));
+        let second = take_due(&mut a, t(25.0));
         assert_eq!(second.len(), 1);
         assert_eq!((second[0].0, &second[0].2), (t(20.0), &Action::None));
-        assert_eq!(a.pending(), 0);
+        assert!(drained(&a));
     }
 
     #[test]
     fn delivery_order_is_preserved_within_a_boundary() {
         let mut a = Agent::new(NodeId::worker(1), AgentConfig::default());
-        a.deliver(t(1.0), Action::BackupWorkers { b: 1 });
-        a.deliver(t(2.0), Action::BackupWorkers { b: 2 });
+        a.deliver_directive(t(1.0), &dir(1, 0, Action::BackupWorkers { b: 1 }));
+        a.deliver_directive(t(2.0), &dir(2, 0, Action::BackupWorkers { b: 2 }));
         let due: Vec<(SimTime, Action)> =
-            a.take_due(t(3.0)).into_iter().map(|(at, _, x)| (at, x)).collect();
+            take_due(&mut a, t(3.0)).into_iter().map(|(at, _, x)| (at, x)).collect();
         assert_eq!(
             due,
             vec![
@@ -246,7 +228,7 @@ mod tests {
         a.deliver_directive(t(5.0), &dir(9, 0, Action::BackupWorkers { b: 9 }));
         a.deliver_directive(t(5.0), &dir(3, 0, Action::BackupWorkers { b: 3 }));
         a.deliver_directive(t(5.0), &dir(7, 0, Action::BackupWorkers { b: 7 }));
-        let seqs: Vec<u64> = a.take_due(t(5.0)).into_iter().map(|(_, s, _)| s).collect();
+        let seqs: Vec<u64> = take_due(&mut a, t(5.0)).into_iter().map(|(_, s, _)| s).collect();
         assert_eq!(seqs, vec![3, 7, 9]);
     }
 
@@ -257,7 +239,7 @@ mod tests {
         assert_eq!(a.deliver_directive(t(1.0), &d), DeliveryOutcome::Accepted);
         assert_eq!(a.deliver_directive(t(1.0), &d), DeliveryOutcome::Duplicate);
         assert_eq!(a.deliver_directive(t(2.0), &d), DeliveryOutcome::Duplicate);
-        assert_eq!(a.take_due(t(10.0)).len(), 1, "one application despite three deliveries");
+        assert_eq!(take_due(&mut a, t(10.0)).len(), 1, "one application despite three deliveries");
     }
 
     #[test]
@@ -269,7 +251,7 @@ mod tests {
             a.deliver_directive(t(1.0), &stale),
             DeliveryOutcome::RejectedStale { agent_gen: 1 }
         );
-        assert_eq!(a.pending(), 0);
+        assert!(drained(&a));
         let fresh = dir(2, 1, Action::BackupWorkers { b: 2 });
         assert_eq!(a.deliver_directive(t(1.0), &fresh), DeliveryOutcome::Accepted);
     }
@@ -280,7 +262,7 @@ mod tests {
         a.deliver_directive(t(1.0), &dir(5, 0, Action::None));
         a.deliver_directive(t(2.0), &dir(6, 0, Action::None));
         assert_eq!(a.reset(), vec![5, 6]);
-        assert_eq!(a.pending(), 0);
+        assert!(drained(&a));
     }
 
     #[test]
@@ -292,12 +274,12 @@ mod tests {
             c += b.counts();
             c
         };
-        a.deliver(t(1.0), Action::None);
-        b.deliver(t(1.0), Action::None);
-        b.deliver(t(9.0), Action::None);
+        a.deliver_directive(t(1.0), &dir(10, 0, Action::None));
+        b.deliver_directive(t(1.0), &dir(10, 0, Action::None));
+        b.deliver_directive(t(9.0), &dir(11, 0, Action::None));
         assert_eq!(sum(&a, &b).delivered, 3);
-        a.take_due(t(2.0));
-        b.take_due(t(2.0));
+        take_due(&mut a, t(2.0));
+        take_due(&mut b, t(2.0));
         assert_eq!(sum(&a, &b).applied, 2, "the t=9 delivery is not yet due");
         let d = dir(1, 0, Action::None);
         a.deliver_directive(t(3.0), &d);
@@ -312,9 +294,9 @@ mod tests {
     fn reset_clears_everything() {
         let mut a = Agent::new(NodeId::worker(0), AgentConfig { report_every_iters: 2 });
         a.on_iteration();
-        a.deliver(t(1.0), Action::None);
+        a.deliver_directive(t(1.0), &dir(1, 0, Action::None));
         a.reset();
-        assert_eq!(a.pending(), 0);
+        assert!(drained(&a));
         // Cadence restarts from zero.
         assert!(!a.on_iteration());
         assert!(a.on_iteration());
@@ -346,7 +328,11 @@ mod tests {
                     _ => {
                         let due = a.has_due(now);
                         drains[usize::from(due)] += 1;
-                        assert_eq!(due, !a.take_due(now).is_empty(), "seed {seed} step {step}");
+                        assert_eq!(
+                            due,
+                            !take_due(&mut a, now).is_empty(),
+                            "seed {seed} step {step}"
+                        );
                         assert!(!a.has_due(now), "seed {seed} step {step}: drained");
                     }
                 }
@@ -378,14 +364,13 @@ mod tests {
                 }
             }
             expected.sort_unstable();
-            let applied: Vec<(u32, u64)> = a
-                .take_due(t(1e9))
+            let applied: Vec<(u32, u64)> = take_due(&mut a, t(1e9))
                 .into_iter()
                 .map(|(at, seq, _)| (at.as_micros() as u32 / 1_000_000, seq))
                 .collect();
             // Each unique seq applied exactly once, in (at, seq) order.
             assert_eq!(applied, expected, "seed {seed}");
-            assert_eq!(a.pending(), 0, "seed {seed}");
+            assert!(drained(&a), "seed {seed}");
         }
     }
 }

@@ -14,8 +14,8 @@
 
 use crate::util::{header, secs, table};
 use antdt_core::{
-    ChaosInjection, CkptConfig, CkptPolicy, FailoverMode, InjectedFault, Job, JobConfig, JobReport,
-    MitigationChoice, StorageTier,
+    CkptConfig, CkptPolicy, FailoverMode, Fault, FaultEvent, Job, JobConfig, JobReport,
+    MitigationChoice, NodeRef, StorageTier,
 };
 use antdt_sim::SimDuration;
 use antdt_workloads::cluster::cluster_a_scaled;
@@ -43,15 +43,15 @@ fn base() -> JobConfig {
 
 /// The seeded kill plan, placed relative to the fault-free JCT so both kills
 /// land mid-job at any absolute scale: worker 1 at 30%, worker 2 at 65%.
-fn kills(clean_jct_secs: f64) -> Vec<ChaosInjection> {
+fn kills(clean_jct_secs: f64) -> Vec<FaultEvent> {
     vec![
-        ChaosInjection {
+        FaultEvent {
             at_secs: clean_jct_secs * 0.30,
-            fault: InjectedFault::KillWorker { w: 1 },
+            fault: Fault::KillNode { node: NodeRef::Worker(1) },
         },
-        ChaosInjection {
+        FaultEvent {
             at_secs: clean_jct_secs * 0.65,
-            fault: InjectedFault::KillWorker { w: 2 },
+            fault: Fault::KillNode { node: NodeRef::Worker(2) },
         },
     ]
 }

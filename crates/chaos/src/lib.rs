@@ -4,11 +4,12 @@
 //! mitigation actions) are only as good as the drills that exercise them.
 //! This crate turns the discrete-event simulator into a chaos harness:
 //!
-//! * [`FaultPlan`] — a DSL of timestamped fault events
-//!   (node kills, restart delays, link degradation, DDS outages, lossy
-//!   reporting), compiled onto a `JobConfig`'s injection hooks and delivered
-//!   as first-class simulator events, so every drill is bit-for-bit
-//!   reproducible from `(plan, seed)`;
+//! * [`FaultPlan`] — a named list of timestamped [`FaultEvent`]s (node
+//!   kills, restart delays, link degradation, DDS outages, lossy reporting,
+//!   control-bus degradation) in `antdt-core`'s one fault vocabulary,
+//!   compiled (sorted by time) into a `JobConfig`'s `injections` and
+//!   delivered as first-class simulator events, so every drill is
+//!   bit-for-bit reproducible from `(plan, seed)`;
 //! * [`invariants`] — post-drill checkers: at-least-once / at-most-once
 //!   shard audits, barrier liveness (a wedged drill must *fail loudly* via
 //!   the watchdog, never hang), global-action convergence across surviving
@@ -40,6 +41,9 @@ pub mod driver;
 pub mod invariants;
 pub mod plan;
 
+/// The fault vocabulary is `antdt-core`'s, re-exported so a plan is written
+/// against this crate alone.
+pub use antdt_core::{Fault, FaultEvent, NodeRef};
 pub use driver::{ChaosDriver, DrillReport, MatrixReport};
 pub use invariants::InvariantOutcome;
-pub use plan::{Fault, FaultEvent, FaultPlan, NodeRef, PlanBounds};
+pub use plan::{FaultPlan, PlanBounds};

@@ -1,65 +1,11 @@
-//! The fault-plan DSL: a timestamped list of faults that a
-//! chaos drill injects into a job. Plans are cluster-shape-agnostic until
-//! [`FaultPlan::compile`] lowers them onto a concrete [`antdt_core::JobConfig`]'s
-//! injection hooks; `JobConfig::validate` then checks every target against the
-//! actual cluster, so a plan written for the wrong topology fails loudly
-//! before the simulation starts.
+//! The fault-plan DSL: a named, timestamped list of `antdt-core`
+//! [`FaultEvent`]s that a chaos drill injects into a job. Plans are
+//! cluster-shape-agnostic until `JobConfig::validate` checks every target
+//! against the actual cluster, so a plan written for the wrong topology fails
+//! loudly before the simulation starts.
 
-use antdt_core::{ChaosInjection, InjectedFault};
+use antdt_core::{Fault, FaultEvent, NodeRef};
 use antdt_sim::rng::StdRng;
-
-/// A node slot targeted by a fault. Slots are stable across restarts (the
-/// runtime resolves the current incarnation when the fault fires).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRef {
-    Worker(u32),
-    Server(u32),
-}
-
-impl NodeRef {
-    fn expect_worker(self, what: &str) -> u32 {
-        match self {
-            NodeRef::Worker(w) => w,
-            NodeRef::Server(_) => panic!("{what} targets a server; only workers are supported"),
-        }
-    }
-}
-
-/// One fault kind in the DSL. Mirrors the runtime's [`InjectedFault`]
-/// vocabulary but stays independent of it so plans can be stored and
-/// replayed without dragging the whole job configuration along.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Fault {
-    /// Kill a node; the job's normal failover path (requeue + replacement
-    /// pod, or checkpoint rollback) runs as usual.
-    KillNode { node: NodeRef },
-    /// Kill a worker with failover disabled — no shard requeue, no
-    /// replacement. The canonical barrier-stall drill: the job can never
-    /// complete and the liveness watchdog must catch it.
-    KillNodeNoFailover { node: NodeRef },
-    /// Extra scheduler pending time charged to the worker's next restart.
-    RestartDelay { node: NodeRef, extra_secs: f64 },
-    /// Divide the worker's link bandwidth by `factor` for `window_secs`.
-    NetworkDegrade { node: NodeRef, factor: f64, window_secs: f64 },
-    /// The DDS service is unreachable for `window_secs`.
-    DdsOutage { window_secs: f64 },
-    /// Drop each Agent→Monitor report with probability `prob` (seeded) for
-    /// `window_secs`.
-    DropReports { prob: f64, window_secs: f64, seed: u64 },
-    /// Degrade the control bus for `window_secs`: every control message
-    /// (report, directive, ack) rides a lossy delayed channel instead of the
-    /// job's configured one. The drill for the no-stale-directive invariant:
-    /// directives delayed past a kill must be fence-rejected, never applied
-    /// by the wrong incarnation.
-    ControlDegrade { latency_secs: f64, loss_prob: f64, window_secs: f64, seed: u64 },
-}
-
-/// A fault scheduled at an absolute simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    pub at_secs: f64,
-    pub fault: Fault,
-}
 
 /// A named, ordered fault schedule — the unit a [`crate::ChaosDriver`] drills.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,43 +38,10 @@ impl FaultPlan {
         self.events.iter().any(|e| matches!(e.fault, Fault::KillNodeNoFailover { .. }))
     }
 
-    /// Lower the plan onto the runtime's injection hooks, sorted by fire time
-    /// (ties keep plan order).
-    pub fn compile(&self) -> Vec<ChaosInjection> {
-        let mut out: Vec<ChaosInjection> = self
-            .events
-            .iter()
-            .map(|e| ChaosInjection {
-                at_secs: e.at_secs,
-                fault: match e.fault.clone() {
-                    Fault::KillNode { node } => match node {
-                        NodeRef::Worker(w) => InjectedFault::KillWorker { w },
-                        NodeRef::Server(s) => InjectedFault::KillServer { s },
-                    },
-                    Fault::KillNodeNoFailover { node } => InjectedFault::KillWorkerNoFailover {
-                        w: node.expect_worker("KillNodeNoFailover"),
-                    },
-                    Fault::RestartDelay { node, extra_secs } => InjectedFault::RestartDelay {
-                        w: node.expect_worker("RestartDelay"),
-                        extra_secs,
-                    },
-                    Fault::NetworkDegrade { node, factor, window_secs } => {
-                        InjectedFault::NetworkDegrade {
-                            w: node.expect_worker("NetworkDegrade"),
-                            factor,
-                            window_secs,
-                        }
-                    }
-                    Fault::DdsOutage { window_secs } => InjectedFault::DdsOutage { window_secs },
-                    Fault::DropReports { prob, window_secs, seed } => {
-                        InjectedFault::DropReports { prob, window_secs, seed }
-                    }
-                    Fault::ControlDegrade { latency_secs, loss_prob, window_secs, seed } => {
-                        InjectedFault::ControlDegrade { latency_secs, loss_prob, window_secs, seed }
-                    }
-                },
-            })
-            .collect();
+    /// The plan's events sorted by fire time (ties keep plan order), ready
+    /// for `JobConfig::with_injections`.
+    pub fn compile(&self) -> Vec<FaultEvent> {
+        let mut out = self.events.clone();
         out.sort_by(|a, b| a.at_secs.partial_cmp(&b.at_secs).expect("finite times"));
         out
     }
@@ -185,23 +98,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compile_sorts_by_time_and_maps_kinds() {
-        let plan = FaultPlan::new("p")
-            .at(30.0, Fault::DdsOutage { window_secs: 10.0 })
-            .at(10.0, Fault::KillNode { node: NodeRef::Worker(2) });
-        let inj = plan.compile();
-        assert_eq!(inj.len(), 2);
-        assert_eq!(inj[0].at_secs, 10.0);
-        assert_eq!(inj[0].fault, InjectedFault::KillWorker { w: 2 });
-        assert_eq!(inj[1].fault, InjectedFault::DdsOutage { window_secs: 10.0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "targets a server")]
-    fn no_failover_kill_of_server_is_rejected_at_compile() {
-        FaultPlan::new("bad")
-            .at(1.0, Fault::KillNodeNoFailover { node: NodeRef::Server(0) })
-            .compile();
+    fn compile_sorts_by_time_keeping_plan_order_on_ties() {
+        let outage = Fault::DdsOutage { window_secs: 10.0 };
+        let kill = |w| Fault::KillNode { node: NodeRef::Worker(w) };
+        let plan = FaultPlan::new("p").at(30.0, outage.clone()).at(10.0, kill(2)).at(10.0, kill(1));
+        let at: Vec<(f64, Fault)> =
+            plan.compile().into_iter().map(|e| (e.at_secs, e.fault)).collect();
+        assert_eq!(at, vec![(10.0, kill(2)), (10.0, kill(1)), (30.0, outage)]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The straggler-mitigation action set (paper Table II).
+//! The straggler-mitigation action set (paper Table II), less `ADJUST_LR`:
+//! no shipped solution issues it and no paper experiment measures it.
 
 use antdt_monitor::NodeId;
 use std::sync::Arc;
@@ -19,9 +20,6 @@ pub enum Action {
     BackupWorkers { b: u32 },
     /// Scheduling: kill `node` and restart it on (hopefully) healthy hardware.
     KillRestart { node: NodeId },
-    /// Optimization: scale each worker's learning rate (penalize stale
-    /// gradients from lagging workers).
-    AdjustLr { scales: Arc<[f32]> },
     /// Dummy action — explicitly "do nothing this round" (§V-E1).
     None,
 }
@@ -36,7 +34,6 @@ impl Action {
             }
             Action::BackupWorkers { .. } => 12,
             Action::KillRestart { .. } => 16,
-            Action::AdjustLr { scales } => (scales.len() * 4 + 8) as u64,
             Action::None => 4,
         }
     }

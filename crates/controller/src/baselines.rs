@@ -159,54 +159,6 @@ impl MitigationPolicy for KillRestartOnly {
     }
 }
 
-/// Optimization-based mitigation (`ADJUST_LR`, e.g. \[51\]–\[53\]): scale each
-/// straggler's learning rate by `mean BPT / its BPT` (clamped), penalizing
-/// stale gradients. The paper excludes this from JCT comparisons since it
-/// trades statistical efficiency, not wall-clock time.
-#[derive(Debug, Clone)]
-pub struct AdjustLrPolicy {
-    pub lambda: f64,
-    pub min_scale: f32,
-    last_scales: Option<Vec<f32>>,
-}
-
-impl AdjustLrPolicy {
-    pub fn new(lambda: f64) -> Self {
-        AdjustLrPolicy { lambda, min_scale: 0.1, last_scales: None }
-    }
-}
-
-impl MitigationPolicy for AdjustLrPolicy {
-    fn clone_box(&self) -> Box<dyn MitigationPolicy> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "adjust-lr"
-    }
-
-    fn decide(&mut self, _now: SimTime, snap: &MonitorSnapshot, _ctx: &PolicyCtx) -> Vec<Action> {
-        let Some(mean) = snap.mean_worker_bpt_trans() else {
-            return vec![Action::None];
-        };
-        let scales: Vec<f32> = snap
-            .workers
-            .iter()
-            .map(|s| match (s.alive, s.bpt_trans) {
-                (true, Some(t)) if t >= self.lambda * mean => {
-                    ((mean / t) as f32).clamp(self.min_scale, 1.0)
-                }
-                _ => 1.0,
-            })
-            .collect();
-        if self.last_scales.as_ref() == Some(&scales) {
-            return vec![Action::None];
-        }
-        self.last_scales = Some(scales.clone());
-        vec![Action::AdjustLr { scales: scales.into() }]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,16 +216,5 @@ mod tests {
         let s = snap(vec![worker(0, 2.0, true), worker(1, 6.0, true), worker(2, 8.0, true)]);
         let a = p.decide(SimTime::from_secs_f64(600.0), &s, &ctx(3));
         assert_eq!(a, vec![Action::KillRestart { node: NodeId::worker(2) }]);
-    }
-
-    #[test]
-    fn adjust_lr_penalizes_stragglers_only() {
-        let mut p = AdjustLrPolicy::new(1.5);
-        let s = snap(vec![worker(0, 2.0, true), worker(1, 8.0, true)]);
-        let a = p.decide(SimTime::ZERO, &s, &ctx(2));
-        let Action::AdjustLr { scales } = &a[0] else { panic!("{a:?}") };
-        assert_eq!(scales[0], 1.0);
-        assert!(scales[1] < 1.0 && scales[1] >= 0.1);
-        assert_eq!(p.decide(SimTime::ZERO, &s, &ctx(2)), vec![Action::None]);
     }
 }

@@ -43,7 +43,6 @@ impl MitigationPolicy for Composite {
         let mut out: Vec<Action> = Vec::new();
         let mut saw_adjust_bs = false;
         let mut saw_backup = false;
-        let mut saw_lr = false;
         let mut killed: HashSet<NodeId> = HashSet::new();
         for p in &mut self.parts {
             for action in p.decide(now, snap, ctx) {
@@ -58,12 +57,6 @@ impl MitigationPolicy for Composite {
                     Action::BackupWorkers { .. } => {
                         if !saw_backup {
                             saw_backup = true;
-                            out.push(action);
-                        }
-                    }
-                    Action::AdjustLr { .. } => {
-                        if !saw_lr {
-                            saw_lr = true;
                             out.push(action);
                         }
                     }

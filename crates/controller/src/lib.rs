@@ -13,7 +13,6 @@
 //! | [`LbBsp`]        | LB-BSP baseline \[18\]: throughput-proportional batch re-balancing, no kills |
 //! | [`BackupWorkersPolicy`] | Sync-OPT backup workers \[28\] (the DDS puts dropped shards back) |
 //! | [`KillRestartOnly`] | scheduling-only mitigation (also what AntDT-ND degrades to in ASP mode) |
-//! | [`AdjustLrPolicy`] | optimization-based baseline (excluded from the paper's JCT comparisons, provided for completeness) |
 //! | [`NoMitigation`] | native BSP/ASP/DDP |
 //!
 //! Policies are pure deciders: they consume [`antdt_monitor::MonitorSnapshot`]s and emit
@@ -33,7 +32,7 @@ pub use action::Action;
 /// `antdt-ckpt` leaf so policies and callers configure it from one place:
 /// `Fixed` pins the interval between captures.
 pub use antdt_ckpt::CkptPolicy;
-pub use baselines::{AdjustLrPolicy, BackupWorkersPolicy, KillRestartOnly, LbBsp, NoMitigation};
+pub use baselines::{BackupWorkersPolicy, KillRestartOnly, LbBsp, NoMitigation};
 pub use compose::{AdaptiveBackupWorkers, Composite};
 pub use dd::{AntDtDd, DeviceClassSpec, C_MAX};
 pub use nd::{AntDtNd, NdConfig};

@@ -8,6 +8,7 @@ use antdt_ml::Dataset;
 use antdt_monitor::MonitorConfig;
 use antdt_sim::{ContentionPhase, ControlChannel, SimDuration, SimTime};
 use antdt_workloads::{ClusterSpec, ModelProfile, Scenario};
+use std::fmt;
 
 /// Safety cap on simulated time: a run still incomplete after 30 days stops
 /// and reports `timed_out`.
@@ -85,10 +86,6 @@ pub enum MitigationChoice {
     LbBsp,
     /// Sync-OPT backup workers \[28\] with DDS put-back.
     BackupWorkers { b: u32 },
-    /// Scheduling-only baseline.
-    KillRestartOnly,
-    /// Optimization-based baseline.
-    AdjustLr,
 }
 
 /// How a killed *worker* is recovered (§V-E3, Fig. 17): AntDT's DDS-based
@@ -111,42 +108,46 @@ pub enum FailoverMode {
     Replay,
 }
 
-/// One chaos fault to inject at an absolute simulated time. These are the
-/// runtime-level hooks the `antdt-chaos` crate compiles its `FaultPlan` DSL
-/// into; they are delivered as first-class DES events (`Ev::ChaosFault`) so a
-/// drill is bit-for-bit reproducible for a given config + seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosInjection {
-    /// Absolute simulated time at which the fault fires.
-    pub at_secs: f64,
-    pub fault: InjectedFault,
+/// A node slot targeted by a fault. Slots are stable across restarts: the
+/// runtime resolves the current generation when the fault fires, so plans
+/// survive unrelated restarts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeRef {
+    Worker(u32),
+    Server(u32),
 }
 
-/// The fault vocabulary the runtimes understand. Node-scoped faults name the
-/// node *slot* (stable index), not a generation — the generation is resolved
-/// when the event fires, so plans survive unrelated restarts.
+impl fmt::Display for NodeRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NodeRef::Worker(w) => write!(f, "worker {w}"),
+            NodeRef::Server(s) => write!(f, "server {s}"),
+        }
+    }
+}
+
+/// The fault vocabulary the runtimes understand. Only [`Fault::KillNode`] may
+/// target a server; `JobConfig::validate` rejects a server slot anywhere else.
 #[derive(Debug, Clone, PartialEq)]
-pub enum InjectedFault {
-    /// Kill worker `w`; the configured failover path (DDS requeue, or a
-    /// checkpoint-replay rewind under `FailoverMode::Replay`) and the
-    /// scheduler restart both run as usual.
-    KillWorker { w: u32 },
-    /// Kill server `s`: the replacement restores the last durable checkpoint
-    /// (a DDS rewind plus replay of the lost work, whatever the
-    /// `FailoverMode`) after the scheduler restart. Requires a Parameter
-    /// Server job on the DDS data strategy.
-    KillServer { s: u32 },
-    /// Kill worker `w` with the failover machinery disabled: its DOING shards
+pub enum Fault {
+    /// Kill a node; the configured failover path and the scheduler restart
+    /// both run as usual. A killed worker fails over by DDS requeue, or by a
+    /// checkpoint-replay rewind under `FailoverMode::Replay`. A killed server's
+    /// replacement restores the last durable checkpoint (a DDS rewind plus
+    /// replay of the lost work, whatever the `FailoverMode`), so a server
+    /// kill requires a Parameter Server job on the DDS data strategy.
+    KillNode { node: NodeRef },
+    /// Kill a worker with the failover machinery disabled: its DOING shards
     /// are never requeued and no replacement pod is scheduled. This is the
     /// barrier-stall drill — the job can never complete and must be caught by
     /// the liveness watchdog rather than hang.
-    KillWorkerNoFailover { w: u32 },
-    /// Add `extra_secs` of scheduler pending time to worker `w`'s next
+    KillNodeNoFailover { node: NodeRef },
+    /// Add `extra_secs` of scheduler pending time to the worker's next
     /// restart (models a restart landing during cluster peak).
-    RestartDelay { w: u32, extra_secs: f64 },
-    /// Divide worker `w`'s link bandwidth by `factor` (> 1 degrades) for
+    RestartDelay { node: NodeRef, extra_secs: f64 },
+    /// Divide the worker's link bandwidth by `factor` (> 1 degrades) for
     /// `window_secs`, then restore it.
-    NetworkDegrade { w: u32, factor: f64, window_secs: f64 },
+    NetworkDegrade { node: NodeRef, factor: f64, window_secs: f64 },
     /// The DDS service is unreachable for `window_secs`: fetches return
     /// nothing and workers fall back to their data-poll retry loop until the
     /// outage lifts. Completion reports are client-buffered and still land.
@@ -163,28 +164,23 @@ pub enum InjectedFault {
     ControlDegrade { latency_secs: f64, loss_prob: f64, window_secs: f64, seed: u64 },
 }
 
-impl InjectedFault {
+impl Fault {
     /// Compact human label used in drill reports.
     pub fn describe(&self) -> String {
         match self {
-            InjectedFault::KillWorker { w } => format!("kill worker {w}"),
-            InjectedFault::KillServer { s } => format!("kill server {s}"),
-            InjectedFault::KillWorkerNoFailover { w } => {
-                format!("kill worker {w} (failover disabled)")
+            Fault::KillNode { node } => format!("kill {node}"),
+            Fault::KillNodeNoFailover { node } => format!("kill {node} (failover disabled)"),
+            Fault::RestartDelay { node, extra_secs } => {
+                format!("delay {node} restart by {extra_secs:.0}s")
             }
-            InjectedFault::RestartDelay { w, extra_secs } => {
-                format!("delay worker {w} restart by {extra_secs:.0}s")
+            Fault::NetworkDegrade { node, factor, window_secs } => {
+                format!("degrade {node} link {factor:.1}x for {window_secs:.0}s")
             }
-            InjectedFault::NetworkDegrade { w, factor, window_secs } => {
-                format!("degrade worker {w} link {factor:.1}x for {window_secs:.0}s")
-            }
-            InjectedFault::DdsOutage { window_secs } => {
-                format!("dds outage for {window_secs:.0}s")
-            }
-            InjectedFault::DropReports { prob, window_secs, .. } => {
+            Fault::DdsOutage { window_secs } => format!("dds outage for {window_secs:.0}s"),
+            Fault::DropReports { prob, window_secs, .. } => {
                 format!("drop {:.0}% of reports for {window_secs:.0}s", prob * 100.0)
             }
-            InjectedFault::ControlDegrade { latency_secs, loss_prob, window_secs, .. } => {
+            Fault::ControlDegrade { latency_secs, loss_prob, window_secs, .. } => {
                 format!(
                     "degrade control bus ({latency_secs:.0}s latency, {:.0}% loss) for {window_secs:.0}s",
                     loss_prob * 100.0
@@ -197,13 +193,23 @@ impl InjectedFault {
     /// instantaneous faults.
     pub fn window_secs(&self) -> Option<f64> {
         match self {
-            InjectedFault::NetworkDegrade { window_secs, .. }
-            | InjectedFault::DdsOutage { window_secs }
-            | InjectedFault::DropReports { window_secs, .. }
-            | InjectedFault::ControlDegrade { window_secs, .. } => Some(*window_secs),
+            Fault::NetworkDegrade { window_secs, .. }
+            | Fault::DdsOutage { window_secs }
+            | Fault::DropReports { window_secs, .. }
+            | Fault::ControlDegrade { window_secs, .. } => Some(*window_secs),
             _ => None,
         }
     }
+}
+
+/// A fault scheduled at an absolute simulated time. A job delivers each one
+/// as a first-class DES event (`Ev::ChaosFault`), so a drill is bit-for-bit
+/// reproducible for a given config + seed; `antdt-chaos` plans are lists of
+/// them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultEvent {
+    pub at_secs: f64,
+    pub fault: Fault,
 }
 
 /// Whether gradient math is real or ghosted (timing only).
@@ -258,7 +264,7 @@ pub struct JobConfig {
     /// Worker failover recovery scheme.
     pub failover: FailoverMode,
     /// Deterministic chaos faults at fixed simulated times (chaos drills).
-    pub injections: Vec<ChaosInjection>,
+    pub injections: Vec<FaultEvent>,
     /// Abort — reporting `stalled` — when no training progress happens for
     /// this long while the job is incomplete. Off by default; chaos drills
     /// turn it on so a deadlocked barrier fails loudly instead of hanging.
@@ -413,7 +419,7 @@ impl JobConfig {
         self.ckpt = c;
         self
     }
-    pub fn with_injections(mut self, injections: Vec<ChaosInjection>) -> Self {
+    pub fn with_injections(mut self, injections: Vec<FaultEvent>) -> Self {
         self.injections = injections;
         self
     }
@@ -476,6 +482,21 @@ impl JobConfig {
                 "backup worker count must leave at least one active worker"
             );
         }
+        // A mitigation whose action the architecture never reads would run
+        // the job unmitigated: only the PS-BSP barrier drops backup pushes,
+        // and a ring rank ignores KILL_RESTART, AntDT-ND-ASP's only action.
+        let ignored = match self.mitigation {
+            MitigationChoice::BackupWorkers { .. } => {
+                self.arch != Arch::ParameterServer { consistency: Consistency::Bsp }
+            }
+            MitigationChoice::AntDtNdAsp => self.arch == Arch::AllReduce,
+            _ => false,
+        };
+        assert!(
+            !ignored,
+            "mitigation {:?} does nothing on {:?}: the architecture ignores its action",
+            self.mitigation, self.arch
+        );
         if self.failover == FailoverMode::Replay {
             assert!(self.arch.is_ps(), "FailoverMode::Replay requires a Parameter Server job");
             assert!(
@@ -499,24 +520,24 @@ impl JobConfig {
                 "injection time must be finite and non-negative"
             );
             match &inj.fault {
-                InjectedFault::KillWorker { w }
-                | InjectedFault::KillWorkerNoFailover { w }
-                | InjectedFault::RestartDelay { w, .. }
-                | InjectedFault::NetworkDegrade { w, .. } => {
+                Fault::KillNode { node: NodeRef::Worker(w) }
+                | Fault::KillNodeNoFailover { node: NodeRef::Worker(w) }
+                | Fault::RestartDelay { node: NodeRef::Worker(w), .. }
+                | Fault::NetworkDegrade { node: NodeRef::Worker(w), .. } => {
                     assert!(
                         (*w as usize) < self.n_workers(),
                         "injection targets worker {w} but the cluster has {} workers",
                         self.n_workers()
                     );
                 }
-                InjectedFault::KillServer { s } => {
+                Fault::KillNode { node: NodeRef::Server(s) } => {
                     assert!(
                         self.arch.is_ps(),
-                        "KillServer injection requires a Parameter Server job"
+                        "server kill injection requires a Parameter Server job"
                     );
                     assert!(
                         self.data == DataStrategy::Dds,
-                        "KillServer injection requires the DDS data strategy (a server restores from a checkpoint by rewinding the shard queue)"
+                        "server kill injection requires the DDS data strategy (a server restores from a checkpoint by rewinding the shard queue)"
                     );
                     assert!(
                         (*s as usize) < self.n_servers(),
@@ -524,19 +545,24 @@ impl JobConfig {
                         self.n_servers()
                     );
                 }
-                InjectedFault::DdsOutage { .. } => {
+                Fault::KillNodeNoFailover { node: NodeRef::Server(s) }
+                | Fault::RestartDelay { node: NodeRef::Server(s), .. }
+                | Fault::NetworkDegrade { node: NodeRef::Server(s), .. } => {
+                    panic!("{:?} targets server {s}; only KillNode may target a server", inj.fault)
+                }
+                Fault::DdsOutage { .. } => {
                     assert!(
                         self.data == DataStrategy::Dds,
                         "DdsOutage injection requires the DDS data strategy"
                     );
                 }
-                InjectedFault::DropReports { prob, .. } => {
+                Fault::DropReports { prob, .. } => {
                     assert!(
                         (0.0..=1.0).contains(prob),
                         "DropReports probability must be in [0, 1]"
                     );
                 }
-                InjectedFault::ControlDegrade { latency_secs, loss_prob, .. } => {
+                Fault::ControlDegrade { latency_secs, loss_prob, .. } => {
                     assert!(
                         latency_secs.is_finite() && *latency_secs >= 0.0,
                         "ControlDegrade latency must be finite and non-negative"
@@ -547,13 +573,13 @@ impl JobConfig {
                     );
                 }
             }
-            if let InjectedFault::RestartDelay { extra_secs, .. } = inj.fault {
+            if let Fault::RestartDelay { extra_secs, .. } = inj.fault {
                 assert!(
                     extra_secs.is_finite() && extra_secs >= 0.0,
                     "RestartDelay extra_secs must be finite and non-negative"
                 );
             }
-            if let InjectedFault::NetworkDegrade { factor, .. } = inj.fault {
+            if let Fault::NetworkDegrade { factor, .. } = inj.fault {
                 assert!(factor.is_finite() && factor >= 1.0, "NetworkDegrade factor must be >= 1");
             }
             if let Some(window) = inj.fault.window_secs() {

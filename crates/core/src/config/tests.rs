@@ -53,6 +53,32 @@ fn too_many_backup_workers_rejected() {
 }
 
 #[test]
+#[should_panic(
+    expected = "mitigation BackupWorkers { b: 1 } does nothing on ParameterServer { consistency: Asp }"
+)]
+fn backup_workers_rejected_on_ps_asp() {
+    JobConfig::ps_asp(cluster_a_scaled(6, 3), Scenario::None)
+        .with_mitigation(MitigationChoice::BackupWorkers { b: 1 })
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "mitigation BackupWorkers { b: 1 } does nothing on AllReduce")]
+fn backup_workers_rejected_on_ring_allreduce() {
+    JobConfig::allreduce(antdt_workloads::cluster::cluster_b(), Scenario::None)
+        .with_mitigation(MitigationChoice::BackupWorkers { b: 1 })
+        .validate();
+}
+
+#[test]
+#[should_panic(expected = "mitigation AntDtNdAsp does nothing on AllReduce")]
+fn antdt_nd_asp_rejected_on_ring_allreduce() {
+    JobConfig::allreduce(antdt_workloads::cluster::cluster_b(), Scenario::None)
+        .with_mitigation(MitigationChoice::AntDtNdAsp)
+        .validate();
+}
+
+#[test]
 #[should_panic(expected = "dd_classes")]
 fn dd_requires_classes() {
     JobConfig::allreduce(cluster_a_scaled(2, 0), Scenario::None)
@@ -96,11 +122,11 @@ fn global_batch_beyond_dd_capacity_rejected() {
 fn valid_injections_pass_validation() {
     JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
         .with_injections(vec![
-            ChaosInjection { at_secs: 10.0, fault: InjectedFault::KillWorker { w: 3 } },
-            ChaosInjection { at_secs: 20.0, fault: InjectedFault::DdsOutage { window_secs: 30.0 } },
-            ChaosInjection {
+            FaultEvent { at_secs: 10.0, fault: Fault::KillNode { node: NodeRef::Worker(3) } },
+            FaultEvent { at_secs: 20.0, fault: Fault::DdsOutage { window_secs: 30.0 } },
+            FaultEvent {
                 at_secs: 30.0,
-                fault: InjectedFault::DropReports { prob: 0.5, window_secs: 60.0, seed: 7 },
+                fault: Fault::DropReports { prob: 0.5, window_secs: 60.0, seed: 7 },
             },
         ])
         .validate();
@@ -223,9 +249,10 @@ fn zero_liveness_timeout_rejected() {
 
 /// A small PS job whose worker 0 restarts `extra_secs` late.
 fn with_restart_delay(extra_secs: f64) -> JobConfig {
-    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_injections(vec![
-        ChaosInjection { at_secs: 10.0, fault: InjectedFault::RestartDelay { w: 0, extra_secs } },
-    ])
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None).with_injections(vec![FaultEvent {
+        at_secs: 10.0,
+        fault: Fault::RestartDelay { node: NodeRef::Worker(0), extra_secs },
+    }])
 }
 
 #[test]
@@ -268,13 +295,13 @@ fn default_checkpoint_cadence_is_a_fixed_ten_minute_local_save() {
 }
 
 #[test]
-#[should_panic(expected = "KillServer injection requires the DDS data strategy")]
+#[should_panic(expected = "server kill injection requires the DDS data strategy")]
 fn injection_kill_server_rejected_without_dds() {
     JobConfig::ps_asp(cluster_a_scaled(4, 2), Scenario::None)
         .with_data_strategy(DataStrategy::EvenPartition)
-        .with_injections(vec![ChaosInjection {
+        .with_injections(vec![FaultEvent {
             at_secs: 10.0,
-            fault: InjectedFault::KillServer { s: 0 },
+            fault: Fault::KillNode { node: NodeRef::Server(0) },
         }])
         .validate();
 }
@@ -283,9 +310,9 @@ fn injection_kill_server_rejected_without_dds() {
 #[should_panic(expected = "targets worker")]
 fn injection_worker_out_of_range_rejected() {
     JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
-        .with_injections(vec![ChaosInjection {
+        .with_injections(vec![FaultEvent {
             at_secs: 10.0,
-            fault: InjectedFault::KillWorker { w: 4 },
+            fault: Fault::KillNode { node: NodeRef::Worker(4) },
         }])
         .validate();
 }
@@ -294,9 +321,22 @@ fn injection_worker_out_of_range_rejected() {
 #[should_panic(expected = "Parameter Server")]
 fn injection_kill_server_rejected_for_allreduce() {
     JobConfig::allreduce(cluster_a_scaled(4, 0), Scenario::None)
-        .with_injections(vec![ChaosInjection {
+        .with_injections(vec![FaultEvent {
             at_secs: 10.0,
-            fault: InjectedFault::KillServer { s: 0 },
+            fault: Fault::KillNode { node: NodeRef::Server(0) },
+        }])
+        .validate();
+}
+
+#[test]
+#[should_panic(
+    expected = "KillNodeNoFailover { node: Server(0) } targets server 0; only KillNode may target a server"
+)]
+fn no_failover_kill_of_a_server_rejected() {
+    JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
+        .with_injections(vec![FaultEvent {
+            at_secs: 1.0,
+            fault: Fault::KillNodeNoFailover { node: NodeRef::Server(0) },
         }])
         .validate();
 }

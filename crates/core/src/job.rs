@@ -5,8 +5,7 @@ use crate::config::{JobConfig, MitigationChoice};
 use crate::report::JobReport;
 use crate::runtime::strategy::PrefixRun;
 use antdt_controller::{
-    AdjustLrPolicy, AntDtDd, AntDtNd, BackupWorkersPolicy, KillRestartOnly, LbBsp,
-    MitigationPolicy, NdConfig, NoMitigation,
+    AntDtDd, AntDtNd, BackupWorkersPolicy, LbBsp, MitigationPolicy, NdConfig, NoMitigation,
 };
 
 /// Entry point for running one training job end to end.
@@ -41,8 +40,6 @@ pub(crate) fn build_policy(cfg: &JobConfig) -> Box<dyn MitigationPolicy> {
             Box::new(LbBsp::new(caps))
         }
         MitigationChoice::BackupWorkers { b } => Box::new(BackupWorkersPolicy::new(*b)),
-        MitigationChoice::KillRestartOnly => Box::new(KillRestartOnly::new(1.5)),
-        MitigationChoice::AdjustLr => Box::new(AdjustLrPolicy::new(1.5)),
     }
 }
 
@@ -272,16 +269,16 @@ mod tests {
 
     #[test]
     fn background_faults_are_absorbed_by_failover() {
-        use crate::config::{ChaosInjection, InjectedFault};
+        use crate::config::{Fault, FaultEvent, NodeRef};
         use antdt_sim::rng::StdRng;
         // Unexpected node failures as seeded worker kills spread over the
         // clean run's lifetime.
         let clean = Job::run(small(Scenario::None).with_samples(2_000_000));
         let mut rng = StdRng::seed_from_u64(7);
         let kills = (0..6)
-            .map(|_| ChaosInjection {
+            .map(|_| FaultEvent {
                 at_secs: rng.gen_range(5.0..clean.jct.as_secs_f64() * 0.8),
-                fault: InjectedFault::KillWorker { w: rng.gen_range(0..4u32) },
+                fault: Fault::KillNode { node: NodeRef::Worker(rng.gen_range(0..4u32)) },
             })
             .collect();
         let r = Job::run(small(Scenario::None).with_samples(2_000_000).with_injections(kills));
@@ -318,7 +315,7 @@ mod tests {
 
     #[test]
     fn replay_failover_recovers_with_auc_parity() {
-        use crate::config::{ChaosInjection, FailoverMode, InjectedFault};
+        use crate::config::{FailoverMode, Fault, FaultEvent, NodeRef};
         use antdt_ckpt::{CkptConfig, CkptPolicy, StorageTier};
         let data = ctr::generate(&CtrConfig::default().with_samples(30_000));
         let (train, holdout) = data.split_holdout(0.2);
@@ -364,9 +361,9 @@ mod tests {
                     policy: CkptPolicy::Fixed { interval_secs: interval },
                     capture_stall_secs: 0.1,
                 })
-                .with_injections(vec![ChaosInjection {
+                .with_injections(vec![FaultEvent {
                     at_secs: jct * 0.35,
-                    fault: InjectedFault::KillWorker { w: 1 },
+                    fault: Fault::KillNode { node: NodeRef::Worker(1) },
                 }]),
         );
         assert!(!drill.timed_out && !drill.stalled);
@@ -429,9 +426,9 @@ mod tests {
 
     #[test]
     fn injected_worker_kill_is_absorbed_and_logged() {
-        use crate::config::{ChaosInjection, InjectedFault};
+        use crate::config::{Fault, FaultEvent, NodeRef};
         let r = Job::run(small(Scenario::None).with_samples(1_000_000).with_injections(vec![
-            ChaosInjection { at_secs: 30.0, fault: InjectedFault::KillWorker { w: 1 } },
+            FaultEvent { at_secs: 30.0, fault: Fault::KillNode { node: NodeRef::Worker(1) } },
         ]));
         assert!(!r.timed_out && !r.stalled);
         // At-least-once: the killed worker's shards replay, so the job may
@@ -451,12 +448,12 @@ mod tests {
 
     #[test]
     fn no_failover_kill_stalls_and_watchdog_catches_it() {
-        use crate::config::{ChaosInjection, InjectedFault};
+        use crate::config::{Fault, FaultEvent, NodeRef};
         let r = Job::run(
             small(Scenario::None)
-                .with_injections(vec![ChaosInjection {
+                .with_injections(vec![FaultEvent {
                     at_secs: 20.0,
-                    fault: InjectedFault::KillWorkerNoFailover { w: 2 },
+                    fault: Fault::KillNodeNoFailover { node: NodeRef::Worker(2) },
                 }])
                 .with_liveness_timeout(SimDuration::from_secs(120)),
         );
@@ -471,11 +468,11 @@ mod tests {
 
     #[test]
     fn dds_outage_delays_but_does_not_corrupt() {
-        use crate::config::{ChaosInjection, InjectedFault};
+        use crate::config::{Fault, FaultEvent};
         let clean = Job::run(small(Scenario::None));
-        let outage = Job::run(small(Scenario::None).with_injections(vec![ChaosInjection {
+        let outage = Job::run(small(Scenario::None).with_injections(vec![FaultEvent {
             at_secs: 10.0,
-            fault: InjectedFault::DdsOutage { window_secs: 30.0 },
+            fault: Fault::DdsOutage { window_secs: 30.0 },
         }]));
         assert!(!outage.timed_out && !outage.stalled);
         assert_eq!(outage.samples_done, 500_000);
@@ -525,12 +522,12 @@ mod tests {
 
     #[test]
     fn stalled_run_dumps_flight_recorder_and_exports_valid_chrome_trace() {
-        use crate::config::{ChaosInjection, InjectedFault};
+        use crate::config::{Fault, FaultEvent, NodeRef};
         let r = Job::run(
             small(Scenario::None)
-                .with_injections(vec![ChaosInjection {
+                .with_injections(vec![FaultEvent {
                     at_secs: 20.0,
-                    fault: InjectedFault::KillWorkerNoFailover { w: 2 },
+                    fault: Fault::KillNodeNoFailover { node: NodeRef::Worker(2) },
                 }])
                 .with_liveness_timeout(SimDuration::from_secs(120))
                 .with_telemetry(),

@@ -34,8 +34,8 @@ pub mod whatif;
 
 pub use antdt_ckpt::{CkptConfig, CkptPolicy, StorageTier};
 pub use config::{
-    Arch, ChaosInjection, Consistency, DataStrategy, ExecutionMode, FailoverMode, InjectedFault,
-    JobConfig, MitigationChoice, MAX_SIM_TIME,
+    Arch, Consistency, DataStrategy, ExecutionMode, FailoverMode, Fault, FaultEvent, JobConfig,
+    MitigationChoice, NodeRef, MAX_SIM_TIME,
 };
 pub use job::{run_with_policy, Job};
 pub use report::{

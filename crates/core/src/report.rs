@@ -17,7 +17,7 @@ pub struct InjectionRecord {
     pub index: u32,
     /// When the fault fired.
     pub at: SimTime,
-    /// Human label (`InjectedFault::describe`).
+    /// Human label (`Fault::describe`).
     pub desc: String,
     /// For kills: when the replacement pod came up (`None` if never).
     pub restarted_at: Option<SimTime>,

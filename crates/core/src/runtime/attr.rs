@@ -23,7 +23,7 @@ use crate::report::{AttrBlame, AttrCrit, AttrNode, AttrReport};
 use antdt_attr::{analyze, Analysis, BlameEntry, CritSegment, Ledger, NodeBreakdown, WaitCause};
 use antdt_controller::Action;
 use antdt_sim::SimTime;
-use antdt_telemetry::{AttrSink, CounterTrackSink, MetricsRegistry, SpanTracer};
+use antdt_telemetry::{CounterTrackSink, MetricsRegistry, SpanTracer};
 use std::sync::Arc;
 
 /// Server `s` appears in the ledger (and the trace viewer) as `1000 + s`.

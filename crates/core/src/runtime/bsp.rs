@@ -214,13 +214,12 @@ impl BspFlavor {
 
         // ---- Math: aggregate pushed gradients, one apply.
         {
-            let contribs: Vec<(u64, &[f32], f32)> = self
+            let contribs: Vec<(u64, &[f32])> = self
                 .pushes
                 .iter()
                 .filter_map(|p| {
                     let inf = k.workers[p.w as usize].inflight.as_ref()?;
-                    let g = inf.grad.as_deref()?;
-                    Some((inf.took, g, k.workers[p.w as usize].lr_scale))
+                    Some((inf.took, inf.grad.as_deref()?))
                 })
                 .collect();
             ml_bridge::weighted_step(&mut k.math, &contribs, k.cfg.global_batch);

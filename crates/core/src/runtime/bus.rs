@@ -704,7 +704,7 @@ fn deliver_directive(
 #[cfg(test)]
 mod tests {
     use super::ControlBus;
-    use crate::config::{ChaosInjection, InjectedFault, JobConfig, MitigationChoice};
+    use crate::config::{Fault, FaultEvent, JobConfig, MitigationChoice, NodeRef};
     use crate::job::Job;
     use crate::report::DirectiveFate;
     use antdt_agent::AgentConfig;
@@ -779,10 +779,10 @@ mod tests {
                     .with_seed(11)
                     .with_mitigation(MitigationChoice::AntDtNd)
                     .with_control_channel(channel)
-                    .with_injections(vec![ChaosInjection {
+                    .with_injections(vec![FaultEvent {
                         at_secs: 1.0,
-                        fault: InjectedFault::NetworkDegrade {
-                            w: 0,
+                        fault: Fault::NetworkDegrade {
+                            node: NodeRef::Worker(0),
                             factor: 1.0,
                             window_secs: 1.0,
                         },

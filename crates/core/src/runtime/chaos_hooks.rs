@@ -10,7 +10,7 @@
 use super::kernel::Kernel;
 use super::ps_common;
 use super::strategy::Strategy;
-use crate::config::InjectedFault;
+use crate::config::{Fault, NodeRef};
 use crate::events::{Ev, RtEngine};
 use crate::report::InjectionRecord;
 use antdt_sim::rng::StdRng;
@@ -42,32 +42,34 @@ pub(crate) fn chaos_fault(k: &mut Kernel, strat: &mut Strategy, eng: &mut RtEngi
     match inj.fault {
         // Kill-class (instantaneous, consistency-specific) faults go to the
         // strategy.
-        InjectedFault::KillWorker { .. }
-        | InjectedFault::KillServer { .. }
-        | InjectedFault::KillWorkerNoFailover { .. }
-        | InjectedFault::RestartDelay { .. } => match strat {
-            Strategy::Bsp(f) => ps_common::inject_kill(k, f, eng, &inj.fault, rec_idx),
-            Strategy::Asp(f) => ps_common::inject_kill(k, f, eng, &inj.fault, rec_idx),
-            Strategy::Ring(r) => r.inject_kill(k, eng, &inj.fault),
-        },
-        InjectedFault::NetworkDegrade { w, factor, window_secs } => {
+        Fault::KillNode { .. } | Fault::KillNodeNoFailover { .. } | Fault::RestartDelay { .. } => {
+            match strat {
+                Strategy::Bsp(f) => ps_common::inject_kill(k, f, eng, &inj.fault, rec_idx),
+                Strategy::Asp(f) => ps_common::inject_kill(k, f, eng, &inj.fault, rec_idx),
+                Strategy::Ring(r) => r.inject_kill(k, eng, &inj.fault),
+            }
+        }
+        Fault::NetworkDegrade { node: NodeRef::Worker(w), factor, window_secs } => {
             let link = &mut k.workers[w as usize].link;
             k.chaos_degraded.push((idx, w, link.bandwidth_bps));
             link.bandwidth_bps /= factor;
             eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
         }
-        InjectedFault::DdsOutage { window_secs } => {
+        Fault::NetworkDegrade { node: NodeRef::Server(_), .. } => {
+            unreachable!("validated out: only kills target servers")
+        }
+        Fault::DdsOutage { window_secs } => {
             k.chaos_outages += 1;
             if let Some(dds) = &mut k.dds {
                 dds.set_paused(true);
             }
             eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
         }
-        InjectedFault::DropReports { prob, window_secs, seed } => {
+        Fault::DropReports { prob, window_secs, seed } => {
             k.chaos_droppers.push((idx, prob, StdRng::seed_from_u64(seed)));
             eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
         }
-        InjectedFault::ControlDegrade { latency_secs, loss_prob, window_secs, seed } => {
+        Fault::ControlDegrade { latency_secs, loss_prob, window_secs, seed } => {
             k.bus.push_degrade(idx, latency_secs, loss_prob, seed);
             eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
         }
@@ -77,13 +79,13 @@ pub(crate) fn chaos_fault(k: &mut Kernel, strat: &mut Strategy, eng: &mut RtEngi
 /// A windowed fault's window closes: undo its effect.
 pub(crate) fn chaos_lift(k: &mut Kernel, strat: &Strategy, eng: &mut RtEngine, idx: u32) {
     match k.cfg.injections[idx as usize].fault {
-        InjectedFault::NetworkDegrade { .. } => {
+        Fault::NetworkDegrade { .. } => {
             if let Some(pos) = k.chaos_degraded.iter().position(|d| d.0 == idx) {
                 let (_, w, bw) = k.chaos_degraded.swap_remove(pos);
                 k.workers[w as usize].link.bandwidth_bps = bw;
             }
         }
-        InjectedFault::DdsOutage { .. } => {
+        Fault::DdsOutage { .. } => {
             k.chaos_outages = k.chaos_outages.saturating_sub(1);
             if k.chaos_outages == 0 {
                 if let Some(dds) = &mut k.dds {
@@ -96,10 +98,10 @@ pub(crate) fn chaos_lift(k: &mut Kernel, strat: &Strategy, eng: &mut RtEngine, i
                 }
             }
         }
-        InjectedFault::DropReports { .. } => {
+        Fault::DropReports { .. } => {
             k.chaos_droppers.retain(|d| d.0 != idx);
         }
-        InjectedFault::ControlDegrade { .. } => k.bus.pop_degrade(idx),
+        Fault::ControlDegrade { .. } => k.bus.pop_degrade(idx),
         _ => {}
     }
 }

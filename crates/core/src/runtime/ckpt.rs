@@ -272,7 +272,7 @@ mod tests {
     /// decision record.
     #[test]
     fn fractional_fixed_interval_captures_on_its_grid_and_logs_no_decision() {
-        use crate::config::{ChaosInjection, FailoverMode, InjectedFault};
+        use crate::config::{FailoverMode, Fault, FaultEvent, NodeRef};
         use crate::job::Job;
         use antdt_ckpt::CkptPolicy;
         const INTERVAL_SECS: f64 = 3.0655489;
@@ -287,9 +287,9 @@ mod tests {
                 .with_batches_per_shard(10)
                 .with_fast_cadence(SimDuration::from_secs(60))
                 .with_seed(29)
-                .with_injections(vec![ChaosInjection {
+                .with_injections(vec![FaultEvent {
                     at_secs: 46.0,
-                    fault: InjectedFault::KillWorker { w: 1 },
+                    fault: Fault::KillNode { node: NodeRef::Worker(1) },
                 }])
                 .with_checkpoint_interval(SimDuration::from_secs_f64(INTERVAL_SECS))
                 .with_ckpt(CkptConfig {

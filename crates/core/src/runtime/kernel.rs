@@ -50,7 +50,6 @@ pub struct WorkerState {
     pub(crate) link: Link,
     pub(crate) quota: u64,
     pub(crate) accum: u32,
-    pub(crate) lr_scale: f32,
     pub(crate) source: DataSource,
     pub(crate) leases: Vec<LeaseState>,
     pub(crate) iter: u64,
@@ -241,7 +240,6 @@ impl Kernel {
                     link: spec.link.clone(),
                     quota: even_quota(i),
                     accum: 1,
-                    lr_scale: 1.0,
                     source: match cfg.data {
                         DataStrategy::Dds => DataSource::Dds,
                         DataStrategy::EvenPartition => {
@@ -386,10 +384,10 @@ impl Kernel {
         workers + control + usize::from(self.marks.ckpt_stall.is_some())
     }
 
-    /// Apply a delivered per-worker knob (`AdjustBs`, `AdjustLr`) at worker
-    /// `w`'s iteration or round boundary. Kills never transit an agent inbox
-    /// (they are runtime signals), and `BackupWorkers` is the PS strategy's
-    /// own knob, so neither has anything to apply here.
+    /// Apply a delivered per-worker knob (`AdjustBs`) at worker `w`'s
+    /// iteration or round boundary. Kills never transit an agent inbox (they
+    /// are runtime signals), and `BackupWorkers` is the PS strategy's own
+    /// knob, so neither has anything to apply here.
     pub(crate) fn apply_worker_action(&mut self, w: usize, action: Action) {
         let worker = &mut self.workers[w];
         match action {
@@ -399,11 +397,6 @@ impl Kernel {
                 }
                 if let Some(&c) = grad_accum.as_ref().and_then(|acc| acc.get(w)) {
                     worker.accum = c.max(1);
-                }
-            }
-            Action::AdjustLr { scales } => {
-                if let Some(&s) = scales.get(w) {
-                    worker.lr_scale = s;
                 }
             }
             Action::BackupWorkers { .. } | Action::KillRestart { .. } | Action::None => {}

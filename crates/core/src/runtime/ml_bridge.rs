@@ -76,14 +76,14 @@ pub(crate) fn recycle(math: &mut Option<MathState>, grad: Vec<f32>) {
 }
 
 /// One synchronous-close optimizer step over the contributed gradients:
-/// `(samples, gradient, per-worker LR scale)` triples, sample-weighted mean,
-/// then **linear learning-rate scaling** — an iteration that realized only
-/// part of the global batch (stragglers dropped, epoch tail) takes a
-/// proportionally smaller step, so the training is equivalent to fixed-B SGD
-/// regardless of mitigation actions.
+/// `(samples, gradient)` pairs, sample-weighted mean, then **linear
+/// learning-rate scaling** — an iteration that realized only part of the
+/// global batch (stragglers dropped, epoch tail) takes a proportionally
+/// smaller step, so the training is equivalent to fixed-B SGD regardless of
+/// mitigation actions.
 pub(crate) fn weighted_step(
     math: &mut Option<MathState>,
-    contribs: &[(u64, &[f32], f32)],
+    contribs: &[(u64, &[f32])],
     global_batch: u64,
 ) {
     let Some(math) = math.as_mut() else { return };
@@ -93,8 +93,8 @@ pub(crate) fn weighted_step(
     }
     let lr_frac = (total as f32 / global_batch.max(1) as f32).min(1.0);
     math.agg.iter_mut().for_each(|x| *x = 0.0);
-    for (took, g, scale) in contribs {
-        let wgt = *took as f32 / total as f32 * scale * lr_frac;
+    for (took, g) in contribs {
+        let wgt = *took as f32 / total as f32 * lr_frac;
         for (a, b) in math.agg.iter_mut().zip(*g) {
             *a += b * wgt;
         }
@@ -103,26 +103,23 @@ pub(crate) fn weighted_step(
 }
 
 /// One asynchronous optimizer step: the push applies immediately, scaled by
-/// the worker's LR scale and its share of the global batch (ASP linear
-/// scaling — each push steps in proportion to its share, so slow/partial
-/// batches don't overstep).
+/// its share of the global batch (ASP linear scaling — each push steps in
+/// proportion to its share, so slow/partial batches don't overstep).
 pub(crate) fn asp_step(
     math: &mut Option<MathState>,
     grad: &[f32],
     took: u64,
     n_workers: usize,
     global_batch: u64,
-    lr_scale: f32,
 ) {
     let n = n_workers.max(1) as f32;
     let lr_frac = (took as f32 * n / global_batch.max(1) as f32).min(1.0);
-    let scale = lr_scale * lr_frac;
     let math = math.as_mut().unwrap();
-    if scale == 1.0 {
+    if lr_frac == 1.0 {
         math.opt.step(math.model.params_mut(), grad);
     } else {
         for (a, g) in math.agg.iter_mut().zip(grad) {
-            *a = g * scale;
+            *a = g * lr_frac;
         }
         math.opt.step(math.model.params_mut(), &math.agg);
     }
@@ -149,7 +146,7 @@ mod tests {
         let g1 = vec![1.0f32; n];
         let g2 = vec![4.0f32; n];
         // 3:1 sample weighting at exactly the global batch → no LR shrink.
-        weighted_step(&mut math, &[(300, &g1, 1.0), (100, &g2, 1.0)], 400);
+        weighted_step(&mut math, &[(300, &g1), (100, &g2)], 400);
         let p = params(&math);
         // mean = 0.75·1 + 0.25·4 = 1.75; step = -lr·mean.
         for x in p {
@@ -165,8 +162,8 @@ mod tests {
         let mut tail = toy_math(1.0);
         let n = params(&full).len();
         let g = vec![2.0f32; n];
-        weighted_step(&mut full, &[(400, &g, 1.0)], 400);
-        weighted_step(&mut tail, &[(200, &g, 1.0)], 400);
+        weighted_step(&mut full, &[(400, &g)], 400);
+        weighted_step(&mut tail, &[(200, &g)], 400);
         let (pf, pt) = (params(&full), params(&tail));
         for (f, t) in pf.iter().zip(&pt) {
             assert!((t - 0.5 * f).abs() < 1e-6, "tail step {t} != half of full {f}");
@@ -182,8 +179,8 @@ mod tests {
         let mut over = toy_math(1.0);
         let n = params(&exact).len();
         let g = vec![1.0f32; n];
-        weighted_step(&mut exact, &[(400, &g, 1.0)], 400);
-        weighted_step(&mut over, &[(600, &g, 1.0)], 400);
+        weighted_step(&mut exact, &[(400, &g)], 400);
+        weighted_step(&mut over, &[(600, &g)], 400);
         assert_eq!(params(&exact), params(&over));
     }
 
@@ -205,8 +202,8 @@ mod tests {
         let mut tail = toy_math(1.0);
         let n = params(&full).len();
         let g = vec![3.0f32; n];
-        asp_step(&mut full, &g, 100, 4, 400, 1.0);
-        asp_step(&mut tail, &g, 50, 4, 400, 1.0);
+        asp_step(&mut full, &g, 100, 4, 400);
+        asp_step(&mut tail, &g, 50, 4, 400);
         let (pf, pt) = (params(&full), params(&tail));
         for (f, t) in pf.iter().zip(&pt) {
             assert!((t - 0.5 * f).abs() < 1e-6, "tail step {t} != half of full {f}");
@@ -215,17 +212,14 @@ mod tests {
 
     #[test]
     fn asp_step_full_share_hits_fast_path() {
-        // scale == 1.0 must behave identically to an explicitly scaled copy.
-        let mut fast = toy_math(0.5);
-        let mut slow = toy_math(0.5);
-        let n = params(&fast).len();
+        // A full per-worker share (100 of 400 over 4 workers) is `lr_frac`
+        // 1.0: the step is plain SGD on the raw gradient, `p -= lr · g`.
+        let mut math = toy_math(0.5);
+        let n = params(&math).len();
         let g: Vec<f32> = (0..n).map(|i| (i % 7) as f32 - 3.0).collect();
-        asp_step(&mut fast, &g, 100, 4, 400, 1.0);
-        // Same math through the scaled branch (scale = 2.0 · 0.5-clamped...):
-        // use lr_scale ≠ 1 with half the share so scale = 1.0 numerically is
-        // avoided and both branches are exercised on equal effective scale.
-        asp_step(&mut slow, &g, 50, 4, 400, 2.0);
-        assert_eq!(params(&fast), params(&slow));
+        asp_step(&mut math, &g, 100, 4, 400);
+        let want: Vec<f32> = g.iter().map(|&x| -0.5 * x).collect();
+        assert_eq!(params(&math), want);
     }
 }
 

@@ -12,7 +12,7 @@ use super::attr::SERVER_LANE;
 use super::data::{DataSource, DDS_SYNC_SECS};
 use super::kernel::{Inflight, Kernel};
 use super::{lifecycle, ml_bridge};
-use crate::config::InjectedFault;
+use crate::config::{Fault, NodeRef};
 use crate::events::{Ev, RtEngine};
 use crate::report::ActionApplication;
 use antdt_agent::BARRIER_SECS;
@@ -258,14 +258,7 @@ pub(crate) fn finish_asp_push(
     // Math: apply this worker's gradient immediately (arrival order is the
     // event order, exactly ASP's semantics).
     if let Some(g) = inf.grad {
-        ml_bridge::asp_step(
-            &mut k.math,
-            &g,
-            inf.took,
-            k.workers.len(),
-            k.cfg.global_batch,
-            k.workers[wi].lr_scale,
-        );
+        ml_bridge::asp_step(&mut k.math, &g, inf.took, k.workers.len(), k.cfg.global_batch);
         ml_bridge::recycle(&mut k.math, g);
     }
     k.commit(wi, ready);
@@ -355,11 +348,11 @@ pub(crate) fn inject_kill<F: PsFlavor>(
     k: &mut Kernel,
     f: &mut F,
     eng: &mut RtEngine,
-    fault: &InjectedFault,
+    fault: &Fault,
     rec_idx: usize,
 ) {
     match *fault {
-        InjectedFault::KillWorker { w } => {
+        Fault::KillNode { node: NodeRef::Worker(w) } => {
             if k.workers[w as usize].alive {
                 let gen = k.workers[w as usize].gen;
                 k.chaos_awaiting_recovery.insert(w, rec_idx);
@@ -373,13 +366,13 @@ pub(crate) fn inject_kill<F: PsFlavor>(
                 );
             }
         }
-        InjectedFault::KillServer { s } => {
+        Fault::KillNode { node: NodeRef::Server(s) } => {
             if k.servers[s as usize].alive {
                 let gen = k.servers[s as usize].gen;
                 k.server_kill(eng, s, gen);
             }
         }
-        InjectedFault::KillWorkerNoFailover { w } => {
+        Fault::KillNodeNoFailover { node: NodeRef::Worker(w) } => {
             if k.workers[w as usize].alive {
                 let gen = k.workers[w as usize].gen;
                 k.chaos_no_failover.insert(w);
@@ -393,10 +386,10 @@ pub(crate) fn inject_kill<F: PsFlavor>(
                 );
             }
         }
-        InjectedFault::RestartDelay { w, extra_secs } => {
+        Fault::RestartDelay { node: NodeRef::Worker(w), extra_secs } => {
             k.chaos_restart_extra[w as usize] += extra_secs;
         }
-        _ => unreachable!("windowed faults are kernel-handled"),
+        _ => unreachable!("windowed faults are kernel-handled; only kills target servers"),
     }
 }
 

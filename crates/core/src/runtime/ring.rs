@@ -9,7 +9,7 @@
 use super::data::DataSource;
 use super::kernel::Kernel;
 use super::ml_bridge;
-use crate::config::{DataStrategy, InjectedFault};
+use crate::config::{DataStrategy, Fault, NodeRef};
 use crate::events::{Ev, RtEngine};
 use crate::report::ActionApplication;
 use antdt_agent::BARRIER_SECS;
@@ -49,20 +49,16 @@ impl RingAllReduce {
     }
 
     /// Execute a kill-class chaos injection: the rank leaves the ring.
-    pub(crate) fn inject_kill(
-        &mut self,
-        k: &mut Kernel,
-        eng: &mut RtEngine,
-        fault: &InjectedFault,
-    ) {
+    pub(crate) fn inject_kill(&mut self, k: &mut Kernel, eng: &mut RtEngine, fault: &Fault) {
         let now = eng.now();
         match *fault {
-            InjectedFault::KillWorker { w } => self.kill_rank(k, now, w, true),
-            InjectedFault::KillWorkerNoFailover { w } => self.kill_rank(k, now, w, false),
+            Fault::KillNode { node: NodeRef::Worker(w) } => self.kill_rank(k, now, w, true),
+            Fault::KillNodeNoFailover { node: NodeRef::Worker(w) } => {
+                self.kill_rank(k, now, w, false)
+            }
             // No per-rank restarts in DDP, so there is no restart to delay.
-            InjectedFault::RestartDelay { .. } => {}
-            InjectedFault::KillServer { .. } => unreachable!("validated out for ring runtimes"),
-            _ => unreachable!("windowed faults are kernel-handled"),
+            Fault::RestartDelay { .. } => {}
+            _ => unreachable!("server kills are validated out for ring runtimes; windowed faults are kernel-handled"),
         }
     }
 
@@ -194,14 +190,8 @@ impl RingAllReduce {
         // per job instead of once per round.
         // Math: sample-weighted mean of the per-rank accumulated gradients.
         {
-            let contribs: Vec<(u64, &[f32], f32)> = self
-                .parts
-                .iter()
-                .filter_map(|p| {
-                    let g = p.grad.as_deref()?;
-                    Some((p.took, g, k.workers[p.w].lr_scale))
-                })
-                .collect();
+            let contribs: Vec<(u64, &[f32])> =
+                self.parts.iter().filter_map(|p| Some((p.took, p.grad.as_deref()?))).collect();
             ml_bridge::weighted_step(&mut k.math, &contribs, k.cfg.global_batch);
         }
         for g in self.parts.iter_mut().filter_map(|p| p.grad.take()) {

@@ -3,7 +3,7 @@
 //! flight dump) for two telemetry-armed jobs. Any change to
 //! what a job records or to how the exporters render it moves them.
 
-use crate::config::{ChaosInjection, FailoverMode, InjectedFault, JobConfig, MitigationChoice};
+use crate::config::{FailoverMode, Fault, FaultEvent, JobConfig, MitigationChoice, NodeRef};
 use crate::job::Job;
 use antdt_sim::{ControlChannel, SimDuration};
 use antdt_telemetry::TelemetryReport;
@@ -44,8 +44,8 @@ fn asp_failover_telemetry_is_pinned() {
             seed: 11,
         })
         .with_injections(vec![
-            ChaosInjection { at_secs: 75.0, fault: InjectedFault::KillWorker { w: 1 } },
-            ChaosInjection { at_secs: 250.0, fault: InjectedFault::KillServer { s: 0 } },
+            FaultEvent { at_secs: 75.0, fault: Fault::KillNode { node: NodeRef::Worker(1) } },
+            FaultEvent { at_secs: 250.0, fault: Fault::KillNode { node: NodeRef::Server(0) } },
         ])
         .with_telemetry()
         .with_attribution();
@@ -75,9 +75,9 @@ fn stalled_run_telemetry_is_pinned() {
         .with_samples(500_000)
         .with_batches_per_shard(10)
         .with_fast_cadence(SimDuration::from_secs(60))
-        .with_injections(vec![ChaosInjection {
+        .with_injections(vec![FaultEvent {
             at_secs: 20.0,
-            fault: InjectedFault::KillWorkerNoFailover { w: 2 },
+            fault: Fault::KillNodeNoFailover { node: NodeRef::Worker(2) },
         }])
         .with_liveness_timeout(SimDuration::from_secs(120))
         .with_telemetry();

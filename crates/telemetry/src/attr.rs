@@ -3,26 +3,13 @@
 //! without the attribution crate depending on this one — or vice versa.
 //!
 //! The runtime walks its finished ledger and feeds every attributed interval
-//! to an [`AttrSink`]; causes travel as their stable snake_case labels so the
-//! seam is a plain `(node, label, interval)` stream. Two sinks ship here:
-//!
-//! * [`CounterTrackSink`] — cumulative Perfetto counter tracks (`ph = "C"`),
-//!   one track per cause with one lane per node, so the decomposition lands
-//!   in the same trace viewers the PR 2 tooling already opens.
-//! * [`CollectSink`] — collects the raw stream for tests.
+//! to a [`CounterTrackSink`]; causes travel as their stable snake_case labels
+//! so the seam is a plain `(node, label, interval)` stream, rendered as
+//! cumulative Perfetto counter tracks (`ph = "C"`), one track per cause with
+//! one lane per node, in the same trace viewers the span tracer feeds.
 
 use crate::trace::SpanTracer;
 use std::collections::BTreeMap;
-
-/// Receiver for a run's attributed intervals. Implementations must be
-/// deterministic functions of the stream: the runtime feeds segments in
-/// (node, time) order and same-seed runs must export identical artifacts.
-pub trait AttrSink {
-    /// One attributed interval `[start_us, end_us)` of `node`'s wall time.
-    /// `cause` is the stable snake_case cause label (`compute`, `data_wait`,
-    /// `sync_wait`, `comm`, `control_bus`, `ckpt_stall`, `fault_recovery`).
-    fn segment(&mut self, node: u32, cause: &str, start_us: u64, end_us: u64);
-}
 
 /// Renders the attribution stream as cumulative Perfetto counter tracks: for
 /// each segment, a `ph = "C"` sample named `attr_wait:{cause}` at the segment
@@ -40,10 +27,13 @@ impl<'a> CounterTrackSink<'a> {
     pub fn new(tracer: &'a mut SpanTracer) -> Self {
         CounterTrackSink { tracer, names: BTreeMap::new(), cum: BTreeMap::new() }
     }
-}
 
-impl AttrSink for CounterTrackSink<'_> {
-    fn segment(&mut self, node: u32, cause: &str, start_us: u64, end_us: u64) {
+    /// One attributed interval `[start_us, end_us)` of `node`'s wall time.
+    /// `cause` is the stable snake_case cause label (`compute`, `data_wait`,
+    /// `sync_wait`, `comm`, `control_bus`, `ckpt_stall`, `fault_recovery`).
+    /// The runtime feeds segments in (node, time) order, so same-seed runs
+    /// export identical tracks.
+    pub fn segment(&mut self, node: u32, cause: &str, start_us: u64, end_us: u64) {
         // Both maps are searched by `&str`: only a first sighting allocates.
         if !self.names.contains_key(cause) {
             self.names.insert(cause.to_string(), format!("attr_wait:{cause}"));
@@ -55,18 +45,6 @@ impl AttrSink for CounterTrackSink<'_> {
         let cum = totals.get_mut(cause).expect("inserted above");
         *cum += end_us.saturating_sub(start_us);
         self.tracer.counter(&self.names[cause], "attr", end_us, node, *cum);
-    }
-}
-
-/// Test sink: the raw `(node, cause, start_us, end_us)` stream, verbatim.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    pub segments: Vec<(u32, String, u64, u64)>,
-}
-
-impl AttrSink for CollectSink {
-    fn segment(&mut self, node: u32, cause: &str, start_us: u64, end_us: u64) {
-        self.segments.push((node, cause.to_string(), start_us, end_us));
     }
 }
 
@@ -100,12 +78,5 @@ mod tests {
             .find(|e| e.tid == 1 && e.name == "attr_wait:compute")
             .unwrap();
         assert_eq!(n1.value, Some(40));
-    }
-
-    #[test]
-    fn collect_sink_keeps_the_stream_verbatim() {
-        let mut sink = CollectSink::default();
-        sink.segment(2, "data_wait", 10, 30);
-        assert_eq!(sink.segments, vec![(2, "data_wait".to_string(), 10, 30)]);
     }
 }

@@ -14,9 +14,9 @@
 //!   solver inputs/outputs, the rule that fired).
 //! * [`FlightRecorder`] — a bounded ring of recent events, dumped when the
 //!   liveness watchdog declares `stalled` or an invariant checker fails.
-//! * [`AttrSink`] — the seam the straggler-attribution engine exports its
-//!   per-cause time decomposition through ([`CounterTrackSink`] renders it
-//!   as Perfetto counter tracks).
+//! * [`CounterTrackSink`] — the seam the straggler-attribution engine exports
+//!   its per-cause time decomposition through, rendered as Perfetto counter
+//!   tracks.
 //!
 //! The crate sits below the simulator in the dependency graph: timestamps are
 //! raw virtual microseconds (`u64`), never wall clock, so every export is
@@ -29,7 +29,7 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use attr::{AttrSink, CollectSink, CounterTrackSink};
+pub use attr::CounterTrackSink;
 pub use audit::{DecisionRecord, SolverTrace};
 pub use flight::{FlightDump, FlightEvent, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};

@@ -16,7 +16,7 @@
 //! ```
 
 use antdt::core::{
-    ChaosInjection, ExecutionMode, FailoverMode, InjectedFault, Job, JobConfig, MitigationChoice,
+    ExecutionMode, FailoverMode, Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef,
 };
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ctr, CtrConfig, Scenario};
@@ -82,9 +82,9 @@ fn main() {
     let kill_at = Job::run(long()).jct.as_secs_f64() * 0.4;
     println!("\nworker kill at {kill_at:.0}s (40% of the fault-free JCT), checkpoint every 60 s:");
     let killed = |mode| {
-        Job::run(long().with_failover_mode(mode).with_injections(vec![ChaosInjection {
+        Job::run(long().with_failover_mode(mode).with_injections(vec![FaultEvent {
             at_secs: kill_at,
-            fault: InjectedFault::KillWorker { w: 3 },
+            fault: Fault::KillNode { node: NodeRef::Worker(3) },
         }]))
     };
     let dds = killed(FailoverMode::DdsBased);

@@ -7,7 +7,7 @@
 //! # then open https://ui.perfetto.dev and drag in target/trace_timeline.json
 //! ```
 
-use antdt::core::{ChaosInjection, InjectedFault, Job, JobConfig, MitigationChoice};
+use antdt::core::{Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef};
 use antdt::workloads::{cluster, ModelProfile, Scenario};
 
 fn main() {
@@ -20,9 +20,9 @@ fn main() {
             .with_samples(4_000_000)
             .with_batches_per_shard(20)
             .with_mitigation(MitigationChoice::AntDtNd)
-            .with_injections(vec![ChaosInjection {
+            .with_injections(vec![FaultEvent {
                 at_secs: 120.0,
-                fault: InjectedFault::KillWorker { w: 3 },
+                fault: Fault::KillNode { node: NodeRef::Worker(3) },
             }])
             .with_telemetry();
 

@@ -3,7 +3,7 @@
 //! counterfactual-replay validation.
 
 use antdt::core::{
-    apply_perturbation, ChaosInjection, InjectedFault, Job, JobConfig, JobReport, MitigationChoice,
+    apply_perturbation, Fault, FaultEvent, Job, JobConfig, JobReport, MitigationChoice, NodeRef,
     Perturbation,
 };
 use antdt::sim::SimDuration;
@@ -16,35 +16,43 @@ use std::path::PathBuf;
 // duplicated here so attribution can be layered on without touching the
 // determinism ratchet.
 
-fn ps_chaos_plan() -> Vec<ChaosInjection> {
+fn ps_chaos_plan() -> Vec<FaultEvent> {
     vec![
-        ChaosInjection {
+        FaultEvent {
             at_secs: 10.0,
-            fault: InjectedFault::RestartDelay { w: 2, extra_secs: 20.0 },
+            fault: Fault::RestartDelay { node: NodeRef::Worker(2), extra_secs: 20.0 },
         },
-        ChaosInjection { at_secs: 40.0, fault: InjectedFault::KillWorker { w: 2 } },
-        ChaosInjection {
+        FaultEvent { at_secs: 40.0, fault: Fault::KillNode { node: NodeRef::Worker(2) } },
+        FaultEvent {
             at_secs: 70.0,
-            fault: InjectedFault::NetworkDegrade { w: 0, factor: 4.0, window_secs: 30.0 },
+            fault: Fault::NetworkDegrade {
+                node: NodeRef::Worker(0),
+                factor: 4.0,
+                window_secs: 30.0,
+            },
         },
-        ChaosInjection { at_secs: 120.0, fault: InjectedFault::DdsOutage { window_secs: 20.0 } },
-        ChaosInjection {
+        FaultEvent { at_secs: 120.0, fault: Fault::DdsOutage { window_secs: 20.0 } },
+        FaultEvent {
             at_secs: 150.0,
-            fault: InjectedFault::DropReports { prob: 0.3, window_secs: 60.0, seed: 7 },
+            fault: Fault::DropReports { prob: 0.3, window_secs: 60.0, seed: 7 },
         },
     ]
 }
 
-fn ar_chaos_plan() -> Vec<ChaosInjection> {
+fn ar_chaos_plan() -> Vec<FaultEvent> {
     vec![
-        ChaosInjection { at_secs: 60.0, fault: InjectedFault::KillWorker { w: 5 } },
-        ChaosInjection {
+        FaultEvent { at_secs: 60.0, fault: Fault::KillNode { node: NodeRef::Worker(5) } },
+        FaultEvent {
             at_secs: 90.0,
-            fault: InjectedFault::NetworkDegrade { w: 0, factor: 3.0, window_secs: 45.0 },
+            fault: Fault::NetworkDegrade {
+                node: NodeRef::Worker(0),
+                factor: 3.0,
+                window_secs: 45.0,
+            },
         },
-        ChaosInjection {
+        FaultEvent {
             at_secs: 180.0,
-            fault: InjectedFault::DropReports { prob: 0.25, window_secs: 90.0, seed: 13 },
+            fault: Fault::DropReports { prob: 0.25, window_secs: 90.0, seed: 13 },
         },
     ]
 }
@@ -81,7 +89,7 @@ fn allreduce() -> JobConfig {
         .with_seed(23)
 }
 
-fn chaos(cfg: JobConfig, plan: Vec<ChaosInjection>) -> JobConfig {
+fn chaos(cfg: JobConfig, plan: Vec<FaultEvent>) -> JobConfig {
     cfg.with_injections(plan).with_liveness_timeout(SimDuration::from_secs(1_800))
 }
 

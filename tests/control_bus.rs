@@ -2,7 +2,7 @@
 //! channel, and generation fencing of directives that race a kill/restart.
 
 use antdt::chaos::invariants;
-use antdt::core::{ChaosInjection, DirectiveFate, InjectedFault, Job, JobConfig, MitigationChoice};
+use antdt::core::{DirectiveFate, Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef};
 use antdt::sim::{ControlChannel, SimDuration};
 use antdt::workloads::cluster::cluster_a_scaled;
 use antdt::workloads::{ModelProfile, Scenario};
@@ -22,10 +22,10 @@ fn bsp(samples: u64) -> JobConfig {
 /// A no-op injection (bandwidth divided by 1.0): its only observable effect
 /// is turning on the chaos-drill action log, which the convergence invariant
 /// consumes.
-fn benign_injection() -> Vec<ChaosInjection> {
-    vec![ChaosInjection {
+fn benign_injection() -> Vec<FaultEvent> {
+    vec![FaultEvent {
         at_secs: 1.0,
-        fault: InjectedFault::NetworkDegrade { w: 0, factor: 1.0, window_secs: 1.0 },
+        fault: Fault::NetworkDegrade { node: NodeRef::Worker(0), factor: 1.0, window_secs: 1.0 },
     }]
 }
 
@@ -66,7 +66,8 @@ fn directive_racing_a_kill_is_fenced_at_the_new_incarnation() {
     // The first directives are decided at the t=60 s tick and delivered at
     // t=300 s; kill worker 1 at t=70 s so its replacement pod (up within a
     // couple of minutes) is the incarnation the stale directive reaches.
-    let kill = vec![ChaosInjection { at_secs: 70.0, fault: InjectedFault::KillWorker { w: 1 } }];
+    let kill =
+        vec![FaultEvent { at_secs: 70.0, fault: Fault::KillNode { node: NodeRef::Worker(1) } }];
     let report = Job::run(
         bsp(800_000)
             .with_control_channel(ch)

@@ -1,7 +1,8 @@
 //! End-to-end integration: whole jobs wired through every crate — simulator,
 //! DDS, monitor, controller, agent, runtimes.
 
-use antdt::core::{DataStrategy, Job, JobConfig, MitigationChoice};
+use antdt::controller::KillRestartOnly;
+use antdt::core::{run_with_policy, DataStrategy, Job, JobConfig, MitigationChoice};
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
 
@@ -66,24 +67,29 @@ fn antdt_nd_flattens_the_intensity_curve() {
 #[test]
 fn every_mitigation_choice_completes_the_same_data() {
     let scenario = Scenario::WorkerMix { intensity: 0.6 };
-    for m in [
+    let choices = [
         MitigationChoice::None,
         MitigationChoice::AntDtNd,
         MitigationChoice::LbBsp,
         MitigationChoice::BackupWorkers { b: 1 },
-        MitigationChoice::KillRestartOnly,
-        MitigationChoice::AdjustLr,
-    ] {
-        let r = Job::run(job(scenario).with_mitigation(m.clone()));
-        assert!(!r.timed_out, "{m:?} timed out");
+    ];
+    let runs = choices
+        .map(|m| (format!("{m:?}"), Job::run(job(scenario).with_mitigation(m))))
+        .into_iter()
+        .chain([(
+            "KillRestartOnly".to_string(),
+            run_with_policy(job(scenario), Box::new(KillRestartOnly::new(1.5))),
+        )]);
+    for (m, r) in runs {
+        assert!(!r.timed_out, "{m} timed out");
         // At-least-once: every sample processed; failovers may recompute some.
-        assert!(r.samples_done >= 1_000_000, "{m:?} lost samples: {}", r.samples_done);
+        assert!(r.samples_done >= 1_000_000, "{m} lost samples: {}", r.samples_done);
         let audit = r.audit.expect("dds");
         assert!(
             r.samples_done - 1_000_000 <= audit.duplicate_samples_upper_bound,
-            "{m:?} duplicated more than the audit bound"
+            "{m} duplicated more than the audit bound"
         );
-        assert!(audit.at_least_once, "{m:?} broke at-least-once");
+        assert!(audit.at_least_once, "{m} broke at-least-once");
     }
 }
 

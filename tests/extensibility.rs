@@ -8,7 +8,7 @@ use antdt::controller::{
     AdaptiveBackupWorkers, Composite, KillRestartOnly, LbBsp, MitigationPolicy,
 };
 use antdt::core::{
-    run_with_policy, ChaosInjection, FailoverMode, InjectedFault, Job, JobConfig, MitigationChoice,
+    run_with_policy, FailoverMode, Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef,
 };
 use antdt::sim::rng::StdRng;
 use antdt::sim::SimDuration;
@@ -67,9 +67,9 @@ fn faults_failover_modes_and_custom_policy_compose() {
     let scenario = Scenario::WorkerTransient { intensity: 0.5 };
     let mut rng = StdRng::seed_from_u64(400);
     let kills = (0..8)
-        .map(|_| ChaosInjection {
+        .map(|_| FaultEvent {
             at_secs: rng.gen_range(30.0..450.0),
-            fault: InjectedFault::KillWorker { w: rng.gen_range(0..8u32) },
+            fault: Fault::KillNode { node: NodeRef::Worker(rng.gen_range(0..8u32)) },
         })
         .collect();
     let config = cfg(scenario)

@@ -1,7 +1,7 @@
 //! Cross-crate integrity properties: real training math + DDS bookkeeping +
 //! failovers, mirroring the paper's §VII-D2 claims at test scale.
 
-use antdt::core::{ChaosInjection, ExecutionMode, InjectedFault, Job, JobConfig, MitigationChoice};
+use antdt::core::{ExecutionMode, Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef};
 use antdt::sim::rng::StdRng;
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ctr, CtrConfig, Scenario};
@@ -112,14 +112,17 @@ fn random_kill_schedules_keep_done_shards_exact() {
         let mut injections = Vec::new();
         for _ in 0..rng.gen_range(1..=3u32) {
             let w = rng.gen_range(0..6u32);
-            injections.push(ChaosInjection {
+            injections.push(FaultEvent {
                 at_secs: rng.gen_range(10.0..60.0),
-                fault: InjectedFault::KillWorker { w },
+                fault: Fault::KillNode { node: NodeRef::Worker(w) },
             });
             if rng.gen_bool(0.5) {
-                injections.push(ChaosInjection {
+                injections.push(FaultEvent {
                     at_secs: rng.gen_range(10.0..60.0),
-                    fault: InjectedFault::RestartDelay { w, extra_secs: rng.gen_range(5.0..30.0) },
+                    fault: Fault::RestartDelay {
+                        node: NodeRef::Worker(w),
+                        extra_secs: rng.gen_range(5.0..30.0),
+                    },
                 });
             }
         }
@@ -146,19 +149,19 @@ fn non_lethal_faults_never_double_count() {
         let mut injections = Vec::new();
         for _ in 0..rng.gen_range(1..=3u32) {
             let fault = match rng.gen_range(0u32..3) {
-                0 => InjectedFault::NetworkDegrade {
-                    w: rng.gen_range(0..6u32),
+                0 => Fault::NetworkDegrade {
+                    node: NodeRef::Worker(rng.gen_range(0..6u32)),
                     factor: rng.gen_range(2.0..10.0),
                     window_secs: rng.gen_range(10.0..60.0),
                 },
-                1 => InjectedFault::DdsOutage { window_secs: rng.gen_range(5.0..20.0) },
-                _ => InjectedFault::DropReports {
+                1 => Fault::DdsOutage { window_secs: rng.gen_range(5.0..20.0) },
+                _ => Fault::DropReports {
                     prob: rng.gen_range(0.1..0.9),
                     window_secs: rng.gen_range(10.0..60.0),
                     seed,
                 },
             };
-            injections.push(ChaosInjection { at_secs: rng.gen_range(10.0..60.0), fault });
+            injections.push(FaultEvent { at_secs: rng.gen_range(10.0..60.0), fault });
         }
         let r = Job::run(
             synthetic_job()

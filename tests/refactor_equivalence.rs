@@ -13,7 +13,7 @@
 //! behaviour change, delete the fixture (or run with `GOLDEN_BLESS=1`) and
 //! commit the regenerated file with an explanation.
 
-use antdt::core::{ChaosInjection, InjectedFault, Job, JobConfig, MitigationChoice};
+use antdt::core::{Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef};
 use antdt::sim::SimDuration;
 use antdt::workloads::cluster::{cluster_a_scaled, cluster_b};
 use antdt::workloads::{ModelProfile, Scenario};
@@ -49,37 +49,45 @@ fn check(name: &str, cfg: JobConfig) {
 /// A chaos plan exercising every PS-legal injection: a straggler restart
 /// penalty armed before its kill, a mid-job worker kill with full failover,
 /// a transient network degradation, a DDS outage, and a report-drop window.
-fn ps_chaos_plan() -> Vec<ChaosInjection> {
+fn ps_chaos_plan() -> Vec<FaultEvent> {
     vec![
-        ChaosInjection {
+        FaultEvent {
             at_secs: 10.0,
-            fault: InjectedFault::RestartDelay { w: 2, extra_secs: 20.0 },
+            fault: Fault::RestartDelay { node: NodeRef::Worker(2), extra_secs: 20.0 },
         },
-        ChaosInjection { at_secs: 40.0, fault: InjectedFault::KillWorker { w: 2 } },
-        ChaosInjection {
+        FaultEvent { at_secs: 40.0, fault: Fault::KillNode { node: NodeRef::Worker(2) } },
+        FaultEvent {
             at_secs: 70.0,
-            fault: InjectedFault::NetworkDegrade { w: 0, factor: 4.0, window_secs: 30.0 },
+            fault: Fault::NetworkDegrade {
+                node: NodeRef::Worker(0),
+                factor: 4.0,
+                window_secs: 30.0,
+            },
         },
-        ChaosInjection { at_secs: 120.0, fault: InjectedFault::DdsOutage { window_secs: 20.0 } },
-        ChaosInjection {
+        FaultEvent { at_secs: 120.0, fault: Fault::DdsOutage { window_secs: 20.0 } },
+        FaultEvent {
             at_secs: 150.0,
-            fault: InjectedFault::DropReports { prob: 0.3, window_secs: 60.0, seed: 7 },
+            fault: Fault::DropReports { prob: 0.3, window_secs: 60.0, seed: 7 },
         },
     ]
 }
 
 /// AllReduce-legal subset (no server kills; restarts don't apply to the
 /// ring AllReduce, where a killed rank leaves for good).
-fn ar_chaos_plan() -> Vec<ChaosInjection> {
+fn ar_chaos_plan() -> Vec<FaultEvent> {
     vec![
-        ChaosInjection { at_secs: 60.0, fault: InjectedFault::KillWorker { w: 5 } },
-        ChaosInjection {
+        FaultEvent { at_secs: 60.0, fault: Fault::KillNode { node: NodeRef::Worker(5) } },
+        FaultEvent {
             at_secs: 90.0,
-            fault: InjectedFault::NetworkDegrade { w: 0, factor: 3.0, window_secs: 45.0 },
+            fault: Fault::NetworkDegrade {
+                node: NodeRef::Worker(0),
+                factor: 3.0,
+                window_secs: 45.0,
+            },
         },
-        ChaosInjection {
+        FaultEvent {
             at_secs: 180.0,
-            fault: InjectedFault::DropReports { prob: 0.25, window_secs: 90.0, seed: 13 },
+            fault: Fault::DropReports { prob: 0.25, window_secs: 90.0, seed: 13 },
         },
     ]
 }
@@ -193,8 +201,8 @@ fn golden_bsp_server_kill() {
     let cfg = bsp()
         .with_checkpoint_interval(SimDuration::from_secs(60))
         .with_injections(vec![
-            ChaosInjection { at_secs: 40.0, fault: InjectedFault::KillWorker { w: 2 } },
-            ChaosInjection { at_secs: 100.0, fault: InjectedFault::KillServer { s: 1 } },
+            FaultEvent { at_secs: 40.0, fault: Fault::KillNode { node: NodeRef::Worker(2) } },
+            FaultEvent { at_secs: 100.0, fault: Fault::KillNode { node: NodeRef::Server(1) } },
         ])
         .with_liveness_timeout(SimDuration::from_secs(1_800));
     let report = Job::run(cfg.clone());

@@ -4,7 +4,10 @@
 //! bit-for-bit deterministic. Each test runs 24 seeded cases and names the
 //! failing seed.
 
-use antdt::core::{Consistency, DataStrategy, Job, JobConfig, MitigationChoice};
+use antdt::controller::KillRestartOnly;
+use antdt::core::{
+    run_with_policy, Consistency, DataStrategy, Job, JobConfig, JobReport, MitigationChoice,
+};
 use antdt::sim::rng::StdRng;
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
@@ -22,13 +25,29 @@ fn random_scenario(rng: &mut StdRng) -> Scenario {
     }
 }
 
-fn random_mitigation(rng: &mut StdRng) -> MitigationChoice {
+/// A drawn solution: a stock [`MitigationChoice`], or the scheduling-only
+/// [`KillRestartOnly`] policy, which runs through `run_with_policy`.
+#[derive(Debug, Clone)]
+enum Mitigation {
+    Choice(MitigationChoice),
+    KillRestartOnly,
+}
+
+/// Backup workers are a BSP barrier knob, so an ASP case never draws them.
+fn random_mitigation(rng: &mut StdRng, asp: bool) -> Mitigation {
     match rng.gen_range(0u32..5) {
-        0 => MitigationChoice::None,
-        1 => MitigationChoice::AntDtNd,
-        2 => MitigationChoice::LbBsp,
-        3 => MitigationChoice::BackupWorkers { b: 1 },
-        _ => MitigationChoice::KillRestartOnly,
+        0 => Mitigation::Choice(MitigationChoice::None),
+        1 => Mitigation::Choice(MitigationChoice::AntDtNd),
+        2 => Mitigation::Choice(MitigationChoice::LbBsp),
+        3 if !asp => Mitigation::Choice(MitigationChoice::BackupWorkers { b: 1 }),
+        _ => Mitigation::KillRestartOnly,
+    }
+}
+
+fn run(cfg: JobConfig, mitigation: &Mitigation) -> JobReport {
+    match mitigation {
+        Mitigation::Choice(m) => Job::run(cfg.with_mitigation(m.clone())),
+        Mitigation::KillRestartOnly => run_with_policy(cfg, Box::new(KillRestartOnly::new(1.5))),
     }
 }
 
@@ -38,7 +57,6 @@ fn build(
     samples: u64,
     asp: bool,
     scenario: Scenario,
-    mitigation: MitigationChoice,
     seed: u64,
 ) -> JobConfig {
     let cl = cluster::cluster_a_scaled(workers, servers);
@@ -49,7 +67,6 @@ fn build(
         .with_samples(samples)
         .with_batches_per_shard(5)
         .with_fast_cadence(SimDuration::from_secs(60))
-        .with_mitigation(mitigation)
         .with_seed(seed)
 }
 
@@ -62,11 +79,10 @@ fn any_job_terminates_with_exact_accounting() {
         let samples = rng.gen_range(50_000u64..400_000);
         let asp = rng.gen_bool(0.5);
         let scenario = random_scenario(&mut rng);
-        let mitigation = random_mitigation(&mut rng);
+        let mitigation = random_mitigation(&mut rng, asp);
         let seed = rng.gen_range(0u64..1_000);
         // Backup workers need b < workers; b = 1 is always fine at >= 2 workers.
-        let cfg = build(workers, servers, samples, asp, scenario, mitigation.clone(), seed);
-        let r = Job::run(cfg);
+        let r = run(build(workers, servers, samples, asp, scenario, seed), &mitigation);
         assert!(!r.timed_out, "case {case}: {mitigation:?}/{scenario:?} timed out");
         assert!(r.samples_done >= samples, "case {case}: lost samples: {}", r.samples_done);
         let audit = r.audit.expect("dds strategy");
@@ -88,7 +104,10 @@ fn any_job_is_deterministic() {
         let scenario = random_scenario(&mut rng);
         let seed = rng.gen_range(0u64..1_000);
         let run = || {
-            Job::run(build(workers, 2, 120_000, false, scenario, MitigationChoice::AntDtNd, seed))
+            Job::run(
+                build(workers, 2, 120_000, false, scenario, seed)
+                    .with_mitigation(MitigationChoice::AntDtNd),
+            )
         };
         let a = run();
         let b = run();
