@@ -6,7 +6,6 @@
 //! iteration boundary, which realizes the "same iteration" guarantee without
 //! ever suspending training.
 
-use antdt_sim::rng::mix64;
 use antdt_sim::SimDuration;
 
 // Cost model for the agent control-plane messages (bytes-level signals, so
@@ -34,40 +33,9 @@ pub fn direct_delay(payload_bytes: u64) -> SimDuration {
     SimDuration::from_secs_f64(CTRL_LATENCY_SECS + xfer + BARRIER_SECS)
 }
 
-/// "Randomly elected similar to the primary worker" (§V-F): a deterministic
-/// pseudo-random pick among the alive workers, stable for a given seed and
-/// alive set, re-electable after failures.
-pub fn elect_primary(alive_workers: &[u32], seed: u64) -> Option<u32> {
-    if alive_workers.is_empty() {
-        return None;
-    }
-    let pick = mix64(seed) as usize % alive_workers.len();
-    Some(alive_workers[pick])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn election_is_deterministic_and_in_set() {
-        let alive = vec![3, 7, 9, 12];
-        let a = elect_primary(&alive, 42).unwrap();
-        let b = elect_primary(&alive, 42).unwrap();
-        assert_eq!(a, b);
-        assert!(alive.contains(&a));
-        assert_eq!(elect_primary(&[], 42), None);
-    }
-
-    #[test]
-    fn election_moves_when_primary_dies() {
-        let alive = vec![0, 1, 2, 3];
-        let p = elect_primary(&alive, 7).unwrap();
-        let survivors: Vec<u32> = alive.into_iter().filter(|&w| w != p).collect();
-        let p2 = elect_primary(&survivors, 7).unwrap();
-        assert_ne!(p, p2);
-        assert!(survivors.contains(&p2));
-    }
 
     #[test]
     fn broadcast_delay_is_milliseconds_for_bytes_level_payloads() {

@@ -87,10 +87,6 @@ impl MitigationPolicy for AntDtDd {
         Box::new(self.clone())
     }
 
-    fn name(&self) -> &'static str {
-        "antdt-dd"
-    }
-
     fn decide(&mut self, _now: SimTime, snap: &MonitorSnapshot, ctx: &PolicyCtx) -> Vec<Action> {
         if self.done {
             return vec![Action::None];

@@ -8,32 +8,27 @@
 //!
 //! | Policy           | Paper role |
 //! |------------------|------------|
-//! | [`AntDtNd`]      | §VI-A — non-dedicated clusters: `ADJUST_BS` for transient stragglers, gated `KILL_RESTART` for persistent worker/server stragglers |
+//! | [`AntDtNd`]      | §VI-A — non-dedicated clusters: `ADJUST_BS` for transient stragglers, gated `KILL_RESTART` for persistent worker/server stragglers; in ASP mode (AntDT-ND-ASP) it only kills, since the DDS already balances the data |
 //! | [`AntDtDd`]      | §VI-B — dedicated heterogeneous GPU clusters: one-shot joint batch-size + gradient-accumulation optimization |
 //! | [`LbBsp`]        | LB-BSP baseline \[18\]: throughput-proportional batch re-balancing, no kills |
 //! | [`BackupWorkersPolicy`] | Sync-OPT backup workers \[28\] (the DDS puts dropped shards back) |
-//! | [`KillRestartOnly`] | scheduling-only mitigation (also what AntDT-ND degrades to in ASP mode) |
 //! | [`NoMitigation`] | native BSP/ASP/DDP |
 //!
 //! Policies are pure deciders: they consume [`antdt_monitor::MonitorSnapshot`]s and emit
 //! [`Action`]s; executing them (and all data/fault plumbing) is the framework's
-//! job, which is exactly the separation the paper argues for.
+//! job, which is exactly the separation the paper argues for. A custom
+//! solution (§V-A) is one more [`MitigationPolicy`] impl built from the same
+//! actions; it may wrap a shipped policy and add rules of its own.
 
 pub mod action;
 pub mod baselines;
-pub mod compose;
 pub mod dd;
 pub mod nd;
 pub mod policy;
 pub mod solve;
 
 pub use action::Action;
-/// The Controller's checkpoint-cadence knob, re-exported from the
-/// `antdt-ckpt` leaf so policies and callers configure it from one place:
-/// `Fixed` pins the interval between captures.
-pub use antdt_ckpt::CkptPolicy;
-pub use baselines::{BackupWorkersPolicy, KillRestartOnly, LbBsp, NoMitigation};
-pub use compose::{AdaptiveBackupWorkers, Composite};
+pub use baselines::{BackupWorkersPolicy, LbBsp, NoMitigation};
 pub use dd::{AntDtDd, DeviceClassSpec, C_MAX};
 pub use nd::{AntDtNd, NdConfig};
 pub use policy::{MitigationPolicy, PolicyCtx};

@@ -9,15 +9,21 @@
 //! by `KILL_RESTART` since no load-balancing action can shrink `Tᵢˢ`/`Tᵢᵐ`.
 
 use crate::action::Action;
-use crate::policy::{worker_throughputs, MitigationPolicy, PolicyCtx, KILL_COOLDOWN};
+use crate::policy::{worker_throughputs, MitigationPolicy, PolicyCtx};
 use crate::solve::minmax_batch_allocation;
 use antdt_monitor::{MonitorSnapshot, NodeId};
-use antdt_sim::SimTime;
+use antdt_sim::{SimDuration, SimTime};
 use antdt_telemetry::{DecisionRecord, SolverTrace};
 use std::collections::{BTreeMap, HashMap};
 
 /// Smallest batch a live worker may be assigned by the Eq. 3 re-solve.
 const B_MIN: u64 = 1;
+
+/// Re-kill cooldown per node, so an in-flight failover or a just-restarted
+/// node isn't immediately killed again on stale statistics. `KILL_RESTART`
+/// is also skipped while the cluster is busy (§VI-A4: pending time is
+/// "dozens of minutes" at peak).
+const KILL_COOLDOWN: SimDuration = SimDuration::from_minutes(15);
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NdConfig {
@@ -77,10 +83,6 @@ impl AntDtNd {
 impl MitigationPolicy for AntDtNd {
     fn clone_box(&self) -> Box<dyn MitigationPolicy> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "antdt-nd"
     }
 
     fn decide(&mut self, now: SimTime, snap: &MonitorSnapshot, ctx: &PolicyCtx) -> Vec<Action> {

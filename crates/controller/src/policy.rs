@@ -5,14 +5,8 @@
 
 use crate::action::Action;
 use antdt_monitor::{MonitorSnapshot, NodeStats};
-use antdt_sim::{SimDuration, SimTime};
+use antdt_sim::SimTime;
 use antdt_telemetry::DecisionRecord;
-
-/// Re-kill cooldown per node for every policy that issues `KILL_RESTART`, so
-/// an in-flight failover or a just-restarted node isn't immediately killed
-/// again on stale statistics. Those policies also skip `KILL_RESTART` while
-/// the cluster is busy (§VI-A4: pending time is "dozens of minutes" at peak).
-pub(crate) const KILL_COOLDOWN: SimDuration = SimDuration::from_minutes(15);
 
 /// Static job facts a policy may need besides the live snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,8 +19,6 @@ pub struct PolicyCtx {
 
 /// A straggler-mitigation solution (paper §VI).
 pub trait MitigationPolicy: Send {
-    fn name(&self) -> &'static str;
-
     /// Called on every Monitor aggregation tick (default: every 5 minutes).
     /// Returns the actions to execute; `[Action::None]` means "no straggler
     /// detected this round" (§VI-A5).

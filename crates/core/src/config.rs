@@ -156,12 +156,6 @@ pub enum Fault {
     /// (seeded, reproducible) for `window_secs` — starves the Controller of
     /// statistics without touching training itself.
     DropReports { prob: f64, window_secs: f64, seed: u64 },
-    /// Degrade the control bus for `window_secs`: every control message pays
-    /// `latency_secs` and is lost with probability `loss_prob` per attempt
-    /// (seeded, reproducible). Overrides the job's `control_channel` for the
-    /// window — directives crawl, reports go missing, and the fencing /
-    /// idempotence machinery has to hold the line.
-    ControlDegrade { latency_secs: f64, loss_prob: f64, window_secs: f64, seed: u64 },
 }
 
 impl Fault {
@@ -180,12 +174,6 @@ impl Fault {
             Fault::DropReports { prob, window_secs, .. } => {
                 format!("drop {:.0}% of reports for {window_secs:.0}s", prob * 100.0)
             }
-            Fault::ControlDegrade { latency_secs, loss_prob, window_secs, .. } => {
-                format!(
-                    "degrade control bus ({latency_secs:.0}s latency, {:.0}% loss) for {window_secs:.0}s",
-                    loss_prob * 100.0
-                )
-            }
         }
     }
 
@@ -195,8 +183,7 @@ impl Fault {
         match self {
             Fault::NetworkDegrade { window_secs, .. }
             | Fault::DdsOutage { window_secs }
-            | Fault::DropReports { window_secs, .. }
-            | Fault::ControlDegrade { window_secs, .. } => Some(*window_secs),
+            | Fault::DropReports { window_secs, .. } => Some(*window_secs),
             _ => None,
         }
     }
@@ -562,18 +549,12 @@ impl JobConfig {
                         "DropReports probability must be in [0, 1]"
                     );
                 }
-                Fault::ControlDegrade { latency_secs, loss_prob, .. } => {
-                    assert!(
-                        latency_secs.is_finite() && *latency_secs >= 0.0,
-                        "ControlDegrade latency must be finite and non-negative"
-                    );
-                    assert!(
-                        (0.0..1.0).contains(loss_prob),
-                        "ControlDegrade loss probability must be in [0, 1)"
-                    );
-                }
             }
             if let Fault::RestartDelay { extra_secs, .. } = inj.fault {
+                assert!(
+                    self.arch.is_ps(),
+                    "RestartDelay injection requires a Parameter Server job (a DDP rank never restarts)"
+                );
                 assert!(
                     extra_secs.is_finite() && extra_secs >= 0.0,
                     "RestartDelay extra_secs must be finite and non-negative"

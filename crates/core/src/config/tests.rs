@@ -268,6 +268,18 @@ fn negative_restart_delay_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "RestartDelay injection requires a Parameter Server job")]
+fn restart_delay_rejected_on_a_ring() {
+    // A DDP rank leaves the ring for good, so there is no restart to delay.
+    JobConfig::allreduce(cluster_a_scaled(4, 0), Scenario::None)
+        .with_injections(vec![FaultEvent {
+            at_secs: 10.0,
+            fault: Fault::RestartDelay { node: NodeRef::Worker(0), extra_secs: 30.0 },
+        }])
+        .validate();
+}
+
+#[test]
 #[should_panic(expected = "checkpoint interval must be finite and at least 1 µs")]
 fn non_finite_fixed_cadence_rejected() {
     with_policy(CkptPolicy::Fixed { interval_secs: f64::NAN }).validate();

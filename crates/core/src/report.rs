@@ -275,10 +275,8 @@ pub struct DivergenceMarks {
     /// Per worker slot: the first iteration start whose cost was changed by
     /// the worker's contention phases (`Perturbation::HealthyNode`).
     pub worker_contended: Vec<Option<SimTime>>,
-    /// First control-plane transmission sampled on the job's own `Modeled`
-    /// base channel (`Perturbation::ZeroControlLatency`). Sends inside a
-    /// `ControlDegrade` overlay window don't count — the overlay channel is
-    /// identical either way.
+    /// First control-plane transmission sampled on the job's `Modeled`
+    /// channel (`Perturbation::ZeroControlLatency`).
     pub control_modeled: Option<SimTime>,
     /// First checkpoint capture that charged a nonzero stall
     /// (`Perturbation::NoCkptStalls`).

@@ -14,9 +14,8 @@
 //! Under [`ControlChannel::Ideal`] (the default) every message is delivered
 //! *inline* at the classic broadcast-model instants: zero extra events, zero
 //! extra RNG draws, so same-seed traces are byte-identical to the pre-bus
-//! golden fixtures. Under [`ControlChannel::Modeled`] — or while a chaos
-//! `ControlDegrade` window overlays the channel — messages become first-class
-//! [`Ev::BusMsg`] events with latency, jitter, loss and capped
+//! golden fixtures. Under [`ControlChannel::Modeled`] messages become
+//! first-class [`Ev::BusMsg`] events with latency, jitter, loss and capped
 //! retransmission, all drawn from the channel's dedicated RNG stream (never
 //! the simulation's [`antdt_sim::RngPool`] streams).
 //!
@@ -102,11 +101,8 @@ pub(crate) struct BusCounts {
 #[derive(Clone)]
 pub(crate) struct ControlBus {
     channel: ControlChannel,
-    /// The base channel's dedicated RNG (`None` for `Ideal`).
+    /// The channel's dedicated RNG (`None` for `Ideal`).
     rng: Option<StdRng>,
-    /// Active `ControlDegrade` windows: `(injection idx, channel, rng)`.
-    /// The innermost (last) window wins while any are active.
-    overlays: Vec<(u32, ControlChannel, StdRng)>,
     store: MetricStore,
     policy: Box<dyn MitigationPolicy>,
     ctx: PolicyCtx,
@@ -121,9 +117,7 @@ pub(crate) struct ControlBus {
     /// Reused buffer for [`ControlBus::drain_actions_into`].
     due_scratch: Vec<(SimTime, u64, Action)>,
     /// Set-once divergence mark for `Perturbation::ZeroControlLatency`: the
-    /// first transmission sampled on the job's own `Modeled` base channel.
-    /// Transmissions inside a `ControlDegrade` overlay window don't count —
-    /// the overlay channel behaves identically under an `Ideal` base.
+    /// first transmission sampled on the job's `Modeled` channel.
     divergence: Option<SimTime>,
     counts: BusCounts,
 }
@@ -161,7 +155,6 @@ impl ControlBus {
         ControlBus {
             rng: channel.rng(),
             channel,
-            overlays: Vec::new(),
             store,
             policy,
             ctx,
@@ -191,49 +184,25 @@ impl ControlBus {
         self.divergence
     }
 
-    /// Counterfactual live edit: swap the base channel for `Ideal` mid-run.
-    /// Only sound on a run forked *before* [`ControlBus::control_divergence`]
-    /// — in-flight envelopes from overlay windows are unaffected (their
-    /// retries resample on whatever channel is then in effect, now `Ideal`,
-    /// exactly as a from-scratch perturbed run would).
+    /// Counterfactual live edit: swap the channel for `Ideal` mid-run. Only
+    /// sound on a run forked *before* [`ControlBus::control_divergence`],
+    /// when no message has been sampled on the channel yet.
     pub(crate) fn set_ideal_channel(&mut self) {
         self.channel = ControlChannel::Ideal;
         self.rng = None;
     }
 
-    /// The channel currently in effect: the innermost `ControlDegrade`
-    /// overlay, or the job's configured channel.
-    fn effective_channel(&self) -> ControlChannel {
-        self.overlays.last().map(|(_, ch, _)| *ch).unwrap_or(self.channel)
-    }
-
-    /// Whether messages are currently delivered inline (no events, no draws).
+    /// Whether messages are delivered inline (no events, no draws).
     fn inline_mode(&self) -> bool {
-        self.effective_channel().is_ideal()
+        self.channel.is_ideal()
     }
 
-    /// Sample one transmission attempt on the effective channel.
+    /// Sample one transmission attempt on the channel.
     fn sample(&mut self) -> ChannelVerdict {
-        if let Some((_, ch, rng)) = self.overlays.last_mut() {
-            return ch.sample(rng);
-        }
         match (&self.channel, &mut self.rng) {
             (ch @ ControlChannel::Modeled { .. }, Some(rng)) => ch.sample(rng),
             _ => ChannelVerdict::Deliver(0.0),
         }
-    }
-
-    /// A `ControlDegrade` chaos window opens.
-    pub(crate) fn push_degrade(&mut self, idx: u32, latency_secs: f64, loss_prob: f64, seed: u64) {
-        let ch = ControlChannel::Modeled { latency_secs, jitter_secs: 0.0, loss_prob, seed };
-        self.overlays.push((idx, ch, StdRng::seed_from_u64(seed)));
-    }
-
-    /// A `ControlDegrade` window closes. In-flight envelopes keep their
-    /// scheduled instants; retries resample on whatever channel is then in
-    /// effect.
-    pub(crate) fn pop_degrade(&mut self, idx: u32) {
-        self.overlays.retain(|(i, _, _)| *i != idx);
     }
 
     /// Whether worker `wi`'s agent wants to push a report this iteration
@@ -464,12 +433,10 @@ impl ControlBus {
 
     /// One transmission attempt of `env`, starting from `base_at`.
     fn transmit(&mut self, eng: &mut RtEngine, seq: u64, mut env: Envelope, base_at: SimTime) {
-        // Every channel sample funnels through here, so this is the single
-        // choke point where an `Ideal`-base run would first behave
-        // differently (overlay samples are channel-independent).
-        if self.divergence.is_none() && self.overlays.is_empty() && !self.channel.is_ideal() {
-            self.divergence = Some(eng.now());
-        }
+        // Every channel sample funnels through here (only a `Modeled`
+        // channel sends envelopes), so this is the single choke point where
+        // an `Ideal`-channel run would first behave differently.
+        self.divergence.get_or_insert(eng.now());
         env.attempts += 1;
         match self.sample() {
             ChannelVerdict::Deliver(d) => {
@@ -496,7 +463,7 @@ impl ControlBus {
         if env.retryable && env.attempts < MAX_ATTEMPTS {
             self.counts.retried += 1;
             env.state = EnvState::Retry;
-            let backoff = SimDuration::from_secs_f64(self.effective_channel().retry_secs());
+            let backoff = SimDuration::from_secs_f64(self.channel.retry_secs());
             eng.schedule(base_at + backoff, Ev::BusMsg { seq });
             self.pending.insert(seq, env);
         } else if let ControlMsg::Directive { directive, .. } = &env.msg {

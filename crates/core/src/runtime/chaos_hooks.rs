@@ -69,10 +69,6 @@ pub(crate) fn chaos_fault(k: &mut Kernel, strat: &mut Strategy, eng: &mut RtEngi
             k.chaos_droppers.push((idx, prob, StdRng::seed_from_u64(seed)));
             eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
         }
-        Fault::ControlDegrade { latency_secs, loss_prob, window_secs, seed } => {
-            k.bus.push_degrade(idx, latency_secs, loss_prob, seed);
-            eng.schedule(now + SimDuration::from_secs_f64(window_secs), Ev::ChaosLift { k: idx });
-        }
     }
 }
 
@@ -101,7 +97,6 @@ pub(crate) fn chaos_lift(k: &mut Kernel, strat: &Strategy, eng: &mut RtEngine, i
         Fault::DropReports { .. } => {
             k.chaos_droppers.retain(|d| d.0 != idx);
         }
-        Fault::ControlDegrade { .. } => k.bus.pop_degrade(idx),
         _ => {}
     }
 }

@@ -56,9 +56,7 @@ impl RingAllReduce {
             Fault::KillNodeNoFailover { node: NodeRef::Worker(w) } => {
                 self.kill_rank(k, now, w, false)
             }
-            // No per-rank restarts in DDP, so there is no restart to delay.
-            Fault::RestartDelay { .. } => {}
-            _ => unreachable!("server kills are validated out for ring runtimes; windowed faults are kernel-handled"),
+            _ => unreachable!("server kills and restart delays are validated out for ring runtimes; windowed faults are kernel-handled"),
         }
     }
 

@@ -69,7 +69,7 @@ if [ -n "$hits" ]; then
 $hits"
 fi
 # antdt-ckpt is the snapshot/cost-model leaf shared by the runtime and the
-# controller: like antdt-par it must stay std-only (dev-deps excluded) so a
+# DDS: like antdt-par it must stay std-only (dev-deps excluded) so a
 # checkpoint format change can never drag runtime types into the leaves.
 if sed -n '/^\[dependencies\]/,/^\[/p' crates/ckpt/Cargo.toml \
     | grep -E '^\s*[a-zA-Z]' >/dev/null; then

@@ -1,8 +1,7 @@
 //! End-to-end integration: whole jobs wired through every crate — simulator,
 //! DDS, monitor, controller, agent, runtimes.
 
-use antdt::controller::KillRestartOnly;
-use antdt::core::{run_with_policy, DataStrategy, Job, JobConfig, MitigationChoice};
+use antdt::core::{DataStrategy, Job, JobConfig, MitigationChoice};
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
 
@@ -72,15 +71,11 @@ fn every_mitigation_choice_completes_the_same_data() {
         MitigationChoice::AntDtNd,
         MitigationChoice::LbBsp,
         MitigationChoice::BackupWorkers { b: 1 },
+        MitigationChoice::AntDtNdAsp,
     ];
-    let runs = choices
-        .map(|m| (format!("{m:?}"), Job::run(job(scenario).with_mitigation(m))))
-        .into_iter()
-        .chain([(
-            "KillRestartOnly".to_string(),
-            run_with_policy(job(scenario), Box::new(KillRestartOnly::new(1.5))),
-        )]);
-    for (m, r) in runs {
+    for m in choices {
+        let r = Job::run(job(scenario).with_mitigation(m.clone()));
+        let m = format!("{m:?}");
         assert!(!r.timed_out, "{m} timed out");
         // At-least-once: every sample processed; failovers may recompute some.
         assert!(r.samples_done >= 1_000_000, "{m} lost samples: {}", r.samples_done);

@@ -1,17 +1,17 @@
 //! The paper's extensibility claim (§V-A): users compose custom mitigation
 //! solutions from the action set without touching data allocation or fault
-//! tolerance. Here a custom solution — LB-BSP rebalancing + kill-restart +
-//! adaptive backup workers stacked with [`Composite`] — runs end to end
-//! through the framework and behaves sanely.
+//! tolerance. Here a solution written in this file — AntDT-ND plus a
+//! `BACKUP_WORKERS` rule of its own — runs end to end through the framework
+//! and behaves sanely.
 
-use antdt::controller::{
-    AdaptiveBackupWorkers, Composite, KillRestartOnly, LbBsp, MitigationPolicy,
-};
+use antdt::controller::{Action, AntDtNd, MitigationPolicy, NdConfig, PolicyCtx};
 use antdt::core::{
     run_with_policy, FailoverMode, Fault, FaultEvent, Job, JobConfig, MitigationChoice, NodeRef,
 };
+use antdt::monitor::MonitorSnapshot;
 use antdt::sim::rng::StdRng;
-use antdt::sim::SimDuration;
+use antdt::sim::{SimDuration, SimTime};
+use antdt::telemetry::DecisionRecord;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
 
 fn cfg(scenario: Scenario) -> JobConfig {
@@ -23,19 +23,48 @@ fn cfg(scenario: Scenario) -> JobConfig {
         .with_fast_cadence(SimDuration::from_secs(90))
 }
 
-fn custom_policy(n_workers: usize) -> Box<dyn MitigationPolicy> {
-    Box::new(Composite::new(vec![
-        Box::new(LbBsp::uncapped(n_workers)),
-        Box::new(KillRestartOnly::new(1.5)),
-        Box::new(AdaptiveBackupWorkers::new(1.5)),
-    ]))
+/// A custom solution: AntDT-ND's rules, plus `BACKUP_WORKERS` sized every
+/// tick to the workers whose short-window BPT is at least 1.5× the mean
+/// (at most a quarter of the fleet), announced whenever that size changes.
+#[derive(Clone)]
+struct NdWithBackupWorkers {
+    nd: AntDtNd,
+    last_b: Option<u32>,
+}
+
+impl MitigationPolicy for NdWithBackupWorkers {
+    fn decide(&mut self, now: SimTime, snap: &MonitorSnapshot, ctx: &PolicyCtx) -> Vec<Action> {
+        let mut actions = self.nd.decide(now, snap, ctx);
+        let Some(mean) = snap.mean_worker_bpt_trans() else { return actions };
+        let stragglers = snap
+            .workers
+            .iter()
+            .filter(|s| s.alive && s.bpt_trans.is_some_and(|t| t >= 1.5 * mean))
+            .count() as u32;
+        let b = stragglers.min(ctx.n_workers as u32 / 4);
+        if self.last_b != Some(b) {
+            self.last_b = Some(b);
+            actions.retain(|a| *a != Action::None);
+            actions.push(Action::BackupWorkers { b });
+        }
+        actions
+    }
+
+    fn drain_audit(&mut self) -> Vec<DecisionRecord> {
+        self.nd.drain_audit()
+    }
+
+    fn clone_box(&self) -> Box<dyn MitigationPolicy> {
+        Box::new(self.clone())
+    }
 }
 
 #[test]
 fn custom_composite_solution_beats_native_bsp() {
     let scenario = Scenario::WorkerMix { intensity: 0.8 };
     let native = Job::run(cfg(scenario));
-    let custom = run_with_policy(cfg(scenario), custom_policy(8));
+    let policy = NdWithBackupWorkers { nd: AntDtNd::new(NdConfig::default()), last_b: None };
+    let custom = run_with_policy(cfg(scenario), Box::new(policy));
     assert!(!custom.timed_out);
     assert!(
         custom.jct.as_secs_f64() < native.jct.as_secs_f64(),
@@ -43,16 +72,11 @@ fn custom_composite_solution_beats_native_bsp() {
         custom.jct,
         native.jct
     );
-    // All three ingredients actually fired.
+    // The shipped rules and the custom one all fired.
     assert!(custom.n_kills() >= 1, "kill-restart part engaged");
-    let used_bs =
-        custom.actions.iter().any(|(_, a)| matches!(a, antdt::controller::Action::AdjustBs { .. }));
-    let used_bw = custom
-        .actions
-        .iter()
-        .any(|(_, a)| matches!(a, antdt::controller::Action::BackupWorkers { .. }));
-    assert!(used_bs, "rebalancing part engaged");
-    assert!(used_bw, "backup-worker part engaged");
+    let used = |f: fn(&Action) -> bool| custom.actions.iter().any(|(_, a)| f(a));
+    assert!(used(|a| matches!(a, Action::AdjustBs { .. })), "rebalancing part engaged");
+    assert!(used(|a| matches!(a, Action::BackupWorkers { .. })), "backup-worker part engaged");
     // The framework still guarantees integrity underneath the custom solution.
     let audit = custom.audit.unwrap();
     assert!(audit.at_least_once);

@@ -4,10 +4,7 @@
 //! bit-for-bit deterministic. Each test runs 24 seeded cases and names the
 //! failing seed.
 
-use antdt::controller::KillRestartOnly;
-use antdt::core::{
-    run_with_policy, Consistency, DataStrategy, Job, JobConfig, JobReport, MitigationChoice,
-};
+use antdt::core::{Consistency, DataStrategy, Job, JobConfig, MitigationChoice};
 use antdt::sim::rng::StdRng;
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
@@ -25,29 +22,14 @@ fn random_scenario(rng: &mut StdRng) -> Scenario {
     }
 }
 
-/// A drawn solution: a stock [`MitigationChoice`], or the scheduling-only
-/// [`KillRestartOnly`] policy, which runs through `run_with_policy`.
-#[derive(Debug, Clone)]
-enum Mitigation {
-    Choice(MitigationChoice),
-    KillRestartOnly,
-}
-
 /// Backup workers are a BSP barrier knob, so an ASP case never draws them.
-fn random_mitigation(rng: &mut StdRng, asp: bool) -> Mitigation {
+fn random_mitigation(rng: &mut StdRng, asp: bool) -> MitigationChoice {
     match rng.gen_range(0u32..5) {
-        0 => Mitigation::Choice(MitigationChoice::None),
-        1 => Mitigation::Choice(MitigationChoice::AntDtNd),
-        2 => Mitigation::Choice(MitigationChoice::LbBsp),
-        3 if !asp => Mitigation::Choice(MitigationChoice::BackupWorkers { b: 1 }),
-        _ => Mitigation::KillRestartOnly,
-    }
-}
-
-fn run(cfg: JobConfig, mitigation: &Mitigation) -> JobReport {
-    match mitigation {
-        Mitigation::Choice(m) => Job::run(cfg.with_mitigation(m.clone())),
-        Mitigation::KillRestartOnly => run_with_policy(cfg, Box::new(KillRestartOnly::new(1.5))),
+        0 => MitigationChoice::None,
+        1 => MitigationChoice::AntDtNd,
+        2 => MitigationChoice::LbBsp,
+        3 if !asp => MitigationChoice::BackupWorkers { b: 1 },
+        _ => MitigationChoice::AntDtNdAsp,
     }
 }
 
@@ -82,7 +64,10 @@ fn any_job_terminates_with_exact_accounting() {
         let mitigation = random_mitigation(&mut rng, asp);
         let seed = rng.gen_range(0u64..1_000);
         // Backup workers need b < workers; b = 1 is always fine at >= 2 workers.
-        let r = run(build(workers, servers, samples, asp, scenario, seed), &mitigation);
+        let r = Job::run(
+            build(workers, servers, samples, asp, scenario, seed)
+                .with_mitigation(mitigation.clone()),
+        );
         assert!(!r.timed_out, "case {case}: {mitigation:?}/{scenario:?} timed out");
         assert!(r.samples_done >= samples, "case {case}: lost samples: {}", r.samples_done);
         let audit = r.audit.expect("dds strategy");
