@@ -4,7 +4,7 @@
 //! experiments <id>...         # fig1 fig2 fig3 fig7 fig8 fig9 fig10 fig11
 //!                             # fig12 fig13 fig14 fig15 fig16 fig17 fig18
 //!                             # fig19 tab3 integrity solver ablate chaos
-//!                             # controlbus whatif perf
+//!                             # controlbus whatif shapes perf
 //! experiments all             # everything but perf, in paper order
 //! experiments list            # show the registry
 //! experiments --out DIR <id>  # additionally write each report to DIR/<id>.txt
@@ -29,6 +29,14 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(v)
 }
 
+/// The value of `--jobs`: a positive thread count.
+fn parse_jobs(n: &str) -> Result<usize, String> {
+    n.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or(format!("--jobs requires a positive integer, got {n:?}"))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_dir: Option<std::path::PathBuf> = None;
@@ -38,11 +46,10 @@ fn main() {
         out_dir = Some(dir);
     }
     if let Some(n) = take_flag(&mut args, "--jobs") {
-        let n: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs requires a positive integer, got {n:?}");
+        antdt_par::configure_jobs(parse_jobs(&n).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        });
-        antdt_par::configure_jobs(n);
+        }));
     }
     let only: Option<Vec<String>> = take_flag(&mut args, "--only").map(|list| {
         list.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
@@ -98,6 +105,17 @@ fn run_ids(args: &[String], only: Option<&[String]>, out_dir: Option<&std::path:
                 eprintln!("unknown experiment id: {id} (try `experiments list`)");
                 std::process::exit(2);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn jobs_must_be_a_positive_integer() {
+        assert_eq!(super::parse_jobs("3"), Ok(3));
+        for bad in ["0", "-1", "two", ""] {
+            assert!(super::parse_jobs(bad).unwrap_err().contains("--jobs"), "{bad:?}");
         }
     }
 }

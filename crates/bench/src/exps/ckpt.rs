@@ -27,17 +27,22 @@ use std::fmt::Write;
 /// without burying the recovery-model signal.
 const CAPTURE_STALL_SECS: f64 = 2.0;
 
+/// The interval grid, in fractions of the fault-free JCT. Below 2% the
+/// interval undercuts the capture stall and the servers barely run.
+pub(crate) const FRACTIONS: [f64; 12] =
+    [0.02, 0.03, 0.05, 0.075, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60, 0.80, 1.0];
+
 /// A clean mid-size PS job: no stragglers, no mitigation policy, so the only
 /// faults in the sweep are the injected kills and every JCT delta is pure
 /// checkpoint and recovery cost.
-fn base() -> JobConfig {
+pub(crate) fn base(seed: u64) -> JobConfig {
     JobConfig::ps_bsp(cluster_a_scaled(8, 3), Scenario::None)
         .with_model(ModelProfile::xdeepfm())
         .with_global_batch(8_192)
         .with_samples(1_000_000)
         .with_batches_per_shard(10)
         .with_fast_cadence(SimDuration::from_secs(60))
-        .with_seed(29)
+        .with_seed(seed)
         .with_mitigation(MitigationChoice::None)
 }
 
@@ -57,27 +62,26 @@ fn kills(clean_jct_secs: f64) -> Vec<FaultEvent> {
 }
 
 /// One sweep point: a worker policy at one interval.
-struct Point {
-    interval_secs: f64,
-    report: JobReport,
+pub(crate) struct Point {
+    pub(crate) interval_secs: f64,
+    pub(crate) report: JobReport,
 }
 
-/// Run the kill plan at every interval in `fractions` (of the fault-free JCT)
-/// under both worker policies, fanned out with `par_map`. Returns the
-/// fault-free probe and the points, the `replay` arm first, each arm in grid
-/// order.
-fn sweep(fractions: &[f64]) -> (JobReport, Vec<Point>) {
+/// Run the kill plan at every interval of [`FRACTIONS`] under both worker
+/// policies at `seed`, fanned out with `par_map`. Returns the fault-free
+/// probe and the points, the `replay` arm first, each arm in grid order.
+pub(crate) fn sweep(seed: u64) -> (JobReport, Vec<Point>) {
     // The fault-free twin anchors the kill instants, the interval grid and
     // the "vs clean" column.
-    let clean = Job::run(base());
+    let clean = Job::run(base(seed));
     let clean_jct = clean.jct.as_secs_f64();
     let grid: Vec<(FailoverMode, f64)> = [FailoverMode::Replay, FailoverMode::DdsBased]
         .iter()
-        .flat_map(|&m| fractions.iter().map(move |f| (m, f * clean_jct)))
+        .flat_map(|&m| FRACTIONS.iter().map(move |f| (m, f * clean_jct)))
         .collect();
     let points = antdt_par::par_map(grid, |(mode, interval_secs)| {
         let report = Job::run(
-            base()
+            base(seed)
                 .with_injections(kills(clean_jct))
                 .with_liveness_timeout(SimDuration::from_secs(1_800))
                 .with_ckpt(CkptConfig {
@@ -105,10 +109,7 @@ pub fn fig17() -> String {
         "fig17",
         "Worker failover: JCT vs checkpoint interval, DDS requeue vs global rewind (paper Fig. 17)",
     );
-    // The grid starts where the interval exceeds the capture stall: below
-    // that, captures queue back to back and the servers barely run.
-    let fractions = [0.02, 0.03, 0.05, 0.075, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60, 0.80, 1.0];
-    let (clean, sweep) = sweep(&fractions);
+    let (clean, sweep) = sweep(29);
     let clean_jct = clean.jct.as_secs_f64();
     let _ = writeln!(
         out,
@@ -116,7 +117,7 @@ pub fn fig17() -> String {
          servers {CAPTURE_STALL_SECS:.0}s",
         secs(clean_jct)
     );
-    let (replay, dds) = sweep.split_at(fractions.len());
+    let (replay, dds) = sweep.split_at(FRACTIONS.len());
     let mut rows = vec![vec![
         "ckpt interval".into(),
         "snapshots".into(),

@@ -5,7 +5,8 @@
 //! Grouped by evaluation section: `motivation` (Figs. 1–9), `nd`
 //! (AntDT-ND, Figs. 10–14), `framework` (AntDT-DD + framework properties,
 //! Figs. 15–19 and Table III) and `ops` (integrity, solver, ablations,
-//! chaos).
+//! chaos). `shapes` checks the paper's claims on those same configurations
+//! over a range of seeds.
 
 mod ckpt;
 mod controlbus;
@@ -14,6 +15,7 @@ mod motivation;
 mod nd;
 mod ops;
 mod perf;
+pub mod shapes;
 mod whatif;
 
 pub use ckpt::fig17;
@@ -23,6 +25,7 @@ pub use motivation::{fig1, fig2, fig3, fig7, fig8, fig9};
 pub use nd::{fig10, fig11, fig12, fig13, fig14};
 pub use ops::{ablate, chaos, integrity, solver};
 pub use perf::perf;
+pub use shapes::shapes;
 pub use whatif::whatif;
 
 use antdt_controller::DeviceClassSpec;
@@ -39,6 +42,15 @@ use antdt_workloads::{DeviceClass, ModelProfile, Scenario};
 /// intensity 0.8, plus the persistent straggler).
 pub(crate) const WORKER_SI: f64 = 0.8;
 pub(crate) const SERVER_SI: f64 = 0.8;
+
+/// The worker-side (`WorkerMix`) or server-side (`ServerPersistent`) scenario.
+pub(crate) fn straggler(worker_side: bool, si: f64) -> Scenario {
+    if worker_side {
+        Scenario::WorkerMix { intensity: si }
+    } else {
+        Scenario::ServerPersistent { intensity: si }
+    }
+}
 
 /// Criteo-scale XDeepFM job on Cluster-A (§VII-A2): 45M clicks × 3 epochs,
 /// B = 81920 (local 4096 on 20 workers).

@@ -1,36 +1,33 @@
 //! Q1 — AntDT-ND on the non-dedicated CPU cluster (paper Figs. 10–14).
 
-use super::{criteo_job, criteo_job_asp, SERVER_SI, WORKER_SI};
+use super::{criteo_job, criteo_job_asp, straggler, SERVER_SI, WORKER_SI};
 use crate::util::{at, header, secs, series_line, sparkline, table};
-use antdt_core::{DataStrategy, Job, JobReport, MitigationChoice};
+use antdt_core::{DataStrategy, Job, JobConfig, MitigationChoice};
 use antdt_workloads::straggler::straggler_server_index;
 use antdt_workloads::Scenario;
 use std::fmt::Write;
 
-fn fig10_runs(worker_side: bool) -> Vec<(&'static str, JobReport)> {
-    let scenario = if worker_side {
-        Scenario::WorkerMix { intensity: WORKER_SI }
-    } else {
-        Scenario::ServerPersistent { intensity: SERVER_SI }
-    };
-    // Four independent runs of the same scenario under different mitigations:
-    // fan them out with `par_map` (order-preserving, so the table and
-    // the AntDT baseline row are unchanged).
-    let methods = vec![
+/// The Fig. 10 methods, in table order (AntDT-ND last: the baseline row).
+pub(crate) fn fig10_configs(worker_side: bool) -> Vec<(&'static str, JobConfig)> {
+    let scenario = straggler(worker_side, if worker_side { WORKER_SI } else { SERVER_SI });
+    [
         ("BSP", MitigationChoice::None),
         ("Backup Workers", MitigationChoice::BackupWorkers { b: 2 }),
         ("LB-BSP", MitigationChoice::LbBsp),
         ("AntDT-ND", MitigationChoice::AntDtNd),
-    ];
-    antdt_par::par_map(methods, |(name, m)| {
-        (name, Job::run(criteo_job(scenario).with_mitigation(m)))
-    })
+    ]
+    .into_iter()
+    .map(|(name, m)| (name, criteo_job(scenario).with_mitigation(m)))
+    .collect()
 }
 
-fn jct_table(runs: &[(&str, JobReport)]) -> String {
+/// Run labelled jobs with the order-preserving `par_map` and tabulate their
+/// JCTs against the last one's.
+fn jct_table(configs: Vec<(&'static str, JobConfig)>) -> String {
+    let runs = antdt_par::par_map(configs, |(name, cfg)| (name, Job::run(cfg)));
     let base = runs.last().expect("runs").1.jct.as_secs_f64(); // AntDT row
     let mut rows = vec![vec!["method".into(), "JCT".into(), "vs AntDT".into(), "kills".into()]];
-    for (name, r) in runs {
+    for (name, r) in &runs {
         rows.push(vec![
             (*name).into(),
             secs(r.jct.as_secs_f64()),
@@ -44,45 +41,40 @@ fn jct_table(runs: &[(&str, JobReport)]) -> String {
 pub fn fig10() -> String {
     let mut out = header("fig10", "JCT in BSP training (paper Fig. 10)");
     out.push_str("  worker stragglers (black bars):\n");
-    out.push_str(&jct_table(&fig10_runs(true)));
+    out.push_str(&jct_table(fig10_configs(true)));
     out.push_str("  server stragglers (red bars):\n");
-    out.push_str(&jct_table(&fig10_runs(false)));
+    out.push_str(&jct_table(fig10_configs(false)));
     out
 }
 
-fn fig11_runs(worker_side: bool) -> Vec<(&'static str, JobReport)> {
-    let scenario = if worker_side {
-        Scenario::WorkerMix { intensity: WORKER_SI }
-    } else {
-        Scenario::ServerPersistent { intensity: SERVER_SI }
-    };
-    let configs = vec![
+/// The Fig. 11 ASP family, in table order (AntDT-ND last).
+pub(crate) fn fig11_configs(worker_side: bool) -> Vec<(&'static str, JobConfig)> {
+    let scenario = straggler(worker_side, if worker_side { WORKER_SI } else { SERVER_SI });
+    vec![
         ("ASP", criteo_job_asp(scenario).with_data_strategy(DataStrategy::EvenPartition)),
         ("ASP-DDS", criteo_job_asp(scenario)),
         ("AntDT-ND", criteo_job_asp(scenario).with_mitigation(MitigationChoice::AntDtNdAsp)),
-    ];
-    antdt_par::par_map(configs, |(name, cfg)| (name, Job::run(cfg)))
+    ]
 }
 
 pub fn fig11() -> String {
     let mut out = header("fig11", "JCT in ASP training (paper Fig. 11)");
     out.push_str("  worker stragglers (black bars):\n");
-    out.push_str(&jct_table(&fig11_runs(true)));
+    out.push_str(&jct_table(fig11_configs(true)));
     out.push_str("  server stragglers (red bars):\n");
-    out.push_str(&jct_table(&fig11_runs(false)));
+    out.push_str(&jct_table(fig11_configs(false)));
     out
 }
 
-fn nd_worker_run() -> JobReport {
-    Job::run(
-        criteo_job(Scenario::WorkerMix { intensity: WORKER_SI })
-            .with_mitigation(MitigationChoice::AntDtNd),
-    )
+/// AntDT-ND on the headline worker-straggler job (Figs. 12 and 13).
+pub(crate) fn nd_worker_config() -> JobConfig {
+    criteo_job(Scenario::WorkerMix { intensity: WORKER_SI })
+        .with_mitigation(MitigationChoice::AntDtNd)
 }
 
 pub fn fig12() -> String {
     let mut out = header("fig12", "Batch-size adjustment among workers, AntDT-ND (paper Fig. 12)");
-    let r = nd_worker_run();
+    let r = Job::run(nd_worker_config());
     let straggler = r.worker_batch.len() - 1; // persistent_worker_index
     for i in [0usize, 5, 10, straggler] {
         let _ = writeln!(
@@ -106,7 +98,7 @@ pub fn fig12() -> String {
 
 pub fn fig13() -> String {
     let mut out = header("fig13", "Worker BPT under AntDT-ND (paper Fig. 13)");
-    let r = nd_worker_run();
+    let r = Job::run(nd_worker_config());
     let straggler = r.worker_bpt.len() - 1;
     for i in [0usize, 5, 10, straggler] {
         let _ = writeln!(
@@ -123,13 +115,18 @@ pub fn fig13() -> String {
     out
 }
 
+/// AntDT-ND on the headline server-straggler job (Fig. 14).
+pub(crate) fn nd_server_config() -> JobConfig {
+    criteo_job(Scenario::ServerPersistent { intensity: SERVER_SI })
+        .with_mitigation(MitigationChoice::AntDtNd)
+}
+
 pub fn fig14() -> String {
     let mut out = header(
         "fig14",
         "Slow-server BPT and global throughput around KILL_RESTART (paper Fig. 14)",
     );
-    let cfg = criteo_job(Scenario::ServerPersistent { intensity: SERVER_SI })
-        .with_mitigation(MitigationChoice::AntDtNd);
+    let cfg = nd_server_config();
     let sj = straggler_server_index(&cfg.cluster);
     let r = Job::run(cfg);
     let _ = writeln!(out, "  ps-{sj} BPT:      {}", sparkline(&r.server_bpt[sj], 50));

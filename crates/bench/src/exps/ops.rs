@@ -5,13 +5,14 @@ use super::{criteo_job, WORKER_SI};
 use crate::util::{header, secs, table};
 use antdt_controller::solve::AffineCost;
 use antdt_controller::{grad_accum_allocation, minmax_batch_allocation, Eq4Class, Eq4Config};
-use antdt_core::{ExecutionMode, Job, JobConfig, MitigationChoice};
+use antdt_core::{ExecutionMode, Job, JobConfig, JobReport, MitigationChoice};
 use antdt_sim::SimDuration;
 use antdt_workloads::{ctr, CtrConfig, Scenario};
 use std::fmt::Write;
 
-pub fn integrity() -> String {
-    let mut out = header("integrity", "Data integrity under failovers (paper §VII-D2)");
+/// The §VII-D2 pair on real FM training: a clean run, and one whose
+/// persistent straggler AntDT-ND kill-restarts.
+pub(crate) fn integrity_configs() -> [JobConfig; 2] {
     let data = ctr::generate(&CtrConfig::default().with_samples(60_000));
     let (train, holdout) = data.split_holdout(0.2);
     let n_train = train.len() as u64;
@@ -29,12 +30,15 @@ pub fn integrity() -> String {
                 lr: 0.4,
             })
     };
-    // Reference: no stragglers, no failovers.
-    let clean = Job::run(base(Scenario::None));
-    // Failover run: persistent straggler -> AntDT-ND kill-restarts mid-training.
-    let faulty = Job::run(
+    [
+        base(Scenario::None),
         base(Scenario::WorkerMix { intensity: 1.0 }).with_mitigation(MitigationChoice::AntDtNd),
-    );
+    ]
+}
+
+pub fn integrity() -> String {
+    let mut out = header("integrity", "Data integrity under failovers (paper §VII-D2)");
+    let [clean, faulty] = integrity_configs().map(Job::run);
     let ca = clean.audit.unwrap();
     let fa = faulty.audit.unwrap();
     out.push_str(&table(&[
@@ -106,6 +110,19 @@ pub fn solver() -> String {
     out
 }
 
+/// The ablations' job: one 15M-sample epoch under the headline stragglers.
+pub(crate) fn ablation_job() -> JobConfig {
+    criteo_job(Scenario::WorkerMix { intensity: WORKER_SI }).with_samples(15_000_000).with_epochs(1)
+}
+
+/// Run `cfg` under AntDT-ND at slowness ratio `lambda` (not a config knob).
+pub(crate) fn run_lambda(mut cfg: JobConfig, lambda: f64) -> JobReport {
+    cfg.mitigation = MitigationChoice::AntDtNd;
+    let nd =
+        antdt_controller::AntDtNd::new(antdt_controller::NdConfig { lambda, ..Default::default() });
+    antdt_core::run_with_policy(cfg, Box::new(nd))
+}
+
 pub fn ablate() -> String {
     let mut out = header("ablate", "Ablations over the design choices DESIGN.md calls out");
 
@@ -119,14 +136,12 @@ pub fn ablate() -> String {
         "DDS overhead".into(),
     ]];
     let m_runs = antdt_par::par_map(vec![1u64, 10, 100, 500], |m| {
-        let r = Job::run(
-            criteo_job(Scenario::WorkerMix { intensity: WORKER_SI })
-                .with_batches_per_shard(m)
-                .with_samples(15_000_000)
-                .with_epochs(1)
-                .with_mitigation(MitigationChoice::AntDtNd),
-        );
-        (m, r)
+        (
+            m,
+            Job::run(
+                ablation_job().with_batches_per_shard(m).with_mitigation(MitigationChoice::AntDtNd),
+            ),
+        )
     });
     for (m, r) in m_runs {
         let a = r.audit.unwrap();
@@ -144,16 +159,7 @@ pub fn ablate() -> String {
     out.push_str("  (b) slowness ratio lambda (kills issued / JCT):\n");
     let mut rows = vec![vec!["lambda".into(), "JCT".into(), "kills".into()]];
     let lambda_runs = antdt_par::par_map(vec![1.1f64, 1.3, 1.5, 2.0, 3.0], |lambda| {
-        let mut cfg = criteo_job(Scenario::WorkerMix { intensity: WORKER_SI })
-            .with_samples(15_000_000)
-            .with_epochs(1);
-        cfg.mitigation = MitigationChoice::AntDtNd;
-        // Run via the policy directly to vary lambda.
-        let nd = antdt_controller::AntDtNd::new(antdt_controller::NdConfig {
-            lambda,
-            ..Default::default()
-        });
-        (lambda, antdt_core::run_with_policy(cfg, Box::new(nd)))
+        (lambda, run_lambda(ablation_job(), lambda))
     });
     for (lambda, r) in lambda_runs {
         rows.push(vec![format!("{lambda:.1}"), secs(r.jct.as_secs_f64()), r.n_kills().to_string()]);
@@ -194,13 +200,7 @@ pub fn ablate() -> String {
     let mut rows = vec![vec!["b".into(), "JCT".into(), "recomputed samples".into()]];
     let b_runs = antdt_par::par_map(vec![0u32, 1, 2, 4], |b| {
         let m = if b == 0 { MitigationChoice::None } else { MitigationChoice::BackupWorkers { b } };
-        let r = Job::run(
-            criteo_job(Scenario::WorkerMix { intensity: WORKER_SI })
-                .with_samples(15_000_000)
-                .with_epochs(1)
-                .with_mitigation(m),
-        );
-        (b, r)
+        (b, Job::run(ablation_job().with_mitigation(m)))
     });
     for (b, r) in b_runs {
         rows.push(vec![

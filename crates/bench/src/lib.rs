@@ -4,11 +4,13 @@
 //! regenerates the corresponding artifact from scratch on the simulator and
 //! returns a printable report; the `experiments` binary dispatches on ids
 //! (`fig1`…`fig19`, `tab3`, `integrity`, `solver`, `ablate`, `chaos`,
-//! `controlbus`, `whatif`, `perf`, `all`).
+//! `controlbus`, `whatif`, `shapes`, `perf`, `all`).
 //!
 //! Absolute numbers come from a simulated substrate, so they are not expected
 //! to match the paper's testbed; the *shapes* — who wins, by what factor,
 //! where crossovers fall — are the reproduction targets (see EXPERIMENTS.md).
+//! `shapes` ([`mod@exps::shapes`]) checks each of those claims as a predicate
+//! over a range of seeds.
 
 pub mod alloc;
 pub mod exps;
@@ -46,6 +48,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             "What-if service: 64-query batch throughput vs naive full reruns + parity",
             exps::whatif,
         ),
+        ("shapes", "Paper claims as seeded predicates: hold rate over seeds", exps::shapes),
         ("perf", "Perf harness: allocation counts + serial vs parallel `all` speedup", exps::perf),
     ]
 }
@@ -72,25 +75,18 @@ pub fn check_only(ids: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Run everything (minus the ids excluded from `all`), fanned out on the
-/// [`antdt_par`] fan-out. Per-id outputs are stitched back in registry order, so
-/// the result is byte-identical to a serial pass. `only` restricts the set to
-/// the listed ids (the `--only` flag of the `experiments` binary); registry
-/// order still governs.
+/// Run everything (minus the ids excluded from `all`) in registry order, one
+/// id after another: each id fans its own jobs out on the [`antdt_par`] pool
+/// (a fan-out over the ids would run those inline). Every id is deterministic,
+/// so the result is byte-identical to a serial pass. `only` restricts the set
+/// to the listed ids (the `--only` flag of the `experiments` binary).
 pub fn run_all(only: Option<&[String]>) -> String {
-    let runners: Vec<Runner> = registry()
+    registry()
         .into_iter()
         .filter(|(eid, _, _)| !EXCLUDED_FROM_ALL.contains(eid))
         .filter(|(eid, _, _)| only.is_none_or(|ids| ids.iter().any(|i| i == eid)))
-        .map(|(_, _, f)| f)
-        .collect();
-    let outs = antdt_par::par_map(runners, |f| f());
-    let mut out = String::new();
-    for o in outs {
-        out.push_str(&o);
-        out.push('\n');
-    }
-    out
+        .map(|(_, _, f)| format!("{}\n", f()))
+        .collect()
 }
 
 /// Run one experiment by id (`all` runs everything via [`run_all`]).

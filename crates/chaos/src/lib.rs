@@ -5,8 +5,8 @@
 //! This crate turns the discrete-event simulator into a chaos harness:
 //!
 //! * [`FaultPlan`] — a named list of timestamped [`FaultEvent`]s (node
-//!   kills, restart delays, link degradation, DDS outages, lossy reporting,
-//!   control-bus degradation) in `antdt-core`'s one fault vocabulary,
+//!   kills, restart delays, link degradation, DDS outages, lossy reporting)
+//!   in `antdt-core`'s one fault vocabulary,
 //!   compiled (sorted by time) into a `JobConfig`'s `injections` and
 //!   delivered as first-class simulator events, so every drill is
 //!   bit-for-bit reproducible from `(plan, seed)`;

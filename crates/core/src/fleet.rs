@@ -157,17 +157,4 @@ mod tests {
         assert!(a.iter().any(|s| matches!(s, Scenario::None)));
         assert!(a.iter().any(|s| !matches!(s, Scenario::None)));
     }
-
-    #[test]
-    fn antdt_nd_wins_the_bsp_family_on_average() {
-        let cfg = FleetConfig { n_jobs: 4, samples: 200_000 };
-        let bsp = run_arm(&cfg, FleetMethod::Bsp);
-        let nd = run_arm(&cfg, FleetMethod::AntDtNd);
-        assert!(
-            nd.mean_jct_secs < bsp.mean_jct_secs,
-            "bsp {} vs nd {}",
-            bsp.mean_jct_secs,
-            nd.mean_jct_secs
-        );
-    }
 }

@@ -46,7 +46,7 @@ pub(crate) fn build_policy(cfg: &JobConfig) -> Box<dyn MitigationPolicy> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Arch, Consistency, DataStrategy, ExecutionMode};
+    use crate::config::{Arch, Consistency, ExecutionMode};
     use antdt_sim::dist::Dist;
     use antdt_sim::{BusynessTimeline, SchedulerModel, SimDuration};
     use antdt_workloads::cluster::cluster_a_scaled;
@@ -78,165 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn bsp_deterministic_across_runs() {
-        let a = Job::run(small(Scenario::WorkerMix { intensity: 0.5 }));
-        let b = Job::run(small(Scenario::WorkerMix { intensity: 0.5 }));
-        assert_eq!(a.jct, b.jct);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.samples_done, b.samples_done);
-    }
-
-    #[test]
-    fn worker_straggler_slows_native_bsp() {
-        let clean = Job::run(small(Scenario::None));
-        let strag = Job::run(small(Scenario::WorkerPersistent { intensity: 0.8 }));
-        assert!(
-            strag.jct.as_secs_f64() > clean.jct.as_secs_f64() * 2.0,
-            "clean {} straggler {}",
-            clean.jct,
-            strag.jct
-        );
-    }
-
-    #[test]
-    fn antdt_nd_beats_native_bsp_under_worker_stragglers() {
-        let native = Job::run(small(Scenario::WorkerMix { intensity: 0.8 }));
-        let nd = Job::run(
-            small(Scenario::WorkerMix { intensity: 0.8 })
-                .with_mitigation(MitigationChoice::AntDtNd),
-        );
-        assert!(!nd.timed_out);
-        assert!(
-            nd.jct.as_secs_f64() < native.jct.as_secs_f64() * 0.8,
-            "native {} vs antdt-nd {}",
-            native.jct,
-            nd.jct
-        );
-        // The persistent straggler (last worker) was kill-restarted.
-        assert!(nd.n_kills() >= 1);
-        // A kill near the end may not see its restart before the job finishes.
-        assert!(nd.restarts.len() <= nd.kills.len());
-        // Integrity survives the failovers.
-        let audit = nd.audit.unwrap();
-        assert!(audit.at_least_once);
-    }
-
-    #[test]
-    fn antdt_nd_beats_native_bsp_under_server_straggler() {
-        // Long enough that one failover's cost amortizes (paper jobs run hours).
-        let native =
-            Job::run(small(Scenario::ServerPersistent { intensity: 0.8 }).with_samples(2_000_000));
-        let nd = Job::run(
-            small(Scenario::ServerPersistent { intensity: 0.8 })
-                .with_samples(2_000_000)
-                .with_mitigation(MitigationChoice::AntDtNd),
-        );
-        assert!(
-            nd.jct.as_secs_f64() < native.jct.as_secs_f64() * 0.8,
-            "native {} vs antdt-nd {}",
-            native.jct,
-            nd.jct
-        );
-        assert!(nd.kills.iter().any(|(_, n)| n.to_string().starts_with("ps-")));
-    }
-
-    #[test]
-    fn asp_even_partition_is_dominated_by_the_slowest_worker() {
-        let cfg = JobConfig::ps_asp(
-            cluster_a_scaled(4, 2),
-            Scenario::WorkerPersistent { intensity: 0.8 },
-        )
-        .with_global_batch(4096)
-        .with_samples(400_000)
-        .with_data_strategy(DataStrategy::EvenPartition);
-        let even = Job::run(cfg);
-
-        let dds = Job::run(
-            JobConfig::ps_asp(
-                cluster_a_scaled(4, 2),
-                Scenario::WorkerPersistent { intensity: 0.8 },
-            )
-            .with_global_batch(4096)
-            .with_samples(400_000)
-            .with_batches_per_shard(10),
-        );
-        assert!(!even.timed_out && !dds.timed_out);
-        assert_eq!(even.samples_done, 400_000);
-        assert_eq!(dds.samples_done, 400_000);
-        // DDS lets fast workers absorb the straggler's share.
-        assert!(
-            dds.jct.as_secs_f64() < even.jct.as_secs_f64() * 0.75,
-            "even {} vs dds {}",
-            even.jct,
-            dds.jct
-        );
-        // And the straggler consumed visibly fewer samples under DDS.
-        let c = dds.consumption.unwrap();
-        let slow = c.per_worker[&3].samples_done;
-        let fast = c.per_worker[&0].samples_done;
-        assert!(slow < fast, "slow {slow} fast {fast}");
-    }
-
-    #[test]
-    fn backup_workers_drop_and_requeue_straggler_pushes() {
-        let bw = Job::run(
-            small(Scenario::WorkerPersistent { intensity: 0.8 })
-                .with_mitigation(MitigationChoice::BackupWorkers { b: 1 }),
-        );
-        assert!(!bw.timed_out);
-        assert_eq!(bw.samples_done, 500_000, "at-least-once despite drops");
-        let audit = bw.audit.unwrap();
-        assert!(audit.at_least_once);
-        // Dropped pushes forced requeues.
-        assert!(audit.requeued_shards > 0 || bw.samples_done == 500_000);
-        let native = Job::run(small(Scenario::WorkerPersistent { intensity: 0.8 }));
-        assert!(
-            bw.jct.as_secs_f64() < native.jct.as_secs_f64(),
-            "native {} vs bw {}",
-            native.jct,
-            bw.jct
-        );
-    }
-
-    #[test]
-    fn lb_bsp_rebalances_but_cannot_fix_server_straggler() {
-        // Worker stragglers: LB-BSP's rebalancing beats native BSP at a scale
-        // where the drain tail doesn't dominate (paper-scale proportions).
-        let worker_cfg = |m: MitigationChoice| {
-            small(Scenario::WorkerMix { intensity: 0.8 })
-                .with_samples(3_000_000)
-                .with_batches_per_shard(5)
-                .with_mitigation(m)
-        };
-        let lb_worker = Job::run(worker_cfg(MitigationChoice::LbBsp));
-        let native_worker = Job::run(worker_cfg(MitigationChoice::None));
-        assert!(
-            lb_worker.jct.as_secs_f64() < native_worker.jct.as_secs_f64(),
-            "native {} vs lb {}",
-            native_worker.jct,
-            lb_worker.jct
-        );
-
-        let lb_server = Job::run(
-            small(Scenario::ServerPersistent { intensity: 0.8 })
-                .with_samples(2_000_000)
-                .with_mitigation(MitigationChoice::LbBsp),
-        );
-        let nd_server = Job::run(
-            small(Scenario::ServerPersistent { intensity: 0.8 })
-                .with_samples(2_000_000)
-                .with_mitigation(MitigationChoice::AntDtNd),
-        );
-        // LB-BSP cannot shrink T_s/T_m; AntDT-ND (kill) can.
-        assert!(
-            nd_server.jct.as_secs_f64() < lb_server.jct.as_secs_f64() * 0.8,
-            "lb {} vs nd {}",
-            lb_server.jct,
-            nd_server.jct
-        );
-    }
-
-    #[test]
     fn asp_is_no_slower_than_bsp_under_transient_stragglers() {
         let mk = |cons: Consistency| {
             let mut cfg = small(Scenario::WorkerTransient { intensity: 0.8 });
@@ -248,23 +89,6 @@ mod tests {
         assert!(!bsp.timed_out && !asp.timed_out);
         // Both complete the same data; ASP should not be slower than BSP here.
         assert!(asp.jct <= bsp.jct);
-    }
-
-    #[test]
-    fn real_math_mode_trains_and_reports_auc() {
-        let data = ctr::generate(&CtrConfig::default().with_samples(30_000));
-        let (train, holdout) = data.split_holdout(0.2);
-        let n_train = train.len() as u64;
-        let cfg = JobConfig::ps_bsp(cluster_a_scaled(4, 2), Scenario::None)
-            .with_global_batch(1024)
-            .with_samples(n_train)
-            .with_epochs(4)
-            .with_batches_per_shard(4)
-            .with_execution(ExecutionMode::Real { dataset: train, holdout, latent_k: 8, lr: 0.4 });
-        let r = Job::run(cfg);
-        assert!(!r.timed_out);
-        let auc = r.auc.expect("AUC computed in real mode");
-        assert!(auc > 0.7, "AUC {auc}");
     }
 
     #[test]
@@ -291,26 +115,6 @@ mod tests {
         assert!(audit.requeued_shards >= 1);
         // Faulted runs take longer than the clean run, but complete.
         assert!(r.jct > clean.jct);
-    }
-
-    #[test]
-    fn replay_failover_is_slower_than_dds_based() {
-        use crate::config::FailoverMode;
-        let base = || {
-            small(Scenario::WorkerPersistent { intensity: 0.8 })
-                .with_samples(2_000_000)
-                .with_mitigation(MitigationChoice::AntDtNd)
-        };
-        let dds = Job::run(base());
-        let replay = Job::run(base().with_failover_mode(FailoverMode::Replay));
-        assert!(dds.n_kills() >= 1 && replay.n_kills() >= 1);
-        // Checkpoint replay rewinds to the last durable snapshot and redoes
-        // the lost iterations; the DDS path only replays the dead worker's
-        // shards (paper Fig. 17).
-        assert!(replay.replayed_samples > 0, "the rewind must replay lost work");
-        assert_eq!(dds.replayed_samples, 0);
-        assert!(replay.jct > dds.jct, "replay {} vs dds {}", replay.jct, dds.jct);
-        assert!(replay.audit.unwrap().at_least_once);
     }
 
     #[test]
@@ -381,19 +185,6 @@ mod tests {
         // Replaying through the real drivers must not cost model quality.
         let (da, ca) = (drill.auc.unwrap(), clean.auc.unwrap());
         assert!((da - ca).abs() <= 0.02, "drill AUC {da} vs clean {ca}");
-    }
-
-    #[test]
-    fn overhead_is_a_small_fraction_of_jct() {
-        let r = Job::run(
-            small(Scenario::None)
-                .with_samples(3_000_000)
-                .with_mitigation(MitigationChoice::AntDtNd)
-                .with_monitor_tick(SimDuration::from_minutes(1)),
-        );
-        let f = r.overhead.fraction_of(r.jct);
-        assert!(f < 0.02, "overhead fraction {f}");
-        assert!(f > 0.0);
     }
 
     #[test]
@@ -543,28 +334,5 @@ mod tests {
         assert!(!parsed.trace_events.is_empty());
         assert!(parsed.trace_events.iter().any(|e| e.name == "stalled"));
         assert!(parsed.trace_events.iter().any(|e| e.cat == "gantt"));
-    }
-
-    #[test]
-    fn antdt_dd_beats_ddp_and_lb_bsp_on_heterogeneous_gpus() {
-        use antdt_controller::DeviceClassSpec;
-        use antdt_workloads::cluster::cluster_b;
-        let base = || {
-            JobConfig::allreduce(cluster_b(), Scenario::None)
-                .with_model(ModelProfile::resnet101())
-                .with_global_batch(768)
-                .with_samples(153_600)
-                .with_batches_per_shard(2)
-                .with_fast_cadence(SimDuration::from_secs(20))
-        };
-        let ddp = Job::run(base());
-        let lb = Job::run(base().with_mitigation(MitigationChoice::LbBsp));
-        let dd = Job::run(base().with_mitigation(MitigationChoice::AntDtDd).with_dd_classes(vec![
-            DeviceClassSpec { count: 4, c0_secs: 0.15, b_min: 16, b_max: 112 },
-            DeviceClassSpec { count: 4, c0_secs: 0.15, b_min: 16, b_max: 96 },
-        ]));
-        assert!(!ddp.timed_out && !lb.timed_out && !dd.timed_out);
-        assert!(lb.jct < ddp.jct, "LB-BSP {} should beat DDP {}", lb.jct, ddp.jct);
-        assert!(dd.jct < lb.jct, "AntDT-DD {} should beat LB-BSP {}", dd.jct, lb.jct);
     }
 }

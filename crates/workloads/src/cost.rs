@@ -120,29 +120,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cpu_cost_is_essentially_linear() {
-        // Paper Fig. 7: doubling the batch ~doubles the BPT on CPU.
-        let c = ModelProfile::xdeepfm().compute;
-        let t1 = c.time(4096, 1.0);
-        let t2 = c.time(8192, 1.0);
-        let ratio = t2 / t1;
-        assert!((ratio - 2.0).abs() < 0.05, "ratio {ratio}");
-    }
-
-    #[test]
-    fn gpu_cost_is_flat_at_small_batches() {
-        // Paper Fig. 8: below the saturation point, BPT barely moves.
-        let c = ModelProfile::resnet101().compute;
-        let t8 = c.time(8, 1.0);
-        let t16 = c.time(16, 1.0);
-        assert!(t16 / t8 < 1.1, "flat region: {t8} -> {t16}");
-        // ...but is clearly increasing at large batches.
-        let t64 = c.time(64, 1.0);
-        let t128 = c.time(128, 1.0);
-        assert!(t128 / t64 > 1.3, "linear region: {t64} -> {t128}");
-    }
-
-    #[test]
     fn speed_scales_only_the_variable_part() {
         let c = ComputeCost { c0_secs: 1.0, per_sample_secs: 0.01 };
         let slow = c.time(100, 1.0); // 1 + 1 = 2

@@ -4,6 +4,7 @@
 use antdt::core::{DataStrategy, Job, JobConfig, MitigationChoice};
 use antdt::sim::SimDuration;
 use antdt::workloads::{cluster, ModelProfile, Scenario};
+use antdt_bench::exps::shapes::assert_holds;
 
 fn job(scenario: Scenario) -> JobConfig {
     JobConfig::ps_bsp(cluster::cluster_a_scaled(6, 3), scenario)
@@ -35,32 +36,18 @@ fn whole_stack_is_deterministic() {
     assert_ne!(a.jct, c.jct);
 }
 
+/// Table III's worker side: BSP's JCT climbs from the straggler-free run
+/// through every intensity.
 #[test]
 fn straggler_intensity_monotonically_hurts_native_bsp() {
-    let mut last = 0.0;
-    for si in [0.0, 0.3, 0.6, 0.9] {
-        let r = Job::run(job(Scenario::WorkerMix { intensity: si }));
-        let jct = r.jct.as_secs_f64();
-        assert!(jct > last, "SI {si}: {jct} should exceed {last}");
-        last = jct;
-    }
+    assert_holds("tab3_worker_bsp_climbs");
 }
 
+/// Table III's headline: BSP's JCT climbs with intensity, AntDT-ND's barely
+/// moves.
 #[test]
 fn antdt_nd_flattens_the_intensity_curve() {
-    // Table III's headline: BSP's JCT climbs with intensity, AntDT-ND's barely
-    // moves.
-    let jct = |si: f64, m: MitigationChoice| {
-        Job::run(job(Scenario::WorkerMix { intensity: si }).with_mitigation(m)).jct.as_secs_f64()
-    };
-    let bsp_lo = jct(0.1, MitigationChoice::None);
-    let bsp_hi = jct(0.8, MitigationChoice::None);
-    let nd_lo = jct(0.1, MitigationChoice::AntDtNd);
-    let nd_hi = jct(0.8, MitigationChoice::AntDtNd);
-    let bsp_growth = bsp_hi / bsp_lo;
-    let nd_growth = nd_hi / nd_lo;
-    assert!(nd_growth < bsp_growth, "ND growth {nd_growth:.2} vs BSP growth {bsp_growth:.2}");
-    assert!(nd_hi < bsp_hi, "ND {nd_hi} must beat BSP {bsp_hi} at high SI");
+    assert_holds("tab3_worker_nd_flat");
 }
 
 #[test]
